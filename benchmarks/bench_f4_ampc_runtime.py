@@ -5,12 +5,13 @@ the scale the ROADMAP names as the dict path's breaking point (n = 10⁵),
 in the two regimes of Theorem 1.2:
 
 1. **lca** — the coin-dropping-game rounds (β = (2+ε)α on a sparse
-   ``random_gnm``, the default pipeline configuration).  The columnar
-   fabric runs the lockstep batched game engine
-   (:mod:`repro.core.batched_games`) by default; the PR 2/3 per-game
-   scalar interpreter is timed alongside it (``columnar_scalar_s``) as
-   the engine baseline, and — whenever the fused C kernel can load —
-   so is ``engine="compiled"`` (``compiled_s``, with
+   ``random_gnm``, the default pipeline configuration).  The headline
+   columnar leg pins the lockstep batched numpy engine
+   (:mod:`repro.core.batched_games`, the compiled kernel's fallback and
+   oracle); the per-game scalar interpreter is timed alongside it
+   (``columnar_scalar_s``) as the engine baseline, and — whenever the
+   fused C kernel (the library default) can load — so is
+   ``engine="compiled"`` (``compiled_s``, with
    ``engine_speedup_compiled`` = batched/compiled of the same run).
 2. **peel** — the Barenboim-Elkin fallback, where every round is a pure
    degree-mask array kernel and the speedup is the full dict-overhead
@@ -158,8 +159,12 @@ MIN_COMPILED_SPEEDUP = 2.0
 MAX_RECOVERY_OVERHEAD = 0.03
 
 
+# Legs that name no engine (the headline columnar leg, the worker sweep,
+# the degraded leg) pin the batched numpy engine rather than the library
+# default: the compiled leg is measured against it, and the tracked
+# BENCH_ampc.json phases and ratios were recorded on it.
 def _time_run(graph, beta: int, mode: str, store: str, workers: int = 1,
-              engine=None, phases=None, **kwargs):
+              engine="batched", phases=None, **kwargs):
     start = time.perf_counter()
     outcome = beta_partition_ampc(
         graph, beta, mode=mode, store=store, workers=workers, engine=engine,
@@ -284,7 +289,7 @@ def bench_mode(
         # which engine actually ran, so the regression guard notices a
         # silent fallback to the slow path).
         csr_words = (graph.num_vertices + 1) + 2 * graph.num_edges
-        message_engine = "compiled" if native.available() else None
+        message_engine = "compiled" if native.available() else "batched"
         message_s, sharded = _time_run(
             graph, beta, mode, "columnar", engine=message_engine,
             transport="message", shards=MESSAGE_SHARDS,
@@ -373,7 +378,7 @@ def bench_mode(
             # worker pool.  Every point must still reproduce the
             # serial partition exactly; the monotone guard covers this
             # dict alongside the plain columnar sweep.
-            message_engine = "compiled" if native.available() else None
+            message_engine = "compiled" if native.available() else "batched"
             fabric_scaling = {"1": report["message"]["message_s"]}
             for workers in worker_sweep:
                 if workers == 1:

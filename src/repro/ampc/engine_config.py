@@ -109,7 +109,8 @@ class EngineConfig:
     pool_degrade: bool = True
     # Game engine when the caller passes engine=None: "batched",
     # "compiled", or "scalar" (``REPRO_ENGINE``); None keeps the
-    # built-in default ("batched").  Engine choice never changes
+    # built-in default ("compiled", downgraded with a warning to
+    # "batched" when the kernel cannot load).  Engine choice never changes
     # observables — the compiled kernel is bit-identical by contract —
     # so an env override is as safe as the throughput knobs above.
     engine: str | None = None

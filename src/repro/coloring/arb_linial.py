@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.coloring.cover_free import CoverFreeFamily, choose_family
 from repro.core.orientation import Orientation
 
@@ -55,33 +57,11 @@ def arb_linial_coloring(
             f"orientation out-degree {orientation.max_out_degree()} exceeds β={beta}"
         )
     n = orientation.graph.num_vertices
-    if initial_colors is None:
-        colors = list(range(n))
-        palette = max(n, 2)
-    else:
-        colors = list(initial_colors)
-        palette = initial_palette if initial_palette is not None else max(colors) + 1
-        if any(not 0 <= c < palette for c in colors):
-            raise ValueError("initial colors outside declared palette")
-    schedule: list[CoverFreeFamily] = []
-    rounds = 0
-    while rounds < max_rounds:
-        if palette <= 2:
-            break
-        family = choose_family(palette, beta)
-        if family.target_colors >= palette:
-            break  # fixed point: O(β²) reached
-        old = colors
-        colors = [
-            family.reduce_color(old[v], [old[w] for w in orientation.out_neighbors[v]], beta)
-            for v in range(n)
-        ]
-        palette = family.target_colors
-        schedule.append(family)
-        rounds += 1
-    return ArbLinialResult(
-        colors=colors, num_colors=palette, local_rounds=rounds, schedule=schedule
-    )
+    colors, palette = _initial(n, initial_colors, initial_palette)
+    if initial_colors is not None and ((colors < 0) | (colors >= palette)).any():
+        raise ValueError("initial colors outside declared palette")
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(orientation.offsets))
+    return _reduce_rounds(colors, palette, src, orientation.targets, beta, max_rounds)
 
 
 def linial_undirected_coloring(
@@ -100,30 +80,45 @@ def linial_undirected_coloring(
     n = graph.num_vertices
     if max_degree < 1:
         return ArbLinialResult(colors=[0] * n, num_colors=min(n, 1), local_rounds=0)
+    colors, palette = _initial(n, initial_colors, initial_palette)
+    offsets, targets = graph.csr()
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    return _reduce_rounds(colors, palette, src, targets, max_degree, max_rounds)
+
+
+def _initial(n: int, initial_colors, initial_palette) -> tuple[np.ndarray, int]:
+    """The starting coloring and its palette (vertex ids by default)."""
     if initial_colors is None:
-        colors = list(range(n))
-        palette = max(n, 2)
-    else:
-        colors = list(initial_colors)
-        palette = initial_palette if initial_palette is not None else max(colors) + 1
+        return np.arange(n, dtype=np.int64), max(n, 2)
+    colors = np.asarray(initial_colors, dtype=np.int64)
+    palette = initial_palette if initial_palette is not None else int(colors.max()) + 1
+    return colors, palette
+
+
+def _reduce_rounds(
+    colors: np.ndarray,
+    palette: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    bound: int,
+    max_rounds: int,
+) -> ArbLinialResult:
+    """Cover-free reduction rounds until the palette stops shrinking.
+
+    Vertex ``src[e]`` avoids ``dst[e]``; ``bound`` caps every vertex's
+    number of such constraints (out-degree, or degree when undirected).
+    """
     schedule: list[CoverFreeFamily] = []
-    rounds = 0
-    while rounds < max_rounds and palette > 2:
-        family = choose_family(palette, max_degree)
+    while len(schedule) < max_rounds and palette > 2:
+        family = choose_family(palette, bound)
         if family.target_colors >= palette:
-            break
-        old = colors
-        colors = [
-            family.reduce_color(
-                old[v], [old[int(w)] for w in graph.neighbors(v)], max_degree
-            )
-            for v in range(n)
-        ]
+            break  # fixed point: O(bound²) reached
+        colors = family.reduce_colors(colors, src, dst, bound)
         palette = family.target_colors
         schedule.append(family)
-        rounds += 1
     return ArbLinialResult(
-        colors=colors, num_colors=palette, local_rounds=rounds, schedule=schedule
+        colors=colors.tolist(), num_colors=palette, local_rounds=len(schedule),
+        schedule=schedule,
     )
 
 

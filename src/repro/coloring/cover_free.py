@@ -9,7 +9,8 @@ each on <= d points, and d·β < q points cannot cover F_q); the new color
 is the pair (a, p_v(a)).
 
 This file provides the parameter selection (minimizing the new palette
-q² over the degree d) and the per-vertex reduction step.  Correctness is
+q² over the degree d) and the reduction step, one array kernel over all
+vertices.  Correctness is
 *one-sided*: a vertex only needs its out-neighbors' colors, which is what
 lets the AMPC wrapper simulate many rounds in one ball collection.
 """
@@ -17,6 +18,8 @@ lets the AMPC wrapper simulate many rounds in one ball collection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.util.primes import next_prime
 
@@ -36,56 +39,91 @@ class CoverFreeFamily:
         """Size of the new palette, q²."""
         return self.q * self.q
 
+    def digits(self, colors) -> np.ndarray:
+        """Base-q digits of every color: row i holds the d+1 coefficients
+        of ``colors[i]``'s polynomial, lowest degree first."""
+        colors = np.asarray(colors, dtype=np.int64)
+        outside = (colors < 0) | (colors >= self.source_colors)
+        if outside.any():
+            raise ValueError(
+                f"color {int(colors[outside][0])} outside palette "
+                f"[0, {self.source_colors})"
+            )
+        out = np.empty((colors.size, self.d + 1), dtype=np.int64)
+        value = colors.copy()
+        for k in range(self.d + 1):
+            out[:, k] = value % self.q
+            value //= self.q
+        if value.any():
+            raise AssertionError("q^(d+1) >= m violated; family misconstructed")
+        return out
+
     def coefficients(self, color: int) -> list[int]:
         """Base-q digits of ``color``: the polynomial's d+1 coefficients."""
-        if not 0 <= color < self.source_colors:
-            raise ValueError(f"color {color} outside palette [0, {self.source_colors})")
-        digits = []
-        value = color
-        for _ in range(self.d + 1):
-            digits.append(value % self.q)
-            value //= self.q
-        if value:
-            raise AssertionError("q^(d+1) >= m violated; family misconstructed")
-        return digits
+        return self.digits([color])[0].tolist()
 
     def evaluate(self, color: int, a: int) -> int:
         """p_color(a) over F_q (Horner)."""
-        result = 0
-        for coef in reversed(self.coefficients(color)):
-            result = (result * a + coef) % self.q
-        return result
+        return int(_horner(self.digits([color]), a, self.q)[0])
 
-    def reduce_color(self, color: int, out_neighbor_colors: list[int], beta: int) -> int:
-        """New color of a vertex given its out-neighbors' current colors.
+    def reduce_colors(self, colors, src: np.ndarray, dst: np.ndarray, beta: int) -> np.ndarray:
+        """One reduction round for every vertex at once.
 
-        Requires len(out_neighbor_colors) <= β and all distinct from
-        ``color`` (a proper coloring on the oriented edges).  Returns
-        ``a * q + p(a)`` for the smallest valid evaluation point a.
+        ``colors`` is the current coloring; edge ``src[e] -> dst[e]``
+        says vertex ``src[e]`` must avoid ``dst[e]`` (its out-neighbor),
+        and no vertex may have more than β of them.  The coloring must be
+        proper on these edges.  Each vertex v gets ``a * q + p_v(a)`` for
+        the smallest point a where p_v differs from every out-neighbor's
+        polynomial.
+
+        Points are tried in increasing order, each as one Horner sweep
+        over the digit matrix; only vertices that still clash (and their
+        edges) go on to the next point.
         """
-        if len(out_neighbor_colors) > beta:
+        colors = np.asarray(colors, dtype=np.int64)
+        n = colors.size
+        if src.size and int(np.bincount(src, minlength=n).max()) > beta:
             raise ValueError("more out-neighbors than β")
         if self.d * beta >= self.q:
             raise ValueError("family too small: need q > d·β")
-        own = self.coefficients(color)
-        others = [self.coefficients(c) for c in out_neighbor_colors]
+        digits = self.digits(colors)
+        new = np.empty(n, dtype=np.int64)
+        pending = np.arange(n, dtype=np.int64)
+        clash = np.zeros(n, dtype=bool)
         for a in range(self.q):
-            mine = 0
-            for coef in reversed(own):
-                mine = (mine * a + coef) % self.q
-            clashes = False
-            for coefs in others:
-                val = 0
-                for coef in reversed(coefs):
-                    val = (val * a + coef) % self.q
-                if val == mine:
-                    clashes = True
-                    break
-            if not clashes:
-                return a * self.q + mine
+            val = _horner(digits, a, self.q)
+            clash[src[val[src] == val[dst]]] = True
+            hit = clash[pending]
+            done = pending[~hit]
+            new[done] = a * self.q + val[done]
+            pending = pending[hit]
+            if not pending.size:
+                return new
+            keep = clash[src]
+            src, dst = src[keep], dst[keep]
+            clash[pending] = False
         raise AssertionError(
             "no distinguishing point found; inputs were not a proper coloring"
         )
+
+    def reduce_color(self, color: int, out_neighbor_colors: list[int], beta: int) -> int:
+        """New color of one vertex given its out-neighbors' current colors
+        (:meth:`reduce_colors` on a single out-star)."""
+        k = len(out_neighbor_colors)
+        colors = np.array([color, *out_neighbor_colors], dtype=np.int64)
+        src = np.zeros(k, dtype=np.int64)
+        dst = np.arange(1, k + 1, dtype=np.int64)
+        return int(self.reduce_colors(colors, src, dst, beta)[0])
+
+
+def _horner(digits: np.ndarray, a: int, q: int) -> np.ndarray:
+    """Every row's polynomial evaluated at ``a`` over F_q."""
+    val = digits[:, -1].copy()
+    for k in range(digits.shape[1] - 2, -1, -1):
+        val *= a
+        val += digits[:, k]
+        val %= q
+    return val
 
 
 def choose_family(m: int, beta: int, max_degree: int = 64) -> CoverFreeFamily:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.graphs.graph import Graph
 
 __all__ = ["KWResult", "kw_color_reduction"]
@@ -36,43 +38,50 @@ def kw_color_reduction(
     """Reduce ``colors`` (proper on ``graph``) to max_degree + 1 colors.
 
     ``max_degree`` must upper-bound every vertex degree in ``graph``.
+    Each sub-round is one array step: the vertices at the sub-round's
+    upper offset (the movers) mark their neighbors' lower-half colors in
+    a ``movers × (Δ+1)`` bitmap and take its first free column.
     """
     delta_plus_1 = max_degree + 1
-    colors = list(colors)
-    m = palette if palette is not None else (max(colors, default=0) + 1)
-    if any(not 0 <= c < m for c in colors):
+    colors = np.array(colors, dtype=np.int64)
+    m = palette if palette is not None else (int(colors.max(initial=0)) + 1)
+    if ((colors < 0) | (colors >= m)).any():
         raise ValueError("colors outside declared palette")
     rounds = 0
     while m > delta_plus_1:
         block = 2 * delta_plus_1
         # Phase: for upper-half offset j, all vertices whose color sits at
-        # upper position j of its block recolor into the block's lower half.
+        # upper position j of its block recolor into the block's lower
+        # half.  Movers only move down, so the phase-start offsets fix
+        # every sub-round's movers.  Movers never read each other: two
+        # adjacent movers would share an offset and a block, hence a color.
+        position = colors % block
+        upper = np.flatnonzero(position >= delta_plus_1)
+        upper = upper[np.argsort(position[upper], kind="stable")]
+        bounds = np.searchsorted(
+            position[upper], delta_plus_1 + np.arange(delta_plus_1 + 1)
+        )
         for j in range(delta_plus_1):
-            new_colors = list(colors)
-            for v in graph.vertices():
-                c = colors[v]
-                base = (c // block) * block
-                if c - base == delta_plus_1 + j:
-                    taken = {
-                        colors[int(w)]
-                        for w in graph.neighbors(v)
-                        if base <= colors[int(w)] < base + delta_plus_1
-                    }
-                    for candidate in range(base, base + delta_plus_1):
-                        if candidate not in taken:
-                            new_colors[v] = candidate
-                            break
-                    else:  # pragma: no cover - impossible by pigeonhole
-                        raise AssertionError("no free color in lower half")
-            colors = new_colors
             rounds += 1
+            movers = upper[bounds[j]:bounds[j + 1]]
+            if not movers.size:
+                continue
+            base = colors[movers] - (delta_plus_1 + j)
+            neighbors, starts = graph.neighbors_of(movers)
+            row = np.repeat(np.arange(movers.size), np.diff(starts))
+            column = colors[neighbors] - base[row]
+            lower = (column >= 0) & (column < delta_plus_1)
+            taken = np.zeros((movers.size, delta_plus_1), dtype=bool)
+            taken[row[lower], column[lower]] = True
+            free = np.argmin(taken, axis=1)
+            if taken[np.arange(movers.size), free].any():  # pragma: no cover
+                raise AssertionError("no free color in lower half")
+            colors[movers] = base + free
         # Renumber: block b's lower half [b*block, b*block + Δ+1) maps to
         # [b*(Δ+1), (b+1)*(Δ+1)).  Free (local arithmetic, no round).
-        colors = [
-            (c // block) * delta_plus_1 + (c % block) for c in colors
-        ]
+        colors = (colors // block) * delta_plus_1 + colors % block
         num_blocks = -(-m // block)
         m = num_blocks * delta_plus_1
         if num_blocks == 1:
             m = min(m, delta_plus_1)
-    return KWResult(colors=colors, num_colors=m, local_rounds=rounds)
+    return KWResult(colors=colors.tolist(), num_colors=m, local_rounds=rounds)

@@ -376,8 +376,9 @@ def color_graph(
     ``workers`` how many processes its lca rounds shard across (None
     reads ``$REPRO_WORKERS`` and defaults to ``"auto"`` — the CPU count,
     with small rounds skipping pool dispatch entirely), and ``engine``
-    how the coin games execute ("batched" lockstep array kernels by
-    default, "scalar" for the per-game oracle interpreter).  All three
+    how the coin games execute ("compiled" fused C kernel by default,
+    with a warned fallback to the "batched" numpy lockstep kernels when
+    it cannot load; "scalar" for the per-game oracle interpreter).  All three
     are pure throughput knobs: results are identical for every
     combination.
     """

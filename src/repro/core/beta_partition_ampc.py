@@ -211,16 +211,17 @@ def beta_partition_ampc(
         the knob but always replays its machines serially — it exists to
         pin down the semantics the sharded path must reproduce.
     engine:
-        Coin-game execution for the columnar lca rounds: ``"batched"``
-        (the default — all of a round's games advance in lockstep as
-        array kernels, :mod:`repro.core.batched_games`),
-        ``"compiled"`` (each cohort fused into one C pass,
-        :mod:`repro.core.native`; silently-but-warned downgraded to
-        ``"batched"`` when the kernel cannot load — the outcome's
-        ``engine`` field reports what actually ran) or ``"scalar"``
-        (one adaptive Python interpretation per game, the PR 2/3 engine
-        kept verbatim as the oracle).  None reads ``$REPRO_ENGINE``
-        before falling back to ``"batched"``.  A pure throughput knob —
+        Coin-game execution for the columnar lca rounds:
+        ``"compiled"`` (the default — each cohort fused into one C
+        pass, :mod:`repro.core.native`; downgraded with a one-time
+        warning to ``"batched"`` when the kernel cannot load — the
+        outcome's ``engine`` field reports what actually ran),
+        ``"batched"`` (all of a round's games advance in lockstep as
+        numpy array kernels, :mod:`repro.core.batched_games`; the
+        kernel's fallback and differential oracle) or ``"scalar"``
+        (one adaptive Python interpretation per game, the original
+        engine kept verbatim as the oracle).  None reads ``$REPRO_ENGINE``
+        before falling back to ``"compiled"``.  A pure throughput knob —
         every observable is bit-identical.  The dict-backed store
         ignores it (its machines always run the per-vertex
         :class:`~repro.lca.coin_game.CoinDroppingGame`).
@@ -282,7 +283,7 @@ def beta_partition_ampc(
                 'REPRO_ENGINE must be "batched", "compiled" or "scalar"'
             )
         engine = config.engine
-    engine = engine or "batched"
+    engine = engine or "compiled"
     if engine == "compiled" and not native.available():
         # Graceful degradation: the numpy oracle is bit-identical, so
         # only throughput changes.  The outcome reports the engine that

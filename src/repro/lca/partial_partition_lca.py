@@ -55,12 +55,13 @@ class PartialPartitionLCA:
 
     Parameters mirror Lemma 4.7: exploration budget parameter ``x`` (the
     query bound is x⁶) and degree bound ``beta``.  ``engine`` selects how
-    :meth:`query_all` executes its queries: ``"batched"`` (the default)
-    runs every game in one lockstep sweep over the graph's CSR
-    (:mod:`repro.core.batched_games` — the same kernels the Theorem 1.2
-    lca rounds run), ``"compiled"`` plays each cohort in one fused C
-    pass (:mod:`repro.core.native`; warned downgrade to ``"batched"``
-    when the kernel cannot load), ``"scalar"`` replays the per-vertex
+    :meth:`query_all` executes its queries: ``"compiled"`` (the
+    default) plays each cohort in one fused C pass
+    (:mod:`repro.core.native` — the same kernel the Theorem 1.2 lca
+    rounds run; warned downgrade to ``"batched"`` when the kernel cannot
+    load), ``"batched"`` runs every game in one numpy lockstep sweep
+    over the graph's CSR (:mod:`repro.core.batched_games`, the kernel's
+    fallback and oracle), ``"scalar"`` replays the per-vertex
     :class:`~repro.lca.coin_game.CoinDroppingGame` oracle.  All produce
     identical results — layers, proofs, explored sets, probe counts —
     and strict-mode queries always take the scalar path (its unbounded
@@ -71,7 +72,7 @@ class PartialPartitionLCA:
     x: int
     beta: int
     strict: bool = False
-    engine: str = "batched"
+    engine: str = "compiled"
     # Incremental-replay counters of the most recent batched
     # :meth:`query_all` sweep (replayed_waves / fresh_waves /
     # replayed_entries / fresh_entries / redo_games plus the derived

@@ -182,7 +182,9 @@ class TestEscapeHatch:
         monkeypatch.setattr(
             columnar_rounds, "play_games_batched", spy
         )
-        hatch = beta_partition_ampc(graph, 6, store="columnar")
+        hatch = beta_partition_ampc(
+            graph, 6, store="columnar", engine="batched"
+        )
         assert sum(ejected_counts) > 0, "budget never forced an ejection"
         _assert_same_outcome(oracle, hatch)
 
@@ -192,7 +194,9 @@ class TestEscapeHatch:
         # scalar fallback) and the outcome still matches the oracle.
         graph = path_graph(4)
         oracle = beta_partition_ampc(graph, 1, x=2**61, store="dict")
-        batched = beta_partition_ampc(graph, 1, x=2**61, store="columnar")
+        batched = beta_partition_ampc(
+            graph, 1, x=2**61, store="columnar", engine="batched"
+        )
         _assert_same_outcome(oracle, batched)
 
     def test_huge_beta_uses_python_lcm_fold(self):
@@ -200,7 +204,9 @@ class TestEscapeHatch:
         # (int64 np.lcm would wrap); the observables must not notice.
         graph = star_graph(50)
         oracle = beta_partition_ampc(graph, 40, store="dict")
-        batched = beta_partition_ampc(graph, 40, store="columnar")
+        batched = beta_partition_ampc(
+            graph, 40, store="columnar", engine="batched"
+        )
         _assert_same_outcome(oracle, batched)
 
 

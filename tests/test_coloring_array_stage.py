@@ -1,0 +1,309 @@
+"""Differential tests: the array coloring stage against per-vertex oracles.
+
+Linial, Arb-Linial, Kuhn-Wattenhofer and the partition orientation run
+as whole-array kernels in ``src/``.  The per-vertex loops they replaced
+live here as the oracles: every kernel must reproduce its oracle's
+colors, palette size and LOCAL round count bit for bit, and raise on the
+same bad inputs.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.coloring.arb_linial import arb_linial_coloring, linial_undirected_coloring
+from repro.coloring.cover_free import choose_family
+from repro.coloring.kuhn_wattenhofer import kw_color_reduction
+from repro.core.orientation import orient_by_partition
+from repro.graphs.generators import (
+    preferential_attachment,
+    random_gnm,
+    star_graph,
+    union_of_random_forests,
+)
+from repro.partition.beta_partition import INFINITY, PartialBetaPartition
+
+# ----------------------------------------------------------------------
+# Per-vertex oracles
+# ----------------------------------------------------------------------
+
+
+def oracle_reduce_color(family, color, out_neighbor_colors, beta):
+    """New color of one vertex: smallest point a where p_color differs
+    from every out-neighbor's polynomial, as ``a * q + p_color(a)``."""
+    q, d = family.q, family.d
+    if len(out_neighbor_colors) > beta:
+        raise ValueError("more out-neighbors than β")
+    if d * beta >= q:
+        raise ValueError("family too small: need q > d·β")
+
+    def coefficients(c):
+        if not 0 <= c < family.source_colors:
+            raise ValueError(f"color {c} outside palette")
+        digits = []
+        for _ in range(d + 1):
+            digits.append(c % q)
+            c //= q
+        return digits
+
+    def evaluate(coefs, a):
+        val = 0
+        for coef in reversed(coefs):
+            val = (val * a + coef) % q
+        return val
+
+    own = coefficients(color)
+    others = [coefficients(c) for c in out_neighbor_colors]
+    for a in range(q):
+        mine = evaluate(own, a)
+        if all(evaluate(coefs, a) != mine for coefs in others):
+            return a * q + mine
+    raise AssertionError("no distinguishing point found")
+
+
+def oracle_linial(n, out_lists, bound, initial_colors=None, initial_palette=None,
+                  max_rounds=64):
+    """Cover-free rounds to the fixed point; vertex v avoids out_lists[v]."""
+    if initial_colors is None:
+        colors, palette = list(range(n)), max(n, 2)
+    else:
+        colors = list(initial_colors)
+        palette = initial_palette if initial_palette is not None else max(colors) + 1
+    rounds = 0
+    while rounds < max_rounds and palette > 2:
+        family = choose_family(palette, bound)
+        if family.target_colors >= palette:
+            break
+        old = colors
+        colors = [
+            oracle_reduce_color(family, old[v], [old[w] for w in out_lists[v]], bound)
+            for v in range(n)
+        ]
+        palette = family.target_colors
+        rounds += 1
+    return colors, palette, rounds
+
+
+def oracle_kw(graph, colors, max_degree, palette=None):
+    """Kuhn-Wattenhofer with one Python set per mover per sub-round."""
+    delta_plus_1 = max_degree + 1
+    colors = list(colors)
+    m = palette if palette is not None else max(colors, default=0) + 1
+    if any(not 0 <= c < m for c in colors):
+        raise ValueError("colors outside declared palette")
+    rounds = 0
+    while m > delta_plus_1:
+        block = 2 * delta_plus_1
+        for j in range(delta_plus_1):
+            new_colors = list(colors)
+            for v in graph.vertices():
+                c = colors[v]
+                base = (c // block) * block
+                if c - base == delta_plus_1 + j:
+                    taken = {
+                        colors[int(w)] for w in graph.neighbors(v)
+                        if base <= colors[int(w)] < base + delta_plus_1
+                    }
+                    new_colors[v] = next(
+                        cand for cand in range(base, base + delta_plus_1)
+                        if cand not in taken
+                    )
+            colors = new_colors
+            rounds += 1
+        colors = [(c // block) * delta_plus_1 + (c % block) for c in colors]
+        num_blocks = -(-m // block)
+        m = num_blocks * delta_plus_1
+        if num_blocks == 1:
+            m = min(m, delta_plus_1)
+    return colors, m, rounds
+
+
+def oracle_orient(graph, partition):
+    """Out-neighbor lists: (layer, id) rises along every oriented edge."""
+    out = [[] for _ in range(graph.num_vertices)]
+    for v in graph.vertices():
+        lay_v = partition.layer(v)
+        if lay_v == INFINITY:
+            raise ValueError(f"vertex {v} is unlayered")
+        for w in graph.neighbors(v):
+            w = int(w)
+            if (partition.layer(w), w) > (lay_v, v):
+                out[v].append(w)
+    return out
+
+
+# ----------------------------------------------------------------------
+# Inputs
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def graphs(draw):
+    kind = draw(st.sampled_from(["gnm", "pa", "forests", "star"]))
+    n = draw(st.integers(1, 80))
+    seed = draw(st.integers(0, 2**31))
+    if kind == "gnm":
+        m = draw(st.integers(0, min(3 * n, n * (n - 1) // 2)))
+        return random_gnm(n, m, seed)
+    if kind == "pa":
+        return preferential_attachment(n, draw(st.integers(1, 4)), seed)
+    if kind == "forests":
+        return union_of_random_forests(n, draw(st.integers(1, 4)), seed)
+    return star_graph(n)
+
+
+@st.composite
+def layered(draw):
+    """A graph plus a complete partition with random layers."""
+    graph = draw(graphs())
+    layers = draw(st.lists(
+        st.integers(0, 3), min_size=graph.num_vertices,
+        max_size=graph.num_vertices,
+    ))
+    return graph, PartialBetaPartition(dict(enumerate(layers)))
+
+
+betas = st.integers(1, 40)
+
+
+@st.composite
+def initial_colorings(draw, n):
+    """None (vertex ids), or distinct colors from a palette of up to 10⁶,
+    so that several reduction rounds run even on small graphs."""
+    if draw(st.booleans()):
+        return None, None
+    palette = draw(st.integers(max(n, 2), 10**6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(palette, size=n, replace=False).tolist(), palette
+
+
+# ----------------------------------------------------------------------
+# Bit-identity
+# ----------------------------------------------------------------------
+
+
+class TestMatchesOracle:
+    @given(layered())
+    @settings(max_examples=60, deadline=None)
+    def test_orientation(self, case):
+        graph, partition = case
+        ori = orient_by_partition(graph, partition)
+        assert ori.out_neighbors == oracle_orient(graph, partition)
+        assert ori.max_out_degree() == max(map(len, ori.out_neighbors), default=0)
+
+    @given(layered(), betas, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_arb_linial(self, case, beta, data):
+        graph, partition = case
+        ori = orient_by_partition(graph, partition)
+        beta = max(beta, ori.max_out_degree(), 1)
+        initial = data.draw(initial_colorings(graph.num_vertices))
+        res = arb_linial_coloring(ori, beta, *initial)
+        colors, palette, rounds = oracle_linial(
+            graph.num_vertices, ori.out_neighbors, beta, *initial
+        )
+        assert (res.colors, res.num_colors, res.local_rounds) == (
+            colors, palette, rounds
+        )
+
+    @given(graphs(), betas, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_linial_then_kw(self, graph, beta, data):
+        # The Section 6.3 per-layer stage: Linial, then KW from its output.
+        bound = max(beta, graph.max_degree())
+        initial = data.draw(initial_colorings(graph.num_vertices))
+        lin = linial_undirected_coloring(graph, bound, *initial)
+        neighbors = [graph.neighbors(v).tolist() for v in graph.vertices()]
+        colors, palette, rounds = oracle_linial(
+            graph.num_vertices, neighbors, bound, *initial
+        )
+        assert (lin.colors, lin.num_colors, lin.local_rounds) == (
+            colors, palette, rounds
+        )
+        kw = kw_color_reduction(graph, lin.colors, bound, palette=lin.num_colors)
+        assert (kw.colors, kw.num_colors, kw.local_rounds) == oracle_kw(
+            graph, lin.colors, bound, palette=lin.num_colors
+        )
+
+    @given(graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_kw_from_ids(self, graph):
+        delta = graph.max_degree()
+        ids = list(range(graph.num_vertices))
+        res = kw_color_reduction(graph, ids, delta)
+        assert (res.colors, res.num_colors, res.local_rounds) == oracle_kw(
+            graph, ids, delta
+        )
+
+    @given(st.integers(2, 500), betas, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reduce_color(self, m, beta, data):
+        family = choose_family(m, beta)
+        color = data.draw(st.integers(0, m - 1))
+        others = data.draw(st.lists(
+            st.integers(0, m - 1).filter(lambda c: c != color), max_size=beta,
+        ))
+        assert family.reduce_color(color, others, beta) == oracle_reduce_color(
+            family, color, others, beta
+        )
+
+
+# ----------------------------------------------------------------------
+# Error paths
+# ----------------------------------------------------------------------
+
+
+class TestErrorPaths:
+    def test_out_degree_above_beta(self):
+        graph = star_graph(12)
+        # Every leaf in layer 1: the hub (layer 0) points at all 11.
+        partition = PartialBetaPartition({0: 0, **{v: 1 for v in range(1, 12)}})
+        ori = orient_by_partition(graph, partition)
+        with pytest.raises(ValueError, match="exceeds"):
+            arb_linial_coloring(ori, 10)
+        with pytest.raises(ValueError, match="more out-neighbors"):
+            # A large palette, so that a reduction round runs at all.
+            linial_undirected_coloring(graph, 10, list(range(12)), 10**6)
+        family = choose_family(100, 2)
+        src = np.zeros(3, dtype=np.int64)
+        with pytest.raises(ValueError, match="more out-neighbors"):
+            family.reduce_colors(np.arange(4), src, np.arange(1, 4), 2)
+
+    def test_colors_outside_the_palette(self):
+        graph = random_gnm(30, 60, seed=4)
+        delta = graph.max_degree()
+        bad = list(range(30))
+        bad[7] = 40
+        with pytest.raises(ValueError, match="palette"):
+            kw_color_reduction(graph, bad, delta, palette=30)
+        with pytest.raises(ValueError, match="palette"):
+            linial_undirected_coloring(
+                graph, delta, bad[:7] + [10**6] + bad[8:], initial_palette=10**6
+            )
+        ori = orient_by_partition(graph, PartialBetaPartition(dict.fromkeys(range(30), 0)))
+        with pytest.raises(ValueError, match="palette"):
+            arb_linial_coloring(ori, 30, bad, initial_palette=30)
+        with pytest.raises(ValueError, match="palette"):
+            kw_color_reduction(graph, [-1] + bad[1:], delta)
+
+    def test_improper_input_coloring(self):
+        graph = random_gnm(30, 60, seed=5)
+        delta = graph.max_degree()
+        flat = [0] * 30
+        with pytest.raises(AssertionError, match="no distinguishing point"):
+            linial_undirected_coloring(graph, delta, flat, initial_palette=10**6)
+        ori = orient_by_partition(graph, PartialBetaPartition(dict.fromkeys(range(30), 0)))
+        with pytest.raises(AssertionError, match="no distinguishing point"):
+            arb_linial_coloring(ori, delta, flat, initial_palette=10**6)
+        family = choose_family(100, 3)
+        with pytest.raises(AssertionError, match="no distinguishing point"):
+            family.reduce_color(5, [1, 5], 3)
+
+    def test_unlayered_vertex(self):
+        graph = random_gnm(10, 20, seed=6)
+        partial = PartialBetaPartition(dict.fromkeys(range(9), 0))
+        with pytest.raises(ValueError, match="vertex 9 is unlayered"):
+            orient_by_partition(graph, partial)

@@ -150,7 +150,7 @@ class TestConeInvalidation:
         # outgrowing the padded snapshot scale): the redo path re-runs
         # them fresh and must stay bit-identical.
         g = random_gnm(1500, 3000, seed=42)
-        batched = beta_partition_ampc(g, 9, store="columnar")
+        batched = beta_partition_ampc(g, 9, store="columnar", engine="batched")
         assert _reuse_totals(batched)["redo_games"] > 0
         oracle = beta_partition_ampc(g, 9, store="dict")
         _assert_same_outcome(oracle, batched)
@@ -163,9 +163,9 @@ class TestConeInvalidation:
         g = random_gnm(300, 600, seed=5)
         oracle = beta_partition_ampc(g, 9, store="dict")
         monkeypatch.setattr(batched_games, "REPLAY_CONE_CUTOFF", -1.0)
-        never = beta_partition_ampc(g, 9, store="columnar")
+        never = beta_partition_ampc(g, 9, store="columnar", engine="batched")
         monkeypatch.setattr(batched_games, "REPLAY_CONE_CUTOFF", 2.0)
-        always = beta_partition_ampc(g, 9, store="columnar")
+        always = beta_partition_ampc(g, 9, store="columnar", engine="batched")
         _assert_same_outcome(oracle, never)
         _assert_same_outcome(oracle, always)
         assert _reuse_totals(never)["replay_disabled"] > 0
@@ -180,7 +180,7 @@ class TestEjectionDropsOutOfArena:
         g = preferential_attachment(300, 2, seed=11)
         oracle = beta_partition_ampc(g, 6, store="dict")
         monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
-        hatch = beta_partition_ampc(g, 6, store="columnar")
+        hatch = beta_partition_ampc(g, 6, store="columnar", engine="batched")
         _assert_same_outcome(oracle, hatch)
 
     def test_gamecache_parity_when_ejection_invalidates_record(
@@ -296,9 +296,12 @@ class TestPoolDispatch:
         close_shared_pools()
         g = random_gnm(400, 800, seed=6)
         pooled = beta_partition_ampc(
-            g, 9, store="columnar", workers=2, min_pool_games=1
+            g, 9, store="columnar", workers=2, min_pool_games=1,
+            engine="batched",
         )
-        serial = beta_partition_ampc(g, 9, store="columnar", workers=1)
+        serial = beta_partition_ampc(
+            g, 9, store="columnar", workers=1, engine="batched"
+        )
         assert pooled.partition.layers == serial.partition.layers
         assert _reuse_totals(pooled).get("fresh_waves", 0) > 0
         close_shared_pools()

@@ -1,7 +1,8 @@
 """Graceful degradation of the compiled engine.
 
-``engine="compiled"`` must never be load-bearing: when the kernel
-cannot load, dispatch downgrades to the bit-identical ``"batched"``
+``engine="compiled"`` is the default engine but must never be
+load-bearing: when the kernel cannot load, dispatch (explicit or
+default) downgrades to the bit-identical ``"batched"``
 engine with a one-time warning, ``REPRO_NATIVE_DISABLE=1`` forces the
 same downgrade, and a corrupt shared object in the build cache only
 flips ``native.available()`` to False — ``import repro`` keeps working.
@@ -75,6 +76,55 @@ class TestWarnedFallback:
             out = beta_partition_ampc(g, 9, store="columnar",
                                       engine="batched")
         assert out.engine == "batched"
+
+
+def _run_script(script: str, **env_overrides) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("REPRO_NATIVE_DISABLE", None)
+    env.pop("REPRO_ENGINE", None)
+    env.update(env_overrides)
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+    )
+
+
+class TestDefaultEngine:
+    def test_default_is_compiled_when_the_kernel_loads(self):
+        script = (
+            "import warnings\n"
+            "warnings.simplefilter('error')\n"
+            "from repro.core import native\n"
+            "assert native.available(), native.load_error()\n"
+            "from repro.core.beta_partition_ampc import beta_partition_ampc\n"
+            "from repro.graphs.generators import random_gnm\n"
+            "from repro.lca.partial_partition_lca import PartialPartitionLCA\n"
+            "g = random_gnm(60, 120, seed=2)\n"
+            "assert beta_partition_ampc(g, 9, workers=1).engine == 'compiled'\n"
+            "assert PartialPartitionLCA(g, x=49, beta=6).engine == 'compiled'\n"
+            "print('DEFAULT_COMPILED_OK')\n"
+        )
+        result = _run_script(script)
+        assert result.returncode == 0, result.stderr
+        assert "DEFAULT_COMPILED_OK" in result.stdout
+
+    def test_default_is_warned_batched_when_disabled(self):
+        script = (
+            "import warnings\n"
+            "from repro.core.beta_partition_ampc import beta_partition_ampc\n"
+            "from repro.graphs.generators import random_gnm\n"
+            "from repro.lca.partial_partition_lca import PartialPartitionLCA\n"
+            "g = random_gnm(60, 120, seed=2)\n"
+            "with warnings.catch_warnings(record=True) as caught:\n"
+            "    warnings.simplefilter('always')\n"
+            "    out = beta_partition_ampc(g, 9, workers=1)\n"
+            "assert out.engine == 'batched'\n"
+            "assert any('falling back' in str(w.message) for w in caught)\n"
+            "assert PartialPartitionLCA(g, x=49, beta=6).engine == 'batched'\n"
+            "print('DEFAULT_BATCHED_OK')\n"
+        )
+        result = _run_script(script, REPRO_NATIVE_DISABLE="1")
+        assert result.returncode == 0, result.stderr
+        assert "DEFAULT_BATCHED_OK" in result.stdout
 
 
 class TestLoaderRobustness:
