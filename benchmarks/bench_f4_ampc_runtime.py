@@ -31,9 +31,7 @@ Run as a script to (re)generate the tracked ``BENCH_ampc.json``::
         --phases --out BENCH_ampc.json
 
 or with ``--quick`` for a CI-sized configuration.  ``--phases`` records
-the lca rounds' per-phase wall clock (explore / forward / fold / cache)
-and the incremental-replay reuse counters (replayed/fresh waves and
-entries, redo games, cone fraction) land in the lca block either way.
+the lca rounds' per-phase wall clock (explore / forward / fold).
 ``--check-regression BENCH_ampc.json`` compares the current run against
 the tracked baseline and fails (exit 2) if the lca columnar time
 regressed by more than 25% or if any single phase regressed by more
@@ -87,7 +85,6 @@ from repro.ampc.engine_config import EngineConfig
 from repro.ampc.faults import FaultPlan
 from repro.ampc.pool import close_shared_pools
 from repro.core import native
-from repro.core.batched_games import replay_cone_fraction
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.graphs.generators import random_gnm
 
@@ -101,7 +98,7 @@ QUICK_WORKER_SWEEP = (1, 2, 4)
 # A quick-config lca run may regress this much against the tracked
 # baseline (after dict-normalization) before --check-regression fails.
 MAX_REGRESSION = 0.25
-# Any single lca phase (explore / forward / fold / cache) may regress
+# Any single lca phase (explore / forward / fold) may regress
 # this much (dict-normalized) before the guard fails; phases below
 # MIN_PHASE_SHARE of the columnar total — or below MIN_PHASE_SECONDS
 # of absolute wall clock, where min-of-3 timing cannot resolve a 40%
@@ -139,7 +136,7 @@ MESSAGE_HELD_BUDGET_FACTOR = 4.5
 # fabric's seeded exchanges / speculative prefetch / pooled shard
 # chains, quick message_s tracked 9.91 s against a 0.102 s compiled
 # run (~97x); the columnar row plane (slab serving, incremental local
-# CSR, cross-round ghost cache) brought the tax under 8x, which this
+# CSR) brought the tax under 8x, which this
 # factor pins without a baseline or hardware normalization.
 MAX_MESSAGE_OVER_COMPILED = 8.0
 # Each swept worker count may be at most this factor slower than the
@@ -272,14 +269,6 @@ def bench_mode(
             report["engine_speedup_compiled"] = round(
                 columnar_s / compiled_s, 2
             )
-        # Incremental-replay reuse, summed over the run's lca rounds.
-        totals: dict = {}
-        for reuse in columnar.round_reuse:
-            for key, value in reuse.items():
-                if isinstance(value, int):
-                    totals[key] = totals.get(key, 0) + value
-        totals["cone_fraction"] = replay_cone_fraction(totals)
-        report["replay"] = totals
     if mode == "lca":
         # One sharded-fabric leg: same partition, plus the communication
         # and memory counters the S-budget regression guard reads.  The
@@ -306,8 +295,7 @@ def bench_mode(
         comm_totals: dict = {}
         for comm in sharded.round_comm:
             for key in ("messages", "words", "subrounds",
-                        "row_requests", "rows_served",
-                        "ghost_cache_hits", "ghost_cache_evicted"):
+                        "row_requests", "rows_served"):
                 comm_totals[key] = comm_totals.get(key, 0) + comm.get(key, 0)
         # Per-phase fabric wall (serve / install / compact / play, plus
         # the pooled replay overlap), summed over rounds — so the next
@@ -327,12 +315,6 @@ def bench_mode(
             "max_held_words": sharded.max_held_words,
             "max_shard_words": max(
                 (c.get("max_shard_words", 0) for c in sharded.round_comm),
-                default=0,
-            ),
-            "ghost_cache_words": EngineConfig.from_env().ghost_cache_words,
-            "ghost_cache_held_words": max(
-                (c.get("ghost_cache_held_words", 0)
-                 for c in sharded.round_comm),
                 default=0,
             ),
             "phase_s": {k: round(v, 3) for k, v in phase_split.items()},
@@ -770,7 +752,7 @@ def main() -> None:
     parser.add_argument("--quick", action="store_true", help="CI-sized config")
     parser.add_argument(
         "--phases", action="store_true",
-        help="record per-phase lca wall clock (explore/forward/fold/cache)",
+        help="record per-phase lca wall clock (explore/forward/fold)",
     )
     parser.add_argument("--out", default=None, help="write JSON here")
     parser.add_argument(

@@ -1,13 +1,10 @@
 """Tunable engine knobs as one explicit, env-overridable configuration.
 
-The scenario sweeps in ROADMAP want to tune dispatch cutoffs, cohort
-sizes, and the adaptive-replay gate without editing source.  The knobs
-keep living as module constants next to the code they tune
-(:data:`repro.core.columnar_rounds.COHORT_GAMES`,
+Scenario sweeps want to tune dispatch cutoffs and cohort sizes without
+editing source.  The knobs keep living as module constants next to the
+code they tune (:data:`repro.core.columnar_rounds.COHORT_GAMES`,
 :data:`repro.ampc.pool.MIN_POOL_GAMES` /
-:data:`~repro.ampc.pool.MIN_POOL_GAMES_BATCHED`,
-:data:`repro.core.batched_games.REPLAY_CONE_CUTOFF` /
-:data:`~repro.core.batched_games.REPLAY_POOR_STREAK`) — tests monkeypatch
+:data:`~repro.ampc.pool.MIN_POOL_GAMES_BATCHED`) — tests monkeypatch
 them there, and they document themselves in context — but every run of
 :func:`repro.core.beta_partition_ampc.beta_partition_ampc` snapshots
 them into one frozen :class:`EngineConfig` via :meth:`EngineConfig.from_env`,
@@ -77,23 +74,17 @@ def _env_engine(name: str, raw: str) -> str:
 class EngineConfig:
     """One run's engine knobs (see module docstring for the defaults).
 
-    ``message_cap_words``, ``shard_budget_words``, and
-    ``ghost_cache_words`` configure the message-passing fabric
-    (:mod:`repro.ampc.messaging`): the maximum payload of one delivery
-    segment, the per-shard S budget every held array is accounted
-    against (None: account but never raise), and the per-shard word
-    budget of the cross-round ghost cache (0 disables it; a budgeted
-    shard never caches regardless — see the messaging docstring).
+    ``message_cap_words`` and ``shard_budget_words`` configure the
+    message-passing fabric (:mod:`repro.ampc.messaging`): the maximum
+    payload of one delivery segment and the per-shard S budget every
+    held array is accounted against (None: account but never raise).
     """
 
     cohort_games: int
     min_pool_games: int
     min_pool_games_batched: int
-    replay_cone_cutoff: float
-    replay_poor_streak: int
     message_cap_words: int
     shard_budget_words: int | None = None
-    ghost_cache_words: int = 0
     # Round-supervisor knobs (repro.ampc.pool): how many times a lost
     # or corrupted shard chain is re-dispatched before the driver runs
     # it inline (or, with pool_degrade=False, raises WorkerPoolError);
@@ -132,7 +123,7 @@ class EngineConfig:
         # Imported lazily: repro.core imports repro.ampc, so a top-level
         # import back into core would be cyclic.
         from repro.ampc import messaging, pool
-        from repro.core import batched_games, columnar_rounds
+        from repro.core import columnar_rounds
 
         if env is None:
             env = os.environ
@@ -153,14 +144,6 @@ class EngineConfig:
                 "REPRO_MIN_POOL_GAMES_BATCHED", pool.MIN_POOL_GAMES_BATCHED,
                 _env_int, 1,
             ),
-            replay_cone_cutoff=get(
-                "REPRO_REPLAY_CONE_CUTOFF", batched_games.REPLAY_CONE_CUTOFF,
-                _env_float, 0.0, 1.0,
-            ),
-            replay_poor_streak=get(
-                "REPRO_REPLAY_POOR_STREAK", batched_games.REPLAY_POOR_STREAK,
-                _env_int, 1,
-            ),
             message_cap_words=get(
                 "REPRO_MESSAGE_CAP_WORDS", messaging.MESSAGE_CAP_WORDS,
                 # >= 4: one row-resolution header must fit in a segment
@@ -169,11 +152,6 @@ class EngineConfig:
             ),
             shard_budget_words=get(
                 "REPRO_SHARD_BUDGET_WORDS", None, _env_int, 1
-            ),
-            ghost_cache_words=get(
-                "REPRO_GHOST_CACHE_WORDS", messaging.GHOST_CACHE_WORDS,
-                # >= 0: zero disables the cross-round ghost cache.
-                _env_int, 0,
             ),
             max_shard_retries=get(
                 "REPRO_MAX_SHARD_RETRIES", pool.MAX_SHARD_RETRIES,

@@ -127,11 +127,11 @@ class BatchMachineContext:
     ) -> None:
         """Scatter per-machine communication for a subset of the fleet.
 
-        ``positions`` index into ``machine_ids``.  Memoized replays and
-        pool shards report their machines piecemeal (and, for shards, in
-        completion order); the budget scan is deferred to
-        :meth:`check_strict` — which the vectorized round runs after the
-        kernel, before any statistics are recorded — so the machine
+        ``positions`` index into ``machine_ids``.  Pool and fabric
+        shards report their machines piecemeal, in completion order; the
+        budget scan is deferred to :meth:`check_strict` — which the
+        vectorized round runs after the kernel, before any statistics
+        are recorded — so the machine
         singled out under ``strict`` is the first *in fleet order*, same
         as a single full-fleet :meth:`account` call, regardless of how
         the counts arrived.

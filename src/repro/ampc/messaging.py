@@ -14,8 +14,7 @@ simulated distributed fabric in which each shard holds only
   explored this round, fetched on demand and evicted as soon as no
   still-unresolved game pins them (see *ghost-fringe invalidation*
   below), stored as one appendable compacted CSR rather than a per-row
-  dict; a configurable slice of it (the **cross-round ghost cache**)
-  survives round boundaries under its own ``ghost_cache`` guard tag;
+  dict, and dropped whole at the end of the round;
 - **round-local scratch** — the compacted local CSR and fold
   accumulators of the games currently replaying.
 
@@ -56,9 +55,7 @@ are surfaced through the ``comm`` dict and
     and forward one folded ``(u, min, count)`` triple per vertex to the
     driver's DDS merge.
 ``result``
-    Shard → driver, end of round: per-game ``(reads, writes)`` charges
-    and (when the driver's cross-round cache is recording) the game
-    record tuples.
+    Shard → driver, end of round: per-game ``(reads, writes)`` charges.
 ``retirement``
     Driver → shards, at the round boundary: the vertices assigned this
     round.  Each shard drops its retired owned rows and prunes retired
@@ -76,10 +73,10 @@ associative with identity (``∞`` / ``0``), so the owner-side fold is
 independent of arrival order, and the owner→driver triples scatter into
 the same ``np.minimum.at`` / ``np.add.at`` accumulators the serial
 kernel uses.  Per-game charges scatter by machine position
-(position-disjoint across shards), and records key by root (one writer
-each).  Hence every observable — partitions, layers, probe counts,
-per-round stats, store words — is bit-identical to the shared-memory
-path for any shard count, which the differential tests assert.
+(position-disjoint across shards).  Hence every observable —
+partitions, layers, probe counts, per-round stats, store words — is
+bit-identical to the shared-memory path for any shard count, which the
+differential tests assert.
 
 Game execution and exactness
 ----------------------------
@@ -98,51 +95,33 @@ batched engine runs on an order-preserving compaction of the held rows
 (global ids → ranks; every order-dependent tie-break is preserved under
 a monotone remap, so committed transcripts map back exactly), closed
 with synthetic reverse rows for fringe vertices so its transpose-based
-replay arena stays well-formed — synthetic rows are only ever read by
+row arena stays well-formed — synthetic rows are only ever read by
 games that explored a fringe vertex, i.e. games that are discarded.
 
 Ghost-fringe invalidation rules
 -------------------------------
 
-1.  Ghosts may outlive the round that fetched them — retirement cannot
-    stale them.  Retirement-pruning is a *pure function of the
-    retirement set* (drop retired rows, filter retired ids out of the
-    surviving rows, drop rows with no surviving target), so a shard
-    applying that prune to a cached ghost row computes exactly what the
-    owner computes for its own copy: cached ghosts stay verbatim owner
-    copies across every round boundary.  The cross-round ghost cache
-    exploits this — at each round boundary every shard keeps the
-    highest-priority ghosts within ``cache_words`` (deterministic
-    seeded order over the residency counters), accounted under the
-    ``ghost_cache`` guard tag, and prunes them in lockstep with
-    retirement.  The caching policy is therefore fully described by the
-    cached id set plus residency counters: a pooled worker reconstructs
-    the cached rows verbatim from the round's shared CSR.
+1.  Ghosts live for one round: :meth:`_Shard.finish_round` drops the
+    whole fringe, so a round starts with each shard holding exactly its
+    owned rows, and retirement (between rounds) never has to prune a
+    ghost row.
 2.  A game *pins* every row it has ever requested; pins drop when the
     game commits.  Mid-round eviction is S-budget discipline, so only
     *budgeted* shards evict between exchanges — dropping the unpinned
-    *round-local* ghosts (cached rows ride out the round) bounds the
-    fringe by the unresolved games' balls.  An unbudgeted shard keeps
-    its whole fringe until ``finish_round``: evicting rows whose pins
-    dropped only because their games committed forces the still-pending
-    tail to re-request them a wave later (evict/refetch thrash), and
-    with no budget there is nothing to protect.  Either way termination
-    holds: a game's held set grows monotonically, and each re-run
-    either commits or requests a row it never held, so sub-rounds are
-    bounded by the largest ball.  The rule is a function of shard-local
-    state only, so the serial loop and the pooled worker chains make
-    identical decisions.
+    ghosts bounds the fringe by the unresolved games' balls.  An
+    unbudgeted shard keeps its whole fringe until ``finish_round``:
+    evicting rows whose pins dropped only because their games committed
+    forces the still-pending tail to re-request them a wave later
+    (evict/refetch thrash), and with no budget there is nothing to
+    protect.  Either way termination holds: a game's held set grows
+    monotonically, and each re-run either commits or requests a row it
+    never held, so sub-rounds are bounded by the largest ball.  The
+    rule is a function of shard-local state only, so the serial loop
+    and the pooled worker chains make identical decisions.
 3.  Owned rows are never ghosted (the owner serves its own reads), and
     a ghost is always a verbatim copy of the owner's current row —
-    rows only change at retirement, which happens between rounds, and
-    the cache prunes in lockstep (rule 1).
-
-Like speculation, the cache is a pure wall-clock optimization, and for
-the same reason a *budgeted* shard never caches: cached rows consume
-headroom that no request-time check can bound against the next round's
-peak, and direct fetches alone already color every graph the budget
-admits.  The cache can therefore never turn a feasible run infeasible,
-and comm counters with the cache on simply record fewer re-fetches.
+    rows only change at retirement, which happens between rounds, after
+    every ghost was dropped (rule 1).
 
 Parallel shard execution (the process-pool transport)
 -----------------------------------------------------
@@ -153,11 +132,10 @@ chain to the persistent worker pool
 :func:`run_shard_chain`) instead of interleaving the shards in-process.
 This is sound because a shard's chain is a pure function of
 ``(global residual CSR, its roots, shard count, engine, config,
-budget, cached ghost ids + residency counters)``: every row another
-shard would serve it — and every cached ghost row (invalidation rule
-1) — is a verbatim slice of that CSR (ghosts are exact copies and
-rows never change mid-round), so a worker holding the round's shared
-CSR can serve its own row requests — including the seeded first exchange and the
+budget)``: every row another shard would serve it is a verbatim slice
+of that CSR (ghosts are exact copies and rows never change mid-round),
+so a worker holding the round's shared CSR can serve its own row
+requests — including the seeded first exchange and the
 doubling speculative-prefetch balls (radius ``2^(k-1)`` capped at
 :data:`PREFETCH_RADIUS_CAP`; budgeted shards never speculate) — and
 replay exactly the sub-round chain the serial fabric would run.
@@ -186,8 +164,8 @@ Observable state stays honest on both sides of the process boundary:
   the pool stays healthy.
 - **Folds stay commutative across workers.**  The driver-side merge
   of shard results is the same min/+ fold as ever — ``min`` and ``+``
-  are commutative and associative, per-game charges are
-  position-disjoint, and records key by root — so worker completion
+  are commutative and associative, and per-game charges are
+  position-disjoint — so worker completion
   order (racy by nature) cannot perturb any observable.
 
 Retry safety (the supervisor's failure contract)
@@ -247,7 +225,6 @@ import numpy as np
 from repro.ampc import faults
 
 __all__ = [
-    "GHOST_CACHE_WORDS",
     "MESSAGE_CAP_WORDS",
     "MemoryGuard",
     "MemoryGuardError",
@@ -268,34 +245,12 @@ PREFETCH_RADIUS_CAP = 16
 # serving to cap-radius speculative balls (the deep-tail regime).
 PREFETCH_TAIL_IDS = 2048
 
-# Default per-shard budget of the cross-round ghost cache, in int64
-# words (EngineConfig.ghost_cache_words / $REPRO_GHOST_CACHE_WORDS
-# override it; 0 disables the cache, budgeted shards never cache).
-GHOST_CACHE_WORDS = 1 << 18
-
-# Seed of the ghost-cache eviction tie-break: retention order is
-# splitmix64(id ^ seed) within equal residency, so the policy is
-# deterministic across runs, processes, and transports.
-_GHOST_CACHE_SEED = 0x6A09E667F3BCC908
-
 _EMPTY = np.empty(0, dtype=np.int64)
 _INF = float("inf")
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def _mix_ids(vertices: np.ndarray, seed: int) -> np.ndarray:
-    """Full splitmix64 finalizer of ``vertices ^ seed`` (the ghost-cache
-    eviction tie-break; same mix as :func:`owner_of`)."""
-    z = (
-        np.asarray(vertices, dtype=np.int64).astype(np.uint64)
-        ^ np.uint64(seed)
-    ) + _GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
 
 
 def owner_of(vertices: np.ndarray, num_shards: int) -> np.ndarray:
@@ -441,34 +396,22 @@ def _segment_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class _Shard:
     """One simulated machine: owned rows + ghost fringe, all guarded."""
 
-    def __init__(
-        self, sid: int, num_shards: int, budget_words: int | None,
-        cache_words: int = 0,
-    ):
+    def __init__(self, sid: int, num_shards: int, budget_words: int | None):
         self.sid = sid
         self.num_shards = num_shards
         self.guard = MemoryGuard(budget_words, name=f"shard[{sid}]")
-        # The cross-round ghost cache is a pure wall-clock optimization;
-        # a budgeted shard never caches (same argument as speculation —
-        # see MessageFabric.run_round and invalidation rule 1).
-        self.cache_words = 0 if budget_words is not None else int(cache_words)
         self.row_ids = _EMPTY  # sorted owned ids with a stored row
         self.row_offsets = np.zeros(1, dtype=np.int64)
         self.row_targets = _EMPTY
         # Ghost fringe: an appendable compacted CSR.  ghost_ids is
         # sorted; (ghost_starts, ghost_lens) slice rows out of the
         # append-only _arena (compacted when dead words dominate).
-        # ghost_rounds is the residency counter: round boundaries a
-        # ghost has survived (0 = fetched this round — the round-local
-        # fringe; >= 1 = the cross-round cache).
         self.ghost_ids = _EMPTY
         self.ghost_starts = _EMPTY
         self.ghost_lens = _EMPTY
-        self.ghost_rounds = _EMPTY
         self._arena = _EMPTY
         self._arena_used = 0
-        self._fringe_words = 0  # 1 + len per rounds==0 ghost
-        self._cache_words = 0   # 1 + len per rounds>=1 ghost
+        self._fringe_words = 0  # 1 + len per ghost
         self._owned_index: dict[int, int] | None = None
         # Per-round ghost delta log, consumed by _ShardRound's
         # incremental local CSR (cleared at build and at finish_round).
@@ -544,12 +487,9 @@ class _Shard:
         """Drop retired owned rows; prune retired ids from the rest.
 
         Filtering preserves target order, so the pruned slice equals the
-        owner partition of the next round's residual CSR.  Cached ghost
-        rows get the *identical* prune (invalidation rule 1): the prune
-        is a pure function of the retirement set, so a pruned cached
-        ghost stays a verbatim copy of the owner's pruned row.
+        owner partition of the next round's residual CSR.  Ghosts were
+        already dropped at ``finish_round`` (invalidation rule 1).
         """
-        self._retire_ghosts(retired)
         if not len(self.row_ids):
             return
         keep_rows = ~_in_sorted(self.row_ids, retired)
@@ -616,28 +556,6 @@ class _Shard:
             self.guard.account("ghost_fringe", self._fringe_words)
         else:
             self.guard.release("ghost_fringe")
-        if self._cache_words:
-            self.guard.account("ghost_cache", self._cache_words)
-        else:
-            self.guard.release("ghost_cache")
-
-    def _set_ghost_store(
-        self, ids: np.ndarray, lens: np.ndarray, targets: np.ndarray,
-        rounds: np.ndarray,
-    ) -> None:
-        """Replace the ghost store with a compacted (ids, lens, targets,
-        rounds) quadruple and re-account both guard tags."""
-        self.ghost_ids = ids
-        self.ghost_lens = lens
-        self.ghost_rounds = rounds
-        self.ghost_starts = np.cumsum(lens) - lens
-        self._arena = targets
-        self._arena_used = len(targets)
-        fresh = rounds == 0
-        held = 1 + lens
-        self._fringe_words = int(held[fresh].sum())
-        self._cache_words = int(held.sum()) - self._fringe_words
-        self._account_ghosts()
 
     def install_ghosts(
         self,
@@ -680,141 +598,39 @@ class _Shard:
         self.ghost_ids = np.insert(self.ghost_ids, ins, ids)
         self.ghost_starts = np.insert(self.ghost_starts, ins, starts)
         self.ghost_lens = np.insert(self.ghost_lens, ins, lens)
-        self.ghost_rounds = np.insert(self.ghost_rounds, ins, 0)
         self._log_added.append((ids, lens, targets))
 
     def evict_ghosts(self, pinned: np.ndarray) -> None:
-        """Evict unpinned round-local ghosts (cached rows ride out the
-        round — invalidation rule 2)."""
+        """Evict every ghost no pending game pins (invalidation rule 2)."""
         if not len(self.ghost_ids):
             return
-        keep = self.ghost_rounds > 0
-        keep |= _in_sorted(self.ghost_ids, pinned)
+        keep = _in_sorted(self.ghost_ids, pinned)
         if keep.all():
             return
         dropped = self.ghost_ids[~keep]
-        freed = len(dropped) + int(self.ghost_lens[~keep].sum())
+        self._fringe_words -= len(dropped) + int(self.ghost_lens[~keep].sum())
         self.ghost_ids = self.ghost_ids[keep]
         self.ghost_starts = self.ghost_starts[keep]
         self.ghost_lens = self.ghost_lens[keep]
-        self.ghost_rounds = self.ghost_rounds[keep]
-        self._fringe_words -= freed
         self._account_ghosts()
         self._log_removed.append(dropped)
         live = int(self.ghost_lens.sum())
         if self._arena_used > 2 * live + 1024:
-            self._set_ghost_store(*self._ghost_slab(), self.ghost_rounds)
+            self._arena = self._ghost_slab()[2]
+            self._arena_used = len(self._arena)
+            self.ghost_starts = np.cumsum(self.ghost_lens) - self.ghost_lens
 
-    def finish_round(self) -> int:
-        """Round-boundary cache retention; returns the eviction count.
-
-        Keeps the highest-priority ghosts whose ``1 + len`` words fit in
-        ``cache_words`` and drops the rest.  Priority is deterministic
-        and seeded: lowest residency counter first (the most recently
-        fetched fringe — next round's balls overlap this round's last
-        waves most), ``splitmix64(id ^ seed)`` as the tie-break.
-        Survivors age one residency round and move from the
-        ``ghost_fringe`` tag to ``ghost_cache``.
-        """
-        evicted = 0
-        if len(self.ghost_ids):
-            total = len(self.ghost_ids)
-            if self.cache_words <= 0:
-                keep = np.zeros(0, dtype=np.int64)
-            else:
-                prio = np.lexsort((
-                    _mix_ids(self.ghost_ids, _GHOST_CACHE_SEED),
-                    self.ghost_rounds,
-                ))
-                cum = np.cumsum(1 + self.ghost_lens[prio])
-                keep = np.sort(prio[: int(np.searchsorted(
-                    cum, self.cache_words, side="right"
-                ))])
-            evicted = total - len(keep)
-            lens = self.ghost_lens[keep]
-            self._set_ghost_store(
-                self.ghost_ids[keep], lens,
-                self._arena[_segment_indices(self.ghost_starts[keep], lens)],
-                self.ghost_rounds[keep] + 1,
-            )
-        else:
-            self._fringe_words = 0
-            self._cache_words = 0
-            self._account_ghosts()
-        self._log_added.clear()
-        self._log_removed.clear()
-        return evicted
-
-    def seed_cache(
-        self, ids: np.ndarray, rounds: np.ndarray,
-        offsets: np.ndarray, targets: np.ndarray,
-    ) -> None:
-        """Reconstruct the cached ghost rows verbatim from the round's
-        global CSR (invalidation rule 1: a cached ghost row *is* the
-        owner's row, which is that CSR's row) and account them."""
-        lens = (offsets[ids + 1] - offsets[ids]) if len(ids) else _EMPTY
-        self._set_ghost_store(
-            np.asarray(ids, dtype=np.int64), lens,
-            targets[_segment_indices(offsets[ids], lens)]
-            if len(ids) else _EMPTY,
-            np.asarray(rounds, dtype=np.int64),
-        )
-
-    def mirror_cache(
-        self, ids: np.ndarray, rounds: np.ndarray,
-        offsets: np.ndarray, targets: np.ndarray,
-    ) -> None:
-        """Driver-side twin of :meth:`seed_cache` after a pooled round:
-        set the store without touching the guard (the worker's
-        accounting was already adopted verbatim)."""
-        lens = (offsets[ids + 1] - offsets[ids]) if len(ids) else _EMPTY
-        self.ghost_ids = np.asarray(ids, dtype=np.int64)
-        self.ghost_lens = lens
-        self.ghost_rounds = np.asarray(rounds, dtype=np.int64)
-        self.ghost_starts = np.cumsum(lens) - lens
-        self._arena = (
-            targets[_segment_indices(offsets[ids], lens)]
-            if len(ids) else _EMPTY
-        )
-        self._arena_used = len(self._arena)
-        self._fringe_words = 0
-        self._cache_words = int((1 + lens).sum()) if len(ids) else 0
-        self._log_added.clear()
-        self._log_removed.clear()
-
-    def clear_ghosts(self) -> None:
+    def finish_round(self) -> None:
+        """Round boundary: drop the whole ghost fringe (rule 1)."""
         self.ghost_ids = _EMPTY
         self.ghost_starts = _EMPTY
         self.ghost_lens = _EMPTY
-        self.ghost_rounds = _EMPTY
         self._arena = _EMPTY
         self._arena_used = 0
         self._fringe_words = 0
-        self._cache_words = 0
         self.guard.release("ghost_fringe")
-        self.guard.release("ghost_cache")
         self._log_added.clear()
         self._log_removed.clear()
-
-    def _retire_ghosts(self, retired: np.ndarray) -> None:
-        """The owner's retirement prune, applied verbatim to cached
-        ghost rows (see :meth:`retire`): drop retired ghosts, filter
-        retired targets, drop rows with no surviving target — so every
-        cached row stays equal to the owner partition's row."""
-        if not len(self.ghost_ids):
-            return
-        ids, lens, targets = self._ghost_slab()
-        keep_rows = ~_in_sorted(ids, retired)
-        keep_tgts = ~_in_sorted(targets, retired)
-        row_index = np.repeat(np.arange(len(ids), dtype=np.int64), lens)
-        counts_all = np.bincount(row_index[keep_tgts], minlength=len(ids))
-        keep_rows &= counts_all > 0
-        self._set_ghost_store(
-            ids[keep_rows],
-            counts_all[keep_rows],
-            targets[keep_tgts & keep_rows[row_index]],
-            self.ghost_rounds[keep_rows],
-        )
 
     def held_mask(
         self, vertices: np.ndarray, ghost_ids: np.ndarray
@@ -836,27 +652,25 @@ class _ShardRound:
 
     def __init__(
         self, shard: _Shard, roots: np.ndarray, positions: np.ndarray,
-        engine: str, want_records: bool = True,
+        engine: str,
     ) -> None:
         self.shard = shard
         self.roots = roots
         self.positions = positions
         self.engine = engine
-        self.want_records = want_records
         g = len(roots)
         self.valid = np.zeros(g, dtype=bool)
         self.reads = np.zeros(g, dtype=np.int64)
         self.writes = np.zeros(g, dtype=np.int64)
         self.ball_words = np.zeros(g, dtype=np.int64)
+        # Record tuples of games committed by the scalar interpreter,
+        # and columnar (proof_u, proof_l) of those the array engines
+        # committed: the layer fold consumes either.
         self.records: list = [None] * g
-        # Columnar (proof_u, proof_l) per committed game: the layer
-        # fold consumes these arrays directly, so the per-pair python
-        # record tuples are built only when a caller wants transcripts.
         self.proof_cols: list = [None] * g
         self.missing: list[np.ndarray] = [_EMPTY] * g
         self.fetched: list[list[np.ndarray]] = [[] for __ in range(g)]
         self.spec_pins: list[np.ndarray] = []
-        self.replay_stats: dict = {}
         self.ejected_games = 0
         # Incremental local CSR (built lazily on the first play; see
         # _build_local / _advance_local) and its phase timings.
@@ -868,7 +682,7 @@ class _ShardRound:
     def pending(self) -> np.ndarray:
         return np.flatnonzero(~self.valid)
 
-    def seed_missing(self, num_shards: int) -> int:
+    def seed_missing(self, num_shards: int) -> None:
         """Pre-play missing sets: the wave-one fringe needs no wave.
 
         Every game's root row is owned by this shard, so the rows its
@@ -880,22 +694,14 @@ class _ShardRound:
         that would have committed on the bare root row fetches a few
         rows it will not read — ghost words it pins anyway until it
         retires on the very next wave.
-
-        Root targets already held as cached ghosts are not missing —
-        the cross-round cache serving its purpose; returns the number
-        of distinct cached rows that absorbed a would-be fetch
-        (``ghost_cache_hits``).
         """
         shard = self.shard
         g = len(self.roots)
         starts, lens = shard.row_extents(self.roots)
         flat = shard.row_targets[_segment_indices(starts, lens)]
         if not flat.size:
-            return 0
-        off = owner_of(flat, num_shards) != shard.sid
-        cached = _in_sorted(flat, shard.ghost_ids)
-        hits = int(len(_sorted_unique(flat[off & cached])))
-        want = off & ~cached
+            return
+        want = owner_of(flat, num_shards) != shard.sid
         kept = flat[want]
         kept_root = np.repeat(np.arange(g, dtype=np.int64), lens)[want]
         counts = np.bincount(kept_root, minlength=g)
@@ -903,7 +709,6 @@ class _ShardRound:
         np.cumsum(counts, out=bounds[1:])
         for i in np.flatnonzero(counts).tolist():
             self.missing[i] = kept[bounds[i]:bounds[i + 1]]
-        return hits
 
     def missing_union(self) -> np.ndarray:
         parts: list[np.ndarray] = []
@@ -969,7 +774,7 @@ class _ShardRound:
 
         Engine paths commit columnar (proof_u, proof_l) arrays and
         concatenate for free; scalar-path games (including ejected
-        replays) fall back to flattening their record tuples — the same
+        games) fall back to flattening their record tuples — the same
         pairs either way.  The game shard then combines its own pairs
         per vertex (min layer, proposal count) before they are routed
         to vertex owners — the standard combiner: the owner-side fold
@@ -994,9 +799,9 @@ class _ShardRound:
             parts_l.append(np.fromiter(
                 (lay for __, lay in proof), dtype=np.int64, count=len(proof)
             ))
-        if not parts_u:
+        pu = np.concatenate(parts_u) if parts_u else _EMPTY
+        if not pu.size:  # no game of this shard proved any layer
             return _EMPTY, _EMPTY, _EMPTY
-        pu = np.concatenate(parts_u)
         pl = np.concatenate(parts_l)
         # Layers are tiny non-negative ints, so one encoded int64 key
         # sorts (vertex, layer) in a single in-place pass — same
@@ -1264,9 +1069,7 @@ class _ShardRound:
                 horizon=params["horizon"], scale=params["scale"],
                 out_layer=out_layer, out_count=out_count,
                 want_records=True, transpose_pos=transpose,
-                replay_stats=self.replay_stats, arena_hint=arena_hint,
-                cone_cutoff=config.replay_cone_cutoff,
-                poor_streak=config.replay_poor_streak,
+                arena_hint=arena_hint,
                 **({"raw_records": True} if raw else {}),
             )
             reads[start:stop] = info.reads
@@ -1276,18 +1079,16 @@ class _ShardRound:
                 records[start:stop] = info.records
                 continue
             # Raw flat records: remap ids and split valid from invalid
-            # games in whole-cohort array ops, then build python record
-            # tuples only for the games that actually commit — an
-            # optimistic wave discards most of its plays as invalid, and
-            # marshalling their transcripts one list element at a time
-            # was the fabric's single largest driver cost.
+            # games in whole-cohort array ops — an optimistic wave
+            # discards most of its plays as invalid, and marshalling
+            # their transcripts one list element at a time was the
+            # fabric's single largest driver cost.
             mem_f, pu_f, pl_f, mem_counts, proof_counts = info.records
             mem_ends = np.cumsum(mem_counts)
             proof_ends = np.cumsum(proof_counts)
             mem_g = universe[mem_f]
             pu_g = universe[pu_f]
             pl_g = np.asarray(pl_f, dtype=np.int64)
-            pl_list = pl_g.tolist() if self.want_records else None
             bad = ~held[mem_f]
             bad_cum = np.zeros(len(bad) + 1, dtype=np.int64)
             np.cumsum(bad, out=bad_cum[1:])
@@ -1310,21 +1111,14 @@ class _ShardRound:
                     seg = mem_g[mo:me]
                     self.missing[i] = seg[bad[mo:me]]
                 else:
-                    r = int(reads[start + jj])
-                    w = int(writes[start + jj])
-                    rec = None
-                    if self.want_records:
-                        proof_g = list(
-                            zip(pu_g[po:pe].tolist(), pl_list[po:pe])
-                        )
-                        rec = (mem_g[mo:me].tolist(), proof_g, r, w)
                     # Real words of the held ball: one degree word plus
                     # the row targets per explored vertex — identically
                     # the game's probe charge, so strict-budget parity
                     # is checked against what a shard genuinely held.
                     ball = (me - mo) + int(ball_cum[me] - ball_cum[mo])
                     self._commit(
-                        i, r, w, rec, ball, False,
+                        i, int(reads[start + jj]), int(writes[start + jj]),
+                        None, ball, False,
                         proof_cols=(pu_g[po:pe], pl_g[po:pe]),
                     )
                 mo, po = me, pe
@@ -1341,7 +1135,6 @@ class _ShardRound:
                     # Unsorted is fine (see the raw path above).
                     self.missing[i] = universe[miss]
                     continue
-                explored_g = universe[explored_l]
                 proof = record[1]
                 pu_arr = universe[np.fromiter(
                     (u for u, __ in proof), dtype=np.int64, count=len(proof)
@@ -1350,18 +1143,10 @@ class _ShardRound:
                     (lay for __, lay in proof), dtype=np.int64,
                     count=len(proof),
                 )
-                rec = None
-                if self.want_records:
-                    proof_g = [
-                        (v, lay)
-                        for v, (__, lay) in zip(pu_arr.tolist(), proof)
-                    ]
-                    rec = (explored_g.tolist(), proof_g,
-                           int(reads[j]), int(writes[j]))
                 # Real words of the held ball (see the raw path above).
                 ball = len(explored_l) + int(deg_held[explored_l].sum())
                 self._commit(
-                    i, int(reads[j]), int(writes[j]), rec, ball, False,
+                    i, int(reads[j]), int(writes[j]), None, ball, False,
                     proof_cols=(pu_arr, pl_arr),
                 )
 
@@ -1586,13 +1371,9 @@ def run_shard_chain(
     clip: int,
     horizon: int,
     scale: int | None,
-    want_records: bool,
     engine: str,
     config,
     budget_words: int | None = None,
-    ghost_cache_words: int = 0,
-    cache_ids: np.ndarray | None = None,
-    cache_rounds: np.ndarray | None = None,
     fault=None,
 ) -> dict:
     """One shard's complete BSP round, self-served from the global CSR.
@@ -1615,11 +1396,6 @@ def run_shard_chain(
     (overlapped with the other shards' play) and adopts the guard
     numbers, so comm counters and ``max_held_words`` are bit-identical
     to the serial fabric for every (engine, shards, workers) combination.
-    The cross-round ghost cache rides the same purity argument:
-    ``(cache_ids, cache_rounds)`` name verbatim rows of the shared CSR
-    (invalidation rule 1), so the worker reconstructs the cached ghosts
-    exactly as the serial shard holds them — and returns the surviving
-    cache the same way for the driver to mirror.
 
     ``fault`` is an optional injected :class:`repro.ampc.faults.Fault`
     of kind ``"slab"``: the first row slab is corrupted *after* the
@@ -1627,9 +1403,7 @@ def run_shard_chain(
     must reject it (a retriable worker loss) before any ghost mutates.
     """
     t0 = time.perf_counter()
-    shard = _Shard(
-        sid, num_shards, budget_words, cache_words=ghost_cache_words
-    )
+    shard = _Shard(sid, num_shards, budget_words)
     deg = np.diff(offsets)
     sources = np.flatnonzero(deg > 0)
     sources = sources[owner_of(sources, num_shards) == sid]
@@ -1640,18 +1414,9 @@ def run_shard_chain(
         sources, row_offsets,
         targets[_segment_indices(offsets[sources], counts)],
     )
-    if cache_ids is not None and len(cache_ids) and shard.cache_words > 0:
-        # Accounted before begin_round, exactly like the serial fabric
-        # where the cache was charged at the previous finish_round and
-        # is already held when the new round's peak tracking starts.
-        shard.seed_cache(
-            np.asarray(cache_ids, dtype=np.int64),
-            np.asarray(cache_rounds, dtype=np.int64),
-            offsets, targets,
-        )
     shard.guard.begin_round()
-    run = _ShardRound(shard, roots, positions, engine, want_records)
-    cache_hits = run.seed_missing(num_shards)
+    run = _ShardRound(shard, roots, positions, engine)
+    run.seed_missing(num_shards)
     params = {
         "x": x, "beta": beta, "clip": clip, "horizon": horizon,
         "scale": scale,
@@ -1700,21 +1465,19 @@ def run_shard_chain(
             install_s += time.perf_counter() - ts
             run.attribute_expansions(extra)
         # Same budget-only mid-round eviction rule as the serial loop
-        # (see MessageFabric.run_round) — the schedules must match
-        # wave for wave or the end-of-round cache would diverge.
+        # (see MessageFabric.run_round) — the schedules must match wave
+        # for wave or the guard peaks would diverge.
         if budget_words is not None and run.pending().size:
             shard.evict_ghosts(run.pinned_ghosts())
         if run.pending().size:
             run.play(params, config)
         played = True
         trace.append((miss, extra))
-    cache_evicted = shard.finish_round()
+    shard.finish_round()
     proof_u, proof_l, proof_c = run.proof_columns()
     return {
         "reads": run.reads,
         "writes": run.writes,
-        "records": run.records if want_records else None,
-        "replay_stats": run.replay_stats or None,
         "ejected_games": run.ejected_games,
         "ball_max": int(run.ball_words.max()) if run.ball_words.size else 0,
         "proof_u": proof_u,
@@ -1723,11 +1486,6 @@ def run_shard_chain(
         "trace": trace,
         "guard_peak": shard.guard.round_peak,
         "guard_held": dict(shard.guard._held),
-        "cache_ids": shard.ghost_ids,
-        "cache_rounds": shard.ghost_rounds,
-        "cache_words": shard._cache_words,
-        "cache_hits": cache_hits,
-        "cache_evicted": cache_evicted,
         "serve_s": serve_s,
         "install_s": install_s,
         "compact_s": run.compact_s,
@@ -1754,7 +1512,6 @@ class MessageFabric:
         *,
         budget_words: int | None = None,
         cap_words: int | None = None,
-        cache_words: int = 0,
     ) -> None:
         num_shards = int(num_shards)
         if num_shards < 1:
@@ -1764,13 +1521,8 @@ class MessageFabric:
         self.cap_words = int(cap_words) if cap_words else MESSAGE_CAP_WORDS
         if self.cap_words < 4:
             raise ValueError("cap_words must be >= 4 (one row header)")
-        cache_words = int(cache_words)
-        if cache_words < 0:
-            raise ValueError("cache_words must be >= 0 (0 disables)")
-        self.cache_words = cache_words
         self.shards = [
-            _Shard(sid, num_shards, budget_words, cache_words=cache_words)
-            for sid in range(num_shards)
+            _Shard(sid, num_shards, budget_words) for sid in range(num_shards)
         ]
         self.placed = False
         self.peak_held_words = 0
@@ -1783,9 +1535,7 @@ class MessageFabric:
         "messages", "words", "subrounds", "row_requests", "rows_served",
         "placement_words", "retirement_words", "fold_words", "result_words",
         "max_shard_words", "max_game_ball_words", "max_held_words",
-        "ejected_games", "ghost_cache_hits", "ghost_cache_evicted",
-        "ghost_cache_held_words",
-        "shard_wall_s", "comm_overlap_s",
+        "ejected_games", "shard_wall_s", "comm_overlap_s",
         "serve_s", "install_s", "compact_s", "play_s",
     )
 
@@ -1888,7 +1638,6 @@ class MessageFabric:
         clip: int,
         horizon: int,
         scale: int | None,
-        want_records: bool,
         engine: str = "batched",
         config=None,
         comm: dict | None = None,
@@ -1897,8 +1646,8 @@ class MessageFabric:
         """Play one round's pending games through the shard fabric.
 
         Returns ``(positions, ShardResult)`` pairs exactly like
-        :meth:`repro.ampc.pool.CoinGamePool.run_games` — reads/writes and
-        records ride with the shard owning the *game*, layer folds with
+        :meth:`repro.ampc.pool.CoinGamePool.run_games` — reads/writes
+        ride with the shard owning the *game*, layer folds with
         the shard owning the *vertex* (both scatter through commutative
         accumulators, so the split is invisible).
 
@@ -1915,9 +1664,8 @@ class MessageFabric:
             config = EngineConfig.from_env()
         comm = self._init_comm({} if comm is None else comm)
         shard_words = [0] * self.num_shards
-        # Ghosts are resolved at the *end* of a round (finish_round:
-        # cached survivors stay, the rest drop), so a round starts with
-        # each shard holding exactly owned rows + cross-round cache.
+        # Ghosts are dropped at the *end* of a round (finish_round), so
+        # a round starts with each shard holding exactly its owned rows.
         for shard in self.shards:
             shard.guard.begin_round()
         if not self.placed:
@@ -1931,7 +1679,7 @@ class MessageFabric:
         if pool is not None and len(roots):
             return self._run_round_pooled(
                 pool, offsets, targets, roots, positions, owners, params,
-                want_records, engine, config, comm, shard_words,
+                engine, config, comm, shard_words,
             )
         runs: list[_ShardRound] = []
         for sid, shard in enumerate(self.shards):
@@ -1939,9 +1687,7 @@ class MessageFabric:
             if sel.size:
                 self._send(comm, shard_words, 2 * sel.size, dst=sid)
             runs.append(
-                _ShardRound(
-                    shard, roots[sel], positions[sel], engine, want_records
-                )
+                _ShardRound(shard, roots[sel], positions[sel], engine)
             )
 
         # BSP sub-rounds: exchange missing rows, play, validate, repeat.
@@ -1950,7 +1696,7 @@ class MessageFabric:
         # discovery wave never happens.
         deg_global = np.diff(offsets)
         for run in runs:
-            comm["ghost_cache_hits"] += run.seed_missing(self.num_shards)
+            run.seed_missing(self.num_shards)
         sub_round = 0
         played = False
         while True:
@@ -2022,8 +1768,8 @@ class MessageFabric:
                 # whole fringe until finish_round, because evicting rows
                 # whose fetching games committed just makes the pending
                 # tail re-request them a wave later (evict/refetch
-                # thrash), and the cache retention pass prunes the
-                # fringe at the round boundary anyway.  Per-shard pure,
+                # thrash), and finish_round drops the fringe at the
+                # round boundary anyway.  Per-shard pure,
                 # like the worker chain: a shard whose games all
                 # committed has left its BSP loop and evicts no further
                 # — its last exchange rides to finish_round.
@@ -2036,7 +1782,7 @@ class MessageFabric:
             played = True
 
         for run in runs:
-            comm["ghost_cache_evicted"] += run.shard.finish_round()
+            run.shard.finish_round()
             comm["compact_s"] += run.compact_s
             comm["play_s"] += run.play_s
 
@@ -2048,8 +1794,6 @@ class MessageFabric:
                 "roots": run.roots,
                 "reads": run.reads,
                 "writes": run.writes,
-                "records": run.records,
-                "replay_stats": run.replay_stats or None,
                 "ejected_games": run.ejected_games,
                 "ball_max": (
                     int(run.ball_words.max()) if run.ball_words.size else 0
@@ -2058,13 +1802,11 @@ class MessageFabric:
                 "proof_l": proof_l,
                 "proof_c": proof_c,
             })
-        return self._fold_and_results(
-            comm, shard_words, want_records, per_shard
-        )
+        return self._fold_and_results(comm, shard_words, per_shard)
 
     def _run_round_pooled(
         self, pool, offsets, targets, roots, positions, owners, params,
-        want_records, engine, config, comm, shard_words,
+        engine, config, comm, shard_words,
     ) -> list[tuple[np.ndarray, "object"]]:
         """Dispatch each shard's BSP chain to a pool worker, replaying
         its communication for the counters as results stream back.
@@ -2091,16 +1833,11 @@ class MessageFabric:
             pos_by.append(positions[sel])
             if sel.size:
                 self._send(comm, shard_words, 2 * sel.size, dst=sid)
-                shard = self.shards[sid]
-                jobs.append((
-                    sid, roots[sel], positions[sel],
-                    shard.ghost_ids, shard.ghost_rounds,
-                ))
+                jobs.append((sid, roots[sel], positions[sel]))
         payload = dict(params)
         payload.update(
-            num_shards=num, want_records=want_records, engine=engine,
-            config=config, budget_words=self.budget_words,
-            ghost_cache_words=self.cache_words,
+            num_shards=num, engine=engine, config=config,
+            budget_words=self.budget_words,
         )
         shard_res: list[dict | None] = [None] * num
         miss_sizes: list[list[int]] = [[] for __ in range(num)]
@@ -2135,14 +1872,6 @@ class MessageFabric:
                         messages=self._row_segments(row_words),
                     )
                     comm["rows_served"] += len(row_words)
-            # The surviving cache mirrors onto the driver shard without
-            # touching its guard — the adopt above already carried the
-            # worker's end-of-round ghost accounting over verbatim.
-            self.shards[sid].mirror_cache(
-                res["cache_ids"], res["cache_rounds"], offsets, targets
-            )
-            comm["ghost_cache_hits"] += res["cache_hits"]
-            comm["ghost_cache_evicted"] += res["cache_evicted"]
             comm["serve_s"] += res["serve_s"]
             comm["install_s"] += res["install_s"]
             comm["compact_s"] += res["compact_s"]
@@ -2151,14 +1880,6 @@ class MessageFabric:
                 state["overlap"] += time.perf_counter() - t0
 
         pool.run_fabric_round(offsets, targets, jobs, payload, on_result)
-
-        # Shards with no games this round never reach a worker; their
-        # round boundary (cache aging + retention) runs driver-side, as
-        # the serial loop would have.
-        dispatched_now = {job[0] for job in jobs}
-        for sid in range(num):
-            if sid not in dispatched_now:
-                comm["ghost_cache_evicted"] += self.shards[sid].finish_round()
 
         # Lockstep sub-round k spans every shard's k-th exchange; the
         # global counter ticks whenever any shard requested rows then —
@@ -2189,7 +1910,6 @@ class MessageFabric:
                     "positions": pos_by[sid], "roots": roots_by[sid],
                     "reads": np.zeros(0, dtype=np.int64),
                     "writes": np.zeros(0, dtype=np.int64),
-                    "records": [], "replay_stats": None,
                     "ejected_games": 0, "ball_max": 0,
                     "proof_u": _EMPTY, "proof_l": _EMPTY,
                     "proof_c": _EMPTY,
@@ -2198,19 +1918,15 @@ class MessageFabric:
             per_shard.append({
                 "positions": pos_by[sid], "roots": roots_by[sid],
                 "reads": res["reads"], "writes": res["writes"],
-                "records": res["records"] if want_records else [],
-                "replay_stats": res["replay_stats"],
                 "ejected_games": res["ejected_games"],
                 "ball_max": res["ball_max"],
                 "proof_u": res["proof_u"], "proof_l": res["proof_l"],
                 "proof_c": res["proof_c"],
             })
-        return self._fold_and_results(
-            comm, shard_words, want_records, per_shard
-        )
+        return self._fold_and_results(comm, shard_words, per_shard)
 
     def _fold_and_results(
-        self, comm, shard_words, want_records, per_shard,
+        self, comm, shard_words, per_shard,
     ) -> list[tuple[np.ndarray, "object"]]:
         """Layer-proposal folds (routed by vertex owner — owners
         min/+-fold and forward one (u, min, count) triple per vertex to
@@ -2271,11 +1987,6 @@ class MessageFabric:
                 comm, shard_words, 3 * len(vertices), src=sid
             )
             result_words = 2 * len(sh["roots"])
-            if want_records:
-                result_words += sum(
-                    2 + len(record[0]) + 2 * len(record[1])
-                    for record in sh["records"]
-                )
             if len(sh["roots"]):
                 self._send(comm, shard_words, result_words, src=sid)
                 comm["result_words"] += result_words
@@ -2284,9 +1995,7 @@ class MessageFabric:
             results.append((
                 sh["positions"],
                 ShardResult(
-                    sh["reads"], sh["writes"], vertices, minima, counts,
-                    sh["records"] if want_records else None,
-                    sh["replay_stats"],
+                    sh["reads"], sh["writes"], vertices, minima, counts
                 ),
             ))
             guard = self.shards[sid].guard
@@ -2299,10 +2008,6 @@ class MessageFabric:
         )
         comm["max_game_ball_words"] = max(
             comm["max_game_ball_words"], max_ball
-        )
-        comm["ghost_cache_held_words"] = max(
-            comm["ghost_cache_held_words"],
-            sum(shard._cache_words for shard in self.shards),
         )
         round_peak = max(shard.guard.round_peak for shard in self.shards)
         comm["max_held_words"] = max(comm["max_held_words"], round_peak)

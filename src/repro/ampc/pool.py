@@ -34,7 +34,7 @@ simulator exploits exactly that freedom, nothing more:
   ``columnar_workers_s`` regression on 1-core hosts.
 - **Shared read-only round state.**  The round's residual CSR
   (offsets, targets) — plus, for the batched engine, the per-round CSR
-  transpose-position map its replay arenas patch through — is published
+  transpose-position map its row arenas patch through — is published
   once per round through :mod:`multiprocessing.shared_memory`; shard
   payloads carry only the segment names, and workers attach, copy
   (cached until the next round's segments arrive), and close, so no
@@ -43,9 +43,8 @@ simulator exploits exactly that freedom, nothing more:
   model's read-only D_{i-1}.
 - **Accounting fold.**  A shard returns ``(reads, writes)`` arrays for
   its machines plus its layer-proposal deltas as sparse
-  ``(vertices, minima, counts)`` triples and (optionally) replayable
-  game record tuples (see :mod:`repro.core.columnar_rounds`).  The driver
-  scatters the counts through
+  ``(vertices, minima, counts)`` triples.  The driver scatters the
+  counts through
   :meth:`~repro.ampc.machine.BatchMachineContext.account_at` and folds
   the deltas with the same min/+ accumulators the serial loop uses.
   Minimum and addition are commutative and associative, and counts
@@ -300,8 +299,6 @@ class ShardResult(NamedTuple):
     fold_vertices: np.ndarray  # vertices with layer proposals
     fold_minima: np.ndarray  # min proposed layer per vertex
     fold_counts: np.ndarray  # number of proposals per vertex
-    records: list | None  # game record tuple per machine when requested
-    replay_stats: dict | None = None  # incremental-replay counters (batched)
     # Integrity digest over the numeric payload arrays (reads, writes,
     # fold triples), stamped worker-side and re-verified by the driver
     # before any fold; see repro.ampc.faults.payload_checksum.
@@ -393,9 +390,7 @@ def _shard_checksum(
     """Integrity digest of a :class:`ShardResult`'s numeric payload.
 
     Shared by the worker (stamping) and the driver (re-verifying), so
-    the two sides cannot drift.  Scope: every array the driver folds —
-    game records are driver-opaque tuples that only feed the
-    cross-round cache, whose replay validation re-derives them.
+    the two sides cannot drift.  Scope: every array the driver folds.
     """
     return payload_checksum(reads, writes, fold_vertices, fold_minima,
                             fold_counts)
@@ -415,11 +410,8 @@ def _fabric_checksum(res: dict) -> int:
     for miss, extra in res["trace"]:
         items.append(miss)
         items.append(extra)
-    items.append(res["cache_ids"])
-    items.append(res["cache_rounds"])
     items.append(np.asarray(
-        [res["ejected_games"], res["ball_max"], res["guard_peak"],
-         res["cache_words"], res["cache_hits"], res["cache_evicted"]],
+        [res["ejected_games"], res["ball_max"], res["guard_peak"]],
         dtype=np.int64,
     ))
     items.append(repr(sorted(res["guard_held"].items())).encode())
@@ -463,7 +455,7 @@ def _corrupted(spec, result):
 def _play_shard(
     csr_meta: tuple,
     roots: np.ndarray,
-    params: tuple[int, int, int, int, int | None, bool, str],
+    params: tuple,
     fault_key: tuple[int, int, int] | None = None,
     plan=None,
 ):
@@ -482,7 +474,7 @@ def _play_shard(
         if plan is not None and fault_key is not None else None
     )
     faults.apply_pre(spec)
-    x, beta, clip, horizon, scale, want_records, engine, config = params
+    x, beta, clip, horizon, scale, engine, config = params
     if engine in ("batched", "compiled"):
         from repro.core.columnar_rounds import run_games_batched_with_fallback
 
@@ -490,18 +482,15 @@ def _play_shard(
         n = len(offsets) - 1
         out_layer_arr = np.full(n, float("inf"))
         out_count_arr = np.zeros(n, dtype=np.int64)
-        replay_stats: dict = {}
         with defer_full_gc():
-            reads, writes, records = run_games_batched_with_fallback(
+            reads, writes, __ = run_games_batched_with_fallback(
                 offsets, targets, roots,
                 x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
                 out_layer=out_layer_arr, out_count=out_count_arr,
-                want_records=want_records,
                 transpose_pos=(
                     _load_transpose(csr_meta)
                     if engine == "batched" else None
                 ),
-                replay_stats=replay_stats,
                 config=config,
                 engine=engine,
             )
@@ -509,8 +498,7 @@ def _play_shard(
         fold_minima = out_layer_arr[fold_vertices]
         fold_counts = out_count_arr[fold_vertices]
         return _corrupted(spec, ShardResult(
-            reads, writes, fold_vertices, fold_minima, fold_counts, records,
-            replay_stats,
+            reads, writes, fold_vertices, fold_minima, fold_counts,
             checksum=_shard_checksum(
                 reads, writes, fold_vertices, fold_minima, fold_counts
             ),
@@ -525,21 +513,17 @@ def _play_shard(
     out_count: list = [0] * n
     reads = np.zeros(len(roots), dtype=np.int64)
     writes = np.zeros(len(roots), dtype=np.int64)
-    records: list | None = [] if want_records else None
     with defer_full_gc():  # same scoped tradeoff the serial driver makes
         for slot, v in enumerate(roots.tolist()):
-            reads[slot], writes[slot], record = play_coin_game(
-                adj, v, x, beta, clip, horizon, scale,
-                out_layer, out_count, want_records,
+            reads[slot], writes[slot], __ = play_coin_game(
+                adj, v, x, beta, clip, horizon, scale, out_layer, out_count,
             )
-            if records is not None:
-                records.append(record)
     counts = np.asarray(out_count, dtype=np.int64)
     fold_vertices = np.flatnonzero(counts)
     fold_minima = np.array(out_layer)[fold_vertices]
     fold_counts = counts[fold_vertices]
     return _corrupted(spec, ShardResult(
-        reads, writes, fold_vertices, fold_minima, fold_counts, records,
+        reads, writes, fold_vertices, fold_minima, fold_counts,
         checksum=_shard_checksum(
             reads, writes, fold_vertices, fold_minima, fold_counts
         ),
@@ -551,8 +535,6 @@ def _play_fabric_shard(
     sid: int,
     roots: np.ndarray,
     positions: np.ndarray,
-    cache_ids: np.ndarray,
-    cache_rounds: np.ndarray,
     payload: dict,
     fault_key: tuple[int, int, int] | None = None,
     plan=None,
@@ -561,9 +543,8 @@ def _play_fabric_shard(
 
     The chain itself lives in :func:`repro.ampc.messaging.run_shard_chain`
     — the worker only attaches the round's shared CSR (cached across the
-    round's shards), reconstructs the shard's cross-round ghost cache
-    from it, stamps the result's integrity checksum, and applies the
-    same fault hooks as :func:`_play_shard`, so the chaos harness
+    round's shards), stamps the result's integrity checksum, and applies
+    the same fault hooks as :func:`_play_shard`, so the chaos harness
     exercises both dispatch paths identically.  A ``"slab"`` fault is
     threaded into the chain itself: it corrupts the first served row
     slab post-stamp, so the in-chain checksum verify rejects it.
@@ -579,7 +560,6 @@ def _play_fabric_shard(
     with defer_full_gc():
         result = run_shard_chain(
             offsets, targets, sid, roots=roots, positions=positions,
-            cache_ids=cache_ids, cache_rounds=cache_rounds,
             fault=spec if spec is not None and spec.kind == "slab" else None,
             **payload,
         )
@@ -1038,7 +1018,6 @@ class CoinGamePool:
         clip: int,
         horizon: int,
         scale: int | None,
-        want_records: bool,
         engine: str = "scalar",
         transpose_pos: np.ndarray | None = None,
         cohort_games: int | None = None,
@@ -1075,9 +1054,7 @@ class CoinGamePool:
             csr_meta, segments = self._publish_csr(
                 offsets, targets, transpose_pos
             )
-            params = (
-                x, beta, clip, horizon, scale, want_records, engine, config
-            )
+            params = (x, beta, clip, horizon, scale, engine, config)
             max_shards = min(
                 len(roots), self.workers * self.chunks_per_worker
             )
@@ -1130,15 +1107,14 @@ class CoinGamePool:
         self,
         offsets: np.ndarray,
         targets: np.ndarray,
-        jobs: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+        jobs: list[tuple[int, np.ndarray, np.ndarray]],
         payload: dict,
         on_result,
         config=None,
     ) -> None:
         """Run message-fabric shard chains across the worker fleet.
 
-        ``jobs`` is ``[(sid, roots, positions, cache_ids, cache_rounds),
-        …]``; each dispatches
+        ``jobs`` is ``[(sid, roots, positions), …]``; each dispatches
         one :func:`repro.ampc.messaging.run_shard_chain` against the
         round's shared CSR.  ``on_result(sid, result, others_running)``
         fires in completion order, so the driver replays a finished
@@ -1167,17 +1143,16 @@ class CoinGamePool:
             csr_meta, segments = self._publish_csr(offsets, targets)
 
             def submit(executor, key, fault_key, plan):
-                sid, roots, positions, cache_ids, cache_rounds = jobs[key]
+                sid, roots, positions = jobs[key]
                 return executor.submit(
                     _play_fabric_shard, csr_meta, sid, roots, positions,
-                    cache_ids, cache_rounds, payload, fault_key, plan,
+                    payload, fault_key, plan,
                 )
 
             def inline(key):
-                sid, roots, positions, cache_ids, cache_rounds = jobs[key]
+                sid, roots, positions = jobs[key]
                 return _play_fabric_shard(
-                    csr_meta, sid, roots, positions, cache_ids,
-                    cache_rounds, payload,
+                    csr_meta, sid, roots, positions, payload
                 )
 
             def deliver(key, result, others_running):
@@ -1208,16 +1183,17 @@ class CoinGamePool:
         targets: np.ndarray,
         transpose_pos: np.ndarray | None = None,
     ) -> tuple[tuple, list[SharedMemory]]:
-        """Copy the residual CSR (and replay arena maps) into shared
+        """Copy the residual CSR (and the transpose map) into shared
         read-only segments.
 
         ``transpose_pos`` — the batched engine's per-round CSR
         transpose-position map — rides along in its own segment so
-        worker shards replay against it without each recomputing the
-        per-round lexsort.  Either every segment is returned (the caller
-        owns their cleanup) or none survive: a failure publishing a
-        later array unlinks the earlier ones before re-raising, so a
-        /dev/shm-full round cannot leak a named OS segment.
+        worker shards patch their row arenas through it without each
+        recomputing the per-round lexsort.  Either every segment is
+        returned (the caller owns their cleanup) or none survive: a
+        failure publishing a later array unlinks the earlier ones before
+        re-raising, so a /dev/shm-full round cannot leak a named OS
+        segment.
         """
         arrays = [offsets, targets]
         if transpose_pos is not None:

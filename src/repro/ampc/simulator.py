@@ -195,7 +195,7 @@ class AMPCSimulator:
         )
         kernel(batch)
         # Deferred budget scan for kernels that account piecemeal via
-        # account_at (memoized replays, pool shards); immediate account()
+        # account_at (pool and fabric shards); immediate account()
         # calls have already checked, so this is idempotent for them.
         batch.check_strict()
         if reducer is not None:

@@ -60,88 +60,15 @@ round i read D_{i-1} and write only layer proposals to D_i — Section
 3.1), so the shared row a game reads at hop h is byte-for-byte the row
 a private copy would hold.  Second, a game transcript is a pure
 function of its root and of the residual adjacency rows restricted to
-its explored set (the same purity argument
-:class:`~repro.core.columnar_rounds.GameCache` relies on across
-rounds); the arena reproduces those rows verbatim and per-game slot
-state is disjoint by construction (slots are keyed by the pair
-``game · n + vertex``), so no game can observe another game's presence
-and every transcript is unchanged.  What is *not* shared is anything
-σ-dependent: σ_{S_v} ranks neighbors relative to the game-local
-explored set, so σ-ranked forwarding sets are built per game (and only
-for the rare holders with more than β+1 residual neighbors that
-actually forward).
-
-Exact incremental cascade replay
---------------------------------
-The game is adaptive but *locally stable*: between consecutive
-super-iterations the root drops the same x coins against the same
-thresholds (residual degrees are fixed within a round), so a game's
-interior coin flow is unchanged unless its explored ball actually grew
-into it.  The engine exploits that with a per-cohort **replay arena**:
-every super-iteration records its wave state — per hop, the forwarders,
-their per-forward shares, and the per-forwarder segments of resolved
-inside deliveries ``(dst slot, amount)`` — and the next super-iteration
-replays all untouched interior flow straight from that snapshot (one
-scatter per hop of the shared arrays; fully-clean pieces are reused
-without copying) while *simulating only the perturbation cone*:
-
-- **Seeds.**  The cone starts at the rows patched by the explore wave in
-  between (the patch log of :meth:`_Lockstep._explore`): a snapshot
-  forwarder whose row gained inside entries delivers the same
-  per-neighbor share to each newly explored member (a *patch extra*) —
-  nothing else about its forward changes, because shares are
-  per-neighbor and the old entries' resolutions are untouched.
-- **Propagation.**  A slot becomes *deviated* the moment its delivery
-  stream differs from the snapshot — it receives a patch extra or a
-  fresh-cone delivery, or a withheld segment skips it.  Deviated slots
-  are threshold-tested at every subsequent receipt (the fresh engine's
-  worklist invariant: amounts only change on receipt, so testing on
-  receipt is exact; testing a slot that received nothing is a no-op
-  because a resting slot is always below its threshold), and when they
-  forward, they forward fresh — full row expansion against the current
-  row arena.  Their own snapshot segments at later hops are withheld
-  (subtracted back out of the hop's scatter) and marked stale in place,
-  which is what makes deviation *transitive*: the recipients of a
-  withheld segment deviate in turn.
-- **Exactness.**  Clean slots follow the snapshot trajectory exactly by
-  induction over hops (their inflow is bit-identical, thresholds are
-  per-round constants, and coin values are scale-invariant exact
-  rationals); deviated slots carry true amounts maintained by the same
-  scatters a fresh run would perform.  Clean forwarders emit no touched
-  vertices — every forwarder of the previous super-iteration emitted
-  its whole outside set then, and all of it was explored and patched,
-  so its rows hold no outside entries now (rows never regain ``-1``
-  resolutions) — hence the touched set of a replayed super-iteration is
-  produced entirely by the cone, exactly as a fresh run would produce
-  it.
-
-**Invalidation rules.**  A game leaves the replay arena (and re-runs
-through the verbatim fresh engine, re-recording as it goes) when its
-snapshot can no longer stand in for a fresh run:
-
-- a >β+1-degree member forwarded (its σ-ranked forwarding set may shift
-  as S_v grows — σ-dependent selections are never replayed);
-- its cone demanded a coin-scale escalation mid-replay (a *redo*: the
-  game's partial pass is discarded — its flow is per-game disjoint —
-  and the fresh engine re-runs it from the super-iteration's start);
-- it was ejected to the scalar bigint/Fraction escape hatch (the game
-  drops out of the arena entirely and replays scalar-side);
-- it retired (its segments are pruned so dying flow is not re-applied).
-
-Snapshots are stored at each game's *final* coin scale of the recorded
-super-iteration, padded by the largest ``lcm(1..β+1)`` power the word
-budget allows: scale choice is invisible (coin values are exact
-rationals at every scale), replaying at the final scale makes every
-interior division exact by construction (escalation factors divide it),
-and the padding clears the p-adic headroom cone divisions want, so
-redos are rare.  Because replay reuse is workload-dependent — balls
-that grow back-feed coins into the interior, and the deviation cascade
-can cover most of the flow — an adaptive gate
-(:data:`REPLAY_CONE_CUTOFF`) measures each wave's cone fraction and
-drops a cohort back to the pure fresh engine when replay stops paying;
-the gate chooses between two exact strategies, so every observable is
-bit-identical for any gate decision, which the differential matrix
-asserts over the full (store, engine, workers) space.
+its explored set (the same purity argument the message fabric of
+:mod:`repro.ampc.messaging` relies on); the arena reproduces those rows
+verbatim and per-game slot state is disjoint by construction (slots are
+keyed by the pair ``game · n + vertex``), so no game can observe another
+game's presence and every transcript is unchanged.  What is *not*
+shared is anything σ-dependent: σ_{S_v} ranks neighbors relative to the
+game-local explored set, so σ-ranked forwarding sets are built per game
+(and only for the rare holders with more than β+1 residual neighbors
+that actually forward).
 
 Coin representation
 -------------------
@@ -195,22 +122,13 @@ __all__ = [
 
 
 def replay_cone_fraction(stats: dict) -> float | None:
-    """Fresh (perturbation-cone) share of a run's delivery volume.
+    """Always None: every super-iteration runs fresh, nothing is replayed.
 
-    The one shared definition every reporting surface derives from
-    (``BENCH_ampc.json``, ``BetaPartitionOutcome.round_reuse``,
-    ``PartialPartitionLCA.last_replay_stats``): lower = more wave reuse;
-    None when no deliveries were counted.  Note ``fresh_entries``
-    includes the flow of games that ran fresh for *any* reason
-    (σ-invalidated, snapshot-ineligible, redo re-runs — a redo game's
-    partial replay-pass cone is also re-counted by its fresh re-run, so
-    ``redo_games`` bounds that bias), which is exactly the "work the
-    replay arena did not save" reading the counters are for.
+    The end-to-end benchmark's ``engine.cone_fraction`` metric
+    (``e2ebench/metrics.py``) calls it.
     """
-    replayed = stats.get("replayed_entries", 0)
-    fresh = stats.get("fresh_entries", 0)
-    total = replayed + fresh
-    return round(fresh / total, 4) if total else None
+    return None
+
 
 _INF = float("inf")
 
@@ -225,16 +143,6 @@ SCALE_LIMIT = 1 << 61
 # fits comfortably only up to beta+1 = 36 (lcm(1..36) ~ 1.4e14).  Larger
 # betas fold their factors in Python bigints instead.
 _VECTOR_LCM_MAX_BP1 = 36
-
-# Adaptive replay gate: a cohort stops snapshotting and replaying once
-# this many consecutive replayed super-iterations measured a perturbation
-# cone above the cutoff fraction of the wave's delivery volume.  Replays
-# at a large cone re-simulate most of the flow anyway and the snapshot
-# bookkeeping then costs more than it saves, so the cohort falls back to
-# the pure fresh engine — observables are identical either way (the gate
-# only picks between two exact execution strategies).
-REPLAY_CONE_CUTOFF = 0.35
-REPLAY_POOR_STREAK = 1
 
 
 class BatchedGamesInfo(NamedTuple):
@@ -334,19 +242,8 @@ class _Lockstep:
         want_records: bool,
         transpose_pos: np.ndarray | None = None,
         arena_hint: tuple[int, int] | None = None,
-        cone_cutoff: float | None = None,
-        poor_streak: int | None = None,
     ) -> None:
         self.arena_hint = arena_hint or (0, 0)
-        # Adaptive-replay gate knobs: per-run overrides beat the module
-        # constants (read here, at construction time, so monkeypatched
-        # constants flow through when no override is given).
-        self.cone_cutoff = (
-            REPLAY_CONE_CUTOFF if cone_cutoff is None else cone_cutoff
-        )
-        self.poor_streak_limit = (
-            REPLAY_POOR_STREAK if poor_streak is None else poor_streak
-        )
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.targets = np.asarray(targets, dtype=np.int64)
         self.n = len(offsets) - 1
@@ -427,15 +324,13 @@ class _Lockstep:
 
         # Per-super-iteration coin state and scratch buffers, capacity
         # grown with the arena.  Invariants between waves: amounts/delta/
-        # countbuf all zero, tagbuf all -1, emit/devbuf all False, sigbuf
-        # all +inf — each consumer restores what it dirtied.
+        # countbuf all zero, tagbuf all -1, emit all False, sigbuf all
+        # +inf — each consumer restores what it dirtied.
         self.amounts = np.empty(0, dtype=np.int64)
         self.stamps = np.empty(0, dtype=np.int64)
         self.delta = np.empty(0, dtype=np.int64)
         self.tagbuf = np.empty(0, dtype=np.int64)
         self.emit = np.empty(0, dtype=bool)
-        self.devbuf = np.empty(0, dtype=bool)
-        self.patch_done = np.empty(0, dtype=bool)
         self.sigbuf = np.empty(0)
         self.countbuf = np.empty(0, dtype=np.int64)
 
@@ -445,21 +340,6 @@ class _Lockstep:
         # end of the run (a retired game's slots and rows never change
         # again, so σ_{S_v} is the same either way).
         self.retired: list[np.ndarray] = []
-
-        # Replay arena (see "Exact incremental cascade replay" in the
-        # module docstring): wave-state snapshot of the previous
-        # super-iteration, per-game replay validity and coin scales, and
-        # the patch log of the explore wave in between.
-        self.snap_hops: list[tuple] | None = None
-        self.snap_scale = np.full(g, self.init_scale, dtype=np.int64)
-        self.snap_ok = np.zeros(g, dtype=bool)
-        self.next_ok = np.ones(g, dtype=bool)
-        self.replay_enabled = True
-        self.patched_flag = np.zeros(slot_hint, dtype=bool)
-        self._patch_slots = np.empty(0, dtype=np.int64)
-        self._patch_offsets = np.zeros(1, dtype=np.int64)
-        self._patch_dst = np.empty(0, dtype=np.int64)
-        self.stats: dict | None = None
 
         self._explore(np.arange(g, dtype=np.int64) * self.n + roots)
 
@@ -490,7 +370,6 @@ class _Lockstep:
         self.mem_thresh = _grown(self.mem_thresh, self.arena, 0)
         self.mem_high = _grown(self.mem_high, self.arena, False)
         self.region_start = _grown(self.region_start, self.arena, 0)
-        self.patched_flag = _grown(self.patched_flag, self.arena, False)
         kcap = np.minimum(cnt, self.bp1)
         thresh = kcap * self.init_scale
         thresh[cnt == 0] = 1 << 62  # isolated root: unreachable sentinel
@@ -534,11 +413,7 @@ class _Lockstep:
         self.row_dst[row_first:self.row_len] = dst
 
         # Patch the reverse entries of rows claimed in earlier waves
-        # (same-wave pairs classify each other's entries directly), and
-        # log the patches: they are this explore's perturbation seeds —
-        # exactly the row entries whose delivery destination changes
-        # between the previous super-iteration and the next one.
-        self.patched_flag[self._patch_slots] = False
+        # (same-wave pairs classify each other's entries directly).
         old = (dst >= 0) & (dst < first)
         if old.any():
             du = dst[old]
@@ -547,25 +422,10 @@ class _Lockstep:
                 - self.offsets[self.mem_vertex[du]]
                 + self.region_start[du]
             )
-            patch_dst = first + member_idx[old]
-            self.row_dst[patch_pos] = patch_dst
+            self.row_dst[patch_pos] = first + member_idx[old]
             self.edge_dirs += np.bincount(
                 self.mem_game[du], minlength=self.num_games
             )
-            # Patch log grouped by patched slot (stable order within).
-            order = np.argsort(du, kind="stable")
-            du_sorted = du[order]
-            bounds = np.flatnonzero(
-                np.diff(du_sorted, prepend=du_sorted[0] - 1)
-            )
-            self._patch_slots = du_sorted[bounds]
-            self._patch_offsets = np.append(bounds, len(du_sorted))
-            self._patch_dst = patch_dst[order]
-            self.patched_flag[self._patch_slots] = True
-        else:
-            self._patch_slots = np.empty(0, dtype=np.int64)
-            self._patch_offsets = np.zeros(1, dtype=np.int64)
-            self._patch_dst = np.empty(0, dtype=np.int64)
         if hit.any():
             self.edge_dirs += np.bincount(
                 g_new[member_idx[hit]], minlength=self.num_games
@@ -581,8 +441,6 @@ class _Lockstep:
             self.delta = _grown(self.delta, arena, 0)
             self.tagbuf = _grown(self.tagbuf, arena, -1)
             self.emit = _grown(self.emit, arena, False)
-            self.devbuf = _grown(self.devbuf, arena, False)
-            self.patch_done = _grown(self.patch_done, arena, False)
             self.sigbuf = _grown(self.sigbuf, arena, _INF)
             self.countbuf = _grown(self.countbuf, arena, 0)
 
@@ -715,50 +573,6 @@ class _Lockstep:
         self.super_iters[games] = performed
         self.active_mask[games] = False
         self.retired.append(games)
-        if self.snap_hops is not None:
-            self._prune_snapshot(games)
-
-    def _prune_snapshot(self, games: np.ndarray) -> None:
-        """Mark ``games``' wave segments stale (their flow is over).
-
-        Without this, a retirement wave leaves the bulk of a snapshot's
-        volume to be applied and subtracted back out once before
-        compaction evicts it.
-        """
-        flag = np.zeros(self.num_games, dtype=bool)
-        flag[games] = True
-        for hop in self.snap_hops:
-            kept_pieces = []
-            changed = False
-            for piece in hop:
-                stale = flag[self.mem_game[piece[0]]]
-                if stale.any():
-                    changed = True
-                    if piece[6] is None:
-                        piece[6] = stale
-                    else:
-                        piece[6] |= stale
-                    if piece[6].all():
-                        continue
-                kept_pieces.append(piece)
-            if changed:
-                hop[:] = self._maybe_compact(kept_pieces)
-
-    def _maybe_compact(self, ps: list) -> list:
-        """Compaction policy: bound dead entry volume and piece count.
-
-        Dead segments are re-applied and subtracted back out on every
-        replay until evicted, and every piece pays a per-hop mask scan,
-        so both are kept small.
-        """
-        dead_entries = sum(
-            int(p[2][p[6]].sum()) for p in ps if p[6] is not None
-        )
-        entry_total = sum(len(p[4]) for p in ps)
-        if entry_total and (len(ps) > 4 or dead_entries * 4 > entry_total):
-            ps = [self._compact_pieces(ps)]
-            ps = [p for p in ps if len(p[0])]
-        return ps
 
     def _retire_finalize(self) -> None:
         """One batched σ-peel + layer fold + records for all retirees."""
@@ -798,406 +612,9 @@ class _Lockstep:
                     int(self.writes[gi]),
                 )
 
-    # -- incremental cascade replay ---------------------------------------
-
-    def _replay_pass(
-        self, rep: np.ndarray, record: list
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Replay one super-iteration for the snapshot-valid games ``rep``.
-
-        Untouched interior flow is applied straight from the wave
-        snapshot (per-hop masked scatters — no row gathers, no threshold
-        tests, no division); only the perturbation cone simulates:
-        patch-extra deliveries into newly explored members, and the
-        fresh cascades those seeds grow (tracked by per-slot deviation
-        flags).  Every game runs at its snapshot's padded final scale,
-        so interior divisions are exact by construction; a game whose
-        *cone* demands a scale escalation is handed back (``redo``) and
-        re-runs through the fresh engine from scratch — see the module
-        docstring for why each piece is exact.
-
-        Appends this super-iteration's wave pieces per hop to ``record``
-        and returns ``(touched keys, redo game indices)``.
-        """
-        self._ensure_buffers()
-        stats = self.stats
-        sc = self.snap_scale
-        n = self.n
-        mem_game = self.mem_game
-        mem_kcap = self.mem_kcap
-        rep_sel = np.zeros(self.num_games, dtype=bool)
-        rep_sel[rep] = True
-        redo_flag = np.zeros(self.num_games, dtype=bool)
-        any_redo = False
-        self.amounts[:self.arena] = 0
-        self.amounts[rep] = self.x * sc[rep]  # root slot g == g
-        dev = self.devbuf
-        dev_marked: list[np.ndarray] = []
-        fresh_hot = np.empty(0, dtype=np.int64)
-        touched_chunks: list[np.ndarray] = []
-        emitted: list[np.ndarray] = []
-        sigma_by_slot: np.ndarray | None = None
-        fsets: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        snap_hops = self.snap_hops
-        replayed_waves = replayed_entries = fresh_entries = 0
-        hop_patched: list[np.ndarray] = []
-
-        for h in range(self.horizon):
-            pieces: list[tuple] = []
-            # Fresh (cone) side first: threshold tests on deviated slots
-            # that received a real delivery last hop.  Remainders here
-            # mean the cone left the scale headroom the snapshot scale
-            # guarantees for interior flow — those games redo fresh, and
-            # the redo marking must land before this hop's snapshot
-            # masks so none of their interior flow is applied.
-            fwd_f = np.empty(0, dtype=np.int64)
-            shares_f = fgame_f = None
-            if fresh_hot.size:
-                if any_redo:
-                    fresh_hot = fresh_hot[~redo_flag[mem_game[fresh_hot]]]
-                amt = self.amounts[fresh_hot]
-                k = mem_kcap[fresh_hot]
-                can = (k > 0) & (amt >= k * sc[mem_game[fresh_hot]])
-                fwd_f = fresh_hot[can]
-            if fwd_f.size:
-                famt = self.amounts[fwd_f]
-                fk = mem_kcap[fwd_f]
-                fgame_f = mem_game[fwd_f]
-                shares_f, rem = np.divmod(famt, fk)
-                if rem.any():
-                    bad = _sorted_unique(fgame_f[rem > 0])
-                    redo_flag[bad] = True
-                    rep_sel[bad] = False
-                    any_redo = True
-                    keep = ~redo_flag[fgame_f]
-                    fwd_f = fwd_f[keep]
-                    shares_f = shares_f[keep]
-                    fgame_f = fgame_f[keep]
-
-            # Clean side: apply the snapshot's hop.  A piece whose live
-            # segments are all clean applies *as is* — one scatter of the
-            # shared arena arrays, no copies.  Segments of deviated
-            # forwarders (and of games that lost replay eligibility) are
-            # materialized individually and subtracted back out, then
-            # marked dead in place — the piece stays shared and the
-            # exclusion compounds into every later replay of it.
-            # Recipients of withheld segments deviate but are not tested
-            # (they did not receive — the fresh engine's worklist
-            # invariant); recipients of dead segments were handled the
-            # hop they died.
-            # Scan the snapshot's pieces first — decide per segment
-            # whether it replays, goes stale, or is withheld — without
-            # touching coin state: the hop's forwarding decisions are
-            # simultaneous, so the withheld-recipient deviation marks of
-            # one piece must not leak into another piece's mask for the
-            # same hop.
-            any_clean = False
-            applies: list[tuple] = []
-            lost_chunks: list[np.ndarray] = []
-            p_hot_chunks: list[np.ndarray] = []
-            cdev_chunks: list[np.ndarray] = []
-            if snap_hops is not None and h < len(snap_hops):
-                for piece in snap_hops[h]:
-                    sfwd, sshare, scnt, sstart, sdst, sval, sdead = piece
-                    elig = rep_sel[mem_game[sfwd]]
-                    if sdead is not None:
-                        elig &= ~sdead
-                    ok = elig & ~dev[sfwd]
-                    lost_mask = elig & ~ok
-                    if lost_mask.any():
-                        nk = np.flatnonzero(lost_mask)
-                        lost_chunks.append(
-                            sdst[_segment_indices(sstart[nk], scnt[nk])]
-                        )
-                    if not ok.any():
-                        continue  # piece drops out of the next snapshot
-                    any_clean = True
-                    applies.append((piece, ok))
-            if not any_clean and not fwd_f.size:
-                for lost in lost_chunks:
-                    dev[lost] = True
-                    dev_marked.append(lost)
-                break
-
-            # All of the hop's forwarders forward everything they hold
-            # *before* any delivery lands — the fresh engine's intra-hop
-            # order.
-            for piece, ok in applies:
-                self.amounts[piece[0][ok]] = 0
-            if fwd_f.size:
-                self.amounts[fwd_f] = 0
-
-            if any_clean:
-                replayed_waves += 1
-            for piece, ok in applies:
-                sfwd, sshare, scnt, sstart, sdst, sval, __ = piece
-                np.add.at(self.amounts, sdst, sval)
-                replayed_entries += len(sdst)
-                excl = ~ok
-                if excl.any():
-                    nk = np.flatnonzero(excl)
-                    ex_idx = _segment_indices(sstart[nk], scnt[nk])
-                    # Apply-and-undo of withheld/dead segments is pure
-                    # overhead, not reuse: keep it out of the counters
-                    # (and so out of the adaptive gate's cone measure).
-                    replayed_entries -= len(ex_idx)
-                    np.subtract.at(self.amounts, sdst[ex_idx], sval[ex_idx])
-                    # Everything not applied this super-iteration is
-                    # stale forever (the snapshot is always *last*
-                    # super-iteration's flow): the exclusion compounds
-                    # in place on the shared piece.
-                    piece[6] = excl
-                pieces.append(piece)
-                cdev_chunks.append(sdst)
-                # Patch extras: a clean forwarder whose row gained inside
-                # entries since the snapshot delivers the same per-member
-                # share to each newly explored neighbor (those entries'
-                # resolutions flipped from outside to a new slot; shares
-                # are per-neighbor, so nothing else about its forward
-                # changes).  ``patch_done`` dedups per hop: snapshot
-                # pieces may list one slot several times within a hop
-                # (earlier patch pieces), with equal shares by
-                # construction.
-                kept = sfwd[ok]
-                pf = np.flatnonzero(self.patched_flag[kept])
-                if pf.size:
-                    tag = self.tagbuf
-                    cand = kept[pf]
-                    seq = np.arange(len(cand), dtype=np.int64)
-                    tag[cand] = seq
-                    first = tag[cand] == seq
-                    tag[cand] = -1
-                    pf = pf[first]
-                    pf = pf[~self.patch_done[kept[pf]]]
-                    p_slots = kept[pf]
-                    p_share = sshare[ok][pf]
-                    if p_slots.size:
-                        self.patch_done[p_slots] = True
-                        hop_patched.append(p_slots)
-                        pos = np.searchsorted(self._patch_slots, p_slots)
-                        pcnt = (
-                            self._patch_offsets[pos + 1]
-                            - self._patch_offsets[pos]
-                        )
-                        pidx = _segment_indices(
-                            self._patch_offsets[pos], pcnt
-                        )
-                        p_dst = self._patch_dst[pidx]
-                        p_val = np.repeat(p_share, pcnt)
-                        np.add.at(self.amounts, p_dst, p_val)
-                        dev[p_dst] = True
-                        p_hot = self._dedup(p_dst)
-                        dev_marked.append(p_hot)
-                        p_hot_chunks.append(p_hot)
-                        fresh_entries += len(p_dst)
-                        pieces.append([
-                            p_slots, p_share, pcnt,
-                            np.cumsum(pcnt) - pcnt, p_dst, p_val, None,
-                        ])
-            for lost in lost_chunks:
-                dev[lost] = True
-                dev_marked.append(lost)
-            for chunk in hop_patched:
-                self.patch_done[chunk] = False
-            hop_patched.clear()
-
-            f_hot = np.empty(0, dtype=np.int64)
-            if fwd_f.size:
-                fr = ~self.emit[fwd_f]
-                if fr.any():
-                    newly = fwd_f[fr]
-                    self.emit[newly] = True
-                    emitted.append(newly)
-                ds, sh2, tk, sigma_by_slot, seg = self._expand(
-                    fwd_f, shares_f, fgame_f, fr, fsets, sigma_by_slot,
-                    want_seg=True,
-                )
-                if tk is not None:
-                    touched_chunks.append(tk)
-                cnt_o = seg[2]
-                pieces.append([
-                    seg[0], seg[1], cnt_o, np.cumsum(cnt_o) - cnt_o,
-                    ds, sh2, None,
-                ])
-                fresh_entries += len(ds)
-                if ds.size:
-                    np.add.at(self.amounts, ds, sh2)
-                    f_hot = self._dedup(ds)
-                    dev[f_hot] = True
-                    dev_marked.append(f_hot)
-
-            # Worklist: deviated slots are threshold-tested after *every*
-            # receipt — fresh, patch-extra, or clean (a deviated slot's
-            # amount differs from the snapshot trajectory, so its
-            # forwarding schedule is no longer the snapshot's; clean
-            # recipients that never deviated keep following the snapshot
-            # and need no test).  Testing a slot that received nothing is
-            # sound — it rests below its threshold (else it would have
-            # forwarded at its last receipt) — so the withheld/dead
-            # entries inside ``cdev_chunks`` cost a no-op test at most.
-            hots = list(p_hot_chunks)
-            if f_hot.size:
-                hots.append(f_hot)
-            for chunk in cdev_chunks:
-                cdev = chunk[dev[chunk]]
-                if cdev.size:
-                    hots.append(self._dedup(cdev))
-            if len(hots) > 1:
-                fresh_hot = self._dedup(np.concatenate(hots))
-            elif hots:
-                fresh_hot = hots[0]
-            else:
-                fresh_hot = np.empty(0, dtype=np.int64)
-            record.append(pieces)
-
-        for chunk in dev_marked:
-            dev[chunk] = False
-        for chunk in emitted:
-            self.emit[chunk] = False
-        # The adaptive gate judges the replay pass on its own numbers:
-        # the whole-wave counters also include games that ran fresh for
-        # unrelated reasons (σ-invalidated, snapshot-ineligible).
-        self._last_replay_cone = (replayed_entries, fresh_entries)
-        if stats is not None:
-            stats["replayed_waves"] = (
-                stats.get("replayed_waves", 0) + replayed_waves
-            )
-            stats["replayed_entries"] = (
-                stats.get("replayed_entries", 0) + replayed_entries
-            )
-            stats["fresh_entries"] = (
-                stats.get("fresh_entries", 0) + fresh_entries
-            )
-            stats["redo_games"] = (
-                stats.get("redo_games", 0) + int(redo_flag.sum())
-            )
-        redo = np.flatnonzero(redo_flag)
-        if not touched_chunks:
-            return np.empty(0, dtype=np.int64), redo
-        return _sorted_unique(np.concatenate(touched_chunks)), redo
-
-    def _finalize_snapshot(
-        self,
-        record: list,
-        fresh_record: list | None,
-        redo: np.ndarray,
-        fresh_games: np.ndarray,
-        rep: np.ndarray,
-    ) -> None:
-        """Merge this super-iteration's wave pieces into the next snapshot.
-
-        Fresh-engine pieces are renormalized from their per-hop recording
-        scales to each game's final scale, padded by the largest
-        ``lcm(1..β+1)`` power that keeps ``x·(β+2)·scale`` inside the
-        machine-word budget — the padding clears the p-adic headroom the
-        next super-iteration's cone divisions will want, so replays
-        rarely hand games back for a fresh redo.  Pieces recorded by the
-        replay pass are already at those scales (clean-replay games never
-        change scale); segments of redo games are dropped in favor of
-        their fresh re-recording.
-        """
-        if redo.size:
-            # A redo game's partial replay-pass pieces are superseded by
-            # its fresh re-recording: its segments go stale in place.
-            rflag = np.zeros(self.num_games, dtype=bool)
-            rflag[redo] = True
-            for hop in record:
-                for piece in hop:
-                    stale = rflag[self.mem_game[piece[0]]]
-                    if stale.any():
-                        if piece[6] is None:
-                            piece[6] = stale
-                        else:
-                            piece[6] |= stale
-        if fresh_games.size and fresh_record:
-            esc_any = any(
-                piece[7] is not None for hop in fresh_record for piece in hop
-            )
-            final = np.full(self.num_games, self.init_scale, dtype=np.int64)
-            if esc_any:
-                final[fresh_games] = self.gscale[fresh_games]
-            # Pad with lcm powers while the word budget allows: the
-            # headroom clears the cone divisions of coming replays.
-            base = self._lcm_base
-            if 1 < base <= self.scale_cap:
-                limit = self.scale_cap // base
-                padded = final[fresh_games]
-                while True:
-                    can = padded <= limit
-                    if not can.any():
-                        break
-                    padded[can] *= base
-                final[fresh_games] = padded
-            self.snap_scale[fresh_games] = final[fresh_games]
-            for hop in fresh_record:
-                for piece in hop:
-                    fwd, share, cnt = piece[0], piece[1], piece[2]
-                    hs = piece[7]
-                    fg = self.mem_game[fwd]
-                    hop_scale = hs[fg] if hs is not None else self.init_scale
-                    ratio = final[fg] // hop_scale
-                    if (ratio != 1).any():
-                        piece[1] = share * ratio
-                        piece[5] = piece[5] * np.repeat(ratio, cnt)
-                    piece[7] = None
-        merged: list[list] = []
-        n_hops = max(len(record), len(fresh_record or []))
-        # (compaction below bounds both the piece count per hop and the
-        # dead-segment fraction, so replays stay O(live flow).)
-        for h in range(n_hops):
-            ps = list(record[h]) if h < len(record) else []
-            if fresh_record and h < len(fresh_record):
-                ps.extend(p[:7] for p in fresh_record[h])
-            ps = [p for p in ps if len(p[0])]
-            merged.append(self._maybe_compact(ps))
-        self.snap_hops = merged
-        # Eligibility for the next super-iteration: a game replays iff it
-        # was recorded this wave (clean replay or fresh run), no
-        # >β+1-degree holder of it forwarded (σ-dependence), and it was
-        # not ejected mid-wave.  Redo games re-recorded fresh, so they
-        # are eligible again through ``fresh_games``.
-        self.snap_ok[:] = False
-        for arr in (rep, fresh_games):
-            if arr.size:
-                self.snap_ok[arr] = (
-                    self.next_ok[arr] & self.active_mask[arr]
-                )
-
-    def _compact_pieces(self, pieces: list) -> list:
-        """One piece holding every live segment of ``pieces`` (dead dropped)."""
-        fwds, shares, cnts, dsts, vals = [], [], [], [], []
-        for fwd, share, cnt, start, dst, val, dead in pieces:
-            if dead is None or not dead.any():
-                fwds.append(fwd)
-                shares.append(share)
-                cnts.append(cnt)
-                dsts.append(dst)
-                vals.append(val)
-            else:
-                keep = ~dead
-                if not keep.any():
-                    continue
-                idx = _segment_indices(start[keep], cnt[keep])
-                fwds.append(fwd[keep])
-                shares.append(share[keep])
-                cnts.append(cnt[keep])
-                dsts.append(dst[idx])
-                vals.append(val[idx])
-        if not fwds:
-            empty = np.empty(0, dtype=np.int64)
-            return [empty, empty, empty, empty, empty, empty, None]
-        cnt = np.concatenate(cnts)
-        return [
-            np.concatenate(fwds), np.concatenate(shares), cnt,
-            np.cumsum(cnt) - cnt, np.concatenate(dsts),
-            np.concatenate(vals), None,
-        ]
-
     # -- the wave loop ----------------------------------------------------
 
-    def run(
-        self, phases: dict | None = None, stats: dict | None = None
-    ) -> None:
+    def run(self, phases: dict | None = None) -> None:
         active = np.arange(self.num_games, dtype=np.int64)
         if self.scale_cap < 1:
             # No scaled-integer representation fits the word budget at
@@ -1206,19 +623,12 @@ class _Lockstep:
             self.active_mask[:] = False
             self.reads[:] = 0
             return
-        # Counters always collected: the adaptive replay gate reads them.
-        self.stats = {} if stats is None else stats
-        self._poor_streak = 0
-        self._replayed_rounds = 0
-        self._last_replay_cone = (0, 0)
-        if self.x * self.x < 2:
-            self.replay_enabled = False  # single super-iteration: no reuse
         clock = time.perf_counter if phases is not None else None
         for s in range(self.x * self.x):
             if not active.size:
                 break
             t0 = clock() if clock else 0.0
-            touched = self._wave(active)
+            touched = self._super_iteration(active)
             if clock:
                 phases["forward"] = phases.get("forward", 0.0) + clock() - t0
             active = active[self.active_mask[active]]  # drop mid-hop ejections
@@ -1251,89 +661,9 @@ class _Lockstep:
         self.super_iters[self.ejected] = 0
         self.edges_seen[self.ejected] = 0
 
-    def _wave(self, active: np.ndarray) -> np.ndarray:
-        """One super-iteration for every game in ``active``.
-
-        Dispatches between the replay pass (games with a valid wave
-        snapshot: untouched interior flow replays as array copies, only
-        the perturbation cone simulates) and the fresh engine (everything
-        else, including games the replay pass hands back because their
-        cone demanded a scale escalation).  Both passes record the wave
-        state they produce; :meth:`_finalize_snapshot` merges the pieces
-        into the snapshot the *next* super-iteration replays from.
-        """
-        record: list[list] | None = [] if self.replay_enabled else None
-        redo = np.empty(0, dtype=np.int64)
-        touched_a = np.empty(0, dtype=np.int64)
-        stats = self.stats
-        if record is not None:
-            self.next_ok[:] = True
-        if self.snap_hops is not None and record is not None:
-            rep = active[self.snap_ok[active]]
-            fresh = active[~self.snap_ok[active]]
-            if rep.size:
-                touched_a, redo = self._replay_pass(rep, record)
-                if redo.size:
-                    fresh = np.sort(np.concatenate([fresh, redo]))
-        else:
-            rep = np.empty(0, dtype=np.int64)
-            fresh = active
-        fresh_record: list | None = [] if record is not None else None
-        if fresh.size:
-            touched_b = self._super_iteration(fresh, fresh_record)
-            if touched_a.size:
-                touched = _sorted_unique(
-                    np.concatenate([touched_a, touched_b])
-                )
-            else:
-                touched = touched_b
-        else:
-            touched = touched_a
-        if record is not None:
-            if rep.size:
-                # Adaptive gate: measure the replay pass's own
-                # perturbation cone (not the whole wave's fresh volume —
-                # σ-invalidated and snapshot-ineligible games run fresh
-                # for unrelated reasons); consistently large cones mean
-                # replay re-simulates most of the flow while paying the
-                # snapshot bookkeeping on top, so the cohort falls back
-                # to the fresh engine.  The first replayed wave is never
-                # judged — its snapshot is the initial cascade, which
-                # barely reaches inside the one-hop balls, so its cone
-                # reads high on every shape.
-                self._replayed_rounds += 1
-                wave_replayed, wave_fresh = self._last_replay_cone
-                total = wave_fresh + wave_replayed
-                if self._replayed_rounds >= 2 and total:
-                    if wave_fresh > self.cone_cutoff * total:
-                        self._poor_streak += 1
-                    else:
-                        self._poor_streak = 0
-                if self._poor_streak >= self.poor_streak_limit:
-                    self.replay_enabled = False
-                    self.snap_hops = None
-                    stats["replay_disabled"] = (
-                        stats.get("replay_disabled", 0) + 1
-                    )
-                    return touched
-            self._finalize_snapshot(record, fresh_record, redo, fresh, rep)
-        return touched
-
-    def _super_iteration(
-        self, active: np.ndarray, record: list | None = None
-    ) -> np.ndarray:
-        """One fresh coin drop + forwarding cascade; returns touched keys.
-
-        With ``record`` given, every hop's wave state — forwarders,
-        per-forwarder shares, and the per-forwarder segments of resolved
-        inside deliveries — is appended as ``(fwd, share, cnt, dst, val,
-        hop_scale)`` pieces (``hop_scale`` is the per-game scale vector
-        the values are expressed at, or None for the shared init scale);
-        :meth:`_finalize_snapshot` normalizes them to each game's final
-        scale so the next super-iteration can replay them verbatim.
-        """
+    def _super_iteration(self, active: np.ndarray) -> np.ndarray:
+        """One coin drop + forwarding cascade; returns touched keys."""
         self._ensure_buffers()
-        stats = self.stats
         self.amounts[:self.arena] = 0
         self.amounts[active] = self.x * self.init_scale  # root slot g == g
         hot = active
@@ -1350,7 +680,6 @@ class _Lockstep:
         # makes this the steady state (see module docstring).
         esc = False
         ej_dirty = False
-        hops_run = 0
 
         for __ in range(self.horizon):
             if not hot.size:
@@ -1366,7 +695,6 @@ class _Lockstep:
             fwd = hot[can]
             if not fwd.size:
                 break
-            hops_run += 1
             famt = amt[can]
             fk = self.mem_kcap[fwd]
             fgame = self.mem_game[fwd]
@@ -1392,21 +720,9 @@ class _Lockstep:
                 self.emit[newly] = True
                 emitted.append(newly)
 
-            ds, sh, touched, sigma_by_slot, seg = self._expand(
+            ds, sh, touched, sigma_by_slot = self._expand(
                 fwd, shares, fgame, fresh, fsets, sigma_by_slot,
-                want_seg=record is not None,
             )
-            if record is not None:
-                hop_scale = self.gscale.copy() if esc else None
-                cnt_o = seg[2]
-                record.append([[
-                    seg[0], seg[1], cnt_o, np.cumsum(cnt_o) - cnt_o,
-                    ds, sh, None, hop_scale,
-                ]])
-                if stats is not None:
-                    stats["fresh_entries"] = (
-                        stats.get("fresh_entries", 0) + len(ds)
-                    )
             if touched is not None:
                 touched_chunks.append(touched)
             if not ds.size:
@@ -1425,8 +741,6 @@ class _Lockstep:
                 self.stamps[hot] = gs
             self.delta[hot] = 0
 
-        if stats is not None:
-            stats["fresh_waves"] = stats.get("fresh_waves", 0) + hops_run
         for chunk in emitted:
             self.emit[chunk] = False
         if not touched_chunks:
@@ -1476,10 +790,7 @@ class _Lockstep:
             famt = famt * factors[fgame]
         return fwd, famt, fk, fgame, had_ejections
 
-    def _expand(
-        self, fwd, shares, fgame, fresh, fsets, sigma_by_slot,
-        want_seg=False,
-    ):
+    def _expand(self, fwd, shares, fgame, fresh, fsets, sigma_by_slot):
         """Forwarding targets: full rows for |adj| <= β+1, σ-top-(β+1) else.
 
         Pure row-arena gathers: inside deliveries come back as resolved
@@ -1492,14 +803,7 @@ class _Lockstep:
         scalar engine's lazy σ peel) — and forwarding sets are built in
         bulk for every such holder crossing its threshold this hop, then
         cached per slot for the rest of the super-iteration (σ and S_v
-        are constant within one).  A game whose >β+1-degree holder
-        forwards loses replay eligibility for the next super-iteration
-        (its σ-ranked selections may shift as S_v grows — see the module
-        docstring's invalidation rules).
-
-        With ``want_seg``, also returns ``(fwd_o, share_o, cnt)`` — the
-        forwarders in delivery order with per-forwarder inside-delivery
-        counts, i.e. the segment structure of the returned ``(ds, sh)``.
+        are constant within one).
         """
         high = self.mem_high[fwd]
         any_high = high.any()
@@ -1507,7 +811,6 @@ class _Lockstep:
         lo = fwd[lo_m]
         ins_dst = []
         ins_share = []
-        ins_cnt = []
         touched = []
         if lo.size:
             v_lo = self.mem_vertex[lo]
@@ -1518,8 +821,6 @@ class _Lockstep:
             inside = dst >= 0
             ins_dst.append(dst[inside])
             ins_share.append(shares[lo_m][fidx[inside]])
-            if want_seg:
-                ins_cnt.append(np.bincount(fidx[inside], minlength=len(lo)))
             fr = fresh[lo_m]
             if fr.any():
                 out = fr[fidx] & ~inside
@@ -1532,7 +833,6 @@ class _Lockstep:
                     )
         if any_high:
             hi_slots = fwd[high]
-            self.next_ok[fgame[high]] = False  # σ-dependent flow
             missing = np.asarray(
                 [s for s in hi_slots.tolist() if s not in fsets],
                 dtype=np.int64,
@@ -1549,8 +849,6 @@ class _Lockstep:
             inside = dst_hi >= 0
             ins_dst.append(dst_hi[inside])
             ins_share.append(share_hi[inside])
-            if want_seg:
-                ins_cnt.append(inside.reshape(-1, self.bp1).sum(axis=1))
             frh = np.repeat(fresh[high], self.bp1)
             out = frh & ~inside
             if out.any():
@@ -1564,18 +862,7 @@ class _Lockstep:
         tk = None
         if touched:
             tk = touched[0] if len(touched) == 1 else np.concatenate(touched)
-        seg = None
-        if want_seg:
-            if any_high:
-                fwd_o = np.concatenate([lo, hi_slots])
-                share_o = np.concatenate([shares[lo_m], shares[high]])
-            else:
-                fwd_o, share_o = fwd, shares
-            cnt_o = (
-                ins_cnt[0] if len(ins_cnt) == 1 else np.concatenate(ins_cnt)
-            )
-            seg = (fwd_o, share_o, cnt_o.astype(np.int64, copy=False))
-        return ds, sh, tk, sigma_by_slot, seg
+        return ds, sh, tk, sigma_by_slot
 
 
 def play_games_batched(
@@ -1593,10 +880,7 @@ def play_games_batched(
     want_records: bool = False,
     phases: dict | None = None,
     transpose_pos: np.ndarray | None = None,
-    replay_stats: dict | None = None,
     arena_hint: list | None = None,
-    cone_cutoff: float | None = None,
-    poor_streak: int | None = None,
 ) -> BatchedGamesInfo:
     """Play every game rooted at ``roots`` in lockstep against one CSR.
 
@@ -1609,10 +893,10 @@ def play_games_batched(
     engine (bigint/Fraction coins) — see the module docstring.
 
     ``phases``, when given, accumulates wall-clock seconds per engine
-    phase under the keys ``explore`` / ``forward`` / ``fold``;
-    ``replay_stats`` accumulates the incremental-replay counters
-    (``replayed_waves`` / ``fresh_waves`` / ``replayed_entries`` /
-    ``fresh_entries`` / ``redo_games``).
+    phase under the keys ``explore`` / ``forward`` / ``fold``.
+    ``arena_hint`` is a mutable ``[slots, row entries]`` pair: the
+    engine pre-sizes its arenas from it and writes its own final sizes
+    back, so consecutive cohorts of one fleet skip the growth copies.
     """
     roots = np.asarray(roots, dtype=np.int64)
     if not len(roots):
@@ -1625,9 +909,8 @@ def play_games_batched(
         offsets, targets, roots, x, beta, clip, horizon, scale,
         out_layer, out_count, want_records, transpose_pos,
         tuple(arena_hint) if arena_hint else None,
-        cone_cutoff, poor_streak,
     )
-    engine.run(phases, replay_stats)
+    engine.run(phases)
     if arena_hint is not None:
         # Mutable hint: hand this cohort's final footprint to the next
         # (same fleet, similar ball sizes), skipping its growth chain.

@@ -26,11 +26,10 @@ Two execution fabrics implement the loop:
   :class:`~repro.ampc.columnar.ColumnStore` stores with batched round
   kernels (:mod:`repro.core.columnar_rounds`): the residual graph is one
   CSR gather, the peel round is a degree-mask kernel, and the coin games
-  run against flat adjacency lists.  lca rounds memoize finished games
-  across rounds and, with ``workers > 1``, shard their machine fleet
-  over a persistent process pool (:mod:`repro.ampc.pool`) — machines
-  within a round are independent, so sharding is invisible to every
-  observable.
+  run against flat adjacency lists.  With ``workers > 1`` lca rounds
+  shard their machine fleet over a persistent process pool
+  (:mod:`repro.ampc.pool`) — machines within a round are independent,
+  so sharding is invisible to every observable.
 - ``store="dict"`` is the original dict-of-lists path, kept verbatim as
   the semantics oracle: the columnar path reproduces its partitions,
   round counts, and per-round statistics exactly (asserted by the
@@ -51,9 +50,7 @@ from repro.ampc.messaging import MessageFabric
 from repro.ampc.pool import defer_full_gc, resolve_workers, shared_pool
 from repro.ampc.simulator import AMPCSimulator
 from repro.core import native
-from repro.core.batched_games import replay_cone_fraction
 from repro.core.columnar_rounds import (
-    GameCache,
     lca_round_kernel,
     peel_round_kernel,
     residual_csr,
@@ -81,25 +78,17 @@ class BetaPartitionOutcome:
     simulator: AMPCSimulator | None = None
     unlayered_per_round: list[int] = field(default_factory=list)
     workers: int = 1  # worker processes the lca rounds sharded across
-    game_cache_hits: int = 0  # coin games replayed from the cross-round cache
     engine: str = "scalar"  # execution: "batched", "compiled" or "scalar"
     transport: str = "shm"  # sharding fabric: "shm" (shared CSR) or "message"
     shards: int = 0  # message-fabric shard count (0 under transport="shm")
     # transport="message": one dict per lca round with the fabric's typed
     # communication counters (messages / words / subrounds / row_requests
     # / max_shard_words / max_held_words / …, see
-    # repro.ampc.messaging.MessageFabric) — empty dicts for rounds the
-    # fabric never saw (all games cache-replayed).
+    # repro.ampc.messaging.MessageFabric).
     round_comm: list[dict] = field(default_factory=list)
     # transport="message": lifetime peak of any shard's guarded held
     # words — what the configured S budget binds against.
     max_held_words: int = 0
-    # Per-lca-round incremental-replay reuse (batched engine): each entry
-    # holds the round's replayed_waves / fresh_waves / replayed_entries /
-    # fresh_entries / redo_games / game_cache_hits counters plus the
-    # derived cone_fraction (fresh share of the delivery volume; lower =
-    # more wave reuse) — what the E1/F2 sweeps plot against graph shape.
-    round_reuse: list[dict] = field(default_factory=list)
     # workers > 1: the pool supervisor's recovery counters accumulated
     # over this run (retries / respawns / deadline_kills /
     # checksum_rejects / worker_faults / degraded_shards /
@@ -112,6 +101,19 @@ class BetaPartitionOutcome:
     def num_layers(self) -> int:
         """Size of the produced β-partition."""
         return self.partition.size()
+
+    # The end-to-end benchmark (e2ebench/metrics.py) reads these two
+    # counters; every game is played afresh in every round, so they are
+    # constant.
+    @property
+    def game_cache_hits(self) -> int:
+        """Always 0: no game is replayed from an earlier round."""
+        return 0
+
+    @property
+    def round_reuse(self) -> list[dict]:
+        """Always empty: no round replays recorded wave state."""
+        return []
 
 
 class _StoreOracle:
@@ -233,10 +235,11 @@ def beta_partition_ampc(
         the scalar interpreter).
     phases:
         Optional dict accumulating per-phase wall-clock seconds of the
-        lca rounds (``explore`` / ``forward`` / ``fold`` / ``cache``;
-        all keys always present).  Worker shards are not instrumented,
-        so pool-dispatched rounds contribute only to ``cache`` — time
-        phase breakdowns with ``workers=1``, as the benchmark does.
+        lca rounds (``explore`` / ``forward`` / ``fold`` for the batched
+        engine, ``native`` / ``fold`` for the compiled one; all keys of
+        the engine always present).  Worker shards are not
+        instrumented, so pool-dispatched rounds leave them at zero —
+        time phase breakdowns with ``workers=1``.
     transport:
         Sharding fabric for the columnar lca rounds: ``"shm"`` (each
         pool worker attaches the whole shared-memory CSR — the oracle
@@ -328,7 +331,6 @@ def beta_partition_ampc(
             shards if shards is not None else max(2, workers),
             budget_words=shard_budget,
             cap_words=config.message_cap_words,
-            cache_words=config.ghost_cache_words,
         )
     pool = (
         shared_pool(workers)
@@ -427,17 +429,14 @@ def _run_columnar(
 ) -> BetaPartitionOutcome:
     """The batched columnar loop — observationally identical to the dict
     path, with the residual re-encode, peel round, and DDS-side min-merge
-    running as array kernels.  lca rounds additionally memoize finished
-    coin games across rounds (:class:`GameCache`) and, with workers > 1,
-    shard the remaining fleet over the persistent process pool — both
-    transparent to every observable."""
+    running as array kernels.  With workers > 1, lca rounds shard their
+    fleet over the persistent process pool — transparent to every
+    observable."""
     final_layers: dict[int, float] = {}
     alive = np.arange(graph.num_vertices, dtype=np.int64)
     layer_offset = 0
     unlayered_history: list[int] = []
-    round_reuse: list[dict] = []
     round_comm: list[dict] = []
-    game_cache = GameCache() if mode == "lca" else None
     recovery_base = pool.recovery_snapshot() if pool is not None else None
 
     while alive.size:
@@ -454,17 +453,13 @@ def _run_columnar(
         if mode == "peel":
             kernel = partial(peel_round_kernel, beta=beta)
         else:
-            reuse = None
-            if engine == "batched":
-                reuse = {}
-                round_reuse.append(reuse)
             if fabric is not None:
                 comm = {}
                 round_comm.append(comm)
             kernel = partial(
-                lca_round_kernel, beta=beta, x=x, pool=pool, cache=game_cache,
-                engine=engine, min_pool_games=min_pool_games, phases=phases,
-                reuse=reuse, fabric=fabric, comm=comm, config=config,
+                lca_round_kernel, beta=beta, x=x, pool=pool, engine=engine,
+                min_pool_games=min_pool_games, phases=phases, fabric=fabric,
+                comm=comm, config=config,
             )
         target = sim.round_vectorized(alive, kernel, reducer=min)
         assigned_vs, assigned_layers = target.layer_assignments()
@@ -480,15 +475,11 @@ def _run_columnar(
         keep = np.ones(graph.num_vertices, dtype=bool)
         keep[assigned_vs] = False
         alive = alive[keep[alive]]
-        if game_cache is not None:
-            game_cache.evict(assigned_vs.tolist())
         if fabric is not None:
             # Retirement notices ride the round boundary: every shard
             # prunes its owned slice down to the next residual graph.
             fabric.retire(assigned_vs, comm)
 
-    for reuse in round_reuse:
-        reuse["cone_fraction"] = replay_cone_fraction(reuse)
     partition = PartialBetaPartition(final_layers)
     return BetaPartitionOutcome(
         partition=partition,
@@ -499,9 +490,7 @@ def _run_columnar(
         simulator=sim,
         unlayered_per_round=unlayered_history,
         workers=workers,
-        game_cache_hits=game_cache.hits if game_cache is not None else 0,
         engine=engine,
-        round_reuse=round_reuse,
         transport=transport,
         shards=fabric.num_shards if fabric is not None else 0,
         round_comm=round_comm,

@@ -36,28 +36,17 @@ dict-backed oracle):
      (a vertex below its threshold stays below it until it receives), so
      an iteration costs O(#forwarders + #shares), not O(#holders).
 
-Two scaling layers sit on top of the game engine:
-
-- **Cross-round proof memoization** (:class:`GameCache`).  A game's
-  entire transcript — exploration order, coin dynamics, probes, and the
-  final proof σ_{S_v} — is a pure function of the residual adjacency
-  lists of its final explored set S_v.  Residual graphs only ever *lose*
-  vertices between rounds, so ``adj[u]`` is unchanged exactly when u is
-  still alive with the same residual degree.  A machine whose cached
-  (S_v, degrees) snapshot still matches therefore replays its recorded
-  proof and (reads, writes) charge instead of re-running the game —
-  bit-identical by construction, including the accounting.
-- **Process-pool machine sharding** (:class:`repro.ampc.pool.CoinGamePool`).
-  Machines within a round are independent (they all read D_{i-1} only),
-  so the fleet shards across worker processes; the kernel folds each
-  shard's layer-proposal deltas and per-machine counts back through the
-  same min/+ accumulators the serial loop uses, making the result
-  independent of shard completion order.
+Machines within a round are independent (they all read D_{i-1} only),
+so the fleet can shard across worker processes
+(:class:`repro.ampc.pool.CoinGamePool`) or message-passing shards
+(:class:`repro.ampc.messaging.MessageFabric`); the kernel folds each
+shard's layer-proposal deltas and per-machine counts back through the
+same min/+ accumulators the serial loop uses, making the result
+independent of shard completion order.
 """
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -72,7 +61,6 @@ from repro.graphs.graph import Graph
 from repro.lca.coin_game import fixed_coin_scale, max_provable_layer
 
 __all__ = [
-    "GameCache",
     "LazyAdjacency",
     "lca_round_kernel",
     "peel_round_kernel",
@@ -86,10 +74,8 @@ __all__ = [
 # where ``explored`` lists the final S_v in exploration order, ``proof``
 # the clipped (vertex, layer) proof entries, and reads/writes the
 # machine's communication charge.  Plain lists/ints keep record
-# construction out of the per-game hot path and make shard pickles
-# cheap.  The game transcript is a pure function of the residual degrees
-# over S_v at game time; GameCache validates that degree snapshot
-# round-over-round, so records need not carry it themselves.
+# construction out of the per-game hot path.  The message fabric reads
+# ``explored`` to check a shard-local run against the rows it holds.
 
 _INF = float("inf")
 
@@ -148,172 +134,6 @@ def residual_adjacency_lists(
     return adj
 
 
-class GameCache:
-    """Cross-round S_v/σ memoization for the coin games of one partition.
-
-    Rounds only remove vertices from the residual graph, so a vertex u's
-    residual adjacency list is unchanged between rounds iff u is still
-    alive and its residual degree is unchanged (filtered CSR order is
-    stable under deletions elsewhere).  A cached game is valid when that
-    holds for every member of its explored set — equivalently, when the
-    round's *invalidation cone* (the vertices whose residual row changed:
-    everything assigned last round plus its still-alive neighbors) does
-    not intersect the record's explored ball.  :meth:`lookup_all`
-    evaluates that cone test for the whole fleet in one vectorized sweep
-    over the concatenated member arenas of the candidate records — the
-    arena payload each record carries since the engines produce them —
-    instead of a per-member Python scan per machine.
-
-    Records do not snapshot degrees themselves.  Every live record is
-    either looked up or evicted in every round (its root is alive or
-    assigned), and an invalid record is dropped on sight — so validating
-    "this round's degrees == last round's degrees on S_v" against one
-    shared per-round view (:meth:`advance`) chains transitively back to
-    the game-time view.
-
-    The cache arms itself only after the first round: round-1 records
-    could not be consulted before round 2 anyway, and the first round is
-    the bulk of the work in shallow instances (a single-round partition
-    pays zero recording overhead), so the warm-up costs at most one
-    round of potential replays on deep instances.
-    """
-
-    def __init__(self) -> None:
-        self._records: dict[int, tuple] = {}
-        self._member_arenas: dict[int, np.ndarray] = {}
-        self._proof_arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._prev_degrees = None
-        self.armed = False  # becomes True after the first lca round
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def _drop(self, root: int) -> None:
-        del self._records[root]
-        self._member_arenas.pop(root, None)
-        self._proof_arrays.pop(root, None)
-
-    def lookup(
-        self, root: int, alive_flags: list[bool], degrees: list[int]
-    ) -> tuple | None:
-        """The valid record for ``root``, or None (stale records drop).
-
-        Scalar counterpart of :meth:`lookup_all` (kept for single-probe
-        callers and as executable documentation of the validity rule):
-        ``alive_flags``/``degrees`` are indexable views over the vertex
-        universe, scanned with early exit per member.
-        """
-        record = self._records.get(root)
-        if record is not None:
-            previous = self._prev_degrees
-            for u in record[0]:
-                if not alive_flags[u] or degrees[u] != previous[u]:
-                    self._drop(root)
-                    break
-            else:
-                self.hits += 1
-                return record
-        self.misses += 1
-        return None
-
-    def lookup_all(
-        self,
-        roots: np.ndarray,
-        degrees: np.ndarray,
-        alive_mask: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cone-aware batch validation of every record rooted in ``roots``.
-
-        Builds the round's dirty set (vertices dead or with a changed
-        residual degree since :meth:`advance`), intersects it with each
-        candidate record's member arena in one ``reduceat`` sweep, drops
-        the stale records, and returns the surviving replays as arrays:
-        ``(positions into roots, reads, writes, proof vertices, proof
-        layers)`` with the proof entries concatenated in position order
-        (ready for one min/+ scatter fold).
-        """
-        empty = np.empty(0, dtype=np.int64)
-        if not len(self._records):
-            self.misses += len(roots)
-            return empty, empty, empty, empty, empty
-        prev = np.asarray(self._prev_degrees)
-        dirty = np.asarray(degrees) != prev
-        dirty |= ~alive_mask
-        positions: list[int] = []
-        cand_roots: list[int] = []
-        arenas: list[np.ndarray] = []
-        records = self._records
-        arenas_by_root = self._member_arenas
-        for i, v in enumerate(roots.tolist()):
-            if v in records:
-                positions.append(i)
-                cand_roots.append(v)
-                arenas.append(arenas_by_root[v])
-        self.misses += len(roots) - len(positions)
-        if not positions:
-            return empty, empty, empty, empty, empty
-        lengths = np.fromiter(
-            (len(a) for a in arenas), dtype=np.int64, count=len(arenas)
-        )
-        bounds = np.cumsum(lengths) - lengths
-        stale_counts = np.add.reduceat(
-            dirty[np.concatenate(arenas)], bounds
-        )
-        valid = stale_counts == 0
-        self.hits += int(valid.sum())
-        self.misses += len(positions) - int(valid.sum())
-        proof_u: list[np.ndarray] = []
-        proof_l: list[np.ndarray] = []
-        reads: list[int] = []
-        writes: list[int] = []
-        hit_positions: list[int] = []
-        for ok, i, v in zip(valid.tolist(), positions, cand_roots):
-            if not ok:
-                self._drop(v)
-                continue
-            record = records[v]
-            hit_positions.append(i)
-            reads.append(record[2])
-            writes.append(record[3])
-            pu, pl = self._proof_arrays[v]
-            proof_u.append(pu)
-            proof_l.append(pl)
-        if not hit_positions:
-            return empty, empty, empty, empty, empty
-        return (
-            np.asarray(hit_positions, dtype=np.int64),
-            np.asarray(reads, dtype=np.int64),
-            np.asarray(writes, dtype=np.int64),
-            np.concatenate(proof_u) if proof_u else empty,
-            np.concatenate(proof_l) if proof_l else empty,
-        )
-
-    def advance(self, degrees) -> None:
-        """Install this round's degree view (next round validates against it)."""
-        self._prev_degrees = degrees
-
-    def store(self, root: int, record: tuple) -> None:
-        self._records[root] = record
-        self._member_arenas[root] = np.asarray(record[0], dtype=np.int64)
-        proof = record[1]
-        self._proof_arrays[root] = (
-            np.fromiter(
-                (u for u, __ in proof), dtype=np.int64, count=len(proof)
-            ),
-            np.fromiter(
-                (lay for __, lay in proof), dtype=np.int64, count=len(proof)
-            ),
-        )
-
-    def evict(self, vertices) -> None:
-        """Drop records rooted at assigned (now dead) vertices."""
-        for v in vertices:
-            if v in self._records:
-                self._drop(v)
-
-
 def peel_round_kernel(batch: BatchMachineContext, beta: int) -> None:
     """One Barenboim-Elkin peel round as an array kernel.
 
@@ -366,10 +186,9 @@ def run_games_batched_with_fallback(
     scale: int | None,
     out_layer: np.ndarray,
     out_count: np.ndarray,
-    want_records: bool,
+    want_records: bool = False,
     phases: dict | None = None,
     transpose_pos: np.ndarray | None = None,
-    replay_stats: dict | None = None,
     config=None,
     engine: str = "batched",
 ) -> tuple[np.ndarray, np.ndarray, list | None]:
@@ -394,8 +213,6 @@ def run_games_batched_with_fallback(
     # block's arena stays resident the way a scalar game's dicts do.
     num_games = len(roots)
     block = COHORT_GAMES if config is None else config.cohort_games
-    cone_cutoff = None if config is None else config.replay_cone_cutoff
-    poor_streak = None if config is None else config.replay_poor_streak
     all_reads = np.zeros(num_games, dtype=np.int64)
     all_writes = np.zeros(num_games, dtype=np.int64)
     records: list | None = [None] * num_games if want_records else None
@@ -417,8 +234,6 @@ def run_games_batched_with_fallback(
             out_layer=out_layer, out_count=out_count,
             want_records=want_records, phases=phases,
             transpose_pos=transpose_pos, arena_hint=arena_hint,
-            replay_stats=replay_stats,
-            cone_cutoff=cone_cutoff, poor_streak=poor_streak,
         )
         all_reads[start:stop] = info.reads
         all_writes[start:stop] = info.writes
@@ -444,11 +259,9 @@ def lca_round_kernel(
     beta: int,
     x: int,
     pool=None,
-    cache: GameCache | None = None,
     engine: str = "batched",
     min_pool_games: int | None = None,
     phases: dict | None = None,
-    reuse: dict | None = None,
     fabric=None,
     comm: dict | None = None,
     config=None,
@@ -464,13 +277,11 @@ def lca_round_kernel(
     them in lockstep as array kernels (:mod:`repro.core.batched_games`),
     ``"compiled"`` plays each cohort in one fused C pass
     (:mod:`repro.core.native`, bit-identical to batched), ``"scalar"``
-    interprets them one at a time (:func:`play_coin_game`, the PR 2/3
-    engine, kept verbatim as the oracle).  ``cache`` (a
-    :class:`GameCache`) replays memoized games whose explored view is
-    unchanged since the previous round; ``pool`` (a
-    :class:`repro.ampc.pool.CoinGamePool`) shards the remaining fleet
-    across worker processes at cohort granularity — unless the round has
-    fewer than ``min_pool_games`` games left (None: the engine-aware
+    interprets them one at a time (:func:`play_coin_game`, kept
+    verbatim as the oracle).  ``pool`` (a
+    :class:`repro.ampc.pool.CoinGamePool`) shards the fleet across
+    worker processes at cohort granularity — unless the round has fewer
+    than ``min_pool_games`` games (None: the engine-aware
     :func:`repro.ampc.pool.min_pool_games_for` cutoff — the batched
     kernels amortize dispatch only on much larger rounds than the
     scalar interpreter), where dispatch overhead would exceed the games
@@ -478,28 +289,22 @@ def lca_round_kernel(
     the same min/+ accumulators, so partitions, per-round stats, and
     word counts are identical for every knob combination.
 
-    ``reuse``, when given, accumulates the round's incremental-replay
-    counters (``replayed_waves`` / ``fresh_waves`` / ``replayed_entries``
-    / ``fresh_entries`` / ``redo_games``, plus ``game_cache_hits`` for
-    memoized cross-round replays) — from worker shards too.
-
     ``phases``, when given, accumulates per-phase wall-clock seconds
-    (``explore`` / ``forward`` / ``fold`` from the batched engine plus
-    ``cache`` for memoized-replay handling).  Worker shards are not
-    instrumented: rounds dispatched to the pool contribute only to
-    ``cache`` (all four keys are always present, so a run whose games
-    all went to workers reads as zeros, not missing keys).
+    (``explore`` / ``forward`` / ``fold`` from the batched engine,
+    ``native`` / ``fold`` from the compiled one).  Worker shards are not
+    instrumented, but every key of the engine is always present, so a
+    run whose games all went to workers reads as zeros, not missing
+    keys.
 
     ``fabric`` (a :class:`repro.ampc.messaging.MessageFabric`) replaces
-    the pool with owner-hashed message-passing shards — every pending
-    game dispatches (no ``min_pool_games`` gate: the fabric models the
+    the pool with owner-hashed message-passing shards — every game
+    dispatches (no ``min_pool_games`` gate: the fabric models the
     memory/communication discipline, not throughput), the round's
     communication counters accumulate into ``comm``, and the fold path
     is shared with the pool since both return ``(positions,
     ShardResult)`` pairs.  ``config`` (an
     :class:`repro.ampc.engine_config.EngineConfig`) pins the run's
-    cohort/replay/dispatch knobs; None falls back to the module
-    constants.
+    cohort/dispatch knobs; None falls back to the module constants.
     """
     alive = batch.machine_ids
     offsets, targets = batch.previous.adjacency_csr()
@@ -507,58 +312,15 @@ def lca_round_kernel(
     clip = max_provable_layer(x, beta)
     horizon = 4 * (clip + 2)
     scale = fixed_coin_scale(beta, horizon)
-    want_records = cache is not None and cache.armed
     if min_pool_games is None:
         min_pool_games = min_pool_games_for(engine, config)
-    alive_list = alive.tolist()
-    clock = time.perf_counter if phases is not None else None
     if phases is not None:
         keys = (
-            ("cache", "native", "fold") if engine == "compiled"
-            else ("cache", "explore", "forward", "fold")
+            ("native", "fold") if engine == "compiled"
+            else ("explore", "forward", "fold")
         )
         for key in keys:
             phases.setdefault(key, 0.0)
-    replay_stats: dict | None = reuse if reuse is not None else None
-    if replay_stats is not None:
-        for key in (
-            "replayed_waves", "fresh_waves", "replayed_entries",
-            "fresh_entries", "redo_games",
-        ):
-            replay_stats.setdefault(key, 0)
-
-    # Memoized proofs are collected first and folded in bulk below, so
-    # both engines share one fold path.
-    pending: list[int] | np.ndarray
-    rep_u = rep_lay = None
-    t0 = clock() if clock else 0.0
-    if want_records and len(cache):
-        degrees = np.diff(offsets)
-        alive_mask = np.zeros(n, dtype=bool)
-        alive_mask[alive] = True
-        hit_pos, hit_reads, hit_writes, rep_u, rep_lay = cache.lookup_all(
-            alive, degrees, alive_mask
-        )
-        if hit_pos.size:
-            batch.account_at(hit_pos, hit_reads, hit_writes)
-            hit_mask = np.zeros(len(alive_list), dtype=bool)
-            hit_mask[hit_pos] = True
-            pending = np.flatnonzero(~hit_mask).tolist()
-        else:
-            pending = list(range(len(alive_list)))
-        cache.advance(degrees)
-        if replay_stats is not None:
-            replay_stats["game_cache_hits"] = (
-                replay_stats.get("game_cache_hits", 0) + int(hit_pos.size)
-            )
-    else:
-        pending = list(range(len(alive_list)))
-        if want_records:
-            cache.advance(np.diff(offsets))
-        elif cache is not None:
-            cache.armed = True  # record from the next round onward
-    if clock:
-        phases["cache"] = phases.get("cache", 0.0) + clock() - t0
 
     # Both array engines share the ndarray accumulators and dispatch
     # branches; only the numpy lockstep engine wants the transpose map.
@@ -566,17 +328,9 @@ def lca_round_kernel(
     if batched:
         out_layer: object = np.full(n, _INF)
         out_count: object = np.zeros(n, dtype=np.int64)
-        if rep_u is not None and rep_u.size:
-            np.minimum.at(out_layer, rep_u, rep_lay)
-            np.add.at(out_count, rep_u, 1)
     else:
         out_layer = [_INF] * n
         out_count = [0] * n
-        if rep_u is not None:
-            for u, lay in zip(rep_u.tolist(), rep_lay.tolist()):
-                if lay < out_layer[u]:
-                    out_layer[u] = lay
-                out_count[u] += 1
 
     def _fold_shards(shards):
         # Shared merge for pool and fabric shard results: every piece is
@@ -595,26 +349,19 @@ def lca_round_kernel(
                         out_layer[u] = minimum
                     out_count[u] += count
             batch.account_at(shard_positions, shard.reads, shard.writes)
-            if replay_stats is not None and shard.replay_stats:
-                for key, value in shard.replay_stats.items():
-                    replay_stats[key] = replay_stats.get(key, 0) + value
-            if want_records:
-                for i, record in zip(shard_positions.tolist(), shard.records):
-                    cache.store(alive_list[i], record)
 
-    if pending and fabric is not None:
-        positions = np.asarray(pending, dtype=np.int64)
+    positions = np.arange(len(alive), dtype=np.int64)
+    if fabric is not None:
         _fold_shards(fabric.run_round(
             offsets,
             targets,
-            alive[positions],
+            alive,
             positions,
             x=x,
             beta=beta,
             clip=clip,
             horizon=horizon,
             scale=scale,
-            want_records=want_records,
             engine=engine,
             config=config,
             comm=comm,
@@ -623,12 +370,11 @@ def lca_round_kernel(
             # (the long tail) run the shards in-process.  Either way
             # the fabric's observables and counters are identical.
             pool=(
-                pool if pool is not None and len(pending) >= min_pool_games
+                pool if pool is not None and len(alive) >= min_pool_games
                 else None
             ),
         ))
-    elif pending and pool is not None and len(pending) >= min_pool_games:
-        positions = np.asarray(pending, dtype=np.int64)
+    elif pool is not None and len(alive) >= min_pool_games:
         transpose_pos = (
             csr_transpose_positions(offsets, targets)
             if engine == "batched" else None
@@ -639,45 +385,35 @@ def lca_round_kernel(
         _fold_shards(pool.run_games(
             offsets,
             targets,
-            alive[positions],
+            alive,
             positions,
             x=x,
             beta=beta,
             clip=clip,
             horizon=horizon,
             scale=scale,
-            want_records=want_records,
             engine=engine,
             transpose_pos=transpose_pos,
             cohort_games=cohort if batched else None,
             config=config,
         ))
-    elif pending and batched:
-        positions = np.asarray(pending, dtype=np.int64)
-        reads, writes, records = run_games_batched_with_fallback(
-            offsets, targets, alive[positions],
+    elif batched:
+        reads, writes, __ = run_games_batched_with_fallback(
+            offsets, targets, alive,
             x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
             out_layer=out_layer, out_count=out_count,
-            want_records=want_records, phases=phases,
-            replay_stats=replay_stats, config=config, engine=engine,
+            phases=phases, config=config, engine=engine,
         )
         batch.account_at(positions, reads, writes)
-        if want_records:
-            for i, record in zip(pending, records):
-                cache.store(alive_list[i], record)
-    elif pending:
+    else:
         adj = residual_adjacency_lists(offsets, targets, alive)
-        reads = np.zeros(len(pending), dtype=np.int64)
-        writes = np.zeros(len(pending), dtype=np.int64)
-        for slot, i in enumerate(pending):
-            v = alive_list[i]
-            reads[slot], writes[slot], record = play_coin_game(
-                adj, v, x, beta, clip, horizon, scale,
-                out_layer, out_count, want_records,
+        reads = np.zeros(len(alive), dtype=np.int64)
+        writes = np.zeros(len(alive), dtype=np.int64)
+        for slot, v in enumerate(alive.tolist()):
+            reads[slot], writes[slot], __ = play_coin_game(
+                adj, v, x, beta, clip, horizon, scale, out_layer, out_count,
             )
-            if want_records:
-                cache.store(v, record)
-        batch.account_at(np.asarray(pending, dtype=np.int64), reads, writes)
+        batch.account_at(positions, reads, writes)
 
     minima = out_layer if batched else np.array(out_layer)
     counts = np.asarray(out_count, dtype=np.int64)

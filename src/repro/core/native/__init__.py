@@ -197,18 +197,14 @@ def play_games_compiled(
     raw_records: bool = False,
     phases: dict | None = None,
     transpose_pos: np.ndarray | None = None,
-    replay_stats: dict | None = None,
     arena_hint: list | None = None,
-    cone_cutoff: float | None = None,
-    poor_streak: int | None = None,
 ) -> BatchedGamesInfo:
     """Drop-in for :func:`repro.core.batched_games.play_games_batched`.
 
     Same signature, same :class:`BatchedGamesInfo` shape, bit-identical
-    observables.  ``transpose_pos`` / ``replay_stats`` / ``arena_hint``
-    / ``cone_cutoff`` / ``poor_streak`` are accepted for signature
-    compatibility and ignored — the fused kernel has no numpy scatter
-    to transpose and no cross-wave replay cache.  ``phases`` gains a
+    observables.  ``transpose_pos`` / ``arena_hint`` are accepted for
+    signature compatibility and ignored — the fused kernel has no numpy
+    scatter to transpose and sizes its own arenas.  ``phases`` gains a
     single ``native`` bucket: fusing removes the explore/forward/fold
     phase boundaries by construction.
 
@@ -220,7 +216,7 @@ def play_games_compiled(
     this directly: it remaps ids and filters invalid games vectorized,
     so list records for games it will discard are never built.
     """
-    del transpose_pos, replay_stats, arena_hint, cone_cutoff, poor_streak
+    del transpose_pos, arena_hint
     _load()
     if _lib is None:
         raise RuntimeError(

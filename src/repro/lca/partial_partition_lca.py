@@ -73,12 +73,6 @@ class PartialPartitionLCA:
     beta: int
     strict: bool = False
     engine: str = "compiled"
-    # Incremental-replay counters of the most recent batched
-    # :meth:`query_all` sweep (replayed_waves / fresh_waves /
-    # replayed_entries / fresh_entries / redo_games plus the derived
-    # cone_fraction); None until a batched sweep ran.  E1/F2 plot these
-    # against graph shape.
-    last_replay_stats: dict | None = None
 
     def __post_init__(self) -> None:
         if self.engine not in ("batched", "compiled", "scalar"):
@@ -136,7 +130,6 @@ class PartialPartitionLCA:
         from repro.core.batched_games import (
             csr_transpose_positions,
             play_games_batched,
-            replay_cone_fraction,
         )
         from repro.core.columnar_rounds import COHORT_GAMES
 
@@ -160,21 +153,17 @@ class PartialPartitionLCA:
         super_iterations: list[np.ndarray] = []
         edges_seen: list[np.ndarray] = []
         ejected: set[int] = set()
-        replay_stats: dict = {}
         for start in range(0, len(roots), COHORT_GAMES):
             block = play_cohort(
                 offsets, targets, roots[start:start + COHORT_GAMES],
                 x=self.x, beta=self.beta, clip=clip, horizon=horizon,
                 scale=scale, out_layer=out_layer, out_count=out_count,
                 want_records=True, transpose_pos=transpose_pos,
-                replay_stats=replay_stats,
             )
             records.extend(block.records)
             super_iterations.append(block.super_iterations)
             edges_seen.append(block.edges_seen)
             ejected.update((block.ejected + start).tolist())
-        replay_stats["cone_fraction"] = replay_cone_fraction(replay_stats)
-        self.last_replay_stats = replay_stats
         all_super_iterations = np.concatenate(super_iterations)
         all_edges_seen = np.concatenate(edges_seen)
         # CoinGameResult.queries starts counting *after* the game's

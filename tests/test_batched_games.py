@@ -4,12 +4,10 @@ The differential matrices in ``tests/test_parallel_equivalence`` pin the
 engine against the dict oracle end-to-end; these tests aim at the
 engine's own moving parts — the shared-CSR transpose map behind row
 patches, cohort blocking, the coin-scale escape hatch (ejection), the
-huge-β escalation fallback, the batched ``query_all`` port the E1/F2
-sweeps run on, and :class:`~repro.core.columnar_rounds.GameCache`
-behavior under the batched engine (degree-snapshot staleness, replay
-parity, eviction).  All of them exercise the incremental-replay arena
-implicitly (it is on by default); its dedicated cone-invalidation
-coverage lives in ``tests/test_incremental_replay.py``.
+huge-β escalation fallback, engine-aware and cohort-granular pool
+dispatch, the batched ``query_all`` port the E1/F2 sweeps run on, and
+multi-round partitions whose later rounds replay nothing from earlier
+ones.
 """
 
 from __future__ import annotations
@@ -22,14 +20,19 @@ import pytest
 from repro.ampc import faults
 import repro.core.batched_games as batched_games
 import repro.core.columnar_rounds as columnar_rounds
-from repro.ampc.pool import _SHARED_POOLS, close_shared_pools, resolve_workers
+from repro.ampc.pool import (
+    _SHARED_POOLS,
+    CoinGamePool,
+    close_shared_pools,
+    min_pool_games_for,
+    resolve_workers,
+)
 from repro.core.batched_games import (
     csr_transpose_positions,
     play_games_batched,
 )
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.core.columnar_rounds import (
-    GameCache,
     play_coin_game,
     residual_adjacency_lists,
     run_games_batched_with_fallback,
@@ -38,6 +41,8 @@ from repro.experiments.e1_lca_quality import run_lca_quality
 from repro.experiments.f2_exploration_ablation import run_exploration_ablation
 from repro.graphs.generators import (
     complete_ary_tree,
+    cycle_graph,
+    grid_2d,
     path_graph,
     preferential_attachment,
     random_gnm,
@@ -107,6 +112,10 @@ class TestEngineAgainstScalar:
         (lambda: complete_ary_tree(4, 4), 3, 16),
         (lambda: preferential_attachment(150, 2, seed=11), 6, 49),
         (lambda: star_graph(25), 2, 9),
+        # Overlapping balls: every explore wave patches rows deep inside
+        # other games' explored sets.
+        (lambda: grid_2d(14, 14), 3, 16),
+        (lambda: cycle_graph(160), 1, 4),
     ])
     def test_reads_writes_folds_and_records_match(self, maker, beta, x):
         graph = maker()
@@ -251,6 +260,47 @@ class TestWorkersAutoAndThreshold:
         assert auto.workers == resolve_workers("auto")
         close_shared_pools()
 
+    def test_engine_aware_threshold(self):
+        assert min_pool_games_for("batched") > min_pool_games_for("scalar")
+
+    def test_batched_rounds_below_cutoff_stay_serial(self):
+        # 600 pending games: above the scalar cutoff (256) but below the
+        # batched one (2048) — the pool must never fork under the
+        # batched engine, and must fork under the scalar engine.
+        close_shared_pools()
+        g = random_gnm(600, 1200, seed=2)
+        beta_partition_ampc(g, 9, store="columnar", workers=2, engine="batched")
+        pool = _SHARED_POOLS.get(2)
+        assert pool is not None and pool._executor is None
+        beta_partition_ampc(g, 9, store="columnar", workers=2, engine="scalar")
+        assert _SHARED_POOLS[2]._executor is not None
+        close_shared_pools()
+
+    def test_cohort_granular_shards(self):
+        # Shard boundaries must fall on cohort multiples when the fleet
+        # spans enough cohorts, so workers run whole cache-sized cohorts.
+        g = random_gnm(64, 128, seed=4)
+        offsets, targets = g.csr()
+        clip = max_provable_layer(16, 3)
+        horizon = 4 * (clip + 2)
+        scale = fixed_coin_scale(3, horizon)
+        roots = np.arange(40, dtype=np.int64)
+        with CoinGamePool(2) as pool:
+            shards = pool.run_games(
+                offsets, targets, roots, roots,
+                x=16, beta=3, clip=clip, horizon=horizon, scale=scale,
+                engine="batched", cohort_games=8,
+            )
+            sizes = sorted(len(p) for p, __ in shards)
+            assert sizes == [8, 8, 8, 8, 8]
+            # Too few cohorts for the fleet: rebalances instead.
+            shards = pool.run_games(
+                offsets, targets, roots[:12], roots[:12],
+                x=16, beta=3, clip=clip, horizon=horizon, scale=scale,
+                engine="batched", cohort_games=8,
+            )
+            assert sum(len(p) for p, __ in shards) == 12
+
 
 class TestQueryAllPort:
     @pytest.mark.parametrize("maker,beta,x", [
@@ -300,58 +350,21 @@ class TestQueryAllPort:
         assert batched == scalar
 
 
-class TestGameCacheUnderBatchedEngine:
-    def test_degree_snapshot_staleness_drops_record(self):
-        cache = GameCache()
-        cache.store(7, ([7, 8, 9], [(7, 0), (8, 1)], 5, 2))
-        cache.advance([0, 0, 0, 0, 0, 0, 0, 2, 2, 1])
-        alive = [True] * 10
-        # Same degrees: replayable.
-        assert cache.lookup(7, alive, [0, 0, 0, 0, 0, 0, 0, 2, 2, 1])
-        # A member's residual degree changed: stale, dropped on sight.
-        cache.store(7, ([7, 8, 9], [(7, 0), (8, 1)], 5, 2))
-        assert cache.lookup(7, alive, [0, 0, 0, 0, 0, 0, 0, 2, 1, 1]) is None
-        assert len(cache) == 0
-
-    def test_dead_member_invalidates(self):
-        cache = GameCache()
-        cache.store(3, ([3, 4], [(3, 0)], 3, 1))
-        cache.advance([0, 0, 0, 1, 1])
-        alive = [True, True, True, True, False]  # member 4 was assigned
-        assert cache.lookup(3, alive, [0, 0, 0, 1, 1]) is None
-        assert len(cache) == 0
-
-    def test_eviction_after_residual_shrink(self):
-        cache = GameCache()
-        for root in range(5):
-            cache.store(root, ([root], [(root, 0)], 1, 1))
-        cache.evict([1, 3])
-        assert len(cache) == 3
-        cache.advance([0] * 5)
-        assert cache.lookup(1, [True] * 5, [0] * 5) is None  # evicted
-        assert cache.lookup(0, [True] * 5, [0] * 5) is not None
-
-    def test_cache_hit_replay_parity_matches_oracle(self):
+class TestMultiRoundUnderBatchedEngine:
+    def test_deep_path_matches_oracle(self):
         # β = 1, x = 2 strips two layers off each end of a path per
-        # round; interior games replay their cached fixed point.
+        # round, so interior games are replayed unchanged round after
+        # round — each round must play them afresh, identically.
         g = path_graph(40)
         oracle = beta_partition_ampc(g, 1, x=2, store="dict")
         batched = beta_partition_ampc(
             g, 1, x=2, store="columnar", engine="batched"
         )
-        scalar = beta_partition_ampc(
-            g, 1, x=2, store="columnar", engine="scalar"
-        )
         assert batched.rounds >= 3
-        assert batched.game_cache_hits > 0
-        # Cache decisions are a pure function of records and degree
-        # snapshots, which both engines must produce identically.
-        assert batched.game_cache_hits == scalar.game_cache_hits
         _assert_same_outcome(oracle, batched)
 
-    def test_cross_round_invalidation_on_deep_tree(self):
-        # Multi-round instance: residual shrink + frontier degree drift
-        # invalidate some records while untouched subtrees replay.
+    def test_deep_tree_matches_oracle(self):
+        # Residual shrink and frontier degree drift between rounds.
         beta = 3
         g = complete_ary_tree(beta + 1, 4)
         oracle = beta_partition_ampc(g, beta, x=beta + 1, store="dict")
@@ -361,14 +374,13 @@ class TestGameCacheUnderBatchedEngine:
         assert batched.rounds >= 2
         _assert_same_outcome(oracle, batched)
 
-    def test_cache_parity_with_pool_and_batched_engine(self):
+    def test_deep_path_with_pool_matches_oracle(self):
         g = path_graph(40)
         oracle = beta_partition_ampc(g, 1, x=2, store="dict")
         pooled = beta_partition_ampc(
             g, 1, x=2, store="columnar", engine="batched", workers=2,
             min_pool_games=1,
         )
-        assert pooled.game_cache_hits > 0
         _assert_same_outcome(oracle, pooled)
         close_shared_pools()
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.ampc import messaging, pool
 from repro.ampc.engine_config import EngineConfig
-from repro.core import batched_games, columnar_rounds
+from repro.core import columnar_rounds
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.graphs.generators import random_gnm, union_of_random_forests
 
@@ -27,11 +27,8 @@ class TestFromEnv:
         assert cfg.cohort_games == columnar_rounds.COHORT_GAMES
         assert cfg.min_pool_games == pool.MIN_POOL_GAMES
         assert cfg.min_pool_games_batched == pool.MIN_POOL_GAMES_BATCHED
-        assert cfg.replay_cone_cutoff == batched_games.REPLAY_CONE_CUTOFF
-        assert cfg.replay_poor_streak == batched_games.REPLAY_POOR_STREAK
         assert cfg.message_cap_words == messaging.MESSAGE_CAP_WORDS
         assert cfg.shard_budget_words is None
-        assert cfg.ghost_cache_words == messaging.GHOST_CACHE_WORDS
         assert cfg.max_shard_retries == pool.MAX_SHARD_RETRIES
         assert cfg.retry_backoff_s == pool.RETRY_BACKOFF_S
         assert cfg.pool_deadline_s == pool.POOL_DEADLINE_S
@@ -43,11 +40,8 @@ class TestFromEnv:
             "REPRO_COHORT_GAMES": "128",
             "REPRO_MIN_POOL_GAMES": "7",
             "REPRO_MIN_POOL_GAMES_BATCHED": "99",
-            "REPRO_REPLAY_CONE_CUTOFF": "0.5",
-            "REPRO_REPLAY_POOR_STREAK": "3",
             "REPRO_MESSAGE_CAP_WORDS": "4096",
             "REPRO_SHARD_BUDGET_WORDS": "123456",
-            "REPRO_GHOST_CACHE_WORDS": "4096",
             "REPRO_MAX_SHARD_RETRIES": "5",
             "REPRO_RETRY_BACKOFF_S": "0.25",
             "REPRO_POOL_DEADLINE_S": "12.5",
@@ -57,11 +51,8 @@ class TestFromEnv:
         assert cfg.cohort_games == 128
         assert cfg.min_pool_games == 7
         assert cfg.min_pool_games_batched == 99
-        assert cfg.replay_cone_cutoff == 0.5
-        assert cfg.replay_poor_streak == 3
         assert cfg.message_cap_words == 4096
         assert cfg.shard_budget_words == 123456
-        assert cfg.ghost_cache_words == 4096
         assert cfg.max_shard_retries == 5
         assert cfg.retry_backoff_s == 0.25
         assert cfg.pool_deadline_s == 12.5
@@ -94,7 +85,6 @@ class TestFromEnv:
         "REPRO_COHORT_GAMES",
         "REPRO_MIN_POOL_GAMES",
         "REPRO_MIN_POOL_GAMES_BATCHED",
-        "REPRO_REPLAY_POOR_STREAK",
         "REPRO_MESSAGE_CAP_WORDS",
         "REPRO_SHARD_BUDGET_WORDS",
     ])
@@ -108,34 +98,18 @@ class TestFromEnv:
             assert raw in str(err.value)
 
     @pytest.mark.parametrize("name", [
-        "REPRO_COHORT_GAMES", "REPRO_REPLAY_CONE_CUTOFF", "REPRO_ENGINE",
+        "REPRO_COHORT_GAMES", "REPRO_ENGINE",
     ])
     def test_non_numeric_overrides_name_the_variable(self, name):
         with pytest.raises(ValueError, match=name) as err:
             EngineConfig.from_env(env={name: "banana"})
         assert "banana" in str(err.value)
 
-    def test_cone_cutoff_range_enforced(self):
-        with pytest.raises(ValueError, match="REPRO_REPLAY_CONE_CUTOFF"):
-            EngineConfig.from_env(env={"REPRO_REPLAY_CONE_CUTOFF": "1.5"})
-        with pytest.raises(ValueError, match="REPRO_REPLAY_CONE_CUTOFF"):
-            EngineConfig.from_env(env={"REPRO_REPLAY_CONE_CUTOFF": "-0.1"})
-        cfg = EngineConfig.from_env(env={"REPRO_REPLAY_CONE_CUTOFF": "0.0"})
-        assert cfg.replay_cone_cutoff == 0.0
-
     def test_message_cap_floor_matches_fabric(self):
         # The fabric rejects cap_words < 4 (one row header); the env
         # parse must fail the same way instead of deferring the crash.
         with pytest.raises(ValueError, match="REPRO_MESSAGE_CAP_WORDS"):
             EngineConfig.from_env(env={"REPRO_MESSAGE_CAP_WORDS": "2"})
-
-    def test_ghost_cache_words_allows_zero_rejects_negative(self):
-        # 0 is meaningful (cache disabled), so the knob gets a >= 0
-        # floor instead of the shared positive-int parse.
-        cfg = EngineConfig.from_env(env={"REPRO_GHOST_CACHE_WORDS": "0"})
-        assert cfg.ghost_cache_words == 0
-        with pytest.raises(ValueError, match="REPRO_GHOST_CACHE_WORDS"):
-            EngineConfig.from_env(env={"REPRO_GHOST_CACHE_WORDS": "-1"})
 
     def test_supervisor_knob_validation(self):
         # retries may be 0 (fail fast) but never negative.
@@ -176,10 +150,10 @@ class TestFromEnv:
         # Defaults are read at call time, so tests that pin a module
         # constant see their pin honored by from_env().
         monkeypatch.setattr(columnar_rounds, "COHORT_GAMES", 77)
-        monkeypatch.setattr(batched_games, "REPLAY_CONE_CUTOFF", 0.9)
+        monkeypatch.setattr(pool, "MIN_POOL_GAMES", 9)
         cfg = EngineConfig.from_env(env={})
         assert cfg.cohort_games == 77
-        assert cfg.replay_cone_cutoff == 0.9
+        assert cfg.min_pool_games == 9
 
     def test_frozen_and_with_overrides(self):
         cfg = EngineConfig.from_env(env={})
@@ -209,15 +183,13 @@ class TestThreading:
         )
 
     def test_knobs_do_not_change_observables(self):
-        # A deliberately odd cohort size and replay gate must be
-        # invisible: bit-identical partitions and per-round stats.
+        # A deliberately odd cohort size must be invisible:
+        # bit-identical partitions and per-round stats.
         g = random_gnm(80, 160, seed=5)
         base = beta_partition_ampc(g, 5, store="columnar")
         tuned = beta_partition_ampc(
             g, 5, store="columnar",
-            config=EngineConfig.from_env().with_overrides(
-                cohort_games=3, replay_cone_cutoff=0.01, replay_poor_streak=1
-            ),
+            config=EngineConfig.from_env().with_overrides(cohort_games=3),
         )
         assert tuned.partition.layers == base.partition.layers
         for ra, rb in zip(
@@ -234,18 +206,6 @@ class TestThreading:
             beta_partition_ampc(
                 g, 3, x=4, store="columnar", transport="message", shards=2
             )
-
-    def test_env_ghost_cache_reaches_the_fabric(self, monkeypatch):
-        g = random_gnm(300, 900, seed=23)  # 5 lca rounds at beta=4/x=8
-        kw = dict(x=8, store="columnar", transport="message", shards=3,
-                  min_pool_games=1)
-        monkeypatch.setenv("REPRO_GHOST_CACHE_WORDS", "0")
-        off = beta_partition_ampc(g, 4, **kw)
-        assert all(c["ghost_cache_held_words"] == 0 for c in off.round_comm)
-        monkeypatch.setenv("REPRO_GHOST_CACHE_WORDS", "65536")
-        on = beta_partition_ampc(g, 4, **kw)
-        assert sum(c["ghost_cache_hits"] for c in on.round_comm) > 0
-        assert on.partition.layers == off.partition.layers
 
     def test_explicit_budget_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_BUDGET_WORDS", "50")

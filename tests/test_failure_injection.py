@@ -246,8 +246,7 @@ class TestWorkerPoolFaults:
             pool.run_games(
                 offsets, targets,
                 np.array([0], dtype=np.int64), np.array([0], dtype=np.int64),
-                x=4, beta=2, clip=1, horizon=12,
-                scale=12, want_records=False,
+                x=4, beta=2, clip=1, horizon=12, scale=12,
             )
 
     def test_invalid_worker_counts_rejected(self):

@@ -27,6 +27,7 @@ from repro.ampc.messaging import (
     MemoryGuard,
     MemoryGuardError,
     MessageFabric,
+    _Shard,
     owner_of,
 )
 from repro.core import batched_games, native
@@ -254,6 +255,52 @@ class TestShardCountInvariance:
         _assert_equivalent(oracle, msg)
 
 
+def _slab(rows: dict[int, list[int]]):
+    """One sorted (ids, lens, targets) row-resolution slab."""
+    ids = np.array(sorted(rows), dtype=np.int64)
+    lens = np.array([len(rows[v]) for v in ids.tolist()], dtype=np.int64)
+    targets = np.concatenate([
+        np.asarray(rows[v], dtype=np.int64) for v in ids.tolist()
+    ])
+    return ids, lens, targets
+
+
+class TestGhostFringe:
+    def test_over_budget_slab_rejected_before_any_ghost_mutates(self):
+        shard = _Shard(0, 2, 30)
+        shard.install_ghosts(*_slab({4: [1, 2, 3]}))  # 4 words held
+        held_before = shard.guard.current
+        big = {v: list(range(10)) for v in range(6, 30, 2)}  # 132 words
+        with pytest.raises(MemoryGuardError):
+            shard.install_ghosts(*_slab(big))
+        # Store and accounting exactly as they were: no partial install,
+        # no guard drift — the caller can shed load without rollback.
+        assert shard.guard.current == held_before
+        assert shard.ghost_ids.tolist() == [4]
+        assert shard._fringe_words == 4
+        assert np.array_equal(shard.ghost_row(4), np.array([1, 2, 3]))
+        # A subsequent within-budget slab still lands cleanly.
+        shard.install_ghosts(*_slab({8: [5]}))
+        assert np.array_equal(shard.ghost_row(8), np.array([5]))
+
+    def test_round_boundary_drops_every_ghost(self):
+        shard = _Shard(1, 2, None)
+        shard.install_ghosts(*_slab({2: [3, 5], 6: [1]}))
+        assert shard.guard.current == 5
+        shard.finish_round()
+        assert len(shard.ghost_ids) == 0
+        assert shard.ghost_row(2) is None
+        assert shard.guard.current == 0
+
+    def test_eviction_keeps_exactly_the_pinned_ghosts(self):
+        shard = _Shard(1, 2, 100)
+        shard.install_ghosts(*_slab({2: [3, 5], 6: [1], 8: [7]}))
+        shard.evict_ghosts(pinned=np.array([6], dtype=np.int64))
+        assert shard.ghost_ids.tolist() == [6]
+        assert np.array_equal(shard.ghost_row(6), np.array([1]))
+        assert shard.guard.current == 2
+
+
 class TestBudgetBinds:
     def test_budget_below_full_csr_passes_with_enough_shards(self):
         # The acceptance scenario: the full residual CSR does not fit in
@@ -356,17 +403,6 @@ class TestFabricSurface:
         words = lambda out: sum(c["words"] for c in out.round_comm)  # noqa: E731
         assert msgs(tiny) > msgs(big)
         assert words(tiny) == words(big)  # cap re-segments, never re-words
-
-    def test_game_cache_rides_the_fabric(self):
-        # Cross-round memoization stays driver-side: cached games never
-        # enter the fabric, the rest still match the oracle bit for bit.
-        g = path_graph(40)
-        oracle = beta_partition_ampc(g, 1, x=2, store="dict")
-        msg = beta_partition_ampc(
-            g, 1, x=2, store="columnar", transport="message", shards=2
-        )
-        assert msg.game_cache_hits > 0
-        _assert_equivalent(oracle, msg)
 
     def test_fabric_run_round_requires_config_default(self):
         # MessageFabric.run_round without an explicit config snapshots

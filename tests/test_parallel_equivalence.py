@@ -245,34 +245,27 @@ class TestSeedDeterminism:
         assert len(blobs) == 1
 
 
-class TestGameCache:
-    def test_cache_hits_on_untouched_regions(self):
-        # β = 1, x = 2 strips two layers off each end of a path per round;
-        # interior vertices far from both frontiers replay their cached
-        # fixed point until the frontier reaches them.
+class TestMultiRoundPath:
+    # β = 1, x = 2 strips two layers off each end of a path per round:
+    # a deep multi-round partition whose interior games repeat unchanged
+    # from round to round.
+    def test_columnar_matches_oracle(self):
         g = path_graph(40)
         columnar = beta_partition_ampc(g, 1, x=2, store="columnar")
         oracle = beta_partition_ampc(g, 1, x=2, store="dict")
         assert columnar.rounds >= 3
-        assert columnar.game_cache_hits > 0
         _assert_outcomes_equivalent(oracle, columnar)
 
-    def test_cache_hits_with_pool_match_too(self):
+    def test_pool_matches_oracle(self):
         g = path_graph(40)
         oracle = beta_partition_ampc(g, 1, x=2, store="dict")
         pooled = beta_partition_ampc(g, 1, x=2, store="columnar", workers=2)
-        assert pooled.game_cache_hits > 0
         _assert_outcomes_equivalent(oracle, pooled)
 
-    def test_cache_hits_with_message_fabric_match_too(self):
+    def test_message_fabric_matches_oracle(self):
         g = path_graph(40)
         oracle = beta_partition_ampc(g, 1, x=2, store="dict")
         sharded = beta_partition_ampc(
             g, 1, x=2, store="columnar", transport="message", shards=3
         )
-        assert sharded.game_cache_hits > 0
         _assert_outcomes_equivalent(oracle, sharded)
-
-    def test_dict_oracle_reports_no_cache(self):
-        g = path_graph(12)
-        assert beta_partition_ampc(g, 1, x=2, store="dict").game_cache_hits == 0
