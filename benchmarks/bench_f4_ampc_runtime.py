@@ -20,8 +20,9 @@ in the two regimes of Theorem 1.2:
 All fabrics and engines produce *identical* partitions, round counts,
 and per-round statistics (asserted here on the quick config and by the
 equivalence tests); the benchmark's job is only to time them.  The lca
-regime is additionally swept over ``workers`` (process-pool machine
-sharding; ``columnar_workers_s`` in the JSON records the per-worker
+regime is additionally swept over ``workers`` (the array engines fan
+each round out over threads, the message fabric's shard chains over the
+process pool; ``columnar_workers_s`` in the JSON records the per-worker
 scaling — informative only on multi-core hosts, but every sweep point
 must still reproduce the serial partition exactly).
 
@@ -40,9 +41,10 @@ those guards measure the code path, not the CI hardware — or if pool
 dispatch at any swept worker count exceeds the *same run's* serial
 columnar time by more than its overhead budget (1.25x at workers=2; a
 within-run ratio, so it needs no baseline or normalization).  The
-worker-overhead guard reads the recorded ``host_cpus``: on a 1-core
-host the pool forks no more processes than the core count, so every
-point — workers=4 included — is held to the flat
+worker-overhead guard reads the recorded ``host_cpus`` (the CPUs the
+process may use): on a 1-CPU host the fan-out runs no more threads or
+processes than that, so every point — workers=4 included — is held to
+the flat
 :data:`MAX_WORKER_OVERHEAD_SINGLE_CORE` dispatch budget (the old
 superlinear 11.3/31.4/102.6 s sweep fails it immediately; pure
 dispatch overhead passes with room).  When the compiled leg ran, the
@@ -76,14 +78,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from repro.ampc import faults
 from repro.ampc.engine_config import EngineConfig
 from repro.ampc.faults import FaultPlan
-from repro.ampc.pool import close_shared_pools
+from repro.ampc.pool import close_shared_pools, usable_cpus
 from repro.core import native
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.graphs.generators import random_gnm
@@ -115,8 +116,8 @@ MIN_PHASE_SECONDS = 0.1
 # lands past both.
 MAX_WORKER_OVERHEAD = {"2": 1.25}
 MAX_WORKER_OVERHEAD_DEFAULT = 1.6
-# On a 1-core host the executor never forks more processes than cores
-# (the pool caps it), so any requested worker count must cost only the
+# On a 1-CPU host the fan-out never runs more threads or processes than
+# the usable CPUs, so any requested worker count must cost only the
 # fixed dispatch overhead: every sweep point is held to this flat
 # budget instead of being waived.  The old superlinear regression
 # (11.3/31.4/102.6 s at workers 1/2/4 — oversubscribed CPU-bound
@@ -184,7 +185,7 @@ def bench_mode(
     """Columnar vs dict wall-clock for one Theorem 1.2 regime.
 
     ``worker_sweep`` additionally times the columnar path at each worker
-    count (per-machine coin-game sharding over the process pool) and
+    count (the thread fan-out of the round's coin games) and
     verifies every sweep point reproduces the serial partition exactly.
     ``repeats`` takes the best of that many timings for every measured
     configuration — quick configs are noisy enough that the regression
@@ -354,6 +355,25 @@ def bench_mode(
             assert sweep.partition.layers == columnar.partition.layers
             scaling[str(workers)] = round(sweep_s, 3)
         report["columnar_workers_s"] = scaling
+        if "compiled_s" in report:
+            # The default engine's thread fan-out, informative only
+            # (the batched sweep above carries the guards).
+            compiled_scaling = {"1": report["compiled_s"]}
+            for workers in worker_sweep:
+                if workers == 1:
+                    continue
+                sweep_s, sweep = _time_run(
+                    graph, beta, mode, "columnar", workers=workers,
+                    engine="compiled",
+                )
+                for __ in range(repeats - 1):
+                    sweep_s = min(sweep_s, _time_run(
+                        graph, beta, mode, "columnar", workers=workers,
+                        engine="compiled",
+                    )[0])
+                assert sweep.partition.layers == columnar.partition.layers
+                compiled_scaling[str(workers)] = round(sweep_s, 3)
+            report["compiled_workers_s"] = compiled_scaling
         if mode == "lca" and "message" in report:
             # The pooled-fabric matrix: the same sweep over the
             # message transport, whose shard chains dispatch to the
@@ -387,8 +407,11 @@ def bench_mode(
             # crash plan makes every pool attempt fail, so after
             # max_shard_retries the supervisor runs every shard chain
             # inline on the driver — and the partition must still be
-            # bit-identical.  Guarded by --check-regression so the
-            # degradation path cannot silently rot.
+            # bit-identical.  It runs over the message transport, whose
+            # shard chains are what the process pool still executes
+            # (shm rounds of the array engines run on threads and have
+            # no process to fault).  Guarded by --check-regression so
+            # the degradation path cannot silently rot.
             plan = FaultPlan(seed=QUICK_CONFIG["seed"], rate=1.0,
                              kinds=("crash",))
             fast = EngineConfig.from_env().with_overrides(
@@ -397,6 +420,8 @@ def bench_mode(
             with faults.inject(plan):
                 degraded_s, degraded = _time_run(
                     graph, beta, mode, "columnar", workers=2, config=fast,
+                    engine=message_engine, transport="message",
+                    shards=MESSAGE_SHARDS,
                 )
             rec = degraded.round_recovery
             report.setdefault("recovery", {})["degraded"] = {
@@ -410,7 +435,7 @@ def bench_mode(
         close_shared_pools()
         # Recorded next to the sweep so a reader (and the regression
         # guard) can tell dispatch cost from plain time-slicing.
-        report["host_cpus"] = os.cpu_count() or 1
+        report["host_cpus"] = usable_cpus()
     return report
 
 
@@ -524,16 +549,16 @@ def check_regression(report: dict, baseline: dict) -> tuple[list[str], list[str]
             )
     scaling = report["lca"].get("columnar_workers_s") or {}
     serial_s = report["lca"]["columnar_s"]
-    host_cpus = report["lca"].get("host_cpus") or os.cpu_count() or 1
+    host_cpus = report["lca"].get("host_cpus") or usable_cpus()
     for workers, sweep_s in scaling.items():
         if workers == "1":
             continue
         if host_cpus < 2:
-            # The pool never forks more processes than the host has
-            # cores, so on a 1-core host every requested worker count
-            # must cost only the fixed dispatch overhead — a flat
-            # budget, not a waiver (the old superlinear sweep fails it
-            # immediately).
+            # The fan-out never runs more threads or processes than
+            # the usable CPUs, so on a 1-CPU host every requested
+            # worker count must cost only the fixed dispatch overhead —
+            # a flat budget, not a waiver (the old superlinear sweep
+            # fails it immediately).
             limit = MAX_WORKER_OVERHEAD_SINGLE_CORE
         else:
             limit = MAX_WORKER_OVERHEAD.get(
@@ -670,7 +695,7 @@ def guard_worker_monotone(report: dict) -> tuple[list[str], list[str]]:
     whole guard on a 1-core host — are waived with a logged notice
     instead of failing, so CI can set the flag unconditionally.
     """
-    cores = os.cpu_count() or 1
+    cores = usable_cpus()
     failures: list[str] = []
     waivers: list[str] = []
     if cores < 2:

@@ -3,15 +3,15 @@
 Scenario sweeps want to tune dispatch cutoffs and cohort sizes without
 editing source.  The knobs keep living as module constants next to the
 code they tune (:data:`repro.core.columnar_rounds.COHORT_GAMES`,
-:data:`repro.ampc.pool.MIN_POOL_GAMES` /
-:data:`~repro.ampc.pool.MIN_POOL_GAMES_BATCHED`) — tests monkeypatch
-them there, and they document themselves in context — but every run of
+:data:`repro.ampc.pool.MIN_POOL_GAMES`) — tests monkeypatch them there,
+and they document themselves in context — but every run of
 :func:`repro.core.beta_partition_ampc.beta_partition_ampc` snapshots
 them into one frozen :class:`EngineConfig` via :meth:`EngineConfig.from_env`,
 applying ``REPRO_*`` environment overrides on top.  The config then
-threads explicitly through the round kernel, the process pool (one
-picklable value per shard payload), the batched engine, and the message
-fabric, so every layer of one run agrees on the same knob values.
+threads explicitly through the round kernel, the array engines' thread
+fan-out, the process pool (one picklable value per shard payload), and
+the message fabric, so every layer of one run agrees on the same knob
+values.
 
 All knobs are pure throughput/memory-policy levers: no observable
 (partitions, probe counts, store words) depends on any of them, which
@@ -82,7 +82,6 @@ class EngineConfig:
 
     cohort_games: int
     min_pool_games: int
-    min_pool_games_batched: int
     message_cap_words: int
     shard_budget_words: int | None = None
     # Round-supervisor knobs (repro.ampc.pool): how many times a lost
@@ -139,10 +138,6 @@ class EngineConfig:
             ),
             min_pool_games=get(
                 "REPRO_MIN_POOL_GAMES", pool.MIN_POOL_GAMES, _env_int, 1
-            ),
-            min_pool_games_batched=get(
-                "REPRO_MIN_POOL_GAMES_BATCHED", pool.MIN_POOL_GAMES_BATCHED,
-                _env_int, 1,
             ),
             message_cap_words=get(
                 "REPRO_MESSAGE_CAP_WORDS", messaging.MESSAGE_CAP_WORDS,

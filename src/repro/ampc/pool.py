@@ -6,41 +6,37 @@ Parallel execution model
 The AMPC model is round-synchronous: within round i every machine reads
 only D_{i-1} and writes only D_i (Section 3.1), so machines of one round
 share *no* state and can run in any order — or simultaneously.  The
-simulator exploits exactly that freedom, nothing more:
+simulator exploits exactly that freedom, nothing more, on two kinds of
+workers:
 
-- **Sharding.**  The driver splits the round's machine ids into
-  contiguous shards and submits each to a persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Under the batched
-  engine, whenever the fleet spans more than one whole cohort per
-  worker, shard boundaries fall on ``COHORT_GAMES`` multiples
-  (cohort-granular sharding): each worker runs the very same
-  cache-sized cohorts the serial kernel would run, instead of arbitrary
-  re-slices whose partial cohorts amortize the lockstep kernels worse;
-  smaller fleets fall back to evenly balanced slices, where keeping
-  every worker busy beats cohort alignment.  Per-machine semantics are
-  untouched — a shard is a game-index slice
-  of the round's fleet, run through the very same engine the serial
-  kernel runs (the lockstep struct-of-arrays kernels of
-  :mod:`repro.core.batched_games`, or
-  :func:`~repro.core.columnar_rounds.play_coin_game` for the scalar
-  oracle).  Rounds smaller than :func:`min_pool_games_for`'s
-  engine-aware cutoff skip dispatch entirely — at that size the pool's
-  fixed cost exceeds the games.  The executor itself never runs more
-  processes than the host has cores (``workers`` beyond that keeps
-  shaping the shard layout but not the process count): results are
-  bit-identical at any process count, and oversubscribed CPU-bound
-  workers only time-slice the same cores while multiplying kernel
-  page-fault overhead — the shape of the old superlinear
-  ``columnar_workers_s`` regression on 1-core hosts.
-- **Shared read-only round state.**  The round's residual CSR
-  (offsets, targets) — plus, for the batched engine, the per-round CSR
-  transpose-position map its row arenas patch through — is published
-  once per round through :mod:`multiprocessing.shared_memory`; shard
-  payloads carry only the segment names, and workers attach, copy
-  (cached until the next round's segments arrive), and close, so no
-  worker recomputes the per-round lexsort or adjacency conversion per
-  shard.  Nothing is ever written to the shared segments, mirroring the
-  model's read-only D_{i-1}.
+- **Threads for the array engines.**  ``"compiled"`` and ``"batched"``
+  rounds never reach the process pool: the round kernel fans their
+  game slices out over a persistent thread pool
+  (:func:`repro.core.columnar_rounds.run_games_batched_with_fallback`).
+  cffi drops the GIL for every fused-C cohort call and numpy drops it
+  inside its array kernels, so threads share the round's CSR in place
+  with no publish, pickle, or attach cost.
+- **Processes where the GIL binds.**  The ``"scalar"`` oracle is pure
+  Python, and so are the message fabric's shard chains
+  (:meth:`CoinGamePool.run_fabric_round`); both run on a persistent
+  :class:`~concurrent.futures.ProcessPoolExecutor`.  :meth:`run_games`
+  splits the scalar fleet into evenly balanced contiguous shards, each
+  interpreted game by game with
+  :func:`~repro.core.columnar_rounds.play_coin_game`.  Rounds smaller
+  than :data:`MIN_POOL_GAMES` skip dispatch entirely — at that size the
+  pool's fixed cost exceeds the games.  The executor never runs more
+  processes than the CPUs this process may use (:func:`usable_cpus`;
+  ``workers`` beyond that keeps shaping the shard layout but not the
+  process count): results are bit-identical at any process count, and
+  oversubscribed CPU-bound workers only time-slice the same cores while
+  multiplying kernel page-fault overhead.
+- **Shared read-only round state.**  The round's residual CSR (offsets,
+  targets) is published once per dispatch through
+  :mod:`multiprocessing.shared_memory`; shard payloads carry only the
+  segment names, and workers attach, copy (cached until the next
+  round's segments arrive), and close, so no worker re-derives the
+  adjacency per shard.  Nothing is ever written to the shared segments,
+  mirroring the model's read-only D_{i-1}.
 - **Accounting fold.**  A shard returns ``(reads, writes)`` arrays for
   its machines plus its layer-proposal deltas as sparse
   ``(vertices, minima, counts)`` triples.  The driver scatters the
@@ -146,24 +142,20 @@ __all__ = [
     "new_recovery_counters",
     "resolve_workers",
     "shared_pool",
+    "usable_cpus",
 ]
 
-# Rounds with fewer pending games than this run in-process even when a
-# pool is available: publishing the CSR, pickling shards, and collecting
-# futures costs on the order of a millisecond — more than this many
-# games cost under the scalar engine — so small rounds (the long tail
-# of a multi-round partition, and everything on a 1-core host where
-# extra workers only add overhead) skip dispatch entirely.  Callers can
-# override per run via ``min_pool_games`` (tests pin it to 1 to force
-# dispatch on tiny differential shapes).
+# Rounds with fewer pending games than this run in-process even when
+# workers > 1.  One cutoff gates all three parallel paths: the array
+# engines' thread fan-out (below ~256 games a compiled round costs about
+# what waking the threads and folding their accumulators does), the
+# scalar engine's process dispatch, and the message fabric's shard
+# chains (publishing the CSR, pickling shards and collecting futures
+# costs on the order of a millisecond).  Small rounds — the long tail of
+# a multi-round partition — stay serial.  Callers can override per run
+# via ``min_pool_games`` (tests pin it to 1 to force the parallel paths
+# on tiny differential shapes).
 MIN_POOL_GAMES = 256
-
-# The batched engine's per-game cost is an order of magnitude below the
-# scalar interpreter's, so pool dispatch amortizes only on much larger
-# rounds: below this many pending games the fixed dispatch cost (CSR +
-# transpose publication, worker attach, result pickles) exceeds what the
-# lockstep kernels spend playing them, and the round stays in-process.
-MIN_POOL_GAMES_BATCHED = 2048
 
 # Round-supervisor defaults (EngineConfig fields / REPRO_* env overrides
 # of the same names thread per-run values through; see the module
@@ -201,21 +193,29 @@ def new_recovery_counters() -> dict:
     }
 
 
-def min_pool_games_for(engine: str, config=None) -> int:
-    """Engine-aware dispatch-amortization threshold.
+def min_pool_games_for(config=None) -> int:
+    """The run's parallel-dispatch cutoff.
 
     ``config`` (an :class:`repro.ampc.engine_config.EngineConfig`)
-    supplies the run's pinned thresholds; None reads the module
-    constants above.
+    supplies the run's pinned threshold; None reads
+    :data:`MIN_POOL_GAMES`.
     """
-    array_engine = engine in ("batched", "compiled")
-    if config is not None:
-        return (
-            config.min_pool_games_batched
-            if array_engine
-            else config.min_pool_games
-        )
-    return MIN_POOL_GAMES_BATCHED if array_engine else MIN_POOL_GAMES
+    return MIN_POOL_GAMES if config is None else config.min_pool_games
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on, not the CPUs installed.
+
+    ``os.cpu_count()`` counts every CPU of the machine, so under an
+    affinity mask or a cgroup cpuset (containers, ``taskset``) it
+    over-counts and oversubscribes workers; the affinity set is what
+    the scheduler will actually grant.  Falls back to ``cpu_count`` on
+    platforms without ``sched_getaffinity``.
+    """
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):
+        return max(1, os.cpu_count() or 1)
 
 
 class WorkerPoolError(RuntimeError):
@@ -273,17 +273,18 @@ def resolve_workers(workers: int | str | None) -> int:
     """Normalize a ``workers`` knob: None -> $REPRO_WORKERS -> "auto".
 
     ``"auto"`` (the default when neither the caller nor the environment
-    says otherwise) resolves to the machine's CPU count, so a 1-core
-    host never pays pool-dispatch overhead while multi-core hosts shard
-    by default; combined with :data:`MIN_POOL_GAMES` this is what the
-    pipelines run with.  Explicit integers are taken as-is.
+    says otherwise) resolves to :func:`usable_cpus`, so a host (or a
+    container pinned) to one CPU never pays dispatch overhead while
+    multi-core hosts fan out by default; combined with
+    :data:`MIN_POOL_GAMES` this is what the pipelines run with.
+    Explicit integers are taken as-is.
     """
     if workers is None:
         env = os.environ.get("REPRO_WORKERS", "").strip()
         workers = env if env else "auto"
     if isinstance(workers, str):
         if workers == "auto":
-            return max(1, os.cpu_count() or 1)
+            return usable_cpus()
         workers = int(workers)
     workers = int(workers)
     if workers < 1:
@@ -312,9 +313,7 @@ class ShardResult(NamedTuple):
 # shared-memory segment names (unique per round): the first shard a
 # worker receives pays the copy/conversion, later shards of the same
 # round reuse it.
-_CSR_CACHE: dict[str, object] = {
-    "key": None, "csr": None, "adj": None, "transpose": None
-}
+_CSR_CACHE: dict[str, object] = {"key": None, "csr": None, "adj": None}
 
 
 def _attached_array(name: str, count: int) -> tuple[SharedMemory, np.ndarray]:
@@ -344,44 +343,16 @@ def _load_csr(
     _CSR_CACHE["key"] = key
     _CSR_CACHE["csr"] = csr
     _CSR_CACHE["adj"] = None
-    _CSR_CACHE["transpose"] = None
     return csr
 
 
 def _load_adjacency(csr_meta: tuple) -> list:
-    offsets, targets = _load_csr(*csr_meta[:4])
+    offsets, targets = _load_csr(*csr_meta)
     if _CSR_CACHE["adj"] is None:
         from repro.core.columnar_rounds import residual_adjacency_lists
 
         _CSR_CACHE["adj"] = residual_adjacency_lists(offsets, targets)
     return _CSR_CACHE["adj"]
-
-
-def _load_transpose(csr_meta: tuple):
-    """The round's CSR transpose-position map (per-round constant).
-
-    The driver publishes the map through the round's shared-memory
-    segment set (it computes it once; without that every worker would
-    redo the same lexsort per round), so workers normally just attach
-    and copy; computing locally is the fallback for metas without one.
-    """
-    offsets, targets = _load_csr(*csr_meta[:4])
-    if _CSR_CACHE["transpose"] is None:
-        transpose_name = csr_meta[4] if len(csr_meta) > 4 else None
-        if transpose_name is not None:
-            shm, view = _attached_array(transpose_name, len(targets))
-            try:
-                _CSR_CACHE["transpose"] = view.copy()
-            finally:
-                del view
-                shm.close()
-        else:
-            from repro.core.batched_games import csr_transpose_positions
-
-            _CSR_CACHE["transpose"] = csr_transpose_positions(
-                offsets, targets
-            )
-    return _CSR_CACHE["transpose"]
 
 
 def _shard_checksum(
@@ -459,50 +430,20 @@ def _play_shard(
     fault_key: tuple[int, int, int] | None = None,
     plan=None,
 ):
-    """Run one shard of coin-game machines inside a worker process.
+    """Run one shard of scalar coin-game machines inside a worker process.
 
-    With ``engine="batched"`` or ``"compiled"`` the shard is a
-    game-index slice of the round's fleet run through the lockstep (or
-    fused-C) engine against the shared CSR; with ``engine="scalar"``
-    each game is interpreted one at a time.  All report the identical
-    :class:`ShardResult` shape.  ``fault_key``/``plan`` are the
-    supervisor's chaos hook (:mod:`repro.ampc.faults`): inline degraded
-    execution passes neither, so the last-resort path never faults.
+    Each game is interpreted one at a time against the shared CSR, and
+    the shard reports a :class:`ShardResult`.  ``fault_key``/``plan``
+    are the supervisor's chaos hook (:mod:`repro.ampc.faults`): inline
+    degraded execution passes neither, so the last-resort path never
+    faults.
     """
     spec = (
         plan.lookup(*fault_key)
         if plan is not None and fault_key is not None else None
     )
     faults.apply_pre(spec)
-    x, beta, clip, horizon, scale, engine, config = params
-    if engine in ("batched", "compiled"):
-        from repro.core.columnar_rounds import run_games_batched_with_fallback
-
-        offsets, targets = _load_csr(*csr_meta[:4])
-        n = len(offsets) - 1
-        out_layer_arr = np.full(n, float("inf"))
-        out_count_arr = np.zeros(n, dtype=np.int64)
-        with defer_full_gc():
-            reads, writes, __ = run_games_batched_with_fallback(
-                offsets, targets, roots,
-                x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
-                out_layer=out_layer_arr, out_count=out_count_arr,
-                transpose_pos=(
-                    _load_transpose(csr_meta)
-                    if engine == "batched" else None
-                ),
-                config=config,
-                engine=engine,
-            )
-        fold_vertices = np.flatnonzero(out_count_arr)
-        fold_minima = out_layer_arr[fold_vertices]
-        fold_counts = out_count_arr[fold_vertices]
-        return _corrupted(spec, ShardResult(
-            reads, writes, fold_vertices, fold_minima, fold_counts,
-            checksum=_shard_checksum(
-                reads, writes, fold_vertices, fold_minima, fold_counts
-            ),
-        ))
+    x, beta, clip, horizon, scale = params
     from repro.core.columnar_rounds import play_coin_game
 
     adj = _load_adjacency(csr_meta)
@@ -556,7 +497,7 @@ def _play_fabric_shard(
     faults.apply_pre(spec)
     from repro.ampc.messaging import run_shard_chain
 
-    offsets, targets = _load_csr(*csr_meta[:4])
+    offsets, targets = _load_csr(*csr_meta)
     with defer_full_gc():
         result = run_shard_chain(
             offsets, targets, sid, roots=roots, positions=positions,
@@ -638,7 +579,9 @@ class CoinGamePool:
         # ``workers`` keeps driving the sharding math (so shard shapes
         # — and therefore the dispatch pattern — depend only on what
         # the caller asked for), while the executor never forks more
-        # processes than the host has cores.  Every observable is
+        # processes than the CPUs this process may use (an affinity mask
+        # or cgroup cpuset can grant fewer than the host has; see
+        # usable_cpus).  Every observable is
         # bit-identical at any process count, so processes beyond the
         # cores can only add cost: each extra runnable CPU-bound worker
         # time-slices the same cores and roughly doubles its kernel
@@ -646,7 +589,7 @@ class CoinGamePool:
         # (the tracked 1-core sweep recorded 11.3/31.4/102.6 s at
         # workers 1/2/4 before this cap — a 9x blow-up where dispatch
         # cost predicts ~1x).
-        self.procs = max(1, min(workers, os.cpu_count() or 1))
+        self.procs = min(workers, usable_cpus())
         self.closed = False
         # Monotonic dispatch sequence number — the "round" coordinate of
         # the supervisor's (round, shard, attempt) fault/retry keys.
@@ -669,7 +612,10 @@ class CoinGamePool:
             # driver's resource-tracker fd (see _attached_array), which
             # spawn/forkserver children do not.  Elsewhere fall back to
             # the default context — functional, at the cost of tracker
-            # noise at worker exit.
+            # noise at worker exit.  The array engines' thread pool may
+            # exist when this forks; its threads are idle then (every
+            # fan-out joins before the round kernel returns), so no
+            # child inherits a lock held mid-operation.
             try:
                 mp_context = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-fork platforms
@@ -1018,32 +964,18 @@ class CoinGamePool:
         clip: int,
         horizon: int,
         scale: int | None,
-        engine: str = "scalar",
-        transpose_pos: np.ndarray | None = None,
-        cohort_games: int | None = None,
         config=None,
     ) -> list[tuple[np.ndarray, ShardResult]]:
-        """Play the games rooted at ``roots`` across the worker fleet.
+        """Play the scalar games rooted at ``roots`` across the worker fleet.
 
         ``positions`` carries each root's index into the round's machine
         array; the return value pairs every shard's position slice with
         its :class:`ShardResult` so the caller can scatter accounting and
-        fold layer deltas (both order-independent operations).
-        ``engine`` selects the per-shard execution (lockstep
-        ``"batched"`` kernels, the fused-C ``"compiled"`` cohort player,
-        or the one-game-at-a-time ``"scalar"`` interpreter).
-
-        ``cohort_games`` shards the fleet at cohort granularity when it
-        spans more than one whole cohort per worker: shard boundaries
-        fall on multiples of the engine's cohort size, so each worker
-        runs whole cache-sized cohorts — the same slices the serial
-        kernel runs — instead of arbitrary re-slices whose partial
-        cohorts amortize worse.  Smaller fleets use evenly balanced
-        slices instead (idle workers cost more than partial cohorts
-        there).  ``transpose_pos`` (batched engine) is published through
-        the round's shared-memory segment set alongside the CSR, so
-        every worker attaches instead of recomputing the per-round
-        lexsort.
+        fold layer deltas (both order-independent operations).  The
+        fleet splits into ``workers × chunks_per_worker`` evenly
+        balanced slices, each interpreted one game at a time.  The array
+        engines never come here: their rounds fan out over threads
+        (:func:`repro.core.columnar_rounds.run_games_batched_with_fallback`).
         """
         if self.closed:
             raise WorkerPoolError("coin-game worker pool is closed")
@@ -1051,20 +983,13 @@ class CoinGamePool:
             return []
         segments: list[SharedMemory] = []
         try:
-            csr_meta, segments = self._publish_csr(
-                offsets, targets, transpose_pos
-            )
-            params = (x, beta, clip, horizon, scale, engine, config)
+            csr_meta, segments = self._publish_csr(offsets, targets)
+            params = (x, beta, clip, horizon, scale)
             max_shards = min(
                 len(roots), self.workers * self.chunks_per_worker
             )
-            if cohort_games and len(roots) > cohort_games * self.workers:
-                bounds = list(range(cohort_games, len(roots), cohort_games))
-                root_chunks = np.split(roots, bounds)
-                position_chunks = np.split(positions, bounds)
-            else:
-                root_chunks = np.array_split(roots, max_shards)
-                position_chunks = np.array_split(positions, max_shards)
+            root_chunks = np.array_split(roots, max_shards)
+            position_chunks = np.array_split(positions, max_shards)
             results: list[tuple[np.ndarray, ShardResult]] = []
 
             def submit(executor, key, fault_key, plan):
@@ -1179,29 +1104,19 @@ class CoinGamePool:
 
     @staticmethod
     def _publish_csr(
-        offsets: np.ndarray,
-        targets: np.ndarray,
-        transpose_pos: np.ndarray | None = None,
+        offsets: np.ndarray, targets: np.ndarray
     ) -> tuple[tuple, list[SharedMemory]]:
-        """Copy the residual CSR (and the transpose map) into shared
-        read-only segments.
+        """Copy the residual CSR into shared read-only segments.
 
-        ``transpose_pos`` — the batched engine's per-round CSR
-        transpose-position map — rides along in its own segment so
-        worker shards patch their row arenas through it without each
-        recomputing the per-round lexsort.  Either every segment is
-        returned (the caller owns their cleanup) or none survive: a
-        failure publishing a later array unlinks the earlier ones before
-        re-raising, so a /dev/shm-full round cannot leak a named OS
-        segment.
+        Either every segment is returned (the caller owns their
+        cleanup) or none survive: a failure publishing the second array
+        unlinks the first before re-raising, so a /dev/shm-full round
+        cannot leak a named OS segment.
         """
-        arrays = [offsets, targets]
-        if transpose_pos is not None:
-            arrays.append(transpose_pos)
         segments: list[SharedMemory] = []
         names = []
         try:
-            for array in arrays:
+            for array in (offsets, targets):
                 array = np.ascontiguousarray(array, dtype=np.int64)
                 shm = SharedMemory(create=True, size=max(1, array.nbytes))
                 segments.append(shm)
@@ -1215,11 +1130,7 @@ class CoinGamePool:
                 shm.close()
                 shm.unlink()
             raise
-        meta = (
-            names[0], names[1], len(offsets), len(targets),
-            names[2] if transpose_pos is not None else None,
-        )
-        return meta, segments
+        return (names[0], names[1], len(offsets), len(targets)), segments
 
     def close(self, cancel: bool = False) -> None:
         """Shut the executor down and join every worker process."""

@@ -160,11 +160,21 @@ _IOTA = np.empty(0, dtype=np.int64)
 
 
 def _iota(total: int) -> np.ndarray:
-    """Read-only ``arange(total)`` from a shared grow-once buffer."""
+    """Read-only ``arange(total)`` from a shared grow-once buffer.
+
+    Shared by the array engines' fan-out threads.  Each call slices the
+    buffer it checked (or built) through a local, never a second read of
+    the global, so its result does not depend on where the interpreter
+    may switch threads.  Racing growers may leave a smaller buffer in
+    the global; every buffer is an ``arange`` prefix, so that only costs
+    a later caller a regrow.
+    """
     global _IOTA
-    if len(_IOTA) < total:
-        _IOTA = np.arange(max(total, 2 * len(_IOTA), 4096), dtype=np.int64)
-    return _IOTA[:total]
+    buf = _IOTA
+    if len(buf) < total:
+        buf = np.arange(max(total, 2 * len(buf), 4096), dtype=np.int64)
+        _IOTA = buf
+    return buf[:total]
 
 
 def _segment_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -27,9 +27,10 @@ Two execution fabrics implement the loop:
   kernels (:mod:`repro.core.columnar_rounds`): the residual graph is one
   CSR gather, the peel round is a degree-mask kernel, and the coin games
   run against flat adjacency lists.  With ``workers > 1`` lca rounds
-  shard their machine fleet over a persistent process pool
-  (:mod:`repro.ampc.pool`) — machines within a round are independent,
-  so sharding is invisible to every observable.
+  fan their machine fleet out over threads (array engines) or a
+  persistent process pool (:mod:`repro.ampc.pool`, the scalar engine
+  and the message fabric) — machines within a round are independent,
+  so the split is invisible to every observable.
 - ``store="dict"`` is the original dict-of-lists path, kept verbatim as
   the semantics oracle: the columnar path reproduces its partitions,
   round counts, and per-round statistics exactly (asserted by the
@@ -77,7 +78,7 @@ class BetaPartitionOutcome:
     x: int  # game budget used (0 in peel mode)
     simulator: AMPCSimulator | None = None
     unlayered_per_round: list[int] = field(default_factory=list)
-    workers: int = 1  # worker processes the lca rounds sharded across
+    workers: int = 1  # threads/processes the lca rounds fanned out over
     engine: str = "scalar"  # execution: "batched", "compiled" or "scalar"
     transport: str = "shm"  # sharding fabric: "shm" (shared CSR) or "message"
     shards: int = 0  # message-fabric shard count (0 under transport="shm")
@@ -92,9 +93,9 @@ class BetaPartitionOutcome:
     # workers > 1: the pool supervisor's recovery counters accumulated
     # over this run (retries / respawns / deadline_kills /
     # checksum_rejects / worker_faults / degraded_shards /
-    # recovery_wall_s) — all zero on an undisturbed run, and accounting
-    # every injected or real fault otherwise.  Empty dict when no pool
-    # was used.
+    # recovery_wall_s) — all zero on an undisturbed run (and on runs
+    # whose rounds all ran on threads), and accounting every injected or
+    # real fault otherwise.  Empty dict when no pool was attached.
     round_recovery: dict = field(default_factory=dict)
 
     @property
@@ -205,13 +206,16 @@ def beta_partition_ampc(
         kernels) or "dict" (the original per-machine path — the oracle the
         columnar path is tested against).
     workers:
-        Worker processes the columnar lca rounds shard their machine
-        fleet across (:mod:`repro.ampc.pool`); None reads
-        ``$REPRO_WORKERS``, defaulting to ``"auto"`` (the CPU count, so
-        1-core hosts stay serial).  A pure throughput knob: results are
-        bit-identical for every value.  The dict-backed oracle accepts
-        the knob but always replays its machines serially — it exists to
-        pin down the semantics the sharded path must reproduce.
+        Parallelism of the columnar lca rounds: the array engines fan
+        each round's games out over that many threads (capped at the
+        usable CPUs), the scalar engine and the message fabric's shard
+        chains over worker processes (:mod:`repro.ampc.pool`).  None
+        reads ``$REPRO_WORKERS``, defaulting to ``"auto"`` (the CPUs
+        this process may use, so 1-CPU hosts stay serial).  A pure
+        throughput knob: results are bit-identical for every value.
+        The dict-backed oracle accepts the knob but always replays its
+        machines serially — it exists to pin down the semantics the
+        parallel paths must reproduce.
     engine:
         Coin-game execution for the columnar lca rounds:
         ``"compiled"`` (the default — each cohort fused into one C
@@ -228,27 +232,28 @@ def beta_partition_ampc(
         ignores it (its machines always run the per-vertex
         :class:`~repro.lca.coin_game.CoinDroppingGame`).
     min_pool_games:
-        Rounds with fewer pending games than this run in-process even
-        when workers > 1 (None: the engine-aware
-        :func:`repro.ampc.pool.min_pool_games_for` cutoff — the batched
-        kernels amortize pool dispatch only on much larger rounds than
-        the scalar interpreter).
+        Rounds with fewer pending games than this run serially even
+        when workers > 1 (None: ``config.min_pool_games``, default
+        :data:`repro.ampc.pool.MIN_POOL_GAMES`).
     phases:
         Optional dict accumulating per-phase wall-clock seconds of the
         lca rounds (``explore`` / ``forward`` / ``fold`` for the batched
         engine, ``native`` / ``fold`` for the compiled one; all keys of
-        the engine always present).  Worker shards are not
-        instrumented, so pool-dispatched rounds leave them at zero —
-        time phase breakdowns with ``workers=1``.
+        the engine always present).  A threaded compiled round books
+        its whole fan-out under ``native``; threaded batched rounds and
+        worker processes are not instrumented and leave the engine's
+        phases at zero — time batched phase breakdowns with
+        ``workers=1``.
     transport:
-        Sharding fabric for the columnar lca rounds: ``"shm"`` (each
-        pool worker attaches the whole shared-memory CSR — the oracle
+        Sharding fabric for the columnar lca rounds: ``"shm"`` (every
+        thread or pool worker sees the whole residual CSR — the oracle
         path) or ``"message"`` (owner-hashed shards holding only their
         residual slice plus a bounded ghost fringe, exchanging typed
         size-capped delta messages — :mod:`repro.ampc.messaging`).  A
         pure memory/communication-discipline knob: every observable is
         bit-identical to ``"shm"`` for any shard count.  ``"message"``
-        requires the columnar store and replaces the process pool.
+        requires the columnar store and replaces the thread fan-out and
+        the scalar process dispatch.
     shards:
         Shard count under ``transport="message"`` (default: ``workers``,
         floored at 2).
@@ -429,9 +434,9 @@ def _run_columnar(
 ) -> BetaPartitionOutcome:
     """The batched columnar loop — observationally identical to the dict
     path, with the residual re-encode, peel round, and DDS-side min-merge
-    running as array kernels.  With workers > 1, lca rounds shard their
-    fleet over the persistent process pool — transparent to every
-    observable."""
+    running as array kernels.  With workers > 1, lca rounds fan their
+    fleet out over threads or the persistent process pool (see
+    :func:`lca_round_kernel`) — transparent to every observable."""
     final_layers: dict[int, float] = {}
     alive = np.arange(graph.num_vertices, dtype=np.int64)
     layer_offset = 0
@@ -459,7 +464,7 @@ def _run_columnar(
             kernel = partial(
                 lca_round_kernel, beta=beta, x=x, pool=pool, engine=engine,
                 min_pool_games=min_pool_games, phases=phases, fabric=fabric,
-                comm=comm, config=config,
+                comm=comm, config=config, workers=workers,
             )
         target = sim.round_vectorized(alive, kernel, reducer=min)
         assigned_vs, assigned_layers = target.layer_assignments()

@@ -37,22 +37,26 @@ dict-backed oracle):
      an iteration costs O(#forwarders + #shares), not O(#holders).
 
 Machines within a round are independent (they all read D_{i-1} only),
-so the fleet can shard across worker processes
-(:class:`repro.ampc.pool.CoinGamePool`) or message-passing shards
-(:class:`repro.ampc.messaging.MessageFabric`); the kernel folds each
-shard's layer-proposal deltas and per-machine counts back through the
-same min/+ accumulators the serial loop uses, making the result
-independent of shard completion order.
+so the fleet can fan out over threads (the array engines), worker
+processes (:class:`repro.ampc.pool.CoinGamePool`, the scalar engine) or
+message-passing shards (:class:`repro.ampc.messaging.MessageFabric`);
+the kernel folds each slice's or shard's layer-proposal deltas and
+per-machine counts back through the same min/+ accumulators the serial
+loop uses, making the result independent of completion order.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from fractions import Fraction
 
 import numpy as np
 
 from repro.ampc.machine import BatchMachineContext
-from repro.ampc.pool import min_pool_games_for
+from repro.ampc.pool import min_pool_games_for, usable_cpus
 from repro.core.batched_games import (
     csr_transpose_positions,
     play_games_batched,
@@ -83,6 +87,11 @@ _INF = float("inf")
 # struct-of-arrays arena stays cache-resident (see
 # run_games_batched_with_fallback); a pure throughput knob.
 COHORT_GAMES = 8192
+
+# The array engines' persistent thread pool as (threads, executor); see
+# _game_threads.
+_GAME_THREADS: tuple[int, ThreadPoolExecutor | None] = (0, None)
+_GAME_THREADS_LOCK = threading.Lock()
 
 
 def residual_csr(
@@ -174,6 +183,28 @@ class LazyAdjacency:
         return row
 
 
+def _game_threads(threads: int) -> ThreadPoolExecutor:
+    """The process-wide thread pool the array engines fan out over.
+
+    Created on first use and kept for the process's lifetime (idle
+    threads cost nothing; the interpreter joins them at exit).  It only
+    ever grows: a fan-out wider than the current pool replaces it with
+    one of ``threads`` threads.  Each fan-out submits exactly its own
+    number of drain loops, so ``workers`` bounds how many run at once.
+    """
+    global _GAME_THREADS
+    with _GAME_THREADS_LOCK:
+        size, executor = _GAME_THREADS
+        if executor is None or size < threads:
+            if executor is not None:
+                executor.shutdown(wait=False)
+            executor = ThreadPoolExecutor(
+                max_workers=threads, thread_name_prefix="repro-games"
+            )
+            _GAME_THREADS = (threads, executor)
+        return executor
+
+
 def run_games_batched_with_fallback(
     offsets: np.ndarray,
     targets: np.ndarray,
@@ -188,9 +219,9 @@ def run_games_batched_with_fallback(
     out_count: np.ndarray,
     want_records: bool = False,
     phases: dict | None = None,
-    transpose_pos: np.ndarray | None = None,
     config=None,
     engine: str = "batched",
+    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, list | None]:
     """An array engine plus its per-game scalar escape hatch.
 
@@ -198,12 +229,24 @@ def run_games_batched_with_fallback(
     budget — see :mod:`repro.core.batched_games`) replay through
     :func:`play_coin_game`, whose fixed-scale Python integers widen to
     bigints (or Fractions for deep horizons); both paths fold into the
-    same ``out_layer``/``out_count`` accumulators.  ``transpose_pos``
-    lets callers that run many fleets against one residual CSR (pool
-    workers, chiefly) reuse the per-round transpose map.  ``engine``
-    picks the cohort player: ``"batched"`` (numpy lockstep) or
-    ``"compiled"`` (the fused C kernel of :mod:`repro.core.native`,
-    bit-identical, no transpose map needed).
+    same ``out_layer``/``out_count`` accumulators.  ``engine`` picks the
+    cohort player: ``"batched"`` (numpy lockstep) or ``"compiled"`` (the
+    fused C kernel of :mod:`repro.core.native`, bit-identical).
+
+    ``workers > 1`` fans the games out over ``min(workers, usable
+    CPUs)`` threads of one persistent pool.  The roots split into about
+    four slices per thread (never more than ``cohort_games`` games
+    each), which the threads claim one at a time, so a slow hub-heavy
+    slice does not stall the others.  Each thread folds into its own
+    accumulators; the caller's are min/+-folded from them after the
+    join, and reads/writes/records scatter back by slice position.
+    cffi drops the GIL for every compiled cohort call and the kernel
+    keeps no global state, so the threads really run in parallel.
+    Ejected games replay on the calling thread after the join.  Thread
+    slices run without ``phases``; instead a threaded compiled run adds
+    its whole fan-out wall time to ``phases["native"]`` once, and the
+    accumulator fold to ``phases["fold"]``.  Every observable is
+    bit-identical to the serial run.
     """
     # Cohort blocking: the engine's state is gathered/scattered millions
     # of times per round, and a whole-fleet arena (hundreds of MB at
@@ -216,33 +259,74 @@ def run_games_batched_with_fallback(
     all_reads = np.zeros(num_games, dtype=np.int64)
     all_writes = np.zeros(num_games, dtype=np.int64)
     records: list | None = [None] * num_games if want_records else None
-    ejected: list[int] = []
+    transpose_pos = None
     if engine == "compiled":
         from repro.core.native import play_games_compiled
 
         play_cohort = play_games_compiled
     else:
         play_cohort = play_games_batched
-        if transpose_pos is None:
-            transpose_pos = csr_transpose_positions(offsets, targets)
-    arena_hint = [0, 0]
-    for start in range(0, num_games, block):
-        stop = min(start + block, num_games)
-        info = play_cohort(
-            offsets, targets, roots[start:stop],
-            x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
-            out_layer=out_layer, out_count=out_count,
-            want_records=want_records, phases=phases,
-            transpose_pos=transpose_pos, arena_hint=arena_hint,
-        )
-        all_reads[start:stop] = info.reads
-        all_writes[start:stop] = info.writes
-        if records is not None:
-            records[start:stop] = info.records
-        ejected.extend((info.ejected + start).tolist())
+        transpose_pos = csr_transpose_positions(offsets, targets)
+
+    threads = min(workers, usable_cpus(), num_games)
+    if threads > 1:
+        pieces = max(4 * threads, -(-num_games // block))
+        pieces = min(pieces, num_games)
+        bounds = (np.arange(pieces + 1) * num_games // pieces).tolist()
+    else:
+        bounds = list(range(0, num_games, block)) + [num_games]
+    claim = itertools.count()
+
+    def drain(layer, count, slice_phases):
+        # Play slices until none are left; next() on a shared counter is
+        # atomic, so every slice is claimed exactly once.
+        arena_hint = [0, 0]
+        ejected = []
+        while (i := next(claim)) < len(bounds) - 1:
+            start, stop = bounds[i], bounds[i + 1]
+            info = play_cohort(
+                offsets, targets, roots[start:stop],
+                x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
+                out_layer=layer, out_count=count,
+                want_records=want_records, phases=slice_phases,
+                transpose_pos=transpose_pos, arena_hint=arena_hint,
+            )
+            all_reads[start:stop] = info.reads
+            all_writes[start:stop] = info.writes
+            if records is not None:
+                records[start:stop] = info.records
+            ejected.extend((info.ejected + start).tolist())
+        return layer, count, ejected
+
+    if threads > 1:
+        n = len(out_layer)
+        executor = _game_threads(threads)
+        t0 = time.perf_counter()
+        futures = [
+            executor.submit(
+                drain, np.full(n, _INF), np.zeros(n, dtype=np.int64), None
+            )
+            for __ in range(threads)
+        ]
+        wait(futures)
+        parts = [future.result() for future in futures]
+        t1 = time.perf_counter()
+        ejected = []
+        for layer, count, part_ejected in parts:
+            np.minimum(out_layer, layer, out=out_layer)
+            out_count += count
+            ejected.extend(part_ejected)
+        if phases is not None:
+            if engine == "compiled":
+                phases["native"] = phases.get("native", 0.0) + t1 - t0
+            phases["fold"] = (
+                phases.get("fold", 0.0) + time.perf_counter() - t1
+            )
+    else:
+        __, __, ejected = drain(out_layer, out_count, phases)
     if ejected:
         adj = LazyAdjacency(offsets, targets)
-        for gi in ejected:
+        for gi in sorted(ejected):
             reads, writes, record = play_coin_game(
                 adj, int(roots[gi]), x, beta, clip, horizon, scale,
                 out_layer, out_count, want_records,
@@ -265,6 +349,7 @@ def lca_round_kernel(
     fabric=None,
     comm: dict | None = None,
     config=None,
+    workers: int = 1,
 ) -> None:
     """One LCA round: every alive machine plays the coin game.
 
@@ -278,30 +363,33 @@ def lca_round_kernel(
     ``"compiled"`` plays each cohort in one fused C pass
     (:mod:`repro.core.native`, bit-identical to batched), ``"scalar"``
     interprets them one at a time (:func:`play_coin_game`, kept
-    verbatim as the oracle).  ``pool`` (a
-    :class:`repro.ampc.pool.CoinGamePool`) shards the fleet across
-    worker processes at cohort granularity — unless the round has fewer
-    than ``min_pool_games`` games (None: the engine-aware
-    :func:`repro.ampc.pool.min_pool_games_for` cutoff — the batched
-    kernels amortize dispatch only on much larger rounds than the
-    scalar interpreter), where dispatch overhead would exceed the games
-    themselves and the round runs in-process.  All layers fold through
-    the same min/+ accumulators, so partitions, per-round stats, and
-    word counts are identical for every knob combination.
+    verbatim as the oracle).
+
+    Rounds of at least ``min_pool_games`` games (None: the run's
+    :func:`repro.ampc.pool.min_pool_games_for` cutoff) go parallel when
+    ``workers > 1``; smaller rounds run serially in-process, where
+    dispatch would cost more than the games.  The array engines fan out
+    over threads (:func:`run_games_batched_with_fallback`) and never
+    touch the process ``pool``.  The scalar engine holds the GIL, so its
+    games shard across the ``pool``'s worker processes
+    (:meth:`repro.ampc.pool.CoinGamePool.run_games`).  All layers fold
+    through the same min/+ accumulators, so partitions, per-round stats,
+    and word counts are identical for every knob combination.
 
     ``phases``, when given, accumulates per-phase wall-clock seconds
     (``explore`` / ``forward`` / ``fold`` from the batched engine,
-    ``native`` / ``fold`` from the compiled one).  Worker shards are not
-    instrumented, but every key of the engine is always present, so a
-    run whose games all went to workers reads as zeros, not missing
-    keys.
+    ``native`` / ``fold`` from the compiled one).  Every key of the
+    engine is always present.  A threaded compiled round books its
+    whole fan-out under ``native``; a threaded batched round and any
+    round played by worker processes leave the engine's own phases at
+    zero.
 
     ``fabric`` (a :class:`repro.ampc.messaging.MessageFabric`) replaces
-    the pool with owner-hashed message-passing shards — every game
-    dispatches (no ``min_pool_games`` gate: the fabric models the
-    memory/communication discipline, not throughput), the round's
+    all of the above with owner-hashed message-passing shards — every
+    game dispatches through the fabric, whose shard chains run on the
+    ``pool``'s processes for rounds above the cutoff.  The round's
     communication counters accumulate into ``comm``, and the fold path
-    is shared with the pool since both return ``(positions,
+    is shared with the scalar pool since both return ``(positions,
     ShardResult)`` pairs.  ``config`` (an
     :class:`repro.ampc.engine_config.EngineConfig`) pins the run's
     cohort/dispatch knobs; None falls back to the module constants.
@@ -313,7 +401,8 @@ def lca_round_kernel(
     horizon = 4 * (clip + 2)
     scale = fixed_coin_scale(beta, horizon)
     if min_pool_games is None:
-        min_pool_games = min_pool_games_for(engine, config)
+        min_pool_games = min_pool_games_for(config)
+    big = len(alive) >= min_pool_games
     if phases is not None:
         keys = (
             ("native", "fold") if engine == "compiled"
@@ -322,8 +411,7 @@ def lca_round_kernel(
         for key in keys:
             phases.setdefault(key, 0.0)
 
-    # Both array engines share the ndarray accumulators and dispatch
-    # branches; only the numpy lockstep engine wants the transpose map.
+    # Both array engines share the ndarray accumulators and run path.
     batched = engine in ("batched", "compiled")
     if batched:
         out_layer: object = np.full(n, _INF)
@@ -365,23 +453,22 @@ def lca_round_kernel(
             engine=engine,
             config=config,
             comm=comm,
-            # Shard chains dispatch to pool workers above the same
-            # amortization cutoff the pool path uses; smaller rounds
-            # (the long tail) run the shards in-process.  Either way
-            # the fabric's observables and counters are identical.
-            pool=(
-                pool if pool is not None and len(alive) >= min_pool_games
-                else None
-            ),
+            # Shard chains dispatch to pool workers above the cutoff;
+            # smaller rounds (the long tail) run the shards in-process.
+            # Either way the fabric's observables and counters are
+            # identical.
+            pool=pool if big else None,
         ))
-    elif pool is not None and len(alive) >= min_pool_games:
-        transpose_pos = (
-            csr_transpose_positions(offsets, targets)
-            if engine == "batched" else None
+    elif batched:
+        reads, writes, __ = run_games_batched_with_fallback(
+            offsets, targets, alive,
+            x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
+            out_layer=out_layer, out_count=out_count,
+            phases=phases, config=config, engine=engine,
+            workers=workers if big else 1,
         )
-        cohort = (
-            COHORT_GAMES if config is None else config.cohort_games
-        )
+        batch.account_at(positions, reads, writes)
+    elif pool is not None and big:
         _fold_shards(pool.run_games(
             offsets,
             targets,
@@ -392,19 +479,8 @@ def lca_round_kernel(
             clip=clip,
             horizon=horizon,
             scale=scale,
-            engine=engine,
-            transpose_pos=transpose_pos,
-            cohort_games=cohort if batched else None,
             config=config,
         ))
-    elif batched:
-        reads, writes, __ = run_games_batched_with_fallback(
-            offsets, targets, alive,
-            x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
-            out_layer=out_layer, out_count=out_count,
-            phases=phases, config=config, engine=engine,
-        )
-        batch.account_at(positions, reads, writes)
     else:
         adj = residual_adjacency_lists(offsets, targets, alive)
         reads = np.zeros(len(alive), dtype=np.int64)

@@ -54,12 +54,18 @@ The incremental-lcm overflow guard is division-based and produces the
 same ejection set as the lockstep engine's ``_escalate`` regardless of
 forwarder iteration order.
 
-Why no per-cohort GIL release is needed: cffi already drops the GIL for
-the duration of every C call, the kernel never calls back into Python,
-and one call covers an entire cohort (thousands of games), so the
-no-Python window is a single long, bounded span — there is nothing left
-to release by hand, and the process pool's worker processes sidestep
-the question entirely.
+Threads and the GIL: cffi drops the GIL for the whole of every C call,
+the kernel never calls back into Python, and it keeps no global or
+static mutable state — every buffer it touches is either passed in by
+the caller or malloc'd for that one call.  One call covers an entire
+slice of a round (hundreds to thousands of games), so the no-Python
+window is a single long, bounded span.  That is what the array engines'
+thread fan-out relies on
+(:func:`repro.core.columnar_rounds.run_games_batched_with_fallback`):
+threads play disjoint game slices concurrently against one shared
+read-only CSR, each into its own ``out_layer``/``out_count``
+accumulators and its own slice of the per-game outputs, so their C
+calls run truly in parallel with nothing to lock.
 
 Loading and fallback
 ====================
@@ -77,6 +83,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 import warnings
 
@@ -92,10 +99,20 @@ _lib = None
 _load_error: BaseException | None = None
 _load_attempted = False
 _warned_fallback = False
+_LOAD_LOCK = threading.Lock()
 
 
 def _load():
-    """Attempt (once) to load the compiled kernel; never raises."""
+    """Attempt (once) to load the compiled kernel; never raises.
+
+    Serialized by a lock so a first call racing in from several threads
+    cannot observe the half-done load as a failure.
+    """
+    with _LOAD_LOCK:
+        _load_locked()
+
+
+def _load_locked():
     global _ffi, _lib, _load_error, _load_attempted
     if _load_attempted:
         return

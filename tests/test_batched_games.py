@@ -4,15 +4,19 @@ The differential matrices in ``tests/test_parallel_equivalence`` pin the
 engine against the dict oracle end-to-end; these tests aim at the
 engine's own moving parts — the shared-CSR transpose map behind row
 patches, cohort blocking, the coin-scale escape hatch (ejection), the
-huge-β escalation fallback, engine-aware and cohort-granular pool
-dispatch, the batched ``query_all`` port the E1/F2 sweeps run on, and
-multi-round partitions whose later rounds replay nothing from earlier
-ones.
+huge-β escalation fallback, the thread fan-out of the array engines
+(bit-identical to the serial run) versus process dispatch of the
+scalar engine, the usable-CPU count behind ``workers="auto"``, the
+batched ``query_all`` port the E1/F2 sweeps run on, and multi-round
+partitions whose later rounds replay nothing from earlier ones.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,9 +28,10 @@ from repro.ampc.pool import (
     _SHARED_POOLS,
     CoinGamePool,
     close_shared_pools,
-    min_pool_games_for,
     resolve_workers,
+    usable_cpus,
 )
+from repro.core import native
 from repro.core.batched_games import (
     csr_transpose_positions,
     play_games_batched,
@@ -246,7 +251,8 @@ class TestWorkersAutoAndThreshold:
         close_shared_pools()
         graph = random_gnm(80, 160, seed=2)
         beta_partition_ampc(
-            graph, 9, store="columnar", workers=2, min_pool_games=1
+            graph, 9, store="columnar", workers=2, min_pool_games=1,
+            engine="scalar",
         )
         pool = _SHARED_POOLS.get(2)
         assert pool is not None and pool._executor is not None
@@ -260,46 +266,240 @@ class TestWorkersAutoAndThreshold:
         assert auto.workers == resolve_workers("auto")
         close_shared_pools()
 
-    def test_engine_aware_threshold(self):
-        assert min_pool_games_for("batched") > min_pool_games_for("scalar")
-
-    def test_batched_rounds_below_cutoff_stay_serial(self):
-        # 600 pending games: above the scalar cutoff (256) but below the
-        # batched one (2048) — the pool must never fork under the
-        # batched engine, and must fork under the scalar engine.
+    def test_array_engines_use_threads_scalar_forks(self, monkeypatch):
+        # 600 pending games, above the one cutoff (256): the default
+        # engine plays them on threads and never forks the executor;
+        # the scalar engine still shards across worker processes.
+        _many_cpus(monkeypatch)
         close_shared_pools()
+        played_on = _spy_cohort_threads(monkeypatch)
         g = random_gnm(600, 1200, seed=2)
-        beta_partition_ampc(g, 9, store="columnar", workers=2, engine="batched")
+        beta_partition_ampc(g, 9, store="columnar", workers=2)
+        assert played_on - {threading.get_ident()}, "no game left the driver"
         pool = _SHARED_POOLS.get(2)
         assert pool is not None and pool._executor is None
         beta_partition_ampc(g, 9, store="columnar", workers=2, engine="scalar")
         assert _SHARED_POOLS[2]._executor is not None
         close_shared_pools()
 
-    def test_cohort_granular_shards(self):
-        # Shard boundaries must fall on cohort multiples when the fleet
-        # spans enough cohorts, so workers run whole cache-sized cohorts.
-        g = random_gnm(64, 128, seed=4)
-        offsets, targets = g.csr()
-        clip = max_provable_layer(16, 3)
-        horizon = 4 * (clip + 2)
-        scale = fixed_coin_scale(3, horizon)
-        roots = np.arange(40, dtype=np.int64)
-        with CoinGamePool(2) as pool:
-            shards = pool.run_games(
-                offsets, targets, roots, roots,
-                x=16, beta=3, clip=clip, horizon=horizon, scale=scale,
-                engine="batched", cohort_games=8,
-            )
-            sizes = sorted(len(p) for p, __ in shards)
-            assert sizes == [8, 8, 8, 8, 8]
-            # Too few cohorts for the fleet: rebalances instead.
-            shards = pool.run_games(
-                offsets, targets, roots[:12], roots[:12],
-                x=16, beta=3, clip=clip, horizon=horizon, scale=scale,
-                engine="batched", cohort_games=8,
-            )
-            assert sum(len(p) for p, __ in shards) == 12
+    def test_auto_counts_usable_cpus_not_installed(self, monkeypatch):
+        # An affinity mask (taskset, a cgroup cpuset) grants fewer CPUs
+        # than the machine has: "auto", the process cap and the thread
+        # cap must all follow the mask.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {5}, raising=False
+        )
+        assert usable_cpus() == 1
+        assert resolve_workers("auto") == 1
+        with CoinGamePool(4) as pool:
+            assert pool.workers == 4 and pool.procs == 1
+        played_on = _spy_cohort_threads(monkeypatch)
+        _play_fleet(random_gnm(300, 600, seed=3), 9, workers=4)
+        assert played_on == {threading.get_ident()}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 4, 6})
+        assert usable_cpus() == 3
+        # Without sched_getaffinity (macOS, Windows) the installed count
+        # is all there is to go on.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert usable_cpus() == 64
+
+
+def _many_cpus(monkeypatch, count=8):
+    """Pretend this process may use ``count`` CPUs, so the thread
+    fan-out engages at workers 2 and 4 even on a 1-CPU host."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+
+
+def _spy_cohort_threads(monkeypatch, ejections=None, barrier=None):
+    """Record the thread idents that play cohorts (both array engines);
+    with ``ejections`` given, also the ejection count of every slice.
+    A ``barrier`` holds each thread at its first slice until all parties
+    have claimed one, so no thread can drain every slice alone."""
+    played_on: set[int] = set()
+
+    def spying(original):
+        def spy(*args, **kwargs):
+            if barrier is not None and threading.get_ident() not in played_on:
+                barrier.wait()
+            info = original(*args, **kwargs)
+            played_on.add(threading.get_ident())
+            if ejections is not None:
+                ejections.append(int(info.ejected.size))
+            return info
+
+        return spy
+
+    monkeypatch.setattr(
+        columnar_rounds, "play_games_batched",
+        spying(columnar_rounds.play_games_batched),
+    )
+    monkeypatch.setattr(
+        native, "play_games_compiled", spying(native.play_games_compiled)
+    )
+    return played_on
+
+
+def _play_fleet(graph, beta, workers, engine="batched", x=None):
+    """One whole-fleet run_games_batched_with_fallback call."""
+    offsets, targets = graph.csr()
+    n = graph.num_vertices
+    x = 2 * (beta + 1) if x is None else x
+    clip = max_provable_layer(x, beta)
+    horizon = 4 * (clip + 2)
+    out_layer = np.full(n, _INF)
+    out_count = np.zeros(n, dtype=np.int64)
+    reads, writes, records = run_games_batched_with_fallback(
+        offsets, targets, np.arange(n, dtype=np.int64),
+        x=x, beta=beta, clip=clip, horizon=horizon,
+        scale=fixed_coin_scale(beta, horizon),
+        out_layer=out_layer, out_count=out_count, want_records=True,
+        engine=engine, workers=workers,
+    )
+    return reads, writes, records, out_layer, out_count
+
+
+def _assert_same_fleet(got, want):
+    """Per-game reads/writes/records and the folded accumulators."""
+    reads, writes, records, out_layer, out_count = got
+    assert np.array_equal(reads, want[0])
+    assert np.array_equal(writes, want[1])
+    assert records == want[2]  # game order
+    assert np.array_equal(out_layer, want[3])
+    assert np.array_equal(out_count, want[4])
+
+
+_ARRAY_ENGINES = [
+    "batched",
+    pytest.param(
+        "compiled",
+        marks=pytest.mark.skipif(
+            not native.available(), reason="compiled kernel unavailable"
+        ),
+    ),
+]
+
+
+class TestThreadFanOut:
+    """workers > 1 fans array-engine games out over threads; every
+    observable must be bit-identical to the serial run."""
+
+    @pytest.mark.parametrize("engine", _ARRAY_ENGINES)
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_hub_heavy_fleet_matches_serial(
+        self, engine, workers, monkeypatch
+    ):
+        # 4 slices per thread: more slices than threads, claimed in
+        # whatever order the threads get to them; the barrier makes
+        # every thread (and its accumulators) take part.
+        _many_cpus(monkeypatch)
+        graph = preferential_attachment(400, 3, seed=21)
+        serial = _play_fleet(graph, 6, 1, engine)
+        barrier = threading.Barrier(workers, timeout=60)
+        played_on = _spy_cohort_threads(monkeypatch, barrier=barrier)
+        threaded = _play_fleet(graph, 6, workers, engine)
+        assert len(played_on - {threading.get_ident()}) == workers
+        _assert_same_fleet(threaded, serial)
+
+    @pytest.mark.parametrize("engine", _ARRAY_ENGINES)
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_ejections_in_several_slices_replay_after_join(
+        self, engine, workers, monkeypatch
+    ):
+        _many_cpus(monkeypatch)
+        graph = preferential_attachment(300, 2, seed=11)
+        monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
+        serial = _play_fleet(graph, 6, 1, engine, x=49)
+        ejections: list[int] = []
+        _spy_cohort_threads(monkeypatch, ejections)
+        replayed_on = set()
+        original = columnar_rounds.play_coin_game
+
+        def replay_spy(*args, **kwargs):
+            replayed_on.add(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(columnar_rounds, "play_coin_game", replay_spy)
+        threaded = _play_fleet(graph, 6, workers, engine, x=49)
+        assert sum(1 for count in ejections if count) >= 2
+        assert replayed_on == {threading.get_ident()}  # on the driver
+        _assert_same_fleet(threaded, serial)
+
+    @pytest.mark.parametrize("engine", _ARRAY_ENGINES)
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_partition_and_round_stats_match_serial(
+        self, engine, workers, monkeypatch
+    ):
+        _many_cpus(monkeypatch)
+        graph = preferential_attachment(500, 3, seed=7)
+        serial = beta_partition_ampc(graph, 7, engine=engine, workers=1)
+        phases: dict = {}
+        threaded = beta_partition_ampc(
+            graph, 7, engine=engine, workers=workers, min_pool_games=1,
+            phases=phases,
+        )
+        _assert_same_outcome(serial, threaded)
+        assert threaded.unlayered_per_round == serial.unlayered_per_round
+        if engine == "compiled":
+            assert phases["native"] > 0.0
+        close_shared_pools()
+
+
+class TestThreadStress:
+    """More threads than cores with a tiny switch interval, so the
+    interpreter interleaves threads as often as it can."""
+
+    def _switch_often(self):
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        return old
+
+    def test_iota_under_concurrent_growth(self, monkeypatch):
+        # A racing grower may swap a different — even smaller — buffer
+        # into the global at any moment; a swapper thread does exactly
+        # that nonstop, and every call must still get a full prefix.
+        monkeypatch.setattr(batched_games, "_IOTA", np.empty(0, np.int64))
+        done = threading.Event()
+
+        def swap():
+            small = np.arange(1, dtype=np.int64)
+            while not done.is_set():
+                batched_games._IOTA = small
+
+        def hammer(seed):
+            rng = np.random.default_rng(seed)
+            for total in rng.integers(2, 5_000, size=2_000).tolist():
+                got = batched_games._iota(total)
+                if len(got) != total or got[-1] != total - 1:
+                    return False
+            return True
+
+        old = self._switch_often()
+        try:
+            swapper = threading.Thread(target=swap)
+            swapper.start()
+            with ThreadPoolExecutor(7) as executor:
+                results = list(executor.map(hammer, range(7), timeout=120))
+        finally:
+            done.set()
+            sys.setswitchinterval(old)
+        swapper.join(timeout=30)
+        assert not swapper.is_alive()
+        assert results == [True] * 7
+
+    @pytest.mark.parametrize("engine", _ARRAY_ENGINES)
+    def test_oversubscribed_fan_out_matches_serial(self, engine, monkeypatch):
+        _many_cpus(monkeypatch, 16)
+        graph = preferential_attachment(300, 3, seed=5)
+        serial = _play_fleet(graph, 6, 1, engine)
+        old = self._switch_often()
+        try:
+            threaded = _play_fleet(graph, 6, 8, engine)
+        finally:
+            sys.setswitchinterval(old)
+        _assert_same_fleet(threaded, serial)
 
 
 class TestQueryAllPort:

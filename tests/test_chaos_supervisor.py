@@ -9,11 +9,14 @@ picklable worker exceptions (``crash``), dead processes that break the
 whole executor (``exit``), checksum-detected corruption (``garbage``),
 results that cannot cross the pipe (``unpicklable``), lost
 shared-memory attachments (``shm-detach``), and completion-order jitter
-(``slow``).  Separate legs cover the hang-deadline kill (a deliberately
-sleeping worker), the degraded-to-serial fallback (every attempt
-faults), teardown hygiene (no orphaned workers or /dev/shm segments
-after any schedule), and the ``close_shared_pools`` double-close
-regression.
+(``slow``).  Shared-memory legs pin ``engine="scalar"``: the array
+engines fan out over threads and never reach the process pool, so
+faults can only be injected where processes still run — the scalar
+oracle and the message fabric's shard chains.  Separate legs cover the
+hang-deadline kill (a deliberately sleeping worker), the
+degraded-to-serial fallback (every attempt faults), teardown hygiene
+(no orphaned workers or /dev/shm segments after any schedule), and the
+``close_shared_pools`` double-close regression.
 """
 
 from __future__ import annotations
@@ -75,22 +78,17 @@ def fresh_pool_env():
 
 
 class TestChaosMatrix:
-    @pytest.mark.parametrize("engine", ["batched", "compiled"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_shm_transport_survives_mixed_faults(
-        self, engine, seed, fresh_pool_env
-    ):
+    def test_shm_transport_survives_mixed_faults(self, seed, fresh_pool_env):
         g = _graph()
-        oracle = beta_partition_ampc(
-            g, 9, store="columnar", workers=1, engine=engine
-        )
+        oracle = beta_partition_ampc(g, 9, store="columnar", workers=1)
         plan = FaultPlan(
             seed=seed, rate=0.35, attempts=2, slow_s=0.005,
             kinds=("crash", "garbage", "unpicklable", "shm-detach", "slow"),
         )
         with faults.inject(plan):
             out = beta_partition_ampc(
-                g, 9, store="columnar", workers=2, engine=engine,
+                g, 9, store="columnar", workers=2, engine="scalar",
                 min_pool_games=1, config=_FAST,
             )
         assert out.partition.layers == oracle.partition.layers
@@ -133,7 +131,7 @@ class TestChaosMatrix:
         with faults.inject(plan):
             out = beta_partition_ampc(
                 g, 9, store="columnar", workers=2, min_pool_games=1,
-                config=_FAST,
+                engine="scalar", config=_FAST,
             )
         assert out.partition.layers == oracle.partition.layers
         rec = out.round_recovery
@@ -145,6 +143,7 @@ class TestChaosMatrix:
         with faults.inject(None):  # isolate from any CI-wide chaos plan
             out = beta_partition_ampc(
                 _graph(), 9, store="columnar", workers=2, min_pool_games=1,
+                engine="scalar",
             )
         rec = dict(out.round_recovery)
         wall = rec.pop("recovery_wall_s")
@@ -167,7 +166,7 @@ class TestHangDeadline:
         with faults.inject(plan):
             out = beta_partition_ampc(
                 g, 9, store="columnar", workers=2, min_pool_games=1,
-                config=cfg,
+                engine="scalar", config=cfg,
             )
         assert out.partition.layers == oracle.partition.layers
         rec = out.round_recovery
@@ -183,7 +182,7 @@ class TestHangDeadline:
         with faults.inject(plan):
             out = beta_partition_ampc(
                 g, 9, store="columnar", workers=2, min_pool_games=1,
-                config=_FAST,
+                engine="scalar", config=_FAST,
             )
         assert out.partition.layers == oracle.partition.layers
         assert out.round_recovery["deadline_kills"] == 0
@@ -202,7 +201,7 @@ class TestDegradedToSerial:
         with faults.inject(FaultPlan(seed=5, rate=1.0, kinds=("crash",))):
             out = beta_partition_ampc(
                 g, 9, store="columnar", workers=2, min_pool_games=1,
-                config=_FAST,
+                engine="scalar", config=_FAST,
             )
         assert out.partition.layers == oracle.partition.layers
         rec = out.round_recovery
@@ -230,13 +229,14 @@ class TestDegradedToSerial:
         with faults.inject(FaultPlan(seed=5, rate=1.0, kinds=("crash",))):
             beta_partition_ampc(
                 g, 9, store="columnar", workers=2, min_pool_games=1,
-                config=_FAST,
+                engine="scalar", config=_FAST,
             )
         # Degradation is per-dispatch, not a pool death sentence: the
         # next clean run uses the pool again with zero recovery.
         with faults.inject(None):
             out = beta_partition_ampc(
                 g, 9, store="columnar", workers=2, min_pool_games=1,
+                engine="scalar",
             )
         assert out.round_recovery["degraded_shards"] == 0
         assert out.round_recovery["retries"] == 0
@@ -256,7 +256,7 @@ class TestTeardownHygiene:
         with faults.inject(plan):
             beta_partition_ampc(
                 _graph(), 9, store="columnar", workers=2, min_pool_games=1,
-                config=_FAST,
+                engine="scalar", config=_FAST,
             )
         assert _shm_segments() <= before
         close_shared_pools()
@@ -301,7 +301,7 @@ class TestTeardownHygiene:
         with faults.inject(None):
             out = beta_partition_ampc(
                 g, 9, store="columnar", workers=2, min_pool_games=1,
-                config=_FAST,
+                engine="scalar", config=_FAST,
             )
         assert out.partition.layers == oracle.partition.layers
         rec = out.round_recovery

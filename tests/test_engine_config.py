@@ -26,7 +26,6 @@ class TestFromEnv:
         cfg = EngineConfig.from_env(env={})
         assert cfg.cohort_games == columnar_rounds.COHORT_GAMES
         assert cfg.min_pool_games == pool.MIN_POOL_GAMES
-        assert cfg.min_pool_games_batched == pool.MIN_POOL_GAMES_BATCHED
         assert cfg.message_cap_words == messaging.MESSAGE_CAP_WORDS
         assert cfg.shard_budget_words is None
         assert cfg.max_shard_retries == pool.MAX_SHARD_RETRIES
@@ -39,7 +38,6 @@ class TestFromEnv:
         cfg = EngineConfig.from_env(env={
             "REPRO_COHORT_GAMES": "128",
             "REPRO_MIN_POOL_GAMES": "7",
-            "REPRO_MIN_POOL_GAMES_BATCHED": "99",
             "REPRO_MESSAGE_CAP_WORDS": "4096",
             "REPRO_SHARD_BUDGET_WORDS": "123456",
             "REPRO_MAX_SHARD_RETRIES": "5",
@@ -50,7 +48,6 @@ class TestFromEnv:
         })
         assert cfg.cohort_games == 128
         assert cfg.min_pool_games == 7
-        assert cfg.min_pool_games_batched == 99
         assert cfg.message_cap_words == 4096
         assert cfg.shard_budget_words == 123456
         assert cfg.max_shard_retries == 5
@@ -84,7 +81,6 @@ class TestFromEnv:
     @pytest.mark.parametrize("name", [
         "REPRO_COHORT_GAMES",
         "REPRO_MIN_POOL_GAMES",
-        "REPRO_MIN_POOL_GAMES_BATCHED",
         "REPRO_MESSAGE_CAP_WORDS",
         "REPRO_SHARD_BUDGET_WORDS",
     ])
@@ -167,20 +163,13 @@ class TestFromEnv:
 
 class TestThreading:
     def test_min_pool_games_for_prefers_config(self):
-        cfg = EngineConfig.from_env(env={}).with_overrides(
-            min_pool_games=11, min_pool_games_batched=22
-        )
-        assert pool.min_pool_games_for("scalar", cfg) == 11
-        assert pool.min_pool_games_for("batched", cfg) == 22
-        assert pool.min_pool_games_for("compiled", cfg) == 22
-        assert pool.min_pool_games_for("scalar") == pool.MIN_POOL_GAMES
-        assert (
-            pool.min_pool_games_for("batched") == pool.MIN_POOL_GAMES_BATCHED
-        )
-        assert (
-            pool.min_pool_games_for("compiled")
-            == pool.MIN_POOL_GAMES_BATCHED
-        )
+        # One cutoff for every engine: threads, processes and the
+        # fabric's shard chains all read the same knob.
+        cfg = EngineConfig.from_env(env={}).with_overrides(min_pool_games=11)
+        assert pool.min_pool_games_for(cfg) == 11
+        assert pool.min_pool_games_for() == pool.MIN_POOL_GAMES
+        fields = {f.name for f in dataclasses.fields(EngineConfig)}
+        assert "min_pool_games_batched" not in fields
 
     def test_knobs_do_not_change_observables(self):
         # A deliberately odd cohort size must be invisible:

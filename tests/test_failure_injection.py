@@ -157,11 +157,13 @@ _NO_DEGRADE = EngineConfig.from_env().with_overrides(
 class TestWorkerPoolFaults:
     def _partition(self, workers, config=None):
         # min_pool_games=1 forces dispatch: this round is smaller than
-        # the default threshold, and the faults only fire inside workers.
+        # the default threshold, and the faults only fire inside worker
+        # processes — which only the scalar engine's rounds use (the
+        # array engines fan out over threads).
         g = random_gnm(120, 240, seed=13)
         return beta_partition_ampc(
             g, 9, store="columnar", workers=workers, min_pool_games=1,
-            config=config,
+            engine="scalar", config=config,
         )
 
     def _oracle_layers(self):
