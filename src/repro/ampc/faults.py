@@ -364,7 +364,7 @@ def rows_checksum(
 
     The digest is slab-granular — one CRC pass per packed array, not a
     python loop over rows — matching the columnar wire format
-    :meth:`repro.ampc.messaging._Shard.serve_rows` ships and
+    :func:`repro.ampc.messaging.run_shard_chain` serves and
     :meth:`~repro.ampc.messaging._Shard.install_ghosts` verifies.
     """
     h = 0x452821E638D01377

@@ -1,10 +1,9 @@
 """Message-passing shard fabric — owner-hashed partitions, bounded deltas.
 
-The process-pool path (:mod:`repro.ampc.pool`) parallelizes a round's
-machine fleet but cheats the AMPC memory model: every worker attaches
-the *entire* residual CSR through shared memory, so the per-machine
-space budget S is fictional.  This module replaces that with a
-simulated distributed fabric in which each shard holds only
+Under the ``"shm"`` transport every coin game reads the *entire*
+residual CSR, so the AMPC per-machine space budget S is fictional.
+``transport="message"`` replaces that with a simulated distributed
+fabric in which each shard holds only
 
 - its **owned residual rows** — the hash partition
   ``owner(v) = splitmix64(v) mod p`` assigns every vertex (and the coin
@@ -36,7 +35,7 @@ are surfaced through the ``comm`` dict and
 ``BetaPartitionOutcome.round_comm``.
 
 ``placement``
-    Driver → shard, once at fabric initialization: the shard's owned
+    Driver → shard, once in the fabric's first round: the shard's owned
     slice of the residual CSR ``(ids, offsets, targets)``.
 ``assignment``
     Driver → shard, per round: the roots of the shard's owned games.
@@ -59,9 +58,9 @@ are surfaced through the ``comm`` dict and
 ``retirement``
     Driver → shards, at the round boundary: the vertices assigned this
     round.  Each shard drops its retired owned rows and prunes retired
-    ids out of its remaining rows — order-preserving, so the pruned
-    slice stays exactly the owner partition of the next round's
-    residual CSR and placement is paid only once.
+    ids out of its remaining rows, which leaves exactly its owner
+    partition of the next round's residual CSR — so placement is paid
+    only once, and each round's shard is rebuilt from that partition.
 
 Ordering and commutativity of the folds
 ---------------------------------------
@@ -115,101 +114,92 @@ Ghost-fringe invalidation rules
     (evict/refetch thrash), and with no budget there is nothing to
     protect.  Either way termination holds: a game's held set grows
     monotonically, and each re-run either commits or requests a row it
-    never held, so sub-rounds are bounded by the largest ball.  The
-    rule is a function of shard-local state only, so the serial loop
-    and the pooled worker chains make identical decisions.
+    never held, so sub-rounds are bounded by the largest ball.
 3.  Owned rows are never ghosted (the owner serves its own reads), and
     a ghost is always a verbatim copy of the owner's current row —
     rows only change at retirement, which happens between rounds, after
     every ghost was dropped (rule 1).
 
-Parallel shard execution (the process-pool transport)
------------------------------------------------------
+One shard round: :func:`run_shard_chain`
+----------------------------------------
 
-With ``workers > 1`` the driver dispatches each shard's *whole* BSP
-chain to the persistent worker pool
-(:meth:`repro.ampc.pool.CoinGamePool.run_fabric_round` →
-:func:`run_shard_chain`) instead of interleaving the shards in-process.
-This is sound because a shard's chain is a pure function of
-``(global residual CSR, its roots, shard count, engine, config,
-budget)``: every row another shard would serve it is a verbatim slice
-of that CSR (ghosts are exact copies and rows never change mid-round),
-so a worker holding the round's shared CSR can serve its own row
-requests — including the seeded first exchange and the
+A shard's whole BSP round is one function, :func:`run_shard_chain`,
+and it is the only implementation of the sub-round loop.  It is a pure
+function of ``(round's residual CSR, the shard's roots, shard count,
+engine, config, budget)``: the shard's owned rows are its owner
+partition of that CSR, and every row another shard would serve it is
+a verbatim slice of the same CSR (ghosts are exact copies and rows
+never change mid-round).  So the chain rebuilds its shard from the
+CSR, serves its own row requests — the seeded first exchange and the
 doubling speculative-prefetch balls (radius ``2^(k-1)`` capped at
 :data:`PREFETCH_RADIUS_CAP`; budgeted shards never speculate) — and
-replay exactly the sub-round chain the serial fabric would run.
-Observable state stays honest on both sides of the process boundary:
+returns its game results plus the trace of requests it made.
+:meth:`MessageFabric.run_round` runs the chains one after another on
+the driver (``workers=1``, or a round below the pool cutoff) or on the
+persistent worker pool
+(:meth:`repro.ampc.pool.CoinGamePool.run_fabric_round`); both feed one
+replay, so every observable and counter is the same on either host:
 
-- **Communication is replayed, not simulated.**  A worker returns its
+- **Communication is replayed, not simulated.**  A chain returns its
   per-sub-round ``(missing, speculative)`` id trace; the driver routes
-  each entry through the very same ``_send`` / row-serving helpers the
-  serial fabric uses, so messages, words, segment counts, row
-  requests/served, and the global sub-round count (a cross-shard
-  *any* per lockstep iteration) are bit-identical to the serial
-  transport.  Replay happens in shard-completion order, overlapped
-  with the still-running shards' play — the only work that may
-  overlap, since it touches no state another shard could observe
-  (``comm_overlap_s`` records the hidden portion; ``shard_wall_s``
-  the slowest worker's in-process chain).
-- **Guard accounting is adopted, not recomputed.**  The worker's
-  :class:`MemoryGuard` replays the exact op sequence (placement,
-  round begin, assignments, exchanges, plays) against the same
-  budget; the driver merges the returned round peak and end-of-round
-  held words per tag onto its persistent shard guards
-  (:meth:`MemoryGuard.adopt`), so driver-side fold accounting stacks
-  on the correct current and ``max_held_words`` matches the serial
-  fabric word for word.  A worker-side :class:`MemoryGuardError` is a
-  protocol outcome, not a pool fault: it passes through verbatim and
-  the pool stays healthy.
-- **Folds stay commutative across workers.**  The driver-side merge
-  of shard results is the same min/+ fold as ever — ``min`` and ``+``
-  are commutative and associative, and per-game charges are
-  position-disjoint — so worker completion
-  order (racy by nature) cannot perturb any observable.
+  each entry through ``_send``, sizing each resolved row as
+  ``2 + deg`` from the round's CSR, so messages, words, segment
+  counts, row requests/served, and the global sub-round count (a
+  cross-shard *any* per lockstep iteration) are what an interleaved
+  lockstep run of the shards would count.  On the pool, replay runs in
+  shard-completion order, overlapped with the still-running shards'
+  play (``comm_overlap_s`` records the hidden portion);
+  ``shard_wall_s`` is the slowest chain's own wall time on either
+  host.
+- **Guard accounting is adopted, not recomputed.**  The driver keeps
+  one persistent :class:`MemoryGuard` per shard and no rows: at round
+  start it re-accounts each guard's ``owned_rows`` from the CSR's
+  owner partition, and after a chain it adopts the chain guard's round
+  peak and end-of-round holdings (:meth:`MemoryGuard.adopt`), so
+  driver-side fold accounting stacks on the correct current and
+  ``max_held_words`` is exact per round.  A chain's
+  :class:`MemoryGuardError` is a protocol outcome, not a pool fault:
+  it passes through verbatim and the pool stays healthy.
+- **Folds stay commutative across shards.**  The driver-side merge
+  of shard results is a min/+ fold — ``min`` and ``+`` are commutative
+  and associative, and per-game charges are position-disjoint — so
+  chain completion order (racy on the pool) cannot perturb any
+  observable.
 
 Retry safety (the supervisor's failure contract)
 ------------------------------------------------
 
-The same purity argument makes shard loss *recoverable*, not just
-parallelizable: a crashed, hung, or corrupted shard chain is re-run
-from the same ``(CSR, roots, shard count, engine, config, budget)``
-inputs and produces the same result bit for bit, so the pool's round
-supervisor (:meth:`repro.ampc.pool.CoinGamePool._run_supervised`) may
-retry, respawn, or fall back to inline driver execution without any
-observable noticing.  Three properties carry the argument across this
-module's state:
+The same purity argument makes the loss of a pooled chain
+*recoverable*: a crashed, hung, or corrupted chain is re-run from the
+same inputs and produces the same result bit for bit, so the pool's
+round supervisor (:meth:`repro.ampc.pool.CoinGamePool._run_supervised`)
+may retry, respawn, or fall back to running the chain inline on the
+driver without any observable noticing.  Three properties carry the
+argument:
 
-- **Comm replay is exactly-once, not idempotent.**  Replaying a
-  shard's ``(missing, speculative)`` trace twice would double the
-  message counters, so the supervisor delivers each shard's result to
-  the driver exactly once, only after its checksum verifies; a lost or
-  corrupted attempt is discarded *before* any driver state mutates.
-- **Guard adoption is protected by the same ordering.**  A faulted
-  attempt never reaches :meth:`MemoryGuard.adopt` — verification runs
-  first — so a fault "mid-adopt" cannot exist on the driver: the
-  guard either adopts one verified attempt's peaks or none, and
+- **Replay is exactly-once, not idempotent.**  Replaying a chain's
+  trace twice would double the message counters and re-adopt its
+  guard, so the supervisor delivers each chain's result to the driver
+  exactly once, only after its checksum verifies; a lost or corrupted
+  attempt is discarded *before* any driver state mutates, and
   ``adopt`` itself is a pure max/assign merge per tag.
-- **Row payloads are integrity-checked.**  Every worker result carries
-  a splitmix64-chained CRC over its arrays and trace
-  (:func:`repro.ampc.faults.payload_checksum`), and row-resolution
-  deliveries into :meth:`_Shard.install_ghosts` verify a
+- **Results are integrity-checked.**  Every pooled result carries a
+  splitmix64-chained CRC over its arrays and trace
+  (:func:`repro.ampc.faults.payload_checksum`).
+- **Row payloads are integrity-checked.**  Row-resolution deliveries
+  into :meth:`_Shard.install_ghosts` verify a
   :func:`repro.ampc.faults.rows_checksum` when one is supplied —
   corruption becomes a detected retry, never a wrong partition.  The
   checksum parameter is the contract a real transport attaches to
-  every row message; the in-process paths hand ``install_ghosts`` the
-  very objects the serving side would digest, so they stamp one only
-  under an active fault plan (:func:`_rows_stamp`) — keeping the
-  verify path exercised by the chaos tier without paying a double
-  digest on every fault-free delivery.
-
-A :class:`MemoryGuardError` stays a deterministic protocol outcome:
-the serial fabric would raise it identically, so the supervisor never
-retries it and passes it through with the pool intact.
+  every row message; a chain hands ``install_ghosts`` the very arrays
+  it served, so it stamps one only under an active fault plan
+  (:func:`_rows_stamp`) — keeping the verify path exercised by the
+  chaos tier without paying a double digest on every fault-free
+  delivery.
 
 The BSP sub-round loop plus the typed, size-capped messages above are
 deliberately the narrow waist: a true multi-host backend (sockets,
-MPI) replaces the pool dispatch and the driver's replay loop with real
+MPI) replaces the chain dispatch and the driver's replay with real
 transport, and the supervisor is the failure contract such a backend
 plugs into — it supplies loss detection (deadlines), bounded
 re-execution, and degradation; the transport only has to report
@@ -345,13 +335,12 @@ class MemoryGuard:
         self.current -= self._held.pop(tag, 0)
 
     def adopt(self, round_peak: int, held: dict[str, int]) -> None:
-        """Adopt a worker-side guard's round outcome onto this guard.
+        """Adopt a shard chain's guard outcome onto this guard.
 
-        The pooled fabric runs a shard's round inside a worker process
-        whose guard replays the exact op sequence the serial fabric
-        would have run (same budget, so a violation raised there first);
-        the driver-side guard — which persists across rounds and still
-        owes the round's fold accounting — takes over the worker's
+        :func:`run_shard_chain` accounts the shard's round on its own
+        guard (same budget, so a violation raises there first); the
+        driver-side guard — which persists across rounds and still owes
+        the round's fold accounting — takes over the chain's
         end-of-round holdings and folds its peak into the counters.
         """
         for tag, words in held.items():
@@ -393,6 +382,18 @@ def _segment_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _owned_words(offsets: np.ndarray, num_shards: int) -> np.ndarray:
+    """Words of each shard's owner partition of the residual CSR (ids,
+    offsets and targets of its rows, as :meth:`_Shard.place` holds
+    them), counted without slicing any row."""
+    deg = np.diff(offsets)
+    sources = np.flatnonzero(deg > 0)
+    owners = owner_of(sources, num_shards)
+    rows = np.bincount(owners, minlength=num_shards)
+    targets = np.bincount(owners, weights=deg[sources], minlength=num_shards)
+    return 2 * rows + 1 + targets.astype(np.int64)
+
+
 class _Shard:
     """One simulated machine: owned rows + ghost fringe, all guarded."""
 
@@ -420,16 +421,24 @@ class _Shard:
 
     # -- owned rows --------------------------------------------------------
 
-    def install_owned(
-        self, ids: np.ndarray, offsets: np.ndarray, targets: np.ndarray
-    ) -> int:
+    def place(self, offsets: np.ndarray, targets: np.ndarray) -> None:
+        """Install this shard's owner partition of the residual CSR:
+        the rows of its owned vertices with residual degree > 0 (an
+        owned vertex without a stored row reads as empty).  Guard words
+        are :func:`_owned_words`' count for this shard."""
+        deg = np.diff(offsets)
+        ids = np.flatnonzero(deg > 0)
+        ids = ids[owner_of(ids, self.num_shards) == self.sid]
+        counts = deg[ids]
         self.row_ids = ids
-        self.row_offsets = offsets
-        self.row_targets = targets
+        self.row_offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.row_offsets[1:])
+        self.row_targets = targets[_segment_indices(offsets[ids], counts)]
         self._owned_index = None
-        words = len(ids) + len(offsets) + len(targets)
-        self.guard.account("owned_rows", words)
-        return words
+        self.guard.account(
+            "owned_rows",
+            len(ids) + len(self.row_offsets) + len(self.row_targets),
+        )
 
     def owned_index(self) -> dict[int, int]:
         """id → slot of the owned slice (ids are static within a round,
@@ -440,22 +449,10 @@ class _Shard:
             }
         return self._owned_index
 
-    def owned_row(self, v: int) -> np.ndarray:
-        """The residual row of owned vertex ``v`` (implicitly empty rows
-        — isolated alive vertices — are served as empty)."""
-        i = int(np.searchsorted(self.row_ids, v))
-        if i < len(self.row_ids) and self.row_ids[i] == v:
-            return self.row_targets[
-                self.row_offsets[i]:self.row_offsets[i + 1]
-            ]
-        return _EMPTY
-
     def row_extents(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(start, len)`` of each requested owned row — the single
-        sizing rule :meth:`serve_rows` and :meth:`served_words` share,
-        so word accounting can never drift from the payloads actually
-        shipped.  A vertex without a stored row (missing, or implicitly
-        empty) extends to length 0."""
+        """``(start, len)`` of each requested owned row.  A vertex
+        without a stored row (missing, or implicitly empty) extends to
+        length 0."""
         pos = np.searchsorted(self.row_ids, ids)
         inb = pos < len(self.row_ids)
         hit = np.zeros(len(ids), dtype=bool)
@@ -464,63 +461,6 @@ class _Shard:
         ends = self.row_offsets[np.minimum(pos + 1, len(self.row_ids))]
         lens = np.where(hit, ends - starts, 0)
         return np.where(hit, starts, 0), lens
-
-    def serve_rows(
-        self, ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One packed ``(ids, lens, targets)`` slab for a request batch
-        — the columnar row-resolution wire format (one gather instead
-        of a python tuple per row; serving is driver-hot).  Payload
-        words are ``2 + len`` per row, identical to the old per-row
-        framing, so comm accounting semantics are unchanged."""
-        starts, lens = self.row_extents(ids)
-        return ids, lens, self.row_targets[_segment_indices(starts, lens)]
-
-    def served_words(self, ids: np.ndarray) -> np.ndarray:
-        """Payload words :meth:`serve_rows` would ship per id, without
-        materializing the rows (the pooled driver replays a worker's
-        row exchanges for accounting only — the worker already served
-        itself from the shared CSR)."""
-        return 2 + self.row_extents(ids)[1]
-
-    def retire(self, retired: np.ndarray) -> None:
-        """Drop retired owned rows; prune retired ids from the rest.
-
-        Filtering preserves target order, so the pruned slice equals the
-        owner partition of the next round's residual CSR.  Ghosts were
-        already dropped at ``finish_round`` (invalidation rule 1).
-        """
-        if not len(self.row_ids):
-            return
-        keep_rows = ~_in_sorted(self.row_ids, retired)
-        keep_tgts = ~_in_sorted(self.row_targets, retired)
-        row_index = np.repeat(
-            np.arange(len(self.row_ids), dtype=np.int64),
-            np.diff(self.row_offsets),
-        )
-        counts_all = np.bincount(
-            row_index[keep_tgts], minlength=len(self.row_ids)
-        )
-        # Rows whose every target retired are dropped with the retired
-        # rows: a source with no surviving targets has residual degree 0,
-        # and the owner partition of the next round's CSR (what
-        # _distribute builds) holds rows for deg>0 sources only.  Served
-        # rows are unchanged either way (a missing owned row reads as
-        # empty), but pooled execution reconstructs each shard from the
-        # round's CSR, so the pruned slice must *equal* that partition —
-        # guard words included — not merely serve the same rows.
-        keep_rows &= counts_all > 0
-        counts = counts_all[keep_rows]
-        self.row_targets = self.row_targets[keep_tgts & keep_rows[row_index]]
-        self.row_ids = self.row_ids[keep_rows]
-        self.row_offsets = np.zeros(len(self.row_ids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.row_offsets[1:])
-        self._owned_index = None
-        self.guard.account(
-            "owned_rows",
-            len(self.row_ids) + len(self.row_offsets) + len(self.row_targets),
-        )
-
 
     # -- ghost fringe ------------------------------------------------------
 
@@ -640,23 +580,13 @@ class _Shard:
         mask |= _in_sorted(vertices, ghost_ids)
         return mask
 
-    def row_of(self, v: int) -> np.ndarray | None:
-        """Held row of ``v`` (owned or ghost), or None when not held."""
-        if int(owner_of(np.asarray([v]), self.num_shards)[0]) == self.sid:
-            return self.owned_row(v)
-        return self.ghost_row(v)
-
 
 class _ShardRound:
     """Round-local game state of one shard (valid/invalid, pins, folds)."""
 
-    def __init__(
-        self, shard: _Shard, roots: np.ndarray, positions: np.ndarray,
-        engine: str,
-    ) -> None:
+    def __init__(self, shard: _Shard, roots: np.ndarray, engine: str) -> None:
         self.shard = shard
         self.roots = roots
-        self.positions = positions
         self.engine = engine
         g = len(roots)
         self.valid = np.zeros(g, dtype=bool)
@@ -1350,8 +1280,8 @@ def _rows_stamp(
     detect corruption — the parameter exists as the integrity contract
     a future socket/MPI transport attaches to each row slab.  Stamp
     (and thereby verify) only under an active fault plan, so the chaos
-    tier keeps the verify path exercised while fault-free deliveries —
-    including the serial path — skip the double digest.
+    tier keeps the verify path exercised while fault-free deliveries
+    skip the double digest.
     """
     if faults.active_plan() is None:
         return None
@@ -1365,7 +1295,6 @@ def run_shard_chain(
     *,
     num_shards: int,
     roots: np.ndarray,
-    positions: np.ndarray,
     x: int,
     beta: int,
     clip: int,
@@ -1376,26 +1305,21 @@ def run_shard_chain(
     budget_words: int | None = None,
     fault=None,
 ) -> dict:
-    """One shard's complete BSP round, self-served from the global CSR.
+    """One shard's complete BSP round, self-served from the round's CSR.
 
-    This is the worker side of the pooled fabric
-    (:meth:`repro.ampc.pool.CoinGamePool.run_fabric_round`).  A shard's
-    sub-round chain is a pure function of (residual CSR, its roots,
-    shard count, engine, config, budget): every row another shard would
-    serve it is a verbatim slice of the round's CSR, so the worker
-    reconstructs its owned partition from the shared CSR (exactly what
-    :meth:`MessageFabric._distribute` built — retirement prunes the
-    driver's slices down to the same shape), serves its own row requests
-    straight from the CSR, and runs the identical guard/ghost/play
-    sequence the serial fabric runs for that shard.
+    The only implementation of a shard's sub-round loop:
+    :meth:`MessageFabric.run_round` calls it inline on the driver or
+    through :meth:`repro.ampc.pool.CoinGamePool.run_fabric_round` in a
+    worker process.  The shard is rebuilt as its owner partition of the
+    CSR (:meth:`_Shard.place`), and every row another shard would serve
+    it is a verbatim CSR slice, so the chain serves its own row requests
+    and the result is a pure function of its arguments.
 
-    Besides its game results the worker returns the per-sub-round
-    ``(missing, speculative)`` id trace of requests it *would* have sent
-    and its guard's round peak and end-of-round holdings; the driver
-    replays the trace through the same ``_send``/word-counting helpers
-    (overlapped with the other shards' play) and adopts the guard
-    numbers, so comm counters and ``max_held_words`` are bit-identical
-    to the serial fabric for every (engine, shards, workers) combination.
+    Besides its game results the chain returns the per-sub-round
+    ``(missing, speculative)`` id trace of requests it sent and its
+    guard's round peak and end-of-round holdings; the driver replays the
+    trace through its word-counting helpers and adopts the guard
+    numbers (:meth:`MemoryGuard.adopt`).
 
     ``fault`` is an optional injected :class:`repro.ampc.faults.Fault`
     of kind ``"slab"``: the first row slab is corrupted *after* the
@@ -1405,17 +1329,12 @@ def run_shard_chain(
     t0 = time.perf_counter()
     shard = _Shard(sid, num_shards, budget_words)
     deg = np.diff(offsets)
-    sources = np.flatnonzero(deg > 0)
-    sources = sources[owner_of(sources, num_shards) == sid]
-    counts = deg[sources]
-    row_offsets = np.zeros(len(sources) + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_offsets[1:])
-    shard.install_owned(
-        sources, row_offsets,
-        targets[_segment_indices(offsets[sources], counts)],
-    )
+    shard.place(offsets, targets)
     shard.guard.begin_round()
-    run = _ShardRound(shard, roots, positions, engine)
+    run = _ShardRound(shard, roots, engine)
+    # Exchange runs *before* play: the first missing sets are seeded
+    # from the owned root rows, so the opening all-miss discovery wave
+    # never happens.
     run.seed_missing(num_shards)
     params = {
         "x": x, "beta": beta, "clip": clip, "horizon": horizon,
@@ -1432,11 +1351,24 @@ def run_shard_chain(
         if not miss.size and played:
             break
         sub_round += 1
+        # Speculative service radius.  The seed exchange ships each
+        # game's layer-two ball alongside its layer-one fringe — most
+        # balls stop there, so most games commit on their first play.
+        # Later exchanges double the radius per sub-round: the games
+        # still pending are the deep tail, and chasing their balls one
+        # fetched layer at a time costs one sub-round per layer, while
+        # doubling makes the remaining chain O(log r).
         radius = min(1 << (sub_round - 1), PREFETCH_RADIUS_CAP)
         extra = _EMPTY
         if miss.size:
-            # Same speculation policy as the serial loop: a budgeted
-            # shard never speculates (see MessageFabric.run_round).
+            # Speculation is a pure wall-clock optimization: a budgeted
+            # shard never speculates.  The S budget bounds the shard's
+            # *peak* held words — ghost payloads plus the play scratch
+            # their compacted universe induces — and that peak depends
+            # on rows the shard has not seen yet, so no request-time
+            # headroom check can keep an optimistic ball safely under
+            # it.  Direct fetches alone already color every graph the
+            # budget admits.
             spec_cap = None if budget_words is None else 0
             extra = _expand_ball(
                 offsets, targets, deg, miss, radius, shard, spec_cap
@@ -1464,9 +1396,8 @@ def run_shard_chain(
             shard.install_ghosts(wanted, lens, slab, checksum=stamp)
             install_s += time.perf_counter() - ts
             run.attribute_expansions(extra)
-        # Same budget-only mid-round eviction rule as the serial loop
-        # (see MessageFabric.run_round) — the schedules must match wave
-        # for wave or the guard peaks would diverge.
+        # Mid-round eviction is S-budget discipline (invalidation rule
+        # 2), so only a budgeted shard with pending games evicts.
         if budget_words is not None and run.pending().size:
             shard.evict_ghosts(run.pinned_ghosts())
         if run.pending().size:
@@ -1497,11 +1428,13 @@ def run_shard_chain(
 class MessageFabric:
     """The driver-side fabric: ``p`` owner-hashed shards + typed routing.
 
-    Shards are simulated in-process (the fabric models the memory and
-    communication discipline of a distributed run — throughput sharding
-    is the process pool's job), but every byte a shard holds and every
-    word that crosses a shard boundary is accounted as if they were
-    separate machines.  ``run_round`` plugs into
+    The driver holds no shard rows: it keeps one persistent
+    :class:`MemoryGuard` per shard plus the communication counters, and
+    each round runs every shard's :func:`run_shard_chain` — inline, or
+    on the process pool when one is given — then replays the chains'
+    traces as if the shards were separate machines: every word a shard
+    holds and every word that crosses a shard boundary is accounted.
+    ``run_round`` plugs into
     :func:`repro.core.columnar_rounds.lca_round_kernel` in place of the
     pool and returns the same ``(positions, ShardResult)`` pairs.
     """
@@ -1518,19 +1451,23 @@ class MessageFabric:
             raise ValueError("num_shards must be >= 1")
         self.num_shards = num_shards
         self.budget_words = budget_words
-        self.cap_words = int(cap_words) if cap_words else MESSAGE_CAP_WORDS
+        self.cap_words = (
+            MESSAGE_CAP_WORDS if cap_words is None else int(cap_words)
+        )
         if self.cap_words < 4:
             raise ValueError("cap_words must be >= 4 (one row header)")
-        self.shards = [
-            _Shard(sid, num_shards, budget_words) for sid in range(num_shards)
+        self.guards = [
+            MemoryGuard(budget_words, name=f"shard[{sid}]")
+            for sid in range(num_shards)
         ]
         self.placed = False
         self.peak_held_words = 0
-        self.total_messages = 0
-        self.total_words = 0
 
     # -- counters ----------------------------------------------------------
 
+    # shard_wall_s is the slowest shard chain's own wall time (inline or
+    # in a pool worker); comm_overlap_s the driver replay hidden behind
+    # still-running pooled chains (always 0 inline).
     _COMM_KEYS = (
         "messages", "words", "subrounds", "row_requests", "rows_served",
         "placement_words", "retirement_words", "fold_words", "result_words",
@@ -1556,8 +1493,6 @@ class MessageFabric:
             messages = max(1, -(-words // self.cap_words))
         comm["messages"] += messages
         comm["words"] += words
-        self.total_messages += messages
-        self.total_words += words
         if src is not None:
             shard_words[src] += words
         if dst is not None:
@@ -1589,42 +1524,20 @@ class MessageFabric:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _distribute(
-        self, offsets: np.ndarray, targets: np.ndarray, comm: dict,
-        shard_words: list[int],
-    ) -> None:
-        """Initial placement: slice the residual CSR by owner hash."""
-        deg = np.diff(offsets)
-        sources = np.flatnonzero(deg > 0)
-        owners = owner_of(sources, self.num_shards)
-        for sid, shard in enumerate(self.shards):
-            ids = sources[owners == sid]
-            counts = deg[ids]
-            row_offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-            np.cumsum(counts, out=row_offsets[1:])
-            row_targets = targets[_segment_indices(offsets[ids], counts)]
-            words = shard.install_owned(ids, row_offsets, row_targets)
-            comm["placement_words"] += words
-            self._send(comm, shard_words, words, dst=sid)
-        self.placed = True
-
     def retire(self, assigned: np.ndarray, comm: dict | None = None) -> None:
-        """Broadcast retirement notices for this round's assignments."""
-        if not self.placed:
+        """Broadcast retirement notices for this round's assignments.
+
+        Only the notices are counted: the next round's shards are
+        rebuilt from the next residual CSR, which is exactly what each
+        shard's pruned slice would be.
+        """
+        retired = len(assigned)
+        if not self.placed or comm is None or not retired:
             return
-        retired = np.sort(np.asarray(assigned, dtype=np.int64))
-        if not retired.size:
-            return
-        if comm is not None:
-            self._init_comm(comm)
-        for shard in self.shards:
-            shard.retire(retired)
-            if comm is not None:
-                comm["retirement_words"] += len(retired)
-                self._send(
-                    comm, [0] * self.num_shards, len(retired),
-                    dst=shard.sid,
-                )
+        self._init_comm(comm)
+        for sid in range(self.num_shards):
+            comm["retirement_words"] += retired
+            self._send(comm, [0] * self.num_shards, retired, dst=sid)
 
     def run_round(
         self,
@@ -1651,208 +1564,64 @@ class MessageFabric:
         the shard owning the *vertex* (both scatter through commutative
         accumulators, so the split is invisible).
 
-        ``pool`` (a :class:`repro.ampc.pool.CoinGamePool`) runs each
-        shard's BSP chain in a worker process instead of in-process (see
-        :func:`run_shard_chain`) — a pure throughput knob: the driver
-        replays every shard's communication for the counters and adopts
-        its guard peaks, so all observables and all comm/memory numbers
-        are bit-identical to the serial fabric.
+        Every shard with games runs one :func:`run_shard_chain`: inline
+        on the driver when ``pool`` is None, else on the ``pool``'s
+        worker processes (a :class:`repro.ampc.pool.CoinGamePool`).
+        Either way the driver replays each chain's communication for
+        the counters and adopts its guard peak, so all observables and
+        all comm/memory numbers are the same on both hosts.
         """
         if config is None:
             from repro.ampc.engine_config import EngineConfig
 
             config = EngineConfig.from_env()
         comm = self._init_comm({} if comm is None else comm)
-        shard_words = [0] * self.num_shards
-        # Ghosts are dropped at the *end* of a round (finish_round), so
-        # a round starts with each shard holding exactly its owned rows.
-        for shard in self.shards:
-            shard.guard.begin_round()
-        if not self.placed:
-            self._distribute(offsets, targets, comm, shard_words)
-
-        owners = owner_of(roots, self.num_shards)
-        params = {
-            "x": x, "beta": beta, "clip": clip, "horizon": horizon,
-            "scale": scale,
-        }
-        if pool is not None and len(roots):
-            return self._run_round_pooled(
-                pool, offsets, targets, roots, positions, owners, params,
-                engine, config, comm, shard_words,
-            )
-        runs: list[_ShardRound] = []
-        for sid, shard in enumerate(self.shards):
-            sel = np.flatnonzero(owners == sid)
-            if sel.size:
-                self._send(comm, shard_words, 2 * sel.size, dst=sid)
-            runs.append(
-                _ShardRound(shard, roots[sel], positions[sel], engine)
-            )
-
-        # BSP sub-rounds: exchange missing rows, play, validate, repeat.
-        # Exchange runs *before* play: the first missing sets are seeded
-        # from the owned root rows, so the opening fleet-wide all-miss
-        # discovery wave never happens.
-        deg_global = np.diff(offsets)
-        for run in runs:
-            run.seed_missing(self.num_shards)
-        sub_round = 0
-        played = False
-        while True:
-            src_missing: list[np.ndarray] = []
-            total_missing = 0
-            for run in runs:
-                miss = run.missing_union()
-                src_missing.append(miss)
-                total_missing += int(miss.size)
-            if not total_missing and played:
-                break
-            if total_missing:
-                comm["subrounds"] += 1
-            sub_round += 1
-            # Speculative service radius.  The seed exchange ships each
-            # game's layer-two ball alongside its layer-one fringe —
-            # most balls stop there, so most games commit on their first
-            # play.  Later exchanges double the radius per sub-round:
-            # the games still pending are the deep tail, and chasing
-            # their balls one fetched layer at a time costs one
-            # sub-round per layer, while doubling makes the remaining
-            # chain O(log r).
-            radius = min(1 << (sub_round - 1), PREFETCH_RADIUS_CAP)
-            for sid, miss in enumerate(src_missing):
-                if not miss.size:
-                    continue
-                shard = self.shards[sid]
-                # Speculation is a pure wall-clock optimization: a
-                # budgeted shard never speculates.  The S budget bounds
-                # the shard's *peak* held words — ghost payloads plus
-                # the play scratch their compacted universe induces —
-                # and that peak depends on rows the shard has not seen
-                # yet, so no request-time headroom check can keep an
-                # optimistic ball safely under it.  Direct fetches
-                # alone already color every graph the budget admits.
-                spec_cap = None if shard.guard.budget_words is None else 0
-                extra = _expand_ball(
-                    offsets, targets, deg_global, miss, radius, shard,
-                    spec_cap,
-                )
-                wanted = (
-                    np.concatenate([miss, extra]) if extra.size else miss
-                )
-                owners_w = owner_of(wanted, self.num_shards)
-                for dst in _sorted_unique(owners_w).tolist():
-                    ids = np.sort(wanted[owners_w == dst])
-                    owner = self.shards[dst]
-                    self._send(comm, shard_words, len(ids), src=sid, dst=dst)
-                    comm["row_requests"] += len(ids)
-                    ts = time.perf_counter()
-                    s_ids, s_lens, s_tgts = owner.serve_rows(ids)
-                    stamp = _rows_stamp(s_ids, s_lens, s_tgts)
-                    comm["serve_s"] += time.perf_counter() - ts
-                    self._send(
-                        comm, shard_words, 2 * len(s_ids) + len(s_tgts),
-                        src=dst, dst=sid,
-                        messages=self._row_segments(2 + s_lens),
-                    )
-                    comm["rows_served"] += len(s_ids)
-                    ts = time.perf_counter()
-                    shard.install_ghosts(
-                        s_ids, s_lens, s_tgts, checksum=stamp
-                    )
-                    comm["install_s"] += time.perf_counter() - ts
-                runs[sid].attribute_expansions(extra)
-            for run in runs:
-                # Mid-round eviction is S-budget discipline, and only
-                # budgeted shards need it: an unbudgeted shard keeps its
-                # whole fringe until finish_round, because evicting rows
-                # whose fetching games committed just makes the pending
-                # tail re-request them a wave later (evict/refetch
-                # thrash), and finish_round drops the fringe at the
-                # round boundary anyway.  Per-shard pure,
-                # like the worker chain: a shard whose games all
-                # committed has left its BSP loop and evicts no further
-                # — its last exchange rides to finish_round.
-                if (run.shard.guard.budget_words is not None
-                        and run.pending().size):
-                    run.shard.evict_ghosts(run.pinned_ghosts())
-            for run in runs:
-                if run.pending().size:
-                    run.play(params, config)
-            played = True
-
-        for run in runs:
-            run.shard.finish_round()
-            comm["compact_s"] += run.compact_s
-            comm["play_s"] += run.play_s
-
-        per_shard = []
-        for run in runs:
-            proof_u, proof_l, proof_c = run.proof_columns()
-            per_shard.append({
-                "positions": run.positions,
-                "roots": run.roots,
-                "reads": run.reads,
-                "writes": run.writes,
-                "ejected_games": run.ejected_games,
-                "ball_max": (
-                    int(run.ball_words.max()) if run.ball_words.size else 0
-                ),
-                "proof_u": proof_u,
-                "proof_l": proof_l,
-                "proof_c": proof_c,
-            })
-        return self._fold_and_results(comm, shard_words, per_shard)
-
-    def _run_round_pooled(
-        self, pool, offsets, targets, roots, positions, owners, params,
-        engine, config, comm, shard_words,
-    ) -> list[tuple[np.ndarray, "object"]]:
-        """Dispatch each shard's BSP chain to a pool worker, replaying
-        its communication for the counters as results stream back.
-
-        Each worker runs :func:`run_shard_chain` — the full serial
-        per-shard protocol, self-served from the shared CSR — so the
-        games, the guard op sequence, and the request ids are exactly
-        the serial fabric's.  The driver's only per-shard work is
-        bookkeeping: replaying the returned request trace through
-        ``_send``/:meth:`_Shard.served_words` (row payload words come
-        from the driver's own identical slices) and adopting the
-        worker's guard peak.  Replay happens in completion order while
-        the remaining shards are still playing; ``comm_overlap_s``
-        records how much accounting was hidden behind play, and
-        ``shard_wall_s`` the slowest shard's in-worker wall time.
-        """
         num = self.num_shards
+        shard_words = [0] * num
+        # Each round's shard is the owner partition of this round's CSR
+        # (ghosts dropped at the end of the previous round), so every
+        # guard starts the round holding exactly those words.
+        words = _owned_words(offsets, num)
+        for guard, held in zip(self.guards, words.tolist()):
+            guard.account("owned_rows", held)
+            guard.begin_round()
+        if not self.placed:
+            for sid, held in enumerate(words.tolist()):
+                comm["placement_words"] += held
+                self._send(comm, shard_words, held, dst=sid)
+            self.placed = True
+
+        owners = owner_of(roots, num)
+        deg = np.diff(offsets)
         jobs = []
-        roots_by: list[np.ndarray] = []
-        pos_by: list[np.ndarray] = []
+        per_shard: list[dict] = []
         for sid in range(num):
             sel = np.flatnonzero(owners == sid)
-            roots_by.append(roots[sel])
-            pos_by.append(positions[sel])
+            per_shard.append({
+                "positions": positions[sel], "roots": roots[sel],
+                "reads": _EMPTY, "writes": _EMPTY,
+                "ejected_games": 0, "ball_max": 0,
+                "proof_u": _EMPTY, "proof_l": _EMPTY, "proof_c": _EMPTY,
+            })
             if sel.size:
                 self._send(comm, shard_words, 2 * sel.size, dst=sid)
-                jobs.append((sid, roots[sel], positions[sel]))
-        payload = dict(params)
-        payload.update(
-            num_shards=num, engine=engine, config=config,
-            budget_words=self.budget_words,
-        )
-        shard_res: list[dict | None] = [None] * num
+                jobs.append((sid, roots[sel]))
+        payload = {
+            "x": x, "beta": beta, "clip": clip, "horizon": horizon,
+            "scale": scale, "num_shards": num, "engine": engine,
+            "config": config, "budget_words": self.budget_words,
+        }
+        delivered: set[int] = set()
         miss_sizes: list[list[int]] = [[] for __ in range(num)]
         state = {"overlap": 0.0, "wall": 0.0}
 
         def on_result(sid: int, res: dict, others_running: bool) -> None:
             t0 = time.perf_counter()
-            shard_res[sid] = res
+            delivered.add(sid)
             state["wall"] = max(state["wall"], res["wall_s"])
-            self.shards[sid].guard.adopt(
-                res["guard_peak"], res["guard_held"]
-            )
-            # Replay the worker's request trace slab-at-a-time for the
-            # counters; row payload words come from the driver's own
-            # identical CSR slices via served_words, never re-gathered.
+            self.guards[sid].adopt(res["guard_peak"], res["guard_held"])
+            # Replay the chain's request trace slab-at-a-time for the
+            # counters; each resolved row ships 2 + deg payload words.
             for miss, extra in res["trace"]:
                 miss_sizes[sid].append(int(miss.size))
                 if not miss.size:
@@ -1865,64 +1634,50 @@ class MessageFabric:
                     ids = np.sort(wanted[owners_w == dst])
                     self._send(comm, shard_words, len(ids), src=sid, dst=dst)
                     comm["row_requests"] += len(ids)
-                    row_words = self.shards[dst].served_words(ids)
+                    row_words = 2 + deg[ids]
                     self._send(
                         comm, shard_words, int(row_words.sum()),
                         src=dst, dst=sid,
                         messages=self._row_segments(row_words),
                     )
-                    comm["rows_served"] += len(row_words)
-            comm["serve_s"] += res["serve_s"]
-            comm["install_s"] += res["install_s"]
-            comm["compact_s"] += res["compact_s"]
-            comm["play_s"] += res["play_s"]
+                    comm["rows_served"] += len(ids)
+            for key in ("serve_s", "install_s", "compact_s", "play_s"):
+                comm[key] += res[key]
+            per_shard[sid].update(
+                (key, res[key]) for key in (
+                    "reads", "writes", "ejected_games", "ball_max",
+                    "proof_u", "proof_l", "proof_c",
+                )
+            )
             if others_running:
                 state["overlap"] += time.perf_counter() - t0
 
-        pool.run_fabric_round(offsets, targets, jobs, payload, on_result)
+        if pool is None:
+            for sid, shard_roots in jobs:
+                on_result(sid, run_shard_chain(
+                    offsets, targets, sid, roots=shard_roots, **payload
+                ), False)
+        else:
+            pool.run_fabric_round(offsets, targets, jobs, payload, on_result)
 
+        for sid, __ in jobs:
+            if sid not in delivered:
+                # The supervisor contract is exactly-once delivery per
+                # dispatched shard; an empty fill here would complete
+                # the round with a wrong partition, so a missing result
+                # is a loud driver bug, never a default.
+                raise RuntimeError(
+                    f"fabric shard {sid} was dispatched but never "
+                    "delivered a result"
+                )
         # Lockstep sub-round k spans every shard's k-th exchange; the
-        # global counter ticks whenever any shard requested rows then —
-        # identically the serial loop's any-missing test.
+        # global counter ticks whenever any shard requested rows then.
         depth = max((len(sizes) for sizes in miss_sizes), default=0)
         for k in range(depth):
             if any(len(sizes) > k and sizes[k] for sizes in miss_sizes):
                 comm["subrounds"] += 1
         comm["shard_wall_s"] = max(comm["shard_wall_s"], state["wall"])
         comm["comm_overlap_s"] += state["overlap"]
-
-        per_shard = []
-        dispatched = {job[0] for job in jobs}
-        for sid in range(num):
-            res = shard_res[sid]
-            if res is None:
-                if sid in dispatched:
-                    # The supervisor contract is exactly-once delivery
-                    # per dispatched shard; an empty fill here would
-                    # complete the round with a wrong partition, so a
-                    # missing result is a loud driver bug, never a
-                    # default.
-                    raise RuntimeError(
-                        f"fabric shard {sid} was dispatched but never "
-                        "delivered a result"
-                    )
-                per_shard.append({
-                    "positions": pos_by[sid], "roots": roots_by[sid],
-                    "reads": np.zeros(0, dtype=np.int64),
-                    "writes": np.zeros(0, dtype=np.int64),
-                    "ejected_games": 0, "ball_max": 0,
-                    "proof_u": _EMPTY, "proof_l": _EMPTY,
-                    "proof_c": _EMPTY,
-                })
-                continue
-            per_shard.append({
-                "positions": pos_by[sid], "roots": roots_by[sid],
-                "reads": res["reads"], "writes": res["writes"],
-                "ejected_games": res["ejected_games"],
-                "ball_max": res["ball_max"],
-                "proof_u": res["proof_u"], "proof_l": res["proof_l"],
-                "proof_c": res["proof_c"],
-            })
         return self._fold_and_results(comm, shard_words, per_shard)
 
     def _fold_and_results(
@@ -1930,8 +1685,8 @@ class MessageFabric:
     ) -> list[tuple[np.ndarray, "object"]]:
         """Layer-proposal folds (routed by vertex owner — owners
         min/+-fold and forward one (u, min, count) triple per vertex to
-        the driver) and the per-shard result payloads.  Shared verbatim
-        by the serial and pooled paths, so their counters cannot drift.
+        the driver) and the per-shard result payloads, after every
+        shard chain of the round was replayed.
         """
         from repro.ampc.pool import ShardResult
 
@@ -1976,7 +1731,7 @@ class MessageFabric:
                 vertices = fu[starts]
                 minima = fl[starts].astype(np.float64)
                 counts = np.add.reduceat(fc[order], starts)
-                self.shards[sid].guard.account(
+                self.guards[sid].account(
                     "fold_accumulators", 3 * len(vertices)
                 )
             else:
@@ -1998,7 +1753,7 @@ class MessageFabric:
                     sh["reads"], sh["writes"], vertices, minima, counts
                 ),
             ))
-            guard = self.shards[sid].guard
+            guard = self.guards[sid]
             guard.release("game_assignments")
             guard.release("game_scratch")
             guard.release("fold_accumulators")
@@ -2009,11 +1764,7 @@ class MessageFabric:
         comm["max_game_ball_words"] = max(
             comm["max_game_ball_words"], max_ball
         )
-        round_peak = max(shard.guard.round_peak for shard in self.shards)
+        round_peak = max(guard.round_peak for guard in self.guards)
         comm["max_held_words"] = max(comm["max_held_words"], round_peak)
         self.peak_held_words = max(self.peak_held_words, round_peak)
         return results
-
-    def max_held_words(self) -> int:
-        """Current held words, maximized over shards."""
-        return max(shard.guard.current for shard in self.shards)

@@ -475,7 +475,6 @@ def _play_fabric_shard(
     csr_meta: tuple,
     sid: int,
     roots: np.ndarray,
-    positions: np.ndarray,
     payload: dict,
     fault_key: tuple[int, int, int] | None = None,
     plan=None,
@@ -500,7 +499,7 @@ def _play_fabric_shard(
     offsets, targets = _load_csr(*csr_meta)
     with defer_full_gc():
         result = run_shard_chain(
-            offsets, targets, sid, roots=roots, positions=positions,
+            offsets, targets, sid, roots=roots,
             fault=spec if spec is not None and spec.kind == "slab" else None,
             **payload,
         )
@@ -1032,14 +1031,14 @@ class CoinGamePool:
         self,
         offsets: np.ndarray,
         targets: np.ndarray,
-        jobs: list[tuple[int, np.ndarray, np.ndarray]],
+        jobs: list[tuple[int, np.ndarray]],
         payload: dict,
         on_result,
         config=None,
     ) -> None:
         """Run message-fabric shard chains across the worker fleet.
 
-        ``jobs`` is ``[(sid, roots, positions), …]``; each dispatches
+        ``jobs`` is ``[(sid, roots), …]``; each dispatches
         one :func:`repro.ampc.messaging.run_shard_chain` against the
         round's shared CSR.  ``on_result(sid, result, others_running)``
         fires in completion order, so the driver replays a finished
@@ -1047,8 +1046,8 @@ class CoinGamePool:
         still playing.
 
         :class:`~repro.ampc.messaging.MemoryGuardError` passes through
-        verbatim — a budget violation is a protocol outcome the serial
-        fabric would have raised identically, not a pool fault, so it is
+        verbatim — a budget violation is a protocol outcome the inline
+        chain would have raised identically, not a pool fault, so it is
         never retried and the executor stays healthy for the next run.
         Any other fault goes through the supervisor's retry /
         degradation ladder; only an unrecoverable one closes the pool
@@ -1068,17 +1067,15 @@ class CoinGamePool:
             csr_meta, segments = self._publish_csr(offsets, targets)
 
             def submit(executor, key, fault_key, plan):
-                sid, roots, positions = jobs[key]
+                sid, roots = jobs[key]
                 return executor.submit(
-                    _play_fabric_shard, csr_meta, sid, roots, positions,
-                    payload, fault_key, plan,
+                    _play_fabric_shard, csr_meta, sid, roots, payload,
+                    fault_key, plan,
                 )
 
             def inline(key):
-                sid, roots, positions = jobs[key]
-                return _play_fabric_shard(
-                    csr_meta, sid, roots, positions, payload
-                )
+                sid, roots = jobs[key]
+                return _play_fabric_shard(csr_meta, sid, roots, payload)
 
             def deliver(key, result, others_running):
                 on_result(jobs[key][0], result, others_running)

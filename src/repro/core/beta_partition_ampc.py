@@ -481,8 +481,8 @@ def _run_columnar(
         keep[assigned_vs] = False
         alive = alive[keep[alive]]
         if fabric is not None:
-            # Retirement notices ride the round boundary: every shard
-            # prunes its owned slice down to the next residual graph.
+            # Retirement notices ride the round boundary: every shard's
+            # owned slice becomes its partition of the next residual.
             fabric.retire(assigned_vs, comm)
 
     partition = PartialBetaPartition(final_layers)

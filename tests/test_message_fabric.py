@@ -413,3 +413,5 @@ class TestFabricSurface:
             MessageFabric(0)
         with pytest.raises(ValueError):
             MessageFabric(2, cap_words=2)
+        with pytest.raises(ValueError):
+            MessageFabric(2, cap_words=0)

@@ -4,11 +4,13 @@ A fabric shard's BSP round is a pure function of (residual CSR, its
 roots, shard count, engine, config, budget): every row another shard
 would serve it is a verbatim CSR slice.  Running the chains on the
 worker pool (``transport="message"`` + ``workers > 1``) must therefore
-be bit-identical to the serial fabric — which is itself bit-identical
-to the shared-memory oracle — for every (engine, shards, workers)
-combination: partitions, per-round stats, *and* the communication
-counters and guard peaks the driver reconstructs by replaying each
-worker's request trace.
+be bit-identical to running them inline on the driver — which is itself
+bit-identical to the shared-memory oracle — for every (engine, shards,
+workers) combination: partitions, per-round stats, *and* the
+communication counters and guard peaks the driver reconstructs by
+replaying each chain's request trace.  Those counters are also pinned to
+golden values recorded from an independent interleaved implementation
+of the shard protocol (:class:`TestGoldenCounters`).
 
 Failure recovery mirrors the plain pool path: an injected worker fault
 is retried by the round supervisor and the run completes bit-identically
@@ -32,7 +34,11 @@ from repro.ampc.faults import FaultPlan
 from repro.ampc.messaging import MemoryGuardError
 from repro.ampc.pool import WorkerPoolError, close_shared_pools
 from repro.core.beta_partition_ampc import beta_partition_ampc
-from repro.graphs.generators import random_gnm, union_of_random_forests
+from repro.graphs.generators import (
+    complete_ary_tree,
+    random_gnm,
+    union_of_random_forests,
+)
 
 # Keys whose values are wall-clock measurements, not protocol counts.
 _TIMING_KEYS = (
@@ -112,12 +118,13 @@ class TestPooledDifferential:
     def test_pooled_rounds_report_shard_wall_time(self, fresh_pool_env):
         g = _graph()
         pooled = _partition(g, engine="compiled", workers=2, shards=2)
-        serial = _partition(g, engine="compiled", workers=1, shards=2)
-        # Every dispatched round carries the slowest shard's in-worker
-        # wall time; the serial fabric reports zero (nothing dispatched).
-        assert any(c["shard_wall_s"] > 0 for c in pooled.round_comm)
-        assert all(c["shard_wall_s"] == 0 for c in serial.round_comm)
+        inline = _partition(g, engine="compiled", workers=1, shards=2)
+        # Every round carries its slowest shard chain's wall time, on
+        # the pool or inline; only pooled replay can overlap play.
+        assert all(c["shard_wall_s"] > 0 for c in pooled.round_comm)
+        assert all(c["shard_wall_s"] > 0 for c in inline.round_comm)
         assert all(c["comm_overlap_s"] >= 0 for c in pooled.round_comm)
+        assert all(c["comm_overlap_s"] == 0 for c in inline.round_comm)
 
 
 class TestPooledBudget:
@@ -144,6 +151,149 @@ class TestPooledBudget:
         assert pooled.partition.layers == serial.partition.layers
         assert pooled.max_held_words == serial.max_held_words
         assert pooled.max_held_words <= 40_000
+
+
+def _gnm_counts(shards, fold, messages, placement, requests, shard_words,
+                words):
+    return [{
+        "shards": shards, "messages": messages, "words": words,
+        "subrounds": int(requests > 0), "row_requests": requests,
+        "rows_served": requests, "placement_words": placement,
+        "retirement_words": 150 * shards, "fold_words": fold,
+        "result_words": 300, "max_shard_words": shard_words,
+        "max_game_ball_words": 176, "ejected_games": 0,
+    }]
+
+
+# case: (graph, beta, x, fabric kwargs, per-round counters).  The
+# counters are every non-timing round_comm key except max_held_words,
+# recorded at workers=1 from the interleaved serial shard loop the
+# fabric used before run_shard_chain became its only round
+# implementation; they are the same for every engine unless
+# _ENGINE_COUNTS overrides them.
+_GOLDEN = {
+    "gnm-s1": (
+        lambda: random_gnm(150, 400, seed=23), 6, 25, {"shards": 1},
+        _gnm_counts(1, 450, 6, 1095, 0, 3045, 2745),
+    ),
+    "gnm-s3": (
+        lambda: random_gnm(150, 400, seed=23), 6, 25, {"shards": 3},
+        _gnm_counts(3, 1155, 36, 1097, 290, 3339, 6215),
+    ),
+    "gnm-s8": (
+        lambda: random_gnm(150, 400, seed=23), 6, 25, {"shards": 8},
+        _gnm_counts(8, 2169, 216, 1102, 971, 3302, 13885),
+    ),
+    # Deeper balls at x = (beta+1)^2: two exchange sub-rounds, and the
+    # array engines eject games to the scalar path.
+    "gnm-deep": (
+        lambda: random_gnm(70, 140, seed=13), 7, 64, {"shards": 3},
+        [{"shards": 3, "messages": 38, "words": 2719, "subrounds": 2,
+          "row_requests": 138, "rows_served": 138, "placement_words": 421,
+          "retirement_words": 210, "fold_words": 624, "result_words": 140,
+          "max_shard_words": 1507, "max_game_ball_words": 219,
+          "ejected_games": 4}],
+    ),
+    # x = beta + 1 certifies one layer per round: three residuals.
+    "tree": (
+        lambda: complete_ary_tree(4, 4), 3, 4, {"shards": 3},
+        [
+            {"shards": 3, "messages": 36, "words": 10239, "subrounds": 1,
+             "row_requests": 602, "rows_served": 602,
+             "placement_words": 1365, "retirement_words": 960,
+             "fold_words": 2520, "result_words": 682,
+             "max_shard_words": 5184, "max_game_ball_words": 36,
+             "ejected_games": 0},
+            {"shards": 3, "messages": 33, "words": 528, "subrounds": 1,
+             "row_requests": 34, "rows_served": 34, "placement_words": 0,
+             "retirement_words": 60, "fold_words": 150, "result_words": 42,
+             "max_shard_words": 295, "max_game_ball_words": 29,
+             "ejected_games": 0},
+            {"shards": 3, "messages": 9, "words": 13, "subrounds": 0,
+             "row_requests": 0, "rows_served": 0, "placement_words": 0,
+             "retirement_words": 3, "fold_words": 3, "result_words": 2,
+             "max_shard_words": 13, "max_game_ball_words": 1,
+             "ejected_games": 0},
+        ],
+    ),
+    # Budgeted shards never speculate and evict mid-round.
+    "forest-budget": (
+        lambda: union_of_random_forests(600, 1, seed=7), 6, 25,
+        {"shards": 16, "shard_budget": 40_000},
+        [{"shards": 16, "messages": 2980, "words": 59674, "subrounds": 9,
+          "row_requests": 5087, "rows_served": 5087,
+          "placement_words": 2414, "retirement_words": 9600,
+          "fold_words": 15666, "result_words": 1200,
+          "max_shard_words": 7286, "max_game_ball_words": 109,
+          "ejected_games": 0}],
+    ),
+}
+
+# (case, engine): per-round max_held_words, plus any counter that
+# differs for that engine (the batched engine's synthetic fringe rows
+# change what a budgeted shard evicts and re-requests).
+_ENGINE_COUNTS = {
+    ("gnm-s1", "scalar"): [{"max_held_words": 2345}],
+    ("gnm-s1", "batched"): [{"max_held_words": 3596}],
+    ("gnm-s1", "compiled"): [{"max_held_words": 3596}],
+    ("gnm-s3", "scalar"): [{"max_held_words": 2059}],
+    ("gnm-s3", "batched"): [{"max_held_words": 3308}],
+    ("gnm-s3", "compiled"): [{"max_held_words": 3308}],
+    ("gnm-s8", "scalar"): [{"max_held_words": 1900}],
+    ("gnm-s8", "batched"): [{"max_held_words": 3203}],
+    ("gnm-s8", "compiled"): [{"max_held_words": 3199}],
+    ("gnm-deep", "scalar"): [{"max_held_words": 783, "ejected_games": 0}],
+    ("gnm-deep", "batched"): [{"max_held_words": 1410}],
+    ("gnm-deep", "compiled"): [{"max_held_words": 1410}],
+    ("tree", "scalar"): [
+        {"max_held_words": 2332}, {"max_held_words": 147},
+        {"max_held_words": 6},
+    ],
+    ("tree", "batched"): [
+        {"max_held_words": 4086}, {"max_held_words": 251},
+        {"max_held_words": 8},
+    ],
+    ("tree", "compiled"): [
+        {"max_held_words": 4062}, {"max_held_words": 251},
+        {"max_held_words": 8},
+    ],
+    ("forest-budget", "scalar"): [{"max_held_words": 2351}],
+    ("forest-budget", "batched"): [{
+        "max_held_words": 5102, "max_shard_words": 7155, "messages": 2738,
+        "row_requests": 5016, "rows_served": 5016, "subrounds": 8,
+        "words": 59112,
+    }],
+    ("forest-budget", "compiled"): [{"max_held_words": 4564}],
+}
+
+
+class TestGoldenCounters:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("engine", ["scalar", "batched", "compiled"])
+    @pytest.mark.parametrize("case", sorted(_GOLDEN))
+    def test_counters_match_golden(
+        self, case, engine, workers, fresh_pool_env
+    ):
+        make, beta, x, kw, rounds = _GOLDEN[case]
+        g = make()
+        out = beta_partition_ampc(
+            g, beta, x=x, store="columnar", engine=engine, workers=workers,
+            transport="message", min_pool_games=1, **kw
+        )
+        oracle = beta_partition_ampc(
+            g, beta, x=x, store="columnar", engine=engine
+        )
+        assert out.partition.layers == oracle.partition.layers
+        # out.engine, not engine: a kernel that cannot load runs the
+        # compiled request on the batched engine.
+        expected = [
+            {**base, **over}
+            for base, over in zip(rounds, _ENGINE_COUNTS[case, out.engine])
+        ]
+        assert [_counts(c) for c in out.round_comm] == expected
+        assert out.max_held_words == max(
+            c["max_held_words"] for c in expected
+        )
 
 
 # First attempt of every shard faults; retries run clean.
