@@ -332,7 +332,7 @@ def apply_pre(spec: FaultSpec | None) -> None:
         # driver's (still alive) segments, then fail this attempt.
         from repro.ampc import pool
 
-        pool._CSR_CACHE.update(key=None, csr=None, adj=None, transpose=None)
+        pool._CSR_CACHE.update(dict.fromkeys(pool._CSR_CACHE))
         raise InjectedFault("injected worker fault: shm-detach")
 
 

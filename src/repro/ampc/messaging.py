@@ -137,7 +137,7 @@ returns its game results plus the trace of requests it made.
 :meth:`MessageFabric.run_round` runs the chains one after another on
 the driver (``workers=1``, or a round below the pool cutoff) or on the
 persistent worker pool
-(:meth:`repro.ampc.pool.CoinGamePool.run_fabric_round`); both feed one
+(:meth:`repro.ampc.pool.CoinGamePool.run_games`); both feed one
 replay, so every observable and counter is the same on either host:
 
 - **Communication is replayed, not simulated.**  A chain returns its
@@ -209,6 +209,7 @@ faults.
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -1309,7 +1310,7 @@ def run_shard_chain(
 
     The only implementation of a shard's sub-round loop:
     :meth:`MessageFabric.run_round` calls it inline on the driver or
-    through :meth:`repro.ampc.pool.CoinGamePool.run_fabric_round` in a
+    through :meth:`repro.ampc.pool.CoinGamePool.run_games` in a
     worker process.  The shard is rebuilt as its owner partition of the
     CSR (:meth:`_Shard.place`), and every row another shard would serve
     it is a verbatim CSR slice, so the chain serves its own row requests
@@ -1425,6 +1426,16 @@ def run_shard_chain(
     }
 
 
+class ShardResult(NamedTuple):
+    """One shard's share of a round, as the round kernel folds it."""
+
+    reads: np.ndarray  # per-machine probe counts, shard order
+    writes: np.ndarray  # per-machine write counts, shard order
+    fold_vertices: np.ndarray  # vertices with layer proposals
+    fold_minima: np.ndarray  # min proposed layer per vertex
+    fold_counts: np.ndarray  # number of proposals per vertex
+
+
 class MessageFabric:
     """The driver-side fabric: ``p`` owner-hashed shards + typed routing.
 
@@ -1436,7 +1447,8 @@ class MessageFabric:
     holds and every word that crosses a shard boundary is accounted.
     ``run_round`` plugs into
     :func:`repro.core.columnar_rounds.lca_round_kernel` in place of the
-    pool and returns the same ``(positions, ShardResult)`` pairs.
+    in-process game loop and returns ``(positions, ShardResult)``
+    pairs.
     """
 
     def __init__(
@@ -1555,14 +1567,13 @@ class MessageFabric:
         config=None,
         comm: dict | None = None,
         pool=None,
-    ) -> list[tuple[np.ndarray, "object"]]:
+    ) -> list[tuple[np.ndarray, ShardResult]]:
         """Play one round's pending games through the shard fabric.
 
-        Returns ``(positions, ShardResult)`` pairs exactly like
-        :meth:`repro.ampc.pool.CoinGamePool.run_games` — reads/writes
-        ride with the shard owning the *game*, layer folds with
-        the shard owning the *vertex* (both scatter through commutative
-        accumulators, so the split is invisible).
+        Returns one ``(positions, ShardResult)`` pair per shard —
+        reads/writes ride with the shard owning the *game*, layer folds
+        with the shard owning the *vertex* (both scatter through
+        commutative accumulators, so the split is invisible).
 
         Every shard with games runs one :func:`run_shard_chain`: inline
         on the driver when ``pool`` is None, else on the ``pool``'s
@@ -1658,7 +1669,7 @@ class MessageFabric:
                     offsets, targets, sid, roots=shard_roots, **payload
                 ), False)
         else:
-            pool.run_fabric_round(offsets, targets, jobs, payload, on_result)
+            pool.run_games(offsets, targets, jobs, payload, on_result)
 
         for sid, __ in jobs:
             if sid not in delivered:
@@ -1682,14 +1693,12 @@ class MessageFabric:
 
     def _fold_and_results(
         self, comm, shard_words, per_shard,
-    ) -> list[tuple[np.ndarray, "object"]]:
+    ) -> list[tuple[np.ndarray, ShardResult]]:
         """Layer-proposal folds (routed by vertex owner — owners
         min/+-fold and forward one (u, min, count) triple per vertex to
         the driver) and the per-shard result payloads, after every
         shard chain of the round was replayed.
         """
-        from repro.ampc.pool import ShardResult
-
         fold_u: list[list[np.ndarray]] = [[] for __ in range(self.num_shards)]
         fold_l: list[list[np.ndarray]] = [[] for __ in range(self.num_shards)]
         fold_c: list[list[np.ndarray]] = [[] for __ in range(self.num_shards)]

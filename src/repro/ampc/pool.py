@@ -1,4 +1,4 @@
-"""Process-pool execution of a round's coin-game machine fleet.
+"""Process-pool execution of the message fabric's shard chains.
 
 Parallel execution model
 ------------------------
@@ -6,8 +6,7 @@ Parallel execution model
 The AMPC model is round-synchronous: within round i every machine reads
 only D_{i-1} and writes only D_i (Section 3.1), so machines of one round
 share *no* state and can run in any order — or simultaneously.  The
-simulator exploits exactly that freedom, nothing more, on two kinds of
-workers:
+simulator exploits exactly that freedom, nothing more:
 
 - **Threads for the array engines.**  ``"compiled"`` and ``"batched"``
   rounds never reach the process pool: the round kernel fans their
@@ -15,38 +14,30 @@ workers:
   (:func:`repro.core.columnar_rounds.run_games_batched_with_fallback`).
   cffi drops the GIL for every fused-C cohort call and numpy drops it
   inside its array kernels, so threads share the round's CSR in place
-  with no publish, pickle, or attach cost.
-- **Processes where the GIL binds.**  The ``"scalar"`` oracle is pure
-  Python, and so are the message fabric's shard chains
-  (:meth:`CoinGamePool.run_fabric_round`); both run on a persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  :meth:`run_games`
-  splits the scalar fleet into evenly balanced contiguous shards, each
-  interpreted game by game with
-  :func:`~repro.core.columnar_rounds.play_coin_game`.  Rounds smaller
-  than :data:`MIN_POOL_GAMES` skip dispatch entirely — at that size the
-  pool's fixed cost exceeds the games.  The executor never runs more
-  processes than the CPUs this process may use (:func:`usable_cpus`;
-  ``workers`` beyond that keeps shaping the shard layout but not the
-  process count): results are bit-identical at any process count, and
-  oversubscribed CPU-bound workers only time-slice the same cores while
-  multiplying kernel page-fault overhead.
+  with no publish, pickle, or attach cost.  The ``"scalar"`` oracle
+  always plays in-process.
+- **Processes for the message fabric.**  A shard chain
+  (:func:`repro.ampc.messaging.run_shard_chain`) is pure Python and
+  holds the GIL, so :meth:`CoinGamePool.run_games` runs one chain per
+  job on a persistent :class:`~concurrent.futures.ProcessPoolExecutor`.
+  Rounds smaller than :data:`MIN_POOL_GAMES` skip dispatch entirely —
+  at that size the pool's fixed cost exceeds the games.  The executor
+  never runs more processes than the CPUs this process may use
+  (:func:`usable_cpus`): results are bit-identical at any process
+  count, and oversubscribed CPU-bound workers only time-slice the same
+  cores while multiplying kernel page-fault overhead.
 - **Shared read-only round state.**  The round's residual CSR (offsets,
   targets) is published once per dispatch through
-  :mod:`multiprocessing.shared_memory`; shard payloads carry only the
+  :mod:`multiprocessing.shared_memory`; job payloads carry only the
   segment names, and workers attach, copy (cached until the next
   round's segments arrive), and close, so no worker re-derives the
   adjacency per shard.  Nothing is ever written to the shared segments,
   mirroring the model's read-only D_{i-1}.
-- **Accounting fold.**  A shard returns ``(reads, writes)`` arrays for
-  its machines plus its layer-proposal deltas as sparse
-  ``(vertices, minima, counts)`` triples.  The driver scatters the
-  counts through
-  :meth:`~repro.ampc.machine.BatchMachineContext.account_at` and folds
-  the deltas with the same min/+ accumulators the serial loop uses.
-  Minimum and addition are commutative and associative, and counts
-  scatter by machine position, so the folded store, the per-round
-  statistics, and the strict-budget behavior are bit-identical to the
-  serial schedule no matter how the OS interleaves shard completions.
+- **Accounting fold.**  Each finished chain is handed to the caller's
+  ``on_result`` in completion order; the fabric replays its
+  communication and folds its games through commutative min/+
+  accumulators, so every observable is bit-identical to the serial
+  schedule no matter how the OS interleaves completions.
 
 Because every observable — partitions, layer values, round counts, probe
 counts, per-store word accounting — is reproduced exactly, ``workers``
@@ -125,7 +116,6 @@ from concurrent.futures import (
     wait,
 )
 from multiprocessing.shared_memory import SharedMemory
-from typing import NamedTuple
 
 import numpy as np
 
@@ -146,15 +136,15 @@ __all__ = [
 ]
 
 # Rounds with fewer pending games than this run in-process even when
-# workers > 1.  One cutoff gates all three parallel paths: the array
+# workers > 1.  One cutoff gates both parallel paths: the array
 # engines' thread fan-out (below ~256 games a compiled round costs about
-# what waking the threads and folding their accumulators does), the
-# scalar engine's process dispatch, and the message fabric's shard
-# chains (publishing the CSR, pickling shards and collecting futures
-# costs on the order of a millisecond).  Small rounds — the long tail of
-# a multi-round partition — stay serial.  Callers can override per run
-# via ``min_pool_games`` (tests pin it to 1 to force the parallel paths
-# on tiny differential shapes).
+# what waking the threads and folding their accumulators does) and the
+# message fabric's shard chains on the process pool (publishing the
+# CSR, pickling shards and collecting futures costs on the order of a
+# millisecond).  Small rounds — the long tail of a multi-round
+# partition — stay serial.  Callers can override per run via
+# ``min_pool_games`` (tests pin it to 1 to force the parallel paths on
+# tiny differential shapes).
 MIN_POOL_GAMES = 256
 
 # Round-supervisor defaults (EngineConfig fields / REPRO_* env overrides
@@ -292,28 +282,13 @@ def resolve_workers(workers: int | str | None) -> int:
     return workers
 
 
-class ShardResult(NamedTuple):
-    """What one worker shard reports back to the driver."""
-
-    reads: np.ndarray  # per-machine probe counts, shard order
-    writes: np.ndarray  # per-machine write counts, shard order
-    fold_vertices: np.ndarray  # vertices with layer proposals
-    fold_minima: np.ndarray  # min proposed layer per vertex
-    fold_counts: np.ndarray  # number of proposals per vertex
-    # Integrity digest over the numeric payload arrays (reads, writes,
-    # fold triples), stamped worker-side and re-verified by the driver
-    # before any fold; see repro.ampc.faults.payload_checksum.
-    checksum: int | None = None
-
-
 # -- worker side -----------------------------------------------------------
 
-# One-slot cache of the current round's residual CSR (and the flat
-# adjacency lists the scalar engine derives from it), keyed by the
+# One-slot cache of the current round's residual CSR, keyed by the
 # shared-memory segment names (unique per round): the first shard a
-# worker receives pays the copy/conversion, later shards of the same
-# round reuse it.
-_CSR_CACHE: dict[str, object] = {"key": None, "csr": None, "adj": None}
+# worker receives pays the copy, later shards of the same round reuse
+# it.
+_CSR_CACHE: dict[str, object] = {"key": None, "csr": None}
 
 
 def _attached_array(name: str, count: int) -> tuple[SharedMemory, np.ndarray]:
@@ -342,29 +317,7 @@ def _load_csr(
         tgt_shm.close()
     _CSR_CACHE["key"] = key
     _CSR_CACHE["csr"] = csr
-    _CSR_CACHE["adj"] = None
     return csr
-
-
-def _load_adjacency(csr_meta: tuple) -> list:
-    offsets, targets = _load_csr(*csr_meta)
-    if _CSR_CACHE["adj"] is None:
-        from repro.core.columnar_rounds import residual_adjacency_lists
-
-        _CSR_CACHE["adj"] = residual_adjacency_lists(offsets, targets)
-    return _CSR_CACHE["adj"]
-
-
-def _shard_checksum(
-    reads, writes, fold_vertices, fold_minima, fold_counts
-) -> int:
-    """Integrity digest of a :class:`ShardResult`'s numeric payload.
-
-    Shared by the worker (stamping) and the driver (re-verifying), so
-    the two sides cannot drift.  Scope: every array the driver folds.
-    """
-    return payload_checksum(reads, writes, fold_vertices, fold_minima,
-                            fold_counts)
 
 
 def _fabric_checksum(res: dict) -> int:
@@ -403,16 +356,6 @@ def _corrupted(spec, result):
         return lambda: None  # poisoned result: cannot cross the pipe
     if spec.kind != "garbage":
         return result
-    if isinstance(result, ShardResult):
-        for name in ("reads", "writes", "fold_vertices", "fold_counts"):
-            arr = getattr(result, name)
-            if len(arr):
-                bad = arr.copy()
-                bad[0] += 1
-                return result._replace(**{name: bad})
-        return result._replace(
-            fold_minima=np.append(result.fold_minima, 1.0)
-        )
     for name in ("reads", "writes", "proof_u", "proof_l"):
         if len(result[name]):
             bad = result[name].copy()
@@ -421,54 +364,6 @@ def _corrupted(spec, result):
             return result
     result["ball_max"] += 1
     return result
-
-
-def _play_shard(
-    csr_meta: tuple,
-    roots: np.ndarray,
-    params: tuple,
-    fault_key: tuple[int, int, int] | None = None,
-    plan=None,
-):
-    """Run one shard of scalar coin-game machines inside a worker process.
-
-    Each game is interpreted one at a time against the shared CSR, and
-    the shard reports a :class:`ShardResult`.  ``fault_key``/``plan``
-    are the supervisor's chaos hook (:mod:`repro.ampc.faults`): inline
-    degraded execution passes neither, so the last-resort path never
-    faults.
-    """
-    spec = (
-        plan.lookup(*fault_key)
-        if plan is not None and fault_key is not None else None
-    )
-    faults.apply_pre(spec)
-    x, beta, clip, horizon, scale = params
-    from repro.core.columnar_rounds import play_coin_game
-
-    adj = _load_adjacency(csr_meta)
-    # Dense accumulators exactly like the serial kernel's (plain list
-    # indexing in the game's fold loop), sparsified vectorized below.
-    n = len(adj)
-    out_layer: list = [float("inf")] * n
-    out_count: list = [0] * n
-    reads = np.zeros(len(roots), dtype=np.int64)
-    writes = np.zeros(len(roots), dtype=np.int64)
-    with defer_full_gc():  # same scoped tradeoff the serial driver makes
-        for slot, v in enumerate(roots.tolist()):
-            reads[slot], writes[slot], __ = play_coin_game(
-                adj, v, x, beta, clip, horizon, scale, out_layer, out_count,
-            )
-    counts = np.asarray(out_count, dtype=np.int64)
-    fold_vertices = np.flatnonzero(counts)
-    fold_minima = np.array(out_layer)[fold_vertices]
-    fold_counts = counts[fold_vertices]
-    return _corrupted(spec, ShardResult(
-        reads, writes, fold_vertices, fold_minima, fold_counts,
-        checksum=_shard_checksum(
-            reads, writes, fold_vertices, fold_minima, fold_counts
-        ),
-    ))
 
 
 def _play_fabric_shard(
@@ -484,10 +379,11 @@ def _play_fabric_shard(
     The chain itself lives in :func:`repro.ampc.messaging.run_shard_chain`
     — the worker only attaches the round's shared CSR (cached across the
     round's shards), stamps the result's integrity checksum, and applies
-    the same fault hooks as :func:`_play_shard`, so the chaos harness
-    exercises both dispatch paths identically.  A ``"slab"`` fault is
-    threaded into the chain itself: it corrupts the first served row
-    slab post-stamp, so the in-chain checksum verify rejects it.
+    the chaos harness's fault hooks (:mod:`repro.ampc.faults`): inline
+    degraded execution passes no ``fault_key``/``plan``, so the last
+    resort never faults.  A ``"slab"`` fault is threaded into the chain
+    itself: it corrupts the first served row slab post-stamp, so the
+    in-chain checksum verify rejects it.
     """
     spec = (
         plan.lookup(*fault_key)
@@ -526,21 +422,6 @@ def _supervisor_knobs(config) -> tuple[int, float, float, float, bool]:
             config.pool_degrade)
 
 
-def _verify_shard_result(result) -> None:
-    """Driver-side integrity check of one :class:`ShardResult`."""
-    if not isinstance(result, ShardResult) or result.checksum is None:
-        raise ChecksumError(
-            f"worker returned {type(result).__name__} without a payload "
-            "checksum"
-        )
-    expected = _shard_checksum(
-        result.reads, result.writes, result.fold_vertices,
-        result.fold_minima, result.fold_counts,
-    )
-    if expected != result.checksum:
-        raise ChecksumError("shard result failed its integrity check")
-
-
 def _verify_fabric_result(result) -> None:
     """Driver-side integrity check of one fabric shard-chain result."""
     if not isinstance(result, dict) or result.get("checksum") is None:
@@ -555,7 +436,7 @@ def _verify_fabric_result(result) -> None:
 
 
 class CoinGamePool:
-    """A persistent worker pool executing coin-game machine shards.
+    """A persistent worker pool executing message-fabric shard chains.
 
     The executor is created lazily on first use and reused across rounds
     (and, via :func:`shared_pool`, across partition calls).  Any shard
@@ -563,25 +444,19 @@ class CoinGamePool:
     :class:`WorkerPoolError`.
     """
 
-    def __init__(self, workers: int, chunks_per_worker: int = 4) -> None:
+    def __init__(self, workers: int) -> None:
         workers = int(workers)
         if workers < 2:
             raise ValueError(
                 "CoinGamePool needs workers >= 2; workers=1 is the serial "
                 "in-process path and never constructs a pool"
             )
-        if chunks_per_worker < 1:
-            raise ValueError("chunks_per_worker must be >= 1")
         self.workers = workers
-        self.chunks_per_worker = chunks_per_worker
-        # Requested parallelism and executor size are separate knobs:
-        # ``workers`` keeps driving the sharding math (so shard shapes
-        # — and therefore the dispatch pattern — depend only on what
-        # the caller asked for), while the executor never forks more
-        # processes than the CPUs this process may use (an affinity mask
-        # or cgroup cpuset can grant fewer than the host has; see
-        # usable_cpus).  Every observable is
-        # bit-identical at any process count, so processes beyond the
+        # Requested parallelism and executor size are separate: the
+        # executor never forks more processes than the CPUs this
+        # process may use (an affinity mask or cgroup cpuset can grant
+        # fewer than the host has; see usable_cpus).  Every observable
+        # is bit-identical at any process count, so processes beyond the
         # cores can only add cost: each extra runnable CPU-bound worker
         # time-slices the same cores and roughly doubles its kernel
         # time in page-fault handling of freshly mapped kernel arenas
@@ -697,7 +572,7 @@ class CoinGamePool:
         config,
         passthrough: tuple = (),
     ) -> None:
-        """The fault-tolerant dispatch loop both entry points share.
+        """The fault-tolerant dispatch loop behind :meth:`run_games`.
 
         ``submit(executor, key, fault_key, plan)`` dispatches shard
         ``key``; ``verify(result)`` raises
@@ -955,82 +830,6 @@ class CoinGamePool:
         self,
         offsets: np.ndarray,
         targets: np.ndarray,
-        roots: np.ndarray,
-        positions: np.ndarray,
-        *,
-        x: int,
-        beta: int,
-        clip: int,
-        horizon: int,
-        scale: int | None,
-        config=None,
-    ) -> list[tuple[np.ndarray, ShardResult]]:
-        """Play the scalar games rooted at ``roots`` across the worker fleet.
-
-        ``positions`` carries each root's index into the round's machine
-        array; the return value pairs every shard's position slice with
-        its :class:`ShardResult` so the caller can scatter accounting and
-        fold layer deltas (both order-independent operations).  The
-        fleet splits into ``workers × chunks_per_worker`` evenly
-        balanced slices, each interpreted one game at a time.  The array
-        engines never come here: their rounds fan out over threads
-        (:func:`repro.core.columnar_rounds.run_games_batched_with_fallback`).
-        """
-        if self.closed:
-            raise WorkerPoolError("coin-game worker pool is closed")
-        if not len(roots):
-            return []
-        segments: list[SharedMemory] = []
-        try:
-            csr_meta, segments = self._publish_csr(offsets, targets)
-            params = (x, beta, clip, horizon, scale)
-            max_shards = min(
-                len(roots), self.workers * self.chunks_per_worker
-            )
-            root_chunks = np.array_split(roots, max_shards)
-            position_chunks = np.array_split(positions, max_shards)
-            results: list[tuple[np.ndarray, ShardResult]] = []
-
-            def submit(executor, key, fault_key, plan):
-                return executor.submit(
-                    _play_shard, csr_meta, root_chunks[key], params,
-                    fault_key, plan,
-                )
-
-            def inline(key):
-                return _play_shard(csr_meta, root_chunks[key], params)
-
-            def deliver(key, result, _others):
-                results.append((position_chunks[key], result))
-
-            self._run_supervised(
-                len(root_chunks), submit, inline, deliver,
-                _verify_shard_result, config,
-            )
-            return results
-        except WorkerPoolError:
-            raise
-        except Exception as exc:
-            # A fault the supervisor cannot recover from — publishing
-            # the CSR failed, or the retry budget was exhausted without
-            # degradation — poisons the round: close the pool (joining
-            # every worker, so nothing is orphaned) and surface one
-            # clear error.
-            self.close(cancel=True)
-            raise WorkerPoolError(
-                f"coin-game worker pool failed mid-round: "
-                f"{type(exc).__name__}: {exc}",
-                cause=exc,
-            ) from exc
-        finally:
-            for shm in segments:
-                shm.close()
-                shm.unlink()
-
-    def run_fabric_round(
-        self,
-        offsets: np.ndarray,
-        targets: np.ndarray,
         jobs: list[tuple[int, np.ndarray]],
         payload: dict,
         on_result,
@@ -1051,8 +850,7 @@ class CoinGamePool:
         never retried and the executor stays healthy for the next run.
         Any other fault goes through the supervisor's retry /
         degradation ladder; only an unrecoverable one closes the pool
-        and raises :class:`WorkerPoolError`, exactly like
-        :meth:`run_games`.  ``config`` defaults to
+        and raises :class:`WorkerPoolError`.  ``config`` defaults to
         ``payload["config"]``, so the supervisor honors the same run
         configuration the shard chains execute under.
         """
@@ -1088,6 +886,10 @@ class CoinGamePool:
         except (MemoryGuardError, WorkerPoolError):
             raise
         except Exception as exc:
+            # A fault the supervisor cannot recover from — publishing
+            # the CSR failed, say — poisons the round: close the pool
+            # (joining every worker, so nothing is orphaned) and surface
+            # one clear error.
             self.close(cancel=True)
             raise WorkerPoolError(
                 f"coin-game worker pool failed mid-round: "

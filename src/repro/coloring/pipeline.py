@@ -373,15 +373,14 @@ def color_graph(
     (two_plus_eps); other values name the specific theorem part.
     ``store`` selects the Theorem 1.2 execution fabric ("columnar" array
     kernels by default; "dict" is the per-machine oracle path),
-    ``workers`` how many threads (or, for the scalar engine and the
-    message fabric, processes) its lca rounds fan out over (None reads
-    ``$REPRO_WORKERS`` and defaults to ``"auto"`` — the usable CPU
-    count, with small rounds staying serial), and ``engine``
-    how the coin games execute ("compiled" fused C kernel by default,
-    with a warned fallback to the "batched" numpy lockstep kernels when
-    it cannot load; "scalar" for the per-game oracle interpreter).  All three
-    are pure throughput knobs: results are identical for every
-    combination.
+    ``workers`` how many threads its lca rounds fan out over (None
+    reads ``$REPRO_WORKERS`` and defaults to ``"auto"`` — the usable
+    CPU count, with small rounds staying serial), and ``engine`` how the
+    coin games execute ("compiled" fused C kernel by default, with a
+    warned fallback to the "batched" numpy lockstep kernels when it
+    cannot load; "scalar" for the per-game oracle interpreter, which
+    always plays in-process).  All three are pure throughput knobs:
+    results are identical for every combination.
     """
     if alpha is None:
         alpha = max(1, degeneracy(graph))

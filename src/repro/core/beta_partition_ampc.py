@@ -27,10 +27,11 @@ Two execution fabrics implement the loop:
   kernels (:mod:`repro.core.columnar_rounds`): the residual graph is one
   CSR gather, the peel round is a degree-mask kernel, and the coin games
   run against flat adjacency lists.  With ``workers > 1`` lca rounds
-  fan their machine fleet out over threads (array engines) or a
-  persistent process pool (:mod:`repro.ampc.pool`, the scalar engine
-  and the message fabric) — machines within a round are independent,
-  so the split is invisible to every observable.
+  fan their machine fleet out over threads (array engines) or, under
+  ``transport="message"``, run the fabric's shard chains on a
+  persistent process pool (:mod:`repro.ampc.pool`) — machines within a
+  round are independent, so the split is invisible to every
+  observable.  The scalar engine always plays in-process.
 - ``store="dict"`` is the original dict-of-lists path, kept verbatim as
   the semantics oracle: the columnar path reproduces its partitions,
   round counts, and per-round statistics exactly (asserted by the
@@ -90,12 +91,13 @@ class BetaPartitionOutcome:
     # transport="message": lifetime peak of any shard's guarded held
     # words — what the configured S budget binds against.
     max_held_words: int = 0
-    # workers > 1: the pool supervisor's recovery counters accumulated
-    # over this run (retries / respawns / deadline_kills /
-    # checksum_rejects / worker_faults / degraded_shards /
-    # recovery_wall_s) — all zero on an undisturbed run (and on runs
-    # whose rounds all ran on threads), and accounting every injected or
-    # real fault otherwise.  Empty dict when no pool was attached.
+    # transport="message" with workers > 1: the pool supervisor's
+    # recovery counters accumulated over this run (retries / respawns /
+    # deadline_kills / checksum_rejects / worker_faults /
+    # degraded_shards / recovery_wall_s) — all zero on an undisturbed
+    # run (and on runs whose rounds all stayed below the pool cutoff),
+    # and accounting every injected or real fault otherwise.  Empty dict
+    # when no pool was attached.
     round_recovery: dict = field(default_factory=dict)
 
     @property
@@ -208,11 +210,13 @@ def beta_partition_ampc(
     workers:
         Parallelism of the columnar lca rounds: the array engines fan
         each round's games out over that many threads (capped at the
-        usable CPUs), the scalar engine and the message fabric's shard
-        chains over worker processes (:mod:`repro.ampc.pool`).  None
-        reads ``$REPRO_WORKERS``, defaulting to ``"auto"`` (the CPUs
-        this process may use, so 1-CPU hosts stay serial).  A pure
-        throughput knob: results are bit-identical for every value.
+        usable CPUs); under ``transport="message"`` the fabric's shard
+        chains run on that many worker processes
+        (:mod:`repro.ampc.pool`).  The scalar engine always plays
+        in-process.  None reads ``$REPRO_WORKERS``, defaulting to
+        ``"auto"`` (the CPUs this process may use, so 1-CPU hosts stay
+        serial).  A pure throughput knob: results are bit-identical for
+        every value.
         The dict-backed oracle accepts the knob but always replays its
         machines serially — it exists to pin down the semantics the
         parallel paths must reproduce.
@@ -246,14 +250,15 @@ def beta_partition_ampc(
         ``workers=1``.
     transport:
         Sharding fabric for the columnar lca rounds: ``"shm"`` (every
-        thread or pool worker sees the whole residual CSR — the oracle
-        path) or ``"message"`` (owner-hashed shards holding only their
-        residual slice plus a bounded ghost fringe, exchanging typed
-        size-capped delta messages — :mod:`repro.ampc.messaging`).  A
+        game thread sees the whole residual CSR in place — the oracle
+        path; no process pool is involved) or ``"message"``
+        (owner-hashed shards holding only their residual slice plus a
+        bounded ghost fringe, exchanging typed size-capped delta
+        messages — :mod:`repro.ampc.messaging`).  A
         pure memory/communication-discipline knob: every observable is
         bit-identical to ``"shm"`` for any shard count.  ``"message"``
-        requires the columnar store and replaces the thread fan-out and
-        the scalar process dispatch.
+        requires the columnar store, replaces the thread fan-out, and is
+        the only path that forks the process pool (workers > 1).
     shards:
         Shard count under ``transport="message"`` (default: ``workers``,
         floored at 2).
@@ -327,9 +332,10 @@ def beta_partition_ampc(
     # Acquire the pool before suspending full GC: CoinGamePool snapshots
     # the gc thresholds its workers should restore at fork time.  The
     # message fabric models the memory/communication discipline; with
-    # workers > 1 its shard chains run on the same persistent pool
-    # (each worker plays one shard's BSP rounds, the driver replays the
-    # communication), so transport and workers compose.
+    # workers > 1 its shard chains run on the persistent pool (each
+    # worker plays one shard's BSP rounds, the driver replays the
+    # communication), so transport and workers compose.  Nothing else
+    # uses the pool.
     fabric = None
     if transport == "message" and mode == "lca" and store == "columnar":
         fabric = MessageFabric(
@@ -337,11 +343,7 @@ def beta_partition_ampc(
             budget_words=shard_budget,
             cap_words=config.message_cap_words,
         )
-    pool = (
-        shared_pool(workers)
-        if store == "columnar" and workers > 1 and mode == "lca"
-        else None
-    )
+    pool = shared_pool(workers) if fabric is not None and workers > 1 else None
     with defer_full_gc():
         if store == "columnar":
             return _run_columnar(
@@ -435,7 +437,7 @@ def _run_columnar(
     """The batched columnar loop — observationally identical to the dict
     path, with the residual re-encode, peel round, and DDS-side min-merge
     running as array kernels.  With workers > 1, lca rounds fan their
-    fleet out over threads or the persistent process pool (see
+    fleet out over threads or the fabric's process pool (see
     :func:`lca_round_kernel`) — transparent to every observable."""
     final_layers: dict[int, float] = {}
     alive = np.arange(graph.num_vertices, dtype=np.int64)

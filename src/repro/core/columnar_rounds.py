@@ -37,12 +37,13 @@ dict-backed oracle):
      an iteration costs O(#forwarders + #shares), not O(#holders).
 
 Machines within a round are independent (they all read D_{i-1} only),
-so the fleet can fan out over threads (the array engines), worker
-processes (:class:`repro.ampc.pool.CoinGamePool`, the scalar engine) or
-message-passing shards (:class:`repro.ampc.messaging.MessageFabric`);
-the kernel folds each slice's or shard's layer-proposal deltas and
-per-machine counts back through the same min/+ accumulators the serial
-loop uses, making the result independent of completion order.
+so the fleet can fan out over threads (the array engines) or
+message-passing shards (:class:`repro.ampc.messaging.MessageFabric`,
+whose shard chains run on :class:`repro.ampc.pool.CoinGamePool` worker
+processes); the scalar oracle always plays in-process.  The kernel
+folds each slice's or shard's layer-proposal deltas and per-machine
+counts back through the same min/+ accumulators the serial loop uses,
+making the result independent of completion order.
 """
 
 from __future__ import annotations
@@ -130,8 +131,7 @@ def residual_adjacency_lists(
     list slices of a pre-converted flat list beat per-probe numpy
     indexing by an order of magnitude.  ``alive=None`` converts every
     row (dead rows become empty lists — they are never probed, because
-    residual targets only ever point at alive vertices); pool workers
-    use that form so shard payloads need not carry the alive set.
+    residual targets only ever point at alive vertices).
     """
     flat = targets.tolist()
     offs = offsets.tolist()
@@ -369,28 +369,27 @@ def lca_round_kernel(
     :func:`repro.ampc.pool.min_pool_games_for` cutoff) go parallel when
     ``workers > 1``; smaller rounds run serially in-process, where
     dispatch would cost more than the games.  The array engines fan out
-    over threads (:func:`run_games_batched_with_fallback`) and never
-    touch the process ``pool``.  The scalar engine holds the GIL, so its
-    games shard across the ``pool``'s worker processes
-    (:meth:`repro.ampc.pool.CoinGamePool.run_games`).  All layers fold
-    through the same min/+ accumulators, so partitions, per-round stats,
-    and word counts are identical for every knob combination.
+    over threads (:func:`run_games_batched_with_fallback`).  The scalar
+    engine is the oracle and always plays in-process, one game at a
+    time.  All layers fold through the same min/+ accumulators, so
+    partitions, per-round stats, and word counts are identical for
+    every knob combination.
 
     ``phases``, when given, accumulates per-phase wall-clock seconds
     (``explore`` / ``forward`` / ``fold`` from the batched engine,
     ``native`` / ``fold`` from the compiled one).  Every key of the
     engine is always present.  A threaded compiled round books its
     whole fan-out under ``native``; a threaded batched round and any
-    round played by worker processes leave the engine's own phases at
-    zero.
+    fabric round leave the engine's own phases at zero.
 
     ``fabric`` (a :class:`repro.ampc.messaging.MessageFabric`) replaces
     all of the above with owner-hashed message-passing shards — every
     game dispatches through the fabric, whose shard chains run on the
-    ``pool``'s processes for rounds above the cutoff.  The round's
-    communication counters accumulate into ``comm``, and the fold path
-    is shared with the scalar pool since both return ``(positions,
-    ShardResult)`` pairs.  ``config`` (an
+    ``pool``'s processes (:meth:`repro.ampc.pool.CoinGamePool.run_games`)
+    for rounds above the cutoff; ``pool`` is used for nothing else.  The
+    round's communication counters accumulate into ``comm``, and the
+    fabric's ``(positions, ShardResult)`` pairs fold through the same
+    min/+ accumulators.  ``config`` (an
     :class:`repro.ampc.engine_config.EngineConfig`) pins the run's
     cohort/dispatch knobs; None falls back to the module constants.
     """
@@ -420,27 +419,9 @@ def lca_round_kernel(
         out_layer = [_INF] * n
         out_count = [0] * n
 
-    def _fold_shards(shards):
-        # Shared merge for pool and fabric shard results: every piece is
-        # a commutative min/+ scatter, so arrival order is irrelevant.
-        for shard_positions, shard in shards:
-            if batched:
-                np.minimum.at(out_layer, shard.fold_vertices, shard.fold_minima)
-                np.add.at(out_count, shard.fold_vertices, shard.fold_counts)
-            else:
-                for u, minimum, count in zip(
-                    shard.fold_vertices.tolist(),
-                    shard.fold_minima.tolist(),
-                    shard.fold_counts.tolist(),
-                ):
-                    if minimum < out_layer[u]:
-                        out_layer[u] = minimum
-                    out_count[u] += count
-            batch.account_at(shard_positions, shard.reads, shard.writes)
-
     positions = np.arange(len(alive), dtype=np.int64)
     if fabric is not None:
-        _fold_shards(fabric.run_round(
+        shards = fabric.run_round(
             offsets,
             targets,
             alive,
@@ -458,7 +439,23 @@ def lca_round_kernel(
             # Either way the fabric's observables and counters are
             # identical.
             pool=pool if big else None,
-        ))
+        )
+        # Every piece is a commutative min/+ scatter, so shard order is
+        # irrelevant.
+        for shard_positions, shard in shards:
+            if batched:
+                np.minimum.at(out_layer, shard.fold_vertices, shard.fold_minima)
+                np.add.at(out_count, shard.fold_vertices, shard.fold_counts)
+            else:
+                for u, minimum, count in zip(
+                    shard.fold_vertices.tolist(),
+                    shard.fold_minima.tolist(),
+                    shard.fold_counts.tolist(),
+                ):
+                    if minimum < out_layer[u]:
+                        out_layer[u] = minimum
+                    out_count[u] += count
+            batch.account_at(shard_positions, shard.reads, shard.writes)
     elif batched:
         reads, writes, __ = run_games_batched_with_fallback(
             offsets, targets, alive,
@@ -468,19 +465,6 @@ def lca_round_kernel(
             workers=workers if big else 1,
         )
         batch.account_at(positions, reads, writes)
-    elif pool is not None and big:
-        _fold_shards(pool.run_games(
-            offsets,
-            targets,
-            alive,
-            positions,
-            x=x,
-            beta=beta,
-            clip=clip,
-            horizon=horizon,
-            scale=scale,
-            config=config,
-        ))
     else:
         adj = residual_adjacency_lists(offsets, targets, alive)
         reads = np.zeros(len(alive), dtype=np.int64)
@@ -514,10 +498,10 @@ def play_coin_game(
     S_v evolution, same proof, same probe counts — see the module
     docstring for the three exactness-preserving shortcuts), folding the
     clipped proof into ``out_layer``/``out_count`` (any pair of
-    indexables supporting min-update and +=; both the serial kernel and
-    pool workers pass dense universe-sized lists) and returning the
-    ``(reads, writes, record)`` — ``record`` is a replayable game record
-    tuple when ``want_record``, else None.
+    indexables supporting min-update and +=; the serial kernel passes
+    dense universe-sized lists, fabric shards sparse dict scratch) and
+    returning ``(reads, writes, record)`` — ``record`` is a replayable
+    game record tuple when ``want_record``, else None.
 
     Coins are fixed-scale exact integers (``scale`` from
     :func:`repro.lca.coin_game.fixed_coin_scale`; every share division

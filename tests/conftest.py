@@ -2,10 +2,11 @@
 
 Adds two execution knobs:
 
-- ``--workers N`` — worker-process count the parallel-equivalence suite
+- ``--workers N`` — worker count the parallel-equivalence suite
   exercises on top of its built-in {1, 2, 4} matrix (defaults to
   ``$REPRO_WORKERS`` or 1, so the CI matrix leg that exports
-  ``REPRO_WORKERS=2`` routes every columnar lca round through the pool).
+  ``REPRO_WORKERS=2`` fans every large enough columnar lca round out
+  over threads, and message-fabric rounds over the process pool).
 - ``--slow`` — opt into tests marked ``slow`` (full-size shapes for the
   differential harness); they are deselected by default so the tier-1
   run stays fast, and CI's cron/label-gated job turns them on.
@@ -33,7 +34,7 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         "--workers",
         type=int,
         default=resolve_workers(None),
-        help="worker processes the parallel-equivalence suite exercises "
+        help="worker count the parallel-equivalence suite exercises "
         "in addition to its built-in matrix (default: $REPRO_WORKERS, "
         'which may be a count or "auto")',
     )

@@ -5,14 +5,15 @@ engine against the dict oracle end-to-end; these tests aim at the
 engine's own moving parts — the shared-CSR transpose map behind row
 patches, cohort blocking, the coin-scale escape hatch (ejection), the
 huge-β escalation fallback, the thread fan-out of the array engines
-(bit-identical to the serial run) versus process dispatch of the
-scalar engine, the usable-CPU count behind ``workers="auto"``, the
+(bit-identical to the serial run) beside the in-process scalar
+engine, the usable-CPU count behind ``workers="auto"``, the
 batched ``query_all`` port the E1/F2 sweeps run on, and multi-round
 partitions whose later rounds replay nothing from earlier ones.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import sys
 import threading
@@ -237,11 +238,14 @@ class TestWorkersAutoAndThreshold:
         assert resolve_workers(None) == resolve_workers("auto")
 
     def test_small_rounds_skip_pool_dispatch(self):
-        # Below the minimum-game threshold the pool must never fork:
-        # its executor stays unmaterialized for the whole partition.
+        # Below the minimum-game threshold the fabric's pool must never
+        # fork: its executor stays unmaterialized for the whole
+        # partition.
         close_shared_pools()
         graph = random_gnm(80, 160, seed=2)
-        outcome = beta_partition_ampc(graph, 9, store="columnar", workers=2)
+        outcome = beta_partition_ampc(
+            graph, 9, store="columnar", workers=2, transport="message"
+        )
         assert not outcome.partition.is_partial(range(80))
         pool = _SHARED_POOLS.get(2)
         assert pool is not None and pool._executor is None
@@ -252,7 +256,7 @@ class TestWorkersAutoAndThreshold:
         graph = random_gnm(80, 160, seed=2)
         beta_partition_ampc(
             graph, 9, store="columnar", workers=2, min_pool_games=1,
-            engine="scalar",
+            transport="message",
         )
         pool = _SHARED_POOLS.get(2)
         assert pool is not None and pool._executor is not None
@@ -266,21 +270,28 @@ class TestWorkersAutoAndThreshold:
         assert auto.workers == resolve_workers("auto")
         close_shared_pools()
 
-    def test_array_engines_use_threads_scalar_forks(self, monkeypatch):
+    def test_array_engines_thread_scalar_in_process(self, monkeypatch):
         # 600 pending games, above the one cutoff (256): the default
-        # engine plays them on threads and never forks the executor;
-        # the scalar engine still shards across worker processes.
+        # engine plays them on threads, and the scalar oracle plays them
+        # one by one on the driver.  Neither acquires the process pool.
         _many_cpus(monkeypatch)
         close_shared_pools()
         played_on = _spy_cohort_threads(monkeypatch)
         g = random_gnm(600, 1200, seed=2)
         beta_partition_ampc(g, 9, store="columnar", workers=2)
         assert played_on - {threading.get_ident()}, "no game left the driver"
-        pool = _SHARED_POOLS.get(2)
-        assert pool is not None and pool._executor is None
-        beta_partition_ampc(g, 9, store="columnar", workers=2, engine="scalar")
-        assert _SHARED_POOLS[2]._executor is not None
-        close_shared_pools()
+        assert _SHARED_POOLS.get(2) is None
+        serial = beta_partition_ampc(
+            g, 9, store="columnar", workers=1, engine="scalar"
+        )
+        scalar = beta_partition_ampc(
+            g, 9, store="columnar", workers=2, engine="scalar",
+            min_pool_games=1,
+        )
+        assert _SHARED_POOLS.get(2) is None
+        assert multiprocessing.active_children() == []
+        assert scalar.partition.layers == serial.partition.layers
+        assert scalar.round_recovery == {}
 
     def test_auto_counts_usable_cpus_not_installed(self, monkeypatch):
         # An affinity mask (taskset, a cgroup cpuset) grants fewer CPUs

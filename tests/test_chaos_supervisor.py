@@ -1,7 +1,7 @@
 """Chaos harness for the fault-tolerant round supervisor.
 
 Randomized seeded :class:`~repro.ampc.faults.FaultPlan` schedules across
-(engine, transport, shards, workers) must leave every observable —
+shard counts and fault kinds must leave every observable —
 partitions, layers, communication counters, guard peaks — bit-identical
 to the fault-free serial oracle, because every recovery path re-executes
 a pure shard chain.  The matrix here deliberately mixes loss modes:
@@ -9,11 +9,11 @@ picklable worker exceptions (``crash``), dead processes that break the
 whole executor (``exit``), checksum-detected corruption (``garbage``),
 results that cannot cross the pipe (``unpicklable``), lost
 shared-memory attachments (``shm-detach``), and completion-order jitter
-(``slow``).  Shared-memory legs pin ``engine="scalar"``: the array
-engines fan out over threads and never reach the process pool, so
-faults can only be injected where processes still run — the scalar
-oracle and the message fabric's shard chains.  Separate legs cover the
-hang-deadline kill (a deliberately sleeping worker), the
+(``slow``).  Every leg runs ``transport="message"``: the message
+fabric's shard chains are the only work the process pool runs (the
+array engines fan out over threads and the scalar oracle plays
+in-process), so faults can only be injected there.  Separate legs
+cover the hang-deadline kill (a deliberately sleeping worker), the
 degraded-to-serial fallback (every attempt faults), teardown hygiene
 (no orphaned workers or /dev/shm segments after any schedule), and the
 ``close_shared_pools`` double-close regression.
@@ -78,8 +78,12 @@ def fresh_pool_env():
 
 
 class TestChaosMatrix:
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_shm_transport_survives_mixed_faults(self, seed, fresh_pool_env):
+    # Seed 9's schedule fires all five kinds on the round's one
+    # dispatch; seed 0's fires garbage, unpicklable and slow.
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_fabric_survives_pipe_detach_and_slow_faults(
+        self, seed, fresh_pool_env
+    ):
         g = _graph()
         oracle = beta_partition_ampc(g, 9, store="columnar", workers=1)
         plan = FaultPlan(
@@ -88,12 +92,13 @@ class TestChaosMatrix:
         )
         with faults.inject(plan):
             out = beta_partition_ampc(
-                g, 9, store="columnar", workers=2, engine="scalar",
-                min_pool_games=1, config=_FAST,
+                g, 9, store="columnar", workers=2, transport="message",
+                shards=8, min_pool_games=1, config=_FAST,
             )
         assert out.partition.layers == oracle.partition.layers
         assert out.unlayered_per_round == oracle.unlayered_per_round
         rec = out.round_recovery
+        assert rec["retries"] > 0  # the schedule hit the pool
         assert rec["degraded_shards"] == 0  # attempts=2 gate: retry wins
         assert rec["recovery_wall_s"] >= 0.0
 
@@ -131,7 +136,7 @@ class TestChaosMatrix:
         with faults.inject(plan):
             out = beta_partition_ampc(
                 g, 9, store="columnar", workers=2, min_pool_games=1,
-                engine="scalar", config=_FAST,
+                transport="message", config=_FAST,
             )
         assert out.partition.layers == oracle.partition.layers
         rec = out.round_recovery
@@ -143,7 +148,7 @@ class TestChaosMatrix:
         with faults.inject(None):  # isolate from any CI-wide chaos plan
             out = beta_partition_ampc(
                 _graph(), 9, store="columnar", workers=2, min_pool_games=1,
-                engine="scalar",
+                transport="message",
             )
         rec = dict(out.round_recovery)
         wall = rec.pop("recovery_wall_s")
@@ -166,7 +171,7 @@ class TestHangDeadline:
         with faults.inject(plan):
             out = beta_partition_ampc(
                 g, 9, store="columnar", workers=2, min_pool_games=1,
-                engine="scalar", config=cfg,
+                transport="message", config=cfg,
             )
         assert out.partition.layers == oracle.partition.layers
         rec = out.round_recovery
@@ -182,7 +187,7 @@ class TestHangDeadline:
         with faults.inject(plan):
             out = beta_partition_ampc(
                 g, 9, store="columnar", workers=2, min_pool_games=1,
-                engine="scalar", config=_FAST,
+                transport="message", config=_FAST,
             )
         assert out.partition.layers == oracle.partition.layers
         assert out.round_recovery["deadline_kills"] == 0
@@ -201,7 +206,7 @@ class TestDegradedToSerial:
         with faults.inject(FaultPlan(seed=5, rate=1.0, kinds=("crash",))):
             out = beta_partition_ampc(
                 g, 9, store="columnar", workers=2, min_pool_games=1,
-                engine="scalar", config=_FAST,
+                transport="message", config=_FAST,
             )
         assert out.partition.layers == oracle.partition.layers
         rec = out.round_recovery
@@ -229,14 +234,14 @@ class TestDegradedToSerial:
         with faults.inject(FaultPlan(seed=5, rate=1.0, kinds=("crash",))):
             beta_partition_ampc(
                 g, 9, store="columnar", workers=2, min_pool_games=1,
-                engine="scalar", config=_FAST,
+                transport="message", config=_FAST,
             )
         # Degradation is per-dispatch, not a pool death sentence: the
         # next clean run uses the pool again with zero recovery.
         with faults.inject(None):
             out = beta_partition_ampc(
                 g, 9, store="columnar", workers=2, min_pool_games=1,
-                engine="scalar",
+                transport="message",
             )
         assert out.round_recovery["degraded_shards"] == 0
         assert out.round_recovery["retries"] == 0
@@ -254,10 +259,11 @@ class TestTeardownHygiene:
         before = _shm_segments()
         plan = FaultPlan(seed=17, rate=0.5, attempts=2, kinds=kinds)
         with faults.inject(plan):
-            beta_partition_ampc(
+            out = beta_partition_ampc(
                 _graph(), 9, store="columnar", workers=2, min_pool_games=1,
-                engine="scalar", config=_FAST,
+                transport="message", shards=8, config=_FAST,
             )
+        assert out.round_recovery["retries"] > 0  # the schedule hit
         assert _shm_segments() <= before
         close_shared_pools()
         assert multiprocessing.active_children() == []
@@ -301,7 +307,7 @@ class TestTeardownHygiene:
         with faults.inject(None):
             out = beta_partition_ampc(
                 g, 9, store="columnar", workers=2, min_pool_games=1,
-                engine="scalar", config=_FAST,
+                transport="message", config=_FAST,
             )
         assert out.partition.layers == oracle.partition.layers
         rec = out.round_recovery

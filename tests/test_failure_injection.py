@@ -4,10 +4,10 @@ Every experiment trusts the validators to fail loudly; these tests mutate
 correct outputs in targeted ways and assert the validators notice.  A
 validator that silently accepts garbage would make every green table in
 EXPERIMENTS.md meaningless.  The worker-pool section injects seeded
-:class:`~repro.ampc.faults.FaultPlan` faults into the parallel coin-game
-engine — an exception mid-round, a poisoned (unpicklable) result, a
-worker death — and asserts the round supervisor recovers each one with a
-bit-identical partition; with recovery disabled
+:class:`~repro.ampc.faults.FaultPlan` faults into the message fabric's
+pooled shard chains — an exception mid-round, a poisoned (unpicklable)
+result, a worker death — and asserts the round supervisor recovers each
+one with a bit-identical partition; with recovery disabled
 (``max_shard_retries=0``, ``pool_degrade=False``) the same faults must
 surface as one clear, context-carrying :class:`WorkerPoolError` with no
 orphan worker processes left behind.
@@ -158,12 +158,13 @@ class TestWorkerPoolFaults:
     def _partition(self, workers, config=None):
         # min_pool_games=1 forces dispatch: this round is smaller than
         # the default threshold, and the faults only fire inside worker
-        # processes — which only the scalar engine's rounds use (the
-        # array engines fan out over threads).
+        # processes — which only the message fabric's shard chains use
+        # (the array engines fan out over threads, the scalar oracle
+        # plays in-process).
         g = random_gnm(120, 240, seed=13)
         return beta_partition_ampc(
             g, 9, store="columnar", workers=workers, min_pool_games=1,
-            engine="scalar", config=config,
+            transport="message", config=config,
         )
 
     def _oracle_layers(self):
@@ -246,9 +247,8 @@ class TestWorkerPoolFaults:
         targets = np.array([1, 0], dtype=np.int64)
         with pytest.raises(WorkerPoolError, match="closed"):
             pool.run_games(
-                offsets, targets,
-                np.array([0], dtype=np.int64), np.array([0], dtype=np.int64),
-                x=4, beta=2, clip=1, horizon=12, scale=12,
+                offsets, targets, [(0, np.array([0], dtype=np.int64))],
+                {}, on_result=lambda *result: None,
             )
 
     def test_invalid_worker_counts_rejected(self):

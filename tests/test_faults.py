@@ -148,6 +148,20 @@ class TestInjectAndEnvShim:
         faults.apply_pre(None)  # no-op
         faults.apply_pre(FaultSpec("slow", 0.0))  # returns after sleep(0)
 
+    def test_apply_pre_shm_detach_resets_worker_csr_cache(
+        self, monkeypatch
+    ):
+        from repro.ampc import pool
+
+        arrays = (np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        monkeypatch.setitem(pool._CSR_CACHE, "key", ("psm_a", "psm_b"))
+        monkeypatch.setitem(pool._CSR_CACHE, "csr", arrays)
+        with pytest.raises(InjectedFault, match="shm-detach"):
+            faults.apply_pre(FaultSpec("shm-detach"))
+        # Exactly the cache's own slots, each dropped: the retry must
+        # re-attach from the driver's segments.
+        assert pool._CSR_CACHE == {"key": None, "csr": None}
+
     def test_every_kind_is_documented_in_module(self):
         doc = faults.__doc__
         for kind in FAULT_KINDS:

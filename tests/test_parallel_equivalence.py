@@ -3,7 +3,8 @@
 ``beta_partition_ampc`` exposes four execution knobs — ``store``
 (columnar kernels vs the dict-backed oracle), ``engine`` (lockstep
 batched game kernels vs the per-game scalar interpreter), ``workers``
-(process-pool machine sharding), and, implicitly, the cross-round game
+(the array engines' thread fan-out; the scalar interpreter stays
+in-process), and, implicitly, the cross-round game
 cache and the scaled-integer coin fast path.  None of them may change a
 single observable: partitions, layer values, round counts, per-round
 statistics (probe/write totals and maxima), and per-store word
@@ -19,6 +20,7 @@ adds one more worker count to the built-in {1, 2, 4} matrix.
 
 from __future__ import annotations
 
+import multiprocessing
 from fractions import Fraction
 
 import pytest
@@ -68,8 +70,9 @@ def _assert_outcomes_equivalent(oracle, candidate):
 def _run_matrix(graph, beta, **kwargs):
     """Run every (store, engine, workers) combination vs the dict oracle.
 
-    ``min_pool_games=1`` forces pool dispatch even on these tiny shapes,
-    so the worker legs genuinely exercise the sharded path.
+    ``min_pool_games=1`` forces the thread fan-out even on these tiny
+    shapes, so the worker legs genuinely exercise the split path.  The
+    scalar legs must never fork a process.
     """
     oracle = beta_partition_ampc(graph, beta, store="dict", workers=1, **kwargs)
     legs = [
@@ -85,10 +88,13 @@ def _run_matrix(graph, beta, **kwargs):
         for workers in WORKER_MATRIX:
             if store == "dict" and workers == 1:
                 continue
+            children = set(multiprocessing.active_children())
             candidate = beta_partition_ampc(
                 graph, beta, store=store, workers=workers, engine=engine,
                 min_pool_games=1, **kwargs
             )
+            if engine == "scalar":
+                assert set(multiprocessing.active_children()) == children
             assert candidate.workers == workers
             if engine is not None:
                 assert candidate.engine == engine
