@@ -90,12 +90,21 @@ each game's recorded explored set against the rows actually held.  A
 game whose explored set is fully held produced the exact transcript —
 commit it; otherwise the run is discarded, the missing rows are
 requested from their owners, and the game re-runs next sub-round.  The
-batched engine runs on an order-preserving compaction of the held rows
+array engines run on an order-preserving compaction of the held rows
 (global ids → ranks; every order-dependent tie-break is preserved under
-a monotone remap, so committed transcripts map back exactly), closed
-with synthetic reverse rows for fringe vertices so its transpose-based
-row arena stays well-formed — synthetic rows are only ever read by
-games that explored a fringe vertex, i.e. games that are discarded.
+a monotone remap, so committed transcripts map back exactly); for the
+batched engine it is closed with synthetic reverse rows for fringe
+vertices so its transpose-based row arena stays well-formed — synthetic
+rows are only ever read by games that explored a fringe vertex, i.e.
+games that are discarded.  A shard plays its pending games through the
+same fleet player as the shm round
+(:func:`repro.core.columnar_rounds.play_fleet`) and checks its flat
+records against the held mask in whole-fleet array ops.  Games the
+engine ejects replay through the scalar interpreter on the shard's
+real held rows (:class:`_GhostAdjacency`), as every game does under
+``engine="scalar"``.  Whichever engine played it, a committed game
+keeps only its proof, as ``(vertex, layer)`` columns, for the layer
+fold.
 
 Ghost-fringe invalidation rules
 -------------------------------
@@ -594,10 +603,8 @@ class _ShardRound:
         self.reads = np.zeros(g, dtype=np.int64)
         self.writes = np.zeros(g, dtype=np.int64)
         self.ball_words = np.zeros(g, dtype=np.int64)
-        # Record tuples of games committed by the scalar interpreter,
-        # and columnar (proof_u, proof_l) of those the array engines
-        # committed: the layer fold consumes either.
-        self.records: list = [None] * g
+        # (proof_u, proof_l) columns of every committed game, whichever
+        # engine played it; the layer fold concatenates them.
         self.proof_cols: list = [None] * g
         self.missing: list[np.ndarray] = [_EMPTY] * g
         self.fetched: list[list[np.ndarray]] = [[] for __ in range(g)]
@@ -687,53 +694,47 @@ class _ShardRound:
         self.play_s += (time.perf_counter() - t0) - (self.compact_s - c0)
 
     def _commit(
-        self, i: int, reads: int, writes: int, record: tuple | None,
-        ball_words: int, ejected: bool, proof_cols: tuple | None = None,
+        self, i: int, reads: int, writes: int, ball_words: int,
+        proof_u: np.ndarray, proof_l: np.ndarray, ejected: bool = False,
     ) -> None:
         self.valid[i] = True
         self.missing[i] = _EMPTY
         self.reads[i] = reads
         self.writes[i] = writes
-        self.records[i] = record
-        self.proof_cols[i] = proof_cols
+        self.proof_cols[i] = (proof_u, proof_l)
         self.ball_words[i] = ball_words
         if ejected:
             self.ejected_games += 1
 
+    def _commit_record(
+        self, i: int, reads: int, writes: int, record: tuple,
+        adj: "_GhostAdjacency", ejected: bool = False,
+    ) -> None:
+        """Commit a game the scalar interpreter played on held rows,
+        its proof pairs converted to the columns every commit keeps."""
+        explored, proof = record[0], record[1]
+        ball = len(explored) + sum(len(adj[u]) for u in explored)
+        pairs = np.array(proof, dtype=np.int64).reshape(-1, 2)
+        self._commit(
+            i, reads, writes, ball, pairs[:, 0], pairs[:, 1], ejected
+        )
+
     def proof_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Locally folded layer proposals: ``(vertices, minima, counts)``.
 
-        Engine paths commit columnar (proof_u, proof_l) arrays and
-        concatenate for free; scalar-path games (including ejected
-        games) fall back to flattening their record tuples — the same
-        pairs either way.  The game shard then combines its own pairs
-        per vertex (min layer, proposal count) before they are routed
-        to vertex owners — the standard combiner: the owner-side fold
-        is min-of-mins and sum-of-counts, so the result is identical
-        while each shard forwards one triple per distinct vertex
-        instead of one pair per proposal.
+        Every committed game holds its proof as (proof_u, proof_l)
+        columns, so the pairs concatenate for free.  The game shard
+        then combines its own pairs per vertex (min layer, proposal
+        count) before they are routed to vertex owners — the standard
+        combiner: the owner-side fold is min-of-mins and sum-of-counts,
+        so the result is identical while each shard forwards one triple
+        per distinct vertex instead of one pair per proposal.
         """
-        parts_u: list[np.ndarray] = []
-        parts_l: list[np.ndarray] = []
-        for i, cols in enumerate(self.proof_cols):
-            if cols is not None:
-                parts_u.append(cols[0])
-                parts_l.append(cols[1])
-                continue
-            record = self.records[i]
-            if record is None:
-                continue
-            proof = record[1]
-            parts_u.append(np.fromiter(
-                (u for u, __ in proof), dtype=np.int64, count=len(proof)
-            ))
-            parts_l.append(np.fromiter(
-                (lay for __, lay in proof), dtype=np.int64, count=len(proof)
-            ))
-        pu = np.concatenate(parts_u) if parts_u else _EMPTY
+        cols = [c for c in self.proof_cols if c is not None]
+        pu = np.concatenate([c[0] for c in cols]) if cols else _EMPTY
         if not pu.size:  # no game of this shard proved any layer
             return _EMPTY, _EMPTY, _EMPTY
-        pl = np.concatenate(parts_l)
+        pl = np.concatenate([c[1] for c in cols])
         # Layers are tiny non-negative ints, so one encoded int64 key
         # sorts (vertex, layer) in a single in-place pass — same
         # grouping a two-key lexsort would give, at half the cost.
@@ -893,8 +894,7 @@ class _ShardRound:
         self.compact_s += time.perf_counter() - t0
 
     def _play_batched(self, params: dict, config) -> None:
-        from repro.core.batched_games import play_games_batched
-        from repro.core.columnar_rounds import play_coin_game
+        from repro.core.columnar_rounds import play_coin_game, play_fleet
 
         shard = self.shard
         need = self.pending()
@@ -969,117 +969,51 @@ class _ShardRound:
             (u_count + 1) + 2 * len(targets_l) + 3 * u_count,
         )
 
-        from repro.core.batched_games import csr_transpose_positions
-
-        if self.engine == "compiled":
-            from repro.core.native import play_games_compiled
-
-            play_cohort = play_games_compiled
-            transpose = None
-        else:
-            play_cohort = play_games_batched
-            transpose = csr_transpose_positions(offsets_l, targets_l)
-        roots_l = loc["roots_l"][need]
-        out_layer = np.full(u_count, _INF)
-        out_count = np.zeros(u_count, dtype=np.int64)
-        k = len(roots_l)
-        reads = np.zeros(k, dtype=np.int64)
-        writes = np.zeros(k, dtype=np.int64)
-        records: list = [None] * k
-        ejected_flags = np.zeros(k, dtype=bool)
-        block = config.cohort_games
-        arena_hint = [0, 0]
-        ejected: list[int] = []
-        need_list = need.tolist()
-        raw = self.engine == "compiled"
-        for start in range(0, k, block):
-            stop = min(start + block, k)
-            info = play_cohort(
-                offsets_l, targets_l, roots_l[start:stop],
-                x=params["x"], beta=params["beta"], clip=params["clip"],
-                horizon=params["horizon"], scale=params["scale"],
-                out_layer=out_layer, out_count=out_count,
-                want_records=True, transpose_pos=transpose,
-                arena_hint=arena_hint,
-                **({"raw_records": True} if raw else {}),
-            )
-            reads[start:stop] = info.reads
-            writes[start:stop] = info.writes
-            ejected.extend((info.ejected + start).tolist())
-            if not raw:
-                records[start:stop] = info.records
-                continue
-            # Raw flat records: remap ids and split valid from invalid
-            # games in whole-cohort array ops — an optimistic wave
-            # discards most of its plays as invalid, and marshalling
-            # their transcripts one list element at a time was the
-            # fabric's single largest driver cost.
-            mem_f, pu_f, pl_f, mem_counts, proof_counts = info.records
-            mem_ends = np.cumsum(mem_counts)
-            proof_ends = np.cumsum(proof_counts)
-            mem_g = universe[mem_f]
-            pu_g = universe[pu_f]
-            pl_g = np.asarray(pl_f, dtype=np.int64)
-            bad = ~held[mem_f]
-            bad_cum = np.zeros(len(bad) + 1, dtype=np.int64)
-            np.cumsum(bad, out=bad_cum[1:])
-            ball_cum = np.zeros(len(mem_f) + 1, dtype=np.int64)
-            np.cumsum(deg_held[mem_f], out=ball_cum[1:])
-            cohort_ejected = np.zeros(stop - start, dtype=bool)
-            cohort_ejected[info.ejected] = True
-            mo = po = 0
-            for jj in range(stop - start):
-                me = int(mem_ends[jj])
-                pe = int(proof_ends[jj])
-                if cohort_ejected[jj]:
-                    mo, po = me, pe
-                    continue  # replayed exactly below, on real held rows
-                i = need_list[start + jj]
-                if bad_cum[me] != bad_cum[mo]:
-                    # Unsorted is fine: missing sets only ever feed
-                    # missing_union / pinned_ghosts, which sort-unique
-                    # their concatenation anyway.
-                    seg = mem_g[mo:me]
-                    self.missing[i] = seg[bad[mo:me]]
-                else:
-                    # Real words of the held ball: one degree word plus
-                    # the row targets per explored vertex — identically
-                    # the game's probe charge, so strict-budget parity
-                    # is checked against what a shard genuinely held.
-                    ball = (me - mo) + int(ball_cum[me] - ball_cum[mo])
-                    self._commit(
-                        i, int(reads[start + jj]), int(writes[start + jj]),
-                        None, ball, False,
-                        proof_cols=(pu_g[po:pe], pl_g[po:pe]),
-                    )
-                mo, po = me, pe
-        if ejected:
-            ejected_flags[ejected] = True
-        if not raw:
-            for j, i in enumerate(need_list):
-                if ejected_flags[j]:
-                    continue  # replayed exactly below, on real held rows
-                record = records[j]
-                explored_l = np.asarray(record[0], dtype=np.int64)
-                miss = explored_l[~held[explored_l]]
-                if miss.size:
-                    # Unsorted is fine (see the raw path above).
-                    self.missing[i] = universe[miss]
-                    continue
-                proof = record[1]
-                pu_arr = universe[np.fromiter(
-                    (u for u, __ in proof), dtype=np.int64, count=len(proof)
-                )]
-                pl_arr = np.fromiter(
-                    (lay for __, lay in proof), dtype=np.int64,
-                    count=len(proof),
-                )
-                # Real words of the held ball (see the raw path above).
-                ball = len(explored_l) + int(deg_held[explored_l].sum())
+        info = play_fleet(
+            offsets_l, targets_l, loc["roots_l"][need],
+            x=params["x"], beta=params["beta"], clip=params["clip"],
+            horizon=params["horizon"], scale=params["scale"],
+            out_layer=np.full(u_count, _INF),
+            out_count=np.zeros(u_count, dtype=np.int64),
+            engine=self.engine, want_records=True, config=config,
+        )
+        # Remap ids and split valid from invalid games in whole-fleet
+        # array ops — an optimistic wave discards most of its plays as
+        # invalid, and marshalling their transcripts one list element at
+        # a time was the fabric's single largest play-side cost.
+        mem_f, pu_f, pl_f, mem_counts, proof_counts = info.records
+        mem_ends = np.cumsum(mem_counts).tolist()
+        proof_ends = np.cumsum(proof_counts).tolist()
+        mem_g = universe[mem_f]
+        pu_g = universe[pu_f]
+        bad = ~held[mem_f]
+        bad_cum = np.zeros(len(bad) + 1, dtype=np.int64)
+        np.cumsum(bad, out=bad_cum[1:])
+        ball_cum = np.zeros(len(mem_f) + 1, dtype=np.int64)
+        np.cumsum(deg_held[mem_f], out=ball_cum[1:])
+        ejected = np.zeros(len(need), dtype=bool)
+        ejected[info.ejected] = True
+        mo = po = 0
+        for j, i in enumerate(need.tolist()):
+            me, pe = mem_ends[j], proof_ends[j]
+            if ejected[j]:
+                pass  # replayed exactly below, on real held rows
+            elif bad_cum[me] != bad_cum[mo]:
+                # Unsorted is fine: missing sets only ever feed
+                # missing_union / pinned_ghosts, which sort-unique their
+                # concatenation anyway.
+                self.missing[i] = mem_g[mo:me][bad[mo:me]]
+            else:
+                # Real words of the held ball: one degree word plus the
+                # row targets per explored vertex — identically the
+                # game's probe charge, so strict-budget parity is
+                # checked against what a shard genuinely held.
+                ball = (me - mo) + int(ball_cum[me] - ball_cum[mo])
                 self._commit(
-                    i, int(reads[j]), int(writes[j]), None, ball, False,
-                    proof_cols=(pu_arr, pl_arr),
+                    i, int(info.reads[j]), int(info.writes[j]), ball,
+                    pu_g[po:pe], pl_f[po:pe],
                 )
+            mo, po = me, pe
 
         # Ejected games replay through the scalar interpreter — but on
         # the shard's *real* held rows in global ids, not the compacted
@@ -1094,11 +1028,11 @@ class _ShardRound:
         # transcript is exact and commits; otherwise the logged probes
         # are the genuine rows the game's real trajectory needs next
         # sub-round.
-        if ejected:
+        if info.ejected.size:
             adj = _GhostAdjacency(shard)
             scratch_layer = _MinScratch()
             scratch_count = _CountScratch()
-            for gi in ejected:
+            for gi in info.ejected.tolist():
                 i = int(need[gi])
                 adj.missing = set()
                 r, w, record = play_coin_game(
@@ -1111,8 +1045,7 @@ class _ShardRound:
                         adj.missing, dtype=np.int64, count=len(adj.missing)
                     ))
                     continue
-                ball = len(record[0]) + sum(len(adj[u]) for u in record[0])
-                self._commit(i, r, w, record, ball, True)
+                self._commit_record(i, r, w, record, adj, ejected=True)
             shard.guard.account(
                 "game_scratch",
                 (u_count + 1) + 2 * len(targets_l) + 3 * u_count
@@ -1139,8 +1072,7 @@ class _ShardRound:
                     adj.missing, dtype=np.int64, count=len(adj.missing)
                 ))
                 continue
-            ball = len(record[0]) + sum(len(adj[u]) for u in record[0])
-            self._commit(i, reads, writes, record, ball, False)
+            self._commit_record(i, reads, writes, record, adj)
         shard.guard.account("game_scratch", adj.cached_words())
         shard.guard.release("game_scratch")
 

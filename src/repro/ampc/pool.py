@@ -9,13 +9,14 @@ share *no* state and can run in any order — or simultaneously.  The
 simulator exploits exactly that freedom, nothing more:
 
 - **Threads for the array engines.**  ``"compiled"`` and ``"batched"``
-  rounds never reach the process pool: the round kernel fans their
-  game slices out over a persistent thread pool
-  (:func:`repro.core.columnar_rounds.run_games_batched_with_fallback`).
-  cffi drops the GIL for every fused-C cohort call and numpy drops it
-  inside its array kernels, so threads share the round's CSR in place
-  with no publish, pickle, or attach cost.  The ``"scalar"`` oracle
-  always plays in-process.
+  shm rounds never reach the process pool: the fleet player
+  (:func:`repro.core.columnar_rounds.play_fleet`) fans their game
+  slices out over one persistent thread pool of :func:`usable_cpus`
+  threads, created once and never replaced.  cffi drops the GIL for
+  every fused-C cohort call and numpy drops it inside its array
+  kernels, so threads share the round's CSR in place with no publish,
+  pickle, or attach cost.  Ejected games replay on the calling thread
+  after the join.  The ``"scalar"`` oracle always plays in-process.
 - **Processes for the message fabric.**  A shard chain
   (:func:`repro.ampc.messaging.run_shard_chain`) is pure Python and
   holds the GIL, so :meth:`CoinGamePool.run_games` runs one chain per
@@ -107,6 +108,7 @@ import atexit
 import contextlib
 import gc
 import multiprocessing
+import operator
 import os
 import time
 from concurrent.futures import (
@@ -267,19 +269,28 @@ def resolve_workers(workers: int | str | None) -> int:
     container pinned) to one CPU never pays dispatch overhead while
     multi-core hosts fan out by default; combined with
     :data:`MIN_POOL_GAMES` this is what the pipelines run with.
-    Explicit integers are taken as-is.
+    Integers and integer strings are taken as-is; anything else
+    (``2.7``, ``"2.5"``, ``"two"``) raises ValueError naming
+    ``$REPRO_WORKERS`` when the value came from the environment.
     """
+    name = "workers"
     if workers is None:
         env = os.environ.get("REPRO_WORKERS", "").strip()
-        workers = env if env else "auto"
-    if isinstance(workers, str):
-        if workers == "auto":
-            return usable_cpus()
-        workers = int(workers)
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return workers
+        workers, name = (env, "$REPRO_WORKERS") if env else ("auto", name)
+    if workers == "auto":
+        return usable_cpus()
+    try:
+        value = (
+            int(workers) if isinstance(workers, str)
+            else operator.index(workers)
+        )
+    except (TypeError, ValueError):
+        raise ValueError(
+            f'{name}={workers!r} is not an integer or "auto"'
+        ) from None
+    if value < 1:
+        raise ValueError(f"{name}={workers!r} must be >= 1")
+    return value
 
 
 # -- worker side -----------------------------------------------------------

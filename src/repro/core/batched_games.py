@@ -116,6 +116,7 @@ __all__ = [
     "BatchedGamesInfo",
     "SCALE_LIMIT",
     "csr_transpose_positions",
+    "empty_records",
     "play_games_batched",
     "replay_cone_fraction",
 ]
@@ -146,14 +147,32 @@ _VECTOR_LCM_MAX_BP1 = 36
 
 
 class BatchedGamesInfo(NamedTuple):
-    """Per-game outputs of one lockstep run (game order = ``roots`` order)."""
+    """Per-game outputs of one lockstep run (game order = ``roots`` order).
+
+    ``records`` (None unless asked for) is the flat int64 tuple
+    ``(members, proof_u, proof_layer, member_counts, proof_counts)``:
+    game ``g``'s final S_v in exploration order and its clipped proof
+    entries are the ``counts``-delimited segments of the three flat
+    arrays.  Ejected games have empty segments.  Both array engines
+    return this one format.
+    """
 
     reads: np.ndarray  # probe counts (0 at ejected games)
     writes: np.ndarray  # proof-entry writes (0 at ejected games)
-    records: list | None  # replayable record tuples (None at ejected games)
+    records: tuple | None  # flat records (empty segments at ejected games)
     super_iterations: np.ndarray  # super-iterations played per game
     edges_seen: np.ndarray  # |E(G[S_v])| per game
     ejected: np.ndarray  # game indices the caller must replay scalar-side
+
+
+def empty_records(num_games: int) -> tuple:
+    """Flat records of ``num_games`` games that all have empty segments."""
+    empty = np.empty(0, dtype=np.int64)
+    return (
+        empty, empty.copy(), empty.copy(),
+        np.zeros(num_games, dtype=np.int64),
+        np.zeros(num_games, dtype=np.int64),
+    )
 
 
 _IOTA = np.empty(0, dtype=np.int64)
@@ -266,7 +285,6 @@ class _Lockstep:
         self.horizon = horizon
         self.out_layer = out_layer
         self.out_count = out_count
-        self.want_records = want_records
 
         self.scale_cap = SCALE_LIMIT // max(1, x * (beta + 2))
         self._lcm_base = math.lcm(*range(1, self.bp1 + 1)) if beta >= 1 else 1
@@ -290,7 +308,7 @@ class _Lockstep:
         self.super_iters = np.zeros(g, dtype=np.int64)
         self.edges_seen = np.zeros(g, dtype=np.int64)
         self.edge_dirs = np.zeros(g, dtype=np.int64)  # directed inside edges
-        self.records: list | None = [None] * g if want_records else None
+        self.records = empty_records(g) if want_records else None
         self.active_mask = np.ones(g, dtype=bool)
         self.ejected: list[int] = []
         self.gscale = np.full(g, self.init_scale, dtype=np.int64)
@@ -585,7 +603,11 @@ class _Lockstep:
         self.retired.append(games)
 
     def _retire_finalize(self) -> None:
-        """One batched σ-peel + layer fold + records for all retirees."""
+        """One batched σ-peel + layer fold + flat records for all retirees.
+
+        Runs once per run, so the records cover every game: games that
+        never retired (the ejected ones) keep empty segments.
+        """
         if not self.retired:
             return
         games = np.concatenate(self.retired)
@@ -599,28 +621,17 @@ class _Lockstep:
         self.writes += np.bincount(gg[prov], minlength=self.num_games)
         self.edges_seen[games] = edge_counts // 2
         if self.records is not None:
-            games = np.sort(games)
-            order = np.argsort(gg, kind="stable")  # group by game, keep
-            gg2 = gg[order]                        # exploration order
-            vv2 = vv[order]
-            sg2 = sigma[order]
-            prov2 = sg2 <= self.clip
-            pv2, pl2 = vv2[prov2], sg2[prov2].astype(np.int64)
-            bounds = np.searchsorted(gg2, games)
-            ends = np.append(bounds[1:], len(gg2))
-            pbounds = np.searchsorted(gg2[prov2], games)
-            pends = np.append(pbounds[1:], len(pv2))
-            for gi, b0, b1, p0, p1 in zip(
-                games.tolist(), bounds.tolist(), ends.tolist(),
-                pbounds.tolist(), pends.tolist(),
-            ):
-                proof = list(zip(pv2[p0:p1].tolist(), pl2[p0:p1].tolist()))
-                self.records[gi] = (
-                    vv2[b0:b1].tolist(),
-                    proof,
-                    int(self.reads[gi]),
-                    int(self.writes[gi]),
-                )
+            # Group by game, keeping each game's exploration order.
+            order = np.argsort(gg, kind="stable")
+            members = vv[order]
+            proved = prov[order]
+            self.records = (
+                members,
+                members[proved],
+                sigma[order][proved].astype(np.int64),
+                np.bincount(gg, minlength=self.num_games),
+                np.bincount(gg[prov], minlength=self.num_games),
+            )
 
     # -- the wave loop ----------------------------------------------------
 
@@ -901,6 +912,10 @@ def play_games_batched(
     within the machine-word budget are listed in ``ejected`` with all
     their outputs zeroed; the caller replays them through the scalar
     engine (bigint/Fraction coins) — see the module docstring.
+    ``want_records`` adds the flat per-game records described on
+    :class:`BatchedGamesInfo`.  Callers play whole fleets through
+    :func:`repro.core.columnar_rounds.play_fleet`, which blocks them
+    into cohorts of this function.
 
     ``phases``, when given, accumulates wall-clock seconds per engine
     phase under the keys ``explore`` / ``forward`` / ``fold``.
@@ -912,7 +927,7 @@ def play_games_batched(
     if not len(roots):
         empty = np.empty(0, dtype=np.int64)
         return BatchedGamesInfo(
-            empty, empty.copy(), [] if want_records else None,
+            empty, empty.copy(), empty_records(0) if want_records else None,
             empty.copy(), empty.copy(), empty.copy(),
         )
     engine = _Lockstep(

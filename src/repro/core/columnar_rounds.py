@@ -37,10 +37,12 @@ dict-backed oracle):
      an iteration costs O(#forwarders + #shares), not O(#holders).
 
 Machines within a round are independent (they all read D_{i-1} only),
-so the fleet can fan out over threads (the array engines) or
-message-passing shards (:class:`repro.ampc.messaging.MessageFabric`,
-whose shard chains run on :class:`repro.ampc.pool.CoinGamePool` worker
-processes); the scalar oracle always plays in-process.  The kernel
+so the fleet can fan out over threads (the array engines, through
+:func:`play_fleet` — the one fleet player, which fabric shards and the
+Lemma 4.7 LCA's ``query_all`` share) or message-passing shards
+(:class:`repro.ampc.messaging.MessageFabric`, whose shard chains run
+on :class:`repro.ampc.pool.CoinGamePool` worker processes); the scalar
+oracle always plays in-process.  The kernel
 folds each slice's or shard's layer-proposal deltas and per-machine
 counts back through the same min/+ accumulators the serial loop uses,
 making the result independent of completion order.
@@ -59,6 +61,7 @@ import numpy as np
 from repro.ampc.machine import BatchMachineContext
 from repro.ampc.pool import min_pool_games_for, usable_cpus
 from repro.core.batched_games import (
+    BatchedGamesInfo,
     csr_transpose_positions,
     play_games_batched,
 )
@@ -70,28 +73,30 @@ __all__ = [
     "lca_round_kernel",
     "peel_round_kernel",
     "play_coin_game",
+    "play_fleet",
     "residual_adjacency_lists",
     "residual_csr",
 ]
 
-# A game record is the plain tuple
+# A scalar game record is the plain tuple
 #     (explored, proof, reads, writes)
 # where ``explored`` lists the final S_v in exploration order, ``proof``
 # the clipped (vertex, layer) proof entries, and reads/writes the
 # machine's communication charge.  Plain lists/ints keep record
 # construction out of the per-game hot path.  The message fabric reads
 # ``explored`` to check a shard-local run against the rows it holds.
+# The array engines return the same content as flat arrays (see
+# repro.core.batched_games.BatchedGamesInfo).
 
 _INF = float("inf")
 
 # Lockstep games run in game-index blocks of this size so each block's
-# struct-of-arrays arena stays cache-resident (see
-# run_games_batched_with_fallback); a pure throughput knob.
+# struct-of-arrays arena stays cache-resident (see play_fleet); a pure
+# throughput knob.
 COHORT_GAMES = 8192
 
-# The array engines' persistent thread pool as (threads, executor); see
-# _game_threads.
-_GAME_THREADS: tuple[int, ThreadPoolExecutor | None] = (0, None)
+# The fleet player's persistent thread pool; see _game_threads.
+_GAME_THREADS: ThreadPoolExecutor | None = None
 _GAME_THREADS_LOCK = threading.Lock()
 
 
@@ -183,29 +188,26 @@ class LazyAdjacency:
         return row
 
 
-def _game_threads(threads: int) -> ThreadPoolExecutor:
-    """The process-wide thread pool the array engines fan out over.
+def _game_threads() -> ThreadPoolExecutor:
+    """The process-wide thread pool the fleet player fans out over.
 
-    Created on first use and kept for the process's lifetime (idle
-    threads cost nothing; the interpreter joins them at exit).  It only
-    ever grows: a fan-out wider than the current pool replaces it with
-    one of ``threads`` threads.  Each fan-out submits exactly its own
-    number of drain loops, so ``workers`` bounds how many run at once.
+    Created once, on first use, with :func:`usable_cpus` threads, and
+    kept for the process's lifetime (idle threads cost nothing; the
+    interpreter joins them at exit).  It is never replaced, so a round
+    that already holds it can always submit.  A fan-out submits exactly
+    its own number of drain loops, ``min(workers, usable_cpus(),
+    games)``, so ``workers`` bounds how many run at once.
     """
     global _GAME_THREADS
     with _GAME_THREADS_LOCK:
-        size, executor = _GAME_THREADS
-        if executor is None or size < threads:
-            if executor is not None:
-                executor.shutdown(wait=False)
-            executor = ThreadPoolExecutor(
-                max_workers=threads, thread_name_prefix="repro-games"
+        if _GAME_THREADS is None:
+            _GAME_THREADS = ThreadPoolExecutor(
+                max_workers=usable_cpus(), thread_name_prefix="repro-games"
             )
-            _GAME_THREADS = (threads, executor)
-        return executor
+        return _GAME_THREADS
 
 
-def run_games_batched_with_fallback(
+def play_fleet(
     offsets: np.ndarray,
     targets: np.ndarray,
     roots: np.ndarray,
@@ -217,48 +219,53 @@ def run_games_batched_with_fallback(
     scale: int | None,
     out_layer: np.ndarray,
     out_count: np.ndarray,
+    engine: str,
     want_records: bool = False,
     phases: dict | None = None,
     config=None,
-    engine: str = "batched",
     workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray, list | None]:
-    """An array engine plus its per-game scalar escape hatch.
+) -> BatchedGamesInfo:
+    """Play one game per root on an array engine; outputs in game order.
 
-    Games the array engine ejects (coin scales past the machine-word
-    budget — see :mod:`repro.core.batched_games`) replay through
-    :func:`play_coin_game`, whose fixed-scale Python integers widen to
-    bigints (or Fractions for deep horizons); both paths fold into the
-    same ``out_layer``/``out_count`` accumulators.  ``engine`` picks the
-    cohort player: ``"batched"`` (numpy lockstep) or ``"compiled"`` (the
-    fused C kernel of :mod:`repro.core.native`, bit-identical).
+    The one place that plays a fleet of coin games on an array engine:
+    the shm lca round, a fabric shard's sub-round and
+    :meth:`repro.lca.partial_partition_lca.PartialPartitionLCA.query_all`
+    all call it.  ``engine`` picks the cohort player: ``"batched"``
+    (numpy lockstep, which gets the CSR transpose map built once here)
+    or ``"compiled"`` (the fused C kernel of :mod:`repro.core.native`,
+    bit-identical).  Layers fold into ``out_layer``/``out_count``; the
+    returned :class:`~repro.core.batched_games.BatchedGamesInfo` covers
+    the whole fleet, flat records included when ``want_records``.
 
-    ``workers > 1`` fans the games out over ``min(workers, usable
-    CPUs)`` threads of one persistent pool.  The roots split into about
-    four slices per thread (never more than ``cohort_games`` games
-    each), which the threads claim one at a time, so a slow hub-heavy
-    slice does not stall the others.  Each thread folds into its own
+    Games the engine ejects (coin scales past the machine-word budget —
+    see :mod:`repro.core.batched_games`) come back in ``ejected`` with
+    zeroed outputs and empty record segments; each caller replays them
+    through its own scalar escape hatch.
+
+    Cohort blocking: the engine's state is gathered and scattered
+    millions of times per round, and a whole-fleet arena (hundreds of MB
+    at bench scale) turns every access into a cache miss.  Games are
+    independent and every fold is commutative, so the fleet plays as
+    game-index blocks of ``cohort_games`` (``config``; None: the module's
+    :data:`COHORT_GAMES`), each block sized from the last one's arena
+    (the arena hint).
+
+    ``workers > 1`` fans the games out over ``min(workers, usable CPUs)``
+    threads of one persistent pool.  The roots split into about four
+    slices per thread (never more than ``cohort_games`` games each),
+    which the threads claim one at a time, so a slow hub-heavy slice
+    does not stall the others.  Each thread folds into its own
     accumulators; the caller's are min/+-folded from them after the
-    join, and reads/writes/records scatter back by slice position.
-    cffi drops the GIL for every compiled cohort call and the kernel
-    keeps no global state, so the threads really run in parallel.
-    Ejected games replay on the calling thread after the join.  Thread
-    slices run without ``phases``; instead a threaded compiled run adds
-    its whole fan-out wall time to ``phases["native"]`` once, and the
-    accumulator fold to ``phases["fold"]``.  Every observable is
-    bit-identical to the serial run.
+    join, and per-game outputs join by slice position.  cffi drops the
+    GIL for every compiled cohort call and the kernel keeps no global
+    state, so the threads really run in parallel.  Thread slices run
+    without ``phases``; instead a threaded compiled run adds its whole
+    fan-out wall time to ``phases["native"]`` once, and the accumulator
+    fold to ``phases["fold"]``.  Every observable is bit-identical to
+    the serial run.
     """
-    # Cohort blocking: the engine's state is gathered/scattered millions
-    # of times per round, and a whole-fleet arena (hundreds of MB at
-    # bench scale) turns every access into a cache miss.  Games are
-    # independent and every fold is commutative, so running the fleet as
-    # cache-sized game-index blocks is observationally identical — each
-    # block's arena stays resident the way a scalar game's dicts do.
     num_games = len(roots)
     block = COHORT_GAMES if config is None else config.cohort_games
-    all_reads = np.zeros(num_games, dtype=np.int64)
-    all_writes = np.zeros(num_games, dtype=np.int64)
-    records: list | None = [None] * num_games if want_records else None
     transpose_pos = None
     if engine == "compiled":
         from repro.core.native import play_games_compiled
@@ -274,33 +281,29 @@ def run_games_batched_with_fallback(
         pieces = min(pieces, num_games)
         bounds = (np.arange(pieces + 1) * num_games // pieces).tolist()
     else:
-        bounds = list(range(0, num_games, block)) + [num_games]
+        # An empty fleet still plays one (empty) cohort.
+        bounds = list(range(0, num_games, block)) or [0]
+        bounds.append(num_games)
+    infos: list[BatchedGamesInfo | None] = [None] * (len(bounds) - 1)
     claim = itertools.count()
 
     def drain(layer, count, slice_phases):
         # Play slices until none are left; next() on a shared counter is
         # atomic, so every slice is claimed exactly once.
         arena_hint = [0, 0]
-        ejected = []
-        while (i := next(claim)) < len(bounds) - 1:
-            start, stop = bounds[i], bounds[i + 1]
-            info = play_cohort(
-                offsets, targets, roots[start:stop],
+        while (i := next(claim)) < len(infos):
+            infos[i] = play_cohort(
+                offsets, targets, roots[bounds[i]:bounds[i + 1]],
                 x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
                 out_layer=layer, out_count=count,
                 want_records=want_records, phases=slice_phases,
                 transpose_pos=transpose_pos, arena_hint=arena_hint,
             )
-            all_reads[start:stop] = info.reads
-            all_writes[start:stop] = info.writes
-            if records is not None:
-                records[start:stop] = info.records
-            ejected.extend((info.ejected + start).tolist())
-        return layer, count, ejected
+        return layer, count
 
     if threads > 1:
         n = len(out_layer)
-        executor = _game_threads(threads)
+        executor = _game_threads()
         t0 = time.perf_counter()
         futures = [
             executor.submit(
@@ -311,11 +314,9 @@ def run_games_batched_with_fallback(
         wait(futures)
         parts = [future.result() for future in futures]
         t1 = time.perf_counter()
-        ejected = []
-        for layer, count, part_ejected in parts:
+        for layer, count in parts:
             np.minimum(out_layer, layer, out=out_layer)
             out_count += count
-            ejected.extend(part_ejected)
         if phases is not None:
             if engine == "compiled":
                 phases["native"] = phases.get("native", 0.0) + t1 - t0
@@ -323,19 +324,28 @@ def run_games_batched_with_fallback(
                 phases.get("fold", 0.0) + time.perf_counter() - t1
             )
     else:
-        __, __, ejected = drain(out_layer, out_count, phases)
-    if ejected:
-        adj = LazyAdjacency(offsets, targets)
-        for gi in sorted(ejected):
-            reads, writes, record = play_coin_game(
-                adj, int(roots[gi]), x, beta, clip, horizon, scale,
-                out_layer, out_count, want_records,
-            )
-            all_reads[gi] = reads
-            all_writes[gi] = writes
-            if records is not None:
-                records[gi] = record
-    return all_reads, all_writes, records
+        drain(out_layer, out_count, phases)
+    if len(infos) == 1:
+        return infos[0]
+
+    def joined(field):
+        return np.concatenate([getattr(info, field) for info in infos])
+
+    records = None
+    if want_records:
+        records = tuple(
+            map(np.concatenate, zip(*(info.records for info in infos)))
+        )
+    return BatchedGamesInfo(
+        reads=joined("reads"),
+        writes=joined("writes"),
+        records=records,
+        super_iterations=joined("super_iterations"),
+        edges_seen=joined("edges_seen"),
+        ejected=np.concatenate(
+            [info.ejected + start for info, start in zip(infos, bounds)]
+        ),
+    )
 
 
 def lca_round_kernel(
@@ -368,8 +378,10 @@ def lca_round_kernel(
     Rounds of at least ``min_pool_games`` games (None: the run's
     :func:`repro.ampc.pool.min_pool_games_for` cutoff) go parallel when
     ``workers > 1``; smaller rounds run serially in-process, where
-    dispatch would cost more than the games.  The array engines fan out
-    over threads (:func:`run_games_batched_with_fallback`).  The scalar
+    dispatch would cost more than the games.  The array engines play
+    through :func:`play_fleet`, which fans out over threads; the games
+    it ejects replay here, on the calling thread, through
+    :func:`play_coin_game`.  The scalar
     engine is the oracle and always plays in-process, one game at a
     time.  All layers fold through the same min/+ accumulators, so
     partitions, per-round stats, and word counts are identical for
@@ -457,13 +469,24 @@ def lca_round_kernel(
                     out_count[u] += count
             batch.account_at(shard_positions, shard.reads, shard.writes)
     elif batched:
-        reads, writes, __ = run_games_batched_with_fallback(
+        info = play_fleet(
             offsets, targets, alive,
             x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
-            out_layer=out_layer, out_count=out_count,
-            phases=phases, config=config, engine=engine,
-            workers=workers if big else 1,
+            out_layer=out_layer, out_count=out_count, engine=engine,
+            phases=phases, config=config, workers=workers if big else 1,
         )
+        reads, writes = info.reads, info.writes
+        if info.ejected.size:
+            # The escape hatch: fixed-scale Python integers widen to
+            # bigints (Fractions for deep horizons), folding into the
+            # same accumulators.  It probes only each game's ball, so
+            # rows are materialized on demand.
+            adj = LazyAdjacency(offsets, targets)
+            for gi in info.ejected.tolist():
+                reads[gi], writes[gi], __ = play_coin_game(
+                    adj, int(alive[gi]), x, beta, clip, horizon, scale,
+                    out_layer, out_count,
+                )
         batch.account_at(positions, reads, writes)
     else:
         adj = residual_adjacency_lists(offsets, targets, alive)

@@ -41,8 +41,8 @@ game-major, exploration order), ``proof_u_out`` / ``proof_l_out``
 (clipped proof entries, same layout) — are malloc'd by the *kernel*,
 handed to the caller through out-pointers with their lengths in
 ``arena_lens[2]``, and must be released with ``repro_buffers_free``
-(the wrapper copies them into Python record tuples and frees them
-before returning).
+(the wrapper copies them into the flat ``records`` arrays and frees
+them before returning).
 
 Ejection contract: any game whose exact coin arithmetic would escalate
 its scale beyond ``scale_cap`` (the int64 word budget) is ejected
@@ -59,13 +59,12 @@ the kernel never calls back into Python, and it keeps no global or
 static mutable state — every buffer it touches is either passed in by
 the caller or malloc'd for that one call.  One call covers an entire
 slice of a round (hundreds to thousands of games), so the no-Python
-window is a single long, bounded span.  That is what the array engines'
-thread fan-out relies on
-(:func:`repro.core.columnar_rounds.run_games_batched_with_fallback`):
-threads play disjoint game slices concurrently against one shared
-read-only CSR, each into its own ``out_layer``/``out_count``
-accumulators and its own slice of the per-game outputs, so their C
-calls run truly in parallel with nothing to lock.
+window is a single long, bounded span.  That is what the fleet
+player's thread fan-out relies on
+(:func:`repro.core.columnar_rounds.play_fleet`): threads play disjoint
+game slices concurrently against one shared read-only CSR, each into
+its own ``out_layer``/``out_count`` accumulators and its own per-slice
+outputs, so their C calls run truly in parallel with nothing to lock.
 
 Loading and fallback
 ====================
@@ -171,33 +170,6 @@ def _reset_for_tests() -> None:
     _warned_fallback = False
 
 
-def _list_records_to_raw(info: BatchedGamesInfo) -> BatchedGamesInfo:
-    """Flatten list-form records into the ``raw_records`` array tuple
-    (used when a cohort falls back to the numpy oracle)."""
-    mems: list[int] = []
-    pus: list[int] = []
-    pls: list[int] = []
-    mem_counts: list[int] = []
-    proof_counts: list[int] = []
-    for rec in info.records:
-        if rec is None:
-            mem_counts.append(0)
-            proof_counts.append(0)
-            continue
-        mems.extend(rec[0])
-        mem_counts.append(len(rec[0]))
-        pus.extend(u for u, __ in rec[1])
-        pls.extend(lay for __, lay in rec[1])
-        proof_counts.append(len(rec[1]))
-    return info._replace(records=(
-        np.asarray(mems, dtype=np.int64),
-        np.asarray(pus, dtype=np.int64),
-        np.asarray(pls, dtype=np.int64),
-        np.asarray(mem_counts, dtype=np.int64),
-        np.asarray(proof_counts, dtype=np.int64),
-    ))
-
-
 def play_games_compiled(
     offsets: np.ndarray,
     targets: np.ndarray,
@@ -211,27 +183,20 @@ def play_games_compiled(
     out_layer: np.ndarray,
     out_count: np.ndarray,
     want_records: bool = False,
-    raw_records: bool = False,
     phases: dict | None = None,
     transpose_pos: np.ndarray | None = None,
     arena_hint: list | None = None,
 ) -> BatchedGamesInfo:
     """Drop-in for :func:`repro.core.batched_games.play_games_batched`.
 
-    Same signature, same :class:`BatchedGamesInfo` shape, bit-identical
-    observables.  ``transpose_pos`` / ``arena_hint`` are accepted for
-    signature compatibility and ignored — the fused kernel has no numpy
-    scatter to transpose and sizes its own arenas.  ``phases`` gains a
-    single ``native`` bucket: fusing removes the explore/forward/fold
-    phase boundaries by construction.
-
-    ``raw_records=True`` (with ``want_records``) skips the per-game
-    python-list marshalling: ``records`` is instead one flat tuple
-    ``(mem, proof_u, proof_layer, mem_counts, proof_counts)`` of int64
-    arrays — game ``g``'s members/proof are the ``counts``-delimited
-    segments (empty at ejected games).  The message fabric consumes
-    this directly: it remaps ids and filters invalid games vectorized,
-    so list records for games it will discard are never built.
+    Same signature, same :class:`BatchedGamesInfo` shape — ``records``
+    is the same flat array tuple, copied straight out of the kernel's
+    arenas — and bit-identical observables.  ``transpose_pos`` /
+    ``arena_hint`` are accepted for signature compatibility and
+    ignored: the fused kernel has no numpy scatter to transpose and
+    sizes its own arenas.  ``phases`` gains a single ``native`` bucket:
+    fusing removes the explore/forward/fold phase boundaries by
+    construction.
     """
     del transpose_pos, arena_hint
     _load()
@@ -244,14 +209,9 @@ def play_games_compiled(
     num_games = len(roots)
     if not num_games:
         empty = np.empty(0, dtype=np.int64)
-        if not want_records:
-            recs = None
-        elif raw_records:
-            recs = tuple(empty.copy() for __ in range(5))
-        else:
-            recs = []
         return BatchedGamesInfo(
-            empty, empty.copy(), recs,
+            empty, empty.copy(),
+            batched_games.empty_records(0) if want_records else None,
             empty.copy(), empty.copy(), empty.copy(),
         )
 
@@ -279,14 +239,11 @@ def play_games_compiled(
         # engine's all-ejected early path is already exact — use it.
         from repro.core.batched_games import play_games_batched
 
-        info = play_games_batched(
+        return play_games_batched(
             offsets, targets, roots, x=x, beta=beta, clip=clip,
             horizon=horizon, scale=scale, out_layer=out_layer,
             out_count=out_count, want_records=want_records, phases=phases,
         )
-        if want_records and raw_records:
-            info = _list_records_to_raw(info)
-        return info
 
     max_super = min(x * x, n + 2)
 
@@ -333,54 +290,29 @@ def play_games_compiled(
         # the numpy oracle can simply take over this cohort.
         from repro.core.batched_games import play_games_batched
 
-        info = play_games_batched(
+        return play_games_batched(
             offsets, targets, roots, x=x, beta=beta, clip=clip,
             horizon=horizon, scale=scale, out_layer=out_layer,
             out_count=out_count, want_records=want_records, phases=phases,
         )
-        if want_records and raw_records:
-            info = _list_records_to_raw(info)
-        return info
 
     records = None
     if want_records:
         def arena(pp, length):
+            # A copy: the kernel's buffer dies with repro_buffers_free.
             if not length:
                 return np.empty(0, dtype=np.int64)
             return np.frombuffer(
                 ffi.buffer(pp[0], length * 8), dtype=np.int64
-            )
+            ).copy()
 
-        mem_flat = arena(mem_pp, arena_lens[0])
-        pu_flat = arena(pu_pp, arena_lens[1])
-        pl_flat = arena(pl_pp, arena_lens[1])
-        if raw_records:
-            # Copies: the frombuffer views die with repro_buffers_free.
-            records = (
-                mem_flat.copy(), pu_flat.copy(), pl_flat.copy(),
-                mem_counts, proof_counts,
-            )
-        else:
-            mem_ends = np.cumsum(mem_counts)
-            proof_ends = np.cumsum(proof_counts)
-            records = []
-            mo = 0
-            po = 0
-            for g in range(num_games):
-                if ejected_flags[g]:
-                    records.append(None)
-                    continue
-                me = int(mem_ends[g])
-                pe = int(proof_ends[g])
-                proof = list(zip(
-                    pu_flat[po:pe].tolist(), pl_flat[po:pe].tolist()
-                ))
-                records.append(
-                    (mem_flat[mo:me].tolist(), proof, int(reads[g]),
-                     int(writes[g]))
-                )
-                mo = me
-                po = pe
+        records = (
+            arena(mem_pp, arena_lens[0]),
+            arena(pu_pp, arena_lens[1]),
+            arena(pl_pp, arena_lens[1]),
+            mem_counts,
+            proof_counts,
+        )
     lib.repro_buffers_free(mem_pp[0])
     lib.repro_buffers_free(pu_pp[0])
     lib.repro_buffers_free(pl_pp[0])

@@ -56,16 +56,18 @@ class PartialPartitionLCA:
     Parameters mirror Lemma 4.7: exploration budget parameter ``x`` (the
     query bound is x⁶) and degree bound ``beta``.  ``engine`` selects how
     :meth:`query_all` executes its queries: ``"compiled"`` (the
-    default) plays each cohort in one fused C pass
-    (:mod:`repro.core.native` — the same kernel the Theorem 1.2 lca
-    rounds run; warned downgrade to ``"batched"`` when the kernel cannot
-    load), ``"batched"`` runs every game in one numpy lockstep sweep
-    over the graph's CSR (:mod:`repro.core.batched_games`, the kernel's
-    fallback and oracle), ``"scalar"`` replays the per-vertex
-    :class:`~repro.lca.coin_game.CoinDroppingGame` oracle.  All produce
-    identical results — layers, proofs, explored sets, probe counts —
-    and strict-mode queries always take the scalar path (its unbounded
-    forwarding horizon is the oracle's own regime).
+    default) and ``"batched"`` play them as one fleet through
+    :func:`repro.core.columnar_rounds.play_fleet`, the fleet player the
+    Theorem 1.2 lca rounds use — ``"compiled"`` in one fused C pass per
+    cohort (:mod:`repro.core.native`; warned downgrade to ``"batched"``
+    when the kernel cannot load), ``"batched"`` as numpy lockstep
+    sweeps (:mod:`repro.core.batched_games`, the kernel's fallback and
+    oracle).  ``"scalar"`` replays the per-vertex
+    :class:`~repro.lca.coin_game.CoinDroppingGame` oracle, which is
+    also the array engines' escape hatch for the games they eject.  All
+    produce identical results — layers, proofs, explored sets, probe
+    counts — and strict-mode queries always take the scalar path (its
+    unbounded forwarding horizon is the oracle's own regime).
     """
 
     graph: Graph
@@ -116,81 +118,65 @@ class PartialPartitionLCA:
     def _query_all_batched(
         self, vertices: list[int]
     ) -> tuple[PartialBetaPartition, dict[int, CoinGameResult]]:
-        """All queries as one lockstep sweep (byte-identical results).
+        """All queries as one fleet on an array engine (identical results).
 
-        The per-game records carry the explored set in exploration order
-        and the clipped proof, so full :class:`CoinGameResult` objects
-        come back out; the min-merge falls out of the engine's layer
-        fold.  Games run in the same cache-resident game-index cohorts
-        as the round kernel (:data:`repro.core.columnar_rounds.
-        COHORT_GAMES`), and games the engine ejects (coin-scale
-        overflow) replay through the scalar oracle — exactly the game
-        the scalar path would have run.
+        :func:`repro.core.columnar_rounds.play_fleet` plays the games in
+        the same cohorts as the Theorem 1.2 round kernel.  Its flat
+        records carry each explored set in exploration order and each
+        clipped proof, so full :class:`CoinGameResult` objects come back
+        out; the min-merge falls out of the engine's layer fold.  Games
+        the engine ejects (coin-scale overflow) replay through the
+        scalar oracle — exactly the game the scalar path would have run.
         """
-        from repro.core.batched_games import (
-            csr_transpose_positions,
-            play_games_batched,
-        )
-        from repro.core.columnar_rounds import COHORT_GAMES
+        from repro.core.columnar_rounds import play_fleet
 
         offsets, targets = self.graph.csr()
         n = self.graph.num_vertices
         clip = self.max_layer
         horizon = 4 * (clip + 2)
-        scale = fixed_coin_scale(self.beta, horizon)
         out_layer = np.full(n, float("inf"))
-        out_count = np.zeros(n, dtype=np.int64)
         roots = np.asarray(vertices, dtype=np.int64)
-        if self.engine == "compiled":
-            from repro.core.native import play_games_compiled
-
-            play_cohort = play_games_compiled
-            transpose_pos = None
-        else:
-            play_cohort = play_games_batched
-            transpose_pos = csr_transpose_positions(offsets, targets)
-        records: list = []
-        super_iterations: list[np.ndarray] = []
-        edges_seen: list[np.ndarray] = []
-        ejected: set[int] = set()
-        for start in range(0, len(roots), COHORT_GAMES):
-            block = play_cohort(
-                offsets, targets, roots[start:start + COHORT_GAMES],
-                x=self.x, beta=self.beta, clip=clip, horizon=horizon,
-                scale=scale, out_layer=out_layer, out_count=out_count,
-                want_records=True, transpose_pos=transpose_pos,
-            )
-            records.extend(block.records)
-            super_iterations.append(block.super_iterations)
-            edges_seen.append(block.edges_seen)
-            ejected.update((block.ejected + start).tolist())
-        all_super_iterations = np.concatenate(super_iterations)
-        all_edges_seen = np.concatenate(edges_seen)
+        info = play_fleet(
+            offsets, targets, roots, x=self.x, beta=self.beta, clip=clip,
+            horizon=horizon, scale=fixed_coin_scale(self.beta, horizon),
+            out_layer=out_layer, out_count=np.zeros(n, dtype=np.int64),
+            engine=self.engine, want_records=True,
+        )
+        members, proof_u, proof_layer, member_counts, proof_counts = (
+            info.records
+        )
+        member_ends = np.cumsum(member_counts).tolist()
+        proof_ends = np.cumsum(proof_counts).tolist()
+        ejected = set(info.ejected.tolist())
         # CoinGameResult.queries starts counting *after* the game's
         # constructor explored the root (Lemma 4.7 charges per query);
         # the engine's reads include that first exploration, as the AMPC
         # machine accounting does.
-        root_probes = 1 + np.diff(offsets)[roots]
+        queries = info.reads - (1 + np.diff(offsets)[roots])
         results: dict[int, CoinGameResult] = {}
+        mo = po = 0
         for i, v in enumerate(vertices):
+            me, pe = member_ends[i], proof_ends[i]
             if i in ejected:
                 res = self.query(v)
                 for u, lay in res.proof.layers.items():
                     if lay < out_layer[u]:
                         out_layer[u] = lay
                 results[v] = res
-                continue
-            members, proof_entries, game_reads, __ = records[i]
-            proof = PartialBetaPartition(dict(proof_entries))
-            results[v] = CoinGameResult(
-                root=v,
-                layer=proof.layer(v),
-                proof=proof,
-                explored=set(members),
-                super_iterations=int(all_super_iterations[i]),
-                queries=game_reads - int(root_probes[i]),
-                edges_seen=int(all_edges_seen[i]),
-            )
+            else:
+                proof = PartialBetaPartition(dict(zip(
+                    proof_u[po:pe].tolist(), proof_layer[po:pe].tolist()
+                )))
+                results[v] = CoinGameResult(
+                    root=v,
+                    layer=proof.layer(v),
+                    proof=proof,
+                    explored=set(members[mo:me].tolist()),
+                    super_iterations=int(info.super_iterations[i]),
+                    queries=int(queries[i]),
+                    edges_seen=int(info.edges_seen[i]),
+                )
+            mo, po = me, pe
         assigned = np.flatnonzero(np.isfinite(out_layer))
         merged = PartialBetaPartition(
             {int(u): int(out_layer[u]) for u in assigned}

@@ -4,7 +4,8 @@ Adds two execution knobs:
 
 - ``--workers N`` — worker count the parallel-equivalence suite
   exercises on top of its built-in {1, 2, 4} matrix (defaults to
-  ``$REPRO_WORKERS`` or 1, so the CI matrix leg that exports
+  ``resolve_workers(None)``: ``$REPRO_WORKERS`` when set, else
+  ``"auto"``, the usable CPU count; so the CI matrix leg that exports
   ``REPRO_WORKERS=2`` fans every large enough columnar lca round out
   over threads, and message-fabric rounds over the process pool).
 - ``--slow`` — opt into tests marked ``slow`` (full-size shapes for the

@@ -40,8 +40,8 @@ from repro.core.batched_games import (
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.core.columnar_rounds import (
     play_coin_game,
+    play_fleet,
     residual_adjacency_lists,
-    run_games_batched_with_fallback,
 )
 from repro.experiments.e1_lca_quality import run_lca_quality
 from repro.experiments.f2_exploration_ablation import run_exploration_ablation
@@ -72,12 +72,31 @@ def _assert_same_outcome(a, b):
             assert getattr(ra, field) == getattr(rb, field), field
 
 
+def _per_game(records):
+    """Split flat records into per-game ``(members, proof pairs)``."""
+    members, proof_u, proof_layer, member_counts, proof_counts = records
+    member_ends = np.cumsum(member_counts)
+    proof_ends = np.cumsum(proof_counts)
+    return [
+        (
+            members[me - mc:me].tolist(),
+            list(zip(
+                proof_u[pe - pc:pe].tolist(), proof_layer[pe - pc:pe].tolist()
+            )),
+        )
+        for me, mc, pe, pc in zip(
+            member_ends, member_counts, proof_ends, proof_counts
+        )
+    ]
+
+
 def _play_both_engines(graph, beta, x, want_records=False):
     """One full-fleet run per engine; returns (batched, scalar) outputs.
 
-    The batched side goes through the kernel's fallback wrapper, so
-    legitimately ejected games replay scalar-side exactly as a round
-    would run them.
+    The batched side goes through the fleet player, and its legitimately
+    ejected games replay scalar-side exactly as a round would run them
+    (their record segments stay empty; their reference records are the
+    replays themselves).
     """
     offsets, targets = graph.csr()
     n = graph.num_vertices
@@ -88,13 +107,18 @@ def _play_both_engines(graph, beta, x, want_records=False):
 
     out_layer = np.full(n, _INF)
     out_count = np.zeros(n, dtype=np.int64)
-    reads, writes, records = run_games_batched_with_fallback(
+    info = play_fleet(
         offsets, targets, roots, x=x, beta=beta, clip=clip, horizon=horizon,
         scale=scale, out_layer=out_layer, out_count=out_count,
-        want_records=want_records,
+        engine="batched", want_records=want_records,
     )
-
     adj = residual_adjacency_lists(offsets, targets)
+    reads, writes = info.reads, info.writes
+    for gi in info.ejected.tolist():
+        reads[gi], writes[gi], __ = play_coin_game(
+            adj, gi, x, beta, clip, horizon, scale, out_layer, out_count,
+        )
+
     ref_layer = [_INF] * n
     ref_count = [0] * n
     ref_reads = np.zeros(n, dtype=np.int64)
@@ -105,7 +129,10 @@ def _play_both_engines(graph, beta, x, want_records=False):
             adj, v, x, beta, clip, horizon, scale,
             ref_layer, ref_count, want_records,
         )
+        if want_records and v in info.ejected:
+            record = ([], [])
         ref_records.append(record)
+    records = _per_game(info.records) if want_records else None
     return (
         (reads, writes, records, out_layer, out_count),
         (ref_reads, ref_writes, ref_records, ref_layer, ref_count),
@@ -132,10 +159,10 @@ class TestEngineAgainstScalar:
         assert np.array_equal(writes, ref_writes)
         assert np.array_equal(out_layer, np.array(ref_layer))
         assert np.array_equal(out_count, np.asarray(ref_count))
+        assert len(records) == len(ref_records)
         for got_rec, want_rec in zip(records, ref_records):
             assert got_rec[0] == want_rec[0]  # explored, exploration order
             assert sorted(got_rec[1]) == sorted(want_rec[1])  # clipped proof
-            assert got_rec[2:] == want_rec[2:]  # (reads, writes)
 
     def test_isolated_and_tiny_games(self):
         # Star center has deg > β+1 (σ-ranked F); leaves have deg 1.
@@ -237,6 +264,22 @@ class TestWorkersAutoAndThreshold:
         monkeypatch.setenv("REPRO_WORKERS", "auto")
         assert resolve_workers(None) == resolve_workers("auto")
 
+    @pytest.mark.parametrize("workers,env,message", [
+        (None, "two", r"\$REPRO_WORKERS='two' is not an integer"),
+        (None, "2.5", r"\$REPRO_WORKERS='2.5' is not an integer"),
+        (None, "0", r"\$REPRO_WORKERS='0' must be >= 1"),
+        (2.7, None, r"workers=2.7 is not an integer"),
+        ("2.5", None, r"workers='2.5' is not an integer"),
+        (0, None, r"workers=0 must be >= 1"),
+    ])
+    def test_rejects_non_integral_workers(
+        self, workers, env, message, monkeypatch
+    ):
+        if env is not None:
+            monkeypatch.setenv("REPRO_WORKERS", env)
+        with pytest.raises(ValueError, match=message):
+            resolve_workers(workers)
+
     def test_small_rounds_skip_pool_dispatch(self):
         # Below the minimum-game threshold the fabric's pool must never
         # fork: its executor stays unmaterialized for the whole
@@ -318,10 +361,13 @@ class TestWorkersAutoAndThreshold:
 
 def _many_cpus(monkeypatch, count=8):
     """Pretend this process may use ``count`` CPUs, so the thread
-    fan-out engages at workers 2 and 4 even on a 1-CPU host."""
+    fan-out engages at workers 2 and 4 even on a 1-CPU host.  The game
+    thread pool is sized once, at creation, so the test gets a fresh one
+    of ``count`` threads (shut down after the test)."""
     monkeypatch.setattr(
         os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
     )
+    monkeypatch.setattr(columnar_rounds, "_GAME_THREADS", None)
 
 
 def _spy_cohort_threads(monkeypatch, ejections=None, barrier=None):
@@ -354,7 +400,7 @@ def _spy_cohort_threads(monkeypatch, ejections=None, barrier=None):
 
 
 def _play_fleet(graph, beta, workers, engine="batched", x=None):
-    """One whole-fleet run_games_batched_with_fallback call."""
+    """One whole-fleet play_fleet call (ejected games not replayed)."""
     offsets, targets = graph.csr()
     n = graph.num_vertices
     x = 2 * (beta + 1) if x is None else x
@@ -362,24 +408,32 @@ def _play_fleet(graph, beta, workers, engine="batched", x=None):
     horizon = 4 * (clip + 2)
     out_layer = np.full(n, _INF)
     out_count = np.zeros(n, dtype=np.int64)
-    reads, writes, records = run_games_batched_with_fallback(
+    info = play_fleet(
         offsets, targets, np.arange(n, dtype=np.int64),
         x=x, beta=beta, clip=clip, horizon=horizon,
         scale=fixed_coin_scale(beta, horizon),
-        out_layer=out_layer, out_count=out_count, want_records=True,
-        engine=engine, workers=workers,
+        out_layer=out_layer, out_count=out_count, engine=engine,
+        want_records=True, workers=workers,
     )
-    return reads, writes, records, out_layer, out_count
+    return info, out_layer, out_count
 
 
 def _assert_same_fleet(got, want):
-    """Per-game reads/writes/records and the folded accumulators."""
-    reads, writes, records, out_layer, out_count = got
-    assert np.array_equal(reads, want[0])
-    assert np.array_equal(writes, want[1])
-    assert records == want[2]  # game order
-    assert np.array_equal(out_layer, want[3])
-    assert np.array_equal(out_count, want[4])
+    """Every per-game output (flat records, game order) and the folded
+    accumulators."""
+    info, out_layer, out_count = got
+    want_info, want_layer, want_count = want
+    for field in (
+        "reads", "writes", "super_iterations", "edges_seen", "ejected",
+    ):
+        assert np.array_equal(
+            getattr(info, field), getattr(want_info, field)
+        ), field
+    assert len(info.records) == len(want_info.records) == 5
+    for got_part, want_part in zip(info.records, want_info.records):
+        assert np.array_equal(got_part, want_part)
+    assert np.array_equal(out_layer, want_layer)
+    assert np.array_equal(out_count, want_count)
 
 
 _ARRAY_ENGINES = [
@@ -419,12 +473,19 @@ class TestThreadFanOut:
     def test_ejections_in_several_slices_replay_after_join(
         self, engine, workers, monkeypatch
     ):
+        # The fleet reports every slice's ejections in game order; the
+        # round replays them on the calling thread, after the join, into the
+        # same partition as the serial run.
         _many_cpus(monkeypatch)
         graph = preferential_attachment(300, 2, seed=11)
         monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
         serial = _play_fleet(graph, 6, 1, engine, x=49)
         ejections: list[int] = []
         _spy_cohort_threads(monkeypatch, ejections)
+        threaded = _play_fleet(graph, 6, workers, engine, x=49)
+        assert sum(1 for count in ejections if count) >= 2
+        _assert_same_fleet(threaded, serial)
+
         replayed_on = set()
         original = columnar_rounds.play_coin_game
 
@@ -432,11 +493,16 @@ class TestThreadFanOut:
             replayed_on.add(threading.get_ident())
             return original(*args, **kwargs)
 
+        round_serial = beta_partition_ampc(
+            graph, 6, x=49, engine=engine, workers=1
+        )
         monkeypatch.setattr(columnar_rounds, "play_coin_game", replay_spy)
-        threaded = _play_fleet(graph, 6, workers, engine, x=49)
-        assert sum(1 for count in ejections if count) >= 2
+        round_threaded = beta_partition_ampc(
+            graph, 6, x=49, engine=engine, workers=workers,
+            min_pool_games=1,
+        )
         assert replayed_on == {threading.get_ident()}  # on the driver
-        _assert_same_fleet(threaded, serial)
+        _assert_same_outcome(round_serial, round_threaded)
 
     @pytest.mark.parametrize("engine", _ARRAY_ENGINES)
     @pytest.mark.parametrize("workers", [2, 4])
@@ -456,6 +522,28 @@ class TestThreadFanOut:
         if engine == "compiled":
             assert phases["native"] > 0.0
         close_shared_pools()
+
+
+class TestGameThreadPool:
+    def test_wider_fan_out_leaves_the_pool_usable(self, monkeypatch):
+        # A round may still hold the pool (between fetching it and
+        # submitting) while a wider fan-out starts: the pool it holds
+        # must keep accepting work, so it is never replaced.
+        _many_cpus(monkeypatch, 64)
+        held = []
+        original = columnar_rounds._game_threads
+
+        def spy(*args):
+            held.append(original(*args))
+            return held[-1]
+
+        monkeypatch.setattr(columnar_rounds, "_game_threads", spy)
+        graph = preferential_attachment(200, 3, seed=5)
+        serial = _play_fleet(graph, 6, 1)
+        for workers in (2, 64):
+            _assert_same_fleet(_play_fleet(graph, 6, workers), serial)
+        assert held[0].submit(int, "7").result() == 7
+        assert all(pool is held[0] for pool in held)
 
 
 class TestThreadStress:
@@ -601,5 +689,11 @@ def _no_worker_env(monkeypatch):
     """These tests pin worker counts explicitly; isolate from CI's env."""
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     yield
+    # A pool created for a test's pretend CPU count (_many_cpus) dies
+    # with the test, once undo() has restored the process's own.
+    pool = columnar_rounds._GAME_THREADS
+    monkeypatch.undo()
+    if pool is not None and columnar_rounds._GAME_THREADS is not pool:
+        pool.shutdown(wait=True)
     # No test may leak an in-process injected fault plan.
     assert faults._ACTIVE_SET is False

@@ -2,24 +2,32 @@
 
 ``repro.core.native.play_games_compiled`` must be a bit-identical
 drop-in for ``play_games_batched`` — fold accumulators, probe counts,
-records (explored sets in exploration order + clipped proofs),
+flat records (explored sets in exploration order + clipped proofs),
 super-iteration counts, inside-edge counts, and the ejection set all
 byte-for-byte, including under adversarial word budgets that force
-mid-game ejections and the Fraction deep-horizon regime.  Skip-marked
-wholesale when the kernel cannot load (tier-1 must pass without it).
+mid-game ejections and the Fraction deep-horizon regime.  A hypothesis
+fuzz plays random small graphs, stars and hubs on both engines through
+the fleet player.  Skip-marked wholesale when the kernel cannot load
+(tier-1 must pass without it).
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.ampc.engine_config import EngineConfig
 from repro.core import batched_games, native
 from repro.core.batched_games import (
     csr_transpose_positions,
     play_games_batched,
 )
 from repro.core.beta_partition_ampc import beta_partition_ampc
+from repro.core.columnar_rounds import play_fleet
 from repro.graphs.generators import (
     path_graph,
     preferential_attachment,
@@ -27,6 +35,8 @@ from repro.graphs.generators import (
     star_graph,
     union_of_random_forests,
 )
+from repro.graphs.graph import Graph
+from repro.lca.coin_game import fixed_coin_scale, max_provable_layer
 
 pytestmark = pytest.mark.skipif(
     not native.available(), reason="compiled wave kernel unavailable"
@@ -58,7 +68,9 @@ def _run_both(offsets, targets, roots, **game):
         assert np.array_equal(
             getattr(batched, field), getattr(compiled, field)
         ), field
-    assert batched.records == compiled.records
+    assert len(batched.records) == len(compiled.records) == 5
+    for got, want in zip(compiled.records, batched.records):
+        assert np.array_equal(got, want)
     return batched, compiled
 
 
@@ -121,8 +133,8 @@ class TestEjectionParity:
     def test_mixed_ejections_identical(self, monkeypatch):
         # A shrunken word budget ejects an x-dependent subset of the
         # fleet mid-game: the ejected *set*, the rollback (zeroed
-        # outputs, None records), and every surviving game's transcript
-        # must match the numpy engine exactly.
+        # outputs, empty record segments), and every surviving game's
+        # transcript must match the numpy engine exactly.
         monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
         g = preferential_attachment(150, 2, seed=11)
         offsets, targets = g.csr()
@@ -132,8 +144,9 @@ class TestEjectionParity:
             x=64, beta=6, clip=3, horizon=20, scale=None,
         )
         assert 0 < batched.ejected.size < len(roots)
+        member_counts, proof_counts = compiled.records[3:]
         for gi in batched.ejected.tolist():
-            assert compiled.records[gi] is None
+            assert member_counts[gi] == 0 and proof_counts[gi] == 0
             assert compiled.reads[gi] == 0
             assert compiled.super_iterations[gi] == 0
 
@@ -150,6 +163,97 @@ class TestEjectionParity:
         )
         assert batched.ejected.size == 4
         assert compiled.ejected.size == 4
+
+
+@st.composite
+def _fuzz_fleets(draw):
+    """A small graph, β and x, and the fleet's word budget and blocking.
+
+    Graphs are random, stars, or a hub of degree > β+1 whose rim is
+    wired among itself: a dense rim pulls most of the hub's row into a
+    game's ball (fewer than β+1 non-members left), a sparse one leaves
+    most of it outside (more than β+1).
+    """
+    beta = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "star", "hub"]))
+    if kind == "random":
+        n = draw(st.integers(1, 40))
+        pairs = draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=3 * n,
+        ))
+        edges = [(u, v) for u, v in pairs if u != v]
+    elif kind == "star":
+        n = 1 + draw(st.integers(1, 2 * beta + 4))
+        edges = [(0, v) for v in range(1, n)]
+    else:
+        n = 1 + draw(st.integers(beta + 2, beta + 24))
+        density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        us, vs = np.triu_indices(n - 1, 1)
+        wired = rng.random(len(us)) < density
+        edges = [(0, v) for v in range(1, n)]
+        edges += list(zip((us[wired] + 1).tolist(), (vs[wired] + 1).tolist()))
+    return {
+        "graph": Graph.from_edges(n, edges),
+        "beta": beta,
+        "x": draw(st.integers(2, 300)),
+        # Word budget as headroom bits over x·(β+2): small headroom
+        # ejects every game, large none, and in between some.
+        "headroom_bits": draw(st.integers(1, 40)),
+        "cohort_games": draw(st.sampled_from([1, 3, 8, None])),
+        "workers": draw(st.sampled_from([1, 2])),
+    }
+
+
+class TestFleetFuzz:
+    """The two array engines, fuzzed against each other through the
+    fleet player: a shrunken word budget makes some games eject and
+    others finish, and every per-game output must agree."""
+
+    @given(_fuzz_fleets())
+    @settings(max_examples=60, deadline=None)
+    def test_engines_agree_through_the_fleet_player(self, case):
+        graph, beta, x = case["graph"], case["beta"], case["x"]
+        offsets, targets = graph.csr()
+        n = graph.num_vertices
+        clip = max_provable_layer(x, beta)
+        horizon = 4 * (clip + 2)
+        config = EngineConfig.from_env(env={})
+        if case["cohort_games"] is not None:
+            config = config.with_overrides(cohort_games=case["cohort_games"])
+
+        def fleet(engine):
+            out_layer = np.full(n, _INF)
+            out_count = np.zeros(n, dtype=np.int64)
+            info = play_fleet(
+                offsets, targets, np.arange(n, dtype=np.int64),
+                x=x, beta=beta, clip=clip, horizon=horizon,
+                scale=fixed_coin_scale(beta, horizon),
+                out_layer=out_layer, out_count=out_count, engine=engine,
+                want_records=True, config=config, workers=case["workers"],
+            )
+            return info, out_layer, out_count
+
+        budget = min(
+            batched_games.SCALE_LIMIT,
+            x * (beta + 2) << case["headroom_bits"],
+        )
+        with mock.patch.object(batched_games, "SCALE_LIMIT", budget):
+            batched, layer_b, count_b = fleet("batched")
+            compiled, layer_c, count_c = fleet("compiled")
+        assert np.array_equal(layer_b, layer_c)
+        assert np.array_equal(count_b, count_c)
+        for field in (
+            "reads", "writes", "super_iterations", "edges_seen", "ejected",
+        ):
+            assert np.array_equal(
+                getattr(batched, field), getattr(compiled, field)
+            ), field
+        for got, want in zip(compiled.records, batched.records):
+            assert np.array_equal(got, want)
+        member_counts = batched.records[3]
+        assert not member_counts[batched.ejected].any()
 
 
 class TestEndToEndEngines:
