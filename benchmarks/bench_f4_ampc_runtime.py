@@ -82,7 +82,6 @@ import sys
 import time
 
 from repro.ampc import faults
-from repro.ampc.engine_config import EngineConfig
 from repro.ampc.faults import FaultPlan
 from repro.ampc.pool import close_shared_pools, usable_cpus
 from repro.core import native
@@ -409,7 +408,7 @@ def bench_mode(
         if chaos and mode == "lca":
             # The degraded-serial leg (quick config only): a rate=1.0
             # crash plan makes every pool attempt fail, so after
-            # max_shard_retries the supervisor runs every shard chain
+            # MAX_SHARD_RETRIES the supervisor runs every shard chain
             # inline on the driver — and the partition must still be
             # bit-identical.  It runs over the message transport, whose
             # shard chains are what the process pool still executes
@@ -418,12 +417,9 @@ def bench_mode(
             # the degradation path cannot silently rot.
             plan = FaultPlan(seed=QUICK_CONFIG["seed"], rate=1.0,
                              kinds=("crash",))
-            fast = EngineConfig.from_env().with_overrides(
-                retry_backoff_s=0.0
-            )
             with faults.inject(plan):
                 degraded_s, degraded = _time_run(
-                    graph, beta, mode, "columnar", workers=2, config=fast,
+                    graph, beta, mode, "columnar", workers=2,
                     engine=message_engine, transport="message",
                     shards=MESSAGE_SHARDS,
                 )

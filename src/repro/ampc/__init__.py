@@ -3,7 +3,6 @@
 from repro.ampc.columnar import ColumnStore
 from repro.ampc.cost import ExecutionStats, RoundStats
 from repro.ampc.dds import EMPTY, DataStore
-from repro.ampc.engine_config import EngineConfig
 from repro.ampc.faults import (
     ChecksumError,
     FaultPlan,
@@ -37,7 +36,6 @@ __all__ = [
     "ColumnStore",
     "DataStore",
     "EMPTY",
-    "EngineConfig",
     "ExecutionStats",
     "FaultPlan",
     "FaultSpec",

@@ -28,10 +28,10 @@ Message types
 -------------
 
 All communication is typed, owner-routed, and size-capped (payloads
-larger than ``cap_words`` ship as multiple delivery segments; row
-resolutions split at row boundaries, so one oversized row still ships
-whole).  Word counts are payload words (int64 slots); per-round totals
-are surfaced through the ``comm`` dict and
+larger than :data:`MESSAGE_CAP_WORDS` ship as multiple delivery
+segments; row resolutions split at row boundaries, so one oversized row
+still ships whole).  Word counts are payload words (int64 slots);
+per-round totals are surfaced through the ``comm`` dict and
 ``BetaPartitionOutcome.round_comm``.
 
 ``placement``
@@ -47,7 +47,7 @@ are surfaced through the ``comm`` dict and
     slab — three int64 arrays ``(ids, lens, targets)`` per
     (owner → requester, sub-round) pair, ``2 + len`` payload words per
     row exactly as the old per-row framing — split at row boundaries
-    into ≤ ``cap_words`` delivery segments.
+    into ≤ :data:`MESSAGE_CAP_WORDS` delivery segments.
 ``layer-proposal fold``
     Shard → owner, end of round: the ``(u, layer)`` proof entries of
     its finished games, routed to ``owner(u)``; owners min/+-fold them
@@ -135,7 +135,7 @@ One shard round: :func:`run_shard_chain`
 A shard's whole BSP round is one function, :func:`run_shard_chain`,
 and it is the only implementation of the sub-round loop.  It is a pure
 function of ``(round's residual CSR, the shard's roots, shard count,
-engine, config, budget)``: the shard's owned rows are its owner
+engine, budget)``: the shard's owned rows are its owner
 partition of that CSR, and every row another shard would serve it is
 a verbatim slice of the same CSR (ghosts are exact copies and rows
 never change mid-round).  So the chain rebuilds its shard from the
@@ -232,9 +232,9 @@ __all__ = [
     "owner_of",
 ]
 
-# Default payload cap of one delivery segment, in int64 words.  Purely a
+# Payload cap of one delivery segment, in int64 words.  Purely a
 # counting granularity (segments of one logical payload ship together);
-# EngineConfig.message_cap_words / $REPRO_MESSAGE_CAP_WORDS override it.
+# read by MessageFabric.__init__, so tests monkeypatch it.
 MESSAGE_CAP_WORDS = 1 << 15
 
 # Ceiling on the doubling speculative-service radius (see
@@ -682,11 +682,11 @@ class _ShardRound:
 
     # -- one sub-round of play --------------------------------------------
 
-    def play(self, params: dict, config) -> None:
+    def play(self, params: dict) -> None:
         t0 = time.perf_counter()
         c0 = self.compact_s
         if self.engine in ("batched", "compiled"):
-            self._play_batched(params, config)
+            self._play_batched(params)
         else:
             self._play_scalar(params)
         # Pure play wall: local-CSR maintenance is reported separately
@@ -893,7 +893,7 @@ class _ShardRound:
         loc["targets"] = targets2
         self.compact_s += time.perf_counter() - t0
 
-    def _play_batched(self, params: dict, config) -> None:
+    def _play_batched(self, params: dict) -> None:
         from repro.core.columnar_rounds import play_coin_game, play_fleet
 
         shard = self.shard
@@ -975,7 +975,7 @@ class _ShardRound:
             horizon=params["horizon"], scale=params["scale"],
             out_layer=np.full(u_count, _INF),
             out_count=np.zeros(u_count, dtype=np.int64),
-            engine=self.engine, want_records=True, config=config,
+            engine=self.engine, want_records=True,
         )
         # Remap ids and split valid from invalid games in whole-fleet
         # array ops — an optimistic wave discards most of its plays as
@@ -1234,7 +1234,6 @@ def run_shard_chain(
     horizon: int,
     scale: int | None,
     engine: str,
-    config,
     budget_words: int | None = None,
     fault=None,
 ) -> dict:
@@ -1334,7 +1333,7 @@ def run_shard_chain(
         if budget_words is not None and run.pending().size:
             shard.evict_ghosts(run.pinned_ghosts())
         if run.pending().size:
-            run.play(params, config)
+            run.play(params)
         played = True
         trace.append((miss, extra))
     shard.finish_round()
@@ -1388,18 +1387,17 @@ class MessageFabric:
         num_shards: int,
         *,
         budget_words: int | None = None,
-        cap_words: int | None = None,
     ) -> None:
         num_shards = int(num_shards)
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         self.num_shards = num_shards
         self.budget_words = budget_words
-        self.cap_words = (
-            MESSAGE_CAP_WORDS if cap_words is None else int(cap_words)
-        )
+        self.cap_words = MESSAGE_CAP_WORDS
         if self.cap_words < 4:
-            raise ValueError("cap_words must be >= 4 (one row header)")
+            raise ValueError(
+                "MESSAGE_CAP_WORDS must be >= 4 (one row header)"
+            )
         self.guards = [
             MemoryGuard(budget_words, name=f"shard[{sid}]")
             for sid in range(num_shards)
@@ -1496,7 +1494,6 @@ class MessageFabric:
         horizon: int,
         scale: int | None,
         engine: str = "batched",
-        config=None,
         comm: dict | None = None,
         pool=None,
     ) -> list[tuple[np.ndarray, ShardResult]]:
@@ -1514,10 +1511,6 @@ class MessageFabric:
         the counters and adopts its guard peak, so all observables and
         all comm/memory numbers are the same on both hosts.
         """
-        if config is None:
-            from repro.ampc.engine_config import EngineConfig
-
-            config = EngineConfig.from_env()
         comm = self._init_comm({} if comm is None else comm)
         num = self.num_shards
         shard_words = [0] * num
@@ -1552,7 +1545,7 @@ class MessageFabric:
         payload = {
             "x": x, "beta": beta, "clip": clip, "horizon": horizon,
             "scale": scale, "num_shards": num, "engine": engine,
-            "config": config, "budget_words": self.budget_words,
+            "budget_words": self.budget_words,
         }
         delivered: set[int] = set()
         miss_sizes: list[list[int]] = [[] for __ in range(num)]

@@ -54,18 +54,18 @@ shard future carries a ``(dispatch round, shard, attempt)`` identity,
 and a shard that is *lost* — a worker exception, a dead process
 (``BrokenProcessPool``), an unpicklable result, a checksum mismatch, or
 a future that outlives its deadline — is re-dispatched up to
-``max_shard_retries`` times with seed-jittered exponential backoff
+:data:`MAX_SHARD_RETRIES` times with seed-jittered exponential backoff
 before the driver runs it inline as the last resort.  The whole scheme
 rests on one invariant, proved by the pooled-fabric work: **a shard is
-a pure function of its inputs** (the published round CSR, its roots,
-and the run's config), so re-executing lost work — in a fresh worker,
+a pure function of its inputs** (the published round CSR, its roots
+and the round's parameters), so re-executing lost work — in a fresh worker,
 a respawned pool, or inline on the driver — produces bit-identical
 results, and the commutative min/+ result folds make the retry
 *schedule* (which attempt finally landed, in what order) invisible to
 every observable.  Concretely:
 
 - **Deadlines / hang detection.**  Each running future is held to
-  ``pool_deadline_s``, tightened to ``pool_deadline_scale ×`` the
+  :data:`POOL_DEADLINE_S`, tightened to :data:`POOL_DEADLINE_SCALE` × the
   slowest completed sibling once one lands.  Expiry kills the worker
   processes (a running future cannot be cancelled), counts a
   ``deadline_kill``, and re-queues every in-flight shard.
@@ -81,10 +81,10 @@ every observable.  Concretely:
   the driver re-verifies before folding, so a corrupted result becomes
   a ``checksum_reject`` retry, never a wrong partition.
 - **Graceful degradation.**  A shard still failing after
-  ``max_shard_retries`` runs inline on the driver (serial execution of
+  :data:`MAX_SHARD_RETRIES` runs inline on the driver (serial execution of
   the same pure function — bit-identical, just not parallel);
   :class:`WorkerPoolError` is reserved for inline execution itself
-  failing, or for ``pool_degrade=False`` callers who prefer fail-fast.
+  failing, or to fail-fast runs (:data:`POOL_DEGRADE` set to False).
   It then carries structured context (round, shard, attempts,
   per-attempt outcomes) with ``__cause__`` chained.
 - **Protocol outcomes pass through.**  A deterministic outcome the
@@ -144,13 +144,13 @@ __all__ = [
 # message fabric's shard chains on the process pool (publishing the
 # CSR, pickling shards and collecting futures costs on the order of a
 # millisecond).  Small rounds — the long tail of a multi-round
-# partition — stay serial.  Callers can override per run via
-# ``min_pool_games`` (tests pin it to 1 to force the parallel paths on
-# tiny differential shapes).
+# partition — stay serial.  Read at call time by
+# :func:`repro.core.columnar_rounds.lca_round_kernel`; tests monkeypatch
+# it to 1 to force the parallel paths on tiny differential shapes.
 MIN_POOL_GAMES = 256
 
-# Round-supervisor defaults (EngineConfig fields / REPRO_* env overrides
-# of the same names thread per-run values through; see the module
+# Round-supervisor constants, read at call time by
+# :meth:`CoinGamePool._run_supervised` on the driver (see the module
 # docstring's fault-tolerance section).  How many re-dispatches a lost
 # shard gets before the driver degrades it to inline execution:
 MAX_SHARD_RETRIES = 2
@@ -183,16 +183,6 @@ def new_recovery_counters() -> dict:
         "degraded_shards": 0,   # shards run inline after max retries
         "recovery_wall_s": 0.0,  # driver time spent recovering (+ checks)
     }
-
-
-def min_pool_games_for(config=None) -> int:
-    """The run's parallel-dispatch cutoff.
-
-    ``config`` (an :class:`repro.ampc.engine_config.EngineConfig`)
-    supplies the run's pinned threshold; None reads
-    :data:`MIN_POOL_GAMES`.
-    """
-    return MIN_POOL_GAMES if config is None else config.min_pool_games
 
 
 def usable_cpus() -> int:
@@ -423,16 +413,6 @@ def _play_fabric_shard(
 _SUPERVISOR_POLL_S = 0.1
 
 
-def _supervisor_knobs(config) -> tuple[int, float, float, float, bool]:
-    """(max_retries, backoff_s, deadline_s, deadline_scale, degrade)."""
-    if config is None:
-        return (MAX_SHARD_RETRIES, RETRY_BACKOFF_S, POOL_DEADLINE_S,
-                POOL_DEADLINE_SCALE, POOL_DEGRADE)
-    return (config.max_shard_retries, config.retry_backoff_s,
-            config.pool_deadline_s, config.pool_deadline_scale,
-            config.pool_degrade)
-
-
 def _verify_fabric_result(result) -> None:
     """Driver-side integrity check of one fabric shard-chain result."""
     if not isinstance(result, dict) or result.get("checksum") is None:
@@ -580,7 +560,6 @@ class CoinGamePool:
         inline,
         deliver,
         verify,
-        config,
         passthrough: tuple = (),
     ) -> None:
         """The fault-tolerant dispatch loop behind :meth:`run_games`.
@@ -602,8 +581,6 @@ class CoinGamePool:
         into a bounded, backoff-spaced, bit-identical re-execution, and
         the counters in :attr:`recovery` account each one.
         """
-        (max_retries, backoff_s, deadline_s, deadline_scale,
-         degrade) = _supervisor_knobs(config)
         plan = faults.active_plan()
         rnd = self.dispatch_seq
         self.dispatch_seq += 1
@@ -632,8 +609,8 @@ class CoinGamePool:
             now = time.perf_counter()
             requeue, pending = pending, []
             for key in requeue:
-                if attempts[key] > max_retries:
-                    if not degrade:
+                if attempts[key] > MAX_SHARD_RETRIES:
+                    if not POOL_DEGRADE:
                         self.close(cancel=True)
                         raise WorkerPoolError(
                             f"shard {key} of pool dispatch {rnd} lost "
@@ -651,7 +628,7 @@ class CoinGamePool:
                     # loop keeps collecting sibling results and running
                     # deadline/hang detection.
                     delay = self._backoff_delay(
-                        backoff_s, rnd, key, attempts[key]
+                        RETRY_BACKOFF_S, rnd, key, attempts[key]
                     )
                     defer[key] = now + delay
                     rec["retries"] += 1
@@ -679,7 +656,7 @@ class CoinGamePool:
                     rec["respawns"] += 1
                     respawns_here += 1
                     delay = self._backoff_delay(
-                        backoff_s, rnd, num_jobs, respawns_here
+                        RETRY_BACKOFF_S, rnd, num_jobs, respawns_here
                     )
                     resume_at = time.perf_counter() + delay
                     rec["recovery_wall_s"] += delay
@@ -702,13 +679,15 @@ class CoinGamePool:
                     if wake > now:
                         time.sleep(min(wake - now, _SUPERVISOR_POLL_S))
                 continue
-            limit = deadline_s
+            limit = POOL_DEADLINE_S
             if slowest_done is not None:
                 # Adaptive hang detection: once a sibling shard of this
                 # dispatch has landed, the rest are bounded by a multiple
                 # of the slowest observed success (floored so millisecond
                 # shards cannot trip the bound on scheduler noise).
-                limit = min(limit, max(1.0, deadline_scale * slowest_done))
+                limit = min(
+                    limit, max(1.0, POOL_DEADLINE_SCALE * slowest_done)
+                )
             done, not_done = wait(
                 set(inflight), timeout=_SUPERVISOR_POLL_S,
                 return_when=FIRST_COMPLETED,
@@ -771,7 +750,7 @@ class CoinGamePool:
                 rec["respawns"] += 1
                 respawns_here += 1
                 delay = self._backoff_delay(
-                    backoff_s, rnd, num_jobs, respawns_here
+                    RETRY_BACKOFF_S, rnd, num_jobs, respawns_here
                 )
                 resume_at = time.perf_counter() + delay
                 rec["recovery_wall_s"] += delay
@@ -844,7 +823,6 @@ class CoinGamePool:
         jobs: list[tuple[int, np.ndarray]],
         payload: dict,
         on_result,
-        config=None,
     ) -> None:
         """Run message-fabric shard chains across the worker fleet.
 
@@ -861,16 +839,12 @@ class CoinGamePool:
         never retried and the executor stays healthy for the next run.
         Any other fault goes through the supervisor's retry /
         degradation ladder; only an unrecoverable one closes the pool
-        and raises :class:`WorkerPoolError`.  ``config`` defaults to
-        ``payload["config"]``, so the supervisor honors the same run
-        configuration the shard chains execute under.
+        and raises :class:`WorkerPoolError`.
         """
         if self.closed:
             raise WorkerPoolError("coin-game worker pool is closed")
         if not jobs:
             return
-        if config is None:
-            config = payload.get("config")
         segments: list[SharedMemory] = []
         try:
             csr_meta, segments = self._publish_csr(offsets, targets)
@@ -891,8 +865,7 @@ class CoinGamePool:
 
             self._run_supervised(
                 len(jobs), submit, inline, deliver,
-                _verify_fabric_result, config,
-                passthrough=(MemoryGuardError,),
+                _verify_fabric_result, passthrough=(MemoryGuardError,),
             )
         except (MemoryGuardError, WorkerPoolError):
             raise

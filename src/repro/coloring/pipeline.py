@@ -96,9 +96,16 @@ def _layers_of(partition: PartialBetaPartition, graph: Graph) -> dict[int, np.nd
 
 
 def _finish(graph: Graph, result: PipelineResult) -> PipelineResult:
+    """Check the coloring is proper and within the variant's palette
+    bound; fill in ``num_colors``."""
     if not is_proper_coloring(graph, result.colors):
         raise AssertionError(f"pipeline {result.variant} produced an improper coloring")
     result.num_colors = len(set(result.colors)) if result.colors else 0
+    if result.num_colors > result.palette_bound:
+        raise AssertionError(
+            f"pipeline {result.variant} used {result.num_colors} colors, "
+            f"over its palette bound {result.palette_bound}"
+        )
     return result
 
 
@@ -117,20 +124,20 @@ def _trivial_result(graph: Graph, variant: str, alpha: int, eps: float) -> Pipel
     )
 
 
-def coloring_alpha_squared_eps(
+def _arb_linial_pipeline(
     graph: Graph,
+    variant: str,
+    beta: int,
     alpha: int,
-    eps: float = 1.0,
-    delta: float = 0.5,
-    x: int | None = None,
-    store: str = "columnar",
-    workers: int | str | None = None,
-    engine: str | None = None,
+    eps: float,
+    delta: float,
+    x: int | None,
+    store: str,
+    workers: int | str | None,
+    engine: str | None,
 ) -> PipelineResult:
-    """Theorem 1.3(1): O(α^{2+ε})-coloring in O(1/ε) AMPC rounds."""
-    if graph.num_edges == 0:
-        return _trivial_result(graph, "alpha_squared_eps", alpha, eps)
-    beta = max(math.ceil(alpha ** (1 + eps)), 2 * alpha + 1, 2)
+    """Theorem 1.3(1) and (2): Arb-Linial along the β-partition's
+    orientation.  The two parts differ only in β."""
     outcome = beta_partition_ampc(
         graph, beta, delta=delta, x=x, store=store, workers=workers,
         engine=engine,
@@ -144,7 +151,7 @@ def coloring_alpha_squared_eps(
     return _finish(
         graph,
         PipelineResult(
-            variant="alpha_squared_eps",
+            variant=variant,
             colors=linial.colors,
             num_colors=0,
             palette_bound=linial.num_colors,
@@ -159,6 +166,26 @@ def coloring_alpha_squared_eps(
                 "partition_mode": outcome.mode,
             },
         ),
+    )
+
+
+def coloring_alpha_squared_eps(
+    graph: Graph,
+    alpha: int,
+    eps: float = 1.0,
+    delta: float = 0.5,
+    x: int | None = None,
+    store: str = "columnar",
+    workers: int | str | None = None,
+    engine: str | None = None,
+) -> PipelineResult:
+    """Theorem 1.3(1): O(α^{2+ε})-coloring in O(1/ε) AMPC rounds."""
+    if graph.num_edges == 0:
+        return _trivial_result(graph, "alpha_squared_eps", alpha, eps)
+    beta = max(math.ceil(alpha ** (1 + eps)), 2 * alpha + 1, 2)
+    return _arb_linial_pipeline(
+        graph, "alpha_squared_eps", beta, alpha, eps, delta, x, store,
+        workers, engine,
     )
 
 
@@ -176,34 +203,9 @@ def coloring_alpha_squared(
     if graph.num_edges == 0:
         return _trivial_result(graph, "alpha_squared", alpha, eps)
     beta = max(math.ceil((2 + eps) * alpha), 2)
-    outcome = beta_partition_ampc(
-        graph, beta, delta=delta, x=x, store=store, workers=workers,
-        engine=engine,
-    )
-    orientation = orient_by_partition(graph, outcome.partition)
-    linial = arb_linial_coloring(orientation, beta)
-    space = _space_budget(graph, delta)
-    coloring_rounds = ampc_rounds_for_simulation(
-        max(linial.local_rounds, 1), max(beta, 2), space
-    )
-    return _finish(
-        graph,
-        PipelineResult(
-            variant="alpha_squared",
-            colors=linial.colors,
-            num_colors=0,
-            palette_bound=linial.num_colors,
-            beta=beta,
-            alpha=alpha,
-            eps=eps,
-            partition_rounds=outcome.rounds,
-            coloring_rounds=coloring_rounds,
-            num_layers=outcome.num_layers,
-            details={
-                "linial_local_rounds": linial.local_rounds,
-                "partition_mode": outcome.mode,
-            },
-        ),
+    return _arb_linial_pipeline(
+        graph, "alpha_squared", beta, alpha, eps, delta, x, store, workers,
+        engine,
     )
 
 

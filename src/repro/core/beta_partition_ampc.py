@@ -46,7 +46,6 @@ from typing import Literal
 
 import numpy as np
 
-from repro.ampc.engine_config import EngineConfig
 from repro.ampc.machine import MachineContext
 from repro.ampc.messaging import MessageFabric
 from repro.ampc.pool import defer_full_gc, resolve_workers, shared_pool
@@ -179,12 +178,10 @@ def beta_partition_ampc(
     store: StoreKind = "columnar",
     workers: int | str | None = None,
     engine: str | None = None,
-    min_pool_games: int | None = None,
     phases: dict | None = None,
     transport: str = "shm",
     shards: int | None = None,
     shard_budget: int | None = None,
-    config=None,
 ) -> BetaPartitionOutcome:
     """Compute a complete β-partition of ``graph`` in simulated AMPC.
 
@@ -194,7 +191,7 @@ def beta_partition_ampc(
         Inputs; β >= (2+ε)α gives the Theorem 1.2 guarantees, but any β
         for which the natural β-partition is complete will terminate.
     delta:
-        Local-space exponent of the simulated machines.
+        Local-space exponent of the simulated machines, in (0, 1).
     x:
         Coin-game budget (default :func:`default_game_budget`).
     mode:
@@ -230,15 +227,11 @@ def beta_partition_ampc(
         numpy array kernels, :mod:`repro.core.batched_games`; the
         kernel's fallback and differential oracle) or ``"scalar"``
         (one adaptive Python interpretation per game, the original
-        engine kept verbatim as the oracle).  None reads ``$REPRO_ENGINE``
-        before falling back to ``"compiled"``.  A pure throughput knob —
-        every observable is bit-identical.  The dict-backed store
+        engine kept verbatim as the oracle).  None means ``"compiled"``.
+        A pure throughput knob — every observable is bit-identical.
+        The dict-backed store
         ignores it (its machines always run the per-vertex
         :class:`~repro.lca.coin_game.CoinDroppingGame`).
-    min_pool_games:
-        Rounds with fewer pending games than this run serially even
-        when workers > 1 (None: ``config.min_pool_games``, default
-        :data:`repro.ampc.pool.MIN_POOL_GAMES`).
     phases:
         Optional dict accumulating per-phase wall-clock seconds of the
         lca rounds (``explore`` / ``forward`` / ``fold`` for the batched
@@ -266,16 +259,19 @@ def beta_partition_ampc(
         Per-shard S budget in words under ``transport="message"``; every
         array a shard holds is accounted against it and
         :class:`repro.ampc.messaging.MemoryGuardError` is raised loudly
-        on violation.  None (default from
-        ``$REPRO_SHARD_BUDGET_WORDS``): account but never raise.
-    config:
-        An :class:`repro.ampc.engine_config.EngineConfig` pinning every
-        engine knob for this run; None snapshots the module-constant
-        defaults with ``REPRO_*`` env overrides applied
-        (:meth:`~repro.ampc.engine_config.EngineConfig.from_env`).
+        on violation.  None (the default): account but never raise.
+
+    Rounds with fewer than :data:`repro.ampc.pool.MIN_POOL_GAMES` games
+    play serially even when workers > 1; that cutoff, the cohort size
+    and the fabric's message cap are module constants, not arguments,
+    because no observable depends on them.
     """
     if beta < 1:
         raise ValueError("beta must be >= 1")
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
+    if mode not in ("auto", "lca", "peel"):
+        raise ValueError('mode must be "auto", "lca" or "peel"')
     if store not in ("columnar", "dict"):
         raise ValueError('store must be "columnar" or "dict"')
     if engine not in (None, "batched", "compiled", "scalar"):
@@ -288,14 +284,6 @@ def beta_partition_ampc(
             "is the serial semantics oracle and never shards)"
         )
     workers = resolve_workers(workers)
-    if config is None:
-        config = EngineConfig.from_env()
-    if engine is None and config.engine is not None:
-        if config.engine not in ("batched", "compiled", "scalar"):
-            raise ValueError(
-                'REPRO_ENGINE must be "batched", "compiled" or "scalar"'
-            )
-        engine = config.engine
     engine = engine or "compiled"
     if engine == "compiled" and not native.available():
         # Graceful degradation: the numpy oracle is bit-identical, so
@@ -303,8 +291,6 @@ def beta_partition_ampc(
         # actually ran.
         native.warn_fallback("beta_partition_ampc")
         engine = "batched"
-    if shard_budget is None:
-        shard_budget = config.shard_budget_words
     n = graph.num_vertices
     if n == 0:
         return BetaPartitionOutcome(
@@ -341,14 +327,13 @@ def beta_partition_ampc(
         fabric = MessageFabric(
             shards if shards is not None else max(2, workers),
             budget_words=shard_budget,
-            cap_words=config.message_cap_words,
         )
     pool = shared_pool(workers) if fabric is not None and workers > 1 else None
     with defer_full_gc():
         if store == "columnar":
             return _run_columnar(
                 graph, sim, beta, x, mode, max_rounds, workers, pool,
-                engine, min_pool_games, phases, fabric, transport, config,
+                engine, phases, fabric, transport,
             )
         return _run_dict(graph, sim, beta, x, mode, max_rounds, workers)
 
@@ -428,11 +413,9 @@ def _run_columnar(
     workers: int,
     pool,
     engine: str,
-    min_pool_games: int | None,
     phases: dict | None,
     fabric=None,
     transport: str = "shm",
-    config=None,
 ) -> BetaPartitionOutcome:
     """The batched columnar loop — observationally identical to the dict
     path, with the residual re-encode, peel round, and DDS-side min-merge
@@ -465,8 +448,7 @@ def _run_columnar(
                 round_comm.append(comm)
             kernel = partial(
                 lca_round_kernel, beta=beta, x=x, pool=pool, engine=engine,
-                min_pool_games=min_pool_games, phases=phases, fabric=fabric,
-                comm=comm, config=config, workers=workers,
+                phases=phases, fabric=fabric, comm=comm, workers=workers,
             )
         target = sim.round_vectorized(alive, kernel, reducer=min)
         assigned_vs, assigned_layers = target.layer_assignments()

@@ -58,8 +58,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from repro.ampc import pool as ampc_pool
 from repro.ampc.machine import BatchMachineContext
-from repro.ampc.pool import min_pool_games_for, usable_cpus
+from repro.ampc.pool import usable_cpus
 from repro.core.batched_games import (
     BatchedGamesInfo,
     csr_transpose_positions,
@@ -222,7 +223,6 @@ def play_fleet(
     engine: str,
     want_records: bool = False,
     phases: dict | None = None,
-    config=None,
     workers: int = 1,
 ) -> BatchedGamesInfo:
     """Play one game per root on an array engine; outputs in game order.
@@ -246,13 +246,13 @@ def play_fleet(
     millions of times per round, and a whole-fleet arena (hundreds of MB
     at bench scale) turns every access into a cache miss.  Games are
     independent and every fold is commutative, so the fleet plays as
-    game-index blocks of ``cohort_games`` (``config``; None: the module's
-    :data:`COHORT_GAMES`), each block sized from the last one's arena
+    game-index blocks of :data:`COHORT_GAMES` (read at call time, so
+    tests monkeypatch it), each block sized from the last one's arena
     (the arena hint).
 
     ``workers > 1`` fans the games out over ``min(workers, usable CPUs)``
     threads of one persistent pool.  The roots split into about four
-    slices per thread (never more than ``cohort_games`` games each),
+    slices per thread (never more than :data:`COHORT_GAMES` games each),
     which the threads claim one at a time, so a slow hub-heavy slice
     does not stall the others.  Each thread folds into its own
     accumulators; the caller's are min/+-folded from them after the
@@ -265,7 +265,7 @@ def play_fleet(
     the serial run.
     """
     num_games = len(roots)
-    block = COHORT_GAMES if config is None else config.cohort_games
+    block = COHORT_GAMES
     transpose_pos = None
     if engine == "compiled":
         from repro.core.native import play_games_compiled
@@ -354,11 +354,9 @@ def lca_round_kernel(
     x: int,
     pool=None,
     engine: str = "batched",
-    min_pool_games: int | None = None,
     phases: dict | None = None,
     fabric=None,
     comm: dict | None = None,
-    config=None,
     workers: int = 1,
 ) -> None:
     """One LCA round: every alive machine plays the coin game.
@@ -375,10 +373,10 @@ def lca_round_kernel(
     interprets them one at a time (:func:`play_coin_game`, kept
     verbatim as the oracle).
 
-    Rounds of at least ``min_pool_games`` games (None: the run's
-    :func:`repro.ampc.pool.min_pool_games_for` cutoff) go parallel when
-    ``workers > 1``; smaller rounds run serially in-process, where
-    dispatch would cost more than the games.  The array engines play
+    Rounds of at least :data:`repro.ampc.pool.MIN_POOL_GAMES` games
+    (read at call time) go parallel when ``workers > 1``; smaller
+    rounds run serially in-process, where dispatch would cost more than
+    the games.  The array engines play
     through :func:`play_fleet`, which fans out over threads; the games
     it ejects replay here, on the calling thread, through
     :func:`play_coin_game`.  The scalar
@@ -401,9 +399,7 @@ def lca_round_kernel(
     for rounds above the cutoff; ``pool`` is used for nothing else.  The
     round's communication counters accumulate into ``comm``, and the
     fabric's ``(positions, ShardResult)`` pairs fold through the same
-    min/+ accumulators.  ``config`` (an
-    :class:`repro.ampc.engine_config.EngineConfig`) pins the run's
-    cohort/dispatch knobs; None falls back to the module constants.
+    min/+ accumulators.
     """
     alive = batch.machine_ids
     offsets, targets = batch.previous.adjacency_csr()
@@ -411,9 +407,7 @@ def lca_round_kernel(
     clip = max_provable_layer(x, beta)
     horizon = 4 * (clip + 2)
     scale = fixed_coin_scale(beta, horizon)
-    if min_pool_games is None:
-        min_pool_games = min_pool_games_for(config)
-    big = len(alive) >= min_pool_games
+    big = len(alive) >= ampc_pool.MIN_POOL_GAMES
     if phases is not None:
         keys = (
             ("native", "fold") if engine == "compiled"
@@ -444,7 +438,6 @@ def lca_round_kernel(
             horizon=horizon,
             scale=scale,
             engine=engine,
-            config=config,
             comm=comm,
             # Shard chains dispatch to pool workers above the cutoff;
             # smaller rounds (the long tail) run the shards in-process.
@@ -473,7 +466,7 @@ def lca_round_kernel(
             offsets, targets, alive,
             x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
             out_layer=out_layer, out_count=out_count, engine=engine,
-            phases=phases, config=config, workers=workers if big else 1,
+            phases=phases, workers=workers if big else 1,
         )
         reads, writes = info.reads, info.writes
         if info.ejected.size:

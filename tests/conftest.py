@@ -73,6 +73,26 @@ def workers_option(request: pytest.FixtureRequest) -> int:
 
 
 @pytest.fixture
+def fast_pool(monkeypatch: pytest.MonkeyPatch):
+    """Pin :mod:`repro.ampc.pool`'s constants so tiny rounds go parallel.
+
+    ``MIN_POOL_GAMES = 1`` sends every lca round with workers > 1 down
+    the parallel path (threads, or the process pool under
+    ``transport="message"``) and ``RETRY_BACKOFF_S = 0`` keeps chaos
+    retries from sleeping.  Returns a setter for more pool constants,
+    e.g. ``fast_pool(MAX_SHARD_RETRIES=0, POOL_DEGRADE=False)``.
+    """
+    from repro.ampc import pool
+
+    def pin(**constants) -> None:
+        for name, value in constants.items():
+            monkeypatch.setattr(pool, name, value)
+
+    pin(MIN_POOL_GAMES=1, RETRY_BACKOFF_S=0.0)
+    return pin
+
+
+@pytest.fixture
 def triangle() -> Graph:
     return complete_graph(3)
 

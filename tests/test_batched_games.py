@@ -205,6 +205,21 @@ class TestCohortBlocking:
         blocked = beta_partition_ampc(graph, 9, store="columnar")
         _assert_same_outcome(oracle, blocked)
 
+    def test_knobs_do_not_change_observables(self, monkeypatch):
+        # A deliberately odd cohort size must be invisible:
+        # bit-identical partitions and per-round stats.
+        g = random_gnm(80, 160, seed=5)
+        base = beta_partition_ampc(g, 5, store="columnar")
+        monkeypatch.setattr(columnar_rounds, "COHORT_GAMES", 3)
+        tuned = beta_partition_ampc(g, 5, store="columnar")
+        assert tuned.partition.layers == base.partition.layers
+        for ra, rb in zip(
+            base.simulator.stats.rounds, tuned.simulator.stats.rounds
+        ):
+            assert (ra.total_reads, ra.total_writes, ra.store_words) == (
+                rb.total_reads, rb.total_writes, rb.store_words
+            )
+
 
 class TestEscapeHatch:
     def test_ejected_games_replay_exactly(self, monkeypatch):
@@ -294,12 +309,11 @@ class TestWorkersAutoAndThreshold:
         assert pool is not None and pool._executor is None
         close_shared_pools()
 
-    def test_threshold_override_dispatches(self):
+    def test_threshold_override_dispatches(self, fast_pool):
         close_shared_pools()
         graph = random_gnm(80, 160, seed=2)
         beta_partition_ampc(
-            graph, 9, store="columnar", workers=2, min_pool_games=1,
-            transport="message",
+            graph, 9, store="columnar", workers=2, transport="message",
         )
         pool = _SHARED_POOLS.get(2)
         assert pool is not None and pool._executor is not None
@@ -313,8 +327,10 @@ class TestWorkersAutoAndThreshold:
         assert auto.workers == resolve_workers("auto")
         close_shared_pools()
 
-    def test_array_engines_thread_scalar_in_process(self, monkeypatch):
-        # 600 pending games, above the one cutoff (256): the default
+    def test_array_engines_thread_scalar_in_process(
+        self, monkeypatch, fast_pool
+    ):
+        # 600 pending games, every round above the cutoff: the default
         # engine plays them on threads, and the scalar oracle plays them
         # one by one on the driver.  Neither acquires the process pool.
         _many_cpus(monkeypatch)
@@ -329,7 +345,6 @@ class TestWorkersAutoAndThreshold:
         )
         scalar = beta_partition_ampc(
             g, 9, store="columnar", workers=2, engine="scalar",
-            min_pool_games=1,
         )
         assert _SHARED_POOLS.get(2) is None
         assert multiprocessing.active_children() == []
@@ -471,7 +486,7 @@ class TestThreadFanOut:
     @pytest.mark.parametrize("engine", _ARRAY_ENGINES)
     @pytest.mark.parametrize("workers", [2, 4])
     def test_ejections_in_several_slices_replay_after_join(
-        self, engine, workers, monkeypatch
+        self, engine, workers, monkeypatch, fast_pool
     ):
         # The fleet reports every slice's ejections in game order; the
         # round replays them on the calling thread, after the join, into the
@@ -499,7 +514,6 @@ class TestThreadFanOut:
         monkeypatch.setattr(columnar_rounds, "play_coin_game", replay_spy)
         round_threaded = beta_partition_ampc(
             graph, 6, x=49, engine=engine, workers=workers,
-            min_pool_games=1,
         )
         assert replayed_on == {threading.get_ident()}  # on the driver
         _assert_same_outcome(round_serial, round_threaded)
@@ -507,15 +521,14 @@ class TestThreadFanOut:
     @pytest.mark.parametrize("engine", _ARRAY_ENGINES)
     @pytest.mark.parametrize("workers", [2, 4])
     def test_partition_and_round_stats_match_serial(
-        self, engine, workers, monkeypatch
+        self, engine, workers, monkeypatch, fast_pool
     ):
         _many_cpus(monkeypatch)
         graph = preferential_attachment(500, 3, seed=7)
         serial = beta_partition_ampc(graph, 7, engine=engine, workers=1)
         phases: dict = {}
         threaded = beta_partition_ampc(
-            graph, 7, engine=engine, workers=workers, min_pool_games=1,
-            phases=phases,
+            graph, 7, engine=engine, workers=workers, phases=phases,
         )
         _assert_same_outcome(serial, threaded)
         assert threaded.unlayered_per_round == serial.unlayered_per_round
@@ -673,12 +686,11 @@ class TestMultiRoundUnderBatchedEngine:
         assert batched.rounds >= 2
         _assert_same_outcome(oracle, batched)
 
-    def test_deep_path_with_pool_matches_oracle(self):
+    def test_deep_path_with_pool_matches_oracle(self, fast_pool):
         g = path_graph(40)
         oracle = beta_partition_ampc(g, 1, x=2, store="dict")
         pooled = beta_partition_ampc(
             g, 1, x=2, store="columnar", engine="batched", workers=2,
-            min_pool_games=1,
         )
         _assert_same_outcome(oracle, pooled)
         close_shared_pools()

@@ -28,7 +28,6 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.ampc import faults
-from repro.ampc.engine_config import EngineConfig
 from repro.ampc.faults import FaultPlan
 from repro.ampc.pool import (
     _SHARED_POOLS,
@@ -45,10 +44,11 @@ _TIMING_KEYS = (
     "serve_s", "install_s", "compact_s", "play_s",
 )
 
-# Fast, bounded chaos: no backoff sleeps, default retry budget.  The
-# attempts=2 gate on every seeded plan keeps schedules survivable by
-# construction (attempt 2 runs clean; max_shard_retries defaults to 2).
-_FAST = EngineConfig.from_env().with_overrides(retry_backoff_s=0.0)
+# Every test runs under the fast_pool fixture: every round dispatches
+# to the pool, and retries do not back off.  The attempts=2 gate on
+# every seeded plan keeps schedules survivable by construction (attempt
+# 2 runs clean; MAX_SHARD_RETRIES is 2).
+pytestmark = pytest.mark.usefixtures("fast_pool")
 
 
 def _graph(seed=23):
@@ -93,7 +93,7 @@ class TestChaosMatrix:
         with faults.inject(plan):
             out = beta_partition_ampc(
                 g, 9, store="columnar", workers=2, transport="message",
-                shards=8, min_pool_games=1, config=_FAST,
+                shards=8,
             )
         assert out.partition.layers == oracle.partition.layers
         assert out.unlayered_per_round == oracle.unlayered_per_round
@@ -117,8 +117,8 @@ class TestChaosMatrix:
         )
         with faults.inject(plan):
             out = beta_partition_ampc(
-                g, 9, store="columnar", workers=2, min_pool_games=1,
-                transport="message", shards=shards, config=_FAST,
+                g, 9, store="columnar", workers=2,
+                transport="message", shards=shards,
             )
         # The whole observable surface: layers, comm counters (words,
         # messages, sub-rounds, row requests — replayed exactly once per
@@ -135,8 +135,7 @@ class TestChaosMatrix:
         plan = FaultPlan({(0, 0, 0): "crash", (0, 1, 0): "garbage"})
         with faults.inject(plan):
             out = beta_partition_ampc(
-                g, 9, store="columnar", workers=2, min_pool_games=1,
-                transport="message", config=_FAST,
+                g, 9, store="columnar", workers=2, transport="message",
             )
         assert out.partition.layers == oracle.partition.layers
         rec = out.round_recovery
@@ -147,8 +146,7 @@ class TestChaosMatrix:
     def test_zero_fault_run_has_zero_recovery(self, fresh_pool_env):
         with faults.inject(None):  # isolate from any CI-wide chaos plan
             out = beta_partition_ampc(
-                _graph(), 9, store="columnar", workers=2, min_pool_games=1,
-                transport="message",
+                _graph(), 9, store="columnar", workers=2, transport="message",
             )
         rec = dict(out.round_recovery)
         wall = rec.pop("recovery_wall_s")
@@ -160,18 +158,19 @@ class TestChaosMatrix:
 
 
 class TestHangDeadline:
-    def test_hung_worker_is_killed_and_retried(self, fresh_pool_env):
+    def test_hung_worker_is_killed_and_retried(
+        self, fresh_pool_env, fast_pool
+    ):
         # Shard 0's first attempt sleeps far past the 0.5 s deadline; the
         # supervisor must kill the executor, respawn it, and retry —
         # completing bit-identically, well before the 20 s nap ends.
         g = _graph()
         oracle = beta_partition_ampc(g, 9, store="columnar", workers=1)
-        cfg = _FAST.with_overrides(pool_deadline_s=0.5)
+        fast_pool(POOL_DEADLINE_S=0.5)
         plan = FaultPlan({(0, 0, 0): "hang"}, hang_s=20.0)
         with faults.inject(plan):
             out = beta_partition_ampc(
-                g, 9, store="columnar", workers=2, min_pool_games=1,
-                transport="message", config=cfg,
+                g, 9, store="columnar", workers=2, transport="message",
             )
         assert out.partition.layers == oracle.partition.layers
         rec = out.round_recovery
@@ -186,8 +185,7 @@ class TestHangDeadline:
         plan = FaultPlan({(0, 0, 0): "slow"}, slow_s=0.2)
         with faults.inject(plan):
             out = beta_partition_ampc(
-                g, 9, store="columnar", workers=2, min_pool_games=1,
-                transport="message", config=_FAST,
+                g, 9, store="columnar", workers=2, transport="message",
             )
         assert out.partition.layers == oracle.partition.layers
         assert out.round_recovery["deadline_kills"] == 0
@@ -199,14 +197,13 @@ class TestDegradedToSerial:
         self, fresh_pool_env
     ):
         # rate=1.0 with no attempts gate: the pool can never succeed, so
-        # after max_shard_retries the supervisor runs every shard chain
+        # after MAX_SHARD_RETRIES the supervisor runs every shard chain
         # inline on the driver — and the round must still be exact.
         g = _graph()
         oracle = beta_partition_ampc(g, 9, store="columnar", workers=1)
         with faults.inject(FaultPlan(seed=5, rate=1.0, kinds=("crash",))):
             out = beta_partition_ampc(
-                g, 9, store="columnar", workers=2, min_pool_games=1,
-                transport="message", config=_FAST,
+                g, 9, store="columnar", workers=2, transport="message",
             )
         assert out.partition.layers == oracle.partition.layers
         rec = out.round_recovery
@@ -221,8 +218,8 @@ class TestDegradedToSerial:
         )
         with faults.inject(FaultPlan(seed=5, rate=1.0, kinds=("crash",))):
             out = beta_partition_ampc(
-                g, 9, store="columnar", workers=2, min_pool_games=1,
-                transport="message", shards=3, config=_FAST,
+                g, 9, store="columnar", workers=2,
+                transport="message", shards=3,
             )
         assert out.partition.layers == oracle.partition.layers
         assert _counts(out.round_comm) == _counts(oracle.round_comm)
@@ -233,15 +230,13 @@ class TestDegradedToSerial:
         g = _graph()
         with faults.inject(FaultPlan(seed=5, rate=1.0, kinds=("crash",))):
             beta_partition_ampc(
-                g, 9, store="columnar", workers=2, min_pool_games=1,
-                transport="message", config=_FAST,
+                g, 9, store="columnar", workers=2, transport="message",
             )
         # Degradation is per-dispatch, not a pool death sentence: the
         # next clean run uses the pool again with zero recovery.
         with faults.inject(None):
             out = beta_partition_ampc(
-                g, 9, store="columnar", workers=2, min_pool_games=1,
-                transport="message",
+                g, 9, store="columnar", workers=2, transport="message",
             )
         assert out.round_recovery["degraded_shards"] == 0
         assert out.round_recovery["retries"] == 0
@@ -260,8 +255,8 @@ class TestTeardownHygiene:
         plan = FaultPlan(seed=17, rate=0.5, attempts=2, kinds=kinds)
         with faults.inject(plan):
             out = beta_partition_ampc(
-                _graph(), 9, store="columnar", workers=2, min_pool_games=1,
-                transport="message", shards=8, config=_FAST,
+                _graph(), 9, store="columnar", workers=2,
+                transport="message", shards=8,
             )
         assert out.round_recovery["retries"] > 0  # the schedule hit
         assert _shm_segments() <= before
@@ -306,8 +301,7 @@ class TestTeardownHygiene:
             executor.submit(int).result(timeout=30)
         with faults.inject(None):
             out = beta_partition_ampc(
-                g, 9, store="columnar", workers=2, min_pool_games=1,
-                transport="message", config=_FAST,
+                g, 9, store="columnar", workers=2, transport="message",
             )
         assert out.partition.layers == oracle.partition.layers
         rec = out.round_recovery
@@ -342,7 +336,6 @@ class TestTeardownHygiene:
                     (key, result, others)
                 ),
                 verify=lambda result: None,
-                config=_FAST,
             )
         assert sorted(delivered) == [
             # others_running reflects the degraded shards still queued

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coloring.pipeline import (
+    PipelineResult,
+    _finish,
     color_graph,
     coloring_alpha_squared,
     coloring_alpha_squared_eps,
@@ -135,3 +137,25 @@ class TestColorGraphDispatcher:
         res = color_graph(g, variant="two_plus_eps", alpha=1)
         assert res.alpha == 1
         assert res.num_colors <= 4
+
+
+class TestFinishChecks:
+    def _result(self, colors, palette_bound):
+        return PipelineResult(
+            variant="probe", colors=colors, num_colors=0,
+            palette_bound=palette_bound, beta=1, alpha=1, eps=1.0,
+            partition_rounds=0, coloring_rounds=0, num_layers=1,
+        )
+
+    def test_palette_bound_is_checked(self):
+        # A proper 3-coloring of a path, against a 2-color bound.
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(AssertionError, match="palette bound 2"):
+            _finish(g, self._result([0, 1, 2], 2))
+        res = _finish(g, self._result([0, 1, 2], 3))
+        assert res.num_colors == 3
+
+    def test_improper_coloring_is_checked(self):
+        g = Graph.from_edges(2, [(0, 1)])
+        with pytest.raises(AssertionError, match="improper"):
+            _finish(g, self._result([0, 0], 2))

@@ -41,6 +41,24 @@ class TestBasics:
         with pytest.raises(ValueError):
             beta_partition_ampc(path_graph(3), 0)
 
+    @pytest.mark.parametrize("transport", ["shm", "message"])
+    @pytest.mark.parametrize("mode", ["pel", "LCA", ""])
+    def test_unknown_mode_rejected(self, mode, transport):
+        # An unknown mode must not fall through to the shm lca path,
+        # which would ignore transport="message" and its shards.
+        with pytest.raises(ValueError, match="mode must be"):
+            beta_partition_ampc(
+                random_gnm(200, 400, seed=1), 9, mode=mode,
+                transport=transport, shards=3, workers=1,
+            )
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 7.0, -0.5])
+    @pytest.mark.parametrize("n", [0, 10])
+    def test_invalid_delta_rejected_on_every_graph(self, delta, n):
+        # The empty graph returns early; its delta is checked first.
+        with pytest.raises(ValueError, match="delta"):
+            beta_partition_ampc(path_graph(n), 3, delta=delta)
+
     def test_default_budget(self):
         assert default_game_budget(3) == 16
 

@@ -8,7 +8,7 @@ EXPERIMENTS.md meaningless.  The worker-pool section injects seeded
 pooled shard chains — an exception mid-round, a poisoned (unpicklable)
 result, a worker death — and asserts the round supervisor recovers each
 one with a bit-identical partition; with recovery disabled
-(``max_shard_retries=0``, ``pool_degrade=False``) the same faults must
+(``MAX_SHARD_RETRIES = 0``, ``POOL_DEGRADE = False``) the same faults must
 surface as one clear, context-carrying :class:`WorkerPoolError` with no
 orphan worker processes left behind.
 """
@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ampc import faults
-from repro.ampc.engine_config import EngineConfig
 from repro.ampc.faults import FaultPlan
 from repro.ampc.pool import (
     CoinGamePool,
@@ -144,27 +143,24 @@ _FIRST_ATTEMPT = dict(seed=1, rate=1.0, attempts=1)
 # exhaust the retry budget and raise.
 _ALWAYS = dict(seed=1, rate=1.0)
 
-# Recovery disabled: first fault must surface as WorkerPoolError.
-_NO_RECOVERY = EngineConfig.from_env().with_overrides(
-    max_shard_retries=0, retry_backoff_s=0.0, pool_degrade=False
-)
-# Fast retries, still bounded, no degradation.
-_NO_DEGRADE = EngineConfig.from_env().with_overrides(
-    retry_backoff_s=0.0, pool_degrade=False
-)
+# Pool constants (pinned through the fast_pool fixture).  Recovery
+# disabled: the first fault must surface as WorkerPoolError.
+_NO_RECOVERY = dict(MAX_SHARD_RETRIES=0, POOL_DEGRADE=False)
+# Bounded retries, no degradation.
+_NO_DEGRADE = dict(POOL_DEGRADE=False)
 
 
+@pytest.mark.usefixtures("fast_pool")
 class TestWorkerPoolFaults:
-    def _partition(self, workers, config=None):
-        # min_pool_games=1 forces dispatch: this round is smaller than
-        # the default threshold, and the faults only fire inside worker
+    def _partition(self, workers):
+        # fast_pool forces dispatch: this round is smaller than the
+        # default MIN_POOL_GAMES, and the faults only fire inside worker
         # processes — which only the message fabric's shard chains use
         # (the array engines fan out over threads, the scalar oracle
         # plays in-process).
         g = random_gnm(120, 240, seed=13)
         return beta_partition_ampc(
-            g, 9, store="columnar", workers=workers, min_pool_games=1,
-            transport="message", config=config,
+            g, 9, store="columnar", workers=workers, transport="message",
         )
 
     def _oracle_layers(self):
@@ -199,31 +195,40 @@ class TestWorkerPoolFaults:
         assert outcome.partition.layers == self._oracle_layers()
         assert outcome.round_recovery["checksum_rejects"] > 0
 
-    def test_worker_exception_surfaces_clearly(self, fresh_pool_env):
+    def test_worker_exception_surfaces_clearly(
+        self, fresh_pool_env, fast_pool
+    ):
+        fast_pool(**_NO_RECOVERY)
         with faults.inject(FaultPlan(kinds=("crash",), **_ALWAYS)):
             with pytest.raises(
                 WorkerPoolError, match="injected worker fault"
             ) as info:
-                self._partition(workers=2, config=_NO_RECOVERY)
+                self._partition(workers=2)
         err = info.value
         assert err.shard is not None and err.attempts == 1
         assert err.outcomes and "InjectedFault" in err.outcomes[0]
         assert isinstance(err.__cause__, Exception)
 
-    def test_retry_exhaustion_surfaces_attempt_history(self, fresh_pool_env):
+    def test_retry_exhaustion_surfaces_attempt_history(
+        self, fresh_pool_env, fast_pool
+    ):
+        fast_pool(**_NO_DEGRADE)
         with faults.inject(FaultPlan(kinds=("crash",), **_ALWAYS)):
             with pytest.raises(WorkerPoolError) as info:
-                self._partition(workers=2, config=_NO_DEGRADE)
+                self._partition(workers=2)
         err = info.value
-        # max_shard_retries=2 default: initial try + 2 retries, all logged.
+        # MAX_SHARD_RETRIES = 2: initial try + 2 retries, all logged.
         assert err.attempts == 3
         assert len(err.outcomes) == 3
         assert err.__cause__ is err.cause
 
-    def test_faulted_pool_is_closed_and_replaced(self, fresh_pool_env):
+    def test_faulted_pool_is_closed_and_replaced(
+        self, fresh_pool_env, fast_pool
+    ):
+        fast_pool(**_NO_RECOVERY)
         with faults.inject(FaultPlan(kinds=("crash",), **_ALWAYS)):
             with pytest.raises(WorkerPoolError):
-                self._partition(workers=2, config=_NO_RECOVERY)
+                self._partition(workers=2)
         assert multiprocessing.active_children() == []
         # The poisoned pool was dropped: clearing the fault and retrying
         # lazily builds a fresh one and succeeds.

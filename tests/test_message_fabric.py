@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ampc.engine_config import EngineConfig
+from repro.ampc import messaging
 from repro.ampc.messaging import (
     MemoryGuard,
     MemoryGuardError,
@@ -387,16 +387,16 @@ class TestFabricSurface:
         assert msg.transport == "message"
         assert msg.round_comm == []
 
-    def test_smaller_cap_means_more_messages_same_outcome(self):
+    def test_smaller_cap_means_more_messages_same_outcome(
+        self, monkeypatch
+    ):
         g = random_gnm(70, 140, seed=13)
         big = beta_partition_ampc(
             g, 7, store="columnar", transport="message", shards=3
         )
+        monkeypatch.setattr(messaging, "MESSAGE_CAP_WORDS", 16)
         tiny = beta_partition_ampc(
-            g, 7, store="columnar", transport="message", shards=3,
-            config=EngineConfig.from_env().with_overrides(
-                message_cap_words=16
-            ),
+            g, 7, store="columnar", transport="message", shards=3
         )
         assert tiny.partition.layers == big.partition.layers
         msgs = lambda out: sum(c["messages"] for c in out.round_comm)  # noqa: E731
@@ -404,14 +404,18 @@ class TestFabricSurface:
         assert msgs(tiny) > msgs(big)
         assert words(tiny) == words(big)  # cap re-segments, never re-words
 
-    def test_fabric_run_round_requires_config_default(self):
-        # MessageFabric.run_round without an explicit config snapshots
-        # EngineConfig.from_env() — exercised via the public API default.
-        fabric = MessageFabric(2, cap_words=64)
+    def test_fabric_validates_shard_count_and_cap(self, monkeypatch):
+        # The cap is read when the fabric is built; below one row
+        # header (4 words) it is rejected there, not rounds later.
+        monkeypatch.setattr(messaging, "MESSAGE_CAP_WORDS", 64)
+        fabric = MessageFabric(2)
         assert fabric.num_shards == 2
+        assert fabric.cap_words == 64
         with pytest.raises(ValueError):
             MessageFabric(0)
+        monkeypatch.setattr(messaging, "MESSAGE_CAP_WORDS", 2)
         with pytest.raises(ValueError):
-            MessageFabric(2, cap_words=2)
+            MessageFabric(2)
+        monkeypatch.setattr(messaging, "MESSAGE_CAP_WORDS", 0)
         with pytest.raises(ValueError):
-            MessageFabric(2, cap_words=0)
+            MessageFabric(2)

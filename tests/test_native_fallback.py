@@ -81,7 +81,6 @@ class TestWarnedFallback:
 def _run_script(script: str, **env_overrides) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("REPRO_NATIVE_DISABLE", None)
-    env.pop("REPRO_ENGINE", None)
     env.update(env_overrides)
     return subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env,

@@ -20,8 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ampc.engine_config import EngineConfig
-from repro.core import batched_games, native
+from repro.core import batched_games, columnar_rounds, native
 from repro.core.batched_games import (
     csr_transpose_positions,
     play_games_batched,
@@ -219,9 +218,7 @@ class TestFleetFuzz:
         n = graph.num_vertices
         clip = max_provable_layer(x, beta)
         horizon = 4 * (clip + 2)
-        config = EngineConfig.from_env(env={})
-        if case["cohort_games"] is not None:
-            config = config.with_overrides(cohort_games=case["cohort_games"])
+        cohort_games = case["cohort_games"] or columnar_rounds.COHORT_GAMES
 
         def fleet(engine):
             out_layer = np.full(n, _INF)
@@ -231,7 +228,7 @@ class TestFleetFuzz:
                 x=x, beta=beta, clip=clip, horizon=horizon,
                 scale=fixed_coin_scale(beta, horizon),
                 out_layer=out_layer, out_count=out_count, engine=engine,
-                want_records=True, config=config, workers=case["workers"],
+                want_records=True, workers=case["workers"],
             )
             return info, out_layer, out_count
 
@@ -239,7 +236,9 @@ class TestFleetFuzz:
             batched_games.SCALE_LIMIT,
             x * (beta + 2) << case["headroom_bits"],
         )
-        with mock.patch.object(batched_games, "SCALE_LIMIT", budget):
+        with mock.patch.object(
+            batched_games, "SCALE_LIMIT", budget
+        ), mock.patch.object(columnar_rounds, "COHORT_GAMES", cohort_games):
             batched, layer_b, count_b = fleet("batched")
             compiled, layer_c, count_c = fleet("compiled")
         assert np.array_equal(layer_b, layer_c)

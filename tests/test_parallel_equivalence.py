@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ampc import pool
 from repro.core import native
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.graphs.generators import (
@@ -70,9 +71,11 @@ def _assert_outcomes_equivalent(oracle, candidate):
 def _run_matrix(graph, beta, **kwargs):
     """Run every (store, engine, workers) combination vs the dict oracle.
 
-    ``min_pool_games=1`` forces the thread fan-out even on these tiny
-    shapes, so the worker legs genuinely exercise the split path.  The
-    scalar legs must never fork a process.
+    Pinning ``MIN_POOL_GAMES`` to 1 forces the thread fan-out even on
+    these tiny shapes, so the worker legs genuinely exercise the split
+    path.  (A context, not the ``fast_pool`` fixture: hypothesis tests
+    cannot take function-scoped fixtures.)  The scalar legs must never
+    fork a process.
     """
     oracle = beta_partition_ampc(graph, beta, store="dict", workers=1, **kwargs)
     legs = [
@@ -89,10 +92,12 @@ def _run_matrix(graph, beta, **kwargs):
             if store == "dict" and workers == 1:
                 continue
             children = set(multiprocessing.active_children())
-            candidate = beta_partition_ampc(
-                graph, beta, store=store, workers=workers, engine=engine,
-                min_pool_games=1, **kwargs
-            )
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pool, "MIN_POOL_GAMES", 1)
+                candidate = beta_partition_ampc(
+                    graph, beta, store=store, workers=workers,
+                    engine=engine, **kwargs
+                )
             if engine == "scalar":
                 assert set(multiprocessing.active_children()) == children
             assert candidate.workers == workers

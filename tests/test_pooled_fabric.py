@@ -1,7 +1,7 @@
 """Pooled message-fabric execution: the shard chains on the process pool.
 
 A fabric shard's BSP round is a pure function of (residual CSR, its
-roots, shard count, engine, config, budget): every row another shard
+roots, shard count, engine, budget): every row another shard
 would serve it is a verbatim CSR slice.  Running the chains on the
 worker pool (``transport="message"`` + ``workers > 1``) must therefore
 be bit-identical to running them inline on the driver — which is itself
@@ -29,7 +29,6 @@ import os
 import pytest
 
 from repro.ampc import faults
-from repro.ampc.engine_config import EngineConfig
 from repro.ampc.faults import FaultPlan
 from repro.ampc.messaging import MemoryGuardError
 from repro.ampc.pool import WorkerPoolError, close_shared_pools
@@ -39,6 +38,10 @@ from repro.graphs.generators import (
     random_gnm,
     union_of_random_forests,
 )
+
+# Every round with workers > 1 dispatches to the pool, however small,
+# and retries do not back off.
+pytestmark = pytest.mark.usefixtures("fast_pool")
 
 # Keys whose values are wall-clock measurements, not protocol counts.
 _TIMING_KEYS = (
@@ -54,7 +57,7 @@ def _graph():
 def _partition(g, *, engine, workers=1, shards=None, **kw):
     return beta_partition_ampc(
         g, 6, x=25, store="columnar", engine=engine, workers=workers,
-        transport="message", shards=shards, min_pool_games=1, **kw
+        transport="message", shards=shards, **kw
     )
 
 
@@ -135,7 +138,7 @@ class TestPooledBudget:
         with pytest.raises(MemoryGuardError):
             beta_partition_ampc(
                 g, 3, x=4, store="columnar", transport="message",
-                shards=2, workers=2, min_pool_games=1, shard_budget=50,
+                shards=2, workers=2, shard_budget=50,
             )
         # A budget violation is a protocol outcome, not a pool fault:
         # the same pool must serve the next (unbudgeted) run.
@@ -278,7 +281,7 @@ class TestGoldenCounters:
         g = make()
         out = beta_partition_ampc(
             g, beta, x=x, store="columnar", engine=engine, workers=workers,
-            transport="message", min_pool_games=1, **kw
+            transport="message", **kw
         )
         oracle = beta_partition_ampc(
             g, beta, x=x, store="columnar", engine=engine
@@ -298,10 +301,9 @@ class TestGoldenCounters:
 
 # First attempt of every shard faults; retries run clean.
 _FIRST_ATTEMPT = dict(seed=2, rate=1.0, attempts=1)
-# Recovery disabled: any fault must surface as WorkerPoolError.
-_NO_RECOVERY = EngineConfig.from_env().with_overrides(
-    max_shard_retries=0, retry_backoff_s=0.0, pool_degrade=False
-)
+# Recovery disabled (pool constants): any fault must surface as
+# WorkerPoolError.
+_NO_RECOVERY = dict(MAX_SHARD_RETRIES=0, POOL_DEGRADE=False)
 
 
 class TestPooledFaults:
@@ -346,27 +348,25 @@ class TestPooledFaults:
         assert _shm_segments() <= before
 
     def test_unrecoverable_fault_surfaces_and_cleans_up(
-        self, fresh_pool_env
+        self, fresh_pool_env, fast_pool
     ):
+        fast_pool(**_NO_RECOVERY)
         before = _shm_segments()
         with faults.inject(FaultPlan(kinds=("crash",), seed=2, rate=1.0)):
             with pytest.raises(
                 WorkerPoolError, match="injected worker fault"
             ):
-                _partition(
-                    _graph(), engine="compiled", workers=2, shards=3,
-                    config=_NO_RECOVERY,
-                )
+                _partition(_graph(), engine="compiled", workers=2, shards=3)
         assert _shm_segments() <= before
         assert multiprocessing.active_children() == []
 
-    def test_faulted_pool_is_replaced_on_next_run(self, fresh_pool_env):
+    def test_faulted_pool_is_replaced_on_next_run(
+        self, fresh_pool_env, fast_pool
+    ):
+        fast_pool(**_NO_RECOVERY)
         with faults.inject(FaultPlan(kinds=("crash",), seed=2, rate=1.0)):
             with pytest.raises(WorkerPoolError):
-                _partition(
-                    _graph(), engine="compiled", workers=2, shards=3,
-                    config=_NO_RECOVERY,
-                )
+                _partition(_graph(), engine="compiled", workers=2, shards=3)
         with faults.inject(None):
             out = _partition(_graph(), engine="compiled", workers=2, shards=3)
             ref = _partition(_graph(), engine="compiled", workers=1, shards=3)
