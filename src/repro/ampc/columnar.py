@@ -1,53 +1,31 @@
-"""Array-backed data stores — the columnar counterpart of :mod:`repro.ampc.dds`.
+"""Array-backed data stores for the columnar round loop.
 
-A :class:`ColumnStore` holds the same logical content as a
-:class:`~repro.ampc.dds.DataStore` but keeps the three key families the
-AMPC coloring algorithms actually use as typed numpy columns over the
-vertex universe ``0..n-1``:
+A :class:`ColumnStore` holds one D_i of Theorem 1.2 as typed numpy
+columns over the vertex universe ``0..n-1``, written and read in bulk
+only:
 
-- ``("deg", v)``   — residual degrees, one int64 column + presence mask;
-- ``("adj", v, j)`` — residual adjacency, one CSR pair (offsets, targets);
-- ``("layer", v)`` — layer proposals, a min-folded float column plus a
-  write-count column (the DDS-side merge of Lemma 4.10 becomes
-  ``np.minimum.at`` instead of per-key Python reduction).
+- ``("deg", v)`` / ``("adj", v, j)`` — the residual graph G_i as one CSR
+  pair (offsets, targets) over the full universe, installed by
+  :meth:`~ColumnStore.load_residual_csr`; a degree is an offsets
+  difference;
+- ``("layer", v)`` — the round's layer minima plus a write-count column,
+  installed once by :meth:`~ColumnStore.install_layer_column` after the
+  kernel has min-folded every proposal (the DDS-side merge of
+  Lemma 4.10).
 
-Any key outside those families falls back to the exact dict-of-lists
-encoding of ``DataStore``, so the scalar contract (adaptive single reads,
-``EMPTY`` on absence, multi-value errors, ``total_words``) is preserved:
-:class:`~repro.ampc.machine.MachineContext` can run unchanged against
-either store, and the dict-backed class remains the semantics oracle the
-equivalence tests compare against.
-
-One deliberate divergence: the columnar layer family is only ever
-populated *post-reduce* (the vectorized round applies its reducer before
-installing the column), so every columnar key is single-valued by the time
-a machine can read it — exactly the state a ``DataStore`` is in after
-``reduce_per_key``.  ``keys()``/``items()`` iterate deterministically by
-family and ascending vertex id rather than by insertion order.
+There is no per-key API: machines that read and write one key at a time
+run against the dict-backed :class:`~repro.ampc.dds.DataStore`, the
+semantics oracle.  The two stores share only the accounting the round
+loop records — :meth:`~ColumnStore.reduce_per_key`,
+:meth:`~ColumnStore.total_words` (which matches the oracle's logical
+pair count store for store) and :meth:`~ColumnStore.held_words`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
-
 import numpy as np
 
-from repro.ampc.dds import EMPTY
-
 __all__ = ["ColumnStore"]
-
-
-def _vertex_id(v: Any) -> int | None:
-    """Normalize a vertex key component: python or numpy integer -> int.
-
-    Tuple keys hash/compare by value, so ``("deg", np.int64(3))`` and
-    ``("deg", 3)`` are the same DataStore key; the column families must
-    treat them identically (None = not an integer id).
-    """
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return None
-
 
 
 class ColumnStore:
@@ -58,9 +36,8 @@ class ColumnStore:
             raise ValueError("num_vertices must be non-negative")
         self.name = name
         self.num_vertices = int(num_vertices)
-        # ("deg", v) family.
-        self._deg: np.ndarray | None = None
-        self._has_deg: np.ndarray | None = None
+        # One ("deg", v) word per alive vertex; the degrees themselves are
+        # the CSR offsets' differences.
         self._deg_words = 0
         # ("adj", v, j) family: CSR over the full universe.
         self._adj_offsets: np.ndarray | None = None
@@ -68,10 +45,6 @@ class ColumnStore:
         # ("layer", v) family: min-folded values + write counts.
         self._layer: np.ndarray | None = None
         self._layer_count: np.ndarray | None = None
-        # Anything else: exact DataStore encoding.
-        self._extra: dict[Any, list[Any]] = {}
-
-    # -- bulk (columnar) API ----------------------------------------------
 
     def load_residual_csr(
         self,
@@ -86,17 +59,10 @@ class ColumnStore:
         whose ``("deg", v)`` keys exist.  One call replaces the
         O(vol(G_i)) per-pair Python writes of the dict path.
         """
-        n = self.num_vertices
-        if len(offsets) != n + 1:
+        if len(offsets) != self.num_vertices + 1:
             raise ValueError("offsets must cover the full vertex universe")
-        self._guard_no_fallback_keys("deg", "adj")
         self._adj_offsets = offsets
         self._adj_targets = targets
-        deg = np.diff(offsets)
-        has = np.zeros(n, dtype=bool)
-        has[alive] = True
-        self._deg = deg
-        self._has_deg = has
         self._deg_words = int(len(alive))
 
     def adjacency_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -105,25 +71,13 @@ class ColumnStore:
             raise KeyError("no adjacency column installed")
         return self._adj_offsets, self._adj_targets
 
-    def fold_layer_proposals(
-        self, vertices: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Accumulate ``("layer", v)`` proposals with a DDS-side min-merge.
-
-        Duplicate vertices collapse via ``np.minimum.at`` — the segmented
-        minimum of Lemma 4.10 — and each proposal counts one stored word
-        until :meth:`reduce_per_key` collapses the counts.
-        """
-        self._ensure_layer()
-        np.minimum.at(self._layer, vertices, values)
-        np.add.at(self._layer_count, vertices, 1)
-
     def install_layer_column(self, minima: np.ndarray, counts: np.ndarray) -> None:
-        """Install pre-folded layer minima and their write counts.
+        """Install the round's folded layer minima and their write counts.
 
-        Single-install only, and subject to the same no-shadowing guard as
-        the other bulk paths: prior layer state (folded proposals or
-        scalar fallback keys) raises rather than being silently replaced.
+        ``minima[v]`` is the smallest layer proposed for v (``inf`` when
+        none was) and ``counts[v]`` how many proposals were written.  The
+        layer column is written exactly once per store; a second install
+        raises rather than silently replacing the first.
         """
         if len(minima) != self.num_vertices or len(counts) != self.num_vertices:
             raise ValueError("layer columns must cover the vertex universe")
@@ -132,7 +86,6 @@ class ColumnStore:
                 "layer column already populated; install_layer_column is "
                 "single-install"
             )
-        self._guard_no_fallback_keys("layer")
         self._layer = minima
         self._layer_count = counts
 
@@ -144,202 +97,22 @@ class ColumnStore:
         written = np.flatnonzero(self._layer_count)
         return written, self._layer[written]
 
-    def _ensure_layer(self) -> None:
-        if self._layer is None:
-            self._guard_no_fallback_keys("layer")
-            self._layer = np.full(self.num_vertices, np.inf)
-            self._layer_count = np.zeros(self.num_vertices, dtype=np.int64)
+    def reduce_per_key(self, reducer) -> None:
+        """Collapse each layer key's proposals to one word.
 
-    def _guard_no_fallback_keys(self, *families: str) -> None:
-        """Refuse a bulk column install that would shadow fallback keys.
-
-        Scalar writes may have parked keys of these families in the dict
-        fallback; installing a column over them would make reads prefer
-        the column and silently drop the parked values.  The fallback is
-        normally empty here, so the scan is O(|scalar keys|).
-        """
-        for key in self._extra:
-            if isinstance(key, tuple) and key and key[0] in families:
-                raise NotImplementedError(
-                    f"bulk column install over fallback key {key!r}; "
-                    "use the dict-backed store for mixed write patterns"
-                )
-
-    # -- scalar DataStore contract ----------------------------------------
-
-    def write(self, key: Any, value: Any) -> None:
-        """Append ``value`` under ``key`` (columnar when the key fits)."""
-        family = key[0] if isinstance(key, tuple) and key else None
-        if family == "deg" and len(key) == 2:
-            v = _vertex_id(key[1])
-            if v is not None and 0 <= v < self.num_vertices:
-                # Only plain-int degree values are column-eligible; floats,
-                # strings, and numpy scalars keep the exact dict encoding
-                # rather than being coerced through the int64 column.
-                if (
-                    type(value) is int
-                    and not self._deg_present(v)
-                    and key not in self._extra
-                ):
-                    if self._deg is None:
-                        self._deg = np.zeros(self.num_vertices, dtype=np.int64)
-                        self._has_deg = np.zeros(self.num_vertices, dtype=bool)
-                    self._deg[v] = value
-                    self._has_deg[v] = True
-                    self._deg_words += 1
-                    return
-                if self._deg_present(v):
-                    # A later write to a column-resident key: migrate to the
-                    # dict fallback so multi-value semantics stay exact.
-                    self._extra.setdefault(key, []).insert(
-                        0, int(self._deg[v])
-                    )
-                    self._has_deg[v] = False
-                    self._deg_words -= 1
-        else:
-            try:
-                resident = self._column_values(key) is not None
-            except KeyError:  # unreduced layer key: column-resident too
-                resident = True
-            if resident:
-                # adj/layer keys have no per-key migration path (their
-                # columns are installed in bulk); fail loud rather than let
-                # the dict fallback silently shadow the column copy.
-                raise NotImplementedError(
-                    f"scalar write to column-resident key {key!r}; "
-                    "use the dict-backed store for mixed write patterns"
-                )
-        self._extra.setdefault(key, []).append(value)
-
-    def _deg_present(self, v: int) -> bool:
-        return self._has_deg is not None and bool(self._has_deg[v])
-
-    def _column_values(self, key: Any) -> list[Any] | None:
-        """Column-held values for ``key`` (None when not column-resident)."""
-        if not (isinstance(key, tuple) and key):
-            return None
-        family = key[0]
-        if family == "deg" and len(key) == 2:
-            v = _vertex_id(key[1])
-            if (
-                v is not None
-                and 0 <= v < self.num_vertices
-                and self._deg_present(v)
-            ):
-                return [int(self._deg[v])]
-        elif family == "adj" and len(key) == 3 and self._adj_offsets is not None:
-            v, j = _vertex_id(key[1]), _vertex_id(key[2])
-            if v is not None and 0 <= v < self.num_vertices:
-                start = int(self._adj_offsets[v])
-                if j is not None and 0 <= j < int(self._adj_offsets[v + 1]) - start:
-                    return [int(self._adj_targets[start + j])]
-        elif family == "layer" and len(key) == 2 and self._layer_count is not None:
-            v = _vertex_id(key[1])
-            if v is not None and 0 <= v < self.num_vertices:
-                count = int(self._layer_count[v])
-                if count == 1:
-                    return [_as_layer(self._layer[v])]
-                if count > 1:
-                    # Pre-reduce insertion order is not retained columnar-side;
-                    # the vectorized round always reduces before reads.
-                    raise KeyError(
-                        f"layer key {key!r} holds {count} unreduced proposals"
-                    )
-        return None
-
-    def read(self, key: Any) -> Any:
-        """Single-value read; EMPTY if absent; error if multi-valued."""
-        values = self._column_values(key)
-        if values is not None:
-            return values[0]
-        stored = self._extra.get(key)
-        if stored is None:
-            return EMPTY
-        if len(stored) != 1:
-            raise KeyError(
-                f"key {key!r} holds {len(stored)} values; use read_indexed"
-            )
-        return stored[0]
-
-    def read_indexed(self, key: Any, index: int) -> Any:
-        """The (key, index) access of the model, index in [0, k)."""
-        values = self._column_values(key)
-        if values is None:
-            values = self._extra.get(key)
-        if values is None or not 0 <= index < len(values):
-            return EMPTY
-        return values[index]
-
-    def count(self, key: Any) -> int:
-        """Number of values stored under ``key``."""
-        if isinstance(key, tuple) and key and key[0] == "layer" and len(key) == 2:
-            v = _vertex_id(key[1])
-            if (
-                self._layer_count is not None
-                and v is not None
-                and 0 <= v < self.num_vertices
-            ):
-                count = int(self._layer_count[v])
-                if count:
-                    return count
-            return len(self._extra.get(key, ()))
-        values = self._column_values(key)
-        if values is not None:
-            return len(values)
-        return len(self._extra.get(key, ()))
-
-    def __contains__(self, key: Any) -> bool:
-        try:
-            values = self._column_values(key)
-        except KeyError:
-            return True
-        return values is not None or key in self._extra
-
-    def __len__(self) -> int:
-        return self.total_words()
-
-    def keys(self) -> Iterator[Any]:
-        """All keys, by family then ascending vertex id, then fallback."""
-        for key, __ in self.items():
-            yield key
-
-    def items(self) -> Iterator[tuple[Any, list[Any]]]:
-        """All (key, values) pairs in deterministic columnar order."""
-        if self._has_deg is not None:
-            for v in np.flatnonzero(self._has_deg).tolist():
-                yield ("deg", v), [int(self._deg[v])]
-        if self._adj_offsets is not None:
-            offsets, targets = self._adj_offsets, self._adj_targets
-            for v in range(self.num_vertices):
-                start, stop = int(offsets[v]), int(offsets[v + 1])
-                for j in range(stop - start):
-                    yield ("adj", v, j), [int(targets[start + j])]
-        if self._layer_count is not None:
-            for v in np.flatnonzero(self._layer_count).tolist():
-                # Pre-reduce, the running min stands in for each proposal
-                # (word counts stay exact; reduce collapses to one value).
-                count = int(self._layer_count[v])
-                yield ("layer", v), [_as_layer(self._layer[v])] * count
-        yield from self._extra.items()
-
-    def reduce_per_key(self, reducer: Callable[[list[Any]], Any]) -> None:
-        """Collapse multi-valued keys (vectorized for the layer family).
-
-        Layer proposals are min-folded at write time (``np.minimum.at``),
-        so only ``min`` is a valid reducer once a layer key holds more
-        than one proposal — any other reducer raises rather than silently
+        The installed column already holds each key's minimum, so only
+        ``min`` is a valid reducer once a layer key holds more than one
+        proposal — any other reducer raises rather than silently
         returning the minimum.
         """
-        if self._layer_count is not None:
-            if reducer is not min and (self._layer_count > 1).any():
-                raise NotImplementedError(
-                    "layer proposals are min-folded at write time; "
-                    f"reducer {reducer!r} cannot be replayed on them"
-                )
-            np.minimum(self._layer_count, 1, out=self._layer_count)
-        for key, values in self._extra.items():
-            if len(values) > 1:
-                self._extra[key] = [reducer(values)]
+        if self._layer_count is None:
+            return
+        if reducer is not min and (self._layer_count > 1).any():
+            raise NotImplementedError(
+                "layer proposals are min-folded before install; "
+                f"reducer {reducer!r} cannot be replayed on them"
+            )
+        np.minimum(self._layer_count, 1, out=self._layer_count)
 
     def total_words(self) -> int:
         """Total stored key-value pairs (the model's space unit)."""
@@ -348,7 +121,6 @@ class ColumnStore:
             words += int(len(self._adj_targets))
         if self._layer_count is not None:
             words += int(self._layer_count.sum())
-        words += sum(len(values) for values in self._extra.values())
         return words
 
     def held_words(self) -> int:
@@ -356,22 +128,16 @@ class ColumnStore:
 
         ``total_words`` counts logical key-value pairs — the model's
         space unit and the quantity the dict oracle matches bit for bit.
-        This counts what is genuinely resident: the CSR offset array,
-        the degree/presence columns, and the dense layer/count columns,
-        whatever their logical occupancy.  Strict-budget parity audits
-        check S against this, not the flattering logical count.
+        This counts what is genuinely resident: the CSR offset and
+        target arrays and the dense layer/count columns, whatever their
+        logical occupancy.  Strict-budget parity audits check S against
+        this, not the flattering logical count.
         """
-        words = 0
-        for column in (
-            self._deg, self._has_deg, self._adj_offsets, self._adj_targets,
-            self._layer, self._layer_count,
-        ):
-            if column is not None:
-                words += int(len(column))
-        words += sum(len(values) for values in self._extra.values())
-        return words
-
-
-def _as_layer(value: float) -> float | int:
-    """Layers are stored float-side; surface integral values as ints."""
-    return int(value) if float(value).is_integer() else float(value)
+        return sum(
+            int(len(column))
+            for column in (
+                self._adj_offsets, self._adj_targets,
+                self._layer, self._layer_count,
+            )
+            if column is not None
+        )

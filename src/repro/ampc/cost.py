@@ -28,8 +28,8 @@ class RoundStats:
     store_words: int = 0  # words in the store written this round
     # Real words the store's backing arrays hold (array lengths, not the
     # logical pair count) — what a machine would genuinely have resident.
-    # Equal to store_words on the dict oracle; the columnar store's typed
-    # columns add offset/presence arrays on top of the logical pairs.
+    # Equal to store_words on the dict oracle; the columnar store counts
+    # its dense layer/count columns (and any CSR arrays) at full length.
     dds_held_words: int = 0
 
     @property

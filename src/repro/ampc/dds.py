@@ -11,11 +11,13 @@ with an associative reducer (e.g. min over layer proposals).  That
 machinery is part of the store's sorting layer, not of the per-node
 machines, so it costs no extra AMPC round.
 
-This dict-of-lists store is the *semantics oracle*: the array-backed
-:class:`repro.ampc.columnar.ColumnStore` implements the same contract
-over typed vertex-keyed columns, and the equivalence tests hold the two
-observationally identical.  Hot paths run columnar; this class stays the
-reference (and the fallback for non-columnar keys).
+This dict-of-lists store is the *semantics oracle* and the only store
+with a per-key API: :class:`~repro.ampc.machine.MachineContext` machines
+read and write it one key at a time.  The array-backed
+:class:`repro.ampc.columnar.ColumnStore` that the hot path runs on is
+written in bulk by round kernels instead; the equivalence tests hold the
+two paths' partitions, round statistics and per-store
+:meth:`~DataStore.total_words` identical.
 """
 
 from __future__ import annotations

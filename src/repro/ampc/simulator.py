@@ -1,24 +1,28 @@
 """The AMPC execution engine — Section 3.1 made runnable.
 
 An :class:`AMPCSimulator` owns the sequence of data stores D_0, D_1, ...
-and the round loop.  Client algorithms (e.g. Theorem 1.2 in
-:mod:`repro.core.beta_partition_ampc`) drive it in one of two ways:
+and the round loop.  The store backend is fixed at construction, and
+each backend has its own round API:
 
-- :meth:`round` with a list of ``(machine_id, run)`` tasks; each task's
-  ``run(ctx)`` reads adaptively from the previous store through the
-  budgeted :class:`MachineContext` and writes to the next store.  Works
-  against either store backend.
-- :meth:`round_vectorized` with a single *kernel* that executes the whole
-  machine fleet as array operations over a columnar store
-  (:class:`~repro.ampc.columnar.ColumnStore`) and reports per-machine
-  communication in bulk.  Observationally identical to :meth:`round` —
-  same stores, same statistics, same strict-budget failures — at a
-  fraction of the interpreter cost.
+- ``store="dict"`` keeps the dict-of-lists
+  :class:`~repro.ampc.dds.DataStore`, the semantics oracle.  Input
+  arrives through :meth:`~AMPCSimulator.load_input` and
+  :meth:`~AMPCSimulator.port_to_current`, and :meth:`~AMPCSimulator.round`
+  runs a list of ``(machine_id, run)`` tasks; each task's ``run(ctx)``
+  reads adaptively from the previous store through the budgeted
+  :class:`~repro.ampc.machine.MachineContext` and writes to the next
+  store.
+- ``store="columnar"`` uses the array-backed
+  :class:`~repro.ampc.columnar.ColumnStore`.  The residual graph arrives
+  through :meth:`~AMPCSimulator.port_residual_csr`, and
+  :meth:`~AMPCSimulator.round_vectorized` runs a single *kernel* that
+  executes the whole machine fleet as array operations and reports
+  per-machine communication in bulk.  Its statistics and strict-budget
+  failures are the ones the same machines would produce one at a time
+  through :meth:`~AMPCSimulator.round` on the dict oracle.
 
-The backend is selected at construction: ``store="dict"`` keeps the
-dict-of-lists :class:`~repro.ampc.dds.DataStore` (the semantics oracle);
-``store="columnar"`` uses array-backed stores keyed by (kind, vertex)
-columns.  Machines are simulated sequentially by default — the model is
+Calling one backend's API on the other raises :class:`TypeError`.
+Machines are simulated sequentially by default — the model is
 synchronous, and within a round machines only read D_{i-1}, so sequential
 execution is observationally identical to parallel execution.  That same
 independence is what lets vectorized kernels split a round's fleet across
@@ -59,7 +63,8 @@ class AMPCSimulator:
     space_slack:
         Multiplier on S before enforcement (the model allows O(S)).
     store:
-        Store backend: "dict" (the oracle) or "columnar" (array-backed;
+        Store backend: "dict" (the oracle, driven by :meth:`round`) or
+        "columnar" (array-backed, driven by :meth:`round_vectorized`;
         requires ``num_vertices``).
     num_vertices:
         Vertex universe size for columnar stores.
@@ -103,9 +108,14 @@ class AMPCSimulator:
         """The most recently completed store D_i."""
         return self.stores[-1]
 
+    def _dict_store(self, index: int, api: str) -> DataStore:
+        if self.store_kind != "dict":
+            raise TypeError(f"{api} requires a dict-store simulator")
+        return self.stores[index]
+
     def load_input(self, pairs: Iterable[tuple[Any, Any]]) -> None:
         """Populate D_0 with the input (free: input placement is given)."""
-        store = self.stores[0]
+        store = self._dict_store(0, "load_input")
         for key, value in pairs:
             store.write(key, value)
 
@@ -116,7 +126,7 @@ class AMPCSimulator:
         compute deg_{G_{i+1}}(u) ... and port the edges of G_{i+1} to
         D_{i+1}" within the same round; no extra round is charged.
         """
-        store = self.stores[-1]
+        store = self._dict_store(-1, "port_to_current")
         for key, value in pairs:
             store.write(key, value)
 
@@ -127,16 +137,15 @@ class AMPCSimulator:
         :meth:`load_input`, for D_0) the ``("deg", v)`` / ``("adj", v, j)``
         pair stream; charges no round, like the pair-based porting.
         """
-        store = self.stores[-1]
-        if not isinstance(store, ColumnStore):
-            raise TypeError("port_residual_csr requires a columnar store")
-        store.load_residual_csr(alive, offsets, targets)
+        if self.store_kind != "columnar":
+            raise TypeError("port_residual_csr requires a columnar simulator")
+        self.stores[-1].load_residual_csr(alive, offsets, targets)
 
     def round(
         self,
         tasks: Iterable[Task],
         reducer: Callable[[list[Any]], Any] | None = None,
-    ) -> DataStore | ColumnStore:
+    ) -> DataStore:
         """Execute one AMPC round of per-machine tasks.
 
         Every task reads from the current store and writes to a fresh next
@@ -144,7 +153,7 @@ class AMPCSimulator:
         new store afterwards (DDS-side merge, e.g. min over layer proofs).
         Returns the new store.
         """
-        previous = self.stores[-1]
+        previous = self._dict_store(-1, "round")
         target = self._new_store(f"D{len(self.stores)}")
         stats = RoundStats(round_index=len(self.stats.rounds))
         for machine_id, run in tasks:

@@ -83,11 +83,13 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     alpha = args.alpha if args.alpha is not None else max(1, degeneracy(graph))
     beta = args.beta if args.beta is not None else 3 * alpha
     outcome = beta_partition_ampc(graph, beta)
-    stats = outcome.simulator.stats
     print(f"graph: n={graph.num_vertices} m={graph.num_edges}")
     print(f"beta={beta} mode={outcome.mode} x={outcome.x}")
     print(f"layers: {outcome.num_layers}  rounds: {outcome.rounds}")
     print(f"valid: {outcome.partition.is_valid(graph, beta)}")
+    if outcome.simulator is None:  # empty graph: no round ran
+        return 0
+    stats = outcome.simulator.stats
     print(f"per-machine communication: max={stats.max_machine_communication} "
           f"(budget S={stats.space_per_machine}, effective delta'="
           f"{stats.effective_delta():.3f})")

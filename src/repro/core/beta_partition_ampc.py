@@ -40,6 +40,7 @@ Two execution fabrics implement the loop:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Literal
@@ -266,6 +267,10 @@ def beta_partition_ampc(
     and the fabric's message cap are module constants, not arguments,
     because no observable depends on them.
     """
+    try:
+        beta = operator.index(beta)
+    except TypeError:
+        raise ValueError(f"beta must be an integer, got {beta!r}") from None
     if beta < 1:
         raise ValueError("beta must be >= 1")
     if not 0 < delta < 1:

@@ -153,17 +153,20 @@ def peel_round_kernel(batch: BatchMachineContext, beta: int) -> None:
     """One Barenboim-Elkin peel round as an array kernel.
 
     Machine M_v reads its residual degree (one probe) and writes
-    ``("layer", v) <- 0`` when deg <= β.  The layer column is min-folded
-    on write, so the round's ``reducer=min`` is a no-op by construction.
+    ``("layer", v) <- 0`` when deg <= β.  Each vertex gets at most one
+    proposal, so the round's ``reducer=min`` is a no-op by construction.
     """
     alive = batch.machine_ids
     offsets, __ = batch.previous.adjacency_csr()
     degs = offsets[alive + 1] - offsets[alive]
-    assigned = alive[degs <= beta]
-    batch.target.fold_layer_proposals(assigned, np.zeros(len(assigned)))
-    reads = np.ones(len(alive), dtype=np.int64)
-    writes = (degs <= beta).astype(np.int64)
-    batch.account(reads, writes)
+    low = degs <= beta
+    n = len(offsets) - 1
+    minima = np.full(n, _INF)
+    minima[alive[low]] = 0.0
+    counts = np.zeros(n, dtype=np.int64)
+    counts[alive[low]] = 1
+    batch.target.install_layer_column(minima, counts)
+    batch.account(np.ones(len(alive), dtype=np.int64), low.astype(np.int64))
 
 
 class LazyAdjacency:
@@ -381,9 +384,10 @@ def lca_round_kernel(
     it ejects replay here, on the calling thread, through
     :func:`play_coin_game`.  The scalar
     engine is the oracle and always plays in-process, one game at a
-    time.  All layers fold through the same min/+ accumulators, so
-    partitions, per-round stats, and word counts are identical for
-    every knob combination.
+    time.  Every engine, and the fabric, folds into the same pair of
+    dense universe-sized arrays (layer minima, write counts), which
+    become the target's layer column, so partitions, per-round stats,
+    and word counts are identical for every knob combination.
 
     ``phases``, when given, accumulates per-phase wall-clock seconds
     (``explore`` / ``forward`` / ``fold`` from the batched engine,
@@ -398,8 +402,8 @@ def lca_round_kernel(
     ``pool``'s processes (:meth:`repro.ampc.pool.CoinGamePool.run_games`)
     for rounds above the cutoff; ``pool`` is used for nothing else.  The
     round's communication counters accumulate into ``comm``, and the
-    fabric's ``(positions, ShardResult)`` pairs fold through the same
-    min/+ accumulators.
+    fabric's ``(positions, ShardResult)`` pairs min/+-scatter into the
+    same two arrays.
     """
     alive = batch.machine_ids
     offsets, targets = batch.previous.adjacency_csr()
@@ -416,15 +420,8 @@ def lca_round_kernel(
         for key in keys:
             phases.setdefault(key, 0.0)
 
-    # Both array engines share the ndarray accumulators and run path.
-    batched = engine in ("batched", "compiled")
-    if batched:
-        out_layer: object = np.full(n, _INF)
-        out_count: object = np.zeros(n, dtype=np.int64)
-    else:
-        out_layer = [_INF] * n
-        out_count = [0] * n
-
+    out_layer = np.full(n, _INF)
+    out_count = np.zeros(n, dtype=np.int64)
     positions = np.arange(len(alive), dtype=np.int64)
     if fabric is not None:
         shards = fabric.run_round(
@@ -448,20 +445,10 @@ def lca_round_kernel(
         # Every piece is a commutative min/+ scatter, so shard order is
         # irrelevant.
         for shard_positions, shard in shards:
-            if batched:
-                np.minimum.at(out_layer, shard.fold_vertices, shard.fold_minima)
-                np.add.at(out_count, shard.fold_vertices, shard.fold_counts)
-            else:
-                for u, minimum, count in zip(
-                    shard.fold_vertices.tolist(),
-                    shard.fold_minima.tolist(),
-                    shard.fold_counts.tolist(),
-                ):
-                    if minimum < out_layer[u]:
-                        out_layer[u] = minimum
-                    out_count[u] += count
+            np.minimum.at(out_layer, shard.fold_vertices, shard.fold_minima)
+            np.add.at(out_count, shard.fold_vertices, shard.fold_counts)
             batch.account_at(shard_positions, shard.reads, shard.writes)
-    elif batched:
+    elif engine != "scalar":
         info = play_fleet(
             offsets, targets, alive,
             x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
@@ -491,9 +478,7 @@ def lca_round_kernel(
             )
         batch.account_at(positions, reads, writes)
 
-    minima = out_layer if batched else np.array(out_layer)
-    counts = np.asarray(out_count, dtype=np.int64)
-    batch.target.install_layer_column(minima, counts)
+    batch.target.install_layer_column(out_layer, out_count)
 
 
 def play_coin_game(
@@ -515,7 +500,7 @@ def play_coin_game(
     docstring for the three exactness-preserving shortcuts), folding the
     clipped proof into ``out_layer``/``out_count`` (any pair of
     indexables supporting min-update and +=; the serial kernel passes
-    dense universe-sized lists, fabric shards sparse dict scratch) and
+    dense universe-sized arrays, fabric shards sparse dict scratch) and
     returning ``(reads, writes, record)`` — ``record`` is a replayable
     game record tuple when ``want_record``, else None.
 

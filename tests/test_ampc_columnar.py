@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.ampc.columnar import ColumnStore
-from repro.ampc.dds import EMPTY, DataStore
-from repro.ampc.machine import MachineContext, SpaceExceeded
+from repro.ampc.machine import SpaceExceeded
 from repro.ampc.simulator import AMPCSimulator
+from repro.core.columnar_rounds import peel_round_kernel
 
 
 def _loaded_store(n=5, name="D0") -> ColumnStore:
@@ -20,227 +22,90 @@ def _loaded_store(n=5, name="D0") -> ColumnStore:
     return store
 
 
-class TestScalarContract:
-    """ColumnStore must honor the DataStore scalar semantics exactly."""
+class TestBulkContract:
+    """The bulk column API the columnar round loop uses."""
 
-    def test_deg_and_adj_reads(self):
+    def test_total_words_counts_logical_pairs(self):
         store = _loaded_store()
-        assert store.read(("deg", 1)) == 2
-        assert store.read(("deg", 4)) == 0
-        assert store.read(("adj", 1, 0)) == 0
-        assert store.read(("adj", 1, 1)) == 2
-        assert store.read(("adj", 1, 2)) is EMPTY
-        assert store.read(("adj", 4, 0)) is EMPTY
-
-    def test_absent_key_returns_empty(self):
-        store = ColumnStore(3)
-        assert store.read("missing") is EMPTY
-        assert store.read(("deg", 0)) is EMPTY
-        assert store.read(("layer", 2)) is EMPTY
-
-    def test_generic_keys_fall_back_to_dict_semantics(self):
-        store = ColumnStore(3)
-        store.write("k", 1)
-        store.write("k", 2)
-        assert store.count("k") == 2
-        assert store.read_indexed("k", 0) == 1
-        assert store.read_indexed("k", 1) == 2
-        assert store.read_indexed("k", 2) is EMPTY
-        with pytest.raises(KeyError):
-            store.read("k")
+        assert store.total_words() == 5 + 6  # five deg words + six adj words
+        store.install_layer_column(
+            np.array([np.inf, 0.0, np.inf, 1.0, np.inf]),
+            np.array([0, 1, 0, 3, 0], dtype=np.int64),
+        )
+        assert store.total_words() == 5 + 6 + 4
         store.reduce_per_key(min)
-        assert store.read("k") == 1
+        assert store.total_words() == 5 + 6 + 2
 
-    def test_scalar_deg_writes_hit_the_column(self):
+    def test_total_words_counts_only_alive_deg_keys(self):
+        """Dead rows have no ("deg", v) key, as in the dict encoding."""
         store = ColumnStore(4)
-        store.write(("deg", 2), 7)
-        assert store.read(("deg", 2)) == 7
-        assert ("deg", 2) in store
-        assert store.total_words() == 1
+        store.load_residual_csr(
+            np.array([0, 1]),
+            np.array([0, 1, 2, 2, 2], dtype=np.int64),
+            np.array([1, 0], dtype=np.int64),
+        )
+        assert store.total_words() == 2 + 2
 
-    def test_column_shadowing_raises_instead_of_diverging(self):
-        """Mixed scalar/bulk writes on one key must fail loud, not lie."""
-        store = _loaded_store()
-        with pytest.raises(NotImplementedError):
-            store.write(("adj", 0, 0), 7)
-        store.fold_layer_proposals(np.array([2]), np.array([1.0]))
-        with pytest.raises(NotImplementedError):
-            store.write(("layer", 2), 0)
-        # And the reverse order: fallback key, then bulk install over it.
-        store2 = ColumnStore(3)
-        store2.write(("adj", 0, 0), 7)
-        with pytest.raises(NotImplementedError):
-            store2.load_residual_csr(
-                np.arange(3),
-                np.array([0, 1, 2, 2], dtype=np.int64),
-                np.array([1, 0], dtype=np.int64),
+    def test_columns_must_cover_the_universe(self):
+        with pytest.raises(ValueError):
+            ColumnStore(3).load_residual_csr(
+                np.arange(3), np.zeros(3, dtype=np.int64),
+                np.empty(0, dtype=np.int64),
             )
-        store3 = ColumnStore(3)
-        store3.write(("layer", 1), 4)
-        with pytest.raises(NotImplementedError):
-            store3.fold_layer_proposals(np.array([0]), np.array([0.0]))
+        with pytest.raises(ValueError):
+            ColumnStore(3).install_layer_column(
+                np.full(2, np.inf), np.zeros(2, np.int64)
+            )
 
-    def test_install_layer_column_is_guarded(self):
-        store = ColumnStore(3)
-        store.write(("layer", 2), 0.0)  # parked in the fallback
-        with pytest.raises(NotImplementedError):
-            store.install_layer_column(np.full(3, np.inf), np.zeros(3, np.int64))
-        store2 = ColumnStore(3)
-        store2.fold_layer_proposals(np.array([1]), np.array([0.0]))
-        with pytest.raises(NotImplementedError):
-            store2.install_layer_column(np.full(3, np.inf), np.zeros(3, np.int64))
+    def test_adjacency_csr_before_install_raises(self):
+        with pytest.raises(KeyError):
+            ColumnStore(3).adjacency_csr()
 
-    def test_non_min_reducer_on_folded_layers_raises(self):
+    def test_install_layer_column_twice_raises(self):
         store = ColumnStore(3)
-        store.fold_layer_proposals(np.array([1, 1]), np.array([2.0, 1.0]))
+        store.install_layer_column(
+            np.array([np.inf, 0.0, np.inf]), np.array([0, 1, 0], np.int64)
+        )
+        with pytest.raises(NotImplementedError):
+            store.install_layer_column(
+                np.full(3, np.inf), np.zeros(3, np.int64)
+            )
+
+    def test_non_min_reducer_on_multi_proposal_layers_raises(self):
+        store = ColumnStore(3)
+        store.install_layer_column(
+            np.array([np.inf, 1.0, np.inf]), np.array([0, 2, 0], np.int64)
+        )
         with pytest.raises(NotImplementedError):
             store.reduce_per_key(max)
         store.reduce_per_key(min)  # the advertised reducer still works
-        assert store.read(("layer", 1)) == 1
+        vs, lays = store.layer_assignments()
+        assert vs.tolist() == [1] and lays.tolist() == [1.0]
         # Single-proposal columns reduce as a no-op under any reducer.
-        store4 = ColumnStore(3)
-        store4.fold_layer_proposals(np.array([0]), np.array([5.0]))
-        store4.reduce_per_key(max)
-        assert store4.read(("layer", 0)) == 5
-
-    def test_numpy_integer_vertex_keys_hit_the_columns(self):
-        """np.int64 ids (e.g. from flatnonzero) are the same dict key."""
-        store = _loaded_store()
-        store.fold_layer_proposals(np.array([2]), np.array([1.0]))
-        store.reduce_per_key(min)
-        v = np.int64(1)
-        assert store.read(("deg", v)) == 2
-        assert store.read(("adj", v, np.int64(0))) == 0
-        assert store.read(("layer", np.int64(2))) == 1
-        assert store.count(("layer", np.int64(2))) == 1
-        assert ("deg", np.int64(4)) in store
-        store2 = ColumnStore(4)
-        store2.write(("deg", np.int64(3)), 7)
-        assert store2.read(("deg", 3)) == 7
-
-    def test_non_int_deg_values_keep_dict_semantics(self):
-        """Floats/strings under column-eligible keys must not be coerced."""
-        store = ColumnStore(4)
-        ref = DataStore()
-        for key, value in [
-            (("deg", 0), 2.7),
-            (("deg", 1), "payload"),
-            (("deg", 2), 5),      # int first: column...
-            (("deg", 2), 0.5),    # ...then float: migrate, both kept
-        ]:
-            store.write(key, value)
-            ref.write(key, value)
-        assert store.read(("deg", 0)) == 2.7
-        assert store.read(("deg", 1)) == "payload"
-        with pytest.raises(KeyError):
-            store.read(("deg", 2))
-        for key in [("deg", 0), ("deg", 1), ("deg", 2)]:
-            assert store.count(key) == ref.count(key)
-            for i in range(3):
-                assert store.read_indexed(key, i) == ref.read_indexed(key, i)
-        assert store.total_words() == ref.total_words()
-
-    def test_scalar_deg_double_write_keeps_multivalue_error(self):
-        store = ColumnStore(4)
-        store.write(("deg", 2), 7)
-        store.write(("deg", 2), 8)
-        with pytest.raises(KeyError):
-            store.read(("deg", 2))
-        assert store.count(("deg", 2)) == 2
-
-    def test_layer_column_reads(self):
-        store = ColumnStore(4)
-        store.fold_layer_proposals(
-            np.array([1, 3, 1]), np.array([2.0, 0.0, 1.0])
+        store2 = ColumnStore(3)
+        store2.install_layer_column(
+            np.array([5.0, np.inf, np.inf]), np.array([1, 0, 0], np.int64)
         )
-        assert store.count(("layer", 1)) == 2
-        with pytest.raises(KeyError):
-            store.read(("layer", 1))  # unreduced multi-value
-        store.reduce_per_key(min)
-        assert store.read(("layer", 1)) == 1
-        assert store.read(("layer", 3)) == 0
-        assert store.read(("layer", 0)) is EMPTY
-
-    def test_contains_and_len(self):
-        store = _loaded_store()
-        assert ("deg", 0) in store
-        assert ("adj", 1, 1) in store
-        assert ("adj", 1, 5) not in store
-        assert len(store) == 5 + 6  # five deg words + six adj words
-
-    def test_items_cover_every_family(self):
-        store = ColumnStore(2)
-        store.load_residual_csr(
-            np.arange(2),
-            np.array([0, 1, 2], dtype=np.int64),
-            np.array([1, 0], dtype=np.int64),
-        )
-        store.fold_layer_proposals(np.array([0]), np.array([0.0]))
-        store.write("aux", 9)
-        keys = list(store.keys())
-        assert ("deg", 0) in keys and ("deg", 1) in keys
-        assert ("adj", 0, 0) in keys and ("adj", 1, 0) in keys
-        assert ("layer", 0) in keys
-        assert "aux" in keys
-        assert store.total_words() == 2 + 2 + 1 + 1
-
-    def test_machine_context_runs_against_columns(self):
-        """The scalar MachineContext is store-agnostic."""
-        previous = _loaded_store()
-        target = ColumnStore(5, name="D1")
-        ctx = MachineContext(
-            machine_id=1, previous=previous, target=target,
-            space_limit=100, strict=True,
-        )
-        deg = ctx.read(("deg", 1))
-        nbrs = [ctx.read(("adj", 1, i)) for i in range(deg)]
-        assert nbrs == [0, 2]
-        ctx.write(("layer", 1), 0)
-        assert ctx.reads == 3 and ctx.writes == 1
-        # Scalar layer writes take the dict fallback with full semantics.
-        assert target.read(("layer", 1)) == 0
-        assert target.read_indexed(("layer", 1), 0) == 0
+        store2.reduce_per_key(max)
+        assert store2.layer_assignments()[1].tolist() == [5.0]
 
     def test_layer_assignments_bulk_getter(self):
         store = ColumnStore(6)
-        store.fold_layer_proposals(
-            np.array([5, 2, 5]), np.array([1.0, 0.0, 3.0])
+        assert store.layer_assignments()[0].size == 0
+        minima = np.full(6, np.inf)
+        minima[[2, 5]] = [0.0, 1.0]
+        store.install_layer_column(
+            minima, np.array([0, 0, 1, 0, 0, 2], dtype=np.int64)
         )
         vs, lays = store.layer_assignments()
         assert vs.tolist() == [2, 5]
         assert lays.tolist() == [0.0, 1.0]
 
-
-class TestDictParityRandomized:
-    """Random op sequences: ColumnStore == DataStore observationally."""
-
-    def test_random_scalar_traffic(self):
-        rng = np.random.default_rng(7)
-        col = ColumnStore(10)
-        ref = DataStore()
-        keys = [("deg", int(v)) for v in range(10)] + ["a", ("b", 1), "c"]
-        for __ in range(300):
-            key = keys[int(rng.integers(len(keys)))]
-            op = int(rng.integers(3))
-            if op == 0:
-                value = int(rng.integers(100))
-                col.write(key, value)
-                ref.write(key, value)
-            elif op == 1:
-                try:
-                    got = col.read(key)
-                except KeyError:
-                    with pytest.raises(KeyError):
-                        ref.read(key)
-                    continue
-                assert got == ref.read(key)
-            else:
-                index = int(rng.integers(3))
-                assert col.read_indexed(key, index) == ref.read_indexed(key, index)
-        assert col.total_words() == ref.total_words()
-        for key in keys:
-            assert col.count(key) == ref.count(key)
-            assert (key in col) == (key in ref)
+    def test_held_words_counts_array_lengths(self):
+        store = _loaded_store()
+        assert store.held_words() == 6 + 6  # offsets + targets
+        store.install_layer_column(np.full(5, np.inf), np.zeros(5, np.int64))
+        assert store.held_words() == 6 + 6 + 5 + 5
 
 
 class TestRoundVectorized:
@@ -248,6 +113,21 @@ class TestRoundVectorized:
         sim = AMPCSimulator(10, store="dict")
         with pytest.raises(TypeError):
             sim.round_vectorized(np.arange(3), lambda batch: None)
+        with pytest.raises(TypeError):
+            sim.port_residual_csr(
+                np.arange(3), np.zeros(4, dtype=np.int64),
+                np.empty(0, dtype=np.int64),
+            )
+
+    def test_per_key_api_requires_dict_backend(self):
+        sim = AMPCSimulator(10, store="columnar", num_vertices=3)
+        with pytest.raises(TypeError, match="load_input"):
+            sim.load_input([(("deg", 0), 0)])
+        with pytest.raises(TypeError, match="port_to_current"):
+            sim.port_to_current([(("deg", 0), 0)])
+        with pytest.raises(TypeError, match="round"):
+            sim.round([])
+        assert len(sim.stores) == 1 and not sim.stats.rounds
 
     def test_kernel_stats_match_scalar_round(self):
         """The same logical round through both APIs: identical RoundStats."""
@@ -279,25 +159,15 @@ class TestRoundVectorized:
         scalar.round([task(v) for v in range(4)], reducer=min)
 
         vector = build("columnar")
-
-        def kernel(batch):
-            alive = batch.machine_ids
-            offsets, __ = batch.previous.adjacency_csr()
-            degs = offsets[alive + 1] - offsets[alive]
-            assigned = alive[degs <= 0]
-            batch.target.fold_layer_proposals(
-                assigned, np.zeros(len(assigned))
-            )
-            batch.account(
-                np.ones(len(alive), dtype=np.int64),
-                (degs <= 0).astype(np.int64),
-            )
-
-        store = vector.round_vectorized(np.arange(4), kernel, reducer=min)
+        store = vector.round_vectorized(
+            np.arange(4), partial(peel_round_kernel, beta=0), reducer=min
+        )
         a, b = scalar.stats.rounds[0], vector.stats.rounds[0]
         for field in ("machines_active", "max_reads", "max_writes",
                       "total_reads", "total_writes", "store_words"):
             assert getattr(a, field) == getattr(b, field), field
+        for store_a, store_b in zip(scalar.stores, vector.stores):
+            assert store_a.total_words() == store_b.total_words()
         vs, lays = store.layer_assignments()
         assert vs.tolist() == [2, 3]
         assert lays.tolist() == [0.0, 0.0]

@@ -36,6 +36,13 @@ class TestPartitionCommand:
         assert "layers:" in out
         assert "valid: True" in out
 
+    def test_empty_graph(self, tmp_path, capsys):
+        path = tmp_path / "e.txt"
+        path.write_text("# empty\n")
+        rc = main(["partition", "--input", str(path)])
+        assert rc == 0
+        assert "layers: 0  rounds: 0" in capsys.readouterr().out
+
 
 class TestExperimentsCommand:
     def test_runs_by_prefix(self, capsys):

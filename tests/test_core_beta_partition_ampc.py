@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,17 @@ class TestBasics:
     def test_invalid_beta(self):
         with pytest.raises(ValueError):
             beta_partition_ampc(path_graph(3), 0)
+
+    @pytest.mark.parametrize("beta", [1.5, 3.0, "3"])
+    @pytest.mark.parametrize("n", [0, 10])
+    def test_non_integral_beta_rejected_up_front(self, beta, n):
+        with pytest.raises(ValueError, match="beta"):
+            beta_partition_ampc(path_graph(n), beta)
+
+    def test_numpy_integer_beta_accepted(self):
+        g = path_graph(10)
+        out = beta_partition_ampc(g, np.int64(2))
+        assert out.partition.layers == beta_partition_ampc(g, 2).partition.layers
 
     @pytest.mark.parametrize("transport", ["shm", "message"])
     @pytest.mark.parametrize("mode", ["pel", "LCA", ""])
