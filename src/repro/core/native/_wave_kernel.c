@@ -327,35 +327,52 @@ int repro_play_cohort(
                         i64 q, off;
                         if (S.fs_epoch[slot] != epoch) {
                             i64 d = S.deg[slot], p, end = offsets[v + 1];
-                            if (d > cand_cap) {
-                                fscand *nc = (fscand *)realloc(
-                                    cand, (size_t)d * sizeof(fscand));
-                                if (!nc) goto done;
-                                cand = nc;
-                                cand_cap = d;
-                            }
-                            if (!sigma_valid) {
-                                sigma_peel(offsets, targets, gstamp,
-                                           mstamp, mslot, mv, mem_count,
-                                           beta, &S);
-                                sigma_valid = 1;
-                            }
-                            for (p = offsets[v], q = 0; p < end; p++, q++) {
-                                i64 w = targets[p];
-                                int ism = mstamp[w] == gstamp;
-                                cand[q].lay =
-                                    ism ? S.sigma[mslot[w]] : SIGMA_INF;
-                                cand[q].mem = ism;
-                                cand[q].w = w;
-                            }
-                            qsort(cand, (size_t)d, sizeof(fscand),
-                                  fscand_cmp);
-                            S.fs_off[slot] = fsets.len;
-                            S.fs_epoch[slot] = epoch;
+                            i64 nm = 0;
                             if (vec_reserve(&fsets, fsets.len + beta + 1))
                                 goto done;
-                            for (q = 0; q < beta + 1; q++)
-                                fsets.data[fsets.len++] = cand[q].w;
+                            S.fs_off[slot] = fsets.len;
+                            S.fs_epoch[slot] = epoch;
+                            /* Non-member prefix: every non-member ranks
+                             * (SIGMA_INF, mem 0), above every member, and
+                             * ties break by id, so with >= beta+1 of them
+                             * the set is the row's first beta+1 non-members
+                             * (rows are sorted ascending) and needs no
+                             * sigma-peel. */
+                            for (p = offsets[v]; p < end && nm <= beta; p++) {
+                                i64 w = targets[p];
+                                if (mstamp[w] != gstamp)
+                                    fsets.data[fsets.len + nm++] = w;
+                            }
+                            if (nm == beta + 1) {
+                                fsets.len += nm;
+                            } else {
+                                if (d > cand_cap) {
+                                    fscand *nc = (fscand *)realloc(
+                                        cand, (size_t)d * sizeof(fscand));
+                                    if (!nc) goto done;
+                                    cand = nc;
+                                    cand_cap = d;
+                                }
+                                if (!sigma_valid) {
+                                    sigma_peel(offsets, targets, gstamp,
+                                               mstamp, mslot, mv, mem_count,
+                                               beta, &S);
+                                    sigma_valid = 1;
+                                }
+                                for (p = offsets[v], q = 0; p < end;
+                                        p++, q++) {
+                                    i64 w = targets[p];
+                                    int ism = mstamp[w] == gstamp;
+                                    cand[q].lay =
+                                        ism ? S.sigma[mslot[w]] : SIGMA_INF;
+                                    cand[q].mem = ism;
+                                    cand[q].w = w;
+                                }
+                                qsort(cand, (size_t)d, sizeof(fscand),
+                                      fscand_cmp);
+                                for (q = 0; q < beta + 1; q++)
+                                    fsets.data[fsets.len++] = cand[q].w;
+                            }
                         }
                         off = S.fs_off[slot];
                         for (q = 0; q < beta + 1; q++) {
