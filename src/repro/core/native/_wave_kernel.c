@@ -53,11 +53,14 @@ static int vec_push(vec64 *v, i64 x) {
     return 0;
 }
 
-/* Forwarding-set sort candidate: Definition 4.1's deterministic
- * tie-break — highest sigma-layer first (SIGMA_INF, i.e. unexplored or
- * unlayered, counts highest), then unexplored before explored, then low
- * vertex id.  The comparator is a total order (vertex ids are unique
- * within a row), so qsort's instability is irrelevant. */
+/* Forwarding-set candidate: Definition 4.1's deterministic tie-break —
+ * highest sigma-layer first (SIGMA_INF, i.e. unexplored or unlayered,
+ * counts highest), then unexplored before explored, then low vertex id.
+ * The comparator is a total order (vertex ids are unique within a row),
+ * so the top beta+1 are one fixed set in one fixed order.  All
+ * unexplored neighbours tie on the first two keys, so they rank by id
+ * alone: that is what lets the non-member prefix path read them off a
+ * row in CSR order, and why rows must be sorted ascending. */
 typedef struct { i64 lay; i64 w; i64 mem; } fscand;
 
 static int fscand_cmp(const void *pa, const void *pb) {
@@ -66,6 +69,28 @@ static int fscand_cmp(const void *pa, const void *pb) {
     if (a->lay != b->lay) return (a->lay > b->lay) ? -1 : 1;
     if (a->mem != b->mem) return (a->mem < b->mem) ? -1 : 1;
     return (a->w < b->w) ? -1 : 1;
+}
+
+/* The top k of a hub's row (d > k entries) under fscand_cmp, sorted into
+ * cand[0..k) by bounded insertion: a candidate that does not beat
+ * cand[k-1] is rejected at once, so the cost is O(d*k) worst case and
+ * about O(d) in practice. */
+static void select_top(
+    const i64 *row, i64 d, i64 k, i64 gstamp,
+    const i64 *mstamp, const i64 *mslot, const i64 *sigma, fscand *cand
+) {
+    i64 p, q, kept = 0;
+    for (p = 0; p < d; p++) {
+        fscand c;
+        c.w = row[p];
+        c.mem = mstamp[c.w] == gstamp;
+        c.lay = c.mem ? sigma[mslot[c.w]] : SIGMA_INF;
+        if (kept == k && fscand_cmp(&c, &cand[k - 1]) > 0) continue;
+        q = kept < k ? kept++ : k - 1;
+        for (; q > 0 && fscand_cmp(&c, &cand[q - 1]) < 0; q--)
+            cand[q] = cand[q - 1];
+        cand[q] = c;
+    }
 }
 
 static int i64_cmp(const void *pa, const void *pb) {
@@ -193,8 +218,7 @@ int repro_play_cohort(
     i64 *mstamp = NULL, *mslot = NULL, *tstamp = NULL;
     vec64 members = {0}, touched = {0}, fsets = {0}, pu = {0}, pl = {0};
     slots_t S;
-    fscand *cand = NULL;
-    i64 cand_cap = 0;
+    fscand *cand = NULL; /* beta+1 entries, allocated at the first hub */
     i64 g, epoch = 0, hop_id = 0;
     int rc = 1;
 
@@ -346,12 +370,10 @@ int repro_play_cohort(
                             if (nm == beta + 1) {
                                 fsets.len += nm;
                             } else {
-                                if (d > cand_cap) {
-                                    fscand *nc = (fscand *)realloc(
-                                        cand, (size_t)d * sizeof(fscand));
-                                    if (!nc) goto done;
-                                    cand = nc;
-                                    cand_cap = d;
+                                if (!cand) {
+                                    cand = (fscand *)malloc(
+                                        (size_t)(beta + 1) * sizeof(fscand));
+                                    if (!cand) goto done;
                                 }
                                 if (!sigma_valid) {
                                     sigma_peel(offsets, targets, gstamp,
@@ -359,17 +381,9 @@ int repro_play_cohort(
                                                beta, &S);
                                     sigma_valid = 1;
                                 }
-                                for (p = offsets[v], q = 0; p < end;
-                                        p++, q++) {
-                                    i64 w = targets[p];
-                                    int ism = mstamp[w] == gstamp;
-                                    cand[q].lay =
-                                        ism ? S.sigma[mslot[w]] : SIGMA_INF;
-                                    cand[q].mem = ism;
-                                    cand[q].w = w;
-                                }
-                                qsort(cand, (size_t)d, sizeof(fscand),
-                                      fscand_cmp);
+                                select_top(targets + offsets[v], d, beta + 1,
+                                           gstamp, mstamp, mslot, S.sigma,
+                                           cand);
                                 for (q = 0; q < beta + 1; q++)
                                     fsets.data[fsets.len++] = cand[q].w;
                             }
