@@ -9,13 +9,25 @@
    ``gcc -O2 -shared`` at first import and ``dlopen`` the result — no
    setuptools machinery, no Python headers, just libc.  The shared
    object is cached under ``$REPRO_NATIVE_CACHE`` (default
-   ``~/.cache/repro/native``) keyed by a hash of the C source and the
-   declared ABI, so rebuilds happen only when the kernel changes;
+   ``~/.cache/repro/native``) keyed by a hash of the C source, the
+   declared ABI and the compile flags, so rebuilds happen only when
+   the kernel or the flags change;
    concurrent builders race benignly via atomic ``os.replace``.
 
 Both paths compile the same ``_wave_kernel.c`` against the same
 ``CDEF``; :func:`load` prefers the packaged module and falls back to
-the lazy build.  Every failure mode (no gcc, read-only cache, corrupt
+the lazy build.  ``REPRO_NATIVE_SANITIZE=1`` skips the packaged module
+and makes the lazy build an ASan/UBSan one (:data:`SANITIZE_FLAGS`);
+the flags are part of the cache key, so sanitized and plain objects
+never collide.  A sanitized object only loads into a process that
+preloads the sanitizer runtimes::
+
+    LD_PRELOAD="$(gcc -print-file-name=libasan.so) \
+                $(gcc -print-file-name=libubsan.so)" \
+    ASAN_OPTIONS=detect_leaks=0 REPRO_NATIVE_SANITIZE=1 python ...
+
+Without them the ``dlopen`` fails and the kernel degrades like any
+other load failure.  Every failure mode (no gcc, read-only cache, corrupt
 cached object) raises out of :func:`load` and is caught by the package
 loader, which degrades to ``native.available() == False``.
 """
@@ -81,11 +93,25 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "native"
 
 
+SANITIZE_FLAGS = (
+    "-O1", "-g", "-fsanitize=address,undefined",
+    "-fno-sanitize-recover=undefined",
+)
+
+
+def _sanitize() -> bool:
+    return bool(os.environ.get("REPRO_NATIVE_SANITIZE", "").strip())
+
+
+def compile_flags() -> tuple[str, ...]:
+    """Optimization/instrumentation flags of the lazy gcc build."""
+    return SANITIZE_FLAGS if _sanitize() else ("-O2",)
+
+
 def so_path() -> Path:
     """Cache location of the ABI-mode shared object for this source."""
-    digest = hashlib.sha256(
-        (CDEF + "\x00" + _source()).encode()
-    ).hexdigest()[:16]
+    key = "\x00".join((CDEF, _source(), *compile_flags()))
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return cache_dir() / f"_wave_kernel-{digest}.so"
 
 
@@ -98,7 +124,7 @@ def _build_shared_object(path: Path) -> None:
     try:
         subprocess.run(
             [
-                "gcc", "-O2", "-fPIC", "-shared",
+                "gcc", *compile_flags(), "-fPIC", "-shared",
                 str(_SOURCE_PATH), "-o", tmp,
             ],
             check=True,
@@ -117,15 +143,17 @@ def _build_shared_object(path: Path) -> None:
 def load():
     """``(ffi, lib)`` for the wave kernel; raises on any failure.
 
-    Tries the packaged API-mode extension first, then the cached (or
-    freshly gcc-compiled) ABI-mode shared object.
+    Tries the packaged API-mode extension first (unless a sanitized
+    build is asked for), then the cached (or freshly gcc-compiled)
+    ABI-mode shared object.
     """
-    try:
-        from repro.core.native import _wave_kernel_cffi  # type: ignore
+    if not _sanitize():
+        try:
+            from repro.core.native import _wave_kernel_cffi  # type: ignore
 
-        return _wave_kernel_cffi.ffi, _wave_kernel_cffi.lib
-    except ImportError:
-        pass
+            return _wave_kernel_cffi.ffi, _wave_kernel_cffi.lib
+        except ImportError:
+            pass
 
     import cffi
 

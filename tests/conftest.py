@@ -11,11 +11,17 @@ Adds two execution knobs:
 - ``--slow`` — opt into tests marked ``slow`` (full-size shapes for the
   differential harness); they are deselected by default so the tier-1
   run stays fast, and CI's cron/label-gated job turns them on.
+
+and two hypothesis settings profiles for tests that take their example
+count from the profile rather than from ``@settings``: ``default``
+(60 examples, the tier-1 run) and ``fuzz`` (1000 examples), which CI's
+sanitized-kernel leg selects with ``--hypothesis-profile=fuzz``.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.ampc.pool import resolve_workers
 from repro.graphs.generators import (
@@ -28,6 +34,9 @@ from repro.graphs.generators import (
     union_of_random_forests,
 )
 from repro.graphs.graph import Graph
+
+settings.register_profile("default", max_examples=60)
+settings.register_profile("fuzz", max_examples=1000)
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

@@ -203,3 +203,27 @@ class TestLoaderRobustness:
         )
         assert result.returncode == 0, result.stderr
         assert "REBUILD_OK" in result.stdout
+
+    def test_sanitize_env_builds_a_separate_object(
+        self, monkeypatch, tmp_path
+    ):
+        # REPRO_NATIVE_SANITIZE swaps -O2 for the ASan/UBSan flags, and
+        # the flags are part of the cache key, so a sanitized object
+        # never shadows a plain one (or the other way round).
+        from repro.core.native import _build
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.delenv("REPRO_NATIVE_SANITIZE", raising=False)
+        plain = _build.so_path()
+        assert _build.compile_flags() == ("-O2",)
+        monkeypatch.setenv("REPRO_NATIVE_SANITIZE", "1")
+        sanitized = _build.so_path()
+        assert sanitized != plain and sanitized.parent == plain.parent
+        commands = []
+        monkeypatch.setattr(
+            _build.subprocess, "run",
+            lambda argv, **kwargs: commands.append(argv),
+        )
+        _build._build_shared_object(sanitized)
+        assert commands[0][0] == "gcc"
+        assert tuple(commands[0][1:5]) == _build.SANITIZE_FLAGS

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.bucket_queue import BucketQueue
@@ -82,6 +82,7 @@ class TestAgainstSortedReference:
             unique_by=lambda t: t[0],
         )
     )
+    @settings(max_examples=100)
     def test_pop_sequence_is_sorted_by_key(self, items):
         q = BucketQueue(20)
         for item, key in items:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.dsu import DisjointSetUnion
@@ -53,6 +53,7 @@ class TestInvariant:
             max_size=60,
         )
     )
+    @settings(max_examples=100)
     def test_components_count_matches_reference(self, unions):
         n = 20
         dsu = DisjointSetUnion(n)

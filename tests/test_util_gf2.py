@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.gf2 import GF2System, gf2_rank, gf2_solution_count_log2
@@ -60,6 +60,7 @@ class TestSolutionCount:
             )
         )
     )
+    @settings(max_examples=100)
     def test_matches_brute_force(self, data):
         nvars, eqs = data
         rows = [r for r, __ in eqs]
@@ -130,6 +131,7 @@ class TestGF2System:
             max_size=3,
         ),
     )
+    @settings(max_examples=100)
     def test_probability_matches_brute_force(self, base_eqs, query_eqs):
         nvars = 5
         sys = GF2System(nvars)

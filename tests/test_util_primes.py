@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.primes import is_prime, next_prime
@@ -38,6 +38,7 @@ class TestIsPrime:
             assert not is_prime(p * p)
 
     @given(st.integers(min_value=2, max_value=10**6))
+    @settings(max_examples=100)
     def test_agrees_with_trial_division(self, n):
         reference = all(n % d for d in range(2, int(n**0.5) + 1))
         assert is_prime(n) == reference
@@ -57,6 +58,7 @@ class TestNextPrime:
         assert next_prime(3) == 3
 
     @given(st.integers(min_value=2, max_value=10**5))
+    @settings(max_examples=100)
     def test_result_is_prime_and_minimal(self, n):
         p = next_prime(n)
         assert p >= n

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.rng import SplitMix64
@@ -33,6 +33,7 @@ class TestDeterminism:
 
 class TestDistributions:
     @given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=0))
+    @settings(max_examples=100)
     def test_randrange_in_range(self, n, seed):
         rng = SplitMix64(seed)
         for _ in range(10):
@@ -82,6 +83,7 @@ class TestShuffleSample:
         assert single == [1]
 
     @given(st.integers(min_value=0, max_value=30), st.integers(min_value=0))
+    @settings(max_examples=100)
     def test_sample_distinct_and_in_range(self, n, seed):
         rng = SplitMix64(seed)
         k = min(n, 10)
