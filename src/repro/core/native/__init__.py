@@ -19,10 +19,13 @@ caller must fall back to the numpy engine).
 
 Array layouts (all ``int64`` little-endian C-contiguous unless noted):
 
-- ``offsets[n+1]`` / ``targets[m]`` — the CSR adjacency, targets sorted
-  ascending within each row (the kernel's membership probes and the
-  deterministic forwarding tie-break both rely on row order only for
-  reproducibility of iteration, correctness needs no sorting).
+- ``offsets[n+1]`` / ``targets[m]`` — the CSR adjacency, targets
+  strictly ascending within each row.  This is a correctness
+  precondition: a hub's forwarding set ranks all non-members equal
+  and breaks their ties by id, and when its row holds at least β+1 of
+  them the kernel takes the first β+1 in row order instead of ranking
+  the row.  An unsorted row silently changes forwarding sets, so every
+  CSR producer that feeds the fleet player is tested for sorted rows.
 - ``roots[num_games]`` — one game per root; game order is roots order
   and every per-game output array below is indexed by it.
 - ``out_layer[n]`` (float64) / ``out_count[n]`` — fold accumulators

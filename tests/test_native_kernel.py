@@ -205,54 +205,142 @@ def _fuzz_fleets(draw):
     }
 
 
+def _fleets_agree(graph, beta, x, *, workers=1, scale_limit=None,
+                  cohort_games=None):
+    """Play one game per vertex on both engines through the fleet player;
+    assert every per-game output agrees and return (batched, compiled)."""
+    offsets, targets = graph.csr()
+    n = graph.num_vertices
+    clip = max_provable_layer(x, beta)
+    horizon = 4 * (clip + 2)
+
+    def fleet(engine):
+        out_layer = np.full(n, _INF)
+        out_count = np.zeros(n, dtype=np.int64)
+        info = play_fleet(
+            offsets, targets, np.arange(n, dtype=np.int64),
+            x=x, beta=beta, clip=clip, horizon=horizon,
+            scale=fixed_coin_scale(beta, horizon),
+            out_layer=out_layer, out_count=out_count, engine=engine,
+            want_records=True, workers=workers,
+        )
+        return info, out_layer, out_count
+
+    with mock.patch.object(
+        batched_games, "SCALE_LIMIT",
+        scale_limit or batched_games.SCALE_LIMIT,
+    ), mock.patch.object(
+        columnar_rounds, "COHORT_GAMES",
+        cohort_games or columnar_rounds.COHORT_GAMES,
+    ):
+        batched, layer_b, count_b = fleet("batched")
+        compiled, layer_c, count_c = fleet("compiled")
+    assert np.array_equal(layer_b, layer_c)
+    assert np.array_equal(count_b, count_c)
+    for field in (
+        "reads", "writes", "super_iterations", "edges_seen", "ejected",
+    ):
+        assert np.array_equal(
+            getattr(batched, field), getattr(compiled, field)
+        ), field
+    for got, want in zip(compiled.records, batched.records):
+        assert np.array_equal(got, want)
+    return batched, compiled
+
+
 class TestFleetFuzz:
     """The two array engines, fuzzed against each other through the
     fleet player: a shrunken word budget makes some games eject and
     others finish, and every per-game output must agree."""
 
     @given(_fuzz_fleets())
-    @settings(max_examples=60, deadline=None)
+    @settings(deadline=None)  # example count from the hypothesis profile
     def test_engines_agree_through_the_fleet_player(self, case):
-        graph, beta, x = case["graph"], case["beta"], case["x"]
-        offsets, targets = graph.csr()
-        n = graph.num_vertices
-        clip = max_provable_layer(x, beta)
-        horizon = 4 * (clip + 2)
-        cohort_games = case["cohort_games"] or columnar_rounds.COHORT_GAMES
-
-        def fleet(engine):
-            out_layer = np.full(n, _INF)
-            out_count = np.zeros(n, dtype=np.int64)
-            info = play_fleet(
-                offsets, targets, np.arange(n, dtype=np.int64),
-                x=x, beta=beta, clip=clip, horizon=horizon,
-                scale=fixed_coin_scale(beta, horizon),
-                out_layer=out_layer, out_count=out_count, engine=engine,
-                want_records=True, workers=case["workers"],
-            )
-            return info, out_layer, out_count
-
-        budget = min(
-            batched_games.SCALE_LIMIT,
-            x * (beta + 2) << case["headroom_bits"],
+        beta, x = case["beta"], case["x"]
+        batched, _ = _fleets_agree(
+            case["graph"], beta, x, workers=case["workers"],
+            scale_limit=min(
+                batched_games.SCALE_LIMIT,
+                x * (beta + 2) << case["headroom_bits"],
+            ),
+            cohort_games=case["cohort_games"],
         )
-        with mock.patch.object(
-            batched_games, "SCALE_LIMIT", budget
-        ), mock.patch.object(columnar_rounds, "COHORT_GAMES", cohort_games):
-            batched, layer_b, count_b = fleet("batched")
-            compiled, layer_c, count_c = fleet("compiled")
-        assert np.array_equal(layer_b, layer_c)
-        assert np.array_equal(count_b, count_c)
-        for field in (
-            "reads", "writes", "super_iterations", "edges_seen", "ejected",
-        ):
-            assert np.array_equal(
-                getattr(batched, field), getattr(compiled, field)
-            ), field
-        for got, want in zip(compiled.records, batched.records):
-            assert np.array_equal(got, want)
         member_counts = batched.records[3]
         assert not member_counts[batched.ejected].any()
+
+
+class TestForwardingSetBranches:
+    """A hub (degree > β+1) takes its forwarding set from the row's first
+    β+1 non-members when it holds that many, else from the σ-ranked
+    selection.  Hand-built games pin each side of that boundary; every
+    case also plays both engines against each other."""
+
+    BETA = 3
+    X = 4 * (BETA + 1) ** 2  # each hop hands a hub at least β+1 coins
+
+    @pytest.mark.parametrize(
+        "members, non_members, branch",
+        [
+            (2, BETA, "selection"),
+            (2, BETA + 1, "prefix"),
+            (2, BETA + 2, "prefix"),
+            (1, BETA, "selection"),  # deg(hub) == β+2
+        ],
+    )
+    def test_interleaved_hub_row(self, members, non_members, branch):
+        # Root r (degree members+1 <= β+1) explores the hub h and the
+        # member rim M in super-iteration 0.  In super-iteration 1 the
+        # hub's row is M ∪ N ∪ {r} with M and N interleaved by id, so it
+        # holds exactly |N| non-members when it builds its forwarding set.
+        beta = self.BETA
+        rim = list(range(members + non_members))
+        m_ids = rim[1:2 * members:2]
+        n_ids = [w for w in rim if w not in m_ids]
+        hub, root = len(rim), len(rim) + 1
+        assert len(m_ids) == members and len(n_ids) == non_members
+        assert 1 + members + non_members > beta + 1  # a hub row
+        assert ("prefix" if non_members >= beta + 1 else "selection") \
+            == branch
+        edges = [(root, hub)] + [(root, w) for w in m_ids]
+        edges += [(hub, w) for w in rim]
+        graph = Graph.from_edges(root + 1, edges)
+        batched, _ = _fleets_agree(graph, beta, self.X)
+        members_arena, member_counts = batched.records[0], batched.records[3]
+        explored = members_arena[member_counts[:root].sum():].tolist()
+        ball = [root] + sorted(m_ids + [hub])
+        # Super-iteration 1 explores exactly the hub's forwarded
+        # non-members: the first β+1 of N by id, or all of N.
+        assert explored[:len(ball)] == ball
+        assert explored[len(ball):len(ball) + min(non_members, beta + 1)] \
+            == n_ids[:beta + 1]
+
+    @pytest.mark.parametrize(
+        "rim, branches",
+        [
+            # Non-member counts per super-iteration: 8, 4 (= β+1), 0.
+            (2 * BETA + 2, ["prefix", "prefix", "selection"]),
+            # 9, 5 (= β+2), 1, 0.
+            (2 * BETA + 3, ["prefix", "prefix", "selection", "selection"]),
+            # deg == β+2: 5, 1, 0.
+            (BETA + 2, ["prefix", "selection", "selection"]),
+        ],
+    )
+    def test_hub_rooted_star(self, rim, branches):
+        # The hub roots its own game and forwards its fresh x coins every
+        # super-iteration to β+1 rim leaves, lowest unexplored ids first,
+        # so the ball grows by β+1 leaves a super-iteration until the
+        # row holds no non-member; that super-iteration touches nothing
+        # new and the game retires.
+        beta = self.BETA
+        counts = [max(0, rim - s * (beta + 1)) for s in range(len(branches))]
+        assert counts[-1] == 0 < counts[-2]
+        assert [
+            "prefix" if c >= beta + 1 else "selection" for c in counts
+        ] == branches
+        graph = star_graph(rim + 1)
+        batched, _ = _fleets_agree(graph, beta, self.X)
+        assert batched.super_iterations[0] == len(branches)
+        assert batched.records[3][0] == rim + 1
 
 
 class TestEndToEndEngines:
