@@ -208,7 +208,7 @@ def _fuzz_fleets(draw):
 def _fleets_agree(graph, beta, x, *, workers=1, scale_limit=None,
                   cohort_games=None):
     """Play one game per vertex on both engines through the fleet player;
-    assert every per-game output agrees and return (batched, compiled)."""
+    assert every per-game output agrees and return the batched info."""
     offsets, targets = graph.csr()
     n = graph.num_vertices
     clip = max_provable_layer(x, beta)
@@ -245,7 +245,7 @@ def _fleets_agree(graph, beta, x, *, workers=1, scale_limit=None,
         ), field
     for got, want in zip(compiled.records, batched.records):
         assert np.array_equal(got, want)
-    return batched, compiled
+    return batched
 
 
 class TestFleetFuzz:
@@ -257,7 +257,7 @@ class TestFleetFuzz:
     @settings(deadline=None)  # example count from the hypothesis profile
     def test_engines_agree_through_the_fleet_player(self, case):
         beta, x = case["beta"], case["x"]
-        batched, _ = _fleets_agree(
+        batched = _fleets_agree(
             case["graph"], beta, x, workers=case["workers"],
             scale_limit=min(
                 batched_games.SCALE_LIMIT,
@@ -304,7 +304,7 @@ class TestForwardingSetBranches:
         edges = [(root, hub)] + [(root, w) for w in m_ids]
         edges += [(hub, w) for w in rim]
         graph = Graph.from_edges(root + 1, edges)
-        batched, _ = _fleets_agree(graph, beta, self.X)
+        batched = _fleets_agree(graph, beta, self.X)
         members_arena, member_counts = batched.records[0], batched.records[3]
         explored = members_arena[member_counts[:root].sum():].tolist()
         ball = [root] + sorted(m_ids + [hub])
@@ -338,7 +338,7 @@ class TestForwardingSetBranches:
             "prefix" if c >= beta + 1 else "selection" for c in counts
         ] == branches
         graph = star_graph(rim + 1)
-        batched, _ = _fleets_agree(graph, beta, self.X)
+        batched = _fleets_agree(graph, beta, self.X)
         assert batched.super_iterations[0] == len(branches)
         assert batched.records[3][0] == rim + 1
 
