@@ -8,6 +8,17 @@ color; each vertex picks an available color among {0..β} avoiding all
 neighbors that already finalized (its same-or-higher-layer neighbors, of
 which there are <= β — so a color always exists).
 
+The centralized order runs one (layer, initial color) class at a time.
+Each class is an independent set, because the initial coloring is proper
+within a layer, so no vertex of a class constrains another: every member
+sees exactly the blocked set it would see in the vertex-by-vertex walk,
+and the whole class picks its colors in one array pass over int64
+blocked-color masks, then ORs each chosen bit into its neighbors' masks.
+Colors, ``num_colors`` and ``processed_order`` are those of the
+vertex-by-vertex walk.  With β+1 > 62 colors the masks no longer fit an
+int64, and the walk itself runs over Python-int masks; it is also the
+reference the class pass is tested against.
+
 The AMPC simulation batches layers so each vertex's recursive dependency
 ball fits in machine memory; :func:`recoloring_ampc_rounds` reproduces the
 paper's O((β/(εδ)) log β) round count for the parameters at hand.
@@ -51,6 +62,8 @@ def greedy_recolor_by_layers(
     ``pick`` selects the highest (Section 6.3) or lowest (Section 6.4)
     available color from {0..β} — both are valid.
     """
+    if pick not in ("highest", "lowest"):
+        raise ValueError('pick must be "highest" or "lowest"')
     n = graph.num_vertices
     if len(initial_colors) != n:
         raise ValueError("need one initial color per vertex")
@@ -73,18 +86,87 @@ def greedy_recolor_by_layers(
     # Process by (layer desc, initial color desc); ties broken by id for
     # determinism — tied vertices are never adjacent (initial coloring is
     # proper within a layer), so any tie-break yields the same constraints.
-    order = np.lexsort(
-        (np.arange(n), -init_vec, -layer_vec)
-    ).tolist()
-    # Blocked palettes as per-vertex bitmaps over {0..β}: finalizing v
-    # sets bit c in every neighbor's mask, and picking a color is one
-    # complement + bit scan instead of materializing a neighbor-color set.
+    order = np.lexsort((np.arange(n), -init_vec, -layer_vec))
+    processed = order.tolist()
+    if beta + 1 > 62:
+        final = _recolor_walk(graph, processed, beta, pick)
+    else:
+        final = _recolor_by_class(
+            graph, order, layer_vec[order], init_vec[order], beta, pick
+        )
+    return RecolorResult(
+        colors=final, num_colors=len(set(final)), processed_order=processed
+    )
+
+
+def _recolor_by_class(
+    graph: Graph,
+    order: np.ndarray,
+    layer_sorted: np.ndarray,
+    init_sorted: np.ndarray,
+    beta: int,
+    pick: str,
+) -> list[int]:
+    """The walk one (layer, initial color) class at a time (β+1 <= 62).
+
+    Blocked palettes are int64 bitmaps over {0..β}.  A class picks its
+    colors in one pass (complement, then an integer bit scan) and ORs
+    each member's bit into its neighbors' masks with ``np.bitwise_or.at``.
+    """
+    n = graph.num_vertices
+    blocked = np.zeros(n, dtype=np.int64)
+    final = np.empty(n, dtype=np.int64)
+    full = (1 << (beta + 1)) - 1
+    nbrs, boundaries = graph.neighbors_of(order)
+    cuts = np.flatnonzero(
+        (layer_sorted[1:] != layer_sorted[:-1])
+        | (init_sorted[1:] != init_sorted[:-1])
+    ) + 1
+    starts = np.concatenate(([0], cuts)).tolist()
+    ends = np.concatenate((cuts, [n])).tolist()
+    for s, e in zip(starts, ends):
+        cls = order[s:e]
+        available = ~blocked[cls] & full
+        if not available.all():
+            raise AssertionError(
+                "palette exhausted: partition was not a valid β-partition"
+            )
+        if pick == "lowest":
+            available &= -available
+        chosen = _top_bit(available)
+        final[cls] = chosen
+        bits = np.repeat(np.left_shift(1, chosen), np.diff(boundaries[s:e + 1]))
+        np.bitwise_or.at(blocked, nbrs[boundaries[s]:boundaries[e]], bits)
+    return final.tolist()
+
+
+def _top_bit(x: np.ndarray) -> np.ndarray:
+    """Index of the highest set bit of each positive int64, by integer
+    binary search (a float log2 is exact only up to 2**53)."""
+    index = np.zeros(x.shape, dtype=np.int64)
+    for shift in (32, 16, 8, 4, 2, 1):
+        high = x >> shift
+        moved = high != 0
+        x = np.where(moved, high, x)
+        index += moved * shift
+    return index
+
+
+def _recolor_walk(
+    graph: Graph, order: list[int], beta: int, pick: str
+) -> list[int]:
+    """The vertex-by-vertex walk over Python-int blocked masks.
+
+    Finalizing v sets bit c in every neighbor's mask, and picking a color
+    is one complement + bit scan instead of materializing a neighbor-color
+    set.  Masks are unbounded ints, so any β works.
+    """
     offsets, targets = graph.csr()
     offs = offsets.tolist()
     tgts = targets.tolist()
-    blocked = [0] * n
+    blocked = [0] * graph.num_vertices
     full = (1 << (beta + 1)) - 1
-    final = [0] * n
+    final = [0] * graph.num_vertices
     for v in order:
         available = ~blocked[v] & full
         if not available:
@@ -99,9 +181,7 @@ def greedy_recolor_by_layers(
         bit = 1 << chosen
         for w in tgts[offs[v]:offs[v + 1]]:
             blocked[w] |= bit
-    return RecolorResult(
-        colors=final, num_colors=len(set(final)), processed_order=order
-    )
+    return final
 
 
 def recoloring_ampc_rounds(

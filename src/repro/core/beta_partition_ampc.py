@@ -60,7 +60,7 @@ from repro.core.columnar_rounds import (
 from repro.graphs.graph import Graph
 from repro.lca.coin_game import CoinDroppingGame, max_provable_layer
 from repro.lca.oracle import QueryStats
-from repro.partition.beta_partition import PartialBetaPartition
+from repro.partition.beta_partition import INFINITY, PartialBetaPartition
 
 __all__ = ["BetaPartitionOutcome", "beta_partition_ampc", "default_game_budget"]
 
@@ -428,6 +428,7 @@ def _run_columnar(
     fleet out over threads or the fabric's process pool (see
     :func:`lca_round_kernel`) — transparent to every observable."""
     final_layers: dict[int, float] = {}
+    layer_vec = np.full(graph.num_vertices, INFINITY)
     alive = np.arange(graph.num_vertices, dtype=np.int64)
     layer_offset = 0
     unlayered_history: list[int] = []
@@ -463,8 +464,9 @@ def _run_columnar(
                 f"no vertex became layered in a round (β={beta} too small "
                 f"for graph with min residual degree > β)"
             )
-        for v, lay in zip(assigned_vs.tolist(), assigned_layers.tolist()):
-            final_layers[v] = layer_offset + int(lay)
+        placed = assigned_layers.astype(np.int64) + layer_offset
+        layer_vec[assigned_vs] = placed
+        final_layers.update(zip(assigned_vs.tolist(), placed.tolist()))
         layer_offset += int(assigned_layers.max()) + 1
         keep = np.ones(graph.num_vertices, dtype=bool)
         keep[assigned_vs] = False
@@ -474,7 +476,7 @@ def _run_columnar(
             # owned slice becomes its partition of the next residual.
             fabric.retire(assigned_vs, comm)
 
-    partition = PartialBetaPartition(final_layers)
+    partition = PartialBetaPartition(final_layers, vector=layer_vec)
     return BetaPartitionOutcome(
         partition=partition,
         beta=beta,

@@ -216,6 +216,11 @@ class Graph:
         :meth:`edge_array`, not a per-vertex dict walk; ``vertices`` itself
         is the new->old inverse mapping (use :meth:`subgraph` when the
         old->new dict is needed).
+
+        Strictly ascending ``vertices`` (what per-layer grouping yields)
+        make the remap monotone: every gathered row stays sorted and
+        duplicate-free, so the CSR is assembled straight from the kept
+        neighbors and their prefix counts, with no sort or dedup.
         """
         verts = np.asarray(vertices, dtype=np.int64)
         if verts.ndim != 1:
@@ -227,6 +232,13 @@ class Graph:
             raise IndexError("subgraph vertex id out of range")
         remap = np.full(self._n, -1, dtype=np.int64)
         remap[verts] = np.arange(k, dtype=np.int64)
+        if (verts[1:] > verts[:-1]).all():
+            nbrs, boundaries = self.neighbors_of(verts)
+            new_v = remap[nbrs]
+            keep = new_v >= 0
+            kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+            np.cumsum(keep, out=kept_before[1:])
+            return Graph(k, kept_before[boundaries], new_v[keep])
         if len(np.unique(verts)) != k:
             seen: set[int] = set()
             for old_id in verts:

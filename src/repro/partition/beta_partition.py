@@ -34,6 +34,18 @@ class PartialBetaPartition:
     """
 
     layers: dict[int, Layer] = field(default_factory=dict)
+    # Optional dense copy of ``layers`` over vertices 0..n-1 (∞ =
+    # unassigned), filled by the builder that already holds it (the
+    # columnar β-partition loop) so :meth:`layer_array` and :meth:`size`
+    # skip the dict walk.  Read-only, and valid only while ``layers`` is
+    # left as constructed: no caller mutates ``layers`` of a built
+    # partition, and :meth:`copy` (the way to get a mutable one) drops
+    # the vector.
+    vector: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.vector is not None:
+            self.vector.setflags(write=False)
 
     def layer(self, v: int) -> Layer:
         """Layer of ``v`` (∞ if unassigned)."""
@@ -43,8 +55,11 @@ class PartialBetaPartition:
         """Layers of vertices ``0..n-1`` as a float vector (∞ = unassigned).
 
         The bulk counterpart of :meth:`layer` used by the vectorized layer
-        grouping and recoloring paths.
+        grouping and recoloring paths.  Returns the carried read-only
+        ``vector`` when it covers exactly ``n`` vertices.
         """
+        if self.vector is not None and len(self.vector) == n:
+            return self.vector
         out = np.full(n, INFINITY)
         if self.layers:
             ids = np.fromiter(self.layers.keys(), dtype=np.int64, count=len(self.layers))
@@ -67,6 +82,8 @@ class PartialBetaPartition:
 
     def size(self) -> int:
         """Number of distinct non-∞ layers (Definition 3.5 'size')."""
+        if self.vector is not None:
+            return len(np.unique(self.vector[np.isfinite(self.vector)]))
         return len({lay for lay in self.layers.values() if lay != INFINITY})
 
     def max_layer(self) -> int:

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.coloring import recolor
 from repro.coloring.recolor import (
     greedy_recolor_by_layers,
     recoloring_ampc_rounds,
 )
 from repro.graphs.generators import path_graph, union_of_random_forests
+from repro.graphs.graph import Graph
 from repro.graphs.validation import is_proper_coloring
 from repro.partition.beta_partition import PartialBetaPartition
 from repro.partition.induced import natural_beta_partition
@@ -32,6 +35,27 @@ def _per_layer_greedy(graph, partition, beta):
             c += 1
         colors[v] = c
     return colors
+
+
+# Palette widths around the int64 mask limit: β+1 <= 62 colors take the
+# class-at-a-time pass, wider palettes the Python-int walk.
+CLASS_BETAS = (6, 52, 53, 61)
+WALK_BETAS = (62, 63, 100)
+
+
+def _forests_plus_cliques(seed, beta):
+    """Two random forests beside two disjoint cliques K_{β+1}.
+
+    Clique degrees are exactly β, so the natural β-partition is complete.
+    Each clique needs all β+1 colors, which pushes picks into the
+    palette's top bit under either ``pick``, and matching vertices of the
+    two cliques share an initial color, so those classes have two members.
+    """
+    forests = union_of_random_forests(45, 2, seed=seed)
+    size = beta + 1
+    clique = np.column_stack(np.triu_indices(size, k=1))
+    edges = (forests.edge_array(), clique + 45, clique + 45 + size)
+    return Graph.from_arrays(45 + 2 * size, np.concatenate(edges))
 
 
 class TestRecolor:
@@ -65,16 +89,39 @@ class TestRecolor:
         layers_in_order = [p.layer(v) for v in res.processed_order]
         assert layers_in_order == sorted(layers_in_order, reverse=True)
 
-    @given(st.integers(min_value=0, max_value=2**31))
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.sampled_from(CLASS_BETAS + WALK_BETAS),
+    )
     @settings(max_examples=10, deadline=None)
-    def test_bitmap_palettes_match_blocked_set_reference(self, seed):
-        """The uint-mask palette picks the same colors as neighbor sets."""
-        g = union_of_random_forests(45, 2, seed=seed)
-        beta = 6
+    @example(seed=1, beta=6)
+    @example(seed=2, beta=52)
+    @example(seed=3, beta=53)
+    @example(seed=4, beta=61)
+    @example(seed=5, beta=62)
+    @example(seed=6, beta=63)
+    @example(seed=7, beta=100)
+    def test_bitmap_palettes_match_blocked_set_reference(self, seed, beta):
+        """The mask palettes pick the same colors as neighbor sets.
+
+        β+1 <= 62 runs the class-at-a-time pass, which must also equal the
+        vertex-by-vertex walk; wider palettes must take the walk.
+        """
+        g = _forests_plus_cliques(seed, beta)
         p = natural_beta_partition(g, beta)
         initial = _per_layer_greedy(g, p, beta)
         for pick in ("highest", "lowest"):
-            res = greedy_recolor_by_layers(g, p, initial, beta, pick=pick)
+            if beta in WALK_BETAS:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(recolor, "_recolor_by_class", None)
+                    res = greedy_recolor_by_layers(g, p, initial, beta, pick=pick)
+            else:
+                res = greedy_recolor_by_layers(g, p, initial, beta, pick=pick)
+                walk = recolor._recolor_walk(g, res.processed_order, beta, pick)
+                assert res.colors == walk
+            assert is_proper_coloring(g, res.colors)
+            # The cliques force picks into the palette's top bit.
+            assert max(res.colors) == beta
             # Reference: the seed per-vertex blocked-set construction.
             final: list[int | None] = [None] * g.num_vertices
             palette = (
@@ -88,6 +135,22 @@ class TestRecolor:
                 }
                 final[v] = next(c for c in palette if c not in blocked)
             assert res.colors == final
+
+    def test_exhausted_palette_asserts_on_both_paths(self):
+        # K_4 in one layer has no proper 3-coloring: the class pass and
+        # the walk both trip the palette-exhausted assertion.
+        g = Graph.from_arrays(4, np.column_stack(np.triu_indices(4, k=1)))
+        p = PartialBetaPartition({v: 0 for v in range(4)})
+        with pytest.raises(AssertionError, match="palette exhausted"):
+            greedy_recolor_by_layers(g, p, [0, 1, 2, 3], beta=2)
+        with pytest.raises(AssertionError, match="palette exhausted"):
+            recolor._recolor_walk(g, [3, 2, 1, 0], 2, "highest")
+
+    def test_unknown_pick_rejected(self):
+        g = path_graph(3)
+        p = PartialBetaPartition({0: 0, 1: 0, 2: 0})
+        with pytest.raises(ValueError, match="pick"):
+            greedy_recolor_by_layers(g, p, [0, 1, 0], beta=2, pick="middle")
 
     def test_initial_colors_may_exceed_beta_palette(self):
         # Section 6.4 variant: initial palette 4*beta is allowed.

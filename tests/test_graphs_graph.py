@@ -109,6 +109,56 @@ class TestSubgraph:
         with pytest.raises(ValueError):
             g.subgraph([0, 0])
 
+    @staticmethod
+    def _rebuilt(g, vertices):
+        """The same induced subgraph through ``Graph.from_arrays``."""
+        verts = np.asarray(vertices, dtype=np.int64)
+        remap = np.full(g.num_vertices, -1, dtype=np.int64)
+        remap[verts] = np.arange(len(verts), dtype=np.int64)
+        ends = remap[g.edge_array()]
+        inside = (ends >= 0).all(axis=1)
+        return Graph.from_arrays(len(verts), ends[inside])
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert a == b
+        for x, y in zip(a.csr(), b.csr()):
+            assert x.dtype == y.dtype
+
+    @given(st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_ascending_subsets_match_from_arrays(self, seed):
+        """Strictly ascending input takes the sort-free CSR assembly."""
+        from repro.graphs.generators import random_gnm
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 120))
+        m = int(rng.integers(0, min(3 * n, n * (n - 1) // 2) + 1))
+        g = random_gnm(n, m, seed=seed)
+        subset = np.flatnonzero(rng.random(n) < rng.random())
+        self._assert_same(g.induced_subgraph(subset), self._rebuilt(g, subset))
+        # Shuffled input keeps the sort-and-dedup path; same edges.
+        shuffled = rng.permutation(subset)
+        self._assert_same(
+            g.induced_subgraph(shuffled), self._rebuilt(g, shuffled)
+        )
+
+    def test_ascending_edge_cases(self):
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
+        for subset in ([], [3], [0, 1, 2, 3], [0, 1, 4], [1, 2, 5], [0, 4, 5]):
+            self._assert_same(g.induced_subgraph(subset), self._rebuilt(g, subset))
+        # The last rows keep no neighbor: offsets must still close at m.
+        sub = g.induced_subgraph([0, 1, 2, 4])
+        assert sub.csr()[0].tolist() == [0, 1, 3, 4, 4]
+
+    def test_unsorted_duplicates_still_rejected(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        for bad in ([2, 1, 2], [1, 1], [3, 0, 3]):
+            with pytest.raises(ValueError, match="duplicate"):
+                g.induced_subgraph(bad)
+        with pytest.raises(IndexError):
+            g.induced_subgraph([0, 4])
+
     @given(edge_lists)
     @settings(max_examples=40)
     def test_full_subgraph_is_isomorphic_identity(self, data):

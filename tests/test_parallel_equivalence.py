@@ -39,13 +39,25 @@ from repro.graphs.generators import (
 )
 from repro.lca.coin_game import CoinDroppingGame
 from repro.lca.oracle import GraphOracle
+from repro.partition.beta_partition import PartialBetaPartition
 
 WORKER_MATRIX = (1, 2, 4)
+
+
+def _assert_layer_vector_matches_dict(partition):
+    """``layer_array`` / ``size`` — read from the carried layer vector on
+    columnar outcomes — equal a rebuild from the partition's dict."""
+    rebuilt = PartialBetaPartition(dict(partition.layers))
+    n = len(rebuilt.layers)  # complete partition: every vertex layered
+    assert partition.layer_array(n).tobytes() == rebuilt.layer_array(n).tobytes()
+    assert partition.size() == rebuilt.size()
 
 
 def _assert_outcomes_equivalent(oracle, candidate):
     """Candidate run vs the serial dict oracle: observationally identical."""
     assert candidate.partition.layers == oracle.partition.layers
+    _assert_layer_vector_matches_dict(oracle.partition)
+    _assert_layer_vector_matches_dict(candidate.partition)
     assert candidate.rounds == oracle.rounds
     assert candidate.mode == oracle.mode
     assert candidate.x == oracle.x
@@ -101,6 +113,7 @@ def _run_matrix(graph, beta, **kwargs):
             if engine == "scalar":
                 assert set(multiprocessing.active_children()) == children
             assert candidate.workers == workers
+            assert (candidate.partition.vector is not None) == (store == "columnar")
             if engine is not None:
                 assert candidate.engine == engine
             _assert_outcomes_equivalent(oracle, candidate)
@@ -144,6 +157,7 @@ class TestDifferentialMatrix:
                 transport="message", shards=shards,
             )
             assert candidate.transport == "message"
+            assert candidate.partition.vector is not None
             _assert_outcomes_equivalent(oracle, candidate)
 
     def test_preferential_attachment_hubs(self):

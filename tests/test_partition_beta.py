@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +46,21 @@ class TestBasics:
         q = p.copy()
         q.layers[0] = 2
         assert p.layer(0) == 1
+
+    def test_carried_vector_is_read_only_and_dropped_by_copy(self):
+        vec = np.array([1.0, INFINITY, 0.0])
+        p = PartialBetaPartition({0: 1, 2: 0}, vector=vec)
+        assert p.layer_array(3) is vec
+        with pytest.raises(ValueError):
+            p.layer_array(3)[0] = 5.0
+        # Another length falls back to the dict; equality ignores the vector.
+        assert p.layer_array(4).tolist() == [1.0, INFINITY, 0.0, INFINITY]
+        assert p.size() == 2
+        assert p == PartialBetaPartition({0: 1, 2: 0})
+        q = p.copy()
+        assert q.vector is None
+        q.layers[1] = 3
+        assert q.layer_array(3).tolist() == [1.0, 3.0, 0.0]
 
 
 class TestValidation:
