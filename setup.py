@@ -25,7 +25,9 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    package_data={"repro.core.native": ["_wave_kernel.c"]},
+    package_data={
+        "repro.core.native": ["_wave_kernel.c", "_wave_cohort.h"],
+    },
     python_requires=">=3.10",
     install_requires=["numpy"],
     extras_require={

@@ -86,10 +86,21 @@ machine-word-sized unless a game truly demands more.  Because every
 representation is exact, thresholds, shares, and touched sets are
 value-identical across all of them (the PR 3 differential tests pinned
 this), so the choice is invisible to every observable.  A game whose
-escalation would overflow the budget is *ejected*: the caller replays
-it through the scalar engine, whose fixed-scale Python integers widen
-to bigints (or to Fractions for deep horizons) — the per-game bigint
-escape hatch.
+escalation would overflow the budget is *ejected* and replayed by the
+next of three exact tiers:
+
+1. int64 coins (this engine, or the compiled kernel's first pass) play
+   every game, with amounts below :data:`SCALE_LIMIT` = 2^61;
+2. ``__int128`` coins (:func:`repro.core.native.play_games_wide`, the
+   same kernel source built a second time) replay the games the
+   compiled pass ejects, from the same starting scale, with amounts
+   below :data:`WIDE_SCALE_LIMIT` = 2^125;
+3. the scalar engine replays what is left, one game at a time: its
+   fixed-scale Python integers widen to bigints (or to Fractions for
+   deep horizons) — the per-game bigint escape hatch.
+
+This numpy engine is the compiled kernel's oracle, so its ejections
+skip the second tier and go straight to the scalar engine.
 
 When the full fixed scale does not fit, games do not start at scale 1
 either: they start at the largest power ``lcm(1..β+1)^j`` that leaves
@@ -115,8 +126,10 @@ import numpy as np
 __all__ = [
     "BatchedGamesInfo",
     "SCALE_LIMIT",
+    "WIDE_SCALE_LIMIT",
     "csr_transpose_positions",
     "empty_records",
+    "join_infos",
     "play_games_batched",
     "replay_cone_fraction",
 ]
@@ -138,6 +151,12 @@ _INF = float("inf")
 # (no slot ever holds more than the game's total x·scale), every int64
 # sum, product, and scatter-add in the engine is overflow-free.
 SCALE_LIMIT = 1 << 61
+
+# The same bound for the compiled kernel's second tier, which replays the
+# games the int64 pass ejects over signed 128-bit coins
+# (repro.core.native.play_games_wide).  Read at call time, like
+# SCALE_LIMIT, so tests can shrink it to force the scalar third tier.
+WIDE_SCALE_LIMIT = 1 << 125
 
 # np.lcm.at accumulates per-game escalation factors in int64; factors are
 # lcms of divisor deficits <= beta+1, bounded by lcm(1..beta+1), which
@@ -172,6 +191,30 @@ def empty_records(num_games: int) -> tuple:
         empty, empty.copy(), empty.copy(),
         np.zeros(num_games, dtype=np.int64),
         np.zeros(num_games, dtype=np.int64),
+    )
+
+
+def join_infos(infos: list[BatchedGamesInfo]) -> BatchedGamesInfo:
+    """The games of ``infos`` back to back, in list order."""
+    starts = np.cumsum([0] + [len(info.reads) for info in infos[:-1]])
+
+    def joined(field):
+        return np.concatenate([getattr(info, field) for info in infos])
+
+    records = None
+    if infos[0].records is not None:
+        records = tuple(
+            map(np.concatenate, zip(*(info.records for info in infos)))
+        )
+    return BatchedGamesInfo(
+        reads=joined("reads"),
+        writes=joined("writes"),
+        records=records,
+        super_iterations=joined("super_iterations"),
+        edges_seen=joined("edges_seen"),
+        ejected=np.concatenate(
+            [info.ejected + start for info, start in zip(infos, starts)]
+        ),
     )
 
 

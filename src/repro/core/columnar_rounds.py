@@ -64,6 +64,7 @@ from repro.ampc.pool import usable_cpus
 from repro.core.batched_games import (
     BatchedGamesInfo,
     csr_transpose_positions,
+    join_infos,
     play_games_batched,
 )
 from repro.graphs.graph import Graph
@@ -243,7 +244,8 @@ def play_fleet(
     Games the engine ejects (coin scales past the machine-word budget —
     see :mod:`repro.core.batched_games`) come back in ``ejected`` with
     zeroed outputs and empty record segments; each caller replays them
-    through its own scalar escape hatch.
+    through its own escape hatch (:func:`lca_round_kernel` tries the
+    kernel's ``__int128`` tier first).
 
     Cohort blocking: the engine's state is gathered and scattered
     millions of times per round, and a whole-fleet arena (hundreds of MB
@@ -328,27 +330,7 @@ def play_fleet(
             )
     else:
         drain(out_layer, out_count, phases)
-    if len(infos) == 1:
-        return infos[0]
-
-    def joined(field):
-        return np.concatenate([getattr(info, field) for info in infos])
-
-    records = None
-    if want_records:
-        records = tuple(
-            map(np.concatenate, zip(*(info.records for info in infos)))
-        )
-    return BatchedGamesInfo(
-        reads=joined("reads"),
-        writes=joined("writes"),
-        records=records,
-        super_iterations=joined("super_iterations"),
-        edges_seen=joined("edges_seen"),
-        ejected=np.concatenate(
-            [info.ejected + start for info, start in zip(infos, bounds)]
-        ),
-    )
+    return infos[0] if len(infos) == 1 else join_infos(infos)
 
 
 def lca_round_kernel(
@@ -381,8 +363,14 @@ def lca_round_kernel(
     rounds run serially in-process, where dispatch would cost more than
     the games.  The array engines play
     through :func:`play_fleet`, which fans out over threads; the games
-    it ejects replay here, on the calling thread, through
-    :func:`play_coin_game`.  The scalar
+    it ejects replay here, on the calling thread, down the remaining
+    exact tiers.  Coins there go int64 → ``__int128`` →
+    bigints/Fractions: a compiled round replays its ejections as one
+    cohort of the kernel's ``__int128`` build
+    (:func:`repro.core.native.play_games_wide`, booked under
+    ``native``), and only the games that outgrow that too reach
+    :func:`play_coin_game`.  A batched round sends its ejections
+    straight to :func:`play_coin_game`.  The scalar
     engine is the oracle and always plays in-process, one game at a
     time.  Every engine, and the fabric, folds into the same pair of
     dense universe-sized arrays (layer minima, write counts), which
@@ -455,14 +443,28 @@ def lca_round_kernel(
             out_layer=out_layer, out_count=out_count, engine=engine,
             phases=phases, workers=workers if big else 1,
         )
-        reads, writes = info.reads, info.writes
-        if info.ejected.size:
+        reads, writes, ejected = info.reads, info.writes, info.ejected
+        if ejected.size and engine == "compiled":
+            # The second tier: the same kernel over __int128 coins
+            # replays the ejected games as one cohort, on this thread,
+            # into the same accumulators.
+            from repro.core.native import play_games_wide
+
+            wide = play_games_wide(
+                offsets, targets, alive[ejected],
+                x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
+                out_layer=out_layer, out_count=out_count, phases=phases,
+            )
+            reads[ejected] = wide.reads
+            writes[ejected] = wide.writes
+            ejected = ejected[wide.ejected]
+        if ejected.size:
             # The escape hatch: fixed-scale Python integers widen to
             # bigints (Fractions for deep horizons), folding into the
             # same accumulators.  It probes only each game's ball, so
             # rows are materialized on demand.
             adj = LazyAdjacency(offsets, targets)
-            for gi in info.ejected.tolist():
+            for gi in ejected.tolist():
                 reads[gi], writes[gi], __ = play_coin_game(
                     adj, int(alive[gi]), x, beta, clip, horizon, scale,
                     out_layer, out_count,

@@ -5,16 +5,18 @@
    installed build ships ``repro.core.native._wave_kernel_cffi`` as a
    real extension module and the loader imports it directly.
 2. **Lazy (ABI mode).**  Source checkouts (tier-1 runs with
-   ``PYTHONPATH=src``) compile the self-contained C file with a direct
-   ``gcc -O2 -shared`` at first import and ``dlopen`` the result — no
-   setuptools machinery, no Python headers, just libc.  The shared
-   object is cached under ``$REPRO_NATIVE_CACHE`` (default
-   ``~/.cache/repro/native``) keyed by a hash of the C source, the
-   declared ABI and the compile flags, so rebuilds happen only when
-   the kernel or the flags change;
+   ``PYTHONPATH=src``) compile the self-contained C sources with
+   direct ``gcc -O2`` calls at first import — the two coin passes as
+   two objects side by side, linked with ``-shared`` — and ``dlopen``
+   the result: no setuptools machinery, no Python headers, just libc.
+   The shared object is cached under ``$REPRO_NATIVE_CACHE`` (default
+   ``~/.cache/repro/native``) keyed by a hash of the C sources
+   (:data:`SOURCES`), the declared ABI and the compile flags, so
+   rebuilds happen only when the kernel or the flags change;
    concurrent builders race benignly via atomic ``os.replace``.
 
-Both paths compile the same ``_wave_kernel.c`` against the same
+Both paths compile the same ``_wave_kernel.c`` (which includes the
+game loop, ``_wave_cohort.h``, once per coin width) against the same
 ``CDEF``; :func:`load` prefers the packaged module and falls back to
 the lazy build.  ``REPRO_NATIVE_SANITIZE=1`` skips the packaged module
 and makes the lazy build an ASan/UBSan one (:data:`SANITIZE_FLAGS`);
@@ -38,6 +40,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 CDEF = """
@@ -52,12 +55,29 @@ int repro_play_cohort(
     int64_t want_records,
     int64_t *mem_counts, int64_t *proof_counts,
     int64_t **mem_out, int64_t **proof_u_out, int64_t **proof_l_out,
-    int64_t *arena_lens);
+    int64_t *arena_lens, int64_t *games_done);
+int repro_play_cohort_wide(
+    const int64_t *offsets, const int64_t *targets, int64_t n,
+    const int64_t *roots, int64_t num_games,
+    int64_t x, int64_t beta, int64_t clip, int64_t horizon,
+    int64_t max_super, int64_t init_scale,
+    int64_t scale_cap_hi, uint64_t scale_cap_lo,
+    double *out_layer, int64_t *out_count,
+    int64_t *reads, int64_t *writes,
+    int64_t *super_iters, int64_t *edges_seen, uint8_t *ejected,
+    int64_t want_records,
+    int64_t *mem_counts, int64_t *proof_counts,
+    int64_t **mem_out, int64_t **proof_u_out, int64_t **proof_l_out,
+    int64_t *arena_lens, int64_t *games_done);
 void repro_buffers_free(int64_t *p);
 int64_t repro_abi_version(void);
 """
 
-_SOURCE_PATH = Path(__file__).with_name("_wave_kernel.c")
+_SOURCE_DIR = Path(__file__).parent
+_SOURCE_PATH = _SOURCE_DIR / "_wave_kernel.c"
+# Every file the kernel is compiled from: the translation unit and the
+# game loop it includes once per coin width.
+SOURCES = (_SOURCE_PATH, _SOURCE_DIR / "_wave_cohort.h")
 
 
 def _source() -> str:
@@ -72,6 +92,7 @@ def _make_ffibuilder():
     builder.cdef(CDEF)
     builder.set_source(
         "repro.core.native._wave_kernel_cffi", _source(),
+        include_dirs=[str(_SOURCE_DIR)],
         extra_compile_args=["-O2"],
     )
     return builder
@@ -109,28 +130,41 @@ def compile_flags() -> tuple[str, ...]:
 
 
 def so_path() -> Path:
-    """Cache location of the ABI-mode shared object for this source."""
-    key = "\x00".join((CDEF, _source(), *compile_flags()))
+    """Cache location of the ABI-mode shared object for these sources."""
+    texts = (path.read_text() for path in SOURCES)
+    key = "\x00".join((CDEF, *texts, *compile_flags()))
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return cache_dir() / f"_wave_kernel-{digest}.so"
 
 
 def _build_shared_object(path: Path) -> None:
+    """Compile the two coin passes as two objects at once, then link.
+
+    Each pass is about half of the compile time, so building them side
+    by side keeps a cold first import close to a one-pass build.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    flags = compile_flags()
+
+    def gcc(*args: str) -> None:
+        subprocess.run(
+            ["gcc", *flags, *args], check=True, capture_output=True, text=True,
+        )
+
+    def compile_pass(coin_pass: int, obj: str) -> None:
+        gcc("-fPIC", "-c", f"-DREPRO_COIN_PASSES={coin_pass}",
+            str(_SOURCE_PATH), "-o", obj)
+
     fd, tmp = tempfile.mkstemp(
         suffix=".so", prefix="_wave_kernel-", dir=str(path.parent)
     )
     os.close(fd)
     try:
-        subprocess.run(
-            [
-                "gcc", *compile_flags(), "-fPIC", "-shared",
-                str(_SOURCE_PATH), "-o", tmp,
-            ],
-            check=True,
-            capture_output=True,
-            text=True,
-        )
+        with tempfile.TemporaryDirectory(dir=str(path.parent)) as objdir:
+            objects = [os.path.join(objdir, f"pass{p}.o") for p in (1, 2)]
+            with ThreadPoolExecutor(max_workers=2) as compilers:
+                list(compilers.map(compile_pass, (1, 2), objects))
+            gcc("-shared", *objects, "-o", tmp)
         os.replace(tmp, path)  # atomic: concurrent builders race benignly
     except BaseException:
         try:

@@ -8,13 +8,20 @@
  * super-iteration counts, inside-edge counts, layer folds) are
  * bit-identical to both the numpy lockstep engine and the per-game
  * Python interpreter: coin values are scale-invariant exact rationals,
- * so any exact int64 strategy with ejection-on-overflow produces the
+ * so any exact integer strategy with ejection-on-overflow produces the
  * same observable transcript.  See repro/core/native/__init__.py for
  * the full ABI contract.
  *
- * Plain C99 + libc only: the library is built either by cffi's API mode
- * (setup.py cffi_modules) or by a direct `gcc -shared` at first import
- * (ABI mode dlopen); neither path may depend on Python headers here.
+ * The game loop lives in _wave_cohort.h and is compiled twice: over
+ * int64 coins (repro_play_cohort, the first pass over every game) and
+ * over __int128 coins (repro_play_cohort_wide, which replays the games
+ * the first pass ejects).  Without __int128 the wide entry point ejects
+ * every game, so callers fall through to their exact scalar replay.
+ *
+ * Plain C99 + libc only (plus the compiler's __int128 where it has one):
+ * the library is built either by cffi's API mode (setup.py
+ * cffi_modules) or by direct gcc calls at first import (ABI mode
+ * dlopen); neither path may depend on Python headers here.
  */
 
 #include <stdint.h>
@@ -103,7 +110,9 @@ static int i64_cmp(const void *pa, const void *pb) {
  * retires or ejects). */
 typedef struct {
     i64 cap;
-    i64 *amount;     /* coin amount at the game's current scale */
+    i64 coin_size;   /* bytes per coin of the two coin arrays below */
+    void *amount;    /* coin amount at the game's current scale */
+    void *famt;      /* this hop's forwarders' snapshot amounts */
     i64 *kcap;       /* |F| = min(deg, beta+1) */
     i64 *deg;        /* true residual degree */
     i64 *sigma;      /* sigma_{S_v} (SIGMA_INF = unlayered) */
@@ -114,7 +123,6 @@ typedef struct {
     i64 *hot;        /* worklist of slots whose amount changed */
     i64 *nhot;
     i64 *fwd;        /* this hop's forwarders */
-    i64 *famt;       /* their snapshot amounts */
     i64 *front;      /* peel frontier double buffer */
     i64 *nfront;
 } slots_t;
@@ -124,14 +132,17 @@ static int slots_reserve(slots_t *s, i64 need) {
     if (need <= s->cap) return 0;
     cap = s->cap ? s->cap : 64;
     while (cap < need) cap <<= 1;
-#define GROW(f) do { \
-        i64 *p = (i64 *)realloc(s->f, (size_t)cap * sizeof(i64)); \
+#define GROW(f, size) do { \
+        void *p = realloc(s->f, (size_t)cap * (size_t)(size)); \
         if (!p) return -1; \
         s->f = p; \
     } while (0)
-    GROW(amount); GROW(kcap); GROW(deg); GROW(sigma); GROW(peelcnt);
-    GROW(fs_epoch); GROW(fs_off); GROW(recv_epoch);
-    GROW(hot); GROW(nhot); GROW(fwd); GROW(famt); GROW(front); GROW(nfront);
+#define GROW64(f) GROW(f, sizeof(i64))
+    GROW(amount, s->coin_size); GROW(famt, s->coin_size);
+    GROW64(kcap); GROW64(deg); GROW64(sigma); GROW64(peelcnt);
+    GROW64(fs_epoch); GROW64(fs_off); GROW64(recv_epoch);
+    GROW64(hot); GROW64(nhot); GROW64(fwd); GROW64(front); GROW64(nfront);
+#undef GROW64
 #undef GROW
     s->cap = cap;
     return 0;
@@ -143,10 +154,6 @@ static void slots_free(slots_t *s) {
     free(s->recv_epoch); free(s->hot); free(s->nhot); free(s->fwd);
     free(s->famt); free(s->front); free(s->nfront);
 }
-
-void repro_buffers_free(i64 *p) { free(p); }
-
-i64 repro_abi_version(void) { return 1; }
 
 /* Synchronous sigma-peel of game g's current ball (members
  * mv[0..mem_count), stamps identify membership).  Matches the scalar
@@ -190,326 +197,60 @@ static void sigma_peel(
     }
 }
 
-/* Play one cohort of games.  Returns 0 on success, 1 on allocation
- * failure (all output buffers are then untouched or rolled back; the
- * caller falls back to the numpy engine). */
-int repro_play_cohort(
-    const i64 *offsets,      /* [n+1] CSR row offsets */
-    const i64 *targets,      /* CSR targets (sorted per row) */
-    i64 n,
-    const i64 *roots,        /* [num_games] */
-    i64 num_games,
-    i64 x, i64 beta, i64 clip, i64 horizon,
-    i64 max_super,           /* min(x*x, n+2): super-iteration cap */
-    i64 init_scale, i64 scale_cap,
-    double *out_layer,       /* [n] min-fold accumulator */
-    i64 *out_count,          /* [n] add-fold accumulator */
-    i64 *reads, i64 *writes, /* [num_games] */
-    i64 *super_iters,        /* [num_games] */
-    i64 *edges_seen,         /* [num_games] */
-    u8 *ejected,             /* [num_games] flags */
-    i64 want_records,
-    i64 *mem_counts,         /* [num_games] members per game */
-    i64 *proof_counts,       /* [num_games] proof entries per game */
-    i64 **mem_out,           /* game-major concatenated explored sets */
-    i64 **proof_u_out, i64 **proof_l_out,
-    i64 *arena_lens          /* [2] lengths of mem / proof arenas */
+/* REPRO_COIN_PASSES picks the entry points one compile emits: bit 1 the
+ * int64 pass and the width-free exports, bit 2 the __int128 pass.  The
+ * default is both; the lazy build compiles each pass as its own object,
+ * in parallel, and links the two into one shared object. */
+#ifndef REPRO_COIN_PASSES
+#define REPRO_COIN_PASSES 3
+#endif
+
+#if REPRO_COIN_PASSES & 1
+void repro_buffers_free(i64 *p) { free(p); }
+
+i64 repro_abi_version(void) { return 2; }
+
+/* The int64 pass: every game starts here. */
+#define COIN i64
+#define PLAY_COHORT repro_play_cohort
+#define CAP_PARAMS i64 scale_cap_
+#define CAP_VALUE scale_cap_
+#include "_wave_cohort.h"
+#endif
+
+#if REPRO_COIN_PASSES & 2
+#ifdef __SIZEOF_INT128__
+/* The __int128 pass over the games the int64 pass ejected.  The cap
+ * arrives as two exact 64-bit halves, cap = hi * 2^64 + lo. */
+#define COIN __int128
+#define PLAY_COHORT repro_play_cohort_wide
+#define CAP_PARAMS i64 scale_cap_hi, uint64_t scale_cap_lo
+#define CAP_VALUE ((__int128)scale_cap_hi << 64 | (__int128)scale_cap_lo)
+#include "_wave_cohort.h"
+#else
+/* No 128-bit integers on this compiler: every game is ejected, so the
+ * caller's scalar replay still gives exact results. */
+int repro_play_cohort_wide(
+    const i64 *offsets, const i64 *targets, i64 n,
+    const i64 *roots, i64 num_games,
+    i64 x, i64 beta, i64 clip, i64 horizon, i64 max_super,
+    i64 init_scale, i64 scale_cap_hi, uint64_t scale_cap_lo,
+    double *out_layer, i64 *out_count,
+    i64 *reads, i64 *writes, i64 *super_iters, i64 *edges_seen,
+    u8 *ejected, i64 want_records, i64 *mem_counts, i64 *proof_counts,
+    i64 **mem_out, i64 **proof_u_out, i64 **proof_l_out,
+    i64 *arena_lens, i64 *games_done
 ) {
-    i64 *mstamp = NULL, *mslot = NULL, *tstamp = NULL;
-    vec64 members = {0}, touched = {0}, fsets = {0}, pu = {0}, pl = {0};
-    slots_t S;
-    fscand *cand = NULL; /* beta+1 entries, allocated at the first hub */
-    i64 g, epoch = 0, hop_id = 0;
-    int rc = 1;
-
-    memset(&S, 0, sizeof(S));
-    mstamp = (i64 *)calloc((size_t)n, sizeof(i64));
-    mslot = (i64 *)malloc((size_t)n * sizeof(i64));
-    tstamp = (i64 *)calloc((size_t)n, sizeof(i64));
-    if (!mstamp || !mslot || !tstamp) goto done;
-
+    i64 g;
     for (g = 0; g < num_games; g++) {
-        i64 gstamp = g + 1;
-        i64 mem_start = members.len;
-        i64 mem_count = 0;
-        i64 greads = 0, gedges = 0;
-        i64 retired_s = max_super;
-        i64 s;
-        int eject = 0;
-        i64 *mv; /* members.data + mem_start; refreshed after growth */
-
-        /* explore(root) */
-        {
-            i64 v = roots[g], p, end;
-            if (vec_push(&members, v)) goto done;
-            if (slots_reserve(&S, 1)) goto done;
-            mv = members.data + mem_start;
-            mstamp[v] = gstamp;
-            mslot[v] = 0;
-            mem_count = 1;
-            S.deg[0] = offsets[v + 1] - offsets[v];
-            S.kcap[0] = S.deg[0] < beta + 1 ? S.deg[0] : beta + 1;
-            S.fs_epoch[0] = -1;
-            S.recv_epoch[0] = -1;
-            greads += 1 + S.deg[0];
-            end = offsets[v + 1];
-            for (p = offsets[v]; p < end; p++) {
-                if (mstamp[targets[p]] == gstamp
-                        && targets[p] != v) gedges++;
-            }
-        }
-
-        for (s = 0; s < max_super; s++) {
-            i64 gscale = init_scale;
-            i64 hot_len, h, i;
-            int sigma_valid = 0;
-            epoch++;
-            fsets.len = 0;
-            touched.len = 0;
-            for (i = 0; i < mem_count; i++) S.amount[i] = 0;
-            S.amount[0] = x * gscale;
-            S.hot[0] = 0;
-            hot_len = 1;
-
-            for (h = 0; h < horizon && hot_len; h++) {
-                i64 nf = 0, nhot_len = 0, factor = 1, j;
-                hop_id++;
-                /* Phase 1: collect forwarders (snapshot amounts). */
-                for (i = 0; i < hot_len; i++) {
-                    i64 slot = S.hot[i];
-                    i64 k = S.kcap[slot];
-                    if (k > 0 && S.amount[slot] >= k * gscale) {
-                        S.fwd[nf] = slot;
-                        S.famt[nf] = S.amount[slot];
-                        nf++;
-                    }
-                }
-                if (!nf) break;
-                /* Phase 2: escalate the game scale so every division of
-                 * this hop is exact — the lcm of the per-division
-                 * deficits |F|/gcd(a,|F|), ejecting instead of
-                 * overflowing the word budget (identical policy and
-                 * ejection set to the lockstep engine's _escalate). */
-                for (j = 0; j < nf; j++) {
-                    i64 k = S.kcap[S.fwd[j]];
-                    i64 r = S.famt[j] % k;
-                    if (r) {
-                        i64 need = k / gcd64(r, k);
-                        i64 mul = need / gcd64(factor, need);
-                        if (mul > 1 && factor > scale_cap / mul) {
-                            /* factor*mul > scale_cap >= scale_cap/gscale:
-                             * the gscale check below would eject too. */
-                            eject = 1;
-                            break;
-                        }
-                        factor *= mul;
-                    }
-                }
-                if (!eject && factor > 1) {
-                    if (factor > scale_cap / gscale) {
-                        eject = 1;
-                    } else {
-                        gscale *= factor;
-                        for (i = 0; i < mem_count; i++)
-                            S.amount[i] *= factor;
-                        for (j = 0; j < nf; j++) S.famt[j] *= factor;
-                    }
-                }
-                if (eject) break;
-                /* Phase 3: zero forwarders, then deliver shares.  The
-                 * scalar engine interleaves `coins[u] -= amount` with
-                 * deliveries; subtraction of the snapshot commutes with
-                 * the share additions, so zero-then-scatter is exact. */
-                for (j = 0; j < nf; j++) S.amount[S.fwd[j]] = 0;
-                for (j = 0; j < nf; j++) {
-                    i64 slot = S.fwd[j];
-                    i64 k = S.kcap[slot];
-                    i64 share = S.famt[j] / k;
-                    i64 v = mv[slot];
-                    if (S.deg[slot] <= beta + 1) {
-                        /* Forwarding set = the whole row; membership via
-                         * the stamp array is the fused join. */
-                        i64 p, end = offsets[v + 1];
-                        for (p = offsets[v]; p < end; p++) {
-                            i64 w = targets[p];
-                            if (mstamp[w] == gstamp) {
-                                i64 ds = mslot[w];
-                                S.amount[ds] += share;
-                                if (S.recv_epoch[ds] != hop_id) {
-                                    S.recv_epoch[ds] = hop_id;
-                                    S.nhot[nhot_len++] = ds;
-                                }
-                            } else if (tstamp[w] != epoch) {
-                                tstamp[w] = epoch;
-                                if (vec_push(&touched, w)) goto done;
-                            }
-                        }
-                    } else {
-                        /* sigma-ranked top-(beta+1), cached per slot per
-                         * super-iteration (sigma and S_v are constant
-                         * within one). */
-                        i64 q, off;
-                        if (S.fs_epoch[slot] != epoch) {
-                            i64 d = S.deg[slot], p, end = offsets[v + 1];
-                            i64 nm = 0;
-                            if (vec_reserve(&fsets, fsets.len + beta + 1))
-                                goto done;
-                            S.fs_off[slot] = fsets.len;
-                            S.fs_epoch[slot] = epoch;
-                            /* Non-member prefix: every non-member ranks
-                             * (SIGMA_INF, mem 0), above every member, and
-                             * ties break by id, so with >= beta+1 of them
-                             * the set is the row's first beta+1 non-members
-                             * (rows are sorted ascending) and needs no
-                             * sigma-peel. */
-                            for (p = offsets[v]; p < end && nm <= beta; p++) {
-                                i64 w = targets[p];
-                                if (mstamp[w] != gstamp)
-                                    fsets.data[fsets.len + nm++] = w;
-                            }
-                            if (nm == beta + 1) {
-                                fsets.len += nm;
-                            } else {
-                                if (!cand) {
-                                    cand = (fscand *)malloc(
-                                        (size_t)(beta + 1) * sizeof(fscand));
-                                    if (!cand) goto done;
-                                }
-                                if (!sigma_valid) {
-                                    sigma_peel(offsets, targets, gstamp,
-                                               mstamp, mslot, mv, mem_count,
-                                               beta, &S);
-                                    sigma_valid = 1;
-                                }
-                                select_top(targets + offsets[v], d, beta + 1,
-                                           gstamp, mstamp, mslot, S.sigma,
-                                           cand);
-                                for (q = 0; q < beta + 1; q++)
-                                    fsets.data[fsets.len++] = cand[q].w;
-                            }
-                        }
-                        off = S.fs_off[slot];
-                        for (q = 0; q < beta + 1; q++) {
-                            i64 w = fsets.data[off + q];
-                            if (mstamp[w] == gstamp) {
-                                i64 ds = mslot[w];
-                                S.amount[ds] += share;
-                                if (S.recv_epoch[ds] != hop_id) {
-                                    S.recv_epoch[ds] = hop_id;
-                                    S.nhot[nhot_len++] = ds;
-                                }
-                            } else if (tstamp[w] != epoch) {
-                                tstamp[w] = epoch;
-                                if (vec_push(&touched, w)) goto done;
-                            }
-                        }
-                    }
-                }
-                { i64 *t = S.hot; S.hot = S.nhot; S.nhot = t; }
-                hot_len = nhot_len;
-            }
-            if (eject) break;
-            if (!touched.len) {
-                retired_s = s + 1;
-                break;
-            }
-            /* Explore the touched set in ascending vertex order (the
-             * scalar engine's sorted(touched)), counting each inside
-             * edge once — at the exploration of its second endpoint. */
-            qsort(touched.data, (size_t)touched.len, sizeof(i64), i64_cmp);
-            if (vec_reserve(&members, members.len + touched.len))
-                goto done;
-            if (slots_reserve(&S, mem_count + touched.len)) goto done;
-            mv = members.data + mem_start;
-            for (i = 0; i < touched.len; i++) {
-                i64 w = touched.data[i];
-                i64 slot = mem_count++;
-                i64 p, end, d;
-                members.data[members.len++] = w;
-                mstamp[w] = gstamp;
-                mslot[w] = slot;
-                d = offsets[w + 1] - offsets[w];
-                S.deg[slot] = d;
-                S.kcap[slot] = d < beta + 1 ? d : beta + 1;
-                S.fs_epoch[slot] = -1;
-                S.recv_epoch[slot] = -1;
-                greads += 1 + d;
-                end = offsets[w + 1];
-                for (p = offsets[w]; p < end; p++) {
-                    if (mstamp[targets[p]] == gstamp
-                            && targets[p] != w) gedges++;
-                }
-            }
-        }
-
-        if (eject) {
-            /* Roll the game's members out of the arena; the caller
-             * replays it through the scalar bigint/Fraction engine with
-             * every output zeroed here (matching the lockstep engine's
-             * ejection contract). */
-            members.len = mem_start;
-            reads[g] = 0;
-            writes[g] = 0;
-            super_iters[g] = 0;
-            edges_seen[g] = 0;
-            ejected[g] = 1;
-            mem_counts[g] = 0;
-            proof_counts[g] = 0;
-            continue;
-        }
-
-        /* Final sigma-peel + clipped proof fold, members in exploration
-         * order (slot order). */
-        sigma_peel(offsets, targets, gstamp, mstamp, mslot, mv,
-                   mem_count, beta, &S);
-        {
-            i64 w_count = 0, i;
-            i64 pstart = pu.len;
-            for (i = 0; i < mem_count; i++) {
-                i64 lay = S.sigma[i];
-                if (lay <= clip) { /* SIGMA_INF never passes */
-                    i64 v = mv[i];
-                    w_count++;
-                    if ((double)lay < out_layer[v])
-                        out_layer[v] = (double)lay;
-                    out_count[v]++;
-                    if (want_records) {
-                        if (vec_push(&pu, v) || vec_push(&pl, lay))
-                            goto done;
-                    }
-                }
-            }
-            reads[g] = greads;
-            writes[g] = w_count;
-            super_iters[g] = retired_s;
-            edges_seen[g] = gedges;
-            ejected[g] = 0;
-            mem_counts[g] = mem_count;
-            proof_counts[g] = want_records ? pu.len - pstart : 0;
-        }
+        reads[g] = writes[g] = super_iters[g] = edges_seen[g] = 0;
+        mem_counts[g] = proof_counts[g] = 0;
+        ejected[g] = 1;
     }
-
-    /* Hand the arenas to the caller (freed via repro_buffers_free). */
-    *mem_out = members.data;
-    *proof_u_out = pu.data;
-    *proof_l_out = pl.data;
-    arena_lens[0] = members.len;
-    arena_lens[1] = pu.len;
-    members.data = NULL;
-    pu.data = NULL;
-    pl.data = NULL;
-    rc = 0;
-
-done:
-    free(mstamp);
-    free(mslot);
-    free(tstamp);
-    free(members.data);
-    free(touched.data);
-    free(fsets.data);
-    free(pu.data);
-    free(pl.data);
-    free(cand);
-    slots_free(&S);
-    return rc;
+    *mem_out = *proof_u_out = *proof_l_out = NULL;
+    arena_lens[0] = arena_lens[1] = 0;
+    *games_done = num_games;
+    return 0;
 }
+#endif
+#endif

@@ -490,10 +490,14 @@ class TestThreadFanOut:
     ):
         # The fleet reports every slice's ejections in game order; the
         # round replays them on the calling thread, after the join, into the
-        # same partition as the serial run.
+        # same partition as the serial run.  A compiled round replays
+        # them through the __int128 tier first; its shrunken budget
+        # (between the int64 one and what every game needs) sends some
+        # on to the scalar hatch, so both replays run.
         _many_cpus(monkeypatch)
         graph = preferential_attachment(300, 2, seed=11)
         monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
+        monkeypatch.setattr(batched_games, "WIDE_SCALE_LIMIT", 1 << 26)
         serial = _play_fleet(graph, 6, 1, engine, x=49)
         ejections: list[int] = []
         _spy_cohort_threads(monkeypatch, ejections)
@@ -502,20 +506,33 @@ class TestThreadFanOut:
         _assert_same_fleet(threaded, serial)
 
         replayed_on = set()
-        original = columnar_rounds.play_coin_game
+        wide_on = set()
 
-        def replay_spy(*args, **kwargs):
-            replayed_on.add(threading.get_ident())
-            return original(*args, **kwargs)
+        def spying(original, seen):
+            def spy(*args, **kwargs):
+                seen.add(threading.get_ident())
+                return original(*args, **kwargs)
+
+            return spy
 
         round_serial = beta_partition_ampc(
             graph, 6, x=49, engine=engine, workers=1
         )
-        monkeypatch.setattr(columnar_rounds, "play_coin_game", replay_spy)
+        monkeypatch.setattr(
+            columnar_rounds, "play_coin_game",
+            spying(columnar_rounds.play_coin_game, replayed_on),
+        )
+        monkeypatch.setattr(
+            native, "play_games_wide",
+            spying(native.play_games_wide, wide_on),
+        )
         round_threaded = beta_partition_ampc(
             graph, 6, x=49, engine=engine, workers=workers,
         )
         assert replayed_on == {threading.get_ident()}  # on the driver
+        assert wide_on == (
+            {threading.get_ident()} if engine == "compiled" else set()
+        )
         _assert_same_outcome(round_serial, round_threaded)
 
     @pytest.mark.parametrize("engine", _ARRAY_ENGINES)

@@ -5,7 +5,10 @@ the class-at-a-time pass.  On full-size shapes both must reproduce, color
 for color, a run with the reference paths forced in: the ordered list
 peel (``degeneracy_order``) and the vertex-by-vertex recolor walk.  The
 array peel must also match the list peel on a 200k-vertex path, its
-chain-like worst case (one scalar worklist step per vertex).
+chain-like worst case (one scalar worklist step per vertex).  The
+kernel's ``__int128`` replay tier must give the partition, the per-round
+reads and writes, and the colours of a run whose ejected games all
+replay on the scalar engine.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from __future__ import annotations
 import pytest
 
 from repro.coloring import pipeline, recolor
-from repro.coloring.pipeline import color_graph
+from repro.coloring.pipeline import color_graph, coloring_two_plus_eps
+from repro.core import batched_games, columnar_rounds, native
+from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.graphs.arboricity import degeneracy, degeneracy_order
 from repro.graphs.generators import path_graph, preferential_attachment, random_gnm
 
@@ -54,3 +59,39 @@ def test_colors_match_reference_paths(make, monkeypatch):
 def test_path_degeneracy_matches_list_peel():
     graph = path_graph(200_000)
     assert degeneracy(graph) == _list_peel_degeneracy(graph) == 1
+
+
+@pytest.mark.skipif(not native.available(), reason="compiled kernel unavailable")
+def test_wide_tier_matches_the_scalar_hatch_on_gnm100k(monkeypatch):
+    # WIDE_SCALE_LIMIT = 0 gives the wide tier no budget, so every game
+    # the int64 pass ejects replays on the scalar engine instead.
+    graph = random_gnm(100_000, 200_000, seed=1)
+    scalar_replays = []
+    original = columnar_rounds.play_coin_game
+
+    def counting(*args, **kwargs):
+        scalar_replays[-1] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(columnar_rounds, "play_coin_game", counting)
+
+    def run():
+        scalar_replays.append(0)
+        partition = beta_partition_ampc(graph, 9, x=100, engine="compiled")
+        colored = coloring_two_plus_eps(graph, 3, x=100, engine="compiled")
+        rounds = [
+            (r.total_reads, r.total_writes)
+            for r in partition.simulator.stats.rounds
+        ]
+        return partition, rounds, colored
+
+    wide, wide_rounds, wide_colored = run()
+    monkeypatch.setattr(batched_games, "WIDE_SCALE_LIMIT", 0)
+    forced, forced_rounds, forced_colored = run()
+    assert 0 <= scalar_replays[0] < scalar_replays[1]
+    assert wide.partition.layers == forced.partition.layers
+    assert wide.rounds == forced.rounds
+    assert wide_rounds == forced_rounds
+    assert wide_colored.colors == forced_colored.colors
+    assert wide_colored.num_colors == forced_colored.num_colors
+    assert wide_colored.num_layers == forced_colored.num_layers

@@ -7,12 +7,21 @@ super-iteration counts, inside-edge counts, and the ejection set all
 byte-for-byte, including under adversarial word budgets that force
 mid-game ejections and the Fraction deep-horizon regime.  A hypothesis
 fuzz plays random small graphs, stars and hubs on both engines through
-the fleet player.  Skip-marked wholesale when the kernel cannot load
-(tier-1 must pass without it).
+the fleet player.  The kernel's ``__int128`` build
+(``play_games_wide``), which replays the ejected games, must match the
+scalar replay game for game, and a kernel allocation failure must
+leave every output exact.  Skip-marked wholesale when the kernel
+cannot load (tier-1 must pass without it).
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,7 +35,7 @@ from repro.core.batched_games import (
     play_games_batched,
 )
 from repro.core.beta_partition_ampc import beta_partition_ampc
-from repro.core.columnar_rounds import play_fleet
+from repro.core.columnar_rounds import LazyAdjacency, play_coin_game, play_fleet
 from repro.graphs.generators import (
     path_graph,
     preferential_attachment,
@@ -380,3 +389,316 @@ class TestEndToEndEngines:
             assert got.queries == res.queries
             assert got.super_iterations == res.super_iterations
             assert got.edges_seen == res.edges_seen
+
+
+def _game(x, beta):
+    clip = max_provable_layer(x, beta)
+    horizon = 4 * (clip + 2)
+    return dict(
+        x=x, beta=beta, clip=clip, horizon=horizon,
+        scale=fixed_coin_scale(beta, horizon),
+    )
+
+
+def _ejected_roots(graph, game):
+    """The roots the int64 pass ejects when every vertex plays a game."""
+    offsets, targets = graph.csr()
+    n = graph.num_vertices
+    info = play_fleet(
+        offsets, targets, np.arange(n, dtype=np.int64),
+        out_layer=np.full(n, _INF), out_count=np.zeros(n, dtype=np.int64),
+        engine="compiled", **game,
+    )
+    return info.ejected
+
+
+def _wide_matches_scalar(graph, roots, game):
+    """Replay ``roots`` on the wide tier, and the games it ejects on the
+    scalar engine, against a scalar replay of every root; assert they
+    agree game for game and return the wide tier's info."""
+    offsets, targets = graph.csr()
+    n = graph.num_vertices
+    adj = LazyAdjacency(offsets, targets)
+    args = (game["x"], game["beta"], game["clip"], game["horizon"],
+            game["scale"])
+    layer_s = np.full(n, _INF)
+    count_s = np.zeros(n, dtype=np.int64)
+    scalar = [
+        play_coin_game(adj, v, *args, layer_s, count_s, want_record=True)
+        for v in roots.tolist()
+    ]
+    layer_w = np.full(n, _INF)
+    count_w = np.zeros(n, dtype=np.int64)
+    wide = native.play_games_wide(
+        offsets, targets, roots, out_layer=layer_w, out_count=count_w,
+        want_records=True, **game,
+    )
+    members, proof_u, proof_l, member_counts, proof_counts = wide.records
+    member_ends = np.cumsum(member_counts)
+    proof_ends = np.cumsum(proof_counts)
+    ejected = set(wide.ejected.tolist())
+    for i, (reads, writes, (explored, proof, __, __)) in enumerate(scalar):
+        if i in ejected:
+            assert wide.reads[i] == wide.writes[i] == 0
+            assert wide.super_iterations[i] == wide.edges_seen[i] == 0
+            assert member_counts[i] == proof_counts[i] == 0
+            play_coin_game(adj, int(roots[i]), *args, layer_w, count_w)
+            continue
+        assert (wide.reads[i], wide.writes[i]) == (reads, writes)
+        segment = slice(member_ends[i] - member_counts[i], member_ends[i])
+        assert members[segment].tolist() == explored
+        segment = slice(proof_ends[i] - proof_counts[i], proof_ends[i])
+        assert list(zip(proof_u[segment].tolist(),
+                        proof_l[segment].tolist())) == proof
+    assert np.array_equal(layer_w, layer_s)
+    assert np.array_equal(count_w, count_s)
+    return wide
+
+
+class TestWideTier:
+    """The __int128 build of the kernel replays the games the int64 pass
+    ejects.  Each game it finishes must equal the scalar replay exactly;
+    each game it ejects comes back zeroed for the scalar replay."""
+
+    @pytest.mark.parametrize(
+        "make, beta, x, scale_limit",
+        [
+            (lambda: random_gnm(400, 800, seed=2), 9, 100, None),
+            (lambda: random_gnm(400, 800, seed=1), 9, 100, 1 << 30),
+            (lambda: preferential_attachment(150, 2, seed=11), 6, 64,
+             1 << 24),
+        ],
+        ids=["gnm-default-budget", "gnm-shrunk", "pa-shrunk"],
+    )
+    def test_wide_replay_equals_scalar(
+        self, make, beta, x, scale_limit, monkeypatch
+    ):
+        if scale_limit is not None:
+            monkeypatch.setattr(batched_games, "SCALE_LIMIT", scale_limit)
+        graph = make()
+        game = _game(x, beta)
+        roots = _ejected_roots(graph, game)
+        assert roots.size
+        wide = _wide_matches_scalar(graph, roots, game)
+        assert not wide.ejected.size
+
+    def test_wide_ejections_fall_through_to_the_scalar_hatch(
+        self, monkeypatch
+    ):
+        # A wide budget between the int64 one and what every game needs:
+        # some replays finish on the wide tier, the rest come back
+        # zeroed, and the round still equals the dict oracle.
+        monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
+        monkeypatch.setattr(batched_games, "WIDE_SCALE_LIMIT", 1 << 27)
+        graph = preferential_attachment(300, 2, seed=11)
+        game = _game(49, 6)
+        roots = _ejected_roots(graph, game)
+        wide = _wide_matches_scalar(graph, roots, game)
+        assert 0 < wide.ejected.size < roots.size
+        oracle = beta_partition_ampc(graph, 6, x=49, store="dict")
+        compiled = beta_partition_ampc(graph, 6, x=49, engine="compiled")
+        assert compiled.partition.layers == oracle.partition.layers
+        assert compiled.rounds == oracle.rounds
+
+    def test_no_wide_budget_ejects_every_game(self, monkeypatch):
+        monkeypatch.setattr(batched_games, "WIDE_SCALE_LIMIT", 0)
+        graph = random_gnm(400, 800, seed=2)
+        game = _game(100, 9)
+        roots = _ejected_roots(graph, game)
+        wide = _wide_matches_scalar(graph, roots, game)
+        assert wide.ejected.tolist() == list(range(roots.size))
+
+    @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+    def test_without_int128_every_game_is_ejected(self, tmp_path):
+        # A compiler without __int128 builds the wide entry point as a
+        # stub that ejects every game, so the scalar replay stays exact.
+        import cffi
+
+        from repro.core.native import _build
+
+        lib_path = tmp_path / "wide_stub.so"
+        subprocess.run(
+            ["gcc", "-O2", "-fPIC", "-shared", "-U__SIZEOF_INT128__",
+             str(_build.SOURCES[0]), "-o", str(lib_path)],
+            check=True, capture_output=True,
+        )
+        ffi = cffi.FFI()
+        ffi.cdef(_build.CDEF)
+        lib = ffi.dlopen(str(lib_path))
+        offsets, targets = path_graph(6).csr()
+        roots = np.arange(6, dtype=np.int64)
+        layer = np.full(6, _INF)
+        count = np.zeros(6, dtype=np.int64)
+        with mock.patch.object(native, "_lib", lib), \
+                mock.patch.object(native, "_ffi", ffi):
+            info = native.play_games_wide(
+                offsets, targets, roots, out_layer=layer, out_count=count,
+                want_records=True, **_game(4, 2),
+            )
+        assert info.ejected.tolist() == list(range(6))
+        assert not info.reads.any() and not info.writes.any()
+        assert not info.records[3].any() and not info.records[4].any()
+        assert np.isinf(layer).all() and not count.any()
+
+    @given(_fuzz_fleets(), st.integers(0, 80))
+    @settings(deadline=None)  # example count from the hypothesis profile
+    def test_wide_replay_matches_scalar_replay(self, case, wide_bits):
+        # The fleet's int64 budget as in TestFleetFuzz; the wide budget
+        # another 0-80 headroom bits on top, capped at WIDE_SCALE_LIMIT,
+        # so some draws send replays on to the scalar hatch too.
+        beta, x = case["beta"], case["x"]
+        floor = x * (beta + 2) << case["headroom_bits"]
+        with mock.patch.object(
+            batched_games, "SCALE_LIMIT",
+            min(batched_games.SCALE_LIMIT, floor),
+        ), mock.patch.object(
+            batched_games, "WIDE_SCALE_LIMIT",
+            min(batched_games.WIDE_SCALE_LIMIT, floor << wide_bits),
+        ):
+            game = _game(x, beta)
+            roots = _ejected_roots(case["graph"], game)
+            _wide_matches_scalar(case["graph"], roots, game)
+
+
+_REALLOC_SHIM = r"""
+#define _GNU_SOURCE
+#include <dlfcn.h>
+#include <stddef.h>
+#include <string.h>
+
+/* Counts the reallocs called from the wave kernel's shared object and
+ * fails the fail_at-th one (0 = never). */
+static long seen, fail_at, fired;
+
+void shim_arm(long n) { seen = 0; fail_at = n; fired = 0; }
+long shim_seen(void) { return seen; }
+long shim_fired(void) { return fired; }
+
+void *realloc(void *p, size_t size) {
+    static void *(*real)(void *, size_t);
+    Dl_info info;
+    if (!real) real = (void *(*)(void *, size_t))dlsym(RTLD_NEXT, "realloc");
+    if (dladdr(__builtin_return_address(0), &info) && info.dli_fname
+            && strstr(info.dli_fname, "_wave_kernel")) {
+        if (++seen == fail_at) {
+            fired = 1;
+            return NULL;
+        }
+    }
+    return real(p, size);
+}
+"""
+
+_ALLOC_FAILURE_SCRIPT = r"""
+import ctypes
+import sys
+
+import numpy as np
+
+from repro.core import batched_games, native
+from repro.core.columnar_rounds import LazyAdjacency, play_coin_game
+from repro.graphs.generators import random_gnm
+from repro.lca.coin_game import fixed_coin_scale, max_provable_layer
+
+shim = ctypes.CDLL(sys.argv[1])
+assert native.available(), native.load_error()
+graph = random_gnm(400, 800, seed=1)
+offsets, targets = graph.csr()
+n = graph.num_vertices
+x, beta = 100, 9
+clip = max_provable_layer(x, beta)
+horizon = 4 * (clip + 2)
+game = dict(x=x, beta=beta, clip=clip, horizon=horizon,
+            scale=fixed_coin_scale(beta, horizon))
+adj = LazyAdjacency(offsets, targets)
+
+
+def play(entry, roots, fail_at, hatch=False):
+    layer = np.full(n, float("inf"))
+    count = np.zeros(n, dtype=np.int64)
+    shim.shim_arm(fail_at)
+    info = entry(offsets, targets, roots, out_layer=layer, out_count=count,
+                 want_records=True, **game)
+    seen, fired = shim.shim_seen(), shim.shim_fired()
+    shim.shim_arm(0)
+    if hatch:
+        # The games the wide tier hands back go to the scalar hatch.
+        for gi in info.ejected.tolist():
+            info.reads[gi], info.writes[gi], _ = play_coin_game(
+                adj, int(roots[gi]), x, beta, clip, horizon, game["scale"],
+                layer, count)
+    return info, layer, count, seen, fired
+
+
+def same(got, want, fields):
+    assert np.array_equal(got[1], want[1]), "out_layer"
+    assert np.array_equal(got[2], want[2]), "out_count"
+    for field in fields:
+        assert np.array_equal(getattr(got[0], field),
+                              getattr(want[0], field)), field
+
+
+# The int64 pass: games after the failure replay on the numpy engine,
+# and every output, records and ejection set included, stays exact.
+roots = np.arange(n, dtype=np.int64)
+clean = play(native.play_games_compiled, roots, 0)
+total = clean[3]
+assert total > 20, total
+for fail_at in sorted({1, 20, total // 2, total}):
+    got = play(native.play_games_compiled, roots, fail_at)
+    assert got[4], fail_at
+    same(got, clean, ("reads", "writes", "super_iterations", "edges_seen",
+                      "ejected"))
+    for part, want in zip(got[0].records, clean[0].records):
+        assert np.array_equal(part, want)
+
+# The wide pass over the int64 pass's ejections under a shrunk budget:
+# the games after the failure come back ejected, for the scalar hatch.
+batched_games.SCALE_LIMIT = 1 << 24
+ejected = native.play_games_compiled(
+    offsets, targets, roots, out_layer=np.full(n, float("inf")),
+    out_count=np.zeros(n, dtype=np.int64), **game).ejected
+clean = play(native.play_games_wide, ejected, 0, hatch=True)
+total = clean[3]
+assert total > 20, total
+for fail_at in sorted({1, 20, total // 2, total}):
+    got = play(native.play_games_wide, ejected, fail_at, hatch=True)
+    assert got[4], fail_at
+    same(got, clean, ("reads", "writes"))
+print("ALLOC_FAILURE_OK")
+"""
+
+
+class TestAllocationFailure:
+    """A realloc that fails inside the kernel (rc=1) mid-cohort: the
+    games it finished stay folded exactly once, and the rest replay on
+    the next engine, so every output equals an unfailed run."""
+
+    @pytest.mark.skipif(
+        shutil.which("gcc") is None, reason="needs gcc for the realloc shim"
+    )
+    @pytest.mark.skipif(
+        bool(os.environ.get("REPRO_NATIVE_SANITIZE", "").strip()),
+        reason="the sanitizer runtimes own realloc",
+    )
+    def test_failed_realloc_replays_only_the_unfinished_games(
+        self, tmp_path
+    ):
+        shim_c = tmp_path / "realloc_shim.c"
+        shim_c.write_text(_REALLOC_SHIM)
+        shim = tmp_path / "realloc_shim.so"
+        subprocess.run(
+            ["gcc", "-O2", "-fPIC", "-shared", str(shim_c), "-o", str(shim),
+             "-ldl"],
+            check=True, capture_output=True,
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src, LD_PRELOAD=str(shim))
+        env.pop("REPRO_NATIVE_DISABLE", None)
+        result = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(_ALLOC_FAILURE_SCRIPT),
+             str(shim)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "ALLOC_FAILURE_OK" in result.stdout
