@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one experiment table (see DESIGN.md's index and
-EXPERIMENTS.md for the recorded outputs).  Tables are printed through the
+Every benchmark regenerates one experiment table (the index is
+``repro.experiments.ALL_EXPERIMENTS``).  Tables are printed through the
 capture bypass so ``pytest benchmarks/ --benchmark-only`` shows them inline
 with the timing results.
 """

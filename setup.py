@@ -20,7 +20,7 @@ setup(
     version="1.0.0",
     description=(
         "Adaptive Massively Parallel Coloring in Sparse Graphs (PODC 2024) "
-        "- full reproduction: AMPC/MPC/LOCAL simulators, beta-partitions, "
+        "- full reproduction: AMPC/MPC simulators, beta-partitions, "
         "sublinear LCA, arboricity-dependent coloring"
     ),
     package_dir={"": "src"},

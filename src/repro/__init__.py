@@ -3,7 +3,7 @@
 A complete, executable reproduction of Latypov, Maus, Pai & Uitto
 (PODC 2024, arXiv:2402.13755): deterministic low-space AMPC algorithms for
 arboricity-dependent graph coloring, together with every substrate they
-stand on — AMPC/MPC/LOCAL simulators with resource accounting, β-partition
+stand on — AMPC/MPC simulators with resource accounting, β-partition
 machinery, the sublinear coin-dropping LCA, cover-free-family color
 reduction, and derandomized MPC coloring.
 
@@ -23,7 +23,6 @@ Subpackages
 - :mod:`repro.ampc` — AMPC/MPC simulators and cost accounting.
 - :mod:`repro.core` — Theorem 1.2 β-partitioning, Lemma 5.1, orientations.
 - :mod:`repro.coloring` — Theorem 1.3 pipelines, Theorem 1.5, baselines.
-- :mod:`repro.local` — synchronous LOCAL simulation.
 - :mod:`repro.experiments` — the experiment harness behind benchmarks/.
 """
 

@@ -26,7 +26,6 @@ from repro.ampc.pool import (
     shared_pool,
 )
 from repro.ampc.simulator import AMPCSimulator
-from repro.ampc.sorting import SortCostReport, broadcast_tree_sort
 
 __all__ = [
     "AMPCSimulator",
@@ -46,10 +45,8 @@ __all__ = [
     "MemoryGuardError",
     "MessageFabric",
     "RoundStats",
-    "SortCostReport",
     "SpaceExceeded",
     "WorkerPoolError",
-    "broadcast_tree_sort",
     "close_shared_pools",
     "inject",
     "owner_of",

@@ -4,7 +4,7 @@ Commands
 --------
 ``color``        color a generated or loaded graph with a chosen pipeline
 ``partition``    compute a β-partition and report AMPC resource usage
-``experiments``  run experiment tables by prefix (E1..E11, F1, F2)
+``experiments``  run experiment tables by prefix (E1..E12, E3b, F1, F2, A1..A3)
 ``info``         analyze a graph: n, m, Δ, degeneracy, exact arboricity
 """
 

@@ -30,10 +30,6 @@ from repro.coloring.pipeline import (
     coloring_large_alpha,
     coloring_two_plus_eps,
 )
-from repro.coloring.randomized import (
-    RandomizedColoringResult,
-    luby_plus_one_coloring,
-)
 from repro.coloring.rake_compress import (
     RakeCompressResult,
     rake_compress,
@@ -52,7 +48,6 @@ __all__ = [
     "MPCColoringResult",
     "PipelineResult",
     "RakeCompressResult",
-    "RandomizedColoringResult",
     "RecolorResult",
     "ampc_rounds_for_simulation",
     "arb_linial_coloring",
@@ -69,7 +64,6 @@ __all__ = [
     "is_independent_set",
     "is_maximal_independent_set",
     "kw_color_reduction",
-    "luby_plus_one_coloring",
     "linial_undirected_coloring",
     "mis_from_coloring",
     "orientation_greedy_coloring",

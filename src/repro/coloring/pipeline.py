@@ -109,6 +109,14 @@ def _finish(graph: Graph, result: PipelineResult) -> PipelineResult:
     return result
 
 
+def _check_params(graph: Graph, alpha: int, eps: float) -> None:
+    """Theorem 1.3 needs ε > 0, and α >= 1 unless the graph is edgeless."""
+    if not eps > 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
+    if alpha < 1 and graph.num_edges:
+        raise ValueError(f"alpha must be >= 1 on a graph with edges, got {alpha}")
+
+
 def _trivial_result(graph: Graph, variant: str, alpha: int, eps: float) -> PipelineResult:
     return PipelineResult(
         variant=variant,
@@ -180,6 +188,7 @@ def coloring_alpha_squared_eps(
     engine: str | None = None,
 ) -> PipelineResult:
     """Theorem 1.3(1): O(α^{2+ε})-coloring in O(1/ε) AMPC rounds."""
+    _check_params(graph, alpha, eps)
     if graph.num_edges == 0:
         return _trivial_result(graph, "alpha_squared_eps", alpha, eps)
     beta = max(math.ceil(alpha ** (1 + eps)), 2 * alpha + 1, 2)
@@ -200,6 +209,7 @@ def coloring_alpha_squared(
     engine: str | None = None,
 ) -> PipelineResult:
     """Theorem 1.3(2): O(α²)-coloring in O(log α) AMPC rounds."""
+    _check_params(graph, alpha, eps)
     if graph.num_edges == 0:
         return _trivial_result(graph, "alpha_squared", alpha, eps)
     beta = max(math.ceil((2 + eps) * alpha), 2)
@@ -227,6 +237,7 @@ def coloring_two_plus_eps(
     with x = 2 (§6.4, initial 4β-palette).  Both end with the greedy
     top-down cross-layer recoloring into palette {0..β}.
     """
+    _check_params(graph, alpha, eps)
     if graph.num_edges == 0:
         return _trivial_result(graph, "two_plus_eps", alpha, eps)
     if initial_method not in ("kw", "mpc"):
@@ -317,6 +328,7 @@ def coloring_large_alpha(
 ) -> PipelineResult:
     """Section 6.4: O(α^{1+ε})-coloring in O(1/ε) rounds via per-layer
     Theorem 1.5 with fresh palettes (works for α up to n^δ and beyond)."""
+    _check_params(graph, alpha, eps)
     if graph.num_edges == 0:
         return _trivial_result(graph, "large_alpha", alpha, eps)
     beta = max(math.ceil(alpha ** (1 + eps)), 2 * alpha + 1, 2)

@@ -1,4 +1,4 @@
-"""Experiment harness: one module per paper claim (see DESIGN.md index)."""
+"""Experiment harness: one module per paper claim, indexed by ``ALL_EXPERIMENTS``."""
 
 from repro.experiments.a1_forest_coloring import run_forest_coloring
 from repro.experiments.a2_horizon_ablation import run_horizon_ablation

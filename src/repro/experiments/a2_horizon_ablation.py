@@ -1,12 +1,12 @@
 """A2 — ablation: coin-forwarding horizon sensitivity.
 
 Algorithm 1 forwards coins for |V| iterations; our default horizon is a
-small multiple of the Lemma 4.2 wave depth ceil(log_{β+1} x) (DESIGN.md).
-This ablation runs the game on deep (β+1)-ary trees with horizons from 1
-to the strict |V|, measuring whether the root's layer is certified and
-the query cost — validating that (a) too-short horizons break the
-progress guarantee, (b) the default matches strict mode at a fraction of
-the cost.
+small multiple of the Lemma 4.2 wave depth ceil(log_{β+1} x) (see
+:mod:`repro.lca.coin_game`).  This ablation runs the game on deep
+(β+1)-ary trees with horizons from 1 to the strict |V|, measuring whether
+the root's layer is certified and the query cost — validating that (a)
+too-short horizons break the progress guarantee, (b) the default matches
+strict mode at a fraction of the cost.
 """
 
 from __future__ import annotations

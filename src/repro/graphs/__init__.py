@@ -1,4 +1,4 @@
-"""Graph substrate: CSR graphs, generators, arboricity, flows, validation.
+"""Graph substrate: CSR graphs, generators, arboricity, validation.
 
 The core is array-native: :class:`Graph` builds from numpy edge arrays
 (:meth:`Graph.from_arrays`), exposes bulk accessors
@@ -16,8 +16,6 @@ from repro.graphs.arboricity import (
     forest_partition,
 )
 from repro.graphs.builder import GraphBuilder
-from repro.graphs.densest import densest_subgraph
-from repro.graphs.flow import FlowNetwork
 from repro.graphs.generators import (
     complete_ary_tree,
     complete_graph,
@@ -50,7 +48,6 @@ from repro.graphs.validation import (
 )
 
 __all__ = [
-    "FlowNetwork",
     "Graph",
     "GraphBuilder",
     "complete_ary_tree",
@@ -60,7 +57,6 @@ __all__ = [
     "cycle_graph",
     "degeneracy",
     "degeneracy_order",
-    "densest_subgraph",
     "density_lower_bound",
     "exact_arboricity",
     "forest_partition",

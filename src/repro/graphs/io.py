@@ -65,7 +65,10 @@ def read_edge_list(
             parts = body.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{line_no}: expected 'u v', got {body!r}")
-            u, v = int(parts[0]), int(parts[1])
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: non-integer vertex id in {body!r}") from None
             if u < 0 or v < 0:
                 raise ValueError(f"{path}:{line_no}: negative vertex id")
             if num_vertices is not None and (u >= num_vertices or v >= num_vertices):

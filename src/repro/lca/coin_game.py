@@ -16,7 +16,7 @@ After x² super-iterations (Lemma 4.4) the simulated layer σ_{S_v}(v) equals
 the natural layer ℓ_β(v) for every v with |D(ℓ_β, v)| <= x² and
 ℓ_β(v) <= log_{β+1} x.
 
-Engineering notes (documented in DESIGN.md):
+Engineering notes:
 
 - Coin amounts are exact rationals represented as *bounded-denominator
   scaled integers*: after t hops every denominator divides

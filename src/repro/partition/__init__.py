@@ -1,8 +1,7 @@
-"""β-partitions: definitions 3.5/3.6/3.9/3.12 and the H-partition peeler."""
+"""β-partitions: definitions 3.5/3.6/3.9/3.12 and the natural β-partition."""
 
 from repro.partition.beta_partition import INFINITY, PartialBetaPartition, merge_min
 from repro.partition.dependency import dependency_set, dependency_sizes
-from repro.partition.hpartition import HPartitionResult, h_partition
 from repro.partition.induced import (
     induced_beta_partition,
     induced_partition_from_view,
@@ -10,12 +9,10 @@ from repro.partition.induced import (
 )
 
 __all__ = [
-    "HPartitionResult",
     "INFINITY",
     "PartialBetaPartition",
     "dependency_set",
     "dependency_sizes",
-    "h_partition",
     "induced_beta_partition",
     "induced_partition_from_view",
     "merge_min",

@@ -159,3 +159,39 @@ class TestFinishChecks:
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(AssertionError, match="improper"):
             _finish(g, self._result([0, 0], 2))
+
+
+PIPELINES = [
+    coloring_alpha_squared_eps,
+    coloring_alpha_squared,
+    coloring_two_plus_eps,
+    coloring_large_alpha,
+]
+
+
+class TestParameterChecks:
+    """Theorem 1.3 needs ε > 0 and α >= 1; bad values fail up front."""
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_nonpositive_eps_rejected(self, pipeline):
+        g = union_of_random_forests(30, 2, seed=3)
+        for eps in (0.0, -1.0):
+            with pytest.raises(ValueError, match="eps must be > 0"):
+                pipeline(g, 2, eps=eps)
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            pipeline(Graph.from_edges(3, []), 1, eps=0.0)
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_alpha_below_one_rejected_only_with_edges(self, pipeline):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        for alpha in (0, -2):
+            with pytest.raises(ValueError, match="alpha must be >= 1"):
+                pipeline(g, alpha)
+        res = pipeline(Graph.from_edges(4, []), 0)
+        assert res.colors == [0, 0, 0, 0]
+        assert res.partition_rounds == 0
+
+    def test_color_graph_rejects_alpha_zero(self):
+        g = union_of_random_forests(50, 2, seed=4)
+        with pytest.raises(ValueError, match="alpha must be >= 1"):
+            color_graph(g, alpha=0)

@@ -130,6 +130,15 @@ class TestStrictMode:
         with pytest.raises(ValueError, match=r"g\.txt:1: vertex id 9"):
             read_edge_list(path, num_vertices=3, strict=False)
 
+    @pytest.mark.parametrize("bad", ["1 x", "0 1.5", "0x1 2"])
+    def test_non_integer_id_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "g.txt"
+        path.write_text(f"# header\n0 1\n{bad}\n")
+        with pytest.raises(ValueError, match=r"g\.txt:3: non-integer vertex id"):
+            read_edge_list(path)
+        with pytest.raises(ValueError, match=r"g\.txt:3: non-integer vertex id"):
+            read_edge_list(path, strict=False)
+
 
 class TestRoundTripCorpus:
     @pytest.mark.parametrize("make", GENERATOR_CORPUS)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +89,28 @@ class TestDefinition36:
     def test_degree_smaller_than_view_rejected(self):
         with pytest.raises(ValueError):
             induced_partition_from_view({0: [1], 1: [0]}, {0: 0, 1: 1}, 2)
+
+
+class TestLemma34:
+    """The natural β-partition at β = ⌈(2+ε)α⌉ is the H-partition."""
+
+    def test_forest_union_completes(self):
+        alpha, eps = 3, 1.0
+        g = union_of_random_forests(150, alpha, seed=20)
+        beta = math.ceil((2 + eps) * alpha)
+        p = natural_beta_partition(g, beta)
+        assert not p.is_partial(g.vertices())
+        assert p.is_valid(g, beta)
+
+    def test_size_logarithmic_bound(self):
+        # Each peel keeps < 2α/β of the vertices, so the number of layers
+        # is at most log_{β/2α}(n) + 1.
+        alpha, eps = 2, 1.0
+        g = union_of_random_forests(400, alpha, seed=21)
+        beta = math.ceil((2 + eps) * alpha)
+        p = natural_beta_partition(g, beta)
+        bound = math.log(g.num_vertices) / math.log(beta / (2 * alpha)) + 1
+        assert p.size() <= bound
 
 
 class TestLemma37:
