@@ -12,10 +12,14 @@ fabric in which each shard holds only
 - a **bounded ghost fringe** — rows of foreign vertices a shard's games
   explored this round, fetched on demand and evicted as soon as no
   still-unresolved game pins them (see *ghost-fringe invalidation*
-  below), stored as one appendable compacted CSR rather than a per-row
-  dict, and dropped whole at the end of the round;
-- **round-local scratch** — the compacted local CSR and fold
-  accumulators of the games currently replaying.
+  below), and dropped whole at the end of the round;
+- **round-local scratch** — the engine arrays and fold accumulators of
+  the games currently playing.
+
+Owned rows and ghosts are one store: a single local CSR per shard over
+a sorted universe of global ids (:class:`_Shard`).  Fetched rows splice
+into it and evicted rows empty out in place; the engines play it as it
+is.
 
 Every array a shard holds is accounted by tag against a configurable S
 budget through :class:`MemoryGuard`, which raises :class:`MemoryGuardError`
@@ -89,22 +93,24 @@ games against its *partial* view with missing rows empty, then checks
 each game's recorded explored set against the rows actually held.  A
 game whose explored set is fully held produced the exact transcript —
 commit it; otherwise the run is discarded, the missing rows are
-requested from their owners, and the game re-runs next sub-round.  The
-array engines run on an order-preserving compaction of the held rows
-(global ids → ranks; every order-dependent tie-break is preserved under
-a monotone remap, so committed transcripts map back exactly); for the
-batched engine it is closed with synthetic reverse rows for fringe
-vertices so its transpose-based row arena stays well-formed — synthetic
-rows are only ever read by games that explored a fringe vertex, i.e.
-games that are discarded.  A shard plays its pending games through the
-same fleet player as the shm round
-(:func:`repro.core.columnar_rounds.play_fleet`) and checks its flat
-records against the held mask in whole-fleet array ops.  Games the
-engine ejects replay through the scalar interpreter on the shard's
-real held rows (:class:`_GhostAdjacency`), as every game does under
-``engine="scalar"``.  Whichever engine played it, a committed game
-keeps only its proof, as ``(vertex, layer)`` columns, for the layer
-fold.
+requested from their owners, and the game re-runs next sub-round.
+Every engine plays the shard's local CSR, whose ids are the ranks of
+global ids in the shard's universe: every order-dependent tie-break
+(``sorted(touched)``, the σ-rank key ending in the vertex id) is
+preserved under that monotone remap, so committed transcripts map back
+exactly.  For the batched engine each play closes the CSR with
+synthetic reverse rows for fringe vertices so its transpose-based row
+arena stays well-formed — synthetic rows are only ever read by games
+that explored a fringe vertex, i.e. games that are discarded.  A shard
+plays its pending array-engine games through the same fleet player as
+the shm round (:func:`repro.core.columnar_rounds.play_fleet`) and
+checks its flat records against the held mask in whole-fleet array
+ops.  Games the engine ejects, and every game under
+``engine="scalar"``, play one at a time through the scalar interpreter
+on the same CSR (:meth:`_ShardRound._play_scalar`) and commit iff
+their explored set is held.  Whichever engine played it, a committed
+game keeps only its proof, as ``(vertex, layer)`` columns, for the
+layer fold.
 
 Ghost-fringe invalidation rules
 -------------------------------
@@ -238,12 +244,9 @@ __all__ = [
 MESSAGE_CAP_WORDS = 1 << 15
 
 # Ceiling on the doubling speculative-service radius (see
-# _Shard.expand_requests): by the time a game is this many fetch
-# exchanges deep, one more doubling would ship most of the owner's slice.
+# _expand_ball): by the time a game is this many fetch exchanges deep,
+# one more doubling would ship most of the owner's slice.
 PREFETCH_RADIUS_CAP = 16
-# Request-union size below which the exchange switches from direct
-# serving to cap-radius speculative balls (the deep-tail regime).
-PREFETCH_TAIL_IDS = 2048
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _INF = float("inf")
@@ -266,18 +269,6 @@ def owner_of(vertices: np.ndarray, num_shards: int) -> np.ndarray:
     z = (z ^ (z >> np.uint64(27))) * _MIX2
     z ^= z >> np.uint64(31)
     return (z % np.uint64(num_shards)).astype(np.int64)
-
-
-_M64 = (1 << 64) - 1
-
-
-def owner_of_one(v: int, num_shards: int) -> int:
-    """Scalar :func:`owner_of` for single-vertex probes (same mix)."""
-    z = (v + 0x9E3779B97F4A7C15) & _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    z ^= z >> 31
-    return z % num_shards
 
 
 class MemoryGuardError(RuntimeError):
@@ -405,33 +396,41 @@ def _owned_words(offsets: np.ndarray, num_shards: int) -> np.ndarray:
 
 
 class _Shard:
-    """One simulated machine: owned rows + ghost fringe, all guarded."""
+    """One simulated machine: every row it holds, in one local CSR.
+
+    The rows live in a single CSR over ``universe``, a sorted array of
+    global ids; row ``i`` belongs to ``universe[i]`` and its targets
+    are local ids (ranks in ``universe``), so the engines play the CSR
+    as it is.  ``held[i]`` marks the ids whose row the shard holds —
+    its owned vertices and its current ghosts; every other id (a fringe
+    target, an evicted ghost) reads as an empty row.
+
+    Within a round the universe only grows: :meth:`place` starts it as
+    the owned ids, their targets and the round's roots,
+    :meth:`install_ghosts` splices fetched rows and their fresh ids in,
+    and :meth:`evict_ghosts` empties a row but keeps its id as unheld
+    fringe.  Growing never reorders: the global → local remap stays
+    monotone, so every order-based tie-break of the engines survives it
+    and a committed transcript maps back exactly.  ``splice_s`` is the
+    wall time spent splicing rows in and out.
+    """
 
     def __init__(self, sid: int, num_shards: int, budget_words: int | None):
         self.sid = sid
         self.num_shards = num_shards
         self.guard = MemoryGuard(budget_words, name=f"shard[{sid}]")
-        self.row_ids = _EMPTY  # sorted owned ids with a stored row
-        self.row_offsets = np.zeros(1, dtype=np.int64)
-        self.row_targets = _EMPTY
-        # Ghost fringe: an appendable compacted CSR.  ghost_ids is
-        # sorted; (ghost_starts, ghost_lens) slice rows out of the
-        # append-only _arena (compacted when dead words dominate).
-        self.ghost_ids = _EMPTY
-        self.ghost_starts = _EMPTY
-        self.ghost_lens = _EMPTY
-        self._arena = _EMPTY
-        self._arena_used = 0
+        self.universe = _EMPTY
+        self.held = np.zeros(0, dtype=bool)
+        self.deg = np.zeros(0, dtype=np.int64)
+        self.offsets = np.zeros(1, dtype=np.int64)
+        self.targets = _EMPTY
+        self.ghost_ids = _EMPTY  # sorted global ids of the current ghosts
         self._fringe_words = 0  # 1 + len per ghost
-        self._owned_index: dict[int, int] | None = None
-        # Per-round ghost delta log, consumed by _ShardRound's
-        # incremental local CSR (cleared at build and at finish_round).
-        self._log_added: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._log_removed: list[np.ndarray] = []
+        self.splice_s = 0.0
 
-    # -- owned rows --------------------------------------------------------
-
-    def place(self, offsets: np.ndarray, targets: np.ndarray) -> None:
+    def place(
+        self, offsets: np.ndarray, targets: np.ndarray, roots: np.ndarray
+    ) -> None:
         """Install this shard's owner partition of the residual CSR:
         the rows of its owned vertices with residual degree > 0 (an
         owned vertex without a stored row reads as empty).  Guard words
@@ -440,72 +439,25 @@ class _Shard:
         ids = np.flatnonzero(deg > 0)
         ids = ids[owner_of(ids, self.num_shards) == self.sid]
         counts = deg[ids]
-        self.row_ids = ids
-        self.row_offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.row_offsets[1:])
-        self.row_targets = targets[_segment_indices(offsets[ids], counts)]
-        self._owned_index = None
-        self.guard.account(
-            "owned_rows",
-            len(ids) + len(self.row_offsets) + len(self.row_targets),
-        )
-
-    def owned_index(self) -> dict[int, int]:
-        """id → slot of the owned slice (ids are static within a round,
-        single-vertex probes are the replay hot path)."""
-        if self._owned_index is None:
-            self._owned_index = {
-                v: i for i, v in enumerate(self.row_ids.tolist())
-            }
-        return self._owned_index
-
-    def row_extents(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(start, len)`` of each requested owned row.  A vertex
-        without a stored row (missing, or implicitly empty) extends to
-        length 0."""
-        pos = np.searchsorted(self.row_ids, ids)
-        inb = pos < len(self.row_ids)
-        hit = np.zeros(len(ids), dtype=bool)
-        hit[inb] = self.row_ids[pos[inb]] == ids[inb]
-        starts = self.row_offsets[pos]
-        ends = self.row_offsets[np.minimum(pos + 1, len(self.row_ids))]
-        lens = np.where(hit, ends - starts, 0)
-        return np.where(hit, starts, 0), lens
-
-    # -- ghost fringe ------------------------------------------------------
-
-    def _reserve(self, count: int) -> int:
-        """Arena space for ``count`` more words; returns the write start."""
-        need = self._arena_used + count
-        if need > len(self._arena):
-            grown = np.empty(max(need, 2 * len(self._arena), 1024), np.int64)
-            grown[: self._arena_used] = self._arena[: self._arena_used]
-            self._arena = grown
-        start = self._arena_used
-        self._arena_used = need
-        return start
-
-    def _ghost_slab(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The whole ghost store as one compacted (ids, lens, targets)."""
-        return (
-            self.ghost_ids,
-            self.ghost_lens,
-            self._arena[_segment_indices(self.ghost_starts, self.ghost_lens)],
-        )
+        row_targets = targets[_segment_indices(offsets[ids], counts)]
+        self.guard.account("owned_rows", 2 * len(ids) + 1 + len(row_targets))
+        universe = _sorted_unique(np.concatenate([ids, row_targets, roots]))
+        self.universe = universe
+        self.held = owner_of(universe, self.num_shards) == self.sid
+        self.deg = np.zeros(len(universe), dtype=np.int64)
+        self.deg[np.searchsorted(universe, ids)] = counts
+        self.offsets = np.zeros(len(universe) + 1, dtype=np.int64)
+        np.cumsum(self.deg, out=self.offsets[1:])
+        # The only rows are the owned ones, in id order.
+        self.targets = np.searchsorted(universe, row_targets)
 
     def ghost_row(self, v: int) -> np.ndarray | None:
-        """The ghost row of ``v``, or None when not ghosted."""
+        """The ghost row of ``v`` in global ids, or None when not ghosted."""
         i = int(np.searchsorted(self.ghost_ids, v))
-        if i < len(self.ghost_ids) and self.ghost_ids[i] == v:
-            s = self.ghost_starts[i]
-            return self._arena[s:s + self.ghost_lens[i]]
-        return None
-
-    def _account_ghosts(self) -> None:
-        if self._fringe_words:
-            self.guard.account("ghost_fringe", self._fringe_words)
-        else:
-            self.guard.release("ghost_fringe")
+        if i == len(self.ghost_ids) or self.ghost_ids[i] != v:
+            return None
+        i = int(np.searchsorted(self.universe, v))
+        return self.universe[self.targets[self.offsets[i]:self.offsets[i + 1]]]
 
     def install_ghosts(
         self,
@@ -514,10 +466,10 @@ class _Shard:
         targets: np.ndarray,
         checksum: int | None = None,
     ) -> None:
-        """Install one row-resolution slab into the ghost fringe.
+        """Splice one row-resolution slab into the local CSR as ghosts.
 
         The checksum (computed by the serving side over the same slab)
-        and the guard charge both run *before* any ghost mutates: a
+        and the guard charge both run *before* any row mutates: a
         corrupted or over-budget slab is rejected with the store — and
         its accounting — exactly as it was, so the caller can convert
         the failure into a retry (or shed load) without rollback.
@@ -533,62 +485,78 @@ class _Shard:
         ids = np.asarray(ids, dtype=np.int64)
         lens = np.asarray(lens, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
-        if len(self.ghost_ids) and _in_sorted(ids, self.ghost_ids).any():
+        if (np.diff(ids) <= 0).any():
+            raise ValueError("row-resolution slab ids must be increasing")
+        if _in_sorted(ids, self.universe[self.held]).any():
             # Cannot happen in-protocol (missing rows are unheld and
             # speculative cargo skips held rows); reject loudly instead
             # of silently double-holding a row.
-            raise ValueError("row-resolution slab overlaps held ghosts")
+            raise ValueError("row-resolution slab overlaps held rows")
         words = self._fringe_words + len(ids) + int(lens.sum())
         self.guard.account("ghost_fringe", words)  # raises pre-commit
         self._fringe_words = words
-        start = self._reserve(len(targets))
-        self._arena[start:start + len(targets)] = targets
-        starts = start + np.cumsum(lens) - lens
-        ins = np.searchsorted(self.ghost_ids, ids)
-        self.ghost_ids = np.insert(self.ghost_ids, ins, ids)
-        self.ghost_starts = np.insert(self.ghost_starts, ins, starts)
-        self.ghost_lens = np.insert(self.ghost_lens, ins, lens)
-        self._log_added.append((ids, lens, targets))
+        t0 = time.perf_counter()
+        cand = _sorted_unique(np.concatenate([ids, targets]))
+        fresh = cand[~_in_sorted(cand, self.universe)]
+        if fresh.size:
+            slot = np.searchsorted(self.universe, fresh)
+            old2new = (
+                np.arange(len(self.universe), dtype=np.int64)
+                + np.searchsorted(fresh, self.universe)
+            )
+            self.targets = old2new[self.targets]
+            self.universe = np.insert(self.universe, slot, fresh)
+            self.held = np.insert(
+                self.held, slot,
+                owner_of(fresh, self.num_shards) == self.sid,
+            )
+            self.deg = np.insert(self.deg, slot, 0)
+        rows = np.searchsorted(self.universe, ids)
+        new = np.zeros(len(self.universe), dtype=bool)
+        new[rows] = True
+        self.held[rows] = True
+        self.deg[rows] = lens
+        # The new rows were empty, so the old targets keep their order
+        # and fill every slot outside the new rows.
+        slots = np.repeat(new, self.deg)
+        merged = np.empty(len(slots), dtype=np.int64)
+        merged[slots] = np.searchsorted(self.universe, targets)
+        merged[~slots] = self.targets
+        self.targets = merged
+        self.offsets = np.zeros(len(self.universe) + 1, dtype=np.int64)
+        np.cumsum(self.deg, out=self.offsets[1:])
+        self.ghost_ids = np.insert(
+            self.ghost_ids, np.searchsorted(self.ghost_ids, ids), ids
+        )
+        self.splice_s += time.perf_counter() - t0
 
     def evict_ghosts(self, pinned: np.ndarray) -> None:
-        """Evict every ghost no pending game pins (invalidation rule 2)."""
+        """Evict every ghost no pending game pins (invalidation rule 2):
+        its row empties and its id stays in the universe as fringe."""
         if not len(self.ghost_ids):
             return
         keep = _in_sorted(self.ghost_ids, pinned)
         if keep.all():
             return
-        dropped = self.ghost_ids[~keep]
-        self._fringe_words -= len(dropped) + int(self.ghost_lens[~keep].sum())
+        t0 = time.perf_counter()
+        rows = np.searchsorted(self.universe, self.ghost_ids[~keep])
+        self._fringe_words -= len(rows) + int(self.deg[rows].sum())
         self.ghost_ids = self.ghost_ids[keep]
-        self.ghost_starts = self.ghost_starts[keep]
-        self.ghost_lens = self.ghost_lens[keep]
-        self._account_ghosts()
-        self._log_removed.append(dropped)
-        live = int(self.ghost_lens.sum())
-        if self._arena_used > 2 * live + 1024:
-            self._arena = self._ghost_slab()[2]
-            self._arena_used = len(self._arena)
-            self.ghost_starts = np.cumsum(self.ghost_lens) - self.ghost_lens
+        if self._fringe_words:
+            self.guard.account("ghost_fringe", self._fringe_words)
+        else:
+            self.guard.release("ghost_fringe")
+        self.held[rows] = False
+        # Every other unheld row is already empty.
+        self.targets = self.targets[np.repeat(self.held, self.deg)]
+        self.deg[rows] = 0
+        np.cumsum(self.deg, out=self.offsets[1:])
+        self.splice_s += time.perf_counter() - t0
 
     def finish_round(self) -> None:
         """Round boundary: drop the whole ghost fringe (rule 1)."""
-        self.ghost_ids = _EMPTY
-        self.ghost_starts = _EMPTY
-        self.ghost_lens = _EMPTY
-        self._arena = _EMPTY
-        self._arena_used = 0
-        self._fringe_words = 0
+        self.evict_ghosts(_EMPTY)
         self.guard.release("ghost_fringe")
-        self._log_added.clear()
-        self._log_removed.clear()
-
-    def held_mask(
-        self, vertices: np.ndarray, ghost_ids: np.ndarray
-    ) -> np.ndarray:
-        """Which of ``vertices`` this shard holds the residual row of."""
-        mask = owner_of(vertices, self.num_shards) == self.sid
-        mask |= _in_sorted(vertices, ghost_ids)
-        return mask
 
 
 class _ShardRound:
@@ -610,21 +578,17 @@ class _ShardRound:
         self.fetched: list[list[np.ndarray]] = [[] for __ in range(g)]
         self.spec_pins: list[np.ndarray] = []
         self.ejected_games = 0
-        # Incremental local CSR (built lazily on the first play; see
-        # _build_local / _advance_local) and its phase timings.
-        self._local: dict | None = None
-        self.compact_s = 0.0
         self.play_s = 0.0
         shard.guard.account("game_assignments", 2 * g)
 
     def pending(self) -> np.ndarray:
         return np.flatnonzero(~self.valid)
 
-    def seed_missing(self, num_shards: int) -> None:
+    def seed_missing(self) -> None:
         """Pre-play missing sets: the wave-one fringe needs no wave.
 
         Every game's root row is owned by this shard, so the rows its
-        first wave will miss — the root's off-shard targets — are known
+        first wave will miss — the root's unheld targets — are known
         before any play.  Seeding them lets the first exchange run
         *before* the first play, turning the fleet-wide all-miss
         discovery wave into a no-op.  A game whose fringe is entirely
@@ -635,12 +599,13 @@ class _ShardRound:
         """
         shard = self.shard
         g = len(self.roots)
-        starts, lens = shard.row_extents(self.roots)
-        flat = shard.row_targets[_segment_indices(starts, lens)]
+        roots_l = np.searchsorted(shard.universe, self.roots)
+        lens = shard.deg[roots_l]
+        flat = shard.targets[_segment_indices(shard.offsets[roots_l], lens)]
         if not flat.size:
             return
-        want = owner_of(flat, num_shards) != shard.sid
-        kept = flat[want]
+        want = ~shard.held[flat]
+        kept = shard.universe[flat[want]]
         kept_root = np.repeat(np.arange(g, dtype=np.int64), lens)[want]
         counts = np.bincount(kept_root, minlength=g)
         bounds = np.zeros(g + 1, dtype=np.int64)
@@ -684,14 +649,13 @@ class _ShardRound:
 
     def play(self, params: dict) -> None:
         t0 = time.perf_counter()
-        c0 = self.compact_s
         if self.engine in ("batched", "compiled"):
             self._play_batched(params)
         else:
-            self._play_scalar(params)
-        # Pure play wall: local-CSR maintenance is reported separately
-        # (the compact_s phase), so the two never double-count.
-        self.play_s += (time.perf_counter() - t0) - (self.compact_s - c0)
+            words = self._play_scalar(self.pending(), params)
+            self.shard.guard.account("game_scratch", words)
+            self.shard.guard.release("game_scratch")
+        self.play_s += time.perf_counter() - t0
 
     def _commit(
         self, i: int, reads: int, writes: int, ball_words: int,
@@ -705,19 +669,6 @@ class _ShardRound:
         self.ball_words[i] = ball_words
         if ejected:
             self.ejected_games += 1
-
-    def _commit_record(
-        self, i: int, reads: int, writes: int, record: tuple,
-        adj: "_GhostAdjacency", ejected: bool = False,
-    ) -> None:
-        """Commit a game the scalar interpreter played on held rows,
-        its proof pairs converted to the columns every commit keeps."""
-        explored, proof = record[0], record[1]
-        ball = len(explored) + sum(len(adj[u]) for u in explored)
-        pairs = np.array(proof, dtype=np.int64).reshape(-1, 2)
-        self._commit(
-            i, reads, writes, ball, pairs[:, 0], pairs[:, 1], ejected
-        )
 
     def proof_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Locally folded layer proposals: ``(vertices, minima, counts)``.
@@ -752,164 +703,15 @@ class _ShardRound:
             np.diff(np.append(starts, len(enc))),
         )
 
-    def _build_local(self) -> dict:
-        """First-play construction of the incremental local CSR.
-
-        The universe (sorted global ids, compacted to ranks) starts as
-        owned ids ∪ owned targets ∪ every root ∪ current ghosts and
-        their targets, and afterwards only ever *grows*
-        (:meth:`_advance_local` splices installed ghost rows in and
-        zeroes evicted ones) — evicted ids linger as unheld fringe.
-        That makes every play's universe a superset of the one the
-        per-sub-round rebuild would produce, which is exact by the same
-        argument as compaction itself: the remap global→local stays
-        monotone, every engine tie-break is order-based, unheld rows
-        read as empty, and unreachable empty rows are never read.  Only
-        discarded games pay re-simulation; the held set never pays
-        re-layout.
-        """
-        shard = self.shard
-        g_ids, g_lens, g_targets = shard._ghost_slab()
-        parts = [shard.row_ids, shard.row_targets, self.roots,
-                 g_ids, g_targets]
-        universe = _sorted_unique(
-            np.concatenate([p for p in parts if len(p)])
-        )
-        u_count = len(universe)
-        held = shard.held_mask(universe, g_ids)
-        own_pos = np.searchsorted(universe, shard.row_ids)
-        own_counts = np.diff(shard.row_offsets)
-        ghost_pos = np.searchsorted(universe, g_ids)
-        deg_held = np.zeros(u_count, dtype=np.int64)
-        deg_held[own_pos] = own_counts
-        deg_held[ghost_pos] = g_lens
-        offsets_l = np.zeros(u_count + 1, dtype=np.int64)
-        np.cumsum(deg_held, out=offsets_l[1:])
-        targets_l = np.empty(int(offsets_l[-1]), dtype=np.int64)
-        targets_l[_segment_indices(offsets_l[own_pos], own_counts)] = (
-            np.searchsorted(universe, shard.row_targets)
-        )
-        targets_l[_segment_indices(offsets_l[ghost_pos], g_lens)] = (
-            np.searchsorted(universe, g_targets)
-        )
-        shard._log_added.clear()
-        shard._log_removed.clear()
-        return {
-            "universe": universe,
-            "held": held,
-            "deg": deg_held,
-            "offsets": offsets_l,
-            "targets": targets_l,
-            "roots_l": np.searchsorted(universe, self.roots),
-            "own_pos": own_pos,
-        }
-
-    def _advance_local(self) -> None:
-        """Splice the ghost delta since the last play into the local
-        CSR: newly installed rows are appended (their fresh ids merged
-        into the universe under a monotone remap), evicted rows zeroed
-        — instead of recompacting the whole held set every sub-round.
-        """
-        shard = self.shard
-        loc = self._local
-        added = shard._log_added
-        removed = shard._log_removed
-        shard._log_added = []
-        shard._log_removed = []
-        if not added and not removed:
-            return
-        t0 = time.perf_counter()
-        universe = loc["universe"]
-        held = loc["held"]
-        deg = loc["deg"]
-        targets_l = loc["targets"]
-        if added:
-            a_ids = np.concatenate([a[0] for a in added])
-            a_lens = np.concatenate([a[1] for a in added])
-            a_tgts = np.concatenate([a[2] for a in added])
-            cand = _sorted_unique(np.concatenate([a_ids, a_tgts]))
-            fresh = cand[~_in_sorted(cand, universe)]
-        else:
-            a_ids = a_lens = a_tgts = fresh = _EMPTY
-        if fresh.size:
-            old2new = (
-                np.arange(len(universe), dtype=np.int64)
-                + np.searchsorted(fresh, universe)
-            )
-            fresh_pos = (
-                np.searchsorted(universe, fresh)
-                + np.arange(len(fresh), dtype=np.int64)
-            )
-            u2 = np.empty(len(universe) + len(fresh), dtype=np.int64)
-            u2[old2new] = universe
-            u2[fresh_pos] = fresh
-            held2 = np.empty(len(u2), dtype=bool)
-            held2[old2new] = held
-            held2[fresh_pos] = (
-                owner_of(fresh, shard.num_shards) == shard.sid
-            )
-            deg2 = np.zeros(len(u2), dtype=np.int64)
-            deg2[old2new] = deg
-            targets_l = old2new[targets_l]
-            loc["roots_l"] = old2new[loc["roots_l"]]
-            loc["own_pos"] = old2new[loc["own_pos"]]
-            universe, held, deg = u2, held2, deg2
-        old_offsets = loc["offsets"]
-        old_deg = loc["deg"]
-        keep_old = old_deg > 0
-        if removed:
-            rm = _sorted_unique(np.concatenate(removed))
-            if rm.size:
-                pos_rm_old = np.searchsorted(loc["universe"], rm)
-                keep_old[pos_rm_old] = False
-                pos_rm = np.searchsorted(universe, rm)
-                held[pos_rm] = False
-                deg[pos_rm] = 0
-        if a_ids.size:
-            pos_a = np.searchsorted(universe, a_ids)
-            held[pos_a] = True
-            deg[pos_a] = a_lens
-        offsets2 = np.zeros(len(universe) + 1, dtype=np.int64)
-        np.cumsum(deg, out=offsets2[1:])
-        targets2 = np.empty(int(offsets2[-1]), dtype=np.int64)
-        src_rows = np.flatnonzero(keep_old)
-        if src_rows.size:
-            counts = old_deg[src_rows]
-            dst_rows = (
-                np.searchsorted(fresh, loc["universe"][src_rows]) + src_rows
-                if fresh.size else src_rows
-            )
-            targets2[_segment_indices(offsets2[dst_rows], counts)] = (
-                targets_l[_segment_indices(old_offsets[src_rows], counts)]
-            )
-        if a_ids.size:
-            targets2[_segment_indices(offsets2[pos_a], a_lens)] = (
-                np.searchsorted(universe, a_tgts)
-            )
-        loc["universe"] = universe
-        loc["held"] = held
-        loc["deg"] = deg
-        loc["offsets"] = offsets2
-        loc["targets"] = targets2
-        self.compact_s += time.perf_counter() - t0
-
     def _play_batched(self, params: dict) -> None:
-        from repro.core.columnar_rounds import play_coin_game, play_fleet
+        from repro.core.columnar_rounds import play_fleet
 
         shard = self.shard
         need = self.pending()
-        roots_g = self.roots[need]
-        if self._local is None:
-            t0 = time.perf_counter()
-            self._local = self._build_local()
-            self.compact_s += time.perf_counter() - t0
-        else:
-            self._advance_local()
-        loc = self._local
-        universe = loc["universe"]
+        universe = shard.universe
         u_count = len(universe)
-        held = loc["held"]
-        deg_held = loc["deg"]
+        held = shard.held
+        deg_held = shard.deg
 
         # Fringe vertices (targets of held rows whose own rows are not
         # held) need local rows too.  The two engines want different
@@ -934,10 +736,10 @@ class _ShardRound:
         #   eject.  Either way the game is detected as invalid through
         #   the held mask over its explored set.
         if self.engine == "compiled":
-            offsets_l = loc["offsets"]
-            targets_l = loc["targets"]
+            offsets_l = shard.offsets
+            targets_l = shard.targets
         else:
-            held_tgt = loc["targets"]
+            held_tgt = shard.targets
             held_src = np.repeat(
                 np.arange(u_count, dtype=np.int64), deg_held
             )
@@ -964,13 +766,11 @@ class _ShardRound:
                     )
                 ] = syn_tgt[order]
 
-        shard.guard.account(
-            "game_scratch",
-            (u_count + 1) + 2 * len(targets_l) + 3 * u_count,
-        )
+        scratch = (u_count + 1) + 2 * len(targets_l) + 3 * u_count
+        shard.guard.account("game_scratch", scratch)
 
         info = play_fleet(
-            offsets_l, targets_l, loc["roots_l"][need],
+            offsets_l, targets_l, np.searchsorted(universe, self.roots[need]),
             x=params["x"], beta=params["beta"], clip=params["clip"],
             horizon=params["horizon"], scale=params["scale"],
             out_layer=np.full(u_count, _INF),
@@ -1015,110 +815,62 @@ class _ShardRound:
                 )
             mo, po = me, pe
 
-        # Ejected games replay through the scalar interpreter — but on
-        # the shard's *real* held rows in global ids, not the compacted
-        # local view.  The synthetic reverse rows above exist only to
-        # satisfy the engine's transpose map; a game that wanders into
-        # them sees fake structure whose scale escalation routinely
-        # overflows the engine (mass ejection), and an exact bigint
-        # replay of that fake trajectory is both the slowest path in the
-        # fabric and useless — the transcript is discarded as invalid
-        # anyway.  Replaying against held rows keeps the bigint path on
-        # the true game: if every probe hits a held row the global
-        # transcript is exact and commits; otherwise the logged probes
-        # are the genuine rows the game's real trajectory needs next
-        # sub-round.
+        # Ejected games replay through the scalar interpreter on the
+        # shard's own CSR, not on the synthetic rows above.  Those exist
+        # only to satisfy the batched engine's transpose map; a game
+        # that wanders into them sees fake structure whose scale
+        # escalation routinely overflows the engine, and an exact
+        # bigint replay of that fake trajectory would be both the
+        # slowest path in the fabric and useless.  On the held rows the
+        # bigint path follows the true game: it commits when its
+        # explored set is held, and otherwise its unheld members are
+        # the rows the real trajectory needs next sub-round.
         if info.ejected.size:
-            adj = _GhostAdjacency(shard)
-            scratch_layer = _MinScratch()
-            scratch_count = _CountScratch()
-            for gi in info.ejected.tolist():
-                i = int(need[gi])
-                adj.missing = set()
-                r, w, record = play_coin_game(
-                    adj, int(roots_g[gi]), params["x"], params["beta"],
-                    params["clip"], params["horizon"], params["scale"],
-                    scratch_layer, scratch_count, True,
-                )
-                if adj.missing:
-                    self.missing[i] = _sorted_unique(np.fromiter(
-                        adj.missing, dtype=np.int64, count=len(adj.missing)
-                    ))
-                    continue
-                self._commit_record(i, r, w, record, adj, ejected=True)
-            shard.guard.account(
-                "game_scratch",
-                (u_count + 1) + 2 * len(targets_l) + 3 * u_count
-                + adj.cached_words(),
-            )
+            words = self._play_scalar(need[info.ejected], params, True)
+            shard.guard.account("game_scratch", scratch + words)
         shard.guard.release("game_scratch")
 
-    def _play_scalar(self, params: dict) -> None:
-        from repro.core.columnar_rounds import play_coin_game
+    def _play_scalar(
+        self, games: np.ndarray, params: dict, ejected: bool = False
+    ) -> int:
+        """Play ``games`` one at a time through the scalar interpreter
+        on the shard's CSR; a game commits iff its explored set is held.
+
+        Returns the words of the held rows the games read — one degree
+        word plus the targets per row — which is the interpreter's
+        row-cache scratch.
+        """
+        from repro.core.columnar_rounds import LazyAdjacency, play_coin_game
 
         shard = self.shard
-        adj = _GhostAdjacency(shard)
-        out_layer = _MinScratch()
-        out_count = _CountScratch()
-        for i in self.pending().tolist():
-            adj.missing = set()
+        universe = shard.universe
+        held = shard.held
+        deg = shard.deg
+        adj = LazyAdjacency(shard.offsets, shard.targets)
+        out_layer = np.full(len(universe), _INF)
+        out_count = np.zeros(len(universe), dtype=np.int64)
+        roots_l = np.searchsorted(universe, self.roots[games])
+        read: list[np.ndarray] = []
+        for i, root in zip(games.tolist(), roots_l.tolist()):
             reads, writes, record = play_coin_game(
-                adj, int(self.roots[i]), params["x"], params["beta"],
-                params["clip"], params["horizon"], params["scale"],
-                out_layer, out_count, True,
+                adj, root, params["x"], params["beta"], params["clip"],
+                params["horizon"], params["scale"], out_layer, out_count,
+                True,
             )
-            if adj.missing:
-                self.missing[i] = _sorted_unique(np.fromiter(
-                    adj.missing, dtype=np.int64, count=len(adj.missing)
-                ))
+            explored = np.array(record[0], dtype=np.int64)
+            read.append(explored)
+            unheld = explored[~held[explored]]
+            if unheld.size:
+                self.missing[i] = universe[np.sort(unheld)]
                 continue
-            self._commit_record(i, reads, writes, record, adj)
-        shard.guard.account("game_scratch", adj.cached_words())
-        shard.guard.release("game_scratch")
-
-
-class _GhostAdjacency:
-    """Global-id adjacency over one shard's held rows (missing → empty).
-
-    The scalar engine probes ``adj[u]`` only for explored vertices; a
-    probe of a row the shard does not hold returns an empty row and logs
-    the id — the game is then invalid and the logged ids become the
-    sub-round's row requests.
-    """
-
-    def __init__(self, shard: _Shard) -> None:
-        self._shard = shard
-        self._rows: dict[int, list[int]] = {}
-        self.missing: set[int] = set()
-        # Probes are single-vertex and row-cache misses are the hot
-        # path of every replay, so look rows up through the shard's id
-        # index instead of binary-searching and owner-hashing one numpy
-        # scalar per miss.
-        self._owned_index = shard.owned_index()
-
-    def __getitem__(self, v: int) -> list[int]:
-        row = self._rows.get(v)
-        if row is None:
-            shard = self._shard
-            i = self._owned_index.get(v)
-            if i is not None:
-                row = shard.row_targets[
-                    shard.row_offsets[i]:shard.row_offsets[i + 1]
-                ].tolist()
-            else:
-                ghost = shard.ghost_row(v)
-                if ghost is not None:
-                    row = ghost.tolist()
-                elif owner_of_one(v, shard.num_shards) == shard.sid:
-                    row = []  # owned, implicitly empty (isolated vertex)
-                else:
-                    self.missing.add(v)
-                    return []
-            self._rows[v] = row
-        return row
-
-    def cached_words(self) -> int:
-        return sum(1 + len(row) for row in self._rows.values())
+            proof = np.array(record[1], dtype=np.int64).reshape(-1, 2)
+            self._commit(
+                i, reads, writes, len(explored) + int(deg[explored].sum()),
+                universe[proof[:, 0]], proof[:, 1], ejected,
+            )
+        rows = _sorted_unique(np.concatenate(read)) if read else _EMPTY
+        rows = rows[held[rows]]
+        return len(rows) + int(deg[rows].sum())
 
 
 def _expand_ball(
@@ -1170,7 +922,7 @@ def _expand_ball(
         ]
         if cargo.size:
             # Budget charge per speculative row: its ghost words
-            # (2 + deg) plus the scratch the next play's compacted
+            # (2 + deg) plus the scratch the next play's local
             # universe spends on it — ~4 words per universe slot
             # (the row itself and up to deg fringe targets) and 2
             # per target — so a row costs ~6 + 7*deg of headroom,
@@ -1187,20 +939,6 @@ def _expand_ball(
     if not out:
         return _EMPTY
     return np.sort(np.concatenate(out))
-
-
-class _MinScratch(dict):
-    """Dense-accumulator stand-in: missing keys read as +∞."""
-
-    def __missing__(self, key):
-        return _INF
-
-
-class _CountScratch(dict):
-    """Dense-accumulator stand-in: missing keys read as 0."""
-
-    def __missing__(self, key):
-        return 0
 
 
 def _rows_stamp(
@@ -1261,13 +999,13 @@ def run_shard_chain(
     t0 = time.perf_counter()
     shard = _Shard(sid, num_shards, budget_words)
     deg = np.diff(offsets)
-    shard.place(offsets, targets)
+    shard.place(offsets, targets, roots)
     shard.guard.begin_round()
     run = _ShardRound(shard, roots, engine)
     # Exchange runs *before* play: the first missing sets are seeded
     # from the owned root rows, so the opening all-miss discovery wave
     # never happens.
-    run.seed_missing(num_shards)
+    run.seed_missing()
     params = {
         "x": x, "beta": beta, "clip": clip, "horizon": horizon,
         "scale": scale,
@@ -1296,7 +1034,7 @@ def run_shard_chain(
             # Speculation is a pure wall-clock optimization: a budgeted
             # shard never speculates.  The S budget bounds the shard's
             # *peak* held words — ghost payloads plus the play scratch
-            # their compacted universe induces — and that peak depends
+            # they add to the local universe — and that peak depends
             # on rows the shard has not seen yet, so no request-time
             # headroom check can keep an optimistic ball safely under
             # it.  Direct fetches alone already color every graph the
@@ -1325,8 +1063,12 @@ def run_shard_chain(
                     wanted = wanted.copy()
                     wanted[0] ^= 1
             ts = time.perf_counter()
+            spliced = shard.splice_s
             shard.install_ghosts(wanted, lens, slab, checksum=stamp)
-            install_s += time.perf_counter() - ts
+            # The splice into the local CSR is reported as compact_s.
+            install_s += (
+                time.perf_counter() - ts - (shard.splice_s - spliced)
+            )
             run.attribute_expansions(extra)
         # Mid-round eviction is S-budget discipline (invalidation rule
         # 2), so only a budgeted shard with pending games evicts.
@@ -1351,7 +1093,7 @@ def run_shard_chain(
         "guard_held": dict(shard.guard._held),
         "serve_s": serve_s,
         "install_s": install_s,
-        "compact_s": run.compact_s,
+        "compact_s": shard.splice_s,
         "play_s": run.play_s,
         "wall_s": time.perf_counter() - t0,
     }

@@ -261,6 +261,8 @@ def beta_partition_ampc(
         array a shard holds is accounted against it and
         :class:`repro.ampc.messaging.MemoryGuardError` is raised loudly
         on violation.  None (the default): account but never raise.
+        Either knob given under another transport raises ValueError
+        rather than being ignored.
 
     Rounds with fewer than :data:`repro.ampc.pool.MIN_POOL_GAMES` games
     play serially even when workers > 1; that cutoff, the cohort size
@@ -288,6 +290,8 @@ def beta_partition_ampc(
             'transport="message" requires store="columnar" (the dict store '
             "is the serial semantics oracle and never shards)"
         )
+    if transport != "message" and (shards is not None or shard_budget is not None):
+        raise ValueError('shards and shard_budget require transport="message"')
     workers = resolve_workers(workers)
     engine = engine or "compiled"
     if engine == "compiled" and not native.available():

@@ -173,10 +173,11 @@ def peel_round_kernel(batch: BatchMachineContext, beta: int) -> None:
 class LazyAdjacency:
     """Residual adjacency rows materialized (and memoized) on demand.
 
-    Ejected-game replays probe only the few dozen rows of one game's
-    ball; converting the whole residual CSR to flat lists for them would
-    dwarf the replay itself.  Supports exactly the ``adj[u]`` access
-    :func:`play_coin_game` performs.
+    Ejected-game replays (and a fabric shard's scalar games, on its
+    local CSR) probe only the rows of each game's ball; converting the
+    whole CSR to flat lists for them would dwarf the replay itself.
+    Supports exactly the ``adj[u]`` access :func:`play_coin_game`
+    performs.
     """
 
     def __init__(self, offsets: np.ndarray, targets: np.ndarray) -> None:
@@ -501,8 +502,8 @@ def play_coin_game(
     S_v evolution, same proof, same probe counts — see the module
     docstring for the three exactness-preserving shortcuts), folding the
     clipped proof into ``out_layer``/``out_count`` (any pair of
-    indexables supporting min-update and +=; the serial kernel passes
-    dense universe-sized arrays, fabric shards sparse dict scratch) and
+    indexables supporting min-update and +=; callers pass dense
+    universe-sized arrays) and
     returning ``(reads, writes, record)`` — ``record`` is a replayable
     game record tuple when ``want_record``, else None.
 

@@ -64,6 +64,25 @@ class TestBasics:
                 transport=transport, shards=3, workers=1,
             )
 
+    @pytest.mark.parametrize(
+        "knobs", [{"shards": 4}, {"shard_budget": 5}, {"shards": 4, "shard_budget": 5}]
+    )
+    @pytest.mark.parametrize("n", [0, 200])
+    def test_shard_knobs_require_the_message_transport(self, knobs, n):
+        # Under shm the knobs would be silently ignored (shards=0 in the
+        # outcome, no budget enforced), so they are rejected up front.
+        g = random_gnm(n, 2 * n, seed=1)
+        with pytest.raises(ValueError, match='transport="message"'):
+            beta_partition_ampc(g, 9, **knobs)
+        with pytest.raises(ValueError, match='transport="message"'):
+            beta_partition_ampc(g, 9, transport="shm", **knobs)
+
+    def test_shard_knobs_accepted_with_the_message_transport(self):
+        out = beta_partition_ampc(
+            random_gnm(200, 400, seed=1), 9, transport="message", shards=4, workers=1
+        )
+        assert out.shards == 4
+
     @pytest.mark.parametrize("delta", [0.0, 1.0, 7.0, -0.5])
     @pytest.mark.parametrize("n", [0, 10])
     def test_invalid_delta_rejected_on_every_graph(self, delta, n):

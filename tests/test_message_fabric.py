@@ -300,6 +300,67 @@ class TestGhostFringe:
         assert np.array_equal(shard.ghost_row(6), np.array([1]))
         assert shard.guard.current == 2
 
+    @given(
+        st.integers(0, 2**31),
+        st.integers(1, 4),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 2**31)), max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_local_csr_tracks_installs_and_evictions(self, seed, num_shards, steps):
+        # One local CSR holds owned rows and ghosts: after any sequence
+        # of installs and evictions its universe has only grown, exactly
+        # the owned ids and current ghosts are held, every held row reads
+        # back verbatim and every other id reads empty.
+        g = random_gnm(60, 110, seed=seed)
+        offsets, targets = g.csr()
+        n = g.num_vertices
+        rng = np.random.default_rng(seed)
+        sid = int(rng.integers(num_shards))
+        owned = owner_of(np.arange(n), num_shards) == sid
+        roots = np.flatnonzero(owned & (rng.random(n) < 0.5))
+        shard = _Shard(sid, num_shards, None)
+        shard.place(offsets, targets, roots)
+        ghosts: set[int] = set()
+
+        def row(v: int) -> np.ndarray:
+            return targets[offsets[v]:offsets[v + 1]]
+
+        def check(previous: np.ndarray) -> None:
+            universe = shard.universe
+            assert (np.diff(universe) > 0).all()
+            assert np.isin(previous, universe).all()
+            assert np.isin(roots, universe).all()
+            expect_held = owned[universe] | np.isin(universe, list(ghosts))
+            assert np.array_equal(shard.held, expect_held)
+            for i, v in enumerate(universe.tolist()):
+                local = shard.targets[shard.offsets[i]:shard.offsets[i + 1]]
+                want = row(v) if expect_held[i] else []
+                assert universe[local].tolist() == list(want)
+            assert shard.ghost_ids.tolist() == sorted(ghosts)
+            fringe = sum(1 + len(row(v)) for v in ghosts)
+            assert shard.guard._held.get("ghost_fringe", 0) == fringe
+
+        check(shard.universe)
+        for install, step_seed in steps:
+            step = np.random.default_rng(step_seed)
+            previous = shard.universe.copy()
+            if install:
+                free = np.flatnonzero(~owned)
+                free = free[~np.isin(free, list(ghosts))]
+                ids = np.sort(free[step.random(len(free)) < 0.3])
+                lens = np.diff(offsets)[ids]
+                slab = np.concatenate([row(v) for v in ids.tolist()] + [ids[:0]])
+                shard.install_ghosts(ids, lens, slab)
+                ghosts |= set(ids.tolist())
+            else:
+                pinned = np.flatnonzero(step.random(n) < 0.5)
+                shard.evict_ghosts(pinned)
+                ghosts &= set(pinned.tolist())
+            check(previous)
+        shard.finish_round()
+        ghosts.clear()
+        check(shard.universe)
+
 
 class TestBudgetBinds:
     def test_budget_below_full_csr_passes_with_enough_shards(self):

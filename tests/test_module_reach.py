@@ -12,6 +12,11 @@ modules are exempt.
 
 A module that only its own tests import is dead weight; delete it with
 its tests, or name it in :data:`KEPT_WITHOUT_IMPORTER` with a reason.
+
+The same holds one level down for module constants: an UPPER_CASE name
+assigned at the top level of a ``src/repro`` module must be read
+somewhere under ``src/repro``, ``tests/``, ``benchmarks/``,
+``examples/`` or ``e2ebench/``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 IMPORTER_DIRS = (SRC / "repro", ROOT / "examples", ROOT / "benchmarks", ROOT / "e2ebench")
+READER_DIRS = (*IMPORTER_DIRS, ROOT / "tests")
 
 KEPT_WITHOUT_IMPORTER = {
     "repro.util.gf2": "test oracle: the pairwise-independence check in "
@@ -135,3 +141,49 @@ def test_rule_on_a_synthetic_tree(tmp_path):
         target.write_text(text)
     importers = (src / "pkg", tmp_path / "app")
     assert unreached_modules(src, importers) == {"pkg.dead"}
+
+
+def _is_constant_name(name: str) -> bool:
+    return name.lstrip("_")[:1].isalpha() and name == name.upper()
+
+
+def unread_constants(src: Path, reader_dirs: tuple[Path, ...]) -> set[str]:
+    """``module.NAME`` of each top-level UPPER_CASE assignment under
+    ``src`` whose name no file under ``reader_dirs`` reads.
+
+    A read is a load of the name, an attribute of that name, an import
+    of it, or a string constant equal to it (``monkeypatch.setattr(mod,
+    "NAME", ...)``, ``__all__``).
+    """
+    defined: dict[str, str] = {}
+    for path in sorted(src.rglob("*.py")):
+        module = _module_name(path, src)[0]
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and _is_constant_name(name.id):
+                        defined[name.id] = f"{module}.{name.id}"
+
+    read: set[str] = set()
+    for directory in reader_dirs:
+        for path in sorted(directory.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read.add(node.name.rpartition(".")[2])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+    return {qualified for name, qualified in defined.items() if name not in read}
+
+
+def test_every_module_constant_is_read():
+    assert sorted(unread_constants(SRC, READER_DIRS)) == []
