@@ -727,8 +727,9 @@ class _ShardRound:
         #   to the slow bigint path in droves.
         #
         # * The compiled kernel re-evaluates membership per delivery
-        #   through its stamp arrays and never consults a transpose map,
-        #   so it has no symmetry assumption at all.  Fringe rows stay
+        #   through its stamp arrays and never consults a transpose map;
+        #   it only needs every row genuine or empty (its σ relaxation
+        #   never counts a member with an empty row).  Fringe rows stay
         #   genuinely empty — the exact missing-rows-read-as-empty
         #   semantics of the scalar fabric protocol — and a game that
         #   walks off the held ball parks at the fringe instead of

@@ -180,7 +180,7 @@ class BatchedGamesInfo(NamedTuple):
     writes: np.ndarray  # proof-entry writes (0 at ejected games)
     records: tuple | None  # flat records (empty segments at ejected games)
     super_iterations: np.ndarray  # super-iterations played per game
-    edges_seen: np.ndarray  # |E(G[S_v])| per game
+    edges_seen: np.ndarray  # |E(G[S_v])| per game with records, else 0
     ejected: np.ndarray  # game indices the caller must replay scalar-side
 
 
@@ -350,7 +350,8 @@ class _Lockstep:
         self.writes = np.zeros(g, dtype=np.int64)
         self.super_iters = np.zeros(g, dtype=np.int64)
         self.edges_seen = np.zeros(g, dtype=np.int64)
-        self.edge_dirs = np.zeros(g, dtype=np.int64)  # directed inside edges
+        # Directed inside edges, counted only with records (as the kernel)
+        self.edge_dirs = np.zeros(g, dtype=np.int64)
         self.records = empty_records(g) if want_records else None
         self.active_mask = np.ones(g, dtype=bool)
         self.ejected: list[int] = []
@@ -494,10 +495,11 @@ class _Lockstep:
                 + self.region_start[du]
             )
             self.row_dst[patch_pos] = first + member_idx[old]
-            self.edge_dirs += np.bincount(
-                self.mem_game[du], minlength=self.num_games
-            )
-        if hit.any():
+            if self.records is not None:
+                self.edge_dirs += np.bincount(
+                    self.mem_game[du], minlength=self.num_games
+                )
+        if hit.any() and self.records is not None:
             self.edge_dirs += np.bincount(
                 g_new[member_idx[hit]], minlength=self.num_games
             )

@@ -9,7 +9,7 @@ buffers.  The numpy batched engine stays verbatim as the differential
 oracle; every observable here is bit-identical to it and to the scalar
 interpreter.
 
-C ABI (``_wave_kernel.c`` / ``_build.CDEF``, version ``ABI_VERSION`` = 2)
+C ABI (``_wave_kernel.c`` / ``_build.CDEF``, version ``ABI_VERSION`` = 3)
 =========================================================================
 
 ``repro_play_cohort`` plays one cohort of coin-dropping games against a
@@ -39,6 +39,11 @@ Array layouts (all ``int64`` little-endian C-contiguous unless noted):
   them the kernel takes the first β+1 in row order instead of ranking
   the row.  An unsorted row silently changes forwarding sets, so every
   CSR producer that feeds the fleet player is tested for sorted rows.
+  Rows are symmetric except that some may be empty (a fabric shard's
+  unheld rows): the σ a game keeps across super-iterations is relaxed
+  from its last value, reading each member's own row, and it equals
+  the row-walking peel only because a member with an empty row is
+  never counted in its neighbours' rows.
 - ``roots[num_games]`` — one game per root; game order is roots order
   and every per-game output array below is indexed by it.
 - ``out_layer[n]`` (float64) / ``out_count[n]`` — fold accumulators
@@ -48,7 +53,10 @@ Array layouts (all ``int64`` little-endian C-contiguous unless noted):
 - ``reads`` / ``writes`` / ``super_iters`` / ``edges_seen`` /
   ``mem_counts`` / ``proof_counts`` (``[num_games]``) and
   ``ejected[num_games]`` (uint8) — per-game observables, zeroed at
-  ejected games.
+  ejected games.  ``edges_seen`` (|E(G[S_v])|) is counted only when
+  ``want_records`` is set and is 0 otherwise; its one reader,
+  :meth:`~repro.lca.partial_partition_lca.PartialPartitionLCA.query_all`,
+  always keeps records.  The batched engine follows the same rule.
 
 Ownership: every buffer above (and ``games_done``) is allocated by the
 *caller* (numpy arrays passed through ``ffi.from_buffer``) and only
@@ -111,7 +119,7 @@ import numpy as np
 from repro.core import batched_games
 from repro.core.batched_games import BatchedGamesInfo
 
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 _ffi = None
 _lib = None

@@ -8,9 +8,10 @@
  *   CAP_PARAMS   the parameter(s) that carry the scale cap;
  *   CAP_VALUE    an expression of type COIN that rebuilds the cap.
  *
- * Everything else (CSR, stamps, slots, arenas, the sigma-peel, the
- * forwarding-set selection) is width-independent and shared.  The macros
- * are undefined at the end, so the next instantiation starts clean.
+ * Everything else (CSR, stamps, slots, arenas, the sigma-peel and its
+ * relaxation, the forwarding-set selection) is width-independent and
+ * shared.  The macros are undefined at the end, so the next
+ * instantiation starts clean.
  */
 
 #define AMT ((COIN *)S.amount)  /* coin amount at the game's scale */
@@ -47,6 +48,7 @@ int PLAY_COHORT(
     const COIN scale_cap = CAP_VALUE;
     i64 *mstamp = NULL, *mslot = NULL, *tstamp = NULL;
     vec64 members = {0}, touched = {0}, fsets = {0}, pu = {0}, pl = {0};
+    vec64 relax = {0};   /* sigma_relax's value buffer */
     slots_t S;
     fscand *cand = NULL; /* beta+1 entries, allocated at the first hub */
     i64 g = 0, epoch = 0, hop_id = 0;
@@ -64,15 +66,16 @@ int PLAY_COHORT(
         i64 gstamp = g + 1;
         i64 mem_count = 0;
         i64 greads = 0, gedges = 0;
+        i64 sig_m = 0; /* slots the game's last sigma covered */
         i64 retired_s = max_super;
         i64 s;
         int eject = 0;
         i64 *mv; /* members.data + mem_start; refreshed after growth */
 
         mem_start = members.len;
-        /* explore(root) */
+        /* explore(root): no inside edge yet (only the root is stamped) */
         {
-            i64 v = roots[g], p, end;
+            i64 v = roots[g];
             if (vec_push(&members, v)) goto done;
             if (slots_reserve(&S, 1)) goto done;
             mv = members.data + mem_start;
@@ -84,17 +87,11 @@ int PLAY_COHORT(
             S.fs_epoch[0] = -1;
             S.recv_epoch[0] = -1;
             greads += 1 + S.deg[0];
-            end = offsets[v + 1];
-            for (p = offsets[v]; p < end; p++) {
-                if (mstamp[targets[p]] == gstamp
-                        && targets[p] != v) gedges++;
-            }
         }
 
         for (s = 0; s < max_super; s++) {
             COIN gscale = init_scale;
             i64 hot_len, h, i;
-            int sigma_valid = 0;
             epoch++;
             fsets.len = 0;
             touched.len = 0;
@@ -207,12 +204,10 @@ int PLAY_COHORT(
                                         (size_t)(beta + 1) * sizeof(fscand));
                                     if (!cand) goto done;
                                 }
-                                if (!sigma_valid) {
-                                    sigma_peel(offsets, targets, gstamp,
-                                               mstamp, mslot, mv, mem_count,
-                                               beta, &S);
-                                    sigma_valid = 1;
-                                }
+                                if (sigma_update(offsets, targets, gstamp,
+                                                 mstamp, mslot, mv, &sig_m,
+                                                 mem_count, beta, &S, &relax))
+                                    goto done;
                                 select_top(targets + offsets[v], d, beta + 1,
                                            gstamp, mstamp, mslot, S.sigma,
                                            cand);
@@ -246,9 +241,11 @@ int PLAY_COHORT(
                 break;
             }
             /* Explore the touched set in ascending vertex order (the
-             * scalar engine's sorted(touched)), counting each inside
-             * edge once — at the exploration of its second endpoint. */
-            qsort(touched.data, (size_t)touched.len, sizeof(i64), i64_cmp);
+             * scalar engine's sorted(touched)).  With records, count each
+             * inside edge once, at the exploration of its second
+             * endpoint; only PartialPartitionLCA.query_all reads the
+             * count, and it always keeps records. */
+            sort_i64(touched.data, touched.len);
             if (vec_reserve(&members, members.len + touched.len))
                 goto done;
             if (slots_reserve(&S, mem_count + touched.len)) goto done;
@@ -266,10 +263,10 @@ int PLAY_COHORT(
                 S.fs_epoch[slot] = -1;
                 S.recv_epoch[slot] = -1;
                 greads += 1 + d;
-                end = offsets[w + 1];
-                for (p = offsets[w]; p < end; p++) {
-                    if (mstamp[targets[p]] == gstamp
-                            && targets[p] != w) gedges++;
+                if (!want_records) continue;
+                for (p = offsets[w], end = offsets[w + 1]; p < end; p++) {
+                    if (mstamp[targets[p]] == gstamp && targets[p] != w)
+                        gedges++;
                 }
             }
         }
@@ -289,11 +286,14 @@ int PLAY_COHORT(
             continue;
         }
 
-        /* Final sigma-peel + clipped proof fold, members in exploration
-         * order (slot order).  The proof arenas are reserved first, so
-         * the fold cannot fail halfway and a game folds all or nothing. */
-        sigma_peel(offsets, targets, gstamp, mstamp, mslot, mv,
-                   mem_count, beta, &S);
+        /* Final sigma (none to do if the last super-iteration computed
+         * it and grew nothing) + clipped proof fold, members in
+         * exploration order (slot order).  The sigma and the proof
+         * arenas come first, so the fold cannot fail halfway and a game
+         * folds all or nothing. */
+        if (sigma_update(offsets, targets, gstamp, mstamp, mslot, mv,
+                         &sig_m, mem_count, beta, &S, &relax))
+            goto done;
         if (want_records && (vec_reserve(&pu, pu.len + mem_count)
                              || vec_reserve(&pl, pl.len + mem_count)))
             goto done;
@@ -341,6 +341,7 @@ done:
     free(tstamp);
     free(touched.data);
     free(fsets.data);
+    free(relax.data);
     free(cand);
     slots_free(&S);
     return rc;

@@ -10,7 +10,15 @@
  * Python interpreter: coin values are scale-invariant exact rationals,
  * so any exact integer strategy with ejection-on-overflow produces the
  * same observable transcript.  See repro/core/native/__init__.py for
- * the full ABI contract.
+ * the full ABI contract (version 3: inside edges are counted only
+ * when the caller keeps records).
+ *
+ * A game does only the work its outputs read.  Its sigma is kept across
+ * super-iterations: the first one it needs is a full peel, each later
+ * one a downward relaxation from the last (sigma_relax), and the end of
+ * the game reuses it when the ball has not grown since.  Rows of
+ * explored members are walked for the inside-edge count only with
+ * records, and touched sets of a few dozen ids sort by insertion.
  *
  * The game loop lives in _wave_cohort.h and is compiled twice: over
  * int64 coins (repro_play_cohort, the first pass over every game) and
@@ -105,6 +113,44 @@ static int i64_cmp(const void *pa, const void *pb) {
     return (a < b) ? -1 : (a > b);
 }
 
+/* Ascending sort of a[0..len): insertion sort up to SMALL_SORT entries
+ * (touched sets are mostly a few dozen ids), qsort above. */
+#define SMALL_SORT 32
+
+static void sort_i64(i64 *a, i64 len) {
+    i64 i, j;
+    if (len > SMALL_SORT) {
+        qsort(a, (size_t)len, sizeof(i64), i64_cmp);
+        return;
+    }
+    for (i = 1; i < len; i++) {
+        i64 x = a[i];
+        for (j = i; j > 0 && a[j - 1] > x; j--) a[j] = a[j - 1];
+        a[j] = x;
+    }
+}
+
+/* The k-th smallest (0-based, k < len) of a[0..len); reorders a. */
+static i64 kth_smallest(i64 *a, i64 len, i64 k) {
+    i64 lo = 0, hi = len - 1;
+    while (lo < hi) {
+        i64 pivot = a[lo + (hi - lo) / 2], i = lo, j = hi;
+        while (i <= j) {
+            while (a[i] < pivot) i++;
+            while (a[j] > pivot) j--;
+            if (i <= j) {
+                i64 t = a[i];
+                a[i++] = a[j];
+                a[j--] = t;
+            }
+        }
+        if (k <= j) hi = j;
+        else if (k >= i) lo = i;
+        else break; /* a[j+1..i) all equal the pivot */
+    }
+    return a[k];
+}
+
 /* Per-slot scratch, capacity-grown with the largest ball seen so far
  * and reused across the cohort's games (a game's state is dead once it
  * retires or ejects). */
@@ -116,15 +162,15 @@ typedef struct {
     i64 *kcap;       /* |F| = min(deg, beta+1) */
     i64 *deg;        /* true residual degree */
     i64 *sigma;      /* sigma_{S_v} (SIGMA_INF = unlayered) */
-    i64 *peelcnt;    /* peel countdown buffer */
+    i64 *peelcnt;    /* peel countdown; in-queue flag of the relaxation */
     i64 *fs_epoch;   /* super-iteration a slot's fset was built in */
     i64 *fs_off;     /* offset of that fset in the fset arena */
     i64 *recv_epoch; /* hop id of the slot's last delivery (hot dedup) */
     i64 *hot;        /* worklist of slots whose amount changed */
     i64 *nhot;
     i64 *fwd;        /* this hop's forwarders */
-    i64 *front;      /* peel frontier double buffer */
-    i64 *nfront;
+    i64 *front;      /* peel frontier double buffer; nfront doubles as */
+    i64 *nfront;     /* the relaxation's circular worklist */
 } slots_t;
 
 static int slots_reserve(slots_t *s, i64 need) {
@@ -197,6 +243,98 @@ static void sigma_peel(
     }
 }
 
+/* Relax sigma from sigma_S to sigma_{S'} after the ball grew from S
+ * (slots [0, sig_m)) to S' (slots [0, mem_count)); members are only
+ * appended, so the old slots keep their vertices.
+ *
+ * Write F(v) = 0 if deg(v) <= beta, else 1 + the (deg(v)-beta)-th
+ * smallest finite sigma over v's in-ball neighbours (SIGMA_INF if fewer
+ * are finite).  sigma_S is F_S's unique fixpoint, sigma_{S'} <= sigma_S
+ * on S, so sigma_S extended by SIGMA_INF on the new slots bounds
+ * sigma_{S'} from above, and lowering slots to F from there stops at
+ * exactly sigma_{S'}.  When a slot drops to nv, only in-ball neighbours
+ * with deg > beta and sigma > nv+1 can drop in turn.  A neighbour with
+ * an empty row never counts towards F: sigma_peel walks rows, so it
+ * never decrements anyone (the only asymmetric rows a caller passes are
+ * empty ones; see the ABI notes).
+ *
+ * Expects peelcnt[0..sig_m) zero (the in-queue flags) and leaves
+ * peelcnt[0..mem_count) zero.  Returns -1 if the value buffer cannot
+ * grow. */
+static int sigma_relax(
+    const i64 *offsets, const i64 *targets, i64 gstamp,
+    const i64 *mstamp, const i64 *mslot,
+    const i64 *mv, i64 sig_m, i64 mem_count, i64 beta, slots_t *S,
+    vec64 *vals
+) {
+    i64 *queue = S->nfront, *inq = S->peelcnt;
+    i64 head = 0, qlen = 0, i;
+    for (i = sig_m; i < mem_count; i++) {
+        S->sigma[i] = SIGMA_INF;
+        inq[i] = 1;
+        queue[qlen++] = i;
+    }
+    while (qlen) {
+        i64 slot = queue[head], v = mv[slot], d = S->deg[slot];
+        i64 p, end = offsets[v + 1], nv = 0;
+        head = head + 1 == mem_count ? 0 : head + 1;
+        qlen--;
+        inq[slot] = 0;
+        if (d > beta) {
+            i64 nf = 0;
+            if (vec_reserve(vals, d)) return -1;
+            for (p = offsets[v]; p < end; p++) {
+                i64 w = targets[p];
+                if (mstamp[w] == gstamp && w != v) {
+                    i64 ws = mslot[w];
+                    if (S->sigma[ws] != SIGMA_INF && S->deg[ws])
+                        vals->data[nf++] = S->sigma[ws];
+                }
+            }
+            nv = nf < d - beta
+                ? SIGMA_INF : 1 + kth_smallest(vals->data, nf, d - beta - 1);
+        }
+        if (nv >= S->sigma[slot]) continue;
+        S->sigma[slot] = nv;
+        for (p = offsets[v]; p < end; p++) {
+            i64 w = targets[p];
+            if (mstamp[w] == gstamp) {
+                i64 ws = mslot[w];
+                if (!inq[ws] && S->deg[ws] > beta && S->sigma[ws] > nv + 1) {
+                    i64 tail = head + qlen;
+                    inq[ws] = 1;
+                    queue[tail >= mem_count ? tail - mem_count : tail] = ws;
+                    qlen++;
+                }
+            }
+        }
+    }
+    return 0;
+}
+
+/* Bring S->sigma up to the sigma of the game's current ball (slots [0,
+ * mem_count)) from the last one it computed (slots [0, *sig_m)): a full
+ * peel for the game's first sigma, a relaxation after growth, nothing
+ * if the ball has not grown.  Returns -1 on allocation failure. */
+static int sigma_update(
+    const i64 *offsets, const i64 *targets, i64 gstamp,
+    const i64 *mstamp, const i64 *mslot,
+    const i64 *mv, i64 *sig_m, i64 mem_count, i64 beta, slots_t *S,
+    vec64 *vals
+) {
+    if (*sig_m == mem_count) return 0;
+    if (!*sig_m) {
+        sigma_peel(offsets, targets, gstamp, mstamp, mslot, mv, mem_count,
+                   beta, S);
+        memset(S->peelcnt, 0, (size_t)mem_count * sizeof(i64));
+    } else if (sigma_relax(offsets, targets, gstamp, mstamp, mslot, mv,
+                           *sig_m, mem_count, beta, S, vals)) {
+        return -1;
+    }
+    *sig_m = mem_count;
+    return 0;
+}
+
 /* REPRO_COIN_PASSES picks the entry points one compile emits: bit 1 the
  * int64 pass and the width-free exports, bit 2 the __int128 pass.  The
  * default is both; the lazy build compiles each pass as its own object,
@@ -208,7 +346,7 @@ static void sigma_peel(
 #if REPRO_COIN_PASSES & 1
 void repro_buffers_free(i64 *p) { free(p); }
 
-i64 repro_abi_version(void) { return 2; }
+i64 repro_abi_version(void) { return 3; }
 
 /* The int64 pass: every game starts here. */
 #define COIN i64

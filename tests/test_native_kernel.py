@@ -35,7 +35,12 @@ from repro.core.batched_games import (
     play_games_batched,
 )
 from repro.core.beta_partition_ampc import beta_partition_ampc
-from repro.core.columnar_rounds import LazyAdjacency, play_coin_game, play_fleet
+from repro.core.columnar_rounds import (
+    LazyAdjacency,
+    _induced_sigma,
+    play_coin_game,
+    play_fleet,
+)
 from repro.graphs.generators import (
     path_graph,
     preferential_attachment,
@@ -352,6 +357,102 @@ class TestForwardingSetBranches:
         assert batched.records[3][0] == rim + 1
 
 
+class TestIncrementalSigma:
+    """A game keeps its σ across super-iterations: a full peel for its
+    first σ, a downward relaxation from the last σ once the ball has
+    grown, and no end-of-game σ when the last super-iteration's still
+    covers the ball.  Hand-built hub games pin each branch, PA fleets
+    relax thousands of times, and every case plays both engines."""
+
+    BETA = 3
+    X = 4 * (BETA + 1) ** 2  # each hop hands a hub at least β+1 coins
+
+    def test_sigma_in_two_super_iterations_then_retire(self):
+        # The hub roots its own game and takes β+1 rim leaves a
+        # super-iteration (TestForwardingSetBranches.test_hub_rooted_star):
+        # its row keeps 9, 5, 1, 0 non-members, so super-iterations 2 and
+        # 3 rank it by σ, first by a full peel, then by a relaxation.
+        # Super-iteration 3 forwards to members only, touches nothing and
+        # retires: the end of the game reuses that σ.
+        beta, rim = self.BETA, 2 * self.BETA + 3
+        offsets, targets = star_graph(rim + 1).csr()
+        roots = np.arange(rim + 1, dtype=np.int64)
+        __, compiled = _run_both(
+            offsets, targets, roots, x=self.X, beta=beta, clip=2,
+            horizon=16, scale=None,
+        )
+        assert compiled.super_iterations[0] == 4
+        assert compiled.records[3][0] == rim + 1
+
+    def test_end_sigma_relaxes_after_the_super_iteration_cap(self):
+        # x = 2 caps the game at x² = 4 super-iterations.  The hub root's
+        # row keeps 7, 5, 3, 1 non-members: super-iteration 3 ranks it by
+        # σ (a full peel), forwards to the last leaf, and explores it as
+        # the cap ends the game, so the end σ relaxes from the ball of
+        # super-iteration 3.  That leaf has a second neighbour outside
+        # the ball, so its σ is 2 (1 + the hub's), not the 0 of a leaf;
+        # every finite σ is clipped in.
+        offsets, targets = Graph.from_edges(
+            9, [(0, v) for v in range(1, 8)] + [(7, 8)]
+        ).csr()
+        roots = np.arange(9, dtype=np.int64)
+        __, compiled = _run_both(
+            offsets, targets, roots, **dict(_game(2, 1), clip=9)
+        )
+        assert compiled.super_iterations[0] == 4
+        members, proof_u, proof_l, member_counts, proof_counts = \
+            compiled.records
+        assert members[:member_counts[0]].tolist() == list(range(8))
+        proof = dict(zip(proof_u[:proof_counts[0]].tolist(),
+                         proof_l[:proof_counts[0]].tolist()))
+        assert proof[0] == 1 and proof[7] == 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("beta, x", [(3, 64), (6, 49)])
+    def test_hub_heavy_fleets(self, seed, beta, x):
+        graph = preferential_attachment(300, 3, seed=seed)
+        offsets, targets = graph.csr()
+        roots = np.arange(graph.num_vertices, dtype=np.int64)
+        _run_both(offsets, targets, roots, **_game(x, beta))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_empty_rows_never_count(self, seed):
+        # The message fabric plays CSRs whose unheld rows are empty: such
+        # a member has degree 0 but sits in its neighbours' rows.  The
+        # relaxation must not count it where the kernel's peel, which
+        # decrements along rows, never does.  With every finite σ
+        # clipped in, each game's proof is that peel of its recorded
+        # ball: `_induced_sigma` over each member's in-ball row.
+        graph = preferential_attachment(400, 3, seed=seed)
+        offsets, targets = graph.csr()
+        n = graph.num_vertices
+        held = np.random.default_rng(seed).random(n) > 0.3
+        targets = targets[np.repeat(held, np.diff(offsets))]
+        offsets = np.concatenate(([0], np.cumsum(np.diff(offsets) * held)))
+        adj = LazyAdjacency(offsets, targets)
+        beta = 3
+        game = dict(_game(64, beta), clip=n)
+        info = native.play_games_compiled(
+            offsets, targets, np.arange(n, dtype=np.int64),
+            out_layer=np.full(n, _INF),
+            out_count=np.zeros(n, dtype=np.int64), want_records=True,
+            **game,
+        )
+        members, proof_u, proof_l, member_counts, proof_counts = info.records
+        member_ends = np.cumsum(member_counts).tolist()
+        proof_ends = np.cumsum(proof_counts).tolist()
+        mo = po = 0
+        for me, pe in zip(member_ends, proof_ends):
+            ball = members[mo:me].tolist()
+            in_ball = set(ball)
+            inside = {v: [w for w in adj[v] if w in in_ball] for v in ball}
+            sigma = _induced_sigma(inside, adj, beta)
+            want = [(v, sigma[v]) for v in ball if sigma[v] != _INF]
+            assert list(zip(proof_u[po:pe].tolist(),
+                            proof_l[po:pe].tolist())) == want
+            mo, po = me, pe
+
+
 class TestEndToEndEngines:
     def test_partition_compiled_vs_oracle(self):
         g = random_gnm(300, 600, seed=21)
@@ -453,6 +554,89 @@ def _wide_matches_scalar(graph, roots, game):
     assert np.array_equal(layer_w, layer_s)
     assert np.array_equal(count_w, count_s)
     return wide
+
+
+class TestNoRecords:
+    """Only records runs count inside edges: without records both engines
+    skip the count and report ``edges_seen`` as zero, and every other
+    output equals the records run's."""
+
+    @staticmethod
+    def _same(got, want, edges):
+        """``got`` (info, layer, count) equals ``want`` but for
+        ``edges_seen``, which must equal ``edges``."""
+        for field in ("reads", "writes", "super_iterations", "ejected"):
+            assert np.array_equal(
+                getattr(got[0], field), getattr(want[0], field)
+            ), field
+        assert np.array_equal(got[0].edges_seen, edges)
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize(
+        "make, beta, x, scale_limit",
+        [
+            (lambda: random_gnm(300, 600, seed=3), 9, 100, None),
+            (lambda: preferential_attachment(200, 3, seed=4), 3, 64, None),
+            (lambda: preferential_attachment(150, 2, seed=11), 6, 64,
+             1 << 24),
+        ],
+        ids=["gnm", "pa-hubs", "pa-ejections"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fleet_without_records(
+        self, make, beta, x, scale_limit, workers, monkeypatch
+    ):
+        if scale_limit is not None:
+            monkeypatch.setattr(batched_games, "SCALE_LIMIT", scale_limit)
+        graph = make()
+        offsets, targets = graph.csr()
+        n = graph.num_vertices
+        game = _game(x, beta)
+
+        def fleet(engine, want_records):
+            layer = np.full(n, _INF)
+            count = np.zeros(n, dtype=np.int64)
+            info = play_fleet(
+                offsets, targets, np.arange(n, dtype=np.int64),
+                out_layer=layer, out_count=count, engine=engine,
+                want_records=want_records, workers=workers, **game,
+            )
+            assert (info.records is not None) == want_records
+            return info, layer, count
+
+        want = fleet("batched", True)
+        edges = want[0].edges_seen
+        assert edges.any()
+        if scale_limit is not None:
+            assert want[0].ejected.size
+        self._same(fleet("compiled", True), want, edges)
+        for engine in ("batched", "compiled"):
+            self._same(fleet(engine, False), want, 0 * edges)
+
+    def test_wide_tier_without_records(self, monkeypatch):
+        monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
+        monkeypatch.setattr(batched_games, "WIDE_SCALE_LIMIT", 1 << 27)
+        graph = preferential_attachment(300, 2, seed=11)
+        offsets, targets = graph.csr()
+        n = graph.num_vertices
+        game = _game(49, 6)
+        roots = _ejected_roots(graph, game)
+
+        def wide(want_records):
+            layer = np.full(n, _INF)
+            count = np.zeros(n, dtype=np.int64)
+            info = native.play_games_wide(
+                offsets, targets, roots, out_layer=layer, out_count=count,
+                want_records=want_records, **game,
+            )
+            assert (info.records is not None) == want_records
+            return info, layer, count
+
+        want = wide(True)
+        assert want[0].edges_seen.any()
+        assert 0 < want[0].ejected.size < roots.size
+        self._same(wide(False), want, 0 * want[0].edges_seen)
 
 
 class TestWideTier:
@@ -597,7 +781,7 @@ import numpy as np
 
 from repro.core import batched_games, native
 from repro.core.columnar_rounds import LazyAdjacency, play_coin_game
-from repro.graphs.generators import random_gnm
+from repro.graphs.generators import preferential_attachment, random_gnm
 from repro.lca.coin_game import fixed_coin_scale, max_provable_layer
 
 shim = ctypes.CDLL(sys.argv[1])
@@ -646,6 +830,38 @@ total = clean[3]
 assert total > 20, total
 for fail_at in sorted({1, 20, total // 2, total}):
     got = play(native.play_games_compiled, roots, fail_at)
+    assert got[4], fail_at
+    same(got, clean, ("reads", "writes", "super_iterations", "edges_seen",
+                      "ejected"))
+    for part, want in zip(got[0].records, clean[0].records):
+        assert np.array_equal(part, want)
+
+# A hub-heavy fleet that relaxes sigma thousands of times: failing each
+# of its reallocs in turn, sigma_relax's value buffer included, leaves
+# every output exact.
+hubs = preferential_attachment(60, 3, seed=3)
+h_offsets, h_targets = hubs.csr()
+h_game = dict(x=64, beta=3, clip=max_provable_layer(64, 3))
+h_game["horizon"] = 4 * (h_game["clip"] + 2)
+h_game["scale"] = fixed_coin_scale(3, h_game["horizon"])
+
+
+def play_hubs(fail_at):
+    layer = np.full(hubs.num_vertices, float("inf"))
+    count = np.zeros(hubs.num_vertices, dtype=np.int64)
+    shim.shim_arm(fail_at)
+    info = native.play_games_compiled(
+        h_offsets, h_targets, np.arange(hubs.num_vertices, dtype=np.int64),
+        out_layer=layer, out_count=count, want_records=True, **h_game)
+    seen, fired = shim.shim_seen(), shim.shim_fired()
+    shim.shim_arm(0)
+    return info, layer, count, seen, fired
+
+
+clean = play_hubs(0)
+assert clean[3] > 20, clean[3]
+for fail_at in range(1, clean[3] + 1):
+    got = play_hubs(fail_at)
     assert got[4], fail_at
     same(got, clean, ("reads", "writes", "super_iterations", "edges_seen",
                       "ejected"))

@@ -12,6 +12,7 @@ analyses lean on.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,9 +20,14 @@ from hypothesis import strategies as st
 from repro.coloring.greedy import orientation_greedy_coloring
 from repro.coloring.mis import is_maximal_independent_set, mis_from_coloring
 from repro.core.beta_partition_ampc import beta_partition_ampc
+from repro.core.columnar_rounds import _induced_sigma
 from repro.core.orientation import orient_by_partition
 from repro.graphs.arboricity import degeneracy, density_lower_bound
-from repro.graphs.generators import union_of_random_forests
+from repro.graphs.generators import (
+    preferential_attachment,
+    random_gnm,
+    union_of_random_forests,
+)
 from repro.graphs.validation import is_proper_coloring
 from repro.lca.coin_game import CoinDroppingGame
 from repro.lca.oracle import GraphOracle
@@ -126,3 +132,78 @@ class TestSubsetMonotonicityRandomized:
         p3 = induced_beta_partition(graph, s3, beta)
         for v in graph.vertices():
             assert p1.layer(v) >= p2.layer(v) >= p3.layer(v)
+
+
+def _inside(ball, adj):
+    """``_induced_sigma``'s view of ``ball``: each member's in-ball row."""
+    return {u: [w for w in adj[u] if w in ball] for u in ball}
+
+
+def _relax_sigma(sigma, ball, adj, beta):
+    """The wave kernel's incremental σ: a downward worklist relaxation of
+    F over ``ball``, started from ``sigma`` (σ of a smaller ball; absent
+    members start at ∞).  F(v) is 0 if deg(v) <= β, else 1 + the
+    (deg(v)-β)-th smallest finite σ over v's in-ball neighbours, or ∞.
+    Only the new members start queued; when v drops to nv, only in-ball
+    neighbours with deg > β and σ > nv+1 are queued."""
+    queue = deque(u for u in ball if u not in sigma)
+    sigma = {u: sigma.get(u, INFINITY) for u in ball}
+    queued = set(queue)
+    while queue:
+        v = queue.popleft()
+        queued.discard(v)
+        d = len(adj[v])
+        nv = 0
+        if d > beta:
+            finite = sorted(
+                sigma[w] for w in adj[v] if w in ball and sigma[w] != INFINITY
+            )
+            nv = 1 + finite[d - beta - 1] if len(finite) >= d - beta \
+                else INFINITY
+        if nv >= sigma[v]:
+            continue
+        sigma[v] = nv
+        for w in adj[v]:
+            if (w in ball and w not in queued and len(adj[w]) > beta
+                    and sigma[w] > nv + 1):
+                queue.append(w)
+                queued.add(w)
+    return sigma
+
+
+class TestIncrementalSigma:
+    """σ only drops as a ball grows, and F's fixpoint is unique, so a
+    downward relaxation from the last ball's σ reaches the new ball's σ
+    exactly (the wave kernel's incremental σ rests on this)."""
+
+    @given(
+        st.sampled_from(["gnm", "pa"]),
+        st.integers(20, 120),
+        st.integers(1, 6),
+        st.integers(0, 2**31),
+        st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_relaxation_from_a_smaller_ball_is_exact(
+        self, shape, n, beta, seed, growth
+    ):
+        graph = (
+            random_gnm(n, 3 * n, seed=seed) if shape == "gnm"
+            else preferential_attachment(n, 3, seed=seed)
+        )
+        adj = [graph.neighbors(v).tolist() for v in graph.vertices()]
+        rng = SplitMix64(seed)
+        # Nested balls grown from a root one random frontier vertex at a
+        # time, like a coin game's explored sets.
+        ball = {rng.randrange(n)}
+        sigma = _induced_sigma(_inside(ball, adj), adj, beta)
+        for step in growth:
+            for __ in range(step):
+                frontier = sorted(
+                    {w for u in ball for w in adj[u]} - ball
+                )
+                if not frontier:
+                    break
+                ball.add(frontier[rng.randrange(len(frontier))])
+            sigma = _relax_sigma(sigma, ball, adj, beta)
+            assert sigma == _induced_sigma(_inside(ball, adj), adj, beta)
