@@ -40,10 +40,13 @@ Array layouts (all ``int64`` little-endian C-contiguous unless noted):
   the row.  An unsorted row silently changes forwarding sets, so every
   CSR producer that feeds the fleet player is tested for sorted rows.
   Rows are symmetric except that some may be empty (a fabric shard's
-  unheld rows): the σ a game keeps across super-iterations is relaxed
-  from its last value, reading each member's own row, and it equals
-  the row-walking peel only because a member with an empty row is
-  never counted in its neighbours' rows.
+  unheld rows).  Both σ routines read a hub's (degree > β) own row in
+  place of its neighbours' rows: the peel counts the layer-0
+  neighbours that decrement the hub off it, and the relaxation the
+  in-ball neighbours that can bound the hub's σ.  That equals the
+  row-walking peel (``_induced_sigma``) only because a neighbour of
+  the hub lists the hub in turn unless its own row is empty, and a
+  member with an empty row is never counted.
 - ``roots[num_games]`` — one game per root; game order is roots order
   and every per-game output array below is indexed by it.
 - ``out_layer[n]`` (float64) / ``out_count[n]`` — fold accumulators

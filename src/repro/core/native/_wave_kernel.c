@@ -16,9 +16,13 @@
  * A game does only the work its outputs read.  Its sigma is kept across
  * super-iterations: the first one it needs is a full peel, each later
  * one a downward relaxation from the last (sigma_relax), and the end of
- * the game reuses it when the ball has not grown since.  Rows of
- * explored members are walked for the inside-edge count only with
- * records, and touched sets of a few dozen ids sort by insertion.
+ * the game reuses it when the ball has not grown since.  Both read
+ * sigma off the hubs (members of degree > beta) alone: every other
+ * member sits at layer 0 by its degree, and sigma walks its row at
+ * most once, when a relaxation first covers it.  A hub with fewer than
+ * deg - beta in-ball neighbours stays unlayered without a walk.
+ * Rows of explored members are walked for the inside-edge count only
+ * with records, and touched sets of a few dozen ids sort by insertion.
  *
  * The game loop lives in _wave_cohort.h and is compiled twice: over
  * int64 coins (repro_play_cohort, the first pass over every game) and
@@ -162,7 +166,10 @@ typedef struct {
     i64 *kcap;       /* |F| = min(deg, beta+1) */
     i64 *deg;        /* true residual degree */
     i64 *sigma;      /* sigma_{S_v} (SIGMA_INF = unlayered) */
-    i64 *peelcnt;    /* peel countdown; in-queue flag of the relaxation */
+    i64 *peelcnt;    /* a hub's peel countdown; in-queue flag of the
+                      * relaxation */
+    i64 *inball;     /* a hub's in-ball neighbours with non-empty rows,
+                      * set by the peel, kept by the relaxation */
     i64 *fs_epoch;   /* super-iteration a slot's fset was built in */
     i64 *fs_off;     /* offset of that fset in the fset arena */
     i64 *recv_epoch; /* hop id of the slot's last delivery (hot dedup) */
@@ -186,7 +193,7 @@ static int slots_reserve(slots_t *s, i64 need) {
 #define GROW64(f) GROW(f, sizeof(i64))
     GROW(amount, s->coin_size); GROW(famt, s->coin_size);
     GROW64(kcap); GROW64(deg); GROW64(sigma); GROW64(peelcnt);
-    GROW64(fs_epoch); GROW64(fs_off); GROW64(recv_epoch);
+    GROW64(inball); GROW64(fs_epoch); GROW64(fs_off); GROW64(recv_epoch);
     GROW64(hot); GROW64(nhot); GROW64(fwd); GROW64(front); GROW64(nfront);
 #undef GROW64
 #undef GROW
@@ -196,16 +203,27 @@ static int slots_reserve(slots_t *s, i64 need) {
 
 static void slots_free(slots_t *s) {
     free(s->amount); free(s->kcap); free(s->deg); free(s->sigma);
-    free(s->peelcnt); free(s->fs_epoch); free(s->fs_off);
+    free(s->peelcnt); free(s->inball); free(s->fs_epoch); free(s->fs_off);
     free(s->recv_epoch); free(s->hot); free(s->nhot); free(s->fwd);
     free(s->famt); free(s->front); free(s->nfront);
 }
 
 /* Synchronous sigma-peel of game g's current ball (members
- * mv[0..mem_count), stamps identify membership).  Matches the scalar
- * `_induced_sigma`: counts start at the TRUE residual degree, the whole
- * frontier is assigned its layer before any decrement, and a member
- * enqueues exactly when its countdown hits beta from above. */
+ * mv[0..mem_count), stamps identify membership), walking hub rows only.
+ * Matches the scalar `_induced_sigma`: counts start at the TRUE residual
+ * degree, the whole frontier is assigned its layer before any
+ * decrement, and a member enqueues exactly when its countdown hits beta
+ * from above.
+ *
+ * Layer 0 is every member with deg <= beta; it is assigned without a
+ * row walk.  Its decrements land on the hubs (deg > beta) only, and a
+ * hub h loses one per layer-0 member w in its row with a non-empty
+ * row: rows are symmetric unless empty, so w lists h exactly when h
+ * lists w and w's row is not empty.  So each hub's countdown starts at
+ * deg minus its in-ball neighbours of degree 1..beta, read off its own
+ * row, and the hubs that end up at or below beta form layer 1.  The
+ * same walk sets inball, the hub's in-ball neighbours with non-empty
+ * rows, which sigma_relax keeps up to date. */
 static void sigma_peel(
     const i64 *offsets, const i64 *targets, i64 gstamp,
     const i64 *mstamp, const i64 *mslot,
@@ -215,11 +233,25 @@ static void sigma_peel(
     i64 *front = S->front, *nfront = S->nfront;
     fl = 0;
     for (i = 0; i < mem_count; i++) {
+        i64 v = mv[i], p, end = offsets[v + 1], low = 0, in = 0;
+        if (S->deg[i] <= beta) {
+            S->sigma[i] = 0;
+            continue;
+        }
         S->sigma[i] = SIGMA_INF;
-        S->peelcnt[i] = S->deg[i];
-        if (S->deg[i] <= beta) front[fl++] = i;
+        for (p = offsets[v]; p < end; p++) {
+            i64 w = targets[p];
+            if (mstamp[w] == gstamp && w != v) {
+                i64 dw = S->deg[mslot[w]];
+                low += dw && dw <= beta;
+                in += dw != 0;
+            }
+        }
+        S->peelcnt[i] = S->deg[i] - low;
+        S->inball[i] = in;
+        if (S->peelcnt[i] <= beta) front[fl++] = i;
     }
-    layer = 0;
+    layer = 1;
     while (fl) {
         for (i = 0; i < fl; i++) S->sigma[front[i]] = layer;
         nl = 0;
@@ -250,13 +282,23 @@ static void sigma_peel(
  * Write F(v) = 0 if deg(v) <= beta, else 1 + the (deg(v)-beta)-th
  * smallest finite sigma over v's in-ball neighbours (SIGMA_INF if fewer
  * are finite).  sigma_S is F_S's unique fixpoint, sigma_{S'} <= sigma_S
- * on S, so sigma_S extended by SIGMA_INF on the new slots bounds
- * sigma_{S'} from above, and lowering slots to F from there stops at
- * exactly sigma_{S'}.  When a slot drops to nv, only in-ball neighbours
- * with deg > beta and sigma > nv+1 can drop in turn.  A neighbour with
- * an empty row never counts towards F: sigma_peel walks rows, so it
- * never decrements anyone (the only asymmetric rows a caller passes are
- * empty ones; see the ABI notes).
+ * on S, so sigma_S extended by SIGMA_INF on the new hubs (and by 0 on
+ * the new members of degree <= beta, their F) bounds sigma_{S'} from
+ * above, and lowering slots to F from there stops at exactly
+ * sigma_{S'}.  When a slot drops to nv, only in-ball neighbours with
+ * deg > beta and sigma > nv+1 can drop in turn.  A neighbour with an
+ * empty row never counts towards F: sigma_peel counts only non-empty
+ * rows, as the row-walking peel of `_induced_sigma` decrements only
+ * along them (the only asymmetric rows a caller passes are empty ones;
+ * see the ABI notes).
+ *
+ * One walk per new row adds each new in-ball edge to the inball count
+ * of its hubs: the new member's own, and an old neighbour's when the
+ * new row is not empty (on symmetric rows the old one lists it too).
+ * The same walk queues the hubs a new degree-<=beta member can lower.
+ * A hub with inball < deg - beta cannot have deg - beta finite in-ball
+ * neighbours, so its F is SIGMA_INF and it is dropped from the queue
+ * without a walk.
  *
  * Expects peelcnt[0..sig_m) zero (the in-queue flags) and leaves
  * peelcnt[0..mem_count) zero.  Returns -1 if the value buffer cannot
@@ -270,30 +312,50 @@ static int sigma_relax(
     i64 *queue = S->nfront, *inq = S->peelcnt;
     i64 head = 0, qlen = 0, i;
     for (i = sig_m; i < mem_count; i++) {
-        S->sigma[i] = SIGMA_INF;
-        inq[i] = 1;
-        queue[qlen++] = i;
+        int hub = S->deg[i] > beta;
+        S->sigma[i] = hub ? SIGMA_INF : 0;
+        S->inball[i] = 0;
+        inq[i] = hub;
+        if (hub) queue[qlen++] = i;
+    }
+    for (i = sig_m; i < mem_count; i++) {
+        i64 v = mv[i], p, end = offsets[v + 1];
+        int low = S->deg[i] <= beta;
+        for (p = offsets[v]; p < end; p++) {
+            i64 w = targets[p];
+            if (mstamp[w] == gstamp && w != v) {
+                i64 ws = mslot[w];
+                if (S->deg[ws] <= beta) {
+                    S->inball[i] += S->deg[ws] != 0;
+                    continue;
+                }
+                S->inball[i]++;
+                if (ws < sig_m) S->inball[ws]++;
+                if (low && !inq[ws] && S->sigma[ws] > 1) {
+                    inq[ws] = 1;
+                    queue[qlen++] = ws; /* nothing dequeued yet */
+                }
+            }
+        }
     }
     while (qlen) {
         i64 slot = queue[head], v = mv[slot], d = S->deg[slot];
-        i64 p, end = offsets[v + 1], nv = 0;
+        i64 p, end = offsets[v + 1], nv, nf = 0;
         head = head + 1 == mem_count ? 0 : head + 1;
         qlen--;
         inq[slot] = 0;
-        if (d > beta) {
-            i64 nf = 0;
-            if (vec_reserve(vals, d)) return -1;
-            for (p = offsets[v]; p < end; p++) {
-                i64 w = targets[p];
-                if (mstamp[w] == gstamp && w != v) {
-                    i64 ws = mslot[w];
-                    if (S->sigma[ws] != SIGMA_INF && S->deg[ws])
-                        vals->data[nf++] = S->sigma[ws];
-                }
+        if (S->inball[slot] < d - beta) continue;
+        if (vec_reserve(vals, d)) return -1;
+        for (p = offsets[v]; p < end; p++) {
+            i64 w = targets[p];
+            if (mstamp[w] == gstamp && w != v) {
+                i64 ws = mslot[w];
+                if (S->sigma[ws] != SIGMA_INF && S->deg[ws])
+                    vals->data[nf++] = S->sigma[ws];
             }
-            nv = nf < d - beta
-                ? SIGMA_INF : 1 + kth_smallest(vals->data, nf, d - beta - 1);
         }
+        nv = nf < d - beta
+            ? SIGMA_INF : 1 + kth_smallest(vals->data, nf, d - beta - 1);
         if (nv >= S->sigma[slot]) continue;
         S->sigma[slot] = nv;
         for (p = offsets[v]; p < end; p++) {

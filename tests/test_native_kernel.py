@@ -58,7 +58,7 @@ pytestmark = pytest.mark.skipif(
 _INF = float("inf")
 
 
-def _run_both(offsets, targets, roots, **game):
+def _run_both(offsets, targets, roots, want_records=True, **game):
     n = len(offsets) - 1
     layer_b = np.full(n, _INF)
     count_b = np.zeros(n, dtype=np.int64)
@@ -66,12 +66,12 @@ def _run_both(offsets, targets, roots, **game):
     count_c = np.zeros(n, dtype=np.int64)
     batched = play_games_batched(
         offsets, targets, roots, out_layer=layer_b, out_count=count_b,
-        want_records=True,
+        want_records=want_records,
         transpose_pos=csr_transpose_positions(offsets, targets), **game
     )
     compiled = native.play_games_compiled(
         offsets, targets, roots, out_layer=layer_c, out_count=count_c,
-        want_records=True, **game
+        want_records=want_records, **game
     )
     assert np.array_equal(layer_b, layer_c)
     assert np.array_equal(count_b, count_c)
@@ -81,6 +81,9 @@ def _run_both(offsets, targets, roots, **game):
         assert np.array_equal(
             getattr(batched, field), getattr(compiled, field)
         ), field
+    if not want_records:
+        assert batched.records is compiled.records is None
+        return batched, compiled
     assert len(batched.records) == len(compiled.records) == 5
     for got, want in zip(compiled.records, batched.records):
         assert np.array_equal(got, want)
@@ -361,8 +364,11 @@ class TestIncrementalSigma:
     """A game keeps its σ across super-iterations: a full peel for its
     first σ, a downward relaxation from the last σ once the ball has
     grown, and no end-of-game σ when the last super-iteration's still
-    covers the ball.  Hand-built hub games pin each branch, PA fleets
-    relax thousands of times, and every case plays both engines."""
+    covers the ball.  Both walk hub rows only (members of degree <= β
+    sit at layer 0), and the relaxation leaves at ∞, unwalked, a hub with
+    fewer than deg - β in-ball neighbours with non-empty rows.
+    Hand-built hub games pin each branch, hub-free and PA fleets bracket
+    them, and every case plays both engines."""
 
     BETA = 3
     X = 4 * (BETA + 1) ** 2  # each hop hands a hub at least β+1 coins
@@ -407,23 +413,75 @@ class TestIncrementalSigma:
                          proof_l[:proof_counts[0]].tolist()))
         assert proof[0] == 1 and proof[7] == 2
 
+    @pytest.mark.parametrize("want_records", [True, False])
+    def test_inball_reaches_the_bar_a_super_iteration_later(
+        self, want_records
+    ):
+        # β = 2.  Root 0 has row {1, 2, 3, 4}; hub 1 has row {0, 5..11},
+        # degree 8, so its σ is finite only with 6 in-ball neighbours.
+        # The root forwards to 1, 2, 3 by prefix, then ranks by σ from
+        # super-iteration 2 on (a full peel: hub 1 counts 1 in-ball
+        # neighbour).  Hub 1 forwards to 5, 6, 7, then to 8, 9, 10, a
+        # prefix of three each time.  The relaxation after the first
+        # three leaves queues hub 1 with 4 in-ball neighbours and leaves
+        # it at ∞ unwalked; the one after the next three finds 7 and
+        # lowers it to 1.
+        beta = 2
+        edges = [(0, v) for v in (1, 2, 3, 4)]
+        edges += [(1, v) for v in range(5, 12)]
+        offsets, targets = Graph.from_edges(12, edges).csr()
+        __, compiled = _run_both(
+            offsets, targets, np.arange(12, dtype=np.int64),
+            want_records=want_records, **_game(4 * (beta + 1) ** 2, beta),
+        )
+        assert compiled.super_iterations[0] == 5
+        if want_records:
+            members, proof_u, proof_l, member_counts, proof_counts = \
+                compiled.records
+            assert members[:member_counts[0]].tolist() == list(range(12))
+            assert proof_l[:proof_counts[0]].tolist()[:2] == [1, 1]
+
+    @pytest.mark.parametrize("want_records", [True, False])
+    def test_hub_free_fleet(self, want_records):
+        # Every degree is <= β: every σ is 0 from the degree alone, and
+        # neither routine walks a row.
+        graph = random_gnm(300, 600, seed=5)
+        offsets, targets = graph.csr()
+        beta = int(np.diff(offsets).max())
+        __, compiled = _run_both(
+            offsets, targets, np.arange(graph.num_vertices, dtype=np.int64),
+            want_records=want_records, **_game(100, beta),
+        )
+        assert compiled.writes.sum() > graph.num_vertices
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("beta, x", [(3, 64), (6, 49)])
     def test_hub_heavy_fleets(self, seed, beta, x):
         graph = preferential_attachment(300, 3, seed=seed)
         offsets, targets = graph.csr()
         roots = np.arange(graph.num_vertices, dtype=np.int64)
-        _run_both(offsets, targets, roots, **_game(x, beta))
+        for want_records in (True, False):
+            _run_both(offsets, targets, roots, want_records=want_records,
+                      **_game(x, beta))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_empty_rows_never_count(self, seed):
         # The message fabric plays CSRs whose unheld rows are empty: such
-        # a member has degree 0 but sits in its neighbours' rows.  The
-        # relaxation must not count it where the kernel's peel, which
-        # decrements along rows, never does.  With every finite σ
-        # clipped in, each game's proof is that peel of its recorded
-        # ball: `_induced_sigma` over each member's in-ball row.
-        graph = preferential_attachment(400, 3, seed=seed)
+        # a member has degree 0 but sits in its neighbours' rows.  Neither
+        # the peel's countdowns nor the relaxation's inball counts may
+        # count it, as `_induced_sigma`'s peel, which decrements along
+        # rows, never does.  With every finite σ clipped in, each game's
+        # proof is that peel of its recorded ball: `_induced_sigma` over
+        # each member's in-ball row.
+        for graph in (
+            preferential_attachment(400, 3, seed=seed),
+            random_gnm(400, 800, seed=seed),
+            union_of_random_forests(400, 3, seed=seed),
+        ):
+            self._proofs_are_the_peel_with_empty_rows(graph, seed)
+
+    @staticmethod
+    def _proofs_are_the_peel_with_empty_rows(graph, seed):
         offsets, targets = graph.csr()
         n = graph.num_vertices
         held = np.random.default_rng(seed).random(n) > 0.3
@@ -837,7 +895,8 @@ for fail_at in sorted({1, 20, total // 2, total}):
         assert np.array_equal(part, want)
 
 # A hub-heavy fleet that relaxes sigma thousands of times: failing each
-# of its reallocs in turn, sigma_relax's value buffer included, leaves
+# of its reallocs in turn, sigma_relax's value buffer and every slot
+# array's growth (the hubs' inball counts included) among them, leaves
 # every output exact.
 hubs = preferential_attachment(60, 3, seed=3)
 h_offsets, h_targets = hubs.csr()

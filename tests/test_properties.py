@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,27 +140,58 @@ def _inside(ball, adj):
     return {u: [w for w in adj[u] if w in ball] for u in ball}
 
 
-def _relax_sigma(sigma, ball, adj, beta):
+def _inball(h, ball, adj):
+    """``h``'s in-ball neighbours with non-empty rows."""
+    return sum(1 for w in adj[h] if w in ball and w != h and adj[w])
+
+
+def _relax_sigma(sigma, inball, ball, adj, beta):
     """The wave kernel's incremental σ: a downward worklist relaxation of
-    F over ``ball``, started from ``sigma`` (σ of a smaller ball; absent
-    members start at ∞).  F(v) is 0 if deg(v) <= β, else 1 + the
-    (deg(v)-β)-th smallest finite σ over v's in-ball neighbours, or ∞.
-    Only the new members start queued; when v drops to nv, only in-ball
-    neighbours with deg > β and σ > nv+1 are queued."""
-    queue = deque(u for u in ball if u not in sigma)
-    sigma = {u: sigma.get(u, INFINITY) for u in ball}
+    F over ``ball``, started from ``sigma`` (σ of a smaller ball).  F(v)
+    is 0 if deg(v) <= β, else 1 + the (deg(v)-β)-th smallest finite σ
+    over v's in-ball neighbours with non-empty rows, or ∞.  New members
+    start at 0 if deg <= β, else queued at ∞; one walk per new row adds
+    its in-ball edges to the hubs' ``inball`` counts (updated in place)
+    and queues the hubs a new degree-<=β member can lower.  A dequeued
+    hub with inball < deg - β stays ∞ unwalked; when v drops to nv, only
+    in-ball hubs with σ > nv+1 are queued."""
+    old = set(sigma)
+    new = [u for u in ball if u not in old]
+    sigma = dict(sigma)
+    queue = deque()
+    for u in new:
+        hub = len(adj[u]) > beta
+        sigma[u] = INFINITY if hub else 0
+        if hub:
+            inball[u] = 0
+            queue.append(u)
     queued = set(queue)
+    for v in new:
+        for w in adj[v]:
+            if w not in ball or w == v:
+                continue
+            dw = len(adj[w])
+            if v in inball:
+                inball[v] += dw > 0
+            if dw <= beta:
+                continue
+            if w in old:
+                inball[w] += 1
+            if sigma[v] == 0 and w not in queued and sigma[w] > 1:
+                queue.append(w)
+                queued.add(w)
     while queue:
         v = queue.popleft()
         queued.discard(v)
         d = len(adj[v])
-        nv = 0
-        if d > beta:
-            finite = sorted(
-                sigma[w] for w in adj[v] if w in ball and sigma[w] != INFINITY
-            )
-            nv = 1 + finite[d - beta - 1] if len(finite) >= d - beta \
-                else INFINITY
+        if inball[v] < d - beta:
+            continue
+        finite = sorted(
+            sigma[w] for w in adj[v]
+            if w in ball and w != v and adj[w] and sigma[w] != INFINITY
+        )
+        nv = 1 + finite[d - beta - 1] if len(finite) >= d - beta \
+            else INFINITY
         if nv >= sigma[v]:
             continue
         sigma[v] = nv
@@ -174,7 +206,9 @@ def _relax_sigma(sigma, ball, adj, beta):
 class TestIncrementalSigma:
     """σ only drops as a ball grows, and F's fixpoint is unique, so a
     downward relaxation from the last ball's σ reaches the new ball's σ
-    exactly (the wave kernel's incremental σ rests on this)."""
+    exactly (the wave kernel's incremental σ rests on this), also when
+    some rows read as empty, and the hubs' inball counts it keeps equal
+    a fresh count."""
 
     @given(
         st.sampled_from(["gnm", "pa"]),
@@ -182,28 +216,154 @@ class TestIncrementalSigma:
         st.integers(1, 6),
         st.integers(0, 2**31),
         st.lists(st.integers(1, 40), min_size=1, max_size=6),
+        st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_relaxation_from_a_smaller_ball_is_exact(
-        self, shape, n, beta, seed, growth
+        self, shape, n, beta, seed, growth, emptied
     ):
         graph = (
             random_gnm(n, 3 * n, seed=seed) if shape == "gnm"
             else preferential_attachment(n, 3, seed=seed)
         )
-        adj = [graph.neighbors(v).tolist() for v in graph.vertices()]
+        full = [graph.neighbors(v).tolist() for v in graph.vertices()]
         rng = SplitMix64(seed)
+        adj = [[] if emptied and rng.random() < 1 / 3 else row
+               for row in full]
         # Nested balls grown from a root one random frontier vertex at a
-        # time, like a coin game's explored sets.
+        # time, like a coin game's explored sets (over the full graph:
+        # members with emptied rows are touched from their neighbours').
         ball = {rng.randrange(n)}
         sigma = _induced_sigma(_inside(ball, adj), adj, beta)
+        inball = {h: _inball(h, ball, adj) for h in ball
+                  if len(adj[h]) > beta}
         for step in growth:
             for __ in range(step):
                 frontier = sorted(
-                    {w for u in ball for w in adj[u]} - ball
+                    {w for u in ball for w in full[u]} - ball
                 )
                 if not frontier:
                     break
                 ball.add(frontier[rng.randrange(len(frontier))])
-            sigma = _relax_sigma(sigma, ball, adj, beta)
+            sigma = _relax_sigma(sigma, inball, ball, adj, beta)
             assert sigma == _induced_sigma(_inside(ball, adj), adj, beta)
+            assert inball == {h: _inball(h, ball, adj) for h in ball
+                              if len(adj[h]) > beta}
+
+
+def _low(dw, beta):
+    """A layer-0 neighbour that decrements a hub: a non-empty row of
+    degree <= β."""
+    return 0 < dw <= beta
+
+
+def _hub_peel(ball, adj, beta, counted=_low):
+    """The wave kernel's first σ: members with deg <= β sit at layer 0
+    unwalked, and each hub's countdown starts at deg minus its in-ball
+    neighbours that ``counted`` admits, read off its own row.  The
+    synchronous peel then runs over hubs only."""
+    sigma = {u: 0 if len(adj[u]) <= beta else INFINITY for u in ball}
+    count = {}
+    frontier = []
+    for h in ball:
+        if sigma[h] == 0:
+            continue
+        count[h] = len(adj[h]) - sum(
+            1 for w in adj[h]
+            if w in ball and w != h and counted(len(adj[w]), beta)
+        )
+        if count[h] <= beta:
+            frontier.append(h)
+    layer = 1
+    while frontier:
+        for h in frontier:
+            sigma[h] = layer
+        nxt = []
+        for h in frontier:
+            for w in adj[h]:
+                if w in ball and sigma[w] == INFINITY:
+                    count[w] -= 1
+                    if count[w] == beta:
+                        nxt.append(w)
+        frontier = nxt
+        layer += 1
+    return sigma
+
+
+def _random_ball(shape, n, beta, seed, emptied):
+    """A ball grown from a random root like a coin game's explored set,
+    over a random graph of ``shape``; with ``emptied`` a third of the
+    rows read as empty, like a fabric shard's unheld rows (the ball still
+    grows over the full graph, as members with unheld rows are touched
+    from their neighbours' rows)."""
+    graph = {
+        "gnm": lambda: random_gnm(n, 2 * n, seed=seed),
+        "pa": lambda: preferential_attachment(n, 3, seed=seed),
+        "forests": lambda: union_of_random_forests(n, 3, seed=seed),
+    }[shape]()
+    full = [graph.neighbors(v).tolist() for v in graph.vertices()]
+    rng = SplitMix64(seed)
+    ball = {rng.randrange(n)}
+    for __ in range(rng.randrange(n)):
+        frontier = sorted({w for u in ball for w in full[u]} - ball)
+        if not frontier:
+            break
+        ball.add(frontier[rng.randrange(len(frontier))])
+    adj = [[] if emptied and rng.random() < 1 / 3 else row for row in full]
+    return ball, adj
+
+
+balls = st.tuples(
+    st.sampled_from(["gnm", "pa", "forests"]),
+    st.integers(10, 80),  # n
+    st.integers(1, 6),  # beta
+    st.integers(0, 2**31),  # seed
+    st.booleans(),  # a third of the rows emptied
+)
+
+# Hub-only peels that miscount layer 0: each must disagree with
+# `_induced_sigma` on some ball of TestHubOnlySigma's fixed sample.
+_MUTANTS = {
+    "counts empty-row neighbours": lambda dw, beta: dw <= beta,
+    "counts hubs": lambda dw, beta: dw > 0,
+    "filter one too wide": lambda dw, beta: 0 < dw <= beta + 1,
+    "filter one too narrow": lambda dw, beta: 0 < dw < beta,
+}
+
+
+class TestHubOnlySigma:
+    """σ read from the hubs alone (the wave kernel's peel and
+    relaxation) is `_induced_sigma`'s row-walking peel."""
+
+    @given(balls)
+    @settings(max_examples=60, deadline=None)
+    def test_hub_only_peel_is_the_row_walking_peel(self, case):
+        beta = case[2]
+        ball, adj = _random_ball(*case)
+        assert _hub_peel(ball, adj, beta) == _induced_sigma(
+            _inside(ball, adj), adj, beta
+        )
+
+    @given(balls)
+    @settings(max_examples=60, deadline=None)
+    def test_a_hub_short_of_non_empty_neighbours_is_unlayered(self, case):
+        beta = case[2]
+        ball, adj = _random_ball(*case)
+        sigma = _induced_sigma(_inside(ball, adj), adj, beta)
+        for h in ball:
+            d = len(adj[h])
+            if d > beta and _inball(h, ball, adj) < d - beta:
+                assert sigma[h] == INFINITY
+
+    @pytest.mark.parametrize("mutant", sorted(_MUTANTS))
+    def test_the_sample_catches_each_miscount(self, mutant):
+        counted = _MUTANTS[mutant]
+        for seed in range(40):
+            beta = 1 + seed % 6
+            for shape in ("gnm", "pa", "forests"):
+                ball, adj = _random_ball(shape, 60, beta, seed, True)
+                if _hub_peel(ball, adj, beta, counted) != _induced_sigma(
+                    _inside(ball, adj), adj, beta
+                ):
+                    return
+        pytest.fail(f"no sampled ball tells the {mutant!r} peel apart")
