@@ -98,19 +98,15 @@ Every engine plays the shard's local CSR, whose ids are the ranks of
 global ids in the shard's universe: every order-dependent tie-break
 (``sorted(touched)``, the σ-rank key ending in the vertex id) is
 preserved under that monotone remap, so committed transcripts map back
-exactly.  For the batched engine each play closes the CSR with
-synthetic reverse rows for fringe vertices so its transpose-based row
-arena stays well-formed — synthetic rows are only ever read by games
-that explored a fringe vertex, i.e. games that are discarded.  A shard
-plays its pending array-engine games through the same fleet player as
-the shm round (:func:`repro.core.columnar_rounds.play_fleet`) and
-checks its flat records against the held mask in whole-fleet array
-ops.  Games the engine ejects, and every game under
-``engine="scalar"``, play one at a time through the scalar interpreter
-on the same CSR (:meth:`_ShardRound._play_scalar`) and commit iff
-their explored set is held.  Whichever engine played it, a committed
-game keeps only its proof, as ``(vertex, layer)`` columns, for the
-layer fold.
+exactly.  A shard plays its pending games, under every engine, through
+the same fleet player as the shm round
+(:func:`repro.core.columnar_rounds.play_fleet`), which finishes the
+games it ejects itself, and checks the flat records against the held
+mask in whole-fleet array ops.  (For the batched engine the fleet
+player closes the fringe rows with synthetic reverse edges, which only
+games that explored a fringe vertex read — games that are discarded.)
+Whichever engine played it, a committed game keeps only its proof, as
+``(vertex, layer)`` columns, for the layer fold.
 
 Ghost-fringe invalidation rules
 -------------------------------
@@ -645,31 +641,6 @@ class _ShardRound:
         if extra.size:
             self.spec_pins.append(extra)
 
-    # -- one sub-round of play --------------------------------------------
-
-    def play(self, params: dict) -> None:
-        t0 = time.perf_counter()
-        if self.engine in ("batched", "compiled"):
-            self._play_batched(params)
-        else:
-            words = self._play_scalar(self.pending(), params)
-            self.shard.guard.account("game_scratch", words)
-            self.shard.guard.release("game_scratch")
-        self.play_s += time.perf_counter() - t0
-
-    def _commit(
-        self, i: int, reads: int, writes: int, ball_words: int,
-        proof_u: np.ndarray, proof_l: np.ndarray, ejected: bool = False,
-    ) -> None:
-        self.valid[i] = True
-        self.missing[i] = _EMPTY
-        self.reads[i] = reads
-        self.writes[i] = writes
-        self.proof_cols[i] = (proof_u, proof_l)
-        self.ball_words[i] = ball_words
-        if ejected:
-            self.ejected_games += 1
-
     def proof_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Locally folded layer proposals: ``(vertices, minima, counts)``.
 
@@ -703,75 +674,36 @@ class _ShardRound:
             np.diff(np.append(starts, len(enc))),
         )
 
-    def _play_batched(self, params: dict) -> None:
+    # -- one sub-round of play --------------------------------------------
+
+    def play(self, params: dict) -> None:
+        """Play every pending game on the shard's CSR through the fleet
+        player; a game commits iff its explored set is held."""
         from repro.core.columnar_rounds import play_fleet
 
+        t0 = time.perf_counter()
         shard = self.shard
         need = self.pending()
         universe = shard.universe
         u_count = len(universe)
         held = shard.held
         deg_held = shard.deg
-
-        # Fringe vertices (targets of held rows whose own rows are not
-        # held) need local rows too.  The two engines want different
-        # ones:
-        #
-        # * The python batched engine patches forwarding records through
-        #   a transpose-position map that assumes every edge's reverse
-        #   exists, so fringe rows must hold synthetic reverse edges.
-        #   Only a game that explores a fringe vertex can read one — and
-        #   that game is invalid and discarded — but the fake structure
-        #   (cycles back into the ball) makes such games escalate their
-        #   coin scale far past the genuine trajectory's, ejecting them
-        #   to the slow bigint path in droves.
-        #
-        # * The compiled kernel re-evaluates membership per delivery
-        #   through its stamp arrays and never consults a transpose map;
-        #   it only needs every row genuine or empty (its σ relaxation
-        #   never counts a member with an empty row).  Fringe rows stay
-        #   genuinely empty — the exact missing-rows-read-as-empty
-        #   semantics of the scalar fabric protocol — and a game that
-        #   walks off the held ball parks at the fringe instead of
-        #   bouncing through fake cycles, so only genuinely deep games
-        #   eject.  Either way the game is detected as invalid through
-        #   the held mask over its explored set.
-        if self.engine == "compiled":
-            offsets_l = shard.offsets
-            targets_l = shard.targets
-        else:
-            held_tgt = shard.targets
-            held_src = np.repeat(
-                np.arange(u_count, dtype=np.int64), deg_held
-            )
-            fringe_edge = ~held[held_tgt]
-            syn_src = held_tgt[fringe_edge]
-            syn_tgt = held_src[fringe_edge]
-            deg = (
-                deg_held + np.bincount(syn_src, minlength=u_count)
-                if syn_src.size else deg_held
-            )
-            offsets_l = np.zeros(u_count + 1, dtype=np.int64)
-            np.cumsum(deg, out=offsets_l[1:])
-            targets_l = np.empty(int(offsets_l[-1]), dtype=np.int64)
-            targets_l[
-                _segment_indices(offsets_l[:-1], deg_held)
-            ] = held_tgt
-            if syn_src.size:
-                order = np.lexsort((syn_tgt, syn_src))
-                syn_rows = _sorted_unique(syn_src)
-                targets_l[
-                    _segment_indices(
-                        offsets_l[syn_rows],
-                        np.bincount(syn_src, minlength=u_count)[syn_rows],
-                    )
-                ] = syn_tgt[order]
-
-        scratch = (u_count + 1) + 2 * len(targets_l) + 3 * u_count
-        shard.guard.account("game_scratch", scratch)
+        guard = shard.guard
+        scratch = 0
+        if self.engine != "scalar":
+            # The engine's arrays over the local universe.  The batched
+            # engine plays the CSR closed over its fringe rows
+            # (close_empty_rows): one more entry per edge into an
+            # unheld row.
+            entries = len(shard.targets)
+            if self.engine == "batched":
+                entries += int(np.count_nonzero(~held[shard.targets]))
+            scratch = (u_count + 1) + 2 * entries + 3 * u_count
+            guard.account("game_scratch", scratch)
 
         info = play_fleet(
-            offsets_l, targets_l, np.searchsorted(universe, self.roots[need]),
+            shard.offsets, shard.targets,
+            np.searchsorted(universe, self.roots[need]),
             x=params["x"], beta=params["beta"], clip=params["clip"],
             horizon=params["horizon"], scale=params["scale"],
             out_layer=np.full(u_count, _INF),
@@ -792,86 +724,47 @@ class _ShardRound:
         np.cumsum(bad, out=bad_cum[1:])
         ball_cum = np.zeros(len(mem_f) + 1, dtype=np.int64)
         np.cumsum(deg_held[mem_f], out=ball_cum[1:])
-        ejected = np.zeros(len(need), dtype=bool)
-        ejected[info.ejected] = True
         mo = po = 0
         for j, i in enumerate(need.tolist()):
             me, pe = mem_ends[j], proof_ends[j]
-            if ejected[j]:
-                pass  # replayed exactly below, on real held rows
-            elif bad_cum[me] != bad_cum[mo]:
+            if bad_cum[me] != bad_cum[mo]:
                 # Unsorted is fine: missing sets only ever feed
                 # missing_union / pinned_ghosts, which sort-unique their
                 # concatenation anyway.
                 self.missing[i] = mem_g[mo:me][bad[mo:me]]
             else:
+                self.valid[i] = True
+                self.missing[i] = _EMPTY
+                self.reads[i] = info.reads[j]
+                self.writes[i] = info.writes[j]
+                self.proof_cols[i] = (pu_g[po:pe], pl_f[po:pe])
                 # Real words of the held ball: one degree word plus the
                 # row targets per explored vertex — identically the
                 # game's probe charge, so strict-budget parity is
                 # checked against what a shard genuinely held.
-                ball = (me - mo) + int(ball_cum[me] - ball_cum[mo])
-                self._commit(
-                    i, int(info.reads[j]), int(info.writes[j]), ball,
-                    pu_g[po:pe], pl_f[po:pe],
+                self.ball_words[i] = (me - mo) + int(
+                    ball_cum[me] - ball_cum[mo]
                 )
             mo, po = me, pe
+        self.ejected_games += int(np.count_nonzero(
+            self.valid[need[info.ejected]]
+        ))
 
-        # Ejected games replay through the scalar interpreter on the
-        # shard's own CSR, not on the synthetic rows above.  Those exist
-        # only to satisfy the batched engine's transpose map; a game
-        # that wanders into them sees fake structure whose scale
-        # escalation routinely overflows the engine, and an exact
-        # bigint replay of that fake trajectory would be both the
-        # slowest path in the fabric and useless.  On the held rows the
-        # bigint path follows the true game: it commits when its
-        # explored set is held, and otherwise its unheld members are
-        # the rows the real trajectory needs next sub-round.
-        if info.ejected.size:
-            words = self._play_scalar(need[info.ejected], params, True)
-            shard.guard.account("game_scratch", scratch + words)
-        shard.guard.release("game_scratch")
-
-    def _play_scalar(
-        self, games: np.ndarray, params: dict, ejected: bool = False
-    ) -> int:
-        """Play ``games`` one at a time through the scalar interpreter
-        on the shard's CSR; a game commits iff its explored set is held.
-
-        Returns the words of the held rows the games read — one degree
-        word plus the targets per row — which is the interpreter's
-        row-cache scratch.
-        """
-        from repro.core.columnar_rounds import LazyAdjacency, play_coin_game
-
-        shard = self.shard
-        universe = shard.universe
-        held = shard.held
-        deg = shard.deg
-        adj = LazyAdjacency(shard.offsets, shard.targets)
-        out_layer = np.full(len(universe), _INF)
-        out_count = np.zeros(len(universe), dtype=np.int64)
-        roots_l = np.searchsorted(universe, self.roots[games])
-        read: list[np.ndarray] = []
-        for i, root in zip(games.tolist(), roots_l.tolist()):
-            reads, writes, record = play_coin_game(
-                adj, root, params["x"], params["beta"], params["clip"],
-                params["horizon"], params["scale"], out_layer, out_count,
-                True,
+        # Games off the int64 path (every game under "scalar", the
+        # int64 pass's ejections otherwise) are also charged the held
+        # rows they read, one degree word plus the targets per row: the
+        # interpreter's row lists.  The wide tier is charged the same,
+        # so the guard does not depend on which exact tier finished.
+        interpreted = np.full(len(need), self.engine == "scalar")
+        interpreted[info.ejected] = True
+        if interpreted.any():
+            rows = _sorted_unique(mem_f[np.repeat(interpreted, mem_counts)])
+            rows = rows[held[rows]]
+            guard.account(
+                "game_scratch", scratch + len(rows) + int(deg_held[rows].sum())
             )
-            explored = np.array(record[0], dtype=np.int64)
-            read.append(explored)
-            unheld = explored[~held[explored]]
-            if unheld.size:
-                self.missing[i] = universe[np.sort(unheld)]
-                continue
-            proof = np.array(record[1], dtype=np.int64).reshape(-1, 2)
-            self._commit(
-                i, reads, writes, len(explored) + int(deg[explored].sum()),
-                universe[proof[:, 0]], proof[:, 1], ejected,
-            )
-        rows = _sorted_unique(np.concatenate(read)) if read else _EMPTY
-        rows = rows[held[rows]]
-        return len(rows) + int(deg[rows].sum())
+        guard.release("game_scratch")
+        self.play_s += time.perf_counter() - t0
 
 
 def _expand_ball(

@@ -15,8 +15,9 @@ simulator exploits exactly that freedom, nothing more:
   threads, created once and never replaced.  cffi drops the GIL for
   every fused-C cohort call and numpy drops it inside its array
   kernels, so threads share the round's CSR in place with no publish,
-  pickle, or attach cost.  Ejected games replay on the calling thread
-  after the join.  The ``"scalar"`` oracle always plays in-process.
+  pickle, or attach cost.  The fleet player finishes the games the
+  int64 pass ejects on the calling thread, after the join.  The
+  ``"scalar"`` oracle always plays in-process, serially.
 - **Processes for the message fabric.**  A shard chain
   (:func:`repro.ampc.messaging.run_shard_chain`) is pure Python and
   holds the GIL, so :meth:`CoinGamePool.run_games` runs one chain per

@@ -86,8 +86,9 @@ machine-word-sized unless a game truly demands more.  Because every
 representation is exact, thresholds, shares, and touched sets are
 value-identical across all of them (the PR 3 differential tests pinned
 this), so the choice is invisible to every observable.  A game whose
-escalation would overflow the budget is *ejected* and replayed by the
-next of three exact tiers:
+escalation would overflow the budget is *ejected*, and the fleet
+player (:func:`repro.core.columnar_rounds.play_fleet`) replays it on
+the next of three exact tiers:
 
 1. int64 coins (this engine, or the compiled kernel's first pass) play
    every game, with amounts below :data:`SCALE_LIMIT` = 2^61;
@@ -95,12 +96,12 @@ next of three exact tiers:
    same kernel source built a second time) replay the games the
    compiled pass ejects, from the same starting scale, with amounts
    below :data:`WIDE_SCALE_LIMIT` = 2^125;
-3. the scalar engine replays what is left, one game at a time: its
+3. the scalar interpreter plays what is left, one game at a time: its
    fixed-scale Python integers widen to bigints (or to Fractions for
-   deep horizons) — the per-game bigint escape hatch.
+   deep horizons).
 
 This numpy engine is the compiled kernel's oracle, so its ejections
-skip the second tier and go straight to the scalar engine.
+skip the second tier and go straight to the interpreter.
 
 When the full fixed scale does not fit, games do not start at scale 1
 either: they start at the largest power ``lcm(1..β+1)^j`` that leaves
@@ -172,16 +173,17 @@ class BatchedGamesInfo(NamedTuple):
     ``(members, proof_u, proof_layer, member_counts, proof_counts)``:
     game ``g``'s final S_v in exploration order and its clipped proof
     entries are the ``counts``-delimited segments of the three flat
-    arrays.  Ejected games have empty segments.  Both array engines
-    return this one format.
+    arrays.  Every engine returns this one format.  A cohort player
+    leaves its ejected games zeroed, with empty segments; the fleet
+    player (:func:`repro.core.columnar_rounds.play_fleet`) fills them.
     """
 
-    reads: np.ndarray  # probe counts (0 at ejected games)
-    writes: np.ndarray  # proof-entry writes (0 at ejected games)
-    records: tuple | None  # flat records (empty segments at ejected games)
+    reads: np.ndarray  # probe counts
+    writes: np.ndarray  # proof-entry writes
+    records: tuple | None  # flat records
     super_iterations: np.ndarray  # super-iterations played per game
     edges_seen: np.ndarray  # |E(G[S_v])| per game with records, else 0
-    ejected: np.ndarray  # game indices the caller must replay scalar-side
+    ejected: np.ndarray  # game indices the int64 pass ejected
 
 
 def empty_records(num_games: int) -> tuple:
@@ -684,7 +686,7 @@ class _Lockstep:
         active = np.arange(self.num_games, dtype=np.int64)
         if self.scale_cap < 1:
             # No scaled-integer representation fits the word budget at
-            # all (astronomical x): every game takes the escape hatch.
+            # all (astronomical x): every game is ejected.
             self.ejected = active.tolist()
             self.active_mask[:] = False
             self.reads[:] = 0
@@ -955,8 +957,8 @@ def play_games_batched(
     scalar :func:`~repro.core.columnar_rounds.play_coin_game` would fold
     them one game at a time.  Games whose coin arithmetic cannot stay
     within the machine-word budget are listed in ``ejected`` with all
-    their outputs zeroed; the caller replays them through the scalar
-    engine (bigint/Fraction coins) — see the module docstring.
+    their outputs zeroed, for the fleet player's next tier — see the
+    module docstring.
     ``want_records`` adds the flat per-game records described on
     :class:`BatchedGamesInfo`.  Callers play whole fleets through
     :func:`repro.core.columnar_rounds.play_fleet`, which blocks them

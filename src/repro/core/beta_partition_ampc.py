@@ -26,7 +26,7 @@ Two execution fabrics implement the loop:
   :class:`~repro.ampc.columnar.ColumnStore` stores with batched round
   kernels (:mod:`repro.core.columnar_rounds`): the residual graph is one
   CSR gather, the peel round is a degree-mask kernel, and the coin games
-  run against flat adjacency lists.  With ``workers > 1`` lca rounds
+  run against that CSR.  With ``workers > 1`` lca rounds
   fan their machine fleet out over threads (array engines) or, under
   ``transport="message"``, run the fabric's shard chains on a
   persistent process pool (:mod:`repro.ampc.pool`) — machines within a

@@ -37,12 +37,14 @@ dict-backed oracle):
      an iteration costs O(#forwarders + #shares), not O(#holders).
 
 Machines within a round are independent (they all read D_{i-1} only),
-so the fleet can fan out over threads (the array engines, through
-:func:`play_fleet` — the one fleet player, which fabric shards and the
-Lemma 4.7 LCA's ``query_all`` share) or message-passing shards
+so the fleet can fan out over threads or message-passing shards
 (:class:`repro.ampc.messaging.MessageFabric`, whose shard chains run
-on :class:`repro.ampc.pool.CoinGamePool` worker processes); the scalar
-oracle always plays in-process.  The kernel
+on :class:`repro.ampc.pool.CoinGamePool` worker processes).
+:func:`play_fleet` is the one fleet player of every engine — the shm
+round, a fabric shard's sub-round and the Lemma 4.7 LCA's
+``query_all`` all call it — and it returns every game complete: the
+games whose coins outgrow a machine word finish inside it, down the
+exact tiers (int64 → ``__int128`` → bigint/Fraction).  The kernel
 folds each slice's or shard's layer-proposal deltas and per-machine
 counts back through the same min/+ accumulators the serial loop uses,
 making the result independent of completion order.
@@ -63,6 +65,7 @@ from repro.ampc.machine import BatchMachineContext
 from repro.ampc.pool import usable_cpus
 from repro.core.batched_games import (
     BatchedGamesInfo,
+    _segment_indices,
     csr_transpose_positions,
     join_infos,
     play_games_batched,
@@ -72,23 +75,22 @@ from repro.lca.coin_game import fixed_coin_scale, max_provable_layer
 
 __all__ = [
     "LazyAdjacency",
+    "close_empty_rows",
     "lca_round_kernel",
     "peel_round_kernel",
     "play_coin_game",
     "play_fleet",
-    "residual_adjacency_lists",
     "residual_csr",
 ]
 
 # A scalar game record is the plain tuple
-#     (explored, proof, reads, writes)
+#     (explored, proof, reads, writes, super_iterations, edges_seen)
 # where ``explored`` lists the final S_v in exploration order, ``proof``
-# the clipped (vertex, layer) proof entries, and reads/writes the
-# machine's communication charge.  Plain lists/ints keep record
-# construction out of the per-game hot path.  The message fabric reads
-# ``explored`` to check a shard-local run against the rows it holds.
-# The array engines return the same content as flat arrays (see
-# repro.core.batched_games.BatchedGamesInfo).
+# the clipped (vertex, layer) proof entries, reads/writes the machine's
+# communication charge, and the last two are CoinGameResult's fields of
+# the same names.  Plain lists/ints keep record construction out of the
+# per-game hot path.  play_fleet packs them into the flat arrays the
+# array engines return (see repro.core.batched_games.BatchedGamesInfo).
 
 _INF = float("inf")
 
@@ -129,27 +131,6 @@ def residual_csr(
     return offsets, targets
 
 
-def residual_adjacency_lists(
-    offsets: np.ndarray, targets: np.ndarray, alive: np.ndarray | None = None
-) -> list[list[int] | None]:
-    """Python adjacency lists over a residual CSR (None for dead rows).
-
-    The coin-game engine probes adjacency millions of times per round;
-    list slices of a pre-converted flat list beat per-probe numpy
-    indexing by an order of magnitude.  ``alive=None`` converts every
-    row (dead rows become empty lists — they are never probed, because
-    residual targets only ever point at alive vertices).
-    """
-    flat = targets.tolist()
-    offs = offsets.tolist()
-    if alive is None:
-        return [flat[offs[v]:offs[v + 1]] for v in range(len(offsets) - 1)]
-    adj: list[list[int] | None] = [None] * (len(offsets) - 1)
-    for v in alive.tolist():
-        adj[v] = flat[offs[v]:offs[v + 1]]
-    return adj
-
-
 def peel_round_kernel(batch: BatchMachineContext, beta: int) -> None:
     """One Barenboim-Elkin peel round as an array kernel.
 
@@ -170,28 +151,61 @@ def peel_round_kernel(batch: BatchMachineContext, beta: int) -> None:
     batch.account(np.ones(len(alive), dtype=np.int64), low.astype(np.int64))
 
 
-class LazyAdjacency:
-    """Residual adjacency rows materialized (and memoized) on demand.
+class LazyAdjacency(dict):
+    """Residual adjacency rows of a CSR, each made a list on first read.
 
-    Ejected-game replays (and a fabric shard's scalar games, on its
-    local CSR) probe only the rows of each game's ball; converting the
-    whole CSR to flat lists for them would dwarf the replay itself.
-    Supports exactly the ``adj[u]`` access :func:`play_coin_game`
-    performs.
+    :func:`play_coin_game` reads ``adj[u]`` only for the rows of each
+    game's ball, so the games the interpreter plays pay only for the
+    rows they read.  A row hit is a plain dict lookup; only a miss
+    calls :meth:`__missing__`.
     """
 
     def __init__(self, offsets: np.ndarray, targets: np.ndarray) -> None:
+        super().__init__()
         self._offsets = offsets
         self._targets = targets
-        self._rows: dict[int, list[int]] = {}
 
-    def __getitem__(self, v: int) -> list[int]:
-        row = self._rows.get(v)
-        if row is None:
-            start, stop = int(self._offsets[v]), int(self._offsets[v + 1])
-            row = self._targets[start:stop].tolist()
-            self._rows[v] = row
+    def __missing__(self, v: int) -> list[int]:
+        row = self._targets[self._offsets[v]:self._offsets[v + 1]].tolist()
+        self[v] = row
         return row
+
+
+def close_empty_rows(
+    offsets: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR with every listed empty row filled with the rows listing it.
+
+    The batched engine patches its row arena through a transpose map
+    (:func:`~repro.core.batched_games.csr_transpose_positions`) that
+    needs every edge's reverse.  A fabric shard's CSR lists fringe
+    vertices whose rows it does not hold and reads as empty; closing
+    gives each such row, ascending, the rows that list it.  Only a game
+    that explores a fringe vertex reads a synthetic row, and the fabric
+    discards that game, since its explored set is not held.  Their
+    fake cycles escalate such a game's coin scale far past its true
+    trajectory's, so :func:`play_fleet` plays the ejected games on the
+    CSR as given.  A CSR with no listed empty row (every residual CSR)
+    comes back as the same objects.
+    """
+    deg = np.diff(offsets)
+    listed_empty = deg[targets] == 0
+    if not listed_empty.any():
+        return offsets, targets
+    n = len(deg)
+    rows = targets[listed_empty]
+    # Sources are ascending in CSR order, so a stable sort by row keeps
+    # each synthetic row ascending.
+    listers = np.repeat(np.arange(n, dtype=np.int64), deg)[listed_empty]
+    extra = np.bincount(rows, minlength=n)
+    closed_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg + extra, out=closed_offsets[1:])
+    closed = np.empty(int(closed_offsets[-1]), dtype=np.int64)
+    closed[_segment_indices(closed_offsets[:-1], deg)] = targets
+    closed[_segment_indices(closed_offsets[:-1], extra)] = listers[
+        np.argsort(rows, kind="stable")
+    ]
+    return closed_offsets, closed
 
 
 def _game_threads() -> ThreadPoolExecutor:
@@ -230,23 +244,31 @@ def play_fleet(
     phases: dict | None = None,
     workers: int = 1,
 ) -> BatchedGamesInfo:
-    """Play one game per root on an array engine; outputs in game order.
+    """Play one game per root, every game complete; outputs in game order.
 
-    The one place that plays a fleet of coin games on an array engine:
-    the shm lca round, a fabric shard's sub-round and
+    The one fleet player of every engine: the shm lca round, a fabric
+    shard's sub-round and
     :meth:`repro.lca.partial_partition_lca.PartialPartitionLCA.query_all`
-    all call it.  ``engine`` picks the cohort player: ``"batched"``
-    (numpy lockstep, which gets the CSR transpose map built once here)
-    or ``"compiled"`` (the fused C kernel of :mod:`repro.core.native`,
-    bit-identical).  Layers fold into ``out_layer``/``out_count``; the
+    all call it.  Layers fold into ``out_layer``/``out_count``; the
     returned :class:`~repro.core.batched_games.BatchedGamesInfo` covers
     the whole fleet, flat records included when ``want_records``.
 
-    Games the engine ejects (coin scales past the machine-word budget —
-    see :mod:`repro.core.batched_games`) come back in ``ejected`` with
-    zeroed outputs and empty record segments; each caller replays them
-    through its own escape hatch (:func:`lca_round_kernel` tries the
-    kernel's ``__int128`` tier first).
+    ``engine`` picks the cohort player: ``"compiled"`` (the fused C
+    kernel of :mod:`repro.core.native`) or ``"batched"`` (numpy
+    lockstep, bit-identical; it plays the CSR closed by
+    :func:`close_empty_rows` and gets its transpose map built once
+    here).  ``"scalar"`` plays every game through
+    :func:`play_coin_game`, serially.
+
+    The ejection ladder: a cohort player ejects the games whose coin
+    scale outgrows int64 (see :mod:`repro.core.batched_games`).  After
+    the join, on the calling thread and into the same accumulators, a
+    compiled fleet replays them on the kernel's ``__int128`` tier
+    (:func:`repro.core.native.play_games_wide`), and
+    :func:`play_coin_game` finishes the rest on the CSR as given; a
+    batched fleet sends them straight to :func:`play_coin_game`.  Every
+    game comes back complete; ``ejected`` still lists the int64 pass's
+    ejections.
 
     Cohort blocking: the engine's state is gathered and scattered
     millions of times per round, and a whole-fleet arena (hundreds of MB
@@ -270,8 +292,15 @@ def play_fleet(
     fold to ``phases["fold"]``.  Every observable is bit-identical to
     the serial run.
     """
+    game = dict(x=x, beta=beta, clip=clip, horizon=horizon, scale=scale)
+    if engine == "scalar":
+        return _interpret(
+            offsets, targets, roots, out_layer, out_count, want_records,
+            **game,
+        )
     num_games = len(roots)
     block = COHORT_GAMES
+    cohort_offsets, cohort_targets = offsets, targets
     transpose_pos = None
     if engine == "compiled":
         from repro.core.native import play_games_compiled
@@ -279,7 +308,10 @@ def play_fleet(
         play_cohort = play_games_compiled
     else:
         play_cohort = play_games_batched
-        transpose_pos = csr_transpose_positions(offsets, targets)
+        cohort_offsets, cohort_targets = close_empty_rows(offsets, targets)
+        transpose_pos = csr_transpose_positions(
+            cohort_offsets, cohort_targets
+        )
 
     threads = min(workers, usable_cpus(), num_games)
     if threads > 1:
@@ -299,11 +331,11 @@ def play_fleet(
         arena_hint = [0, 0]
         while (i := next(claim)) < len(infos):
             infos[i] = play_cohort(
-                offsets, targets, roots[bounds[i]:bounds[i + 1]],
-                x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
+                cohort_offsets, cohort_targets,
+                roots[bounds[i]:bounds[i + 1]],
                 out_layer=layer, out_count=count,
                 want_records=want_records, phases=slice_phases,
-                transpose_pos=transpose_pos, arena_hint=arena_hint,
+                transpose_pos=transpose_pos, arena_hint=arena_hint, **game,
             )
         return layer, count
 
@@ -331,7 +363,105 @@ def play_fleet(
             )
     else:
         drain(out_layer, out_count, phases)
-    return infos[0] if len(infos) == 1 else join_infos(infos)
+    info = infos[0] if len(infos) == 1 else join_infos(infos)
+
+    left = info.ejected
+    if left.size and engine == "compiled":
+        from repro.core.native import play_games_wide
+
+        wide = play_games_wide(
+            offsets, targets, roots[left], out_layer=out_layer,
+            out_count=out_count, want_records=want_records, phases=phases,
+            **game,
+        )
+        info = _fill(info, left, wide)
+        left = left[wide.ejected]
+    if left.size:
+        info = _fill(info, left, _interpret(
+            offsets, targets, roots[left], out_layer, out_count,
+            want_records, **game,
+        ))
+    return info
+
+
+def _interpret(
+    offsets, targets, roots, out_layer, out_count, want_records, *,
+    x, beta, clip, horizon, scale,
+) -> BatchedGamesInfo:
+    """Play ``roots`` one at a time through :func:`play_coin_game`.
+
+    Its fixed-scale Python integers widen to bigints (Fractions for
+    deep horizons), so every game finishes.  The module global is
+    looked up per call, so a patched ``play_coin_game`` sees every
+    game it plays.
+    """
+    adj = LazyAdjacency(offsets, targets)
+    g = len(roots)
+    reads = np.zeros(g, dtype=np.int64)
+    writes = np.zeros(g, dtype=np.int64)
+    super_iterations = np.zeros(g, dtype=np.int64)
+    edges_seen = np.zeros(g, dtype=np.int64)
+    member_counts = np.zeros(g, dtype=np.int64)
+    proof_counts = np.zeros(g, dtype=np.int64)
+    members: list[int] = []
+    proof: list[tuple[int, int]] = []
+    for i, root in enumerate(roots.tolist()):
+        reads[i], writes[i], record = play_coin_game(
+            adj, root, x, beta, clip, horizon, scale, out_layer, out_count,
+            True,
+        )
+        explored, pairs, __, __, super_iterations[i], edges = record
+        if want_records:
+            edges_seen[i] = edges
+            members += explored
+            proof += pairs
+            member_counts[i] = len(explored)
+            proof_counts[i] = len(pairs)
+    records = None
+    if want_records:
+        pairs = np.array(proof, dtype=np.int64).reshape(-1, 2)
+        records = (
+            np.array(members, dtype=np.int64), pairs[:, 0].copy(),
+            pairs[:, 1].copy(), member_counts, proof_counts,
+        )
+    return BatchedGamesInfo(
+        reads, writes, records, super_iterations, edges_seen,
+        np.empty(0, dtype=np.int64),
+    )
+
+
+def _fill(
+    info: BatchedGamesInfo, games: np.ndarray, tier: BatchedGamesInfo
+) -> BatchedGamesInfo:
+    """``info`` with the outputs of ``games`` (ascending, zeroed in
+    ``info``) taken from ``tier``, which played them in that order."""
+    for field in ("reads", "writes", "super_iterations", "edges_seen"):
+        getattr(info, field)[games] = getattr(tier, field)
+    if info.records is None:
+        return info
+    members, proof_u, proof_l, member_counts, proof_counts = info.records
+    member_counts[games] = tier.records[3]
+    proof_counts[games] = tier.records[4]
+    return info._replace(records=(
+        _spliced(members, member_counts, games, tier.records[0]),
+        _spliced(proof_u, proof_counts, games, tier.records[1]),
+        _spliced(proof_l, proof_counts, games, tier.records[2]),
+        member_counts, proof_counts,
+    ))
+
+
+def _spliced(flat, counts, games, tier_flat) -> np.ndarray:
+    """``flat`` with ``tier_flat`` as the (so far empty) segments of
+    ``games``; ``counts`` already holds the new segment lengths."""
+    slots = _segment_indices(
+        np.cumsum(counts)[games] - counts[games], counts[games]
+    )
+    out = np.empty(len(flat) + len(tier_flat), dtype=np.int64)
+    rest = np.ones(len(out), dtype=bool)
+    rest[slots] = False
+    out[slots] = tier_flat
+    out[rest] = flat
+    return out
 
 
 def lca_round_kernel(
@@ -357,26 +487,17 @@ def lca_round_kernel(
     ``"compiled"`` plays each cohort in one fused C pass
     (:mod:`repro.core.native`, bit-identical to batched), ``"scalar"``
     interprets them one at a time (:func:`play_coin_game`, kept
-    verbatim as the oracle).
+    verbatim as the oracle).  Every engine plays through one
+    :func:`play_fleet` call, which finishes the games it ejects itself.
 
     Rounds of at least :data:`repro.ampc.pool.MIN_POOL_GAMES` games
-    (read at call time) go parallel when ``workers > 1``; smaller
-    rounds run serially in-process, where dispatch would cost more than
-    the games.  The array engines play
-    through :func:`play_fleet`, which fans out over threads; the games
-    it ejects replay here, on the calling thread, down the remaining
-    exact tiers.  Coins there go int64 → ``__int128`` →
-    bigints/Fractions: a compiled round replays its ejections as one
-    cohort of the kernel's ``__int128`` build
-    (:func:`repro.core.native.play_games_wide`, booked under
-    ``native``), and only the games that outgrow that too reach
-    :func:`play_coin_game`.  A batched round sends its ejections
-    straight to :func:`play_coin_game`.  The scalar
-    engine is the oracle and always plays in-process, one game at a
-    time.  Every engine, and the fabric, folds into the same pair of
-    dense universe-sized arrays (layer minima, write counts), which
-    become the target's layer column, so partitions, per-round stats,
-    and word counts are identical for every knob combination.
+    (read at call time) fan out over threads when ``workers > 1``;
+    smaller rounds run serially in-process, where dispatch would cost
+    more than the games, and the scalar engine always plays serially.
+    Every engine, and the fabric, folds into the same pair of dense
+    universe-sized arrays (layer minima, write counts), which become
+    the target's layer column, so partitions, per-round stats, and word
+    counts are identical for every knob combination.
 
     ``phases``, when given, accumulates per-phase wall-clock seconds
     (``explore`` / ``forward`` / ``fold`` from the batched engine,
@@ -437,55 +558,20 @@ def lca_round_kernel(
             np.minimum.at(out_layer, shard.fold_vertices, shard.fold_minima)
             np.add.at(out_count, shard.fold_vertices, shard.fold_counts)
             batch.account_at(shard_positions, shard.reads, shard.writes)
-    elif engine != "scalar":
+    else:
         info = play_fleet(
             offsets, targets, alive,
             x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
             out_layer=out_layer, out_count=out_count, engine=engine,
             phases=phases, workers=workers if big else 1,
         )
-        reads, writes, ejected = info.reads, info.writes, info.ejected
-        if ejected.size and engine == "compiled":
-            # The second tier: the same kernel over __int128 coins
-            # replays the ejected games as one cohort, on this thread,
-            # into the same accumulators.
-            from repro.core.native import play_games_wide
-
-            wide = play_games_wide(
-                offsets, targets, alive[ejected],
-                x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
-                out_layer=out_layer, out_count=out_count, phases=phases,
-            )
-            reads[ejected] = wide.reads
-            writes[ejected] = wide.writes
-            ejected = ejected[wide.ejected]
-        if ejected.size:
-            # The escape hatch: fixed-scale Python integers widen to
-            # bigints (Fractions for deep horizons), folding into the
-            # same accumulators.  It probes only each game's ball, so
-            # rows are materialized on demand.
-            adj = LazyAdjacency(offsets, targets)
-            for gi in ejected.tolist():
-                reads[gi], writes[gi], __ = play_coin_game(
-                    adj, int(alive[gi]), x, beta, clip, horizon, scale,
-                    out_layer, out_count,
-                )
-        batch.account_at(positions, reads, writes)
-    else:
-        adj = residual_adjacency_lists(offsets, targets, alive)
-        reads = np.zeros(len(alive), dtype=np.int64)
-        writes = np.zeros(len(alive), dtype=np.int64)
-        for slot, v in enumerate(alive.tolist()):
-            reads[slot], writes[slot], __ = play_coin_game(
-                adj, v, x, beta, clip, horizon, scale, out_layer, out_count,
-            )
-        batch.account_at(positions, reads, writes)
+        batch.account_at(positions, info.reads, info.writes)
 
     batch.target.install_layer_column(out_layer, out_count)
 
 
 def play_coin_game(
-    adj: list[list[int] | None],
+    adj: LazyAdjacency,
     root: int,
     x: int,
     beta: int,
@@ -504,8 +590,9 @@ def play_coin_game(
     clipped proof into ``out_layer``/``out_count`` (any pair of
     indexables supporting min-update and +=; callers pass dense
     universe-sized arrays) and
-    returning ``(reads, writes, record)`` — ``record`` is a replayable
-    game record tuple when ``want_record``, else None.
+    returning ``(reads, writes, record)`` — ``record`` is the game
+    record tuple (see the top of this module) when ``want_record``,
+    else None.
 
     Coins are fixed-scale exact integers (``scale`` from
     :func:`repro.lca.coin_game.fixed_coin_scale`; every share division
@@ -594,7 +681,7 @@ def play_coin_game(
 
     sigma: dict[int, float] | None = None
     grew = True
-    for __ in range(x * x):
+    for performed in range(1, x * x + 1):
         sigma = None  # S_v changed since the last super-iteration
         if sigma_recs:
             for u in sigma_recs:
@@ -674,12 +761,16 @@ def play_coin_game(
                 proof.append((u, lay))
     record = None
     if want_record:
-        record = (list(inside), proof, reads, writes)
+        # |E(G[S_v])|: each in-ball edge sits in both endpoints' inside
+        # lists, so on a symmetric adjacency this is CoinDroppingGame's
+        # count.
+        edges_seen = sum(map(len, inside.values())) // 2
+        record = (list(inside), proof, reads, writes, performed, edges_seen)
     return reads, writes, record
 
 
 def _induced_sigma(
-    inside: dict[int, list[int]], adj: list[list[int] | None], beta: int
+    inside: dict[int, list[int]], adj: LazyAdjacency, beta: int
 ) -> dict[int, float]:
     """σ_{S_v,β} by synchronous peeling of the incrementally-kept view.
 

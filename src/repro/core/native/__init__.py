@@ -28,7 +28,7 @@ on are untouched (their fold contributions were never made, since a
 game folds all or nothing).  The arenas of the finished games are
 handed over on failure too.  After a failed int64 call the wrapper
 plays ``roots[games_done:]`` on the numpy engine; after a failed wide
-call it flags them ejected, for the scalar replay.
+call it flags them ejected, for the fleet player's interpreter.
 
 Array layouts (all ``int64`` little-endian C-contiguous unless noted):
 
@@ -78,10 +78,12 @@ contributions are zeroed, and its index is flagged in ``ejected``.  The
 int64 cap is ``SCALE_LIMIT // (x·(β+2))`` and the wide one
 ``WIDE_SCALE_LIMIT // (x·(β+2))`` (both in
 :mod:`repro.core.batched_games`), so every amount stays below 2^61 or
-2^125.  Replays go down three tiers, each exact: the int64 pass plays
-every game, :func:`play_games_wide` replays its ejections from the same
-starting scale, and the scalar bigint/Fraction escape hatch replays
-what the wide pass ejects.  The incremental-lcm overflow guard is
+2^125.  The cohort players below keep that zeroed-ejection contract;
+the fleet player (:func:`repro.core.columnar_rounds.play_fleet`) goes
+down three tiers, each exact: the int64 pass plays every game,
+:func:`play_games_wide` replays its ejections from the same starting
+scale, and the scalar bigint/Fraction interpreter plays what the wide
+pass ejects.  The incremental-lcm overflow guard is
 division-based and produces the same ejection set as the lockstep
 engine's ``_escalate`` regardless of forwarder iteration order.
 
@@ -412,8 +414,8 @@ def play_games_wide(
     escalate up to ``WIDE_SCALE_LIMIT // (x·(β+2))``
     (:data:`repro.core.batched_games.WIDE_SCALE_LIMIT`, read at call
     time).  Games that outgrow that budget too come back in ``ejected``
-    with zeroed outputs and empty record segments, for the caller's
-    scalar replay.  So do the games an allocation failure leaves
+    with zeroed outputs and empty record segments, for the fleet
+    player's interpreter.  So do the games an allocation failure leaves
     unplayed, and every game when ``x·(β+2)`` alone outgrows either
     budget.  Its time books under ``phases["native"]``.
     """

@@ -28,7 +28,7 @@
  * int64 coins (repro_play_cohort, the first pass over every game) and
  * over __int128 coins (repro_play_cohort_wide, which replays the games
  * the first pass ejects).  Without __int128 the wide entry point ejects
- * every game, so callers fall through to their exact scalar replay.
+ * every game, and the fleet player's exact interpreter plays them.
  *
  * Plain C99 + libc only (plus the compiler's __int128 where it has one):
  * the library is built either by cffi's API mode (setup.py
@@ -429,7 +429,7 @@ i64 repro_abi_version(void) { return 3; }
 #include "_wave_cohort.h"
 #else
 /* No 128-bit integers on this compiler: every game is ejected, so the
- * caller's scalar replay still gives exact results. */
+ * fleet player's interpreter still gives exact results. */
 int repro_play_cohort_wide(
     const i64 *offsets, const i64 *targets, i64 n,
     const i64 *roots, i64 num_games,

@@ -62,12 +62,13 @@ class PartialPartitionLCA:
     cohort (:mod:`repro.core.native`; warned downgrade to ``"batched"``
     when the kernel cannot load), ``"batched"`` as numpy lockstep
     sweeps (:mod:`repro.core.batched_games`, the kernel's fallback and
-    oracle).  ``"scalar"`` replays the per-vertex
-    :class:`~repro.lca.coin_game.CoinDroppingGame` oracle, which is
-    also the array engines' escape hatch for the games they eject.  All
-    produce identical results — layers, proofs, explored sets, probe
-    counts — and strict-mode queries always take the scalar path (its
-    unbounded forwarding horizon is the oracle's own regime).
+    oracle).  The fleet player finishes the games whose coins outgrow
+    a machine word itself.  ``"scalar"`` replays the per-vertex
+    :class:`~repro.lca.coin_game.CoinDroppingGame` oracle, as
+    :meth:`query` does.  All produce identical results — layers,
+    proofs, explored sets, probe counts — and strict-mode queries
+    always take the scalar path (its unbounded forwarding horizon is
+    the oracle's own regime).
     """
 
     graph: Graph
@@ -124,9 +125,8 @@ class PartialPartitionLCA:
         the same cohorts as the Theorem 1.2 round kernel.  Its flat
         records carry each explored set in exploration order and each
         clipped proof, so full :class:`CoinGameResult` objects come back
-        out; the min-merge falls out of the engine's layer fold.  Games
-        the engine ejects (coin-scale overflow) replay through the
-        scalar oracle — exactly the game the scalar path would have run.
+        out, the games it ejected and finished included; the min-merge
+        falls out of the engine's layer fold.
         """
         from repro.core.columnar_rounds import play_fleet
 
@@ -147,7 +147,6 @@ class PartialPartitionLCA:
         )
         member_ends = np.cumsum(member_counts).tolist()
         proof_ends = np.cumsum(proof_counts).tolist()
-        ejected = set(info.ejected.tolist())
         # CoinGameResult.queries starts counting *after* the game's
         # constructor explored the root (Lemma 4.7 charges per query);
         # the engine's reads include that first exploration, as the AMPC
@@ -157,25 +156,18 @@ class PartialPartitionLCA:
         mo = po = 0
         for i, v in enumerate(vertices):
             me, pe = member_ends[i], proof_ends[i]
-            if i in ejected:
-                res = self.query(v)
-                for u, lay in res.proof.layers.items():
-                    if lay < out_layer[u]:
-                        out_layer[u] = lay
-                results[v] = res
-            else:
-                proof = PartialBetaPartition(dict(zip(
-                    proof_u[po:pe].tolist(), proof_layer[po:pe].tolist()
-                )))
-                results[v] = CoinGameResult(
-                    root=v,
-                    layer=proof.layer(v),
-                    proof=proof,
-                    explored=set(members[mo:me].tolist()),
-                    super_iterations=int(info.super_iterations[i]),
-                    queries=int(queries[i]),
-                    edges_seen=int(info.edges_seen[i]),
-                )
+            proof = PartialBetaPartition(dict(zip(
+                proof_u[po:pe].tolist(), proof_layer[po:pe].tolist()
+            )))
+            results[v] = CoinGameResult(
+                root=v,
+                layer=proof.layer(v),
+                proof=proof,
+                explored=set(members[mo:me].tolist()),
+                super_iterations=int(info.super_iterations[i]),
+                queries=int(queries[i]),
+                edges_seen=int(info.edges_seen[i]),
+            )
             mo, po = me, pe
         assigned = np.flatnonzero(np.isfinite(out_layer))
         merged = PartialBetaPartition(

@@ -39,9 +39,9 @@ from repro.core.batched_games import (
 )
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.core.columnar_rounds import (
+    LazyAdjacency,
     play_coin_game,
     play_fleet,
-    residual_adjacency_lists,
 )
 from repro.experiments.e1_lca_quality import run_lca_quality
 from repro.experiments.f2_exploration_ablation import run_exploration_ablation
@@ -93,10 +93,9 @@ def _per_game(records):
 def _play_both_engines(graph, beta, x, want_records=False):
     """One full-fleet run per engine; returns (batched, scalar) outputs.
 
-    The batched side goes through the fleet player, and its legitimately
-    ejected games replay scalar-side exactly as a round would run them
-    (their record segments stay empty; their reference records are the
-    replays themselves).
+    The batched side goes through the fleet player, which finishes its
+    ejected games itself, so every game — ejected or not — is checked
+    against a scalar replay of it.
     """
     offsets, targets = graph.csr()
     n = graph.num_vertices
@@ -112,13 +111,8 @@ def _play_both_engines(graph, beta, x, want_records=False):
         scale=scale, out_layer=out_layer, out_count=out_count,
         engine="batched", want_records=want_records,
     )
-    adj = residual_adjacency_lists(offsets, targets)
-    reads, writes = info.reads, info.writes
-    for gi in info.ejected.tolist():
-        reads[gi], writes[gi], __ = play_coin_game(
-            adj, gi, x, beta, clip, horizon, scale, out_layer, out_count,
-        )
 
+    adj = LazyAdjacency(offsets, targets)
     ref_layer = [_INF] * n
     ref_count = [0] * n
     ref_reads = np.zeros(n, dtype=np.int64)
@@ -129,12 +123,10 @@ def _play_both_engines(graph, beta, x, want_records=False):
             adj, v, x, beta, clip, horizon, scale,
             ref_layer, ref_count, want_records,
         )
-        if want_records and v in info.ejected:
-            record = ([], [])
         ref_records.append(record)
     records = _per_game(info.records) if want_records else None
     return (
-        (reads, writes, records, out_layer, out_count),
+        (info.reads, info.writes, records, out_layer, out_count),
         (ref_reads, ref_writes, ref_records, ref_layer, ref_count),
     )
 
@@ -654,6 +646,51 @@ class TestQueryAllPort:
             assert a.edges_seen == b.edges_seen
             assert a.explored == b.explored
             assert a.proof.layers == b.proof.layers
+
+    @pytest.mark.parametrize("engine", _ARRAY_ENGINES)
+    @pytest.mark.parametrize("wide_limit", [None, 1 << 32])
+    @pytest.mark.parametrize("maker,beta,x", [
+        (lambda: preferential_attachment(150, 2, seed=11), 6, 49),
+        (lambda: preferential_attachment(300, 3, seed=2), 9, 100),
+        (lambda: random_gnm(200, 400, seed=3), 6, 49),
+    ])
+    def test_ejected_games_match_scalar(
+        self, monkeypatch, engine, wide_limit, maker, beta, x
+    ):
+        # A shrunk int64 budget ejects games from query_all's fleet; a
+        # shrunk wide budget too sends some of them on to the
+        # interpreter.  Every result still equals the scalar oracle's.
+        graph = maker()
+        merged_s, res_s = PartialPartitionLCA(
+            graph, x=x, beta=beta, engine="scalar"
+        ).query_all()
+        monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
+        if wide_limit is not None:
+            monkeypatch.setattr(batched_games, "WIDE_SCALE_LIMIT", wide_limit)
+        ejected, interpreted = [], []
+        fleet, interpret = columnar_rounds.play_fleet, columnar_rounds.play_coin_game
+
+        def fleet_spy(*args, **kwargs):
+            info = fleet(*args, **kwargs)
+            ejected.append(len(info.ejected))
+            return info
+
+        def interpret_spy(*args, **kwargs):
+            interpreted.append(args[1])
+            return interpret(*args, **kwargs)
+
+        monkeypatch.setattr(columnar_rounds, "play_fleet", fleet_spy)
+        monkeypatch.setattr(columnar_rounds, "play_coin_game", interpret_spy)
+        merged, results = PartialPartitionLCA(
+            graph, x=x, beta=beta, engine=engine
+        ).query_all()
+        assert sum(ejected) > 0
+        if engine == "batched" or wide_limit is not None:
+            assert interpreted
+        else:
+            assert not interpreted  # the wide tier finished them all
+        assert merged.layers == merged_s.layers
+        assert results == res_s
 
     def test_strict_mode_stays_scalar(self):
         graph = path_graph(12)

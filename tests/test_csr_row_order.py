@@ -7,17 +7,21 @@ just a matter of reproducible iteration.  These tests check each
 producer of such a CSR: ``Graph.csr()``, ``residual_csr`` over a random
 alive set, a fabric shard's local CSR and the ``query_all`` CSR — the
 last three by spying on :func:`repro.core.columnar_rounds.play_fleet`,
-the one fleet player they all call.
+the one fleet player they all call — and the closed CSR
+(:func:`repro.core.columnar_rounds.close_empty_rows`) the fleet player
+hands the batched engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import columnar_rounds
 from repro.core.beta_partition_ampc import beta_partition_ampc
-from repro.core.columnar_rounds import residual_csr
+from repro.core.columnar_rounds import close_empty_rows, residual_csr
 from repro.graphs.generators import (
     preferential_attachment,
     random_gnm,
@@ -83,3 +87,57 @@ def test_query_all(fleet_csrs):
     g = preferential_attachment(200, 3, seed=4)
     PartialPartitionLCA(g, x=49, beta=6, engine="batched").query_all()
     assert fleet_csrs
+
+
+_SHAPES = {
+    "gnm": lambda n, seed: random_gnm(n, 2 * n, seed=seed),
+    "pa": lambda n, seed: preferential_attachment(n, 3, seed=seed),
+    "forests": lambda n, seed: union_of_random_forests(n, 3, seed=seed),
+}
+
+
+def _fringe_closure(offsets, targets, held):
+    """Reference: every held row as is, and each unheld row (empty) given
+    the held rows that list it, built edge by edge from the fringe."""
+    u_count = len(offsets) - 1
+    deg_held = np.diff(offsets)
+    held_src = np.repeat(np.arange(u_count, dtype=np.int64), deg_held)
+    fringe_edge = ~held[targets]
+    syn_src = targets[fringe_edge]
+    syn_tgt = held_src[fringe_edge]
+    deg = deg_held + np.bincount(syn_src, minlength=u_count)
+    closed_offsets = np.zeros(u_count + 1, dtype=np.int64)
+    np.cumsum(deg, out=closed_offsets[1:])
+    order = np.lexsort((syn_tgt, syn_src))
+    syn_src, syn_tgt = syn_src[order], syn_tgt[order]
+    rows = [
+        targets[offsets[v]:offsets[v + 1]] if held[v]
+        else syn_tgt[syn_src == v]
+        for v in range(u_count)
+    ]
+    return closed_offsets, np.concatenate(rows)
+
+
+@given(
+    st.sampled_from(sorted(_SHAPES)),
+    st.integers(10, 120),  # n
+    st.integers(0, 2**31),  # seed
+)
+@settings(max_examples=40, deadline=None)
+def test_close_empty_rows_is_the_fringe_closure(shape, n, seed):
+    g = _SHAPES[shape](n, seed)
+    offsets, targets = g.csr()
+    # The full CSR lists no empty row: the same objects come back.
+    closed = close_empty_rows(offsets, targets)
+    assert closed[0] is offsets and closed[1] is targets
+    # A third of the rows emptied, like a fabric shard's unheld rows.
+    held = np.random.default_rng(seed).random(g.num_vertices) >= 1 / 3
+    targets = targets[np.repeat(held, np.diff(offsets))]
+    offsets = np.concatenate(([0], np.cumsum(np.diff(offsets) * held)))
+    closed_offsets, closed_targets = close_empty_rows(offsets, targets)
+    want_offsets, want_targets = _fringe_closure(offsets, targets, held)
+    assert np.array_equal(closed_offsets, want_offsets)
+    assert np.array_equal(closed_targets, want_targets)
+    _assert_rows_ascending(closed_offsets, closed_targets)
+    if not (~held[targets]).any():
+        assert closed_offsets is offsets and closed_targets is targets

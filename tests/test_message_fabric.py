@@ -30,7 +30,7 @@ from repro.ampc.messaging import (
     _Shard,
     owner_of,
 )
-from repro.core import batched_games, native
+from repro.core import batched_games, columnar_rounds, native
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.graphs.generators import (
     complete_ary_tree,
@@ -253,6 +253,31 @@ class TestShardCountInvariance:
         )
         assert sum(c.get("ejected_games", 0) for c in msg.round_comm) > 0
         _assert_equivalent(oracle, msg)
+
+    @pytest.mark.skipif(
+        not native.available(), reason="compiled wave kernel unavailable"
+    )
+    def test_compiled_shards_finish_ejections_without_the_interpreter(
+        self, monkeypatch
+    ):
+        # Same budget: the fleet player replays a shard's ejected games
+        # on the kernel's __int128 tier, so the interpreter plays none.
+        monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
+        interpreted = []
+        original = columnar_rounds.play_coin_game
+
+        def spy(*args, **kwargs):
+            interpreted.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(columnar_rounds, "play_coin_game", spy)
+        g = preferential_attachment(150, 2, seed=11)
+        msg = beta_partition_ampc(
+            g, 6, store="columnar", engine="compiled",
+            transport="message", shards=3, workers=1,
+        )
+        assert sum(c.get("ejected_games", 0) for c in msg.round_comm) > 0
+        assert interpreted == []
 
 
 def _slab(rows: dict[int, list[int]]):

@@ -17,6 +17,10 @@ The same holds one level down for module constants: an UPPER_CASE name
 assigned at the top level of a ``src/repro`` module must be read
 somewhere under ``src/repro``, ``tests/``, ``benchmarks/``,
 ``examples/`` or ``e2ebench/``.
+
+And one execution path finishes ejected coin games: under ``src/repro``
+only the fleet player's module, :data:`FLEET_PLAYER`, may call or
+import the tiers it runs after the int64 pass (:data:`LADDER_TIERS`).
 """
 
 from __future__ import annotations
@@ -187,3 +191,49 @@ def unread_constants(src: Path, reader_dirs: tuple[Path, ...]) -> set[str]:
 
 def test_every_module_constant_is_read():
     assert sorted(unread_constants(SRC, READER_DIRS)) == []
+
+
+FLEET_PLAYER = "repro.core.columnar_rounds"
+LADDER_TIERS = ("play_coin_game", "play_games_wide")
+
+
+def ladder_users(src: Path) -> set[str]:
+    """``module.name`` of each call or import of a ladder tier under
+    ``src``; a definition is neither, so the tiers' own modules pass."""
+    found: set[str] = set()
+    for path in sorted(src.rglob("*.py")):
+        module = _module_name(path, src)[0]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            else:
+                continue
+            if name in LADDER_TIERS:
+                found.add(f"{module}.{name}")
+    return found
+
+
+def test_only_the_fleet_player_finishes_ejected_games():
+    users = ladder_users(SRC)
+    assert {user.rpartition(".")[0] for user in users} == {FLEET_PLAYER}
+
+
+def test_ladder_rule_on_a_synthetic_tree(tmp_path):
+    files = {
+        "pkg/fleet.py": "from pkg.wide import play_games_wide\nplay_games_wide()\n",
+        "pkg/wide.py": "def play_games_wide(): ...\n",
+        "pkg/hatch.py": "import pkg.fleet as f\nf.play_coin_game()\n",
+        "pkg/alias.py": "from pkg.fleet import play_coin_game as p\n",
+    }
+    for rel, text in files.items():
+        target = tmp_path.joinpath(rel)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text)
+    assert ladder_users(tmp_path) == {
+        "pkg.fleet.play_games_wide",
+        "pkg.hatch.play_coin_game",
+        "pkg.alias.play_coin_game",
+    }

@@ -267,8 +267,9 @@ def _fleets_agree(graph, beta, x, *, workers=1, scale_limit=None,
 
 class TestFleetFuzz:
     """The two array engines, fuzzed against each other through the
-    fleet player: a shrunken word budget makes some games eject and
-    others finish, and every per-game output must agree."""
+    fleet player: a shrunken word budget makes some games eject from
+    the int64 pass, the fleet player finishes them, and every per-game
+    output must agree."""
 
     @given(_fuzz_fleets())
     @settings(deadline=None)  # example count from the hypothesis profile
@@ -282,8 +283,10 @@ class TestFleetFuzz:
             ),
             cohort_games=case["cohort_games"],
         )
+        # Ejected games come back finished: every ball holds its root,
+        # and _fleets_agree compared their segments across engines.
         member_counts = batched.records[3]
-        assert not member_counts[batched.ejected].any()
+        assert member_counts[batched.ejected].all()
 
 
 class TestForwardingSetBranches:
@@ -596,7 +599,7 @@ def _wide_matches_scalar(graph, roots, game):
     member_ends = np.cumsum(member_counts)
     proof_ends = np.cumsum(proof_counts)
     ejected = set(wide.ejected.tolist())
-    for i, (reads, writes, (explored, proof, __, __)) in enumerate(scalar):
+    for i, (reads, writes, (explored, proof, *__)) in enumerate(scalar):
         if i in ejected:
             assert wide.reads[i] == wide.writes[i] == 0
             assert wide.super_iterations[i] == wide.edges_seen[i] == 0
