@@ -1,0 +1,553 @@
+"""Corpus bench: the Theorem 1.3 pipeline timed on a fixed set of graph shapes.
+
+Every shape runs ``coloring_two_plus_eps`` with α = 3 and ε = 1 (so
+β = 9) on a fixed seed, on the default engine, at ``workers=1`` and
+``workers="auto"``.  That is the β-partition, orientation, per-layer
+colouring and recolour of Theorem 1.2/1.3 end to end.  The fabric leg
+times the gnm shape's β-partition over ``transport="message"`` with
+:data:`FABRIC_SHARDS` shards.  A leg records the min-of-3 wall time, the
+partition's share of it (from the same call: the pipeline's
+``beta_partition_ampc`` lookup is wrapped, as ``e2ebench`` does), the
+partition's ``phases``, and colours, rounds and layers.  The fabric leg
+adds its communication counters and ``max_held_words``.  Every leg of a
+shape must produce the same layers, or the bench stops.
+
+The quick corpus also times, on its gnm shape only: the pipeline at
+``workers=2`` and ``4``, the batched engine at ``workers=1, 2, 4``, the
+dict-oracle partition that normalizes the regression guards, a pooled
+fabric run at ``workers=2`` with the supervisor's recovery counters, and
+that run degraded to serial by a crash-every-dispatch fault plan.
+
+Usage (from the repository root)::
+
+    PYTHONPATH=src python benchmarks/bench_corpus.py --out BENCH_corpus.json
+    PYTHONPATH=src python benchmarks/bench_corpus.py --quick \\
+        --out bench_corpus_quick.json --check-regression BENCH_corpus.json
+
+The first re-measures the full corpus and the quick block, the tracked
+baseline.  The second is the CI step.  ``--check-regression`` exits 2
+if any guard in :func:`check_regression` fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+
+import numpy as np
+
+from repro.ampc import faults
+from repro.ampc.faults import FaultPlan
+from repro.ampc.pool import close_shared_pools, usable_cpus
+from repro.coloring import pipeline
+from repro.coloring.pipeline import coloring_two_plus_eps
+from repro.core import native
+from repro.core.beta_partition_ampc import beta_partition_ampc
+from repro.graphs.generators import (
+    grid_2d,
+    path_graph,
+    preferential_attachment,
+    random_gnm,
+    union_of_random_forests,
+)
+
+SEED = 20260730
+ALPHA, EPS, BETA = 3, 1.0, 9
+REPEATS = 3
+FULL_SIZES = {
+    "gnm": (100_000, 200_000), "pa": (50_000,), "forests": (50_000,),
+    "grid": (300, 300), "path": (200_000,),
+}
+QUICK_SIZES = {
+    "gnm": (8_000, 16_000), "pa": (4_000,), "forests": (4_000,),
+    "grid": (80, 80), "path": (16_000,),
+}
+GENERATORS = {
+    "gnm": lambda n, m: random_gnm(n, m, SEED),
+    "pa": lambda n: preferential_attachment(n, 3, SEED),
+    "forests": lambda n: union_of_random_forests(n, 3, SEED),
+    "grid": grid_2d,
+    "path": path_graph,
+}
+FABRIC_SHARDS = 4
+
+# The quick corpus's summed wall time, and the batched gnm leg's, may
+# regress this much against the tracked baseline, both normalized by
+# the same run's dict-oracle partition time.
+MAX_REGRESSION = 0.25
+# So may any summed partition phase of at least MIN_PHASE_SHARE of the
+# baseline sum and MIN_PHASE_SECONDS (below that, min-of-3 cannot tell a
+# 40% change from scheduler noise).
+MAX_PHASE_REGRESSION = 0.40
+MIN_PHASE_SHARE = 0.05
+MIN_PHASE_SECONDS = 0.1
+# A leg at k > 1 workers may cost at most this factor over the same
+# shape's workers=1 leg; on a 1-CPU host every k is held to the flat
+# dispatch budget, since the fan-out never runs more threads or
+# processes than usable CPUs.
+MAX_WORKER_OVERHEAD = {2: 1.25}
+MAX_WORKER_OVERHEAD_DEFAULT = 1.6
+MAX_WORKER_OVERHEAD_SINGLE_CORE = 2.0
+# Each worker count up to the host's CPUs may be at most this much
+# slower than the next lower one measured for its shape.
+MONOTONE_SLACK = 1.25
+# The fabric's per-shard held words, as a multiple of the graph's CSR
+# words (owned rows plus the ghost fringe of deep balls).
+MESSAGE_HELD_BUDGET_FACTOR = 4.5
+# Quick fabric partition over the same run's compiled shm partition.
+MAX_MESSAGE_OVER_COMPILED = 8.0
+# Quick batched partition over the same run's compiled one.
+MIN_COMPILED_SPEEDUP = 2.0
+# The supervisor's zero-fault bookkeeping, as a share of the pooled
+# fabric run's wall time.
+MAX_RECOVERY_OVERHEAD = 0.03
+
+
+def _partition_record(outcome, phases) -> dict:
+    return {
+        "phases": {k: round(v, 4) for k, v in sorted(phases.items())},
+        "lca_rounds": outcome.rounds,
+        "layers": outcome.num_layers,
+        "engine": outcome.engine,
+    }
+
+
+def pipeline_leg(graph, workers, engine=None):
+    """``(call, record)`` of ``coloring_two_plus_eps`` on one graph."""
+    real = pipeline.beta_partition_ampc
+
+    def call():
+        seen = {}
+
+        def partition(*args, **kwargs):
+            phases: dict = {}
+            start = time.perf_counter()
+            outcome = real(*args, phases=phases, **kwargs)
+            seen.update(s=time.perf_counter() - start, outcome=outcome,
+                        phases=phases)
+            return outcome
+
+        pipeline.beta_partition_ampc = partition
+        try:
+            result = coloring_two_plus_eps(
+                graph, ALPHA, eps=EPS, workers=workers, engine=engine
+            )
+        finally:
+            pipeline.beta_partition_ampc = real
+        return result, seen
+
+    def record(wall, value):
+        result, seen = value
+        outcome = seen["outcome"]
+        return {
+            "wall_s": round(wall, 4),
+            "partition_s": round(seen["s"], 4),
+            "partition_share": round(seen["s"] / wall, 3),
+            **_partition_record(outcome, seen["phases"]),
+            "colors": result.num_colors,
+            "rounds": result.total_rounds,
+        }, outcome.partition.layer_array(graph.num_vertices)
+
+    return call, record
+
+
+def fabric_leg(graph, workers):
+    """``(call, record)`` of the β-partition over the message fabric."""
+
+    def call():
+        phases: dict = {}
+        outcome = beta_partition_ampc(
+            graph, BETA, workers=workers, phases=phases,
+            transport="message", shards=FABRIC_SHARDS,
+        )
+        return outcome, phases
+
+    def record(wall, value):
+        outcome, phases = value
+        comm = {
+            key: sum(c.get(key, 0) for c in outcome.round_comm)
+            for key in ("messages", "words", "subrounds", "row_requests",
+                        "rows_served")
+        }
+        csr_words = (graph.num_vertices + 1) + 2 * graph.num_edges
+        return {
+            "wall_s": round(wall, 4),
+            "partition_s": round(wall, 4),
+            **_partition_record(outcome, phases),
+            "shards": outcome.shards,
+            **comm,
+            "max_shard_words": max(
+                (c.get("max_shard_words", 0) for c in outcome.round_comm),
+                default=0,
+            ),
+            "max_held_words": outcome.max_held_words,
+            "budget_words": int(MESSAGE_HELD_BUDGET_FACTOR * csr_words),
+        }, outcome.partition.layer_array(graph.num_vertices)
+
+    return call, record
+
+
+def dict_leg(graph):
+    """``(call, record)`` of the dict-oracle β-partition."""
+    return (
+        lambda: beta_partition_ampc(graph, BETA, store="dict", workers=1),
+        lambda wall, outcome: (
+            round(wall, 4), outcome.partition.layer_array(graph.num_vertices)
+        ),
+    )
+
+
+def time_legs(legs: dict) -> dict:
+    """Each leg's record of the fastest of its :data:`REPEATS` calls.
+
+    Legs take turns, one call each per pass, so a few seconds of
+    contention on a shared host cost each leg one call, not all of
+    them.
+    """
+    best: dict = {}
+    for __ in range(REPEATS):
+        for key, (call, record) in legs.items():
+            start = time.perf_counter()
+            value = call()
+            elapsed = time.perf_counter() - start
+            if key not in best or elapsed < best[key][0]:
+                best[key] = (elapsed, record(elapsed, value))
+    return {key: got for key, (__, got) in best.items()}
+
+
+def _recovery(graph, layers) -> dict:
+    """A clean pooled fabric run and one degraded to serial."""
+    kwargs = dict(workers=2, transport="message", shards=FABRIC_SHARDS)
+    start = time.perf_counter()
+    clean = beta_partition_ampc(graph, BETA, **kwargs)
+    pool_wall = time.perf_counter() - start
+    counters = dict(clean.round_recovery)
+    overhead = counters.pop("recovery_wall_s", 0.0)
+    # Every pool attempt crashes, so after the retries the supervisor
+    # runs every shard chain inline on the driver.
+    with faults.inject(FaultPlan(seed=SEED, rate=1.0, kinds=("crash",))):
+        degraded = beta_partition_ampc(graph, BETA, **kwargs)
+    return {
+        "pool_wall_s": round(pool_wall, 4),
+        "recovery_overhead_s": round(overhead, 4),
+        **counters,
+        "degraded": {
+            "degraded_shards": degraded.round_recovery.get(
+                "degraded_shards", 0
+            ),
+            "retries": degraded.round_recovery.get("retries", 0),
+            "bit_identical": bool(np.array_equal(
+                degraded.partition.layer_array(graph.num_vertices), layers
+            )),
+        },
+    }
+
+
+def run(sizes: dict, quick: bool) -> dict:
+    """Every leg of one corpus size."""
+    graphs = {shape: GENERATORS[shape](*size) for shape, size in sizes.items()}
+    legs = {}
+    for shape, graph in graphs.items():
+        sweep = (1, "auto", 2, 4) if quick and shape == "gnm" else (1, "auto")
+        for workers in sweep:
+            legs[f"{shape}/{_label(workers)}"] = pipeline_leg(graph, workers)
+    for workers in (1, "auto"):
+        legs[f"fabric/{_label(workers)}"] = fabric_leg(graphs["gnm"], workers)
+    if quick:
+        for workers in (1, 2, 4):
+            legs[f"gnm-batched/{_label(workers)}"] = pipeline_leg(
+                graphs["gnm"], workers, engine="batched"
+            )
+        legs["dict"] = dict_leg(graphs["gnm"])
+    timed = time_legs(legs)
+    # The fabric, batched and dict legs play the gnm graph too.
+    by_shape: dict = {}
+    for key, (__, layers) in timed.items():
+        family = key.split("/")[0]
+        by_shape.setdefault(family if family in graphs else "gnm", []).append(
+            layers
+        )
+    for shape, layers in by_shape.items():
+        if any(not np.array_equal(got, layers[0]) for got in layers[1:]):
+            raise SystemExit(f"{shape}: legs disagree on the partition")
+    block = {"sizes": {shape: list(size) for shape, size in sizes.items()}}
+    if quick:
+        dict_s, layers = timed.pop("dict")
+        block["dict_s"] = dict_s
+        block["recovery"] = _recovery(graphs["gnm"], layers)
+    block["legs"] = {key: leg for key, (leg, __) in timed.items()}
+    close_shared_pools()
+    return block
+
+
+def _label(workers) -> str:
+    return workers if workers == "auto" else f"w{workers}"
+
+
+def _workers(label: str, host_cpus: int) -> int:
+    return host_cpus if label == "auto" else int(label[1:])
+
+
+def _within_run(name: str, block: dict, host_cpus: int):
+    """Guards that need no baseline, for one corpus block."""
+    failures, waivers = [], []
+    legs = block["legs"]
+    groups: dict = {}
+    for key, leg in legs.items():
+        shape, label = key.split("/")
+        groups.setdefault(shape, []).append(
+            (_workers(label, host_cpus), label, leg["wall_s"])
+        )
+    for shape, points in groups.items():
+        serial = dict((label, wall) for __, label, wall in points).get("w1")
+        for workers, label, wall in points:
+            if serial is None or label == "w1":
+                continue
+            limit = (
+                MAX_WORKER_OVERHEAD_SINGLE_CORE if host_cpus < 2
+                else MAX_WORKER_OVERHEAD.get(
+                    workers, MAX_WORKER_OVERHEAD_DEFAULT
+                )
+            )
+            if wall > serial * limit:
+                failures.append(
+                    f"{name} {shape}/{label}: {wall:.3f}s vs {serial:.3f}s "
+                    f"at workers=1 (>{limit:.2f}x worker-overhead budget)"
+                )
+        points.sort()
+        for (prev_w, prev_l, prev_s), (cur_w, cur_l, cur_s) in zip(
+            points, points[1:]
+        ):
+            if cur_w == prev_w:
+                continue
+            if cur_w > host_cpus:
+                waivers.append(
+                    f"{name} {shape}/{cur_l} asks for more workers than the "
+                    f"host's {host_cpus} CPUs: monotone sweep point waived"
+                )
+            elif cur_s > prev_s * MONOTONE_SLACK:
+                failures.append(
+                    f"{name} {shape} sweep not monotone: {cur_l} took "
+                    f"{cur_s:.3f}s vs {prev_s:.3f}s at {prev_l} "
+                    f"(>{MONOTONE_SLACK:.2f}x slack)"
+                )
+    for key, leg in legs.items():
+        if not key.startswith("fabric/"):
+            continue
+        if leg["max_held_words"] > leg["budget_words"]:
+            failures.append(
+                f"{name} {key} exceeded its S budget: max per-shard held "
+                f"words {leg['max_held_words']} > {leg['budget_words']}"
+            )
+        if native.available() and leg["engine"] != "compiled":
+            failures.append(
+                f"{name} {key} ran engine={leg['engine']!r} although the "
+                "compiled kernel loads (the shard chains fell back)"
+            )
+    return failures, waivers
+
+
+def _totals(legs: dict, keys: list) -> dict:
+    """Wall time and per-phase times summed over ``keys``."""
+    phases: dict = {}
+    for key in keys:
+        for phase, seconds in legs[key]["phases"].items():
+            phases[phase] = phases.get(phase, 0.0) + seconds
+    return {"wall_s": sum(legs[key]["wall_s"] for key in keys),
+            "phases": phases}
+
+
+def _quick_guards(cur: dict, base: dict, host_cpus: int, base_cpus: int):
+    """The baseline and same-run guards of the quick corpus."""
+    failures, waivers = [], []
+    legs, base_legs = cur["legs"], base["legs"]
+    same_cpus = host_cpus == base_cpus
+    if not same_cpus:
+        waivers.append(
+            f"'auto' is {host_cpus} workers here, {base_cpus} in the "
+            "baseline: the auto legs leave the regression guards"
+        )
+    # One sum over the corpus: on a shared 2-core host a 50 ms leg's
+    # min-of-3 moved by up to 60% between runs, the sum by up to 15%.
+    corpus = [
+        key for key in base_legs if not key.startswith("gnm-batched/")
+        and (key.endswith("/w1") or same_cpus and key.endswith("/auto"))
+    ]
+    for name, keys in (("corpus", corpus),
+                       ("gnm-batched/w1", ["gnm-batched/w1"])):
+        keys = [key for key in keys if key in legs and key in base_legs]
+        moved = [key for key in keys
+                 if legs[key]["engine"] != base_legs[key]["engine"]]
+        if moved and native.available():
+            failures.append(f"quick {moved} ran another engine than the "
+                            "baseline's although the kernel loads")
+        elif moved:
+            waivers.append(
+                f"kernel unavailable ({native.load_error()!r}): the "
+                f"quick {name} regression guards waived"
+            )
+        if moved or not keys:
+            continue
+        cur_s, base_s = _totals(legs, keys), _totals(base_legs, keys)
+        ratio = cur_s["wall_s"] / cur["dict_s"]
+        base_ratio = base_s["wall_s"] / base["dict_s"]
+        if ratio > base_ratio * (1 + MAX_REGRESSION):
+            failures.append(
+                f"quick {name} regressed: wall/dict ratio {ratio:.4f} vs "
+                f"baseline {base_ratio:.4f} (>{MAX_REGRESSION:.0%} budget)"
+            )
+        floor = max(MIN_PHASE_SHARE * base_s["wall_s"], MIN_PHASE_SECONDS)
+        for phase, was in base_s["phases"].items():
+            now = cur_s["phases"].get(phase)
+            if was < floor:
+                continue
+            if now is None:
+                failures.append(f"quick {name} phase '{phase}' is in the "
+                                "baseline but missing from this run")
+            elif now / cur["dict_s"] > was / base["dict_s"] * (
+                1 + MAX_PHASE_REGRESSION
+            ):
+                failures.append(
+                    f"quick {name} phase '{phase}' regressed: "
+                    f"dict-normalized {now / cur['dict_s']:.4f} vs baseline "
+                    f"{was / base['dict_s']:.4f} "
+                    f"(>{MAX_PHASE_REGRESSION:.0%} budget)"
+                )
+    compiled = legs.get("gnm/w1", {})
+    batched = legs.get("gnm-batched/w1")
+    if not native.available():
+        waivers.append(
+            f"kernel unavailable ({native.load_error()!r}): compiled "
+            "speedup and transport tax guards waived"
+        )
+    elif compiled.get("engine") != "compiled" or batched is None:
+        failures.append(
+            "the kernel loads but the quick run has no compiled gnm/w1 leg "
+            "or no gnm-batched/w1 leg to hold it against"
+        )
+    else:
+        speedup = batched["partition_s"] / compiled["partition_s"]
+        if speedup < MIN_COMPILED_SPEEDUP:
+            failures.append(
+                f"compiled partition lost its edge: {speedup:.2f}x over "
+                f"batched (< {MIN_COMPILED_SPEEDUP:.1f}x same-run budget)"
+            )
+        fabric = legs.get("fabric/w1")
+        tax = fabric and fabric["wall_s"] / compiled["partition_s"]
+        if tax and tax > MAX_MESSAGE_OVER_COMPILED:
+            failures.append(
+                f"message transport tax {tax:.1f}x over the same-run "
+                f"compiled partition (>{MAX_MESSAGE_OVER_COMPILED:.0f}x)"
+            )
+    recovery = cur.get("recovery")
+    if recovery is None:
+        failures.append("the quick run has no recovery block")
+        return failures, waivers
+    counts = {
+        k: v for k, v in recovery.items() if isinstance(v, int) and v
+    }
+    if counts:
+        failures.append(
+            f"zero-fault pooled run recovered from faults: {counts}"
+        )
+    budget = MAX_RECOVERY_OVERHEAD * recovery["pool_wall_s"]
+    if recovery["recovery_overhead_s"] > budget:
+        failures.append(
+            f"supervisor overhead {recovery['recovery_overhead_s']:.4f}s "
+            f"exceeds {MAX_RECOVERY_OVERHEAD:.0%} of the pooled run's "
+            f"{recovery['pool_wall_s']:.3f}s"
+        )
+    degraded = recovery["degraded"]
+    if not degraded["bit_identical"]:
+        failures.append("the degraded-serial partition diverged")
+    elif degraded["degraded_shards"] == 0:
+        failures.append(
+            "the degraded-serial leg degraded zero shards (the crash plan "
+            "stopped reaching the workers)"
+        )
+    return failures, waivers
+
+
+def check_regression(report: dict, baseline: dict):
+    """``(failures, waivers)`` of ``report`` against ``baseline``.
+
+    The quick block is held to the baseline's quick block: same sizes,
+    every tracked leg present, the summed wall time and large phases of
+    the default-engine legs at ``workers=1`` and ``auto``, and those of
+    the batched gnm leg, within :data:`MAX_REGRESSION` /
+    :data:`MAX_PHASE_REGRESSION` after normalizing by the same run's
+    dict-oracle partition, compiled ≥ :data:`MIN_COMPILED_SPEEDUP`
+    × batched, transport tax ≤ :data:`MAX_MESSAGE_OVER_COMPILED`, zero
+    recovery counters on the clean pooled run, supervisor overhead ≤
+    :data:`MAX_RECOVERY_OVERHEAD`, and a bit-identical degraded leg that
+    degraded some shard.  Every block in the report also gets the
+    within-run guards: worker overhead, a monotone sweep, the fabric's
+    held-words budget and its compiled shards.  A waiver names a guard
+    skipped for a stated host reason.
+    """
+    failures, waivers = [], []
+    host_cpus = report["host_cpus"]
+    if "quick" not in baseline:
+        return ["the baseline has no quick block"], []
+    for name in ("full", "quick"):
+        block, base = report.get(name), baseline.get(name)
+        if block is None:
+            continue
+        if base is not None and block["sizes"] != base["sizes"]:
+            failures.append(
+                f"{name} sizes differ from the baseline's: re-measure it "
+                "with this bench's --out"
+            )
+            continue
+        failures += [
+            f"{name} leg '{key}' is in the baseline but missing from this run"
+            for key in (base or {"legs": {}})["legs"]
+            if key not in block["legs"]
+        ]
+        checks = [_within_run(name, block, host_cpus)]
+        if name == "quick":
+            checks.append(_quick_guards(
+                block, base, host_cpus, baseline["host_cpus"]
+            ))
+        for fails, waives in checks:
+            failures += fails
+            waivers += waives
+    return failures, waivers
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="the CI-sized corpus only")
+    parser.add_argument("--out", help="write the JSON report here")
+    parser.add_argument("--check-regression", metavar="FILE",
+                        help="hold the run against this tracked report; "
+                        "exit 2 if a guard fails")
+    args = parser.parse_args()
+    report = {"bench": "corpus", "host_cpus": usable_cpus()}
+    # Untimed: loads the kernel and starts the game threads.  The quick
+    # block runs first, so the tracked one is measured as cold as CI's.
+    coloring_two_plus_eps(random_gnm(2_000, 4_000, SEED), ALPHA, eps=EPS)
+    report["quick"] = run(QUICK_SIZES, quick=True)
+    if not args.quick:
+        report["full"] = run(FULL_SIZES, quick=False)
+    text = json.dumps(report, indent=2)
+    print(text)
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text + "\n")
+    if args.check_regression:
+        with open(args.check_regression) as handle:
+            failures, waivers = check_regression(report, json.load(handle))
+        for notice in waivers:
+            print(f"WAIVER: {notice}", file=sys.stderr)
+        for message in failures:
+            print(f"REGRESSION: {message}", file=sys.stderr)
+        if failures:
+            raise SystemExit(2)
+
+
+if __name__ == "__main__":
+    main()

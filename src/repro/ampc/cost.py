@@ -79,11 +79,6 @@ class ExecutionStats:
         return max((r.max_communication for r in self.rounds), default=0)
 
     @property
-    def total_space_words(self) -> int:
-        """Largest store footprint over the execution."""
-        return max((r.store_words for r in self.rounds), default=0)
-
-    @property
     def within_budget(self) -> bool:
         """True if every machine stayed within its space budget S."""
         return self.max_machine_communication <= self.space_per_machine

@@ -225,6 +225,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.ampc import faults
+from repro.core.batched_games import _segment_indices, _sorted_unique
 
 __all__ = [
     "MESSAGE_CAP_WORDS",
@@ -357,26 +358,6 @@ def _in_sorted(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
         return np.zeros(len(values), dtype=bool)
     pos = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
     return keys[pos] == values
-
-
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    if not values.size:
-        return values
-    ordered = np.sort(values)
-    keep = np.empty(len(ordered), dtype=bool)
-    keep[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
-
-
-def _segment_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat indices covering rows ``[starts[i], starts[i]+counts[i])``."""
-    total = int(counts.sum())
-    if not total:
-        return _EMPTY
-    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    out += np.arange(total, dtype=np.int64)
-    return out
 
 
 def _owned_words(offsets: np.ndarray, num_shards: int) -> np.ndarray:

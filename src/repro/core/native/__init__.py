@@ -26,9 +26,11 @@ completion: games ``[0, games_done)`` are complete — per-game outputs,
 fold contributions and arena segments — and games from ``games_done``
 on are untouched (their fold contributions were never made, since a
 game folds all or nothing).  The arenas of the finished games are
-handed over on failure too.  After a failed int64 call the wrapper
-plays ``roots[games_done:]`` on the numpy engine; after a failed wide
-call it flags them ejected, for the fleet player's interpreter.
+handed over on failure too.  After a failed call of either entry
+point the wrapper flags ``roots[games_done:]`` ejected, with zeroed
+outputs and empty record segments, so the fleet player's ladder
+finishes them on the CSR as given: a failed int64 call's on the wide
+tier, a failed wide call's on the interpreter.
 
 Array layouts (all ``int64`` little-endian C-contiguous unless noted):
 
@@ -193,16 +195,6 @@ def warn_fallback(context: str) -> None:
     )
 
 
-def _reset_for_tests() -> None:
-    """Forget loader state (tests re-drive the gate with env patched)."""
-    global _ffi, _lib, _load_error, _load_attempted, _warned_fallback
-    _ffi = None
-    _lib = None
-    _load_error = None
-    _load_attempted = False
-    _warned_fallback = False
-
-
 def _init_scale(x: int, beta: int, scale: int | None, scale_cap: int) -> int:
     """The int64 pass's starting scale, replicated from
     ``_Lockstep.__init__`` in Python-int arithmetic (x may exceed int64
@@ -344,50 +336,39 @@ def play_games_compiled(
 
     Same signature, same :class:`BatchedGamesInfo` shape — ``records``
     is the same flat array tuple, copied straight out of the kernel's
-    arenas — and bit-identical observables, ejection set included.
-    ``transpose_pos`` / ``arena_hint`` are accepted for signature
-    compatibility and ignored: the fused kernel has no numpy scatter to
-    transpose and sizes its own arenas.  ``phases`` gains a single
+    arenas — and bit-identical observables, ejection set included,
+    except that an allocation failure also ejects the games it left
+    unplayed.  ``transpose_pos`` / ``arena_hint`` are accepted for
+    signature compatibility and ignored: the fused kernel has no numpy
+    scatter to transpose and sizes its own arenas.  ``phases`` gains a single
     ``native`` bucket: fusing removes the explore/forward/fold phase
     boundaries by construction.
     """
     del transpose_pos, arena_hint
     _require_kernel()
     roots = np.ascontiguousarray(roots, dtype=np.int64)
-    if not len(roots):
-        return _all_ejected(0, want_records)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    targets = np.ascontiguousarray(targets, dtype=np.int64)
-    game = dict(x=x, beta=beta, clip=clip, horizon=horizon)
-
     # Dynamic lookup: tests shrink batched_games.SCALE_LIMIT to force
     # ejections, and both engines must see the same word budget.
     scale_cap = batched_games.SCALE_LIMIT // max(1, x * (beta + 2))
-    if scale_cap < 1:
-        # Every game needs bigint coins from hop zero; the batched
-        # engine's all-ejected early path is already exact — use it.
-        return batched_games.play_games_batched(
-            offsets, targets, roots, scale=scale, out_layer=out_layer,
-            out_count=out_count, want_records=want_records, phases=phases,
-            **game,
-        )
+    if not len(roots) or scale_cap < 1:
+        # scale_cap < 1: every game needs wider coins from hop zero.
+        return _all_ejected(len(roots), want_records)
     info = _play_native(
-        _lib.repro_play_cohort, (scale_cap,), offsets, targets, roots,
+        _lib.repro_play_cohort, (scale_cap,),
+        np.ascontiguousarray(offsets, dtype=np.int64),
+        np.ascontiguousarray(targets, dtype=np.int64),
+        roots, x=x, beta=beta, clip=clip, horizon=horizon,
         init_scale=_init_scale(x, beta, scale, scale_cap),
         out_layer=out_layer, out_count=out_count,
-        want_records=want_records, phases=phases, **game,
+        want_records=want_records, phases=phases,
     )
     done = len(info.reads)
     if done < len(roots):
         # Allocation failure mid-cohort: the finished games are folded
-        # and kept; the numpy oracle plays the rest into the same
-        # accumulators.
-        rest = batched_games.play_games_batched(
-            offsets, targets, roots[done:], scale=scale,
-            out_layer=out_layer, out_count=out_count,
-            want_records=want_records, phases=phases, **game,
+        # and kept; the rest go to the fleet player's next tier.
+        info = batched_games.join_infos(
+            [info, _all_ejected(len(roots) - done, want_records)]
         )
-        info = batched_games.join_infos([info, rest])
     return info
 
 

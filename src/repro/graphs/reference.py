@@ -2,11 +2,9 @@
 
 `repro.graphs.graph._build_csr` replaced this per-edge insertion loop and
 per-vertex sort loop with a single ``np.lexsort`` pass.  The equivalence
-tests (``tests/test_graphs_graph.py``) and the substrate throughput
-benchmark (``benchmarks/bench_f3_substrate_throughput.py``) assert /
-measure the vectorized builder against this verbatim seed implementation:
-the two must produce byte-identical ``offsets`` and ``targets`` on every
-input.
+tests (``tests/test_graphs_graph.py``) check the vectorized builder
+against this verbatim seed implementation: the two must produce
+byte-identical ``offsets`` and ``targets`` on every input.
 """
 
 from __future__ import annotations

@@ -38,6 +38,8 @@ KEPT_WITHOUT_IMPORTER = {
     "tests/test_util_hashing.py solves GF(2) systems with it",
     "repro.util.bucket_queue": "test oracle: the list bucket peel that "
     "tests/test_graphs_arboricity.py checks the array degeneracy against",
+    "repro.graphs.reference": "test oracle: the seed CSR builder and BFS "
+    "components that tests/test_graphs_graph.py checks Graph against",
     "repro.core.native._build": "loaded by setup.py's cffi_modules and by the "
     "lazy loader in repro.core.native's own __init__",
 }

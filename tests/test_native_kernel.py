@@ -841,37 +841,36 @@ import sys
 import numpy as np
 
 from repro.core import batched_games, native
-from repro.core.columnar_rounds import LazyAdjacency, play_coin_game
+from repro.core.columnar_rounds import LazyAdjacency, play_coin_game, play_fleet
 from repro.graphs.generators import preferential_attachment, random_gnm
 from repro.lca.coin_game import fixed_coin_scale, max_provable_layer
 
 shim = ctypes.CDLL(sys.argv[1])
 assert native.available(), native.load_error()
-graph = random_gnm(400, 800, seed=1)
-offsets, targets = graph.csr()
-n = graph.num_vertices
-x, beta = 100, 9
-clip = max_provable_layer(x, beta)
-horizon = 4 * (clip + 2)
-game = dict(x=x, beta=beta, clip=clip, horizon=horizon,
-            scale=fixed_coin_scale(beta, horizon))
-adj = LazyAdjacency(offsets, targets)
 
 
-def play(entry, roots, fail_at, hatch=False):
-    layer = np.full(n, float("inf"))
-    count = np.zeros(n, dtype=np.int64)
+def make_game(x, beta):
+    clip = max_provable_layer(x, beta)
+    horizon = 4 * (clip + 2)
+    return dict(x=x, beta=beta, clip=clip, horizon=horizon,
+                scale=fixed_coin_scale(beta, horizon))
+
+
+def armed(fail_at, call):
     shim.shim_arm(fail_at)
-    info = entry(offsets, targets, roots, out_layer=layer, out_count=count,
-                 want_records=True, **game)
+    out = call()
     seen, fired = shim.shim_seen(), shim.shim_fired()
     shim.shim_arm(0)
-    if hatch:
-        # The games the wide tier hands back go to the scalar hatch.
-        for gi in info.ejected.tolist():
-            info.reads[gi], info.writes[gi], _ = play_coin_game(
-                adj, int(roots[gi]), x, beta, clip, horizon, game["scale"],
-                layer, count)
+    return out, seen, fired
+
+
+def fleet(offsets, targets, roots, game, fail_at):
+    n = len(offsets) - 1
+    layer = np.full(n, float("inf"))
+    count = np.zeros(n, dtype=np.int64)
+    info, seen, fired = armed(fail_at, lambda: play_fleet(
+        offsets, targets, roots, out_layer=layer, out_count=count,
+        engine="compiled", want_records=True, workers=1, **game))
     return info, layer, count, seen, fired
 
 
@@ -883,64 +882,87 @@ def same(got, want, fields):
                               getattr(want[0], field)), field
 
 
-# The int64 pass: games after the failure replay on the numpy engine,
-# and every output, records and ejection set included, stays exact.
+def same_fleet(got, want, num_games):
+    # Every output but ejected is exact.  A failed int64 call ejects
+    # the games it left unplayed, a suffix of the cohort, and the
+    # fleet player's ladder finishes them.
+    same(got, want, ("reads", "writes", "super_iterations", "edges_seen"))
+    for part, expect in zip(got[0].records, want[0].records):
+        assert np.array_equal(part, expect)
+    got_ej, want_ej = got[0].ejected, want[0].ejected
+    extra = np.setdiff1d(got_ej, want_ej)
+    first = extra[0] if extra.size else num_games
+    assert np.array_equal(got_ej, np.union1d(
+        want_ej[want_ej < first], np.arange(first, num_games))), first
+
+
+def fail_each(offsets, targets, roots, game, points=None):
+    clean = fleet(offsets, targets, roots, game, 0)
+    total = clean[3]
+    assert total > 20, total
+    for fail_at in points(total) if points else range(1, total + 1):
+        got = fleet(offsets, targets, roots, game, fail_at)
+        assert got[4], fail_at
+        same_fleet(got, clean, len(roots))
+
+
+# The int64 pass: the games after the failure go down the ladder, and
+# every output but the ejection set stays exact.
+graph = random_gnm(400, 800, seed=1)
+offsets, targets = graph.csr()
+n = graph.num_vertices
+game = make_game(100, 9)
 roots = np.arange(n, dtype=np.int64)
-clean = play(native.play_games_compiled, roots, 0)
-total = clean[3]
-assert total > 20, total
-for fail_at in sorted({1, 20, total // 2, total}):
-    got = play(native.play_games_compiled, roots, fail_at)
-    assert got[4], fail_at
-    same(got, clean, ("reads", "writes", "super_iterations", "edges_seen",
-                      "ejected"))
-    for part, want in zip(got[0].records, clean[0].records):
-        assert np.array_equal(part, want)
+fail_each(offsets, targets, roots, game,
+          lambda total: sorted({1, 20, total // 2, total}))
 
 # A hub-heavy fleet that relaxes sigma thousands of times: failing each
 # of its reallocs in turn, sigma_relax's value buffer and every slot
 # array's growth (the hubs' inball counts included) among them, leaves
 # every output exact.
 hubs = preferential_attachment(60, 3, seed=3)
-h_offsets, h_targets = hubs.csr()
-h_game = dict(x=64, beta=3, clip=max_provable_layer(64, 3))
-h_game["horizon"] = 4 * (h_game["clip"] + 2)
-h_game["scale"] = fixed_coin_scale(3, h_game["horizon"])
+fail_each(*hubs.csr(), np.arange(hubs.num_vertices, dtype=np.int64),
+          make_game(64, 3))
 
-
-def play_hubs(fail_at):
-    layer = np.full(hubs.num_vertices, float("inf"))
-    count = np.zeros(hubs.num_vertices, dtype=np.int64)
-    shim.shim_arm(fail_at)
-    info = native.play_games_compiled(
-        h_offsets, h_targets, np.arange(hubs.num_vertices, dtype=np.int64),
-        out_layer=layer, out_count=count, want_records=True, **h_game)
-    seen, fired = shim.shim_seen(), shim.shim_fired()
-    shim.shim_arm(0)
-    return info, layer, count, seen, fired
-
-
-clean = play_hubs(0)
-assert clean[3] > 20, clean[3]
-for fail_at in range(1, clean[3] + 1):
-    got = play_hubs(fail_at)
-    assert got[4], fail_at
-    same(got, clean, ("reads", "writes", "super_iterations", "edges_seen",
-                      "ejected"))
-    for part, want in zip(got[0].records, clean[0].records):
-        assert np.array_equal(part, want)
+# Fabric-shard-like CSRs, a third of the rows emptied: the ladder
+# plays the unfinished games on the CSR as given.
+for size in (20, 60):
+    pa = preferential_attachment(size, 3, seed=size)
+    p_offsets, p_targets = pa.csr()
+    held = np.random.default_rng(size).random(size) >= 1 / 3
+    p_targets = p_targets[np.repeat(held, np.diff(p_offsets))]
+    p_offsets = np.concatenate(([0], np.cumsum(np.diff(p_offsets) * held)))
+    fail_each(p_offsets, p_targets, np.nonzero(held)[0].astype(np.int64),
+              make_game(49, 6))
 
 # The wide pass over the int64 pass's ejections under a shrunk budget:
 # the games after the failure come back ejected, for the scalar hatch.
+adj = LazyAdjacency(offsets, targets)
+
+
+def play_wide(roots, fail_at):
+    layer = np.full(n, float("inf"))
+    count = np.zeros(n, dtype=np.int64)
+    info, seen, fired = armed(fail_at, lambda: native.play_games_wide(
+        offsets, targets, roots, out_layer=layer, out_count=count,
+        want_records=True, **game))
+    # The games the wide tier hands back go to the scalar hatch.
+    for gi in info.ejected.tolist():
+        info.reads[gi], info.writes[gi], _ = play_coin_game(
+            adj, int(roots[gi]), game["x"], game["beta"], game["clip"],
+            game["horizon"], game["scale"], layer, count)
+    return info, layer, count, seen, fired
+
+
 batched_games.SCALE_LIMIT = 1 << 24
 ejected = native.play_games_compiled(
     offsets, targets, roots, out_layer=np.full(n, float("inf")),
     out_count=np.zeros(n, dtype=np.int64), **game).ejected
-clean = play(native.play_games_wide, ejected, 0, hatch=True)
+clean = play_wide(ejected, 0)
 total = clean[3]
 assert total > 20, total
 for fail_at in sorted({1, 20, total // 2, total}):
-    got = play(native.play_games_wide, ejected, fail_at, hatch=True)
+    got = play_wide(ejected, fail_at)
     assert got[4], fail_at
     same(got, clean, ("reads", "writes"))
 print("ALLOC_FAILURE_OK")
@@ -949,8 +971,9 @@ print("ALLOC_FAILURE_OK")
 
 class TestAllocationFailure:
     """A realloc that fails inside the kernel (rc=1) mid-cohort: the
-    games it finished stay folded exactly once, and the rest replay on
-    the next engine, so every output equals an unfailed run."""
+    games it finished stay folded exactly once, and the rest go down
+    the fleet player's ladder, so every output but the ejection set
+    equals an unfailed run."""
 
     @pytest.mark.skipif(
         shutil.which("gcc") is None, reason="needs gcc for the realloc shim"
