@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.graphs.arboricity import degeneracy, exact_arboricity
@@ -115,6 +118,67 @@ class TestRandomGenerators:
     def test_preferential_attachment_tiny_n(self):
         g = preferential_attachment(3, 5, seed=0)
         assert g == complete_graph(3)
+
+
+# A seed past 2^63 (SplitMix64 takes the seed mod 2^64) and the first
+# graph seed of the end-to-end benchmark at its default seed,
+# ``e2ebench.workloads.input_seeds(20260730, 1)[0]``.
+_BIG_SEED = 2**63 + 12345
+_BENCH_SEED = 3279829380
+
+# sha256 of (n, offsets, targets) of every randomized generator, pinned
+# from the scalar-draw implementation: a rewrite of a generator must
+# reproduce its graphs bit for bit.
+_GOLDEN = [
+    ("random_tree", (0, 3), "ed74cd51ab28e765d1e98965e86ba749c807aff2e6f57fd424110bdd6a915d72"),
+    ("random_tree", (50, 0), "7be61f98cf4a33c07a740dedbf8223eb3fb70d76131209fc0d16683c5490b38c"),
+    ("random_tree", (300, _BIG_SEED), "05d9ddc18328ef98901e62b75497e04aa5da24c976574dae912e9f9077ba0da4"),
+    ("random_forest", (1, 0, 0), "f80084d5ed9ac4fba082f5a82c98851fca133b317bc88c875d9c2d2c1e9218f2"),
+    ("random_forest", (60, 40, 0), "98fdcf32ca6ea816aa3bed30a0e6ea4be638db726856c74d4480aa28817f7912"),
+    ("random_forest", (300, 200, _BIG_SEED), "f2b34fa04f8cd98ca2120ef78c0ed9f34e074245a8a88e3fbd61c03e6dd962b3"),
+    ("union_of_random_forests", (1, 3, 0), "f80084d5ed9ac4fba082f5a82c98851fca133b317bc88c875d9c2d2c1e9218f2"),
+    ("union_of_random_forests", (50, 1, 2**64 - 1), "8a912b4925f1a714de066e93d9d5891276c410dc38404858b226b51f68be7259"),
+    ("union_of_random_forests", (100, 3, 0), "fdd8157a928e3e8d45dc21c8b765cb324522e09b9069cc54969b70a465c4b915"),
+    ("union_of_random_forests", (300, 3, _BIG_SEED), "c4026bbbecb7652b89deb23d140cf0bc632d348729fb824c3f3d94991f90ac42"),
+    ("union_of_random_forests", (6000, 3, _BENCH_SEED), "607304ccf0394e64ffef39d874642dccb79264ce10477365ef20b77a3be8dc18"),
+    ("random_gnm", (0, 0, 0), "ed74cd51ab28e765d1e98965e86ba749c807aff2e6f57fd424110bdd6a915d72"),
+    ("random_gnm", (2, 1, 5), "e07388b1490813141dd0d06bc8700bfc85078e76a7bd430e4e1aa20dfec0c03a"),
+    ("random_gnm", (100, 200, 0), "d33d2d2b5d5e575063fdb4d709d40723374ab12b4e528961824baece2dcd7fd2"),
+    ("random_gnm", (300, 600, _BIG_SEED), "8bbc80a454e1bbd2cb06e41aabf3b2b1f614e148c5dba04b28f45150aa92b796"),
+    ("random_gnm", (8000, 16000, _BENCH_SEED), "b64bacc524747706c11eadafd251e2f3c58f9d846a8911a7a4b62ace016afd5d"),
+    # Near-complete: the last edges take many redraws of seen pairs.
+    ("random_gnm", (100, 4950, 7), "d471bba1c9b251a85e10e5269dfd6e2b6096487bc7287efde87fdbfc1f419ade"),
+    ("preferential_attachment", (100, 3, 0), "348630daa638bd665644974b187d1cb29e67fb02d55bdea1748a9d5f8a353294"),
+    ("preferential_attachment", (300, 3, _BIG_SEED), "a83d2532219500337371616cfa6a0d5029197ec526a16870423530c32b557097"),
+    ("preferential_attachment", (2000, 3, _BENCH_SEED), "a302b05d113a84950458236151360d926e56ecf3d2fabe12efe88d995d65e28a"),
+    # n <= links: the complete graph, no draws.
+    ("preferential_attachment", (4, 4, 1), "44e470dfa24de9727b768c8d58c8288d65ff8f57172f2608a33ee2c4fd234ce6"),
+    ("preferential_attachment", (3, 5, 0), "f21a4d0ee0d2ce8760296d8a7b6e76f0626c7ec966f45a4980808f566ed0e321"),
+]
+
+_GENERATORS = {
+    "random_tree": random_tree,
+    "random_forest": random_forest,
+    "union_of_random_forests": union_of_random_forests,
+    "random_gnm": random_gnm,
+    "preferential_attachment": preferential_attachment,
+}
+
+
+def _digest(g) -> str:
+    offsets, targets = g.csr()
+    h = hashlib.sha256(str(g.num_vertices).encode())
+    h.update(np.ascontiguousarray(offsets, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(targets, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize(
+        "name,args,expected", _GOLDEN, ids=[f"{n}{a}" for n, a, _ in _GOLDEN]
+    )
+    def test_graph_is_pinned(self, name, args, expected):
+        assert _digest(_GENERATORS[name](*args)) == expected
 
 
 class TestSkewedGadget:
