@@ -77,6 +77,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from repro.util.rng import GAMMA, mix64
+
 __all__ = [
     "ChecksumError",
     "FaultPlan",
@@ -95,17 +97,6 @@ FAULT_KINDS = (
 )
 
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
-
-_M64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-
-
-def _mix64(z: int) -> int:
-    """The splitmix64 finalizer (same mix as ``messaging.owner_of``)."""
-    z &= _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
 
 
 class ChecksumError(RuntimeError):
@@ -185,11 +176,11 @@ class FaultPlan:
             and self.rate > 0.0
             and (self.attempts is None or attempt < self.attempts)
         ):
-            h = _mix64(self.seed + _GAMMA)
+            h = mix64(self.seed + GAMMA)
             for coord in (rnd, shard, attempt):
-                h = _mix64(h ^ (coord + _GAMMA))
+                h = mix64(h ^ (coord + GAMMA))
             if (h >> 11) / float(1 << 53) < self.rate:
-                kind = self.kinds[_mix64(h + 1) % len(self.kinds)]
+                kind = self.kinds[mix64(h + 1) % len(self.kinds)]
         if kind is None:
             return None
         if kind == "hang":
@@ -352,8 +343,8 @@ def payload_checksum(*items) -> int:
             arr = np.ascontiguousarray(item)
             buf = arr
             nbytes = arr.nbytes
-        h = _mix64(h ^ zlib.crc32(buf))
-        h = _mix64(h ^ nbytes)
+        h = mix64(h ^ zlib.crc32(buf))
+        h = mix64(h ^ nbytes)
     return h
 
 
@@ -370,6 +361,6 @@ def rows_checksum(
     h = 0x452821E638D01377
     for arr in (ids, lens, targets):
         arr = np.ascontiguousarray(arr, dtype=np.int64)
-        h = _mix64(h ^ zlib.crc32(arr))
-        h = _mix64(h ^ len(arr))
+        h = mix64(h ^ zlib.crc32(arr))
+        h = mix64(h ^ len(arr))
     return h

@@ -226,6 +226,7 @@ import numpy as np
 
 from repro.ampc import faults
 from repro.core.batched_games import _segment_indices, _sorted_unique
+from repro.util.rng import GAMMA, mix64_array
 
 __all__ = [
     "MESSAGE_CAP_WORDS",
@@ -248,10 +249,6 @@ PREFETCH_RADIUS_CAP = 16
 _EMPTY = np.empty(0, dtype=np.int64)
 _INF = float("inf")
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-
 
 def owner_of(vertices: np.ndarray, num_shards: int) -> np.ndarray:
     """Owner shard of each vertex: ``splitmix64(v) mod num_shards``.
@@ -261,10 +258,9 @@ def owner_of(vertices: np.ndarray, num_shards: int) -> np.ndarray:
     scatters consecutive vertex ids so contiguous graph regions spread
     over shards instead of landing on one.
     """
-    z = np.asarray(vertices, dtype=np.int64).astype(np.uint64) + _GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    z ^= z >> np.uint64(31)
+    z = mix64_array(
+        np.asarray(vertices, dtype=np.int64).astype(np.uint64) + np.uint64(GAMMA)
+    )
     return (z % np.uint64(num_shards)).astype(np.int64)
 
 

@@ -125,6 +125,7 @@ import numpy as np
 from repro.ampc import faults
 from repro.ampc.faults import ChecksumError, payload_checksum
 from repro.ampc.messaging import MemoryGuardError
+from repro.util.rng import GAMMA, mix64
 
 __all__ = [
     "CoinGamePool",
@@ -547,10 +548,7 @@ class CoinGamePool:
         """
         if base <= 0.0:
             return 0.0
-        h = faults._mix64(
-            faults._mix64(rnd + 0x9E3779B97F4A7C15)
-            ^ (shard * 0x100000001B3 + attempt)
-        )
+        h = mix64(mix64(rnd + GAMMA) ^ (shard * 0x100000001B3 + attempt))
         frac = (h >> 11) / float(1 << 53)
         return base * (2.0 ** min(attempt - 1, 6)) * (0.5 + frac)
 

@@ -32,8 +32,8 @@ __all__ = ["main"]
 
 
 def _build_graph(args: argparse.Namespace) -> Graph:
-    if args.input:
-        return read_edge_list(args.input, strict=not args.lenient)
+    """The graph a command runs on; a bad file or generator argument
+    exits with status 2 and a one-line ``repro: error: ...``."""
     generators = {
         "forests": lambda: union_of_random_forests(args.n, args.k, seed=args.seed),
         "tree": lambda: random_tree(args.n, seed=args.seed),
@@ -41,7 +41,13 @@ def _build_graph(args: argparse.Namespace) -> Graph:
         "pref-attach": lambda: preferential_attachment(args.n, args.k, seed=args.seed),
         "gnm": lambda: random_gnm(args.n, args.k * args.n, seed=args.seed),
     }
-    return generators[args.generator]()
+    try:
+        if args.input:
+            return read_edge_list(args.input, strict=not args.lenient)
+        return generators[args.generator]()
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:

@@ -15,7 +15,6 @@ from repro.graphs.arboricity import (
     exact_arboricity,
     forest_partition,
 )
-from repro.graphs.builder import GraphBuilder
 from repro.graphs.generators import (
     complete_ary_tree,
     complete_graph,
@@ -49,7 +48,6 @@ from repro.graphs.validation import (
 
 __all__ = [
     "Graph",
-    "GraphBuilder",
     "complete_ary_tree",
     "complete_graph",
     "core_numbers",

@@ -12,19 +12,19 @@ To test them we need workloads whose arboricity is known by construction:
   a graph whose natural β-partition has a long, thin dependency chain with
   huge fans hanging off it, defeating naive volume-based exploration.
 
-All randomness flows from explicit seeds through SplitMix64.  The
-deterministic families below build their edge sets as numpy array
-expressions feeding :meth:`Graph.from_arrays` directly; the randomized
-families keep their exact scalar SplitMix64 draw sequences (so seeds keep
-producing the same graphs as the seed implementation) and hand the
-accumulated edges to the vectorized CSR builder in one shot.
+All randomness flows from explicit seeds through SplitMix64.  Every
+family builds its edge set as numpy arrays feeding
+:meth:`Graph.from_arrays` directly.  The randomized families take their
+draws as arrays (:meth:`SplitMix64.randrange_array`), which reproduce the
+scalar draw sequences exactly, so a seed keeps producing the same graph;
+only the Fisher-Yates swaps and preferential attachment's picks, each of
+which reads the ones before it, stay Python loops.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.builder import GraphBuilder
 from repro.graphs.graph import Graph
 from repro.util.rng import SplitMix64
 
@@ -106,9 +106,9 @@ def complete_ary_tree(arity: int, depth: int) -> Graph:
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random-attachment tree: node i attaches to a random j < i."""
-    rng = SplitMix64(seed)
-    edges = [(i, rng.randrange(i)) for i in range(1, n)]
-    return Graph.from_edges(n, edges)
+    children = np.arange(1, n, dtype=np.int64)
+    parents = SplitMix64(seed).randrange_array(children).astype(np.int64)
+    return Graph.from_arrays(n, np.column_stack((children, parents)), validate=False)
 
 
 def random_forest(n: int, num_edges: int, seed: int) -> Graph:
@@ -119,10 +119,18 @@ def random_forest(n: int, num_edges: int, seed: int) -> Graph:
     """
     if num_edges > n - 1:
         raise ValueError("a forest on n vertices has at most n-1 edges")
+    if num_edges < 0:
+        raise ValueError("num_edges must be non-negative")
     rng = SplitMix64(seed)
-    tree_edges = [(i, rng.randrange(i)) for i in range(1, n)]
-    rng.shuffle(tree_edges)
-    return Graph.from_edges(n, tree_edges[:num_edges])
+    children = np.arange(1, n, dtype=np.int64)
+    parents = rng.randrange_array(children).astype(np.int64)
+    # Shuffle the tree's edge indices the way the edges themselves were.
+    kept = list(range(n - 1))
+    rng.shuffle(kept)
+    kept = np.asarray(kept[:num_edges], dtype=np.int64)
+    return Graph.from_arrays(
+        n, np.column_stack((children[kept], parents[kept])), validate=False
+    )
 
 
 def union_of_random_forests(n: int, k: int, seed: int) -> Graph:
@@ -132,35 +140,69 @@ def union_of_random_forests(n: int, k: int, seed: int) -> Graph:
     α(G) <= k by construction.  Duplicate edges across trees are merged,
     which can only lower the arboricity.  For n moderately large the
     density m/(n-1) stays close to k, so α is close to k as well.
+
+    Tree ``t`` shuffles the vertices into ``order`` on its own split
+    stream, then attaches ``order[i]`` to ``order[j]`` for a random
+    ``j < i``: a random tree with randomly labelled vertices.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     rng = SplitMix64(seed)
-    builder = GraphBuilder(n)
+    slots = np.arange(1, n, dtype=np.int64)
+    trees = [np.empty((0, 2), dtype=np.int64)]
     for _ in range(k):
         child = rng.split()
         order = list(range(n))
         child.shuffle(order)
-        for idx in range(1, n):
-            parent = order[child.randrange(idx)]
-            if parent != order[idx]:
-                builder.add_edge(order[idx], parent)
-    return builder.build()
+        order = np.asarray(order, dtype=np.int64)
+        picks = child.randrange_array(slots).astype(np.int64)
+        trees.append(np.column_stack((order[slots], order[picks])))
+    return Graph.from_arrays(n, np.concatenate(trees), validate=False)
+
+
+def _gnm_pairs_needed(slots: int, wanted: int) -> int:
+    """Draws of uniform pairs expected to hit ``wanted`` of ``slots`` unseen.
+
+    The coupon collector's ``slots * (H(slots) - H(slots - wanted))``, with
+    ``H(x) ~ ln(x + 1/2)``; a few percent of slack makes a second batch
+    rare.
+    """
+    expected = slots * (np.log(slots + 0.5) - np.log(slots - wanted + 0.5))
+    return int(expected * 1.05) + 64
 
 
 def random_gnm(n: int, m: int, seed: int) -> Graph:
-    """Erdos-Renyi G(n, m): exactly ``m`` distinct edges, uniform."""
+    """Erdos-Renyi G(n, m): exactly ``m`` distinct edges, uniform.
+
+    Draws ``u`` then ``v`` (each ``randrange(n)``) per candidate, drops
+    ``u == v``, and keeps the first ``m`` distinct edges in draw order,
+    taking the draws in array batches until ``m`` have appeared.
+    """
     max_edges = n * (n - 1) // 2
     if m > max_edges:
         raise ValueError(f"G({n}, m) has at most {max_edges} edges")
+    if n < 0:
+        raise ValueError("n must be non-negative")
     rng = SplitMix64(seed)
-    builder = GraphBuilder(n)
-    while len(builder) < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v:
-            builder.add_edge(u, v)
-    return builder.build()
+    # One int64 key per edge, lo * n + hi: n² fits in int64 for any n
+    # whose CSR fits in memory.
+    keys = np.empty(0, dtype=np.int64)
+    first = keys
+    while len(first) < m:
+        pairs = _gnm_pairs_needed(max_edges - len(first), m - len(first))
+        draws = rng.randrange_array(np.full(2 * pairs, n, dtype=np.int64))
+        u, v = draws.astype(np.int64).reshape(pairs, 2).T
+        loop = u == v
+        lo = np.minimum(u, v)[~loop]
+        hi = np.maximum(u, v)[~loop]
+        keys = np.concatenate((keys, lo * n + hi))
+        first = np.unique(keys, return_index=True)[1]
+    lo, hi = np.divmod(keys[np.sort(first)[:m]], max(n, 1))
+    return Graph.from_arrays(n, np.column_stack((lo, hi)), validate=False)
+
+
+# Raw draws preferential_attachment takes from the stream per batch.
+_PA_DRAW_CHUNK = 1 << 14
 
 
 def preferential_attachment(n: int, links: int, seed: int) -> Graph:
@@ -169,31 +211,46 @@ def preferential_attachment(n: int, links: int, seed: int) -> Graph:
     Arboricity <= degeneracy <= links (peel nodes newest-first), but the
     maximum degree grows roughly like sqrt(n) — exactly the sparse-but-
     high-degree regime motivating arboricity-dependent coloring.
+
+    Inherently sequential: each pick indexes the endpoint list built by
+    the picks before it.  The raw draws come in array chunks and the
+    ``randrange`` rejection test runs inline.
     """
     if links < 1:
         raise ValueError("links must be >= 1")
     if n <= links:
         return complete_graph(n)
     rng = SplitMix64(seed)
-    builder = GraphBuilder(n)
-    # Seed clique on links + 1 nodes.
-    for u in range(links + 1):
-        for v in range(u + 1, links + 1):
-            builder.add_edge(u, v)
-    # Repeated-endpoints list implements degree-proportional sampling.
+    # Repeated-endpoints list implements degree-proportional sampling:
+    # the seed clique's nodes, ``links`` times each, then per new node
+    # its ``links`` targets followed by itself ``links`` times.
     endpoints: list[int] = []
     for u in range(links + 1):
         endpoints.extend([u] * links)
+    seed_size = len(endpoints)
+    raws: list[int] = []
+    pos = 0
     for new in range(links + 1, n):
+        size = len(endpoints)
+        # randrange(size) rejects raw draws at or past the largest
+        # multiple of size below 2^64.
+        limit = (1 << 64) - (1 << 64) % size
         chosen: set[int] = set()
         while len(chosen) < links:
-            pick = endpoints[rng.randrange(len(endpoints))]
-            chosen.add(pick)
-        for target in chosen:
-            builder.add_edge(new, target)
-            endpoints.append(target)
+            if pos == len(raws):
+                raws = rng.next_u64_array(_PA_DRAW_CHUNK).tolist()
+                pos = 0
+            value = raws[pos]
+            pos += 1
+            if value < limit:
+                chosen.add(endpoints[value % size])
+        # The set's iteration order decides the endpoint list's contents.
+        endpoints.extend(chosen)
         endpoints.extend([new] * links)
-    return builder.build()
+    clique = np.column_stack(np.triu_indices(links + 1, k=1)).astype(np.int64)
+    attached = np.asarray(endpoints[seed_size:], dtype=np.int64).reshape(-1, 2, links)
+    grown = np.column_stack((attached[:, 1, :].ravel(), attached[:, 0, :].ravel()))
+    return Graph.from_arrays(n, np.concatenate((clique, grown)), validate=False)
 
 
 def skewed_dependency_gadget(

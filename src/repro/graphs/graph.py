@@ -51,8 +51,7 @@ def _as_edge_array(edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
 class Graph:
     """Undirected simple graph with integer vertices ``0..n-1``.
 
-    Construct via :meth:`from_edges`, :meth:`from_arrays`, or
-    :class:`repro.graphs.builder.GraphBuilder`.
+    Construct via :meth:`from_edges` or :meth:`from_arrays`.
     """
 
     __slots__ = ("_n", "_offsets", "_targets", "_degrees", "_edge_array")
@@ -87,7 +86,7 @@ class Graph:
         build canonicalizes, sorts, and deduplicates in bulk.  With
         ``validate=False`` the self-loop / range checks are skipped (for
         callers that construct provably clean arrays, e.g. subgraph
-        extraction).
+        extraction and the random generators).
         """
         if n < 0:
             raise ValueError("n must be non-negative")

@@ -78,3 +78,29 @@ class TestParser:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["color", "--generator", "gnm", "--n", "4", "--k", "3"],
+             "G(4, m) has at most 6 edges"),
+            (["info", "--generator", "forests", "--n", "-5"],
+             "n must be non-negative"),
+            (["partition", "--generator", "forests", "--k", "-1"],
+             "k must be non-negative"),
+        ],
+    )
+    def test_bad_generator_argument_is_a_one_line_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"repro: error: {message}\n"
+
+    def test_bad_input_file_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\n2 2\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["info", "--input", str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and err.count("\n") == 1

@@ -181,6 +181,33 @@ class TestGoldenDigests:
         assert _digest(_GENERATORS[name](*args)) == expected
 
 
+class TestGeneratorErrors:
+    """Every bad argument of a randomized generator is a ValueError."""
+
+    @pytest.mark.parametrize(
+        "call,match",
+        [
+            (lambda: random_tree(-5, seed=0), "non-negative"),
+            (lambda: random_forest(10, 10, seed=0), "at most n-1"),
+            (lambda: random_forest(10, -1, seed=0), "non-negative"),
+            (lambda: union_of_random_forests(10, -1, seed=0), "k must be"),
+            (lambda: union_of_random_forests(-5, 3, seed=0), "non-negative"),
+            (lambda: union_of_random_forests(-5, 0, seed=0), "non-negative"),
+            (lambda: random_gnm(4, 7, seed=0), "at most 6"),
+            (lambda: random_gnm(-5, 3, seed=0), "non-negative"),
+            (lambda: preferential_attachment(10, 0, seed=0), "links"),
+        ],
+        ids=[
+            "tree-negative-n", "forest-too-many-edges", "forest-negative-edges",
+            "forests-negative-k", "forests-negative-n", "forests-negative-n-k0",
+            "gnm-too-dense", "gnm-negative-n", "pa-no-links",
+        ],
+    )
+    def test_raises(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestSkewedGadget:
     def test_chain_layers_strictly_decreasing(self):
         beta, length = 3, 4

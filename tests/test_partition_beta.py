@@ -116,7 +116,7 @@ class TestMergeMin:
         rng = SplitMix64(seed)
         parts = []
         for _ in range(k):
-            subset = [v for v in g.vertices() if rng.random() < 0.5]
+            subset = [v for v in g.vertices() if rng.next_u64() < 0.5 * 2**64]
             parts.append(induced_beta_partition(g, subset, beta))
         merged = merge_min(parts)
         assert merged.is_valid(g, beta)

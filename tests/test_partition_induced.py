@@ -121,7 +121,7 @@ class TestLemma37:
     def test_properties(self, seed, beta):
         g = union_of_random_forests(50, 3, seed=seed)
         rng = SplitMix64(seed ^ 0xABC)
-        subset = {v for v in g.vertices() if rng.random() < 0.7}
+        subset = {v for v in g.vertices() if rng.next_u64() < 0.7 * 2**64}
         sigma = induced_beta_partition(g, subset, beta)
         for v in subset:
             lay = sigma.layer(v)
@@ -147,8 +147,8 @@ class TestLemma38Monotonicity:
         g = union_of_random_forests(60, 2, seed=seed)
         beta = 5
         rng = SplitMix64(seed)
-        small = {v for v in g.vertices() if rng.random() < 0.4}
-        grow = {v for v in g.vertices() if rng.random() < 0.5}
+        small = {v for v in g.vertices() if rng.next_u64() < 0.4 * 2**64}
+        grow = {v for v in g.vertices() if rng.next_u64() < 0.5 * 2**64}
         large = small | grow
         sigma_small = induced_beta_partition(g, small, beta)
         sigma_large = induced_beta_partition(g, large, beta)
@@ -161,7 +161,7 @@ class TestLemma38Monotonicity:
         g = union_of_random_forests(60, 2, seed=seed)
         beta = 5
         rng = SplitMix64(seed ^ 0x123)
-        subset = {v for v in g.vertices() if rng.random() < 0.6}
+        subset = {v for v in g.vertices() if rng.next_u64() < 0.6 * 2**64}
         sigma = induced_beta_partition(g, subset, beta)
         natural = natural_beta_partition(g, beta)
         for v in g.vertices():
@@ -181,7 +181,7 @@ class TestLemma314:
         if not dep:
             return
         # S = D(l, v) plus random extras.
-        extras = {u for u in g.vertices() if rng.random() < 0.3}
+        extras = {u for u in g.vertices() if rng.next_u64() < 0.3 * 2**64}
         sigma = induced_beta_partition(g, dep | extras, beta)
         for w in dep:
             assert sigma.layer(w) == natural.layer(w)

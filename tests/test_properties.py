@@ -125,9 +125,9 @@ class TestSubsetMonotonicityRandomized:
         graph, k = data
         beta = 3 * max(k, 1)
         rng = SplitMix64(seed)
-        s1 = {v for v in graph.vertices() if rng.random() < 0.3}
-        s2 = s1 | {v for v in graph.vertices() if rng.random() < 0.3}
-        s3 = s2 | {v for v in graph.vertices() if rng.random() < 0.3}
+        s1 = {v for v in graph.vertices() if rng.next_u64() < 0.3 * 2**64}
+        s2 = s1 | {v for v in graph.vertices() if rng.next_u64() < 0.3 * 2**64}
+        s3 = s2 | {v for v in graph.vertices() if rng.next_u64() < 0.3 * 2**64}
         p1 = induced_beta_partition(graph, s1, beta)
         p2 = induced_beta_partition(graph, s2, beta)
         p3 = induced_beta_partition(graph, s3, beta)
@@ -228,7 +228,7 @@ class TestIncrementalSigma:
         )
         full = [graph.neighbors(v).tolist() for v in graph.vertices()]
         rng = SplitMix64(seed)
-        adj = [[] if emptied and rng.random() < 1 / 3 else row
+        adj = [[] if emptied and rng.next_u64() < 2**64 / 3 else row
                for row in full]
         # Nested balls grown from a root one random frontier vertex at a
         # time, like a coin game's explored sets (over the full graph:
@@ -309,7 +309,7 @@ def _random_ball(shape, n, beta, seed, emptied):
         if not frontier:
             break
         ball.add(frontier[rng.randrange(len(frontier))])
-    adj = [[] if emptied and rng.random() < 1 / 3 else row for row in full]
+    adj = [[] if emptied and rng.next_u64() < 2**64 / 3 else row for row in full]
     return ball, adj
 
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.rng import SplitMix64
+from repro.util.rng import GAMMA, SplitMix64, mix64, mix64_array
 
 
 class TestDeterminism:
@@ -43,21 +44,6 @@ class TestDistributions:
         with pytest.raises(ValueError):
             SplitMix64(0).randrange(0)
 
-    def test_randint_inclusive_bounds(self):
-        rng = SplitMix64(3)
-        values = {rng.randint(2, 4) for _ in range(200)}
-        assert values == {2, 3, 4}
-
-    def test_randint_rejects_inverted(self):
-        with pytest.raises(ValueError):
-            SplitMix64(0).randint(5, 4)
-
-    def test_random_unit_interval(self):
-        rng = SplitMix64(9)
-        for _ in range(100):
-            f = rng.random()
-            assert 0.0 <= f < 1.0
-
     def test_randrange_covers_all_residues(self):
         rng = SplitMix64(11)
         seen = {rng.randrange(7) for _ in range(500)}
@@ -82,20 +68,112 @@ class TestShuffleSample:
         rng.shuffle(single)
         assert single == [1]
 
-    @given(st.integers(min_value=0, max_value=30), st.integers(min_value=0))
-    @settings(max_examples=100)
-    def test_sample_distinct_and_in_range(self, n, seed):
-        rng = SplitMix64(seed)
-        k = min(n, 10)
-        result = rng.sample(n, k)
-        assert len(result) == k
-        assert len(set(result)) == k
-        assert all(0 <= v < n for v in result)
+    @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0))
+    @settings(max_examples=50)
+    def test_shuffle_matches_scalar_fisher_yates(self, n, seed):
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        items = list(range(n))
+        a.shuffle(items)
+        twin = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = b.randrange(i + 1)
+            twin[i], twin[j] = twin[j], twin[i]
+        assert items == twin
+        assert a.next_u64() == b.next_u64()
 
-    def test_sample_full_population(self):
-        rng = SplitMix64(13)
-        assert sorted(rng.sample(10, 10)) == list(range(10))
 
-    def test_sample_rejects_oversized(self):
+def _scalar_twin(seed: int, bounds: list[int]) -> tuple[list[int], SplitMix64]:
+    rng = SplitMix64(seed)
+    return [rng.randrange(b) for b in bounds], rng
+
+
+# 2^63 + 1 rejects every raw draw at or past 2^64 - (2^63 - 1): about half.
+_HALF_REJECT = 2**63 + 1
+
+
+class TestArrayDraws:
+    """The array draws equal runs of scalar calls, state included."""
+
+    @given(st.integers(min_value=0, max_value=200), st.integers(min_value=0))
+    @settings(max_examples=50)
+    def test_next_u64_array_matches_scalar(self, count, seed):
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        assert a.next_u64_array(count).tolist() == [b.next_u64() for _ in range(count)]
+        assert a.next_u64() == b.next_u64()
+
+    def test_next_u64_array_dtype_and_reference_value(self):
+        draws = SplitMix64(0).next_u64_array(3)
+        assert draws.dtype == np.uint64
+        assert int(draws[0]) == 0xE220A8397B1DCDAF
+
+    def test_next_u64_array_rejects_negative_count(self):
         with pytest.raises(ValueError):
-            SplitMix64(0).sample(3, 4)
+            SplitMix64(0).next_u64_array(-1)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            [_HALF_REJECT] * 300,
+            [2**64 - 1] * 50,
+            [1] * 20,
+            [2**63 + 3, 5, 1, 2**64 - 1, _HALF_REJECT, 7, 2**62 + 1] * 40,
+            list(range(1, 200)),
+            [],
+        ],
+        ids=["half-reject", "max", "one", "mixed", "ascending", "empty"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 12345])
+    def test_randrange_array_matches_scalar(self, bounds, seed):
+        expected, twin = _scalar_twin(seed, bounds)
+        rng = SplitMix64(seed)
+        got = rng.randrange_array(bounds)
+        assert got.dtype == np.uint64
+        assert got.tolist() == expected
+        # Rejected raw draws were consumed, and no more than those.
+        assert [rng.next_u64() for _ in range(5)] == [twin.next_u64() for _ in range(5)]
+
+    def test_half_reject_bound_rejects(self):
+        # Guard the guard: this bound does reach the rejection path.
+        rng = SplitMix64(3)
+        raw = rng.next_u64_array(400)
+        assert (raw >= np.uint64(2**64 - (2**64 % _HALF_REJECT))).sum() > 100
+
+    def test_randrange_array_over_window_boundaries(self):
+        # Long enough to cross several comparison windows, rejecting half.
+        bounds = [_HALF_REJECT, 3] * 40_000
+        expected, twin = _scalar_twin(9, bounds)
+        rng = SplitMix64(9)
+        assert rng.randrange_array(np.array(bounds, dtype=np.uint64)).tolist() == expected
+        assert rng.next_u64() == twin.next_u64()
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=2**64 - 1), max_size=60),
+        st.integers(min_value=0),
+    )
+    @settings(max_examples=60)
+    def test_randrange_array_any_bounds(self, bounds, seed):
+        expected, twin = _scalar_twin(seed, bounds)
+        rng = SplitMix64(seed)
+        assert rng.randrange_array(bounds).tolist() == expected
+        assert rng.next_u64() == twin.next_u64()
+
+    @pytest.mark.parametrize(
+        "bounds", [[0], [3, 0, 2], [-1], np.array([4, -2]), np.array([0], dtype=np.uint64)]
+    )
+    def test_randrange_array_rejects_nonpositive(self, bounds):
+        with pytest.raises(ValueError):
+            SplitMix64(0).randrange_array(bounds)
+
+
+class TestMixer:
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=30))
+    @settings(max_examples=50)
+    def test_array_form_matches_scalar(self, values):
+        mixed = mix64_array(np.array(values, dtype=np.uint64))
+        assert mixed.tolist() == [mix64(v) for v in values]
+
+    def test_next_u64_is_the_mix_of_the_state(self):
+        assert SplitMix64(0).next_u64() == mix64(GAMMA)
+
+    def test_scalar_form_reduces_mod_2_64(self):
+        assert mix64(2**64 + 5) == mix64(5)
