@@ -1,6 +1,6 @@
 """Lockstep batched coin-game engine — whole game frontiers as array kernels.
 
-:func:`repro.core.columnar_rounds.play_coin_game` interprets one
+:class:`repro.lca.coin_game.CoinDroppingGame` interprets one
 (x, β, F)-coin dropping game at a time; at bench scale the per-vertex
 Python control flow is the entire lca-round wall clock.  This module
 advances **all** of a round's games simultaneously: per program point a
@@ -96,9 +96,11 @@ the next of three exact tiers:
    same kernel source built a second time) replay the games the
    compiled pass ejects, from the same starting scale, with amounts
    below :data:`WIDE_SCALE_LIMIT` = 2^125;
-3. the scalar interpreter plays what is left, one game at a time: its
-   fixed-scale Python integers widen to bigints (or to Fractions for
-   deep horizons).
+3. the scalar interpreter
+   (:func:`repro.core.columnar_rounds.play_coin_game`, which plays
+   :class:`~repro.lca.coin_game.CoinDroppingGame`) plays what is left,
+   one game at a time: its dynamically scaled Python integers widen
+   to bigints (Fractions for deep horizons).
 
 This numpy engine is the compiled kernel's oracle, so its ejections
 skip the second tier and go straight to the interpreter.
@@ -539,8 +541,8 @@ class _Lockstep:
         Returns ``(slots, game_per_slot, vertex_per_slot, sigma,
         directed_edge_count_per_game)`` with slots in arena order — the
         batched counterpart of
-        :func:`repro.core.columnar_rounds._induced_sigma` for every game
-        at once (a game with an exhausted frontier receives no
+        :func:`repro.partition.induced.induced_partition_from_view` for
+        every game at once (a game with an exhausted frontier receives no
         decrements, so the global layer index advances each game exactly
         as its private peel would).  Inside adjacency comes straight
         from the row arena; no membership work happens here.
@@ -954,7 +956,8 @@ def play_games_batched(
 
     Provable layers are min-folded into ``out_layer``/``out_count``
     (float64/int64 arrays over the vertex universe) exactly as the
-    scalar :func:`~repro.core.columnar_rounds.play_coin_game` would fold
+    scalar :func:`~repro.core.columnar_rounds.play_coin_game` (the
+    :class:`~repro.lca.coin_game.CoinDroppingGame` oracle) would fold
     them one game at a time.  Games whose coin arithmetic cannot stay
     within the machine-word budget are listed in ``ejected`` with all
     their outputs zeroed, for the fleet player's next tier — see the

@@ -227,8 +227,9 @@ def beta_partition_ampc(
         ``"batched"`` (all of a round's games advance in lockstep as
         numpy array kernels, :mod:`repro.core.batched_games`; the
         kernel's fallback and differential oracle) or ``"scalar"``
-        (one adaptive Python interpretation per game, the original
-        engine kept verbatim as the oracle).  None means ``"compiled"``.
+        (one :class:`~repro.lca.coin_game.CoinDroppingGame` per game
+        over the residual CSR rows, the oracle).  None means
+        ``"compiled"``.
         A pure throughput knob — every observable is bit-identical.
         The dict-backed store
         ignores it (its machines always run the per-vertex

@@ -15,26 +15,12 @@ dict-backed oracle):
 - :func:`peel_round_kernel` — the Barenboim-Elkin peel as a degree-mask
   array kernel (every machine: one deg read, one conditional layer write);
 - :func:`lca_round_kernel` — one machine per alive vertex playing the
-  (x, β, F)-coin dropping game against the store's columns.  The game
-  itself (:func:`play_coin_game`) is a re-derivation of
-  :class:`repro.lca.coin_game.CoinDroppingGame` specialized for the
-  store-backed oracle: identical exploration order, coin arithmetic
-  (fixed-scale exact integers, Fraction fallback for deep
-  horizons), proofs, and probe counts, with three exactness-preserving
-  shortcuts:
-
-  1. σ_{S_v} is computed lazily — forwarding sets of vertices with at
-     most β+1 neighbors do not depend on σ (Definition 4.1 takes all
-     neighbors), so the per-super-iteration peel runs only when a
-     high-degree vertex must actually rank its neighbors, and once for
-     the final proof;
-  2. coins resting *outside* S_v never move again (their holders have no
-     forwarding set), so the engine tracks outside holders as a touched
-     set instead of carrying their exact amounts — the newcomer set is
-     identical because every delivered share is positive;
-  3. forwarding happens over a worklist of vertices whose amount changed
-     (a vertex below its threshold stays below it until it receives), so
-     an iteration costs O(#forwarders + #shares), not O(#holders).
+  (x, β, F)-coin dropping game against the store's columns.  The array
+  engines play whole fleets (:mod:`repro.core.batched_games`,
+  :mod:`repro.core.native`); the scalar engine and the last tier of the
+  ejection ladder play :class:`repro.lca.coin_game.CoinDroppingGame`
+  itself over the CSR rows (:func:`play_coin_game`), so the game has
+  exactly one Python implementation.
 
 Machines within a round are independent (they all read D_{i-1} only),
 so the fleet can fan out over threads or message-passing shards
@@ -44,10 +30,10 @@ on :class:`repro.ampc.pool.CoinGamePool` worker processes).
 round, a fabric shard's sub-round and the Lemma 4.7 LCA's
 ``query_all`` all call it — and it returns every game complete: the
 games whose coins outgrow a machine word finish inside it, down the
-exact tiers (int64 → ``__int128`` → bigint/Fraction).  The kernel
-folds each slice's or shard's layer-proposal deltas and per-machine
-counts back through the same min/+ accumulators the serial loop uses,
-making the result independent of completion order.
+exact tiers (int64 → ``__int128`` → :class:`CoinDroppingGame`).  The
+kernel folds each slice's or shard's layer-proposal deltas and
+per-machine counts back through the same min/+ accumulators the serial
+loop uses, making the result independent of completion order.
 """
 
 from __future__ import annotations
@@ -56,7 +42,6 @@ import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from fractions import Fraction
 
 import numpy as np
 
@@ -71,7 +56,12 @@ from repro.core.batched_games import (
     play_games_batched,
 )
 from repro.graphs.graph import Graph
-from repro.lca.coin_game import fixed_coin_scale, max_provable_layer
+from repro.lca.coin_game import (
+    CoinDroppingGame,
+    fixed_coin_scale,
+    max_provable_layer,
+)
+from repro.lca.oracle import QueryStats
 
 __all__ = [
     "LazyAdjacency",
@@ -154,20 +144,30 @@ def peel_round_kernel(batch: BatchMachineContext, beta: int) -> None:
 class LazyAdjacency(dict):
     """Residual adjacency rows of a CSR, each made a list on first read.
 
-    :func:`play_coin_game` reads ``adj[u]`` only for the rows of each
-    game's ball, so the games the interpreter plays pay only for the
-    rows they read.  A row hit is a plain dict lookup; only a miss
-    calls :meth:`__missing__`.
+    It is also the probe-counting oracle (:meth:`explore`, ``stats``)
+    that :func:`play_coin_game`'s games query, one per fleet, so the
+    games the interpreter plays share the rows they read and pay only
+    for those.  A row hit is a plain dict lookup; only a miss calls
+    :meth:`__missing__`.  The CSR stays plain arrays: a fabric shard
+    rewrites its ``offsets`` in place later.
     """
 
     def __init__(self, offsets: np.ndarray, targets: np.ndarray) -> None:
         super().__init__()
         self._offsets = offsets
         self._targets = targets
+        self.stats = QueryStats()
 
     def __missing__(self, v: int) -> list[int]:
         row = self._targets[self._offsets[v]:self._offsets[v + 1]].tolist()
         self[v] = row
+        return row
+
+    def explore(self, v: int) -> list[int]:
+        """``v``'s row, charged as 1 degree probe + deg neighbor probes."""
+        row = self[v]
+        self.stats.degree_probes += 1
+        self.stats.neighbor_probes += len(row)
         return row
 
 
@@ -258,7 +258,8 @@ def play_fleet(
     lockstep, bit-identical; it plays the CSR closed by
     :func:`close_empty_rows` and gets its transpose map built once
     here).  ``"scalar"`` plays every game through
-    :func:`play_coin_game`, serially.
+    :func:`play_coin_game`, serially; ``scale`` is only the array
+    engines' starting coin scale.
 
     The ejection ladder: a cohort player ejects the games whose coin
     scale outgrows int64 (see :mod:`repro.core.batched_games`).  After
@@ -292,7 +293,7 @@ def play_fleet(
     fold to ``phases["fold"]``.  Every observable is bit-identical to
     the serial run.
     """
-    game = dict(x=x, beta=beta, clip=clip, horizon=horizon, scale=scale)
+    game = dict(x=x, beta=beta, clip=clip, horizon=horizon)
     if engine == "scalar":
         return _interpret(
             offsets, targets, roots, out_layer, out_count, want_records,
@@ -335,7 +336,8 @@ def play_fleet(
                 roots[bounds[i]:bounds[i + 1]],
                 out_layer=layer, out_count=count,
                 want_records=want_records, phases=slice_phases,
-                transpose_pos=transpose_pos, arena_hint=arena_hint, **game,
+                transpose_pos=transpose_pos, arena_hint=arena_hint,
+                scale=scale, **game,
             )
         return layer, count
 
@@ -372,7 +374,7 @@ def play_fleet(
         wide = play_games_wide(
             offsets, targets, roots[left], out_layer=out_layer,
             out_count=out_count, want_records=want_records, phases=phases,
-            **game,
+            scale=scale, **game,
         )
         info = _fill(info, left, wide)
         left = left[wide.ejected]
@@ -386,14 +388,14 @@ def play_fleet(
 
 def _interpret(
     offsets, targets, roots, out_layer, out_count, want_records, *,
-    x, beta, clip, horizon, scale,
+    x, beta, clip, horizon,
 ) -> BatchedGamesInfo:
     """Play ``roots`` one at a time through :func:`play_coin_game`.
 
-    Its fixed-scale Python integers widen to bigints (Fractions for
-    deep horizons), so every game finishes.  The module global is
-    looked up per call, so a patched ``play_coin_game`` sees every
-    game it plays.
+    Its exact Python coins never overflow, so every game finishes.  The
+    games share one :class:`LazyAdjacency` oracle.  The module global is
+    looked up per call, so a patched ``play_coin_game`` sees every game
+    it plays.
     """
     adj = LazyAdjacency(offsets, targets)
     g = len(roots)
@@ -407,8 +409,7 @@ def _interpret(
     proof: list[tuple[int, int]] = []
     for i, root in enumerate(roots.tolist()):
         reads[i], writes[i], record = play_coin_game(
-            adj, root, x, beta, clip, horizon, scale, out_layer, out_count,
-            True,
+            adj, root, x, beta, clip, horizon, out_layer, out_count, True,
         )
         explored, pairs, __, __, super_iterations[i], edges = record
         if want_records:
@@ -486,9 +487,10 @@ def lca_round_kernel(
     them in lockstep as array kernels (:mod:`repro.core.batched_games`),
     ``"compiled"`` plays each cohort in one fused C pass
     (:mod:`repro.core.native`, bit-identical to batched), ``"scalar"``
-    interprets them one at a time (:func:`play_coin_game`, kept
-    verbatim as the oracle).  Every engine plays through one
-    :func:`play_fleet` call, which finishes the games it ejects itself.
+    interprets them one at a time (:func:`play_coin_game`, which plays
+    :class:`~repro.lca.coin_game.CoinDroppingGame`, the oracle).  Every
+    engine plays through one :func:`play_fleet` call, which finishes the
+    games it ejects itself.
 
     Rounds of at least :data:`repro.ampc.pool.MIN_POOL_GAMES` games
     (read at call time) fan out over threads when ``workers > 1``;
@@ -577,182 +579,32 @@ def play_coin_game(
     beta: int,
     clip: int,
     horizon: int,
-    scale: int | None,
     out_layer,
     out_count,
     want_record: bool = False,
 ) -> tuple[int, int, tuple | None]:
-    """Play one (x, β, F)-coin dropping game against residual adjacency.
+    """Play one (x, β, F)-coin dropping game against residual CSR rows.
 
-    Mirrors :class:`repro.lca.coin_game.CoinDroppingGame` exactly (same
-    S_v evolution, same proof, same probe counts — see the module
-    docstring for the three exactness-preserving shortcuts), folding the
-    clipped proof into ``out_layer``/``out_count`` (any pair of
-    indexables supporting min-update and +=; callers pass dense
-    universe-sized arrays) and
-    returning ``(reads, writes, record)`` — ``record`` is the game
-    record tuple (see the top of this module) when ``want_record``,
-    else None.
-
-    Coins are fixed-scale exact integers (``scale`` from
-    :func:`repro.lca.coin_game.fixed_coin_scale`; every share division
-    is exact ``//``) or Fractions when ``scale`` is None (deep-horizon
-    games).
+    The game is :class:`~repro.lca.coin_game.CoinDroppingGame` with
+    ``horizon`` forwarding hops, probing ``adj``.  The layers of the
+    final σ_{S_v} that are at most ``clip`` fold into
+    ``out_layer``/``out_count`` (any pair of indexables supporting
+    min-update and +=; callers pass dense universe-sized arrays).
+    Returns ``(reads, writes, record)``: ``reads`` charges 1 + deg per
+    explored vertex, root included; ``record`` is the game record tuple
+    (see the top of this module) when ``want_record``, else None.
     """
-    bp1 = beta + 1
-    inside: dict[int, list[int]] = {}
-    inside_get = inside.get
-    # Forwarding-set records (inside split, outside split, |F|, forwarding
-    # threshold |F|*scale), persisted across super-iterations and patched
-    # as S_v grows.  Records are created *threshold-only* (splits None):
-    # the hot loop needs just |F|*scale to test a holder, and most
-    # holders — high-degree vertices especially, whose split would force
-    # a σ-ranking — never accumulate (β+1)·scale coins.  The split is
-    # materialized on a record's first forward of the current σ-epoch;
-    # σ is constant within a super-iteration and explore-time patches
-    # exactly simulate an earlier build, so deferral is value-invisible.
-    # Records whose split required a σ-ranking are downgraded back to
-    # threshold-only at the next super-iteration (σ changed; |F| didn't).
-    recs: dict[int, tuple[list[int] | None, set[int] | None, int, object]] = {}
-    recs_get = recs.get
-    sigma_recs: list[int] = []
-
-    def explore(u: int) -> int:
-        """Add u to S_v; returns its probe charge (1 degree + deg reads)."""
-        nbrs = adj[u]
-        ins = []
-        for w in nbrs:
-            il = inside_get(w)
-            if il is not None:
-                il.append(u)
-                ins.append(w)
-                rec = recs_get(w)
-                if rec is not None:
-                    out_m = rec[1]
-                    if out_m is not None and u in out_m:
-                        # u crossed into S_v; splits are unordered (share
-                        # addition commutes, touched is a set).
-                        out_m.discard(u)
-                        rec[0].append(u)
-        inside[u] = ins
-        return 1 + len(nbrs)
-
-    reads = explore(root)
-
-    if scale is not None:
-        start_amount: object = x * scale
-        int_coins = True
-    else:
-        scale = 1
-        start_amount = Fraction(x)
-        int_coins = False
-
-    def build_split(u: int, rec):
-        """Materialize a threshold-only record's (inside, outside) split."""
-        nonlocal sigma
-        nbrs = adj[u]
-        if len(nbrs) <= bp1:
-            fset = nbrs
-        else:
-            if sigma is None:
-                sigma = _induced_sigma(inside, adj, beta)
-            sg = sigma.get
-
-            def key(w: int):
-                lay = sg(w, _INF)
-                return (
-                    -lay if lay != _INF else float("-inf"),
-                    w in inside,
-                    w,
-                )
-
-            fset = sorted(nbrs, key=key)[:bp1]
-            sigma_recs.append(u)
-        ins_m: list[int] = []
-        out_m: set[int] = set()
-        for w in fset:
-            if w in inside:
-                ins_m.append(w)
-            else:
-                out_m.add(w)
-        rec = (ins_m, out_m, rec[2], rec[3])
-        recs[u] = rec
-        return rec
-
-    sigma: dict[int, float] | None = None
-    grew = True
-    for performed in range(1, x * x + 1):
-        sigma = None  # S_v changed since the last super-iteration
-        if sigma_recs:
-            for u in sigma_recs:
-                old = recs[u]
-                recs[u] = (None, None, old[2], old[3])
-            sigma_recs = []
-        coins: dict[int, object] = {root: start_amount}
-        hot: tuple[int, ...] | set[int] = (root,)
-        touched: set[int] = set()
-        for __h in range(horizon):
-            fwds = None
-            for u in hot:
-                rec = recs_get(u)
-                if rec is None:
-                    k = len(adj[u])
-                    if k > bp1:
-                        k = bp1
-                    # Threshold |F|*scale; an isolated root (k = 0, only
-                    # possible for the root) gets an unreachable sentinel
-                    # so the hot loop needs no emptiness test.
-                    if k:
-                        threshold = k * scale if int_coins else k
-                    else:
-                        threshold = _INF
-                    rec = (None, None, k, threshold)
-                    recs[u] = rec
-                amount = coins[u]
-                if amount >= rec[3]:
-                    if rec[0] is None:
-                        rec = build_split(u, rec)
-                    if fwds is None:
-                        fwds = [(u, amount, rec)]
-                    else:
-                        fwds.append((u, amount, rec))
-            if fwds is None:
-                break  # nothing can move: a fixed point for this horizon
-            new_hot: set[int] = set()
-            new_hot_add = new_hot.add
-            for u, amount, rec in fwds:
-                share = amount // rec[2] if int_coins else amount / rec[2]
-                coins[u] -= amount
-                for w in rec[0]:
-                    if w in coins:
-                        coins[w] += share
-                    else:
-                        coins[w] = share
-                    new_hot_add(w)
-                out_m = rec[1]
-                if out_m:
-                    touched.update(out_m)
-            hot = new_hot
-        # Only vertices not yet in S_v are growth.  On a symmetric
-        # adjacency this is a no-op: explore() patches every record's
-        # outside split when a member crosses inside, so touched never
-        # intersects S_v.  Fabric shards replay games against held rows
-        # with missing rows read as empty (repro.ampc.messaging) — there
-        # the reverse edge that would trigger the patch may be missing,
-        # and an unpatched outside split would re-touch inside vertices
-        # every super-iteration, driving the loop to its x² bound.
-        touched.difference_update(inside)
-        if not touched:
-            grew = False
-            break
-        for u in sorted(touched):
-            reads += explore(u)
-    if grew or sigma is None:
-        sigma = _induced_sigma(inside, adj, beta)
+    start = adj.stats.total
+    game = CoinDroppingGame(adj, root, x, beta, forward_iterations=horizon)
+    result = game.run()
+    reads = adj.stats.total - start
+    # The caller's clip, not the result's proof: that one is clipped at
+    # max_provable_layer(x, β).  σ covers S_v in exploration order.
+    sigma = game.current_partition().layers
     writes = 0
     proof: list[tuple[int, int]] | None = [] if want_record else None
     for u, lay in sigma.items():
-        if lay <= clip:  # ∞ never passes; proofs are clipped (Lemma 4.4)
+        if lay <= clip:  # ∞ never passes
             writes += 1
             if lay < out_layer[u]:
                 out_layer[u] = lay
@@ -761,44 +613,8 @@ def play_coin_game(
                 proof.append((u, lay))
     record = None
     if want_record:
-        # |E(G[S_v])|: each in-ball edge sits in both endpoints' inside
-        # lists, so on a symmetric adjacency this is CoinDroppingGame's
-        # count.
-        edges_seen = sum(map(len, inside.values())) // 2
-        record = (list(inside), proof, reads, writes, performed, edges_seen)
+        record = (
+            list(sigma), proof, reads, writes, result.super_iterations,
+            result.edges_seen,
+        )
     return reads, writes, record
-
-
-def _induced_sigma(
-    inside: dict[int, list[int]], adj: LazyAdjacency, beta: int
-) -> dict[int, float]:
-    """σ_{S_v,β} by synchronous peeling of the incrementally-kept view.
-
-    Semantics of :func:`repro.partition.induced.induced_partition_from_view`
-    with the adjacency-closure validation elided (the engine builds the
-    closed view itself) and true degrees read off the residual lists.
-    """
-    sigma = dict.fromkeys(inside, _INF)
-    inf_count = {}
-    frontier = []
-    for u in inside:
-        d = len(adj[u])
-        if d <= beta:
-            frontier.append(u)
-        else:
-            inf_count[u] = d
-    layer_index = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            sigma[u] = layer_index
-        for u in frontier:
-            for w in inside[u]:
-                if sigma[w] == _INF:
-                    c = inf_count[w] - 1
-                    inf_count[w] = c
-                    if c == beta:
-                        nxt.append(w)
-        frontier = nxt
-        layer_index += 1
-    return sigma

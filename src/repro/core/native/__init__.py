@@ -46,15 +46,16 @@ Array layouts (all ``int64`` little-endian C-contiguous unless noted):
   place of its neighbours' rows: the peel counts the layer-0
   neighbours that decrement the hub off it, and the relaxation the
   in-ball neighbours that can bound the hub's σ.  That equals the
-  row-walking peel (``_induced_sigma``) only because a neighbour of
-  the hub lists the hub in turn unless its own row is empty, and a
-  member with an empty row is never counted.
+  row-walking peel (``induced_partition_from_view``) only because a
+  neighbour of the hub lists the hub in turn unless its own row is
+  empty, and a member with an empty row is never counted.
 - ``roots[num_games]`` — one game per root; game order is roots order
   and every per-game output array below is indexed by it.
 - ``out_layer[n]`` (float64) / ``out_count[n]`` — fold accumulators
   over the vertex universe: provable layers ``<= clip`` are min-folded
   into ``out_layer`` and counted into ``out_count`` exactly as the
-  scalar ``play_coin_game`` folds them one game at a time.
+  scalar ``play_coin_game`` (``CoinDroppingGame``) folds them one
+  game at a time.
 - ``reads`` / ``writes`` / ``super_iters`` / ``edges_seen`` /
   ``mem_counts`` / ``proof_counts`` (``[num_games]``) and
   ``ejected[num_games]`` (uint8) — per-game observables, zeroed at

@@ -210,10 +210,10 @@ static void slots_free(slots_t *s) {
 
 /* Synchronous sigma-peel of game g's current ball (members
  * mv[0..mem_count), stamps identify membership), walking hub rows only.
- * Matches the scalar `_induced_sigma`: counts start at the TRUE residual
- * degree, the whole frontier is assigned its layer before any
- * decrement, and a member enqueues exactly when its countdown hits beta
- * from above.
+ * Matches the row-walking peel of `induced_partition_from_view`: counts
+ * start at the TRUE residual degree, the whole frontier is assigned its
+ * layer before any decrement, and a member enqueues exactly when its
+ * countdown hits beta from above.
  *
  * Layer 0 is every member with deg <= beta; it is assigned without a
  * row walk.  Its decrements land on the hubs (deg > beta) only, and a
@@ -288,8 +288,8 @@ static void sigma_peel(
  * sigma_{S'}.  When a slot drops to nv, only in-ball neighbours with
  * deg > beta and sigma > nv+1 can drop in turn.  A neighbour with an
  * empty row never counts towards F: sigma_peel counts only non-empty
- * rows, as the row-walking peel of `_induced_sigma` decrements only
- * along them (the only asymmetric rows a caller passes are empty ones;
+ * rows, as the row-walking peel of `induced_partition_from_view`
+ * decrements only along them (the only asymmetric rows a caller passes are empty ones;
  * see the ABI notes).
  *
  * One walk per new row adds each new in-ball edge to the inball count

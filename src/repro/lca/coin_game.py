@@ -21,31 +21,22 @@ Engineering notes:
 - Coin amounts are exact rationals represented as *bounded-denominator
   scaled integers*: after t hops every denominator divides
   ``lcm(1..β+1) ** t`` (each hop divides by one set size ``|F| <= β+1``),
-  so integer counts of ``1/scale`` units are exact.  Two interchangeable
-  scale policies implement this, and the differential tests pin them
-  against each other and against the seed's :class:`~fractions.Fraction`
-  coins:
-
-  * **Shared fixed scale** (:func:`fixed_coin_scale`) —
-    ``lcm(1..β+1) ** horizon``, precomputed once per (β, horizon).
-    Amounts stay machine-word-sized whenever that scale fits in 63 bits
-    (small β/x regimes); past 63 bits Python integers widen to bigints
-    automatically — exact, just proportionally slower.  Every division
-    is a plain exact ``//``.  This is what the columnar round engine
-    (:func:`repro.core.columnar_rounds.play_coin_game`) runs: on
-    bench-shaped inputs inexact divisions are the *common* case, so a
-    branch-free fixed scale beats dynamic rescaling even when it makes
-    amounts multi-digit.
-  * **Dynamic per-game escalation**
-    (:meth:`CoinDroppingGame._forward_scaled_ints`) — the scale starts
-    at 1 and, once per hop, escalates by the smallest factor that makes
-    that hop's divisions exact (the lcm of the per-division deficits
-    ``|F| / gcd(amount, |F|)``).  Amounts stay single-digit until a game
-    actually demands more, and :attr:`CoinDroppingGame.peak_coin_scale`
-    records how far a game escalated — through 63 bits and beyond, the
-    overflow path is ordinary bigint arithmetic.  The oracle game runs
-    this policy, so dict-vs-columnar equivalence doubles as a
-    differential check of the two representations.
+  so integer counts of ``1/scale`` units are exact.  The scale is
+  escalated per game (:meth:`CoinDroppingGame._forward_scaled_ints`):
+  it starts at 1 and, once per hop, escalates by the smallest factor
+  that makes that hop's divisions exact (the lcm of the per-division
+  deficits ``|F| / gcd(amount, |F|)``).  Amounts stay single-digit
+  until a game actually demands more, and
+  :attr:`CoinDroppingGame.peak_coin_scale` records how far a game
+  escalated — through 63 bits and beyond, the overflow path is
+  ordinary bigint arithmetic.  This class is the only Python coin game:
+  the columnar round engine's scalar engine and the last tier of its
+  ejection ladder play it too
+  (:func:`repro.core.columnar_rounds.play_coin_game`).  The shared
+  fixed scale of :func:`fixed_coin_scale` is only the array engines'
+  starting scale (:mod:`repro.core.batched_games`).  Every
+  representation is exact, so the differential tests pin the engines
+  against this game value for value.
 
   Games with a huge forwarding horizon (strict mode uses |V| iterations)
   keep Fraction coins instead: the fixed scale would be an astronomical
@@ -95,10 +86,10 @@ def fixed_coin_scale(beta: int, horizon: int) -> int | None:
 
     ``lcm(1..β+1) ** horizon`` clears every denominator any amount can
     acquire within the horizon, so all share divisions are exact ``//``.
-    It fits machine words when small parameters keep it under 63 bits and
-    widens to a bigint otherwise (see the module docstring).  None means
-    "horizon too deep for any scaled-integer representation" — such games
-    keep Fraction coins.
+    The array engines start every game at it when it fits their word
+    budget (:mod:`repro.core.batched_games`).  None means "horizon too
+    deep for any scaled-integer representation" — such games keep
+    Fraction coins.
     """
     if horizon > INT_COIN_HORIZON_CAP:
         return None
@@ -106,10 +97,20 @@ def fixed_coin_scale(beta: int, horizon: int) -> int | None:
 
 
 def max_provable_layer(x: int, beta: int) -> int:
-    """floor(log_{β+1} x): the deepest layer the game certifies (Lemma 4.4)."""
+    """floor(log_{β+1} x): the deepest layer the game certifies (Lemma 4.4).
+
+    The largest k with (β+1)^k <= x, by exact integer powers (a float
+    log overshoots just below a power of β+1).
+    """
     if x < 1:
         raise ValueError("x must be >= 1")
-    return int(math.floor(math.log(x) / math.log(beta + 1) + 1e-9)) if x > 1 else 0
+    if beta < 1:
+        raise ValueError("beta must be >= 1")
+    layer, power = 0, beta + 1
+    while power <= x:
+        layer += 1
+        power *= beta + 1
+    return layer
 
 
 @dataclass

@@ -99,16 +99,14 @@ class PartialBetaPartition:
 
     def violations(self, graph: Graph, beta: int) -> list[int]:
         """Vertices violating Definition 3.5: finite layer but more than β
-        neighbors in the same or higher layer (∞ counts as higher)."""
-        bad = []
-        for v in graph.vertices():
-            lay = self.layer(v)
-            if lay == INFINITY:
-                continue
-            high = sum(1 for w in graph.neighbors(v) if self.layer(int(w)) >= lay)
-            if high > beta:
-                bad.append(v)
-        return bad
+        neighbors in the same or higher layer (∞ counts as higher).
+        Ascending ids; one array pass over the CSR."""
+        offsets, targets = graph.csr()
+        lay = self.layer_array(graph.num_vertices)
+        high = lay[targets] >= np.repeat(lay, np.diff(offsets))
+        ends = np.concatenate(([0], np.cumsum(high)))
+        counts = ends[offsets[1:]] - ends[offsets[:-1]]
+        return np.flatnonzero(np.isfinite(lay) & (counts > beta)).tolist()
 
     def is_valid(self, graph: Graph, beta: int) -> bool:
         """True if this is a valid (partial) β-partition of ``graph``."""

@@ -120,8 +120,8 @@ def _play_both_engines(graph, beta, x, want_records=False):
     ref_records = []
     for v in range(n):
         ref_reads[v], ref_writes[v], record = play_coin_game(
-            adj, v, x, beta, clip, horizon, scale,
-            ref_layer, ref_count, want_records,
+            adj, v, x, beta, clip, horizon, ref_layer, ref_count,
+            want_records,
         )
         ref_records.append(record)
     records = _per_game(info.records) if want_records else None

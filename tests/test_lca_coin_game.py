@@ -28,6 +28,24 @@ class TestMaxProvableLayer:
         assert max_provable_layer(15, 3) == 1
         assert max_provable_layer(1, 3) == 0
 
+    def test_just_below_a_power(self):
+        # A float log rounds these up to the next power's exponent.
+        assert max_provable_layer(2**31 - 1, 1) == 30
+        assert max_provable_layer(49**5 - 1, 48) == 4
+
+    def test_sweep_against_the_definition(self):
+        # The largest k with (β+1)^k <= x, at and around every power.
+        for beta in range(1, 64):
+            for k in range(70):
+                power = (beta + 1) ** k
+                for x in (power - 1, power, power + 1):
+                    if x < 1:
+                        continue
+                    want = max(
+                        j for j in range(k + 2) if (beta + 1) ** j <= x
+                    )
+                    assert max_provable_layer(x, beta) == want, (x, beta)
+
     def test_invalid_x(self):
         with pytest.raises(ValueError):
             max_provable_layer(0, 3)

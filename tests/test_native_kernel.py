@@ -37,7 +37,6 @@ from repro.core.batched_games import (
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.core.columnar_rounds import (
     LazyAdjacency,
-    _induced_sigma,
     play_coin_game,
     play_fleet,
 )
@@ -50,6 +49,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import Graph
 from repro.lca.coin_game import fixed_coin_scale, max_provable_layer
+from repro.partition.induced import induced_partition_from_view
 
 pytestmark = pytest.mark.skipif(
     not native.available(), reason="compiled wave kernel unavailable"
@@ -472,10 +472,11 @@ class TestIncrementalSigma:
         # The message fabric plays CSRs whose unheld rows are empty: such
         # a member has degree 0 but sits in its neighbours' rows.  Neither
         # the peel's countdowns nor the relaxation's inball counts may
-        # count it, as `_induced_sigma`'s peel, which decrements along
-        # rows, never does.  With every finite σ clipped in, each game's
-        # proof is that peel of its recorded ball: `_induced_sigma` over
-        # each member's in-ball row.
+        # count it, as the row-walking peel of
+        # `induced_partition_from_view`, which decrements along rows,
+        # never does.  With every finite σ clipped in, each game's proof
+        # is that peel of its recorded ball: each member's in-ball row
+        # with its row length as true degree.
         for graph in (
             preferential_attachment(400, 3, seed=seed),
             random_gnm(400, 800, seed=seed),
@@ -507,7 +508,9 @@ class TestIncrementalSigma:
             ball = members[mo:me].tolist()
             in_ball = set(ball)
             inside = {v: [w for w in adj[v] if w in in_ball] for v in ball}
-            sigma = _induced_sigma(inside, adj, beta)
+            sigma = induced_partition_from_view(
+                inside, {v: len(adj[v]) for v in ball}, beta
+            ).layers
             want = [(v, sigma[v]) for v in ball if sigma[v] != _INF]
             assert list(zip(proof_u[po:pe].tolist(),
                             proof_l[po:pe].tolist())) == want
@@ -553,6 +556,53 @@ class TestEndToEndEngines:
             assert got.edges_seen == res.edges_seen
 
 
+class TestScalarOnShardRows:
+    """The scalar engine is the kernel's oracle on fabric-shard-like
+    CSRs too, where a third of the rows read as empty (unheld rows):
+    game for game, the same reads, writes, super-iterations, members,
+    proofs and folds.  ``edges_seen`` is left out: |E(G[S_v])| is
+    defined on symmetric rows, and its one reader, ``query_all``, plays
+    whole graphs."""
+
+    @pytest.mark.parametrize(
+        "make, beta, x",
+        [
+            (lambda: preferential_attachment(300, 3, seed=0), 6, 49),
+            (lambda: random_gnm(300, 600, seed=0), 3, 16),
+            (lambda: union_of_random_forests(300, 3, seed=0), 9, 100),
+        ],
+        ids=["pa", "gnm", "forests"],
+    )
+    def test_scalar_fleet_matches_compiled(self, make, beta, x):
+        graph = make()
+        offsets, targets = graph.csr()
+        n = graph.num_vertices
+        held = np.random.default_rng(n).random(n) >= 1 / 3
+        targets = targets[np.repeat(held, np.diff(offsets))]
+        offsets = np.concatenate(([0], np.cumsum(np.diff(offsets) * held)))
+        roots = np.nonzero(held)[0].astype(np.int64)
+
+        def fleet(engine):
+            layer = np.full(n, _INF)
+            count = np.zeros(n, dtype=np.int64)
+            info = play_fleet(
+                offsets, targets, roots, out_layer=layer, out_count=count,
+                engine=engine, want_records=True, **_game(x, beta),
+            )
+            return info, layer, count
+
+        scalar, layer_s, count_s = fleet("scalar")
+        compiled, layer_c, count_c = fleet("compiled")
+        for field in ("reads", "writes", "super_iterations"):
+            assert np.array_equal(
+                getattr(scalar, field), getattr(compiled, field)
+            ), field
+        for got, want in zip(scalar.records, compiled.records):
+            assert np.array_equal(got, want)
+        assert np.array_equal(layer_s, layer_c)
+        assert np.array_equal(count_s, count_c)
+
+
 def _game(x, beta):
     clip = max_provable_layer(x, beta)
     horizon = 4 * (clip + 2)
@@ -581,8 +631,7 @@ def _wide_matches_scalar(graph, roots, game):
     offsets, targets = graph.csr()
     n = graph.num_vertices
     adj = LazyAdjacency(offsets, targets)
-    args = (game["x"], game["beta"], game["clip"], game["horizon"],
-            game["scale"])
+    args = (game["x"], game["beta"], game["clip"], game["horizon"])
     layer_s = np.full(n, _INF)
     count_s = np.zeros(n, dtype=np.int64)
     scalar = [
@@ -950,7 +999,7 @@ def play_wide(roots, fail_at):
     for gi in info.ejected.tolist():
         info.reads[gi], info.writes[gi], _ = play_coin_game(
             adj, int(roots[gi]), game["x"], game["beta"], game["clip"],
-            game["horizon"], game["scale"], layer, count)
+            game["horizon"], layer, count)
     return info, layer, count, seen, fired
 
 

@@ -76,6 +76,29 @@ class TestValidation:
         assert p.violations(g, 1) == [1]
         assert p.is_valid(g, 2)
 
+    @given(st.integers(0, 2**31), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_violations_match_the_definition(self, seed, beta):
+        # Random layers 0..3 plus ∞ and unassigned vertices, checked
+        # against Definition 3.5 vertex by vertex.
+        g = union_of_random_forests(40, 3, seed=seed)
+        rng = SplitMix64(seed)
+        layers = {}
+        for v in g.vertices():
+            pick = rng.randrange(6)
+            if pick < 4:
+                layers[v] = pick
+            elif pick == 4:
+                layers[v] = INFINITY
+        p = PartialBetaPartition(layers)
+        want = [
+            v for v in g.vertices()
+            if p.layer(v) != INFINITY
+            and sum(p.layer(int(w)) >= p.layer(v) for w in g.neighbors(v))
+            > beta
+        ]
+        assert p.violations(g, beta) == want
+
     def test_infinity_vertices_never_violate(self):
         g = complete_graph(5)
         p = PartialBetaPartition({})

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.coloring.greedy import orientation_greedy_coloring
 from repro.coloring.mis import is_maximal_independent_set, mis_from_coloring
 from repro.core.beta_partition_ampc import beta_partition_ampc
-from repro.core.columnar_rounds import _induced_sigma
 from repro.core.orientation import orient_by_partition
 from repro.graphs.arboricity import degeneracy, density_lower_bound
 from repro.graphs.generators import (
@@ -34,7 +33,11 @@ from repro.lca.coin_game import CoinDroppingGame
 from repro.lca.oracle import GraphOracle
 from repro.partition.beta_partition import INFINITY
 from repro.partition.dependency import dependency_set
-from repro.partition.induced import induced_beta_partition, natural_beta_partition
+from repro.partition.induced import (
+    induced_beta_partition,
+    induced_partition_from_view,
+    natural_beta_partition,
+)
 from repro.util.rng import SplitMix64
 
 sparse_graphs = st.tuples(
@@ -135,9 +138,12 @@ class TestSubsetMonotonicityRandomized:
             assert p1.layer(v) >= p2.layer(v) >= p3.layer(v)
 
 
-def _inside(ball, adj):
-    """``_induced_sigma``'s view of ``ball``: each member's in-ball row."""
-    return {u: [w for w in adj[u] if w in ball] for u in ball}
+def _peel(ball, adj, beta):
+    """σ of ``ball`` by the row-walking peel: each member's in-ball row,
+    with its row length as true degree."""
+    inside = {u: [w for w in adj[u] if w in ball] for u in ball}
+    degrees = {u: len(adj[u]) for u in ball}
+    return induced_partition_from_view(inside, degrees, beta).layers
 
 
 def _inball(h, ball, adj):
@@ -234,7 +240,7 @@ class TestIncrementalSigma:
         # time, like a coin game's explored sets (over the full graph:
         # members with emptied rows are touched from their neighbours').
         ball = {rng.randrange(n)}
-        sigma = _induced_sigma(_inside(ball, adj), adj, beta)
+        sigma = _peel(ball, adj, beta)
         inball = {h: _inball(h, ball, adj) for h in ball
                   if len(adj[h]) > beta}
         for step in growth:
@@ -246,7 +252,7 @@ class TestIncrementalSigma:
                     break
                 ball.add(frontier[rng.randrange(len(frontier))])
             sigma = _relax_sigma(sigma, inball, ball, adj, beta)
-            assert sigma == _induced_sigma(_inside(ball, adj), adj, beta)
+            assert sigma == _peel(ball, adj, beta)
             assert inball == {h: _inball(h, ball, adj) for h in ball
                               if len(adj[h]) > beta}
 
@@ -322,7 +328,7 @@ balls = st.tuples(
 )
 
 # Hub-only peels that miscount layer 0: each must disagree with
-# `_induced_sigma` on some ball of TestHubOnlySigma's fixed sample.
+# `_peel` on some ball of TestHubOnlySigma's fixed sample.
 _MUTANTS = {
     "counts empty-row neighbours": lambda dw, beta: dw <= beta,
     "counts hubs": lambda dw, beta: dw > 0,
@@ -333,23 +339,21 @@ _MUTANTS = {
 
 class TestHubOnlySigma:
     """σ read from the hubs alone (the wave kernel's peel and
-    relaxation) is `_induced_sigma`'s row-walking peel."""
+    relaxation) is the row-walking peel, `_peel`."""
 
     @given(balls)
     @settings(max_examples=60, deadline=None)
     def test_hub_only_peel_is_the_row_walking_peel(self, case):
         beta = case[2]
         ball, adj = _random_ball(*case)
-        assert _hub_peel(ball, adj, beta) == _induced_sigma(
-            _inside(ball, adj), adj, beta
-        )
+        assert _hub_peel(ball, adj, beta) == _peel(ball, adj, beta)
 
     @given(balls)
     @settings(max_examples=60, deadline=None)
     def test_a_hub_short_of_non_empty_neighbours_is_unlayered(self, case):
         beta = case[2]
         ball, adj = _random_ball(*case)
-        sigma = _induced_sigma(_inside(ball, adj), adj, beta)
+        sigma = _peel(ball, adj, beta)
         for h in ball:
             d = len(adj[h])
             if d > beta and _inball(h, ball, adj) < d - beta:
@@ -362,8 +366,8 @@ class TestHubOnlySigma:
             beta = 1 + seed % 6
             for shape in ("gnm", "pa", "forests"):
                 ball, adj = _random_ball(shape, 60, beta, seed, True)
-                if _hub_peel(ball, adj, beta, counted) != _induced_sigma(
-                    _inside(ball, adj), adj, beta
+                if _hub_peel(ball, adj, beta, counted) != _peel(
+                    ball, adj, beta
                 ):
                     return
         pytest.fail(f"no sampled ball tells the {mutant!r} peel apart")
