@@ -4,19 +4,28 @@ Every shape runs ``coloring_two_plus_eps`` with α = 3 and ε = 1 (so
 β = 9) on a fixed seed, on the default engine, at ``workers=1`` and
 ``workers="auto"``.  That is the β-partition, orientation, per-layer
 colouring and recolour of Theorem 1.2/1.3 end to end.  The fabric leg
-times the gnm shape's β-partition over ``transport="message"`` with
-:data:`FABRIC_SHARDS` shards.  A leg records the min-of-3 wall time, the
-partition's share of it (from the same call: the pipeline's
-``beta_partition_ampc`` lookup is wrapped, as ``e2ebench`` does), the
-partition's ``phases``, and colours, rounds and layers.  The fabric leg
-adds its communication counters and ``max_held_words``.  Every leg of a
-shape must produce the same layers, or the bench stops.
+times the :data:`FABRIC_SHAPE` shape's β-partition over
+``transport="message"`` with :data:`FABRIC_SHARDS` shards.  A leg records
+the min-of-3 wall time, the partition's share of it (from the same call:
+the pipeline's ``beta_partition_ampc`` lookup is wrapped, as
+``e2ebench`` does), the partition's ``phases``, and colours, rounds and
+layers.  The fabric leg adds its communication counters and
+``max_held_words``.  Every leg of a shape must produce the same layers,
+or the bench stops.
 
-The quick corpus also times, on its gnm shape only: the pipeline at
-``workers=2`` and ``4``, the batched engine at ``workers=1, 2, 4``, the
-dict-oracle partition that normalizes the regression guards, a pooled
-fabric run at ``workers=2`` with the supervisor's recovery counters, and
-that run degraded to serial by a crash-every-dispatch fault plan.
+The quick corpus also times, on its gnm shape: the pipeline at
+``workers=2`` and ``4``, the batched engine at ``workers=1, 2, 4`` and
+the dict-oracle partition that normalizes the regression guards; and on
+its :data:`FABRIC_SHAPE` shape: a pooled fabric run at ``workers=2`` with
+the supervisor's recovery counters, and that run degraded to serial by a
+crash-every-dispatch fault plan.
+
+An lca round plays coin games only at hub roots (residual degree > β),
+and the fabric ships and the pool dispatches only those games.  The
+fabric legs play the preferential-attachment shape because the quick
+gnm graph leaves too few hub games (about 70, under the pool cutoff) to
+reach a pool worker, and its fabric time is then all fixed per-round
+cost (placement, ghost installs, compaction), not games.
 
 Usage (from the repository root)::
 
@@ -71,6 +80,7 @@ GENERATORS = {
     "grid": grid_2d,
     "path": path_graph,
 }
+FABRIC_SHAPE = "pa"
 FABRIC_SHARDS = 4
 
 # The quick corpus's summed wall time, and the batched gnm leg's, may
@@ -96,7 +106,8 @@ MONOTONE_SLACK = 1.25
 # The fabric's per-shard held words, as a multiple of the graph's CSR
 # words (owned rows plus the ghost fringe of deep balls).
 MESSAGE_HELD_BUDGET_FACTOR = 4.5
-# Quick fabric partition over the same run's compiled shm partition.
+# Quick fabric partition over the same run's compiled shm partition of
+# the same shape.
 MAX_MESSAGE_OVER_COMPILED = 8.0
 # Quick batched partition over the same run's compiled one.
 MIN_COMPILED_SPEEDUP = 2.0
@@ -254,7 +265,9 @@ def run(sizes: dict, quick: bool) -> dict:
         for workers in sweep:
             legs[f"{shape}/{_label(workers)}"] = pipeline_leg(graph, workers)
     for workers in (1, "auto"):
-        legs[f"fabric/{_label(workers)}"] = fabric_leg(graphs["gnm"], workers)
+        legs[f"fabric/{_label(workers)}"] = fabric_leg(
+            graphs[FABRIC_SHAPE], workers
+        )
     if quick:
         for workers in (1, 2, 4):
             legs[f"gnm-batched/{_label(workers)}"] = pipeline_leg(
@@ -262,21 +275,22 @@ def run(sizes: dict, quick: bool) -> dict:
             )
         legs["dict"] = dict_leg(graphs["gnm"])
     timed = time_legs(legs)
-    # The fabric, batched and dict legs play the gnm graph too.
+    # The batched and dict legs play the gnm graph too, the fabric legs
+    # the FABRIC_SHAPE graph.
+    shape_of = {"fabric": FABRIC_SHAPE, "gnm-batched": "gnm", "dict": "gnm"}
     by_shape: dict = {}
     for key, (__, layers) in timed.items():
         family = key.split("/")[0]
-        by_shape.setdefault(family if family in graphs else "gnm", []).append(
-            layers
-        )
+        by_shape.setdefault(shape_of.get(family, family), []).append(layers)
     for shape, layers in by_shape.items():
         if any(not np.array_equal(got, layers[0]) for got in layers[1:]):
             raise SystemExit(f"{shape}: legs disagree on the partition")
     block = {"sizes": {shape: list(size) for shape, size in sizes.items()}}
     if quick:
-        dict_s, layers = timed.pop("dict")
-        block["dict_s"] = dict_s
-        block["recovery"] = _recovery(graphs["gnm"], layers)
+        block["dict_s"] = timed.pop("dict")[0]
+        block["recovery"] = _recovery(
+            graphs[FABRIC_SHAPE], timed[f"{FABRIC_SHAPE}/w1"][1]
+        )
     block["legs"] = {key: leg for key, (leg, __) in timed.items()}
     close_shared_pools()
     return block
@@ -417,6 +431,7 @@ def _quick_guards(cur: dict, base: dict, host_cpus: int, base_cpus: int):
                 )
     compiled = legs.get("gnm/w1", {})
     batched = legs.get("gnm-batched/w1")
+    fabric_shm = legs.get(f"{FABRIC_SHAPE}/w1", {})
     if not native.available():
         waivers.append(
             f"kernel unavailable ({native.load_error()!r}): compiled "
@@ -435,7 +450,9 @@ def _quick_guards(cur: dict, base: dict, host_cpus: int, base_cpus: int):
                 f"batched (< {MIN_COMPILED_SPEEDUP:.1f}x same-run budget)"
             )
         fabric = legs.get("fabric/w1")
-        tax = fabric and fabric["wall_s"] / compiled["partition_s"]
+        tax = fabric and fabric_shm and (
+            fabric["wall_s"] / fabric_shm["partition_s"]
+        )
         if tax and tax > MAX_MESSAGE_OVER_COMPILED:
             failures.append(
                 f"message transport tax {tax:.1f}x over the same-run "
@@ -479,7 +496,8 @@ def check_regression(report: dict, baseline: dict):
     the batched gnm leg, within :data:`MAX_REGRESSION` /
     :data:`MAX_PHASE_REGRESSION` after normalizing by the same run's
     dict-oracle partition, compiled ≥ :data:`MIN_COMPILED_SPEEDUP`
-    × batched, transport tax ≤ :data:`MAX_MESSAGE_OVER_COMPILED`, zero
+    × batched on gnm, the fabric's transport tax over the same shape's
+    compiled partition ≤ :data:`MAX_MESSAGE_OVER_COMPILED`, zero
     recovery counters on the clean pooled run, supervisor overhead ≤
     :data:`MAX_RECOVERY_OVERHEAD`, and a bit-identical degraded leg that
     degraded some shard.  Every block in the report also gets the

@@ -42,7 +42,9 @@ per-round totals are surfaced through the ``comm`` dict and
     Driver → shard, once in the fabric's first round: the shard's owned
     slice of the residual CSR ``(ids, offsets, targets)``.
 ``assignment``
-    Driver → shard, per round: the roots of the shard's owned games.
+    Driver → shard, per round: the roots of the shard's owned games —
+    the hubs (residual degree > β) only; every other root writes layer
+    0 without a game.
 ``row-request``
     Shard → owner, per sub-round: the vertex ids of rows that games
     explored but the shard does not hold.

@@ -22,8 +22,10 @@ simulator exploits exactly that freedom, nothing more:
   (:func:`repro.ampc.messaging.run_shard_chain`) is pure Python and
   holds the GIL, so :meth:`CoinGamePool.run_games` runs one chain per
   job on a persistent :class:`~concurrent.futures.ProcessPoolExecutor`.
-  Rounds smaller than :data:`MIN_POOL_GAMES` skip dispatch entirely —
-  at that size the pool's fixed cost exceeds the games.  The executor
+  Rounds that play fewer than :data:`MIN_POOL_GAMES` games skip
+  dispatch entirely — at that size the pool's fixed cost exceeds the
+  games.  Only hubs (roots of residual degree > β) play games; the
+  other machines of an lca round write layer 0 without one.  The executor
   never runs more processes than the CPUs this process may use
   (:func:`usable_cpus`): results are bit-identical at any process
   count, and oversubscribed CPU-bound workers only time-slice the same
@@ -139,9 +141,11 @@ __all__ = [
     "usable_cpus",
 ]
 
-# Rounds with fewer pending games than this run in-process even when
-# workers > 1.  One cutoff gates both parallel paths: the array
-# engines' thread fan-out (below ~256 games a compiled round costs about
+# Rounds that play fewer games than this run in-process even when
+# workers > 1.  It counts games, that is hub roots (residual degree
+# > β), not machines: a low-degree root writes layer 0 and plays none.
+# One cutoff gates both parallel paths: the array engines' thread
+# fan-out (below ~256 games a compiled round costs about
 # what waking the threads and folding their accumulators does) and the
 # message fabric's shard chains on the process pool (publishing the
 # CSR, pickling shards and collecting futures costs on the order of a

@@ -5,10 +5,14 @@ The algorithm alternates AMPC rounds, each of which:
 1. stores the current residual graph G_i (induced by still-unlayered
    vertices) in the data store D_i as ``("deg", v)`` / ``("adj", v, j)``
    key-value pairs — the exact encoding in the proof of Theorem 1.2;
-2. assigns one machine M_v per unlayered vertex; M_v plays the
-   (x, β, F)-coin dropping game *against the store* (its graph probes are
-   adaptive DDS reads, the defining capability of AMPC) and writes the
-   provable entries of its proof partition ℓ_v to D_{i+1};
+2. assigns one machine M_v per unlayered vertex; M_v reads v's residual
+   degree, and if it is at most β writes the proof {v: 0} (v is in layer
+   0 of the natural β-partition — one Barenboim-Elkin peel step);
+   otherwise v is a *hub* and M_v plays the (x, β, F)-coin dropping game
+   *against the store* (its graph probes are adaptive DDS reads, the
+   defining capability of AMPC; the degree read is the game's first)
+   and writes the provable entries of its proof partition ℓ_v to
+   D_{i+1};
 3. lets the DDS-side sorting machines keep the per-vertex minimum
    (Remark 4.8 + Lemma 4.10), yielding a globally consistent partial
    β-partition of G_i;
@@ -25,9 +29,9 @@ Two execution fabrics implement the loop:
 - ``store="columnar"`` (the default) runs on array-backed
   :class:`~repro.ampc.columnar.ColumnStore` stores with batched round
   kernels (:mod:`repro.core.columnar_rounds`): the residual graph is one
-  CSR gather, the peel round is a degree-mask kernel, and the coin games
-  run against that CSR.  With ``workers > 1`` lca rounds
-  fan their machine fleet out over threads (array engines) or, under
+  CSR gather, the peel round is a degree-mask kernel, and the hubs' coin
+  games run against that CSR.  With ``workers > 1`` lca rounds
+  fan their hub fleet out over threads (array engines) or, under
   ``transport="message"``, run the fabric's shard chains on a
   persistent process pool (:mod:`repro.ampc.pool`) — machines within a
   round are independent, so the split is invisible to every
@@ -131,10 +135,16 @@ class _StoreOracle:
         self._ctx = ctx
         self.num_vertices = num_vertices
         self.stats = QueryStats()
+        self._degrees: dict[int, int] = {}
 
     def degree(self, v: int) -> int:
-        self.stats.degree_probes += 1
-        return self._ctx.read(("deg", v))
+        # One read per vertex: the machine's deciding read of its root's
+        # degree is also its game's first probe.
+        deg = self._degrees.get(v)
+        if deg is None:
+            self.stats.degree_probes += 1
+            deg = self._degrees[v] = self._ctx.read(("deg", v))
+        return deg
 
     def neighbor(self, v: int, i: int) -> int:
         self.stats.neighbor_probes += 1
@@ -265,8 +275,9 @@ def beta_partition_ampc(
         Either knob given under another transport raises ValueError
         rather than being ignored.
 
-    Rounds with fewer than :data:`repro.ampc.pool.MIN_POOL_GAMES` games
-    play serially even when workers > 1; that cutoff, the cohort size
+    Rounds that play fewer than :data:`repro.ampc.pool.MIN_POOL_GAMES`
+    games play serially even when workers > 1; the cutoff counts the hub
+    games a round plays, not its machines.  That cutoff, the cohort size
     and the fabric's message cap are module constants, not arguments,
     because no observable depends on them.
     """
@@ -505,12 +516,20 @@ def _run_columnar(
 def _lca_round(
     sim: AMPCSimulator, graph: Graph, alive: list[int], beta: int, x: int
 ) -> dict[int, float]:
-    """One LCA round: every alive vertex plays the game against the store."""
+    """One LCA round: every alive hub plays the game against the store.
+
+    A root of residual degree <= β is in layer 0 of the natural
+    β-partition, so its machine writes the proof {v: 0} after its degree
+    read; a hub's machine plays the game, whose first probe is that read.
+    """
     clip = max_provable_layer(x, beta)
 
     def make_task(v: int):
         def run(ctx: MachineContext) -> None:
             oracle = _StoreOracle(ctx, num_vertices=len(alive))
+            if oracle.degree(v) <= beta:
+                ctx.write(("layer", v), 0)
+                return
             game = CoinDroppingGame(oracle, v, x, beta)
             result = game.run()
             for u, lay in result.proof.layers.items():

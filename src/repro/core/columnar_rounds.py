@@ -14,13 +14,16 @@ dict-backed oracle):
   ``_residual_store_pairs`` generator;
 - :func:`peel_round_kernel` — the Barenboim-Elkin peel as a degree-mask
   array kernel (every machine: one deg read, one conditional layer write);
-- :func:`lca_round_kernel` — one machine per alive vertex playing the
-  (x, β, F)-coin dropping game against the store's columns.  The array
-  engines play whole fleets (:mod:`repro.core.batched_games`,
-  :mod:`repro.core.native`); the scalar engine and the last tier of the
-  ejection ladder play :class:`repro.lca.coin_game.CoinDroppingGame`
-  itself over the CSR rows (:func:`play_coin_game`), so the game has
-  exactly one Python implementation.
+- :func:`lca_round_kernel` — one machine per alive vertex.  A root of
+  residual degree <= β writes {v: 0} after its degree read (layer 0 of
+  the natural β-partition, one Barenboim-Elkin peel step); every other
+  root (a hub) plays the (x, β, F)-coin dropping game against the
+  store's columns.  The array engines play whole fleets
+  (:mod:`repro.core.batched_games`, :mod:`repro.core.native`); the
+  scalar engine and the last tier of the ejection ladder play
+  :class:`repro.lca.coin_game.CoinDroppingGame` itself over the CSR rows
+  (:func:`play_coin_game`), so the game has exactly one Python
+  implementation.
 
 Machines within a round are independent (they all read D_{i-1} only),
 so the fleet can fan out over threads or message-passing shards
@@ -476,11 +479,17 @@ def lca_round_kernel(
     comm: dict | None = None,
     workers: int = 1,
 ) -> None:
-    """One LCA round: every alive machine plays the coin game.
+    """One LCA round: every alive hub machine plays the coin game.
 
-    Proof layers are min-folded into the target's layer column as each
-    game finishes (the DDS-side merge of Remark 4.8 + Lemma 4.10); probe
-    and write counts are accounted per machine, exactly as the scalar
+    A machine whose root has residual degree <= β writes the proof
+    {v: 0}, which is valid (v is in layer 0 of the natural β-partition),
+    charging one read and one write as in :func:`peel_round_kernel`.
+    The other machines (the hubs) play the game; the degree read that
+    decides is their game's first probe, so a hub charges exactly what a
+    full game charges.  Proof layers are
+    min-folded into the target's layer column as each game finishes (the
+    DDS-side merge of Remark 4.8 + Lemma 4.10); probe and write counts
+    are accounted per machine, exactly as the scalar
     :class:`~repro.ampc.machine.MachineContext` would have charged them.
 
     ``engine`` selects how the fleet's games execute: ``"batched"`` runs
@@ -492,10 +501,11 @@ def lca_round_kernel(
     engine plays through one :func:`play_fleet` call, which finishes the
     games it ejects itself.
 
-    Rounds of at least :data:`repro.ampc.pool.MIN_POOL_GAMES` games
-    (read at call time) fan out over threads when ``workers > 1``;
-    smaller rounds run serially in-process, where dispatch would cost
-    more than the games, and the scalar engine always plays serially.
+    Rounds that play at least :data:`repro.ampc.pool.MIN_POOL_GAMES`
+    games (hub roots, not machines; read at call time) fan out over
+    threads when ``workers > 1``; smaller rounds run serially
+    in-process, where dispatch would cost more than the games, and the
+    scalar engine always plays serially.
     Every engine, and the fabric, folds into the same pair of dense
     universe-sized arrays (layer minima, write counts), which become
     the target's layer column, so partitions, per-round stats, and word
@@ -510,7 +520,7 @@ def lca_round_kernel(
 
     ``fabric`` (a :class:`repro.ampc.messaging.MessageFabric`) replaces
     all of the above with owner-hashed message-passing shards — every
-    game dispatches through the fabric, whose shard chains run on the
+    hub game dispatches through the fabric, whose shard chains run on the
     ``pool``'s processes (:meth:`repro.ampc.pool.CoinGamePool.run_games`)
     for rounds above the cutoff; ``pool`` is used for nothing else.  The
     round's communication counters accumulate into ``comm``, and the
@@ -523,7 +533,12 @@ def lca_round_kernel(
     clip = max_provable_layer(x, beta)
     horizon = 4 * (clip + 2)
     scale = fixed_coin_scale(beta, horizon)
-    big = len(alive) >= ampc_pool.MIN_POOL_GAMES
+    # Only the hubs play; every other machine writes {v: 0}.
+    hub = offsets[alive + 1] - offsets[alive] > beta
+    low = np.flatnonzero(~hub)
+    positions = np.flatnonzero(hub)
+    hubs = alive[positions]
+    big = len(hubs) >= ampc_pool.MIN_POOL_GAMES
     if phases is not None:
         keys = (
             ("native", "fold") if engine == "compiled"
@@ -534,12 +549,15 @@ def lca_round_kernel(
 
     out_layer = np.full(n, _INF)
     out_count = np.zeros(n, dtype=np.int64)
-    positions = np.arange(len(alive), dtype=np.int64)
+    out_layer[alive[low]] = 0.0
+    out_count[alive[low]] = 1
+    ones = np.ones(len(low), dtype=np.int64)
+    batch.account_at(low, ones, ones)
     if fabric is not None:
         shards = fabric.run_round(
             offsets,
             targets,
-            alive,
+            hubs,
             positions,
             x=x,
             beta=beta,
@@ -562,7 +580,7 @@ def lca_round_kernel(
             batch.account_at(shard_positions, shard.reads, shard.writes)
     else:
         info = play_fleet(
-            offsets, targets, alive,
+            offsets, targets, hubs,
             x=x, beta=beta, clip=clip, horizon=horizon, scale=scale,
             out_layer=out_layer, out_count=out_count, engine=engine,
             phases=phases, workers=workers if big else 1,

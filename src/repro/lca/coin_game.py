@@ -6,7 +6,8 @@ super-iteration:
 
 1. computes the S_v-induced β-partition σ (Definition 3.6) from the local
    view — possible because σ needs only G[S_v] plus true degrees;
-2. computes forwarding sets F(σ, u) (Definition 4.1);
+2. computes forwarding sets F(σ, u) (Definition 4.1) — lazily, for the
+   members that hold coins in some hop;
 3. drops x coins on v and forwards them: any u ∈ S_v holding x' >= |F(σ,u)|
    coins sends x'/|F(σ,u)| to each member of F(σ, u); coins reaching
    vertices outside S_v stop there;
@@ -113,6 +114,39 @@ def max_provable_layer(x: int, beta: int) -> int:
     return layer
 
 
+class _ForwardingSets(dict):
+    """F(σ, u) of the explored members of S_v, each built on first use.
+
+    The forwarding loops look a set up only for a vertex that holds
+    coins; ``get`` returns None outside S_v, where coins rest.  σ and S_v
+    are fixed within a super-iteration, so a set built when its member
+    first holds coins equals the one an eager pass would build, and the
+    σ-ranked sorts of members that never hold coins are skipped.  One
+    instance per super-iteration.
+    """
+
+    def __init__(
+        self,
+        adjacency: dict[int, list[int]],
+        layers: dict[int, float],
+        beta: int,
+    ) -> None:
+        super().__init__()
+        self._adjacency = adjacency
+        self._layers = layers
+        self._beta = beta
+
+    def __missing__(self, u: int) -> list[int]:
+        adjacency = self._adjacency
+        fset = self[u] = forwarding_set(
+            adjacency[u], self._layers, adjacency.keys(), self._beta
+        )
+        return fset
+
+    def get(self, u: int, default: list[int] | None = None) -> list[int] | None:
+        return self[u] if u in self._adjacency else default
+
+
 @dataclass
 class CoinGameResult:
     """Outcome of one full game for a node v."""
@@ -204,11 +238,7 @@ class CoinDroppingGame:
         :meth:`run` drives the full game.
         """
         sigma = self.current_partition()
-        explored = self._adjacency.keys()
-        fsets = {
-            u: forwarding_set(nbrs, sigma.layers, explored, self.beta)
-            for u, nbrs in self._adjacency.items()
-        }
+        fsets = _ForwardingSets(self._adjacency, sigma.layers, self.beta)
         if self._int_coins:
             coins = self._forward_scaled_ints(fsets)
         else:

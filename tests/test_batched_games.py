@@ -485,15 +485,17 @@ class TestThreadFanOut:
         # same partition as the serial run.  A compiled round replays
         # them through the __int128 tier first; its shrunken budget
         # (between the int64 one and what every game needs) sends some
-        # on to the scalar hatch, so both replays run.
+        # on to the scalar hatch, so both replays run.  The round plays
+        # only hub games (roots of degree > β); at β = 4 some of them
+        # eject (at β = 6 only low-degree roots' games did).
         _many_cpus(monkeypatch)
         graph = preferential_attachment(300, 2, seed=11)
         monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
         monkeypatch.setattr(batched_games, "WIDE_SCALE_LIMIT", 1 << 26)
-        serial = _play_fleet(graph, 6, 1, engine, x=49)
+        serial = _play_fleet(graph, 4, 1, engine, x=49)
         ejections: list[int] = []
         _spy_cohort_threads(monkeypatch, ejections)
-        threaded = _play_fleet(graph, 6, workers, engine, x=49)
+        threaded = _play_fleet(graph, 4, workers, engine, x=49)
         assert sum(1 for count in ejections if count) >= 2
         _assert_same_fleet(threaded, serial)
 
@@ -508,7 +510,7 @@ class TestThreadFanOut:
             return spy
 
         round_serial = beta_partition_ampc(
-            graph, 6, x=49, engine=engine, workers=1
+            graph, 4, x=49, engine=engine, workers=1
         )
         monkeypatch.setattr(
             columnar_rounds, "play_coin_game",
@@ -519,7 +521,7 @@ class TestThreadFanOut:
             spying(native.play_games_wide, wide_on),
         )
         round_threaded = beta_partition_ampc(
-            graph, 6, x=49, engine=engine, workers=workers,
+            graph, 4, x=49, engine=engine, workers=workers,
         )
         assert replayed_on == {threading.get_ident()}  # on the driver
         assert wide_on == (

@@ -25,10 +25,12 @@ import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from repro.ampc import faults
 from repro.ampc.faults import FaultPlan
+from repro.ampc.messaging import owner_of
 from repro.ampc.pool import (
     _SHARED_POOLS,
     close_shared_pools,
@@ -36,7 +38,7 @@ from repro.ampc.pool import (
     shared_pool,
 )
 from repro.core.beta_partition_ampc import beta_partition_ampc
-from repro.graphs.generators import random_gnm
+from repro.graphs.generators import preferential_attachment
 
 # Wall-clock keys excluded from comm-counter equality.
 _TIMING_KEYS = (
@@ -51,8 +53,12 @@ _TIMING_KEYS = (
 pytestmark = pytest.mark.usefixtures("fast_pool")
 
 
+# Every test runs at β = 9.  An lca round plays coin games only at hub
+# roots (residual degree > β), and only shards that own games dispatch
+# to the pool.  A preferential-attachment graph has hubs enough for
+# every shard count below (TestChaosMatrix::test_every_shard_owns_hub_roots).
 def _graph(seed=23):
-    return random_gnm(150, 400, seed=seed)
+    return preferential_attachment(150, 3, seed=seed)
 
 
 def _counts(comm):
@@ -78,6 +84,12 @@ def fresh_pool_env():
 
 
 class TestChaosMatrix:
+    @pytest.mark.parametrize("shards", [1, 2, 3, 8])
+    def test_every_shard_owns_hub_roots(self, shards):
+        hubs = np.flatnonzero(_graph().degrees() > 9)
+        assert len(hubs) >= shards
+        assert set(owner_of(hubs, shards).tolist()) == set(range(shards))
+
     # Seed 9's schedule fires all five kinds on the round's one
     # dispatch; seed 0's fires garbage, unpicklable and slow.
     @pytest.mark.parametrize("seed", [0, 9])

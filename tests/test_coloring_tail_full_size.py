@@ -64,8 +64,11 @@ def test_path_degeneracy_matches_list_peel():
 @pytest.mark.skipif(not native.available(), reason="compiled kernel unavailable")
 def test_wide_tier_matches_the_scalar_hatch_on_gnm100k(monkeypatch):
     # WIDE_SCALE_LIMIT = 0 gives the wide tier no budget, so every game
-    # the int64 pass ejects replays on the scalar engine instead.
+    # the int64 pass ejects replays on the scalar engine instead.  The
+    # hub games of this graph fit int64 coins, so a 2^24 int64 budget
+    # makes some of them eject.
     graph = random_gnm(100_000, 200_000, seed=1)
+    monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
     scalar_replays = []
     original = columnar_rounds.play_coin_game
 

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ampc.simulator import AMPCSimulator
+from repro.core import native
 from repro.core.beta_partition_ampc import (
     beta_partition_ampc,
     default_game_budget,
 )
+from repro.core.columnar_rounds import lca_round_kernel, residual_csr
 from repro.core.orientation import orient_by_partition
 from repro.graphs.generators import (
     complete_ary_tree,
@@ -21,9 +25,11 @@ from repro.graphs.generators import (
     path_graph,
     preferential_attachment,
     random_gnm,
+    skewed_dependency_gadget,
     union_of_random_forests,
 )
 from repro.graphs.graph import Graph
+from repro.lca.partial_partition_lca import PartialPartitionLCA
 
 
 class TestBasics:
@@ -304,3 +310,89 @@ class TestStrictSpace:
         stats = out.simulator.stats
         assert stats.max_machine_communication > 0
         assert isinstance(stats.within_budget, bool)
+
+
+# (β, x) pairs of the full-fleet reference sweep: x = (β+1)^2 for five
+# β, and x = β+1 (one provable layer above 0) for two.
+_BETA_X = [(2, 9), (3, 16), (4, 25), (6, 49), (9, 100), (3, 4), (6, 7)]
+
+_random_graphs = st.tuples(
+    st.sampled_from(["gnm", "pa", "forests"]),
+    st.integers(min_value=300, max_value=600),  # n
+    st.integers(min_value=2, max_value=3),  # edges per vertex
+    st.integers(min_value=0, max_value=2**32),  # seed
+).map(lambda t: {
+    "gnm": lambda n, k, seed: random_gnm(n, k * n, seed=seed),
+    "pa": preferential_attachment,
+    "forests": union_of_random_forests,
+}[t[0]](t[1], t[2], seed=t[3]))
+
+_gadgets = st.tuples(
+    st.sampled_from([2, 3]),  # β
+    st.integers(min_value=1, max_value=3),  # chain length
+    st.integers(min_value=2, max_value=6),  # fan
+    st.booleans(),  # decoy
+).map(lambda t: (
+    skewed_dependency_gadget(
+        t[0], t[1], fan=t[2], decoy_fan=2 * t[0] if t[3] else 0
+    )[0],
+    t[0],
+))
+
+
+def _engine() -> str:
+    return "compiled" if native.available() else "batched"
+
+
+def _first_lca_round(graph: Graph, beta: int, x: int) -> dict[int, int]:
+    """The layers one lca round assigns (hub roots play, the rest write
+    layer 0)."""
+    n = graph.num_vertices
+    sim = AMPCSimulator(
+        n + graph.num_edges, delta=0.5, store="columnar", num_vertices=n
+    )
+    alive = np.arange(n, dtype=np.int64)
+    offsets, targets = residual_csr(graph, alive)
+    sim.port_residual_csr(alive, offsets, targets)
+    kernel = partial(lca_round_kernel, beta=beta, x=x, engine=_engine())
+    target = sim.round_vectorized(alive, kernel, reducer=min)
+    vertices, layers = target.layer_assignments()
+    return dict(zip(vertices.tolist(), layers.astype(np.int64).tolist()))
+
+
+def _full_fleet(graph: Graph, beta: int, x: int) -> dict[int, int]:
+    """Every root plays its game; the proofs min-merge (Remark 4.8)."""
+    merged, __ = PartialPartitionLCA(
+        graph, x, beta, engine=_engine()
+    ).query_all()
+    return merged.layers
+
+
+class TestHubFleetReference:
+    """An lca round plays games only at roots of residual degree > β; a
+    root of degree <= β proposes {v: 0}, a valid partial β-partition.
+    Its layers must equal the full fleet's, where every root plays."""
+
+    @given(_random_graphs, st.sampled_from(_BETA_X))
+    @settings(deadline=None)
+    def test_random_graphs(self, graph, beta_x):
+        beta, x = beta_x
+        assert _first_lca_round(graph, beta, x) == _full_fleet(graph, beta, x)
+
+    @given(_gadgets, st.integers(min_value=3, max_value=100))
+    @settings(deadline=None)
+    def test_skewed_dependency_gadget(self, gadget, x):
+        graph, beta = gadget
+        x = max(x, beta + 1)
+        assert _first_lca_round(graph, beta, x) == _full_fleet(graph, beta, x)
+
+    @pytest.mark.parametrize("beta, x", _BETA_X)
+    def test_tier1_shapes(self, beta, x):
+        for graph in (
+            grid_2d(12, 12), path_graph(50), complete_ary_tree(4, 4),
+            preferential_attachment(400, 3, seed=7),
+        ):
+            assert (
+                _first_lca_round(graph, beta, x)
+                == _full_fleet(graph, beta, x)
+            )

@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 from repro.graphs.generators import (
     complete_ary_tree,
     path_graph,
+    preferential_attachment,
     star_graph,
     union_of_random_forests,
 )
+from repro.lca import coin_game
 from repro.lca.coin_game import CoinDroppingGame, max_provable_layer
+from repro.lca.forwarding import forwarding_set
 from repro.lca.oracle import GraphOracle
 from repro.partition.beta_partition import INFINITY
 from repro.partition.dependency import dependency_set
@@ -196,3 +199,64 @@ class TestSuperIterationStepping:
             assert added > 0, "no progress while layer still wrong"
         else:
             raise AssertionError("game never converged")
+
+
+class _EagerSets(coin_game._ForwardingSets):
+    """Every member's forwarding set, built up front."""
+
+    def __init__(self, adjacency, layers, beta):
+        super().__init__(adjacency, layers, beta)
+        for u in adjacency:
+            self[u]
+
+
+class TestLazyForwardingSets:
+    """F(σ, u) is built only for members that hold coins, at most once
+    per super-iteration; the games are the same as with every set
+    built up front."""
+
+    @staticmethod
+    def _play(monkeypatch, graph, roots, x, beta, eager, **kw):
+        calls = []
+
+        def counting(neighbors, layers, explored, beta):
+            calls.append((neighbors, layers))
+            return forwarding_set(neighbors, layers, explored, beta)
+
+        games = []
+        with monkeypatch.context() as m:
+            m.setattr(coin_game, "forwarding_set", counting)
+            if eager:
+                m.setattr(coin_game, "_ForwardingSets", _EagerSets)
+            for root in roots:
+                game = CoinDroppingGame(GraphOracle(graph), root, x, beta, **kw)
+                result = game.run()
+                games.append((
+                    result.layer, result.proof.layers, result.explored,
+                    result.super_iterations, result.queries,
+                    result.edges_seen, game.peak_coin_scale,
+                ))
+        # σ's layers dict is new each super-iteration and every row list
+        # belongs to one member: no (σ, member) pair is built twice.
+        assert len({(id(nb), id(lay)) for nb, lay in calls}) == len(calls)
+        return games, len(calls)
+
+    @pytest.mark.parametrize("graph, beta, x, kw", [
+        (preferential_attachment(300, 3, seed=5), 9, 100, {}),
+        (preferential_attachment(300, 3, seed=5), 3, 16, {}),
+        (union_of_random_forests(300, 3, seed=5), 6, 49, {}),
+        # A horizon past INT_COIN_HORIZON_CAP plays Fraction coins.
+        (preferential_attachment(120, 2, seed=5), 3, 16,
+         {"forward_iterations": 80}),
+    ])
+    def test_fewer_builds_same_games(self, monkeypatch, graph, beta, x, kw):
+        roots = [v for v in graph.vertices() if graph.degree(v) > beta][:12]
+        assert roots
+        lazy, lazy_calls = self._play(
+            monkeypatch, graph, roots, x, beta, False, **kw
+        )
+        eager, eager_calls = self._play(
+            monkeypatch, graph, roots, x, beta, True, **kw
+        )
+        assert lazy == eager
+        assert lazy_calls < eager_calls

@@ -9,8 +9,7 @@ bit-identical to the shared-memory oracle — for every (engine, shards,
 workers) combination: partitions, per-round stats, *and* the
 communication counters and guard peaks the driver reconstructs by
 replaying each chain's request trace.  Those counters are also pinned to
-golden values recorded from an independent interleaved implementation
-of the shard protocol (:class:`TestGoldenCounters`).
+golden values (:class:`TestGoldenCounters`).
 
 Failure recovery mirrors the plain pool path: an injected worker fault
 is retried by the round supervisor and the run completes bit-identically
@@ -157,65 +156,65 @@ class TestPooledBudget:
 
 
 def _gnm_counts(shards, fold, messages, placement, requests, shard_words,
-                words):
+                words, subrounds):
     return [{
         "shards": shards, "messages": messages, "words": words,
-        "subrounds": int(requests > 0), "row_requests": requests,
+        "subrounds": subrounds, "row_requests": requests,
         "rows_served": requests, "placement_words": placement,
         "retirement_words": 150 * shards, "fold_words": fold,
-        "result_words": 300, "max_shard_words": shard_words,
-        "max_game_ball_words": 176, "ejected_games": 0,
+        "result_words": 98, "max_shard_words": shard_words,
+        "max_game_ball_words": 93, "ejected_games": 0,
     }]
 
 
 # case: (graph, beta, x, fabric kwargs, per-round counters).  The
-# counters are every non-timing round_comm key except max_held_words,
-# recorded at workers=1 from the interleaved serial shard loop the
-# fabric used before run_shard_chain became its only round
-# implementation; they are the same for every engine unless
-# _ENGINE_COUNTS overrides them.
+# counters are every non-timing round_comm key except max_held_words;
+# they are the same for every engine unless _ENGINE_COUNTS overrides
+# them.  Only hub roots (residual degree > beta) play games, so only
+# they are assigned to shards; the values were recorded at workers=1
+# and equal what the fabric counts when handed exactly those roots.
 _GOLDEN = {
     "gnm-s1": (
         lambda: random_gnm(150, 400, seed=23), 6, 25, {"shards": 1},
-        _gnm_counts(1, 450, 6, 1095, 0, 3045, 2745),
+        _gnm_counts(1, 423, 6, 1095, 0, 2560, 2287, 0),
     ),
     "gnm-s3": (
         lambda: random_gnm(150, 400, seed=23), 6, 25, {"shards": 3},
-        _gnm_counts(3, 1155, 36, 1097, 290, 3339, 6215),
+        _gnm_counts(3, 657, 40, 1097, 284, 2868, 5253, 2),
     ),
     "gnm-s8": (
         lambda: random_gnm(150, 400, seed=23), 6, 25, {"shards": 8},
-        _gnm_counts(8, 2169, 216, 1102, 971, 3302, 13885),
+        _gnm_counts(8, 732, 213, 1102, 836, 2678, 11002, 1),
     ),
-    # Deeper balls at x = (beta+1)^2: two exchange sub-rounds, and the
-    # array engines eject games to the scalar path.
+    # Deeper balls at x = (beta+1)^2: two exchange sub-rounds.
     "gnm-deep": (
         lambda: random_gnm(70, 140, seed=13), 7, 64, {"shards": 3},
-        [{"shards": 3, "messages": 38, "words": 2719, "subrounds": 2,
-          "row_requests": 138, "rows_served": 138, "placement_words": 421,
-          "retirement_words": 210, "fold_words": 624, "result_words": 140,
-          "max_shard_words": 1507, "max_game_ball_words": 219,
-          "ejected_games": 4}],
+        [{"shards": 3, "messages": 31, "words": 1450, "subrounds": 2,
+          "row_requests": 56, "rows_served": 56, "placement_words": 421,
+          "retirement_words": 210, "fold_words": 240, "result_words": 6,
+          "max_shard_words": 817, "max_game_ball_words": 199,
+          "ejected_games": 0}],
     ),
-    # x = beta + 1 certifies one layer per round: three residuals.
+    # x = beta + 1 certifies one layer per round: three residuals, the
+    # last of which has no hub and plays no game.
     "tree": (
         lambda: complete_ary_tree(4, 4), 3, 4, {"shards": 3},
         [
-            {"shards": 3, "messages": 36, "words": 10239, "subrounds": 1,
-             "row_requests": 602, "rows_served": 602,
+            {"shards": 3, "messages": 36, "words": 6947, "subrounds": 1,
+             "row_requests": 436, "rows_served": 436,
              "placement_words": 1365, "retirement_words": 960,
-             "fold_words": 2520, "result_words": 682,
-             "max_shard_words": 5184, "max_game_ball_words": 36,
+             "fold_words": 960, "result_words": 170,
+             "max_shard_words": 3442, "max_game_ball_words": 36,
              "ejected_games": 0},
-            {"shards": 3, "messages": 33, "words": 528, "subrounds": 1,
-             "row_requests": 34, "rows_served": 34, "placement_words": 0,
-             "retirement_words": 60, "fold_words": 150, "result_words": 42,
-             "max_shard_words": 295, "max_game_ball_words": 29,
+            {"shards": 3, "messages": 32, "words": 346, "subrounds": 1,
+             "row_requests": 27, "rows_served": 27, "placement_words": 0,
+             "retirement_words": 60, "fold_words": 60, "result_words": 10,
+             "max_shard_words": 198, "max_game_ball_words": 29,
              "ejected_games": 0},
-            {"shards": 3, "messages": 9, "words": 13, "subrounds": 0,
+            {"shards": 3, "messages": 6, "words": 3, "subrounds": 0,
              "row_requests": 0, "rows_served": 0, "placement_words": 0,
-             "retirement_words": 3, "fold_words": 3, "result_words": 2,
-             "max_shard_words": 13, "max_game_ball_words": 1,
+             "retirement_words": 3, "fold_words": 0, "result_words": 0,
+             "max_shard_words": 0, "max_game_ball_words": 0,
              "ejected_games": 0},
         ],
     ),
@@ -223,50 +222,45 @@ _GOLDEN = {
     "forest-budget": (
         lambda: union_of_random_forests(600, 1, seed=7), 6, 25,
         {"shards": 16, "shard_budget": 40_000},
-        [{"shards": 16, "messages": 2980, "words": 59674, "subrounds": 9,
-          "row_requests": 5087, "rows_served": 5087,
+        [{"shards": 16, "messages": 279, "words": 13180, "subrounds": 3,
+          "row_requests": 94, "rows_served": 94,
           "placement_words": 2414, "retirement_words": 9600,
-          "fold_words": 15666, "result_words": 1200,
-          "max_shard_words": 7286, "max_game_ball_words": 109,
+          "fold_words": 300, "result_words": 12,
+          "max_shard_words": 422, "max_game_ball_words": 107,
           "ejected_games": 0}],
     ),
 }
 
 # (case, engine): per-round max_held_words, plus any counter that
-# differs for that engine (the batched engine's synthetic fringe rows
-# change what a budgeted shard evicts and re-requests).
+# differs for that engine.
 _ENGINE_COUNTS = {
-    ("gnm-s1", "scalar"): [{"max_held_words": 2345}],
-    ("gnm-s1", "batched"): [{"max_held_words": 3596}],
-    ("gnm-s1", "compiled"): [{"max_held_words": 3596}],
-    ("gnm-s3", "scalar"): [{"max_held_words": 2059}],
-    ("gnm-s3", "batched"): [{"max_held_words": 3308}],
-    ("gnm-s3", "compiled"): [{"max_held_words": 3308}],
-    ("gnm-s8", "scalar"): [{"max_held_words": 1900}],
-    ("gnm-s8", "batched"): [{"max_held_words": 3203}],
-    ("gnm-s8", "compiled"): [{"max_held_words": 3199}],
-    ("gnm-deep", "scalar"): [{"max_held_words": 783, "ejected_games": 0}],
-    ("gnm-deep", "batched"): [{"max_held_words": 1410}],
-    ("gnm-deep", "compiled"): [{"max_held_words": 1410}],
+    ("gnm-s1", "scalar"): [{"max_held_words": 2122}],
+    ("gnm-s1", "batched"): [{"max_held_words": 3382}],
+    ("gnm-s1", "compiled"): [{"max_held_words": 3382}],
+    ("gnm-s3", "scalar"): [{"max_held_words": 1802}],
+    ("gnm-s3", "batched"): [{"max_held_words": 3224}],
+    ("gnm-s3", "compiled"): [{"max_held_words": 3212}],
+    ("gnm-s8", "scalar"): [{"max_held_words": 1439}],
+    ("gnm-s8", "batched"): [{"max_held_words": 3114}],
+    ("gnm-s8", "compiled"): [{"max_held_words": 3039}],
+    ("gnm-deep", "scalar"): [{"max_held_words": 582}],
+    ("gnm-deep", "batched"): [{"max_held_words": 1143}],
+    ("gnm-deep", "compiled"): [{"max_held_words": 1089}],
     ("tree", "scalar"): [
-        {"max_held_words": 2332}, {"max_held_words": 147},
-        {"max_held_words": 6},
+        {"max_held_words": 1688}, {"max_held_words": 121},
+        {"max_held_words": 1},
     ],
     ("tree", "batched"): [
-        {"max_held_words": 4086}, {"max_held_words": 251},
-        {"max_held_words": 8},
+        {"max_held_words": 3810}, {"max_held_words": 241},
+        {"max_held_words": 1},
     ],
     ("tree", "compiled"): [
-        {"max_held_words": 4062}, {"max_held_words": 251},
-        {"max_held_words": 8},
+        {"max_held_words": 3680}, {"max_held_words": 241},
+        {"max_held_words": 1},
     ],
-    ("forest-budget", "scalar"): [{"max_held_words": 2351}],
-    ("forest-budget", "batched"): [{
-        "max_held_words": 5102, "max_shard_words": 7155, "messages": 2738,
-        "row_requests": 5016, "rows_served": 5016, "subrounds": 8,
-        "words": 59112,
-    }],
-    ("forest-budget", "compiled"): [{"max_held_words": 4564}],
+    ("forest-budget", "scalar"): [{"max_held_words": 352}],
+    ("forest-budget", "batched"): [{"max_held_words": 1444}],
+    ("forest-budget", "compiled"): [{"max_held_words": 1220}],
 }
 
 
