@@ -26,7 +26,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     package_data={
-        "repro.core.native": ["_wave_kernel.c", "_wave_cohort.h"],
+        "repro.core.native": ["_wave_kernel.c"],
     },
     python_requires=">=3.10",
     install_requires=["numpy"],

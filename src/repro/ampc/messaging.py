@@ -732,8 +732,7 @@ class _ShardRound:
         # Games off the int64 path (every game under "scalar", the
         # int64 pass's ejections otherwise) are also charged the held
         # rows they read, one degree word plus the targets per row: the
-        # interpreter's row lists.  The wide tier is charged the same,
-        # so the guard does not depend on which exact tier finished.
+        # interpreter's row lists.
         interpreted = np.full(len(need), self.engine == "scalar")
         interpreted[info.ejected] = True
         if interpreted.any():

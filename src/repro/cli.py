@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 from repro.coloring.pipeline import color_graph
 from repro.core.beta_partition_ampc import beta_partition_ampc
@@ -31,9 +32,20 @@ from repro.graphs.io import read_edge_list
 __all__ = ["main"]
 
 
+@contextmanager
+def _one_line_errors() -> Iterator[None]:
+    """Exit with status 2 and a one-line ``repro: error: ...``, no
+    traceback, on the ValueError a bad argument raises."""
+    try:
+        yield
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _build_graph(args: argparse.Namespace) -> Graph:
     """The graph a command runs on; a bad file or generator argument
-    exits with status 2 and a one-line ``repro: error: ...``."""
+    is a one-line error (:func:`_one_line_errors`)."""
     generators = {
         "forests": lambda: union_of_random_forests(args.n, args.k, seed=args.seed),
         "tree": lambda: random_tree(args.n, seed=args.seed),
@@ -41,13 +53,10 @@ def _build_graph(args: argparse.Namespace) -> Graph:
         "pref-attach": lambda: preferential_attachment(args.n, args.k, seed=args.seed),
         "gnm": lambda: random_gnm(args.n, args.k * args.n, seed=args.seed),
     }
-    try:
+    with _one_line_errors():
         if args.input:
             return read_edge_list(args.input, strict=not args.lenient)
         return generators[args.generator]()
-    except ValueError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
 
 
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
@@ -72,9 +81,10 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_color(args: argparse.Namespace) -> int:
     graph = _build_graph(args)
-    result = color_graph(
-        graph, variant=args.variant, alpha=args.alpha, eps=args.eps
-    )
+    with _one_line_errors():  # a bad --alpha or --eps
+        result = color_graph(
+            graph, variant=args.variant, alpha=args.alpha, eps=args.eps
+        )
     print(f"graph: n={graph.num_vertices} m={graph.num_edges} "
           f"Delta={graph.max_degree()}")
     print(f"variant={result.variant} alpha={result.alpha} beta={result.beta}")
@@ -88,7 +98,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     graph = _build_graph(args)
     alpha = args.alpha if args.alpha is not None else max(1, degeneracy(graph))
     beta = args.beta if args.beta is not None else 3 * alpha
-    outcome = beta_partition_ampc(graph, beta)
+    with _one_line_errors():  # a bad --alpha or --beta
+        outcome = beta_partition_ampc(graph, beta)
     print(f"graph: n={graph.num_vertices} m={graph.num_edges}")
     print(f"beta={beta} mode={outcome.mode} x={outcome.x}")
     print(f"layers: {outcome.num_layers}  rounds: {outcome.rounds}")

@@ -87,23 +87,16 @@ representation is exact, thresholds, shares, and touched sets are
 value-identical across all of them (the PR 3 differential tests pinned
 this), so the choice is invisible to every observable.  A game whose
 escalation would overflow the budget is *ejected*, and the fleet
-player (:func:`repro.core.columnar_rounds.play_fleet`) replays it on
-the next of three exact tiers:
+player (:func:`repro.core.columnar_rounds.play_fleet`) replays it.
+Both array engines share one two-rung ladder, each rung exact:
 
-1. int64 coins (this engine, or the compiled kernel's first pass) play
-   every game, with amounts below :data:`SCALE_LIMIT` = 2^61;
-2. ``__int128`` coins (:func:`repro.core.native.play_games_wide`, the
-   same kernel source built a second time) replay the games the
-   compiled pass ejects, from the same starting scale, with amounts
-   below :data:`WIDE_SCALE_LIMIT` = 2^125;
-3. the scalar interpreter
+1. int64 coins (this engine, or the compiled kernel) play every game,
+   with amounts below :data:`SCALE_LIMIT` = 2^61;
+2. the scalar interpreter
    (:func:`repro.core.columnar_rounds.play_coin_game`, which plays
-   :class:`~repro.lca.coin_game.CoinDroppingGame`) plays what is left,
-   one game at a time: its dynamically scaled Python integers widen
+   :class:`~repro.lca.coin_game.CoinDroppingGame`) plays the ejected
+   games one at a time: its dynamically scaled Python integers widen
    to bigints (Fractions for deep horizons).
-
-This numpy engine is the compiled kernel's oracle, so its ejections
-skip the second tier and go straight to the interpreter.
 
 When the full fixed scale does not fit, games do not start at scale 1
 either: they start at the largest power ``lcm(1..β+1)^j`` that leaves
@@ -129,7 +122,6 @@ import numpy as np
 __all__ = [
     "BatchedGamesInfo",
     "SCALE_LIMIT",
-    "WIDE_SCALE_LIMIT",
     "csr_transpose_positions",
     "empty_records",
     "join_infos",
@@ -154,12 +146,6 @@ _INF = float("inf")
 # (no slot ever holds more than the game's total x·scale), every int64
 # sum, product, and scatter-add in the engine is overflow-free.
 SCALE_LIMIT = 1 << 61
-
-# The same bound for the compiled kernel's second tier, which replays the
-# games the int64 pass ejects over signed 128-bit coins
-# (repro.core.native.play_games_wide).  Read at call time, like
-# SCALE_LIMIT, so tests can shrink it to force the scalar third tier.
-WIDE_SCALE_LIMIT = 1 << 125
 
 # np.lcm.at accumulates per-game escalation factors in int64; factors are
 # lcms of divisor deficits <= beta+1, bounded by lcm(1..beta+1), which
@@ -960,7 +946,7 @@ def play_games_batched(
     :class:`~repro.lca.coin_game.CoinDroppingGame` oracle) would fold
     them one game at a time.  Games whose coin arithmetic cannot stay
     within the machine-word budget are listed in ``ejected`` with all
-    their outputs zeroed, for the fleet player's next tier — see the
+    their outputs zeroed, for the fleet player's interpreter — see the
     module docstring.
     ``want_records`` adds the flat per-game records described on
     :class:`BatchedGamesInfo`.  Callers play whole fleets through

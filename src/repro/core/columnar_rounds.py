@@ -32,8 +32,8 @@ on :class:`repro.ampc.pool.CoinGamePool` worker processes).
 :func:`play_fleet` is the one fleet player of every engine — the shm
 round, a fabric shard's sub-round and the Lemma 4.7 LCA's
 ``query_all`` all call it — and it returns every game complete: the
-games whose coins outgrow a machine word finish inside it, down the
-exact tiers (int64 → ``__int128`` → :class:`CoinDroppingGame`).  The
+games whose coins outgrow a machine word finish inside it, on
+:class:`CoinDroppingGame`'s exact Python coins.  The
 kernel folds each slice's or shard's layer-proposal deltas and
 per-machine counts back through the same min/+ accumulators the serial
 loop uses, making the result independent of completion order.
@@ -266,13 +266,10 @@ def play_fleet(
 
     The ejection ladder: a cohort player ejects the games whose coin
     scale outgrows int64 (see :mod:`repro.core.batched_games`).  After
-    the join, on the calling thread and into the same accumulators, a
-    compiled fleet replays them on the kernel's ``__int128`` tier
-    (:func:`repro.core.native.play_games_wide`), and
-    :func:`play_coin_game` finishes the rest on the CSR as given; a
-    batched fleet sends them straight to :func:`play_coin_game`.  Every
-    game comes back complete; ``ejected`` still lists the int64 pass's
-    ejections.
+    the join, on the calling thread and into the same accumulators,
+    :func:`play_coin_game` replays them on the CSR as given, for both
+    array engines.  Every game comes back complete; ``ejected`` still
+    lists the int64 pass's ejections.
 
     Cohort blocking: the engine's state is gathered and scattered
     millions of times per round, and a whole-fleet arena (hundreds of MB
@@ -371,16 +368,6 @@ def play_fleet(
     info = infos[0] if len(infos) == 1 else join_infos(infos)
 
     left = info.ejected
-    if left.size and engine == "compiled":
-        from repro.core.native import play_games_wide
-
-        wide = play_games_wide(
-            offsets, targets, roots[left], out_layer=out_layer,
-            out_count=out_count, want_records=want_records, phases=phases,
-            scale=scale, **game,
-        )
-        info = _fill(info, left, wide)
-        left = left[wide.ejected]
     if left.size:
         info = _fill(info, left, _interpret(
             offsets, targets, roots[left], out_layer, out_count,

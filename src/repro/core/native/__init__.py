@@ -13,24 +13,16 @@ C ABI (``_wave_kernel.c`` / ``_build.CDEF``, version ``ABI_VERSION`` = 3)
 =========================================================================
 
 ``repro_play_cohort`` plays one cohort of coin-dropping games against a
-single CSR over int64 coins.  ``repro_play_cohort_wide`` is the same
-game loop (``_wave_cohort.h``, compiled once per coin width) over
-``__int128`` coins; it takes the same arguments except that its scale
-cap arrives exactly, as two 64-bit halves ``scale_cap_hi`` (int64) and
-``scale_cap_lo`` (uint64), cap = hi·2^64 + lo.  A compiler without
-``__int128`` builds it as a stub that ejects every game.
-
-Both return ``0`` on success or ``1`` on allocation failure, and both
-report through ``games_done`` how many games finished.  Partial
-completion: games ``[0, games_done)`` are complete — per-game outputs,
-fold contributions and arena segments — and games from ``games_done``
-on are untouched (their fold contributions were never made, since a
-game folds all or nothing).  The arenas of the finished games are
-handed over on failure too.  After a failed call of either entry
-point the wrapper flags ``roots[games_done:]`` ejected, with zeroed
-outputs and empty record segments, so the fleet player's ladder
-finishes them on the CSR as given: a failed int64 call's on the wide
-tier, a failed wide call's on the interpreter.
+single CSR over int64 coins.  It returns ``0`` on success or ``1`` on
+allocation failure, and reports through ``games_done`` how many games
+finished.  Partial completion: games ``[0, games_done)`` are complete —
+per-game outputs, fold contributions and arena segments — and games
+from ``games_done`` on are untouched (their fold contributions were
+never made, since a game folds all or nothing).  The arenas of the
+finished games are handed over on failure too.  After a failed call
+the wrapper flags ``roots[games_done:]`` ejected, with zeroed outputs
+and empty record segments, so the fleet player's interpreter finishes
+them on the CSR as given.
 
 Array layouts (all ``int64`` little-endian C-contiguous unless noted):
 
@@ -78,17 +70,14 @@ Ejection contract: any game whose exact coin arithmetic would escalate
 its scale beyond ``scale_cap`` is ejected mid-game — its members are
 rolled back out of the arena, all its observables and fold
 contributions are zeroed, and its index is flagged in ``ejected``.  The
-int64 cap is ``SCALE_LIMIT // (x·(β+2))`` and the wide one
-``WIDE_SCALE_LIMIT // (x·(β+2))`` (both in
-:mod:`repro.core.batched_games`), so every amount stays below 2^61 or
-2^125.  The cohort players below keep that zeroed-ejection contract;
-the fleet player (:func:`repro.core.columnar_rounds.play_fleet`) goes
-down three tiers, each exact: the int64 pass plays every game,
-:func:`play_games_wide` replays its ejections from the same starting
-scale, and the scalar bigint/Fraction interpreter plays what the wide
-pass ejects.  The incremental-lcm overflow guard is
-division-based and produces the same ejection set as the lockstep
-engine's ``_escalate`` regardless of forwarder iteration order.
+cap is ``SCALE_LIMIT // (x·(β+2))`` (:mod:`repro.core.batched_games`),
+so every amount stays below 2^61.  The cohort players below keep that
+zeroed-ejection contract; the fleet player
+(:func:`repro.core.columnar_rounds.play_fleet`) replays the ejected
+games on the scalar bigint/Fraction interpreter, which is exact too.
+The incremental-lcm overflow guard is division-based and produces the
+same ejection set as the lockstep engine's ``_escalate`` regardless of
+forwarder iteration order.
 
 Threads and the GIL: cffi drops the GIL for the whole of every C call,
 the kernel never calls back into Python, and it keeps no global or
@@ -197,7 +186,7 @@ def warn_fallback(context: str) -> None:
 
 
 def _init_scale(x: int, beta: int, scale: int | None, scale_cap: int) -> int:
-    """The int64 pass's starting scale, replicated from
+    """The kernel's starting scale, replicated from
     ``_Lockstep.__init__`` in Python-int arithmetic (x may exceed int64
     ranges mid-formula)."""
     if scale is not None and scale <= scale_cap:
@@ -211,7 +200,7 @@ def _init_scale(x: int, beta: int, scale: int | None, scale_cap: int) -> int:
 
 
 def _all_ejected(num_games: int, want_records: bool) -> BatchedGamesInfo:
-    """Outputs of ``num_games`` games that all go to the next tier."""
+    """Outputs of ``num_games`` games that all go to the interpreter."""
     zeros = np.zeros(num_games, dtype=np.int64)
     return BatchedGamesInfo(
         reads=zeros,
@@ -224,17 +213,52 @@ def _all_ejected(num_games: int, want_records: bool) -> BatchedGamesInfo:
     )
 
 
-def _play_native(
-    entry, cap_args: tuple, offsets, targets, roots, *, x, beta, clip,
-    horizon, init_scale, out_layer, out_count, want_records, phases,
+def play_games_compiled(
+    offsets: np.ndarray,
+    targets: np.ndarray,
+    roots: np.ndarray,
+    *,
+    x: int,
+    beta: int,
+    clip: int,
+    horizon: int,
+    scale: int | None,
+    out_layer: np.ndarray,
+    out_count: np.ndarray,
+    want_records: bool = False,
+    phases: dict | None = None,
+    transpose_pos: np.ndarray | None = None,
+    arena_hint: list | None = None,
 ) -> BatchedGamesInfo:
-    """One cohort call of a kernel entry point.
+    """Drop-in for :func:`repro.core.batched_games.play_games_batched`.
 
-    Returns the outputs of the games the kernel finished: all of them,
-    or on allocation failure (``rc=1``) the prefix it reports done.
+    Same signature, same :class:`BatchedGamesInfo` shape — ``records``
+    is the same flat array tuple, copied straight out of the kernel's
+    arenas — and bit-identical observables, ejection set included,
+    except that an allocation failure also ejects the games it left
+    unplayed.  ``transpose_pos`` / ``arena_hint`` are accepted for
+    signature compatibility and ignored: the fused kernel has no numpy
+    scatter to transpose and sizes its own arenas.  ``phases`` gains a single
+    ``native`` bucket: fusing removes the explore/forward/fold phase
+    boundaries by construction.
     """
+    del transpose_pos, arena_hint
+    _load()
+    if _lib is None:
+        raise RuntimeError(
+            "compiled wave kernel unavailable"
+        ) from _load_error
     ffi = _ffi
+    roots = np.ascontiguousarray(roots, dtype=np.int64)
     num_games = len(roots)
+    # Dynamic lookup: tests shrink batched_games.SCALE_LIMIT to force
+    # ejections, and both engines must see the same word budget.
+    scale_cap = batched_games.SCALE_LIMIT // max(1, x * (beta + 2))
+    if not num_games or scale_cap < 1:
+        # scale_cap < 1: every game needs wider coins from hop zero.
+        return _all_ejected(num_games, want_records)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    targets = np.ascontiguousarray(targets, dtype=np.int64)
     n = len(offsets) - 1
     reads = np.zeros(num_games, dtype=np.int64)
     writes = np.zeros(num_games, dtype=np.int64)
@@ -253,7 +277,7 @@ def _play_native(
         return ffi.from_buffer(ctype, arr, require_writable=True)
 
     t0 = time.perf_counter() if phases is not None else 0.0
-    entry(
+    _lib.repro_play_cohort(
         ffi.from_buffer("int64_t[]", offsets),
         ffi.from_buffer("int64_t[]", targets),
         n,
@@ -261,7 +285,7 @@ def _play_native(
         num_games,
         x, beta, clip, horizon,
         min(x * x, n + 2),  # the super-iteration cap
-        init_scale, *cap_args,
+        _init_scale(x, beta, scale, scale_cap), scale_cap,
         wbuf(out_layer, "double[]"),
         wbuf(out_count),
         wbuf(reads), wbuf(writes),
@@ -298,7 +322,7 @@ def _play_native(
     _lib.repro_buffers_free(pu_pp[0])
     _lib.repro_buffers_free(pl_pp[0])
 
-    return BatchedGamesInfo(
+    info = BatchedGamesInfo(
         reads=reads[:done],
         writes=writes[:done],
         records=records,
@@ -306,121 +330,10 @@ def _play_native(
         edges_seen=edges_seen[:done],
         ejected=np.nonzero(ejected_flags[:done])[0].astype(np.int64),
     )
-
-
-def _require_kernel() -> None:
-    _load()
-    if _lib is None:
-        raise RuntimeError(
-            "compiled wave kernel unavailable"
-        ) from _load_error
-
-
-def play_games_compiled(
-    offsets: np.ndarray,
-    targets: np.ndarray,
-    roots: np.ndarray,
-    *,
-    x: int,
-    beta: int,
-    clip: int,
-    horizon: int,
-    scale: int | None,
-    out_layer: np.ndarray,
-    out_count: np.ndarray,
-    want_records: bool = False,
-    phases: dict | None = None,
-    transpose_pos: np.ndarray | None = None,
-    arena_hint: list | None = None,
-) -> BatchedGamesInfo:
-    """Drop-in for :func:`repro.core.batched_games.play_games_batched`.
-
-    Same signature, same :class:`BatchedGamesInfo` shape — ``records``
-    is the same flat array tuple, copied straight out of the kernel's
-    arenas — and bit-identical observables, ejection set included,
-    except that an allocation failure also ejects the games it left
-    unplayed.  ``transpose_pos`` / ``arena_hint`` are accepted for
-    signature compatibility and ignored: the fused kernel has no numpy
-    scatter to transpose and sizes its own arenas.  ``phases`` gains a single
-    ``native`` bucket: fusing removes the explore/forward/fold phase
-    boundaries by construction.
-    """
-    del transpose_pos, arena_hint
-    _require_kernel()
-    roots = np.ascontiguousarray(roots, dtype=np.int64)
-    # Dynamic lookup: tests shrink batched_games.SCALE_LIMIT to force
-    # ejections, and both engines must see the same word budget.
-    scale_cap = batched_games.SCALE_LIMIT // max(1, x * (beta + 2))
-    if not len(roots) or scale_cap < 1:
-        # scale_cap < 1: every game needs wider coins from hop zero.
-        return _all_ejected(len(roots), want_records)
-    info = _play_native(
-        _lib.repro_play_cohort, (scale_cap,),
-        np.ascontiguousarray(offsets, dtype=np.int64),
-        np.ascontiguousarray(targets, dtype=np.int64),
-        roots, x=x, beta=beta, clip=clip, horizon=horizon,
-        init_scale=_init_scale(x, beta, scale, scale_cap),
-        out_layer=out_layer, out_count=out_count,
-        want_records=want_records, phases=phases,
-    )
-    done = len(info.reads)
-    if done < len(roots):
+    if done < num_games:
         # Allocation failure mid-cohort: the finished games are folded
-        # and kept; the rest go to the fleet player's next tier.
+        # and kept; the rest go to the fleet player's interpreter.
         info = batched_games.join_infos(
-            [info, _all_ejected(len(roots) - done, want_records)]
-        )
-    return info
-
-
-def play_games_wide(
-    offsets: np.ndarray,
-    targets: np.ndarray,
-    roots: np.ndarray,
-    *,
-    x: int,
-    beta: int,
-    clip: int,
-    horizon: int,
-    scale: int | None,
-    out_layer: np.ndarray,
-    out_count: np.ndarray,
-    want_records: bool = False,
-    phases: dict | None = None,
-) -> BatchedGamesInfo:
-    """The second tier: replay games over ``__int128`` coins.
-
-    Meant for the games :func:`play_games_compiled` ejected.  Takes the
-    same arguments and returns the same outputs, folded into the same
-    accumulators: the games start from the int64 pass's scale and may
-    escalate up to ``WIDE_SCALE_LIMIT // (x·(β+2))``
-    (:data:`repro.core.batched_games.WIDE_SCALE_LIMIT`, read at call
-    time).  Games that outgrow that budget too come back in ``ejected``
-    with zeroed outputs and empty record segments, for the fleet
-    player's interpreter.  So do the games an allocation failure leaves
-    unplayed, and every game when ``x·(β+2)`` alone outgrows either
-    budget.  Its time books under ``phases["native"]``.
-    """
-    _require_kernel()
-    roots = np.ascontiguousarray(roots, dtype=np.int64)
-    per_coin = max(1, x * (beta + 2))
-    scale_cap = batched_games.SCALE_LIMIT // per_coin
-    wide_cap = batched_games.WIDE_SCALE_LIMIT // per_coin
-    if not len(roots) or scale_cap < 1 or wide_cap < 1:
-        return _all_ejected(len(roots), want_records)
-    info = _play_native(
-        _lib.repro_play_cohort_wide,
-        (wide_cap >> 64, wide_cap & ((1 << 64) - 1)),
-        np.ascontiguousarray(offsets, dtype=np.int64),
-        np.ascontiguousarray(targets, dtype=np.int64),
-        roots, x=x, beta=beta, clip=clip, horizon=horizon,
-        init_scale=_init_scale(x, beta, scale, scale_cap),
-        out_layer=out_layer, out_count=out_count,
-        want_records=want_records, phases=phases,
-    )
-    done = len(info.reads)
-    if done < len(roots):
-        info = batched_games.join_infos(
-            [info, _all_ejected(len(roots) - done, want_records)]
+            [info, _all_ejected(num_games - done, want_records)]
         )
     return info

@@ -24,16 +24,13 @@
  * Rows of explored members are walked for the inside-edge count only
  * with records, and touched sets of a few dozen ids sort by insertion.
  *
- * The game loop lives in _wave_cohort.h and is compiled twice: over
- * int64 coins (repro_play_cohort, the first pass over every game) and
- * over __int128 coins (repro_play_cohort_wide, which replays the games
- * the first pass ejects).  Without __int128 the wide entry point ejects
- * every game, and the fleet player's exact interpreter plays them.
+ * Coins are int64.  A game whose exact coin scale would outgrow the
+ * caller's cap is ejected, and the fleet player's exact interpreter
+ * replays it.
  *
- * Plain C99 + libc only (plus the compiler's __int128 where it has one):
- * the library is built either by cffi's API mode (setup.py
- * cffi_modules) or by direct gcc calls at first import (ABI mode
- * dlopen); neither path may depend on Python headers here.
+ * Plain C99 + libc only: the library is built either by cffi's API mode
+ * (setup.py cffi_modules) or by a direct `gcc -shared` at first import
+ * (ABI mode dlopen); neither path may depend on Python headers here.
  */
 
 #include <stdint.h>
@@ -160,9 +157,8 @@ static i64 kth_smallest(i64 *a, i64 len, i64 k) {
  * retires or ejects). */
 typedef struct {
     i64 cap;
-    i64 coin_size;   /* bytes per coin of the two coin arrays below */
-    void *amount;    /* coin amount at the game's current scale */
-    void *famt;      /* this hop's forwarders' snapshot amounts */
+    i64 *amount;     /* coin amount at the game's current scale */
+    i64 *famt;       /* this hop's forwarders' snapshot amounts */
     i64 *kcap;       /* |F| = min(deg, beta+1) */
     i64 *deg;        /* true residual degree */
     i64 *sigma;      /* sigma_{S_v} (SIGMA_INF = unlayered) */
@@ -185,17 +181,15 @@ static int slots_reserve(slots_t *s, i64 need) {
     if (need <= s->cap) return 0;
     cap = s->cap ? s->cap : 64;
     while (cap < need) cap <<= 1;
-#define GROW(f, size) do { \
-        void *p = realloc(s->f, (size_t)cap * (size_t)(size)); \
+#define GROW(f) do { \
+        i64 *p = (i64 *)realloc(s->f, (size_t)cap * sizeof(i64)); \
         if (!p) return -1; \
         s->f = p; \
     } while (0)
-#define GROW64(f) GROW(f, sizeof(i64))
-    GROW(amount, s->coin_size); GROW(famt, s->coin_size);
-    GROW64(kcap); GROW64(deg); GROW64(sigma); GROW64(peelcnt);
-    GROW64(inball); GROW64(fs_epoch); GROW64(fs_off); GROW64(recv_epoch);
-    GROW64(hot); GROW64(nhot); GROW64(fwd); GROW64(front); GROW64(nfront);
-#undef GROW64
+    GROW(amount); GROW(famt); GROW(kcap); GROW(deg); GROW(sigma);
+    GROW(peelcnt); GROW(inball); GROW(fs_epoch); GROW(fs_off);
+    GROW(recv_epoch); GROW(hot); GROW(nhot); GROW(fwd); GROW(front);
+    GROW(nfront);
 #undef GROW
     s->cap = cap;
     return 0;
@@ -397,60 +391,334 @@ static int sigma_update(
     return 0;
 }
 
-/* REPRO_COIN_PASSES picks the entry points one compile emits: bit 1 the
- * int64 pass and the width-free exports, bit 2 the __int128 pass.  The
- * default is both; the lazy build compiles each pass as its own object,
- * in parallel, and links the two into one shared object. */
-#ifndef REPRO_COIN_PASSES
-#define REPRO_COIN_PASSES 3
-#endif
-
-#if REPRO_COIN_PASSES & 1
 void repro_buffers_free(i64 *p) { free(p); }
 
 i64 repro_abi_version(void) { return 3; }
 
-/* The int64 pass: every game starts here. */
-#define COIN i64
-#define PLAY_COHORT repro_play_cohort
-#define CAP_PARAMS i64 scale_cap_
-#define CAP_VALUE scale_cap_
-#include "_wave_cohort.h"
-#endif
-
-#if REPRO_COIN_PASSES & 2
-#ifdef __SIZEOF_INT128__
-/* The __int128 pass over the games the int64 pass ejected.  The cap
- * arrives as two exact 64-bit halves, cap = hi * 2^64 + lo. */
-#define COIN __int128
-#define PLAY_COHORT repro_play_cohort_wide
-#define CAP_PARAMS i64 scale_cap_hi, uint64_t scale_cap_lo
-#define CAP_VALUE ((__int128)scale_cap_hi << 64 | (__int128)scale_cap_lo)
-#include "_wave_cohort.h"
-#else
-/* No 128-bit integers on this compiler: every game is ejected, so the
- * fleet player's interpreter still gives exact results. */
-int repro_play_cohort_wide(
-    const i64 *offsets, const i64 *targets, i64 n,
-    const i64 *roots, i64 num_games,
-    i64 x, i64 beta, i64 clip, i64 horizon, i64 max_super,
-    i64 init_scale, i64 scale_cap_hi, uint64_t scale_cap_lo,
-    double *out_layer, i64 *out_count,
-    i64 *reads, i64 *writes, i64 *super_iters, i64 *edges_seen,
-    u8 *ejected, i64 want_records, i64 *mem_counts, i64 *proof_counts,
-    i64 **mem_out, i64 **proof_u_out, i64 **proof_l_out,
-    i64 *arena_lens, i64 *games_done
+/* Play one cohort of games.  Returns 0 on success, 1 on allocation
+ * failure.  Either way *games_done games finished: their per-game
+ * outputs, fold contributions and arena segments are complete, and the
+ * arenas are handed to the caller.  Games from *games_done on are
+ * untouched, so the caller replays exactly roots[*games_done:]. */
+int repro_play_cohort(
+    const i64 *offsets,      /* [n+1] CSR row offsets */
+    const i64 *targets,      /* CSR targets (sorted per row) */
+    i64 n,
+    const i64 *roots,        /* [num_games] */
+    i64 num_games,
+    i64 x, i64 beta, i64 clip, i64 horizon,
+    i64 max_super,           /* min(x*x, n+2): super-iteration cap */
+    i64 init_scale, i64 scale_cap,
+    double *out_layer,       /* [n] min-fold accumulator */
+    i64 *out_count,          /* [n] add-fold accumulator */
+    i64 *reads, i64 *writes, /* [num_games] */
+    i64 *super_iters,        /* [num_games] */
+    i64 *edges_seen,         /* [num_games] */
+    u8 *ejected,             /* [num_games] flags */
+    i64 want_records,
+    i64 *mem_counts,         /* [num_games] members per game */
+    i64 *proof_counts,       /* [num_games] proof entries per game */
+    i64 **mem_out,           /* game-major concatenated explored sets */
+    i64 **proof_u_out, i64 **proof_l_out,
+    i64 *arena_lens,         /* [2] lengths of mem / proof arenas */
+    i64 *games_done          /* games finished (num_games unless rc=1) */
 ) {
-    i64 g;
+    i64 *mstamp = NULL, *mslot = NULL, *tstamp = NULL;
+    vec64 members = {0}, touched = {0}, fsets = {0}, pu = {0}, pl = {0};
+    vec64 relax = {0};   /* sigma_relax's value buffer */
+    slots_t S;
+    fscand *cand = NULL; /* beta+1 entries, allocated at the first hub */
+    i64 g = 0, epoch = 0, hop_id = 0;
+    i64 mem_start = 0; /* arena start of game g's members */
+    int rc = 1;
+
+    memset(&S, 0, sizeof(S));
+    mstamp = (i64 *)calloc((size_t)n, sizeof(i64));
+    mslot = (i64 *)malloc((size_t)n * sizeof(i64));
+    tstamp = (i64 *)calloc((size_t)n, sizeof(i64));
+    if (!mstamp || !mslot || !tstamp) goto done;
+
     for (g = 0; g < num_games; g++) {
-        reads[g] = writes[g] = super_iters[g] = edges_seen[g] = 0;
-        mem_counts[g] = proof_counts[g] = 0;
-        ejected[g] = 1;
+        i64 gstamp = g + 1;
+        i64 mem_count = 0;
+        i64 greads = 0, gedges = 0;
+        i64 sig_m = 0; /* slots the game's last sigma covered */
+        i64 retired_s = max_super;
+        i64 s;
+        int eject = 0;
+        i64 *mv; /* members.data + mem_start; refreshed after growth */
+
+        mem_start = members.len;
+        /* explore(root): no inside edge yet (only the root is stamped) */
+        {
+            i64 v = roots[g];
+            if (vec_push(&members, v)) goto done;
+            if (slots_reserve(&S, 1)) goto done;
+            mv = members.data + mem_start;
+            mstamp[v] = gstamp;
+            mslot[v] = 0;
+            mem_count = 1;
+            S.deg[0] = offsets[v + 1] - offsets[v];
+            S.kcap[0] = S.deg[0] < beta + 1 ? S.deg[0] : beta + 1;
+            S.fs_epoch[0] = -1;
+            S.recv_epoch[0] = -1;
+            greads += 1 + S.deg[0];
+        }
+
+        for (s = 0; s < max_super; s++) {
+            i64 gscale = init_scale;
+            i64 hot_len, h, i;
+            epoch++;
+            fsets.len = 0;
+            touched.len = 0;
+            for (i = 0; i < mem_count; i++) S.amount[i] = 0;
+            S.amount[0] = x * gscale;
+            S.hot[0] = 0;
+            hot_len = 1;
+
+            for (h = 0; h < horizon && hot_len; h++) {
+                i64 nf = 0, nhot_len = 0, j;
+                i64 factor = 1;
+                hop_id++;
+                /* Phase 1: collect forwarders (snapshot amounts). */
+                for (i = 0; i < hot_len; i++) {
+                    i64 slot = S.hot[i];
+                    i64 k = S.kcap[slot];
+                    if (k > 0 && S.amount[slot] >= k * gscale) {
+                        S.fwd[nf] = slot;
+                        S.famt[nf] = S.amount[slot];
+                        nf++;
+                    }
+                }
+                if (!nf) break;
+                /* Phase 2: escalate the game scale so every division of
+                 * this hop is exact — the lcm of the per-division
+                 * deficits |F|/gcd(a,|F|), ejecting instead of
+                 * overflowing the word budget (identical policy and
+                 * ejection set to the lockstep engine's _escalate). */
+                for (j = 0; j < nf; j++) {
+                    i64 k = S.kcap[S.fwd[j]];
+                    i64 r = S.famt[j] % k;
+                    if (r) {
+                        i64 need = k / gcd64(r, k);
+                        i64 mul = need / gcd64(factor % need, need);
+                        if (mul > 1 && factor > scale_cap / mul) {
+                            /* factor*mul > scale_cap >= scale_cap/gscale:
+                             * the gscale check below would eject too. */
+                            eject = 1;
+                            break;
+                        }
+                        factor *= mul;
+                    }
+                }
+                if (!eject && factor > 1) {
+                    if (factor > scale_cap / gscale) {
+                        eject = 1;
+                    } else {
+                        gscale *= factor;
+                        for (i = 0; i < mem_count; i++) S.amount[i] *= factor;
+                        for (j = 0; j < nf; j++) S.famt[j] *= factor;
+                    }
+                }
+                if (eject) break;
+                /* Phase 3: zero forwarders, then deliver shares.  The
+                 * scalar engine interleaves `coins[u] -= amount` with
+                 * deliveries; subtraction of the snapshot commutes with
+                 * the share additions, so zero-then-scatter is exact. */
+                for (j = 0; j < nf; j++) S.amount[S.fwd[j]] = 0;
+                for (j = 0; j < nf; j++) {
+                    i64 slot = S.fwd[j];
+                    i64 k = S.kcap[slot];
+                    i64 share = S.famt[j] / k;
+                    i64 v = mv[slot];
+                    if (S.deg[slot] <= beta + 1) {
+                        /* Forwarding set = the whole row; membership via
+                         * the stamp array is the fused join. */
+                        i64 p, end = offsets[v + 1];
+                        for (p = offsets[v]; p < end; p++) {
+                            i64 w = targets[p];
+                            if (mstamp[w] == gstamp) {
+                                i64 ds = mslot[w];
+                                S.amount[ds] += share;
+                                if (S.recv_epoch[ds] != hop_id) {
+                                    S.recv_epoch[ds] = hop_id;
+                                    S.nhot[nhot_len++] = ds;
+                                }
+                            } else if (tstamp[w] != epoch) {
+                                tstamp[w] = epoch;
+                                if (vec_push(&touched, w)) goto done;
+                            }
+                        }
+                    } else {
+                        /* sigma-ranked top-(beta+1), cached per slot per
+                         * super-iteration (sigma and S_v are constant
+                         * within one). */
+                        i64 q, off;
+                        if (S.fs_epoch[slot] != epoch) {
+                            i64 d = S.deg[slot], p, end = offsets[v + 1];
+                            i64 nm = 0;
+                            if (vec_reserve(&fsets, fsets.len + beta + 1))
+                                goto done;
+                            S.fs_off[slot] = fsets.len;
+                            S.fs_epoch[slot] = epoch;
+                            /* Non-member prefix: every non-member ranks
+                             * (SIGMA_INF, mem 0), above every member, and
+                             * ties break by id, so with >= beta+1 of them
+                             * the set is the row's first beta+1 non-members
+                             * (rows are sorted ascending) and needs no
+                             * sigma-peel. */
+                            for (p = offsets[v]; p < end && nm <= beta; p++) {
+                                i64 w = targets[p];
+                                if (mstamp[w] != gstamp)
+                                    fsets.data[fsets.len + nm++] = w;
+                            }
+                            if (nm == beta + 1) {
+                                fsets.len += nm;
+                            } else {
+                                if (!cand) {
+                                    cand = (fscand *)malloc(
+                                        (size_t)(beta + 1) * sizeof(fscand));
+                                    if (!cand) goto done;
+                                }
+                                if (sigma_update(offsets, targets, gstamp,
+                                                 mstamp, mslot, mv, &sig_m,
+                                                 mem_count, beta, &S, &relax))
+                                    goto done;
+                                select_top(targets + offsets[v], d, beta + 1,
+                                           gstamp, mstamp, mslot, S.sigma,
+                                           cand);
+                                for (q = 0; q < beta + 1; q++)
+                                    fsets.data[fsets.len++] = cand[q].w;
+                            }
+                        }
+                        off = S.fs_off[slot];
+                        for (q = 0; q < beta + 1; q++) {
+                            i64 w = fsets.data[off + q];
+                            if (mstamp[w] == gstamp) {
+                                i64 ds = mslot[w];
+                                S.amount[ds] += share;
+                                if (S.recv_epoch[ds] != hop_id) {
+                                    S.recv_epoch[ds] = hop_id;
+                                    S.nhot[nhot_len++] = ds;
+                                }
+                            } else if (tstamp[w] != epoch) {
+                                tstamp[w] = epoch;
+                                if (vec_push(&touched, w)) goto done;
+                            }
+                        }
+                    }
+                }
+                { i64 *t = S.hot; S.hot = S.nhot; S.nhot = t; }
+                hot_len = nhot_len;
+            }
+            if (eject) break;
+            if (!touched.len) {
+                retired_s = s + 1;
+                break;
+            }
+            /* Explore the touched set in ascending vertex order (the
+             * scalar engine's sorted(touched)).  With records, count each
+             * inside edge once, at the exploration of its second
+             * endpoint; only PartialPartitionLCA.query_all reads the
+             * count, and it always keeps records. */
+            sort_i64(touched.data, touched.len);
+            if (vec_reserve(&members, members.len + touched.len))
+                goto done;
+            if (slots_reserve(&S, mem_count + touched.len)) goto done;
+            mv = members.data + mem_start;
+            for (i = 0; i < touched.len; i++) {
+                i64 w = touched.data[i];
+                i64 slot = mem_count++;
+                i64 p, end, d;
+                members.data[members.len++] = w;
+                mstamp[w] = gstamp;
+                mslot[w] = slot;
+                d = offsets[w + 1] - offsets[w];
+                S.deg[slot] = d;
+                S.kcap[slot] = d < beta + 1 ? d : beta + 1;
+                S.fs_epoch[slot] = -1;
+                S.recv_epoch[slot] = -1;
+                greads += 1 + d;
+                if (!want_records) continue;
+                for (p = offsets[w], end = offsets[w + 1]; p < end; p++) {
+                    if (mstamp[targets[p]] == gstamp && targets[p] != w)
+                        gedges++;
+                }
+            }
+        }
+
+        if (eject) {
+            /* Roll the game's members out of the arena; the caller
+             * replays it on the interpreter with every output zeroed
+             * here (matching the lockstep engine's ejection contract). */
+            members.len = mem_start;
+            reads[g] = 0;
+            writes[g] = 0;
+            super_iters[g] = 0;
+            edges_seen[g] = 0;
+            ejected[g] = 1;
+            mem_counts[g] = 0;
+            proof_counts[g] = 0;
+            continue;
+        }
+
+        /* Final sigma (none to do if the last super-iteration computed
+         * it and grew nothing) + clipped proof fold, members in
+         * exploration order (slot order).  The sigma and the proof
+         * arenas come first, so the fold cannot fail halfway and a game
+         * folds all or nothing. */
+        if (sigma_update(offsets, targets, gstamp, mstamp, mslot, mv,
+                         &sig_m, mem_count, beta, &S, &relax))
+            goto done;
+        if (want_records && (vec_reserve(&pu, pu.len + mem_count)
+                             || vec_reserve(&pl, pl.len + mem_count)))
+            goto done;
+        {
+            i64 w_count = 0, i;
+            i64 pstart = pu.len;
+            for (i = 0; i < mem_count; i++) {
+                i64 lay = S.sigma[i];
+                if (lay <= clip) { /* SIGMA_INF never passes */
+                    i64 v = mv[i];
+                    w_count++;
+                    if ((double)lay < out_layer[v])
+                        out_layer[v] = (double)lay;
+                    out_count[v]++;
+                    if (want_records) {
+                        pu.data[pu.len++] = v;
+                        pl.data[pl.len++] = lay;
+                    }
+                }
+            }
+            reads[g] = greads;
+            writes[g] = w_count;
+            super_iters[g] = retired_s;
+            edges_seen[g] = gedges;
+            ejected[g] = 0;
+            mem_counts[g] = mem_count;
+            proof_counts[g] = want_records ? pu.len - pstart : 0;
+        }
     }
-    *mem_out = *proof_u_out = *proof_l_out = NULL;
-    arena_lens[0] = arena_lens[1] = 0;
-    *games_done = num_games;
-    return 0;
+    rc = 0;
+
+done:
+    /* Hand the finished games' arenas to the caller (freed via
+     * repro_buffers_free).  On failure, game g is dropped from them:
+     * its proof entries were never pushed, its members are rolled back. */
+    if (rc) members.len = mem_start;
+    *games_done = g;
+    *mem_out = members.data;
+    *proof_u_out = pu.data;
+    *proof_l_out = pl.data;
+    arena_lens[0] = members.len;
+    arena_lens[1] = pu.len;
+    free(mstamp);
+    free(mslot);
+    free(tstamp);
+    free(touched.data);
+    free(fsets.data);
+    free(relax.data);
+    free(cand);
+    slots_free(&S);
+    return rc;
 }
-#endif
-#endif

@@ -339,12 +339,16 @@ class CoinDroppingGame:
         }
         proof = PartialBetaPartition(proof_layers)
         layer = proof.layer(self.root)
-        edges_seen = (
-            sum(
-                sum(1 for w in nbrs if w in self._adjacency)
-                for nbrs in self._adjacency.values()
-            )
-            // 2
+        # Each inside edge once, off the row of its later-explored
+        # endpoint, as the compiled kernel counts: |E(G[S_v])| on
+        # symmetric rows, and the kernel's count on a fabric shard's
+        # rows too (some of them are empty).
+        order = {v: i for i, v in enumerate(self._adjacency)}
+        edges_seen = sum(
+            1
+            for i, nbrs in enumerate(self._adjacency.values())
+            for w in nbrs
+            if order.get(w, i) < i
         )
         return CoinGameResult(
             root=self.root,

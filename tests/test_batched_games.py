@@ -482,16 +482,13 @@ class TestThreadFanOut:
     ):
         # The fleet reports every slice's ejections in game order; the
         # round replays them on the calling thread, after the join, into the
-        # same partition as the serial run.  A compiled round replays
-        # them through the __int128 tier first; its shrunken budget
-        # (between the int64 one and what every game needs) sends some
-        # on to the scalar hatch, so both replays run.  The round plays
-        # only hub games (roots of degree > β); at β = 4 some of them
-        # eject (at β = 6 only low-degree roots' games did).
+        # same partition as the serial run.  Both array engines replay
+        # them on the interpreter.  The round plays only hub games
+        # (roots of degree > β); at β = 4 some of them eject (at β = 6
+        # only low-degree roots' games did).
         _many_cpus(monkeypatch)
         graph = preferential_attachment(300, 2, seed=11)
         monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
-        monkeypatch.setattr(batched_games, "WIDE_SCALE_LIMIT", 1 << 26)
         serial = _play_fleet(graph, 4, 1, engine, x=49)
         ejections: list[int] = []
         _spy_cohort_threads(monkeypatch, ejections)
@@ -500,33 +497,20 @@ class TestThreadFanOut:
         _assert_same_fleet(threaded, serial)
 
         replayed_on = set()
-        wide_on = set()
+        original = columnar_rounds.play_coin_game
 
-        def spying(original, seen):
-            def spy(*args, **kwargs):
-                seen.add(threading.get_ident())
-                return original(*args, **kwargs)
-
-            return spy
+        def spy(*args, **kwargs):
+            replayed_on.add(threading.get_ident())
+            return original(*args, **kwargs)
 
         round_serial = beta_partition_ampc(
             graph, 4, x=49, engine=engine, workers=1
         )
-        monkeypatch.setattr(
-            columnar_rounds, "play_coin_game",
-            spying(columnar_rounds.play_coin_game, replayed_on),
-        )
-        monkeypatch.setattr(
-            native, "play_games_wide",
-            spying(native.play_games_wide, wide_on),
-        )
+        monkeypatch.setattr(columnar_rounds, "play_coin_game", spy)
         round_threaded = beta_partition_ampc(
             graph, 4, x=49, engine=engine, workers=workers,
         )
         assert replayed_on == {threading.get_ident()}  # on the driver
-        assert wide_on == (
-            {threading.get_ident()} if engine == "compiled" else set()
-        )
         _assert_same_outcome(round_serial, round_threaded)
 
     @pytest.mark.parametrize("engine", _ARRAY_ENGINES)
@@ -650,25 +634,22 @@ class TestQueryAllPort:
             assert a.proof.layers == b.proof.layers
 
     @pytest.mark.parametrize("engine", _ARRAY_ENGINES)
-    @pytest.mark.parametrize("wide_limit", [None, 1 << 32])
     @pytest.mark.parametrize("maker,beta,x", [
         (lambda: preferential_attachment(150, 2, seed=11), 6, 49),
         (lambda: preferential_attachment(300, 3, seed=2), 9, 100),
         (lambda: random_gnm(200, 400, seed=3), 6, 49),
     ])
     def test_ejected_games_match_scalar(
-        self, monkeypatch, engine, wide_limit, maker, beta, x
+        self, monkeypatch, engine, maker, beta, x
     ):
-        # A shrunk int64 budget ejects games from query_all's fleet; a
-        # shrunk wide budget too sends some of them on to the
-        # interpreter.  Every result still equals the scalar oracle's.
+        # A shrunk int64 budget ejects games from query_all's fleet, and
+        # the interpreter replays them.  Every result still equals the
+        # scalar oracle's.
         graph = maker()
         merged_s, res_s = PartialPartitionLCA(
             graph, x=x, beta=beta, engine="scalar"
         ).query_all()
         monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
-        if wide_limit is not None:
-            monkeypatch.setattr(batched_games, "WIDE_SCALE_LIMIT", wide_limit)
         ejected, interpreted = [], []
         fleet, interpret = columnar_rounds.play_fleet, columnar_rounds.play_coin_game
 
@@ -687,10 +668,7 @@ class TestQueryAllPort:
             graph, x=x, beta=beta, engine=engine
         ).query_all()
         assert sum(ejected) > 0
-        if engine == "batched" or wide_limit is not None:
-            assert interpreted
-        else:
-            assert not interpreted  # the wide tier finished them all
+        assert len(interpreted) == sum(ejected)
         assert merged.layers == merged_s.layers
         assert results == res_s
 

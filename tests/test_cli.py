@@ -88,6 +88,10 @@ class TestParser:
              "n must be non-negative"),
             (["partition", "--generator", "forests", "--k", "-1"],
              "k must be non-negative"),
+            (["partition", "--beta", "0"], "beta must be >= 1"),
+            (["color", "--alpha", "0"],
+             "alpha must be >= 1 on a graph with edges, got 0"),
+            (["color", "--eps", "0"], "eps must be > 0, got 0.0"),
         ],
     )
     def test_bad_generator_argument_is_a_one_line_error(self, argv, message, capsys):

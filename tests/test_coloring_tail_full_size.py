@@ -5,10 +5,10 @@ the class-at-a-time pass.  On full-size shapes both must reproduce, color
 for color, a run with the reference paths forced in: the ordered list
 peel (``degeneracy_order``) and the vertex-by-vertex recolor walk.  The
 array peel must also match the list peel on a 200k-vertex path, its
-chain-like worst case (one scalar worklist step per vertex).  The
-kernel's ``__int128`` replay tier must give the partition, the per-round
-reads and writes, and the colours of a run whose ejected games all
-replay on the scalar engine.
+chain-like worst case (one scalar worklist step per vertex).  A compiled
+run whose shrunk coin budget sends games to the interpreter must give
+the partition, the per-round reads and writes, and the colours of a
+default-budget run.
 """
 
 from __future__ import annotations
@@ -62,24 +62,21 @@ def test_path_degeneracy_matches_list_peel():
 
 
 @pytest.mark.skipif(not native.available(), reason="compiled kernel unavailable")
-def test_wide_tier_matches_the_scalar_hatch_on_gnm100k(monkeypatch):
-    # WIDE_SCALE_LIMIT = 0 gives the wide tier no budget, so every game
-    # the int64 pass ejects replays on the scalar engine instead.  The
-    # hub games of this graph fit int64 coins, so a 2^24 int64 budget
-    # makes some of them eject.
+def test_interpreter_replays_match_the_default_budget_on_gnm100k(monkeypatch):
+    # The hub games of this graph fit int64 coins, so a 2^24 budget
+    # makes some of them eject, and the interpreter replays them.
     graph = random_gnm(100_000, 200_000, seed=1)
-    monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
-    scalar_replays = []
+    interpreted = []
     original = columnar_rounds.play_coin_game
 
     def counting(*args, **kwargs):
-        scalar_replays[-1] += 1
+        interpreted[-1] += 1
         return original(*args, **kwargs)
 
     monkeypatch.setattr(columnar_rounds, "play_coin_game", counting)
 
     def run():
-        scalar_replays.append(0)
+        interpreted.append(0)
         partition = beta_partition_ampc(graph, 9, x=100, engine="compiled")
         colored = coloring_two_plus_eps(graph, 3, x=100, engine="compiled")
         rounds = [
@@ -88,13 +85,13 @@ def test_wide_tier_matches_the_scalar_hatch_on_gnm100k(monkeypatch):
         ]
         return partition, rounds, colored
 
-    wide, wide_rounds, wide_colored = run()
-    monkeypatch.setattr(batched_games, "WIDE_SCALE_LIMIT", 0)
-    forced, forced_rounds, forced_colored = run()
-    assert 0 <= scalar_replays[0] < scalar_replays[1]
-    assert wide.partition.layers == forced.partition.layers
-    assert wide.rounds == forced.rounds
-    assert wide_rounds == forced_rounds
-    assert wide_colored.colors == forced_colored.colors
-    assert wide_colored.num_colors == forced_colored.num_colors
-    assert wide_colored.num_layers == forced_colored.num_layers
+    default, default_rounds, default_colored = run()
+    monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
+    shrunk, shrunk_rounds, shrunk_colored = run()
+    assert 0 <= interpreted[0] < interpreted[1]
+    assert shrunk.partition.layers == default.partition.layers
+    assert shrunk.rounds == default.rounds
+    assert shrunk_rounds == default_rounds
+    assert shrunk_colored.colors == default_colored.colors
+    assert shrunk_colored.num_colors == default_colored.num_colors
+    assert shrunk_colored.num_layers == default_colored.num_layers

@@ -196,7 +196,7 @@ def test_every_module_constant_is_read():
 
 
 FLEET_PLAYER = "repro.core.columnar_rounds"
-LADDER_TIERS = ("play_coin_game", "play_games_wide")
+LADDER_TIERS = ("play_coin_game",)
 
 
 def ladder_users(src: Path) -> set[str]:
@@ -225,8 +225,8 @@ def test_only_the_fleet_player_finishes_ejected_games():
 
 def test_ladder_rule_on_a_synthetic_tree(tmp_path):
     files = {
-        "pkg/fleet.py": "from pkg.wide import play_games_wide\nplay_games_wide()\n",
-        "pkg/wide.py": "def play_games_wide(): ...\n",
+        "pkg/fleet.py": "from pkg.game import play_coin_game\nplay_coin_game()\n",
+        "pkg/game.py": "def play_coin_game(): ...\n",
         "pkg/hatch.py": "import pkg.fleet as f\nf.play_coin_game()\n",
         "pkg/alias.py": "from pkg.fleet import play_coin_game as p\n",
     }
@@ -235,7 +235,7 @@ def test_ladder_rule_on_a_synthetic_tree(tmp_path):
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text)
     assert ladder_users(tmp_path) == {
-        "pkg.fleet.play_games_wide",
+        "pkg.fleet.play_coin_game",
         "pkg.hatch.play_coin_game",
         "pkg.alias.play_coin_game",
     }

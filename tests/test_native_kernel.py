@@ -7,10 +7,9 @@ super-iteration counts, inside-edge counts, and the ejection set all
 byte-for-byte, including under adversarial word budgets that force
 mid-game ejections and the Fraction deep-horizon regime.  A hypothesis
 fuzz plays random small graphs, stars and hubs on both engines through
-the fleet player.  The kernel's ``__int128`` build
-(``play_games_wide``), which replays the ejected games, must match the
-scalar replay game for game, and a kernel allocation failure must
-leave every output exact.  Skip-marked wholesale when the kernel
+the fleet player, where the interpreter finishes the games a shrunk
+word budget ejects, and a kernel allocation failure must leave every
+output exact.  Skip-marked wholesale when the kernel
 cannot load (tier-1 must pass without it).
 """
 
@@ -35,11 +34,7 @@ from repro.core.batched_games import (
     play_games_batched,
 )
 from repro.core.beta_partition_ampc import beta_partition_ampc
-from repro.core.columnar_rounds import (
-    LazyAdjacency,
-    play_coin_game,
-    play_fleet,
-)
+from repro.core.columnar_rounds import LazyAdjacency, play_fleet
 from repro.graphs.generators import (
     path_graph,
     preferential_attachment,
@@ -268,8 +263,8 @@ def _fleets_agree(graph, beta, x, *, workers=1, scale_limit=None,
 class TestFleetFuzz:
     """The two array engines, fuzzed against each other through the
     fleet player: a shrunken word budget makes some games eject from
-    the int64 pass, the fleet player finishes them, and every per-game
-    output must agree."""
+    the int64 pass, the interpreter finishes them, and every per-game
+    output must agree, and equal the full budget's."""
 
     @given(_fuzz_fleets())
     @settings(deadline=None)  # example count from the hypothesis profile
@@ -284,9 +279,16 @@ class TestFleetFuzz:
             cohort_games=case["cohort_games"],
         )
         # Ejected games come back finished: every ball holds its root,
-        # and _fleets_agree compared their segments across engines.
+        # and the interpreter's outputs equal the full budget's.
         member_counts = batched.records[3]
         assert member_counts[batched.ejected].all()
+        full = _fleets_agree(case["graph"], beta, x)
+        for field in ("reads", "writes", "super_iterations", "edges_seen"):
+            assert np.array_equal(
+                getattr(batched, field), getattr(full, field)
+            ), field
+        for got, want in zip(batched.records, full.records):
+            assert np.array_equal(got, want)
 
 
 class TestForwardingSetBranches:
@@ -560,9 +562,10 @@ class TestScalarOnShardRows:
     """The scalar engine is the kernel's oracle on fabric-shard-like
     CSRs too, where a third of the rows read as empty (unheld rows):
     game for game, the same reads, writes, super-iterations, members,
-    proofs and folds.  ``edges_seen`` is left out: |E(G[S_v])| is
-    defined on symmetric rows, and its one reader, ``query_all``, plays
-    whole graphs."""
+    proofs and folds, and the same ``edges_seen``: both count each
+    inside edge off the row of its later-explored endpoint, so an
+    ejected shard game the interpreter replays keeps the kernel's
+    count."""
 
     @pytest.mark.parametrize(
         "make, beta, x",
@@ -593,7 +596,7 @@ class TestScalarOnShardRows:
 
         scalar, layer_s, count_s = fleet("scalar")
         compiled, layer_c, count_c = fleet("compiled")
-        for field in ("reads", "writes", "super_iterations"):
+        for field in ("reads", "writes", "super_iterations", "edges_seen"):
             assert np.array_equal(
                 getattr(scalar, field), getattr(compiled, field)
             ), field
@@ -610,60 +613,6 @@ def _game(x, beta):
         x=x, beta=beta, clip=clip, horizon=horizon,
         scale=fixed_coin_scale(beta, horizon),
     )
-
-
-def _ejected_roots(graph, game):
-    """The roots the int64 pass ejects when every vertex plays a game."""
-    offsets, targets = graph.csr()
-    n = graph.num_vertices
-    info = play_fleet(
-        offsets, targets, np.arange(n, dtype=np.int64),
-        out_layer=np.full(n, _INF), out_count=np.zeros(n, dtype=np.int64),
-        engine="compiled", **game,
-    )
-    return info.ejected
-
-
-def _wide_matches_scalar(graph, roots, game):
-    """Replay ``roots`` on the wide tier, and the games it ejects on the
-    scalar engine, against a scalar replay of every root; assert they
-    agree game for game and return the wide tier's info."""
-    offsets, targets = graph.csr()
-    n = graph.num_vertices
-    adj = LazyAdjacency(offsets, targets)
-    args = (game["x"], game["beta"], game["clip"], game["horizon"])
-    layer_s = np.full(n, _INF)
-    count_s = np.zeros(n, dtype=np.int64)
-    scalar = [
-        play_coin_game(adj, v, *args, layer_s, count_s, want_record=True)
-        for v in roots.tolist()
-    ]
-    layer_w = np.full(n, _INF)
-    count_w = np.zeros(n, dtype=np.int64)
-    wide = native.play_games_wide(
-        offsets, targets, roots, out_layer=layer_w, out_count=count_w,
-        want_records=True, **game,
-    )
-    members, proof_u, proof_l, member_counts, proof_counts = wide.records
-    member_ends = np.cumsum(member_counts)
-    proof_ends = np.cumsum(proof_counts)
-    ejected = set(wide.ejected.tolist())
-    for i, (reads, writes, (explored, proof, *__)) in enumerate(scalar):
-        if i in ejected:
-            assert wide.reads[i] == wide.writes[i] == 0
-            assert wide.super_iterations[i] == wide.edges_seen[i] == 0
-            assert member_counts[i] == proof_counts[i] == 0
-            play_coin_game(adj, int(roots[i]), *args, layer_w, count_w)
-            continue
-        assert (wide.reads[i], wide.writes[i]) == (reads, writes)
-        segment = slice(member_ends[i] - member_counts[i], member_ends[i])
-        assert members[segment].tolist() == explored
-        segment = slice(proof_ends[i] - proof_counts[i], proof_ends[i])
-        assert list(zip(proof_u[segment].tolist(),
-                        proof_l[segment].tolist())) == proof
-    assert np.array_equal(layer_w, layer_s)
-    assert np.array_equal(count_w, count_s)
-    return wide
 
 
 class TestNoRecords:
@@ -724,135 +673,6 @@ class TestNoRecords:
         for engine in ("batched", "compiled"):
             self._same(fleet(engine, False), want, 0 * edges)
 
-    def test_wide_tier_without_records(self, monkeypatch):
-        monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
-        monkeypatch.setattr(batched_games, "WIDE_SCALE_LIMIT", 1 << 27)
-        graph = preferential_attachment(300, 2, seed=11)
-        offsets, targets = graph.csr()
-        n = graph.num_vertices
-        game = _game(49, 6)
-        roots = _ejected_roots(graph, game)
-
-        def wide(want_records):
-            layer = np.full(n, _INF)
-            count = np.zeros(n, dtype=np.int64)
-            info = native.play_games_wide(
-                offsets, targets, roots, out_layer=layer, out_count=count,
-                want_records=want_records, **game,
-            )
-            assert (info.records is not None) == want_records
-            return info, layer, count
-
-        want = wide(True)
-        assert want[0].edges_seen.any()
-        assert 0 < want[0].ejected.size < roots.size
-        self._same(wide(False), want, 0 * want[0].edges_seen)
-
-
-class TestWideTier:
-    """The __int128 build of the kernel replays the games the int64 pass
-    ejects.  Each game it finishes must equal the scalar replay exactly;
-    each game it ejects comes back zeroed for the scalar replay."""
-
-    @pytest.mark.parametrize(
-        "make, beta, x, scale_limit",
-        [
-            (lambda: random_gnm(400, 800, seed=2), 9, 100, None),
-            (lambda: random_gnm(400, 800, seed=1), 9, 100, 1 << 30),
-            (lambda: preferential_attachment(150, 2, seed=11), 6, 64,
-             1 << 24),
-        ],
-        ids=["gnm-default-budget", "gnm-shrunk", "pa-shrunk"],
-    )
-    def test_wide_replay_equals_scalar(
-        self, make, beta, x, scale_limit, monkeypatch
-    ):
-        if scale_limit is not None:
-            monkeypatch.setattr(batched_games, "SCALE_LIMIT", scale_limit)
-        graph = make()
-        game = _game(x, beta)
-        roots = _ejected_roots(graph, game)
-        assert roots.size
-        wide = _wide_matches_scalar(graph, roots, game)
-        assert not wide.ejected.size
-
-    def test_wide_ejections_fall_through_to_the_scalar_hatch(
-        self, monkeypatch
-    ):
-        # A wide budget between the int64 one and what every game needs:
-        # some replays finish on the wide tier, the rest come back
-        # zeroed, and the round still equals the dict oracle.
-        monkeypatch.setattr(batched_games, "SCALE_LIMIT", 1 << 24)
-        monkeypatch.setattr(batched_games, "WIDE_SCALE_LIMIT", 1 << 27)
-        graph = preferential_attachment(300, 2, seed=11)
-        game = _game(49, 6)
-        roots = _ejected_roots(graph, game)
-        wide = _wide_matches_scalar(graph, roots, game)
-        assert 0 < wide.ejected.size < roots.size
-        oracle = beta_partition_ampc(graph, 6, x=49, store="dict")
-        compiled = beta_partition_ampc(graph, 6, x=49, engine="compiled")
-        assert compiled.partition.layers == oracle.partition.layers
-        assert compiled.rounds == oracle.rounds
-
-    def test_no_wide_budget_ejects_every_game(self, monkeypatch):
-        monkeypatch.setattr(batched_games, "WIDE_SCALE_LIMIT", 0)
-        graph = random_gnm(400, 800, seed=2)
-        game = _game(100, 9)
-        roots = _ejected_roots(graph, game)
-        wide = _wide_matches_scalar(graph, roots, game)
-        assert wide.ejected.tolist() == list(range(roots.size))
-
-    @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
-    def test_without_int128_every_game_is_ejected(self, tmp_path):
-        # A compiler without __int128 builds the wide entry point as a
-        # stub that ejects every game, so the scalar replay stays exact.
-        import cffi
-
-        from repro.core.native import _build
-
-        lib_path = tmp_path / "wide_stub.so"
-        subprocess.run(
-            ["gcc", "-O2", "-fPIC", "-shared", "-U__SIZEOF_INT128__",
-             str(_build.SOURCES[0]), "-o", str(lib_path)],
-            check=True, capture_output=True,
-        )
-        ffi = cffi.FFI()
-        ffi.cdef(_build.CDEF)
-        lib = ffi.dlopen(str(lib_path))
-        offsets, targets = path_graph(6).csr()
-        roots = np.arange(6, dtype=np.int64)
-        layer = np.full(6, _INF)
-        count = np.zeros(6, dtype=np.int64)
-        with mock.patch.object(native, "_lib", lib), \
-                mock.patch.object(native, "_ffi", ffi):
-            info = native.play_games_wide(
-                offsets, targets, roots, out_layer=layer, out_count=count,
-                want_records=True, **_game(4, 2),
-            )
-        assert info.ejected.tolist() == list(range(6))
-        assert not info.reads.any() and not info.writes.any()
-        assert not info.records[3].any() and not info.records[4].any()
-        assert np.isinf(layer).all() and not count.any()
-
-    @given(_fuzz_fleets(), st.integers(0, 80))
-    @settings(deadline=None)  # example count from the hypothesis profile
-    def test_wide_replay_matches_scalar_replay(self, case, wide_bits):
-        # The fleet's int64 budget as in TestFleetFuzz; the wide budget
-        # another 0-80 headroom bits on top, capped at WIDE_SCALE_LIMIT,
-        # so some draws send replays on to the scalar hatch too.
-        beta, x = case["beta"], case["x"]
-        floor = x * (beta + 2) << case["headroom_bits"]
-        with mock.patch.object(
-            batched_games, "SCALE_LIMIT",
-            min(batched_games.SCALE_LIMIT, floor),
-        ), mock.patch.object(
-            batched_games, "WIDE_SCALE_LIMIT",
-            min(batched_games.WIDE_SCALE_LIMIT, floor << wide_bits),
-        ):
-            game = _game(x, beta)
-            roots = _ejected_roots(case["graph"], game)
-            _wide_matches_scalar(case["graph"], roots, game)
-
 
 _REALLOC_SHIM = r"""
 #define _GNU_SOURCE
@@ -889,8 +709,8 @@ import sys
 
 import numpy as np
 
-from repro.core import batched_games, native
-from repro.core.columnar_rounds import LazyAdjacency, play_coin_game, play_fleet
+from repro.core import native
+from repro.core.columnar_rounds import play_fleet
 from repro.graphs.generators import preferential_attachment, random_gnm
 from repro.lca.coin_game import fixed_coin_scale, max_provable_layer
 
@@ -984,36 +804,6 @@ for size in (20, 60):
     fail_each(p_offsets, p_targets, np.nonzero(held)[0].astype(np.int64),
               make_game(49, 6))
 
-# The wide pass over the int64 pass's ejections under a shrunk budget:
-# the games after the failure come back ejected, for the scalar hatch.
-adj = LazyAdjacency(offsets, targets)
-
-
-def play_wide(roots, fail_at):
-    layer = np.full(n, float("inf"))
-    count = np.zeros(n, dtype=np.int64)
-    info, seen, fired = armed(fail_at, lambda: native.play_games_wide(
-        offsets, targets, roots, out_layer=layer, out_count=count,
-        want_records=True, **game))
-    # The games the wide tier hands back go to the scalar hatch.
-    for gi in info.ejected.tolist():
-        info.reads[gi], info.writes[gi], _ = play_coin_game(
-            adj, int(roots[gi]), game["x"], game["beta"], game["clip"],
-            game["horizon"], layer, count)
-    return info, layer, count, seen, fired
-
-
-batched_games.SCALE_LIMIT = 1 << 24
-ejected = native.play_games_compiled(
-    offsets, targets, roots, out_layer=np.full(n, float("inf")),
-    out_count=np.zeros(n, dtype=np.int64), **game).ejected
-clean = play_wide(ejected, 0)
-total = clean[3]
-assert total > 20, total
-for fail_at in sorted({1, 20, total // 2, total}):
-    got = play_wide(ejected, fail_at)
-    assert got[4], fail_at
-    same(got, clean, ("reads", "writes"))
 print("ALLOC_FAILURE_OK")
 """
 
