@@ -8,9 +8,10 @@ times the :data:`FABRIC_SHAPE` shape's β-partition over
 ``transport="message"`` with :data:`FABRIC_SHARDS` shards.  A leg records
 the min-of-3 wall time, the partition's share of it (from the same call:
 the pipeline's ``beta_partition_ampc`` lookup is wrapped, as
-``e2ebench`` does), the partition's ``phases``, and colours, rounds and
-layers.  The fabric leg adds its communication counters and
-``max_held_words``.  Every leg of a shape must produce the same layers,
+``e2ebench`` does), the coloring tail's time (``tail_s``: the fastest
+of the calls' wall time less their partition's), the partition's
+``phases``, and colours, rounds and layers.  The fabric leg adds its
+communication counters and ``max_held_words``.  Every leg of a shape must produce the same layers,
 or the bench stops.
 
 The quick corpus also times, on its gnm shape: the pipeline at
@@ -111,6 +112,10 @@ MESSAGE_HELD_BUDGET_FACTOR = 4.5
 MAX_MESSAGE_OVER_COMPILED = 8.0
 # Quick batched partition over the same run's compiled one.
 MIN_COMPILED_SPEEDUP = 2.0
+# Quick batched gnm coloring tail (numpy) over the same run's compiled
+# one (the kernel's C loops); a tail that fell back to numpy reads about
+# 1x.
+MIN_TAIL_SPEEDUP = 2.0
 # The supervisor's zero-fault bookkeeping, as a share of the pooled
 # fabric run's wall time.
 MAX_RECOVERY_OVERHEAD = 0.03
@@ -128,9 +133,11 @@ def _partition_record(outcome, phases) -> dict:
 def pipeline_leg(graph, workers, engine=None):
     """``(call, record)`` of ``coloring_two_plus_eps`` on one graph."""
     real = pipeline.beta_partition_ampc
+    tails = []
 
     def call():
         seen = {}
+        start = time.perf_counter()
 
         def partition(*args, **kwargs):
             phases: dict = {}
@@ -147,6 +154,7 @@ def pipeline_leg(graph, workers, engine=None):
             )
         finally:
             pipeline.beta_partition_ampc = real
+        tails.append(time.perf_counter() - start - seen["s"])
         return result, seen
 
     def record(wall, value):
@@ -156,6 +164,7 @@ def pipeline_leg(graph, workers, engine=None):
             "wall_s": round(wall, 4),
             "partition_s": round(seen["s"], 4),
             "partition_share": round(seen["s"] / wall, 3),
+            "tail_s": round(min(tails), 4),
             **_partition_record(outcome, seen["phases"]),
             "colors": result.num_colors,
             "rounds": result.total_rounds,
@@ -215,17 +224,20 @@ def time_legs(legs: dict) -> dict:
 
     Legs take turns, one call each per pass, so a few seconds of
     contention on a shared host cost each leg one call, not all of
-    them.
+    them.  Every other pass runs the legs in reverse, so no leg always
+    runs first in a pass or right after the same neighbour (the first
+    leg after the pure-Python dict leg reads slow).
     """
     best: dict = {}
-    for __ in range(REPEATS):
-        for key, (call, record) in legs.items():
+    for rep in range(REPEATS):
+        order = list(legs)
+        for key in order[::-1] if rep % 2 else order:
             start = time.perf_counter()
-            value = call()
+            value = legs[key][0]()
             elapsed = time.perf_counter() - start
             if key not in best or elapsed < best[key][0]:
-                best[key] = (elapsed, record(elapsed, value))
-    return {key: got for key, (__, got) in best.items()}
+                best[key] = (elapsed, value)
+    return {key: legs[key][1](*got) for key, got in best.items()}
 
 
 def _recovery(graph, layers) -> dict:
@@ -449,6 +461,12 @@ def _quick_guards(cur: dict, base: dict, host_cpus: int, base_cpus: int):
                 f"compiled partition lost its edge: {speedup:.2f}x over "
                 f"batched (< {MIN_COMPILED_SPEEDUP:.1f}x same-run budget)"
             )
+        speedup = batched["tail_s"] / compiled["tail_s"]
+        if speedup < MIN_TAIL_SPEEDUP:
+            failures.append(
+                f"compiled coloring tail lost its edge: {speedup:.2f}x over "
+                f"batched (< {MIN_TAIL_SPEEDUP:.1f}x same-run budget)"
+            )
         fabric = legs.get("fabric/w1")
         tax = fabric and fabric_shm and (
             fabric["wall_s"] / fabric_shm["partition_s"]
@@ -496,7 +514,8 @@ def check_regression(report: dict, baseline: dict):
     the batched gnm leg, within :data:`MAX_REGRESSION` /
     :data:`MAX_PHASE_REGRESSION` after normalizing by the same run's
     dict-oracle partition, compiled ≥ :data:`MIN_COMPILED_SPEEDUP`
-    × batched on gnm, the fabric's transport tax over the same shape's
+    × batched on gnm and its coloring tail ≥ :data:`MIN_TAIL_SPEEDUP` ×
+    batched's, the fabric's transport tax over the same shape's
     compiled partition ≤ :data:`MAX_MESSAGE_OVER_COMPILED`, zero
     recovery counters on the clean pooled run, supervisor overhead ≤
     :data:`MAX_RECOVERY_OVERHEAD`, and a bit-identical degraded leg that

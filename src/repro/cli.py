@@ -96,9 +96,11 @@ def _cmd_color(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     graph = _build_graph(args)
-    alpha = args.alpha if args.alpha is not None else max(1, degeneracy(graph))
-    beta = args.beta if args.beta is not None else 3 * alpha
     with _one_line_errors():  # a bad --alpha or --beta
+        if args.alpha is not None and args.alpha < 1:
+            raise ValueError(f"--alpha must be >= 1, got {args.alpha}")
+        alpha = args.alpha if args.alpha is not None else max(1, degeneracy(graph))
+        beta = args.beta if args.beta is not None else 3 * alpha
         outcome = beta_partition_ampc(graph, beta)
     print(f"graph: n={graph.num_vertices} m={graph.num_edges}")
     print(f"beta={beta} mode={outcome.mode} x={outcome.x}")

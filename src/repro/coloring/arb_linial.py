@@ -45,12 +45,14 @@ def arb_linial_coloring(
     initial_colors: list[int] | None = None,
     initial_palette: int | None = None,
     max_rounds: int = 64,
+    engine: str | None = None,
 ) -> ArbLinialResult:
     """Run Arb-Linial to its fixed point.
 
     ``beta`` must upper-bound the orientation's out-degree.  The default
     initial coloring is vertex ids (palette n).  Stops when another round
-    would not shrink the palette.
+    would not shrink the palette.  ``engine`` picks the rounds' loop, as
+    in :meth:`CoverFreeFamily.reduce_colors`.
     """
     if orientation.max_out_degree() > beta:
         raise ValueError(
@@ -60,8 +62,10 @@ def arb_linial_coloring(
     colors, palette = _initial(n, initial_colors, initial_palette)
     if initial_colors is not None and ((colors < 0) | (colors >= palette)).any():
         raise ValueError("initial colors outside declared palette")
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(orientation.offsets))
-    return _reduce_rounds(colors, palette, src, orientation.targets, beta, max_rounds)
+    return _reduce_rounds(
+        colors, palette, orientation.offsets, orientation.targets, beta,
+        max_rounds, engine,
+    )
 
 
 def linial_undirected_coloring(
@@ -70,6 +74,7 @@ def linial_undirected_coloring(
     initial_colors: list[int] | None = None,
     initial_palette: int | None = None,
     max_rounds: int = 64,
+    engine: str | None = None,
 ) -> ArbLinialResult:
     """Classic (undirected) Linial reduction to O(Δ²) colors.
 
@@ -82,8 +87,9 @@ def linial_undirected_coloring(
         return ArbLinialResult(colors=[0] * n, num_colors=min(n, 1), local_rounds=0)
     colors, palette = _initial(n, initial_colors, initial_palette)
     offsets, targets = graph.csr()
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-    return _reduce_rounds(colors, palette, src, targets, max_degree, max_rounds)
+    return _reduce_rounds(
+        colors, palette, offsets, targets, max_degree, max_rounds, engine
+    )
 
 
 def _initial(n: int, initial_colors, initial_palette) -> tuple[np.ndarray, int]:
@@ -98,22 +104,26 @@ def _initial(n: int, initial_colors, initial_palette) -> tuple[np.ndarray, int]:
 def _reduce_rounds(
     colors: np.ndarray,
     palette: int,
-    src: np.ndarray,
-    dst: np.ndarray,
+    offsets: np.ndarray,
+    targets: np.ndarray,
     bound: int,
     max_rounds: int,
+    engine: str | None,
 ) -> ArbLinialResult:
     """Cover-free reduction rounds until the palette stops shrinking.
 
-    Vertex ``src[e]`` avoids ``dst[e]``; ``bound`` caps every vertex's
-    number of such constraints (out-degree, or degree when undirected).
+    Vertex v avoids ``targets[offsets[v]:offsets[v + 1]]``; ``bound`` caps
+    every vertex's number of such constraints (out-degree, or degree when
+    undirected).
     """
     schedule: list[CoverFreeFamily] = []
     while len(schedule) < max_rounds and palette > 2:
         family = choose_family(palette, bound)
         if family.target_colors >= palette:
             break  # fixed point: O(bound²) reached
-        colors = family.reduce_colors(colors, src, dst, bound)
+        colors = family.reduce_colors(
+            colors, offsets, targets, bound, engine=engine
+        )
         palette = family.target_colors
         schedule.append(family)
     return ArbLinialResult(

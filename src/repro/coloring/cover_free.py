@@ -9,8 +9,9 @@ each on <= d points, and d·β < q points cannot cover F_q); the new color
 is the pair (a, p_v(a)).
 
 This file provides the parameter selection (minimizing the new palette
-q² over the degree d) and the reduction step, one array kernel over all
-vertices.  Correctness is
+q² over the degree d) and the reduction step over all vertices at once:
+a C loop in the compiled kernel, or the numpy pass that is its oracle.
+Correctness is
 *one-sided*: a vertex only needs its out-neighbors' colors, which is what
 lets the AMPC wrapper simulate many rounds in one ball collection.
 """
@@ -21,9 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import native
 from repro.util.primes import next_prime
 
 __all__ = ["CoverFreeFamily", "choose_family"]
+
+# The compiled round computes in int64 (Horner steps ``x * a + c`` and
+# new colors ``a * q + x``, all below q²), so it takes families up to this
+# q (q² < 2**63); larger ones run the numpy round.
+_MAX_COMPILED_Q = 3_037_000_499
 
 
 @dataclass(frozen=True)
@@ -66,27 +73,67 @@ class CoverFreeFamily:
         """p_color(a) over F_q (Horner)."""
         return int(_horner(self.digits([color]), a, self.q)[0])
 
-    def reduce_colors(self, colors, src: np.ndarray, dst: np.ndarray, beta: int) -> np.ndarray:
+    def reduce_colors(
+        self,
+        colors,
+        offsets: np.ndarray,
+        targets: np.ndarray,
+        beta: int,
+        engine: str | None = None,
+    ) -> np.ndarray:
         """One reduction round for every vertex at once.
 
-        ``colors`` is the current coloring; edge ``src[e] -> dst[e]``
-        says vertex ``src[e]`` must avoid ``dst[e]`` (its out-neighbor),
-        and no vertex may have more than β of them.  The coloring must be
-        proper on these edges.  Each vertex v gets ``a * q + p_v(a)`` for
-        the smallest point a where p_v differs from every out-neighbor's
-        polynomial.
+        ``colors`` is the current coloring; the constraints are a CSR:
+        vertex v must avoid its out-neighbors
+        ``targets[offsets[v]:offsets[v + 1]]``, and no vertex may have
+        more than β of them.  The coloring must be proper on these edges.
+        Each vertex v gets ``a * q + p_v(a)`` for the smallest point a
+        where p_v differs from every out-neighbor's polynomial.
 
-        Points are tried in increasing order, each as one Horner sweep
-        over the digit matrix; only vertices that still clash (and their
-        edges) go on to the next point.
+        ``engine`` None or "compiled" runs the round as the kernel's C
+        loop (:func:`repro.core.native.cover_free_round`); "batched" or
+        "scalar" runs the numpy pass, the oracle: points are tried in
+        increasing order, each as one Horner sweep over the digit matrix,
+        and only vertices that still clash (and their edges) go on to the
+        next point.
         """
         colors = np.asarray(colors, dtype=np.int64)
         n = colors.size
-        if src.size and int(np.bincount(src, minlength=n).max()) > beta:
+        offsets = np.asarray(offsets, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        degrees = np.diff(offsets)
+        if (
+            offsets.size != n + 1 or offsets[0] != 0
+            or offsets[-1] != targets.size or (degrees < 0).any()
+        ):
+            raise ValueError("offsets and targets are not a CSR over the colors")
+        if targets.size and int(degrees.max()) > beta:
             raise ValueError("more out-neighbors than β")
         if self.d * beta >= self.q:
             raise ValueError("family too small: need q > d·β")
-        digits = self.digits(colors)
+        if (
+            native.tail_compiled(engine, "CoverFreeFamily.reduce_colors")
+            and self.q <= _MAX_COMPILED_Q
+            and targets.size
+            and 0 <= int(targets.min()) and int(targets.max()) < n
+            # Colors :meth:`digits` would reject take the numpy round,
+            # which raises its error.
+            and 0 <= int(colors.min())
+            and int(colors.max()) < min(self.source_colors, self.q ** (self.d + 1))
+        ):
+            new = native.cover_free_round(
+                offsets, targets, colors, self.d + 1, self.q
+            )
+            if new is not None:
+                return new
+        src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        return self._reduce_colors_numpy(self.digits(colors), src, targets)
+
+    def _reduce_colors_numpy(
+        self, digits: np.ndarray, src: np.ndarray, dst: np.ndarray
+    ) -> np.ndarray:
+        """The numpy round: one Horner sweep per point."""
+        n = digits.shape[0]
         new = np.empty(n, dtype=np.int64)
         pending = np.arange(n, dtype=np.int64)
         clash = np.zeros(n, dtype=bool)
@@ -111,9 +158,10 @@ class CoverFreeFamily:
         (:meth:`reduce_colors` on a single out-star)."""
         k = len(out_neighbor_colors)
         colors = np.array([color, *out_neighbor_colors], dtype=np.int64)
-        src = np.zeros(k, dtype=np.int64)
-        dst = np.arange(1, k + 1, dtype=np.int64)
-        return int(self.reduce_colors(colors, src, dst, beta)[0])
+        offsets = np.full(k + 2, k, dtype=np.int64)
+        offsets[0] = 0
+        targets = np.arange(1, k + 1, dtype=np.int64)
+        return int(self.reduce_colors(colors, offsets, targets, beta)[0])
 
 
 def _horner(digits: np.ndarray, a: int, q: int) -> np.ndarray:

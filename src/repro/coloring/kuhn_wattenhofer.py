@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import native
 from repro.graphs.graph import Graph
 
 __all__ = ["KWResult", "kw_color_reduction"]
@@ -34,19 +35,33 @@ def kw_color_reduction(
     colors: list[int],
     max_degree: int,
     palette: int | None = None,
+    engine: str | None = None,
 ) -> KWResult:
     """Reduce ``colors`` (proper on ``graph``) to max_degree + 1 colors.
 
     ``max_degree`` must upper-bound every vertex degree in ``graph``.
-    Each sub-round is one array step: the vertices at the sub-round's
-    upper offset (the movers) mark their neighbors' lower-half colors in
-    a ``movers × (Δ+1)`` bitmap and take its first free column.
+    ``engine`` None or "compiled" runs the whole reduction as one C loop
+    (:func:`repro.core.native.kw_reduce`); "batched" or "scalar" runs the
+    numpy oracle, where each sub-round is one array step: the vertices
+    at the sub-round's upper offset (the movers) mark their neighbors'
+    lower-half colors in a ``movers × (Δ+1)`` bitmap and take its first
+    free column.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
     delta_plus_1 = max_degree + 1
     colors = np.array(colors, dtype=np.int64)
+    if colors.size != graph.num_vertices:
+        raise ValueError("need one color per vertex")
     m = palette if palette is not None else (int(colors.max(initial=0)) + 1)
     if ((colors < 0) | (colors >= m)).any():
         raise ValueError("colors outside declared palette")
+    if native.tail_compiled(engine, "kw_color_reduction") and m > delta_plus_1:
+        offsets, targets = graph.csr()
+        got = native.kw_reduce(offsets, targets, colors, m, delta_plus_1)
+        if got is not None:
+            out, m, rounds = got
+            return KWResult(colors=out.tolist(), num_colors=m, local_rounds=rounds)
     rounds = 0
     while m > delta_plus_1:
         block = 2 * delta_plus_1
@@ -74,7 +89,7 @@ def kw_color_reduction(
             taken = np.zeros((movers.size, delta_plus_1), dtype=bool)
             taken[row[lower], column[lower]] = True
             free = np.argmin(taken, axis=1)
-            if taken[np.arange(movers.size), free].any():  # pragma: no cover
+            if taken[np.arange(movers.size), free].any():
                 raise AssertionError("no free color in lower half")
             colors[movers] = base + free
         # Renumber: block b's lower half [b*block, b*block + Δ+1) maps to

@@ -151,7 +151,7 @@ def _arb_linial_pipeline(
         engine=engine,
     )
     orientation = orient_by_partition(graph, outcome.partition)
-    linial = arb_linial_coloring(orientation, beta)
+    linial = arb_linial_coloring(orientation, beta, engine=engine)
     space = _space_budget(graph, delta)
     coloring_rounds = ampc_rounds_for_simulation(
         max(linial.local_rounds, 1), max(beta, 2), space
@@ -235,7 +235,10 @@ def coloring_two_plus_eps(
     ``initial_method`` selects the per-layer initial coloring: "kw" = Linial
     then Kuhn-Wattenhofer down to β+1 colors (§6.3); "mpc" = Theorem 1.5
     with x = 2 (§6.4, initial 4β-palette).  Both end with the greedy
-    top-down cross-layer recoloring into palette {0..β}.
+    top-down cross-layer recoloring into palette {0..β}.  ``engine``
+    selects the partition's coin-game engine and the tail's loops, as
+    in :func:`color_graph`: None or "compiled" runs Linial, KW and the
+    recolor as the kernel's C loops, "batched" or "scalar" as numpy.
     """
     _check_params(graph, alpha, eps)
     if graph.num_edges == 0:
@@ -265,8 +268,11 @@ def coloring_two_plus_eps(
             if sub.num_edges == 0:
                 continue
             sub_degree = min(sub.max_degree(), beta)
-            lin = linial_undirected_coloring(sub, sub_degree)
-            kw = kw_color_reduction(sub, lin.colors, sub_degree, palette=lin.num_colors)
+            lin = linial_undirected_coloring(sub, sub_degree, engine=engine)
+            kw = kw_color_reduction(
+                sub, lin.colors, sub_degree, palette=lin.num_colors,
+                engine=engine,
+            )
             initial[vertices] = kw.colors
             linial_rounds_max = max(linial_rounds_max, lin.local_rounds)
             kw_rounds_max = max(kw_rounds_max, kw.local_rounds)
@@ -286,7 +292,9 @@ def coloring_two_plus_eps(
         init_ampc_rounds = mpc_rounds_max
 
     pick = "highest" if initial_method == "kw" else "lowest"
-    recolored = greedy_recolor_by_layers(graph, partition, initial, beta, pick=pick)
+    recolored = greedy_recolor_by_layers(
+        graph, partition, initial, beta, pick=pick, engine=engine
+    )
     recolor_rounds = recoloring_ampc_rounds(len(layers), beta, delta, n)
     return _finish(
         graph,
@@ -390,11 +398,14 @@ def color_graph(
     ``workers`` how many threads its lca rounds fan out over (None
     reads ``$REPRO_WORKERS`` and defaults to ``"auto"`` — the usable
     CPU count, with small rounds staying serial), and ``engine`` how the
-    coin games execute ("compiled" fused C kernel by default, with a
-    warned fallback to the "batched" numpy lockstep kernels when it
-    cannot load; "scalar" for the per-game oracle interpreter, which
-    always plays in-process).  All three are pure throughput knobs:
-    results are identical for every combination.
+    coin games and the coloring tail execute: "compiled" (the default)
+    plays the games on the fused C kernel and runs the Linial rounds,
+    Kuhn-Wattenhofer and the cross-layer recolor as the kernel's C
+    loops, with a warned fallback to "batched" when it cannot load;
+    "batched" plays the numpy lockstep kernels and runs the numpy tail;
+    "scalar" plays the per-game oracle interpreter, which always plays
+    in-process, and runs the numpy tail.  All three are pure throughput
+    knobs: results are identical for every combination.
     """
     if alpha is None:
         alpha = max(1, degeneracy(graph))

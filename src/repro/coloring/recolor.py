@@ -8,16 +8,21 @@ color; each vertex picks an available color among {0..β} avoiding all
 neighbors that already finalized (its same-or-higher-layer neighbors, of
 which there are <= β — so a color always exists).
 
-The centralized order runs one (layer, initial color) class at a time.
-Each class is an independent set, because the initial coloring is proper
-within a layer, so no vertex of a class constrains another: every member
-sees exactly the blocked set it would see in the vertex-by-vertex walk,
-and the whole class picks its colors in one array pass over int64
-blocked-color masks, then ORs each chosen bit into its neighbors' masks.
-Colors, ``num_colors`` and ``processed_order`` are those of the
-vertex-by-vertex walk.  With β+1 > 62 colors the masks no longer fit an
-int64, and the walk itself runs over Python-int masks; it is also the
-reference the class pass is tested against.
+With the compiled kernel (``engine`` None or "compiled") the walk runs
+vertex by vertex as one C loop, :func:`repro.core.native.recolor_walk`,
+which marks the finalized neighbors' colors in a stamp array.  The array
+covers the min(β, max degree) + 1 colors at the picking end of {0..β},
+which hold every pick, so one loop serves every β.  The numpy tail
+("batched" or "scalar", and the warned fallback) is its oracle.  It runs
+one (layer, initial color) class at a time.  Each class is an
+independent set, because the initial coloring is proper within a layer,
+so no vertex of a class constrains another: every member sees exactly
+the blocked set it would see in the vertex-by-vertex walk, and the whole
+class picks its colors in one array pass over int64 blocked-color masks,
+then ORs each chosen bit into its neighbors' masks.  With β+1 > 62
+colors the masks no longer fit an int64, and the numpy tail walks over
+Python-int masks instead (:func:`_recolor_walk`).  Colors,
+``num_colors`` and ``processed_order`` are the same on every path.
 
 The AMPC simulation batches layers so each vertex's recursive dependency
 ball fits in machine memory; :func:`recoloring_ampc_rounds` reproduces the
@@ -32,6 +37,7 @@ from typing import Literal
 
 import numpy as np
 
+from repro.core import native
 from repro.graphs.graph import Graph
 from repro.partition.beta_partition import PartialBetaPartition
 
@@ -53,6 +59,7 @@ def greedy_recolor_by_layers(
     initial_colors: list[int],
     beta: int,
     pick: Literal["highest", "lowest"] = "highest",
+    engine: str | None = None,
 ) -> RecolorResult:
     """Fix cross-layer conflicts into a proper (β+1)-coloring.
 
@@ -60,7 +67,8 @@ def greedy_recolor_by_layers(
     from any palette — they only define the processing order, Section 6.4
     uses a 4β-palette initial coloring); the partition must be complete.
     ``pick`` selects the highest (Section 6.3) or lowest (Section 6.4)
-    available color from {0..β} — both are valid.
+    available color from {0..β} — both are valid.  ``engine`` picks the
+    compiled walk or the numpy tail (module docstring).
     """
     if pick not in ("highest", "lowest"):
         raise ValueError('pick must be "highest" or "lowest"')
@@ -88,14 +96,23 @@ def greedy_recolor_by_layers(
     # proper within a layer), so any tie-break yields the same constraints.
     order = np.lexsort((np.arange(n), -init_vec, -layer_vec))
     processed = order.tolist()
-    if beta + 1 > 62:
-        final = _recolor_walk(graph, processed, beta, pick)
-    else:
+    final = None
+    if native.tail_compiled(engine, "greedy_recolor_by_layers"):
+        offsets, targets = graph.csr()
+        final = native.recolor_walk(
+            offsets, targets, order, beta, lowest=pick == "lowest"
+        )
+    if final is None and beta + 1 > 62:
+        final = np.array(
+            _recolor_walk(graph, processed, beta, pick), dtype=np.int64
+        )
+    elif final is None:
         final = _recolor_by_class(
             graph, order, layer_vec[order], init_vec[order], beta, pick
         )
+    colors = final.tolist()
     return RecolorResult(
-        colors=final, num_colors=len(set(final)), processed_order=processed
+        colors=colors, num_colors=len(set(colors)), processed_order=processed
     )
 
 
@@ -106,7 +123,7 @@ def _recolor_by_class(
     init_sorted: np.ndarray,
     beta: int,
     pick: str,
-) -> list[int]:
+) -> np.ndarray:
     """The walk one (layer, initial color) class at a time (β+1 <= 62).
 
     Blocked palettes are int64 bitmaps over {0..β}.  A class picks its
@@ -137,7 +154,7 @@ def _recolor_by_class(
         final[cls] = chosen
         bits = np.repeat(np.left_shift(1, chosen), np.diff(boundaries[s:e + 1]))
         np.bitwise_or.at(blocked, nbrs[boundaries[s]:boundaries[e]], bits)
-    return final.tolist()
+    return final
 
 
 def _top_bit(x: np.ndarray) -> np.ndarray:

@@ -5,11 +5,12 @@ that fuses the per-wave hot path of the lockstep engine — threshold
 test, exact scaled-integer coin split, membership probe, sigma-ranked
 top-(beta+1) forwarding selection, and delivery scatter with
 ``minimum``-folds — over the caller's existing struct-of-arrays
-buffers.  The numpy batched engine stays verbatim as the differential
-oracle; every observable here is bit-identical to it and to the scalar
+buffers, plus the coloring tail's three sequential loops (ABI 4 below).
+The numpy batched engine stays verbatim as the differential oracle;
+every observable here is bit-identical to it and to the scalar
 interpreter.
 
-C ABI (``_wave_kernel.c`` / ``_build.CDEF``, version ``ABI_VERSION`` = 3)
+C ABI (``_wave_kernel.c`` / ``_build.CDEF``, version ``ABI_VERSION`` = 4)
 =========================================================================
 
 ``repro_play_cohort`` plays one cohort of coin-dropping games against a
@@ -91,6 +92,51 @@ game slices concurrently against one shared read-only CSR, each into
 its own ``out_layer``/``out_count`` accumulators and its own per-slice
 outputs, so their C calls run truly in parallel with nothing to lock.
 
+The coloring tail (ABI 4)
+=========================
+
+Three entry points run the sequential loops of the Section 6.3
+coloring stage, each the vertex-at-a-time form of a numpy pass in
+:mod:`repro.coloring`, which stays its oracle:
+
+- ``repro_cover_free_round(offsets, targets, n, colors, d1, q, out)`` —
+  one Linial / Arb-Linial round
+  (:meth:`~repro.coloring.cover_free.CoverFreeFamily.reduce_colors`).
+  Vertex v avoids the colors of ``targets[offsets[v]:offsets[v+1]]``;
+  it writes ``a*q + p_v(a)`` to ``out[v]`` for the smallest point ``a``
+  where its polynomial (the ``d1`` base-q digits of ``colors[v]``)
+  differs from every one of theirs.
+- ``repro_kw_reduce(offsets, targets, n, colors, dp1, num_colors,
+  local_rounds)`` — Kuhn–Wattenhofer down to ``dp1`` = Δ+1 colors
+  (:func:`~repro.coloring.kuhn_wattenhofer.kw_color_reduction`), in
+  place on ``colors``; ``*num_colors`` holds the palette in and the
+  final palette out, ``*local_rounds`` the sub-rounds run.
+- ``repro_recolor_walk(offsets, targets, n, order, beta, lowest,
+  colors)`` — the cross-layer recolor walk
+  (:func:`~repro.coloring.recolor.greedy_recolor_by_layers`) in
+  ``order``, writing each vertex's pick from {0..β} to ``colors``.
+
+Preconditions, all checked by the Python callers before the call:
+``offsets[n+1]`` / ``targets`` are a CSR with every target in
+``[0, n)``; rows need not be sorted.  The KW and walk CSRs are
+symmetric (a graph's), the cover-free one may be directed.  Colors are
+non-negative: below ``q**d1`` with ``q*q`` in int64 for the round,
+below the palette for KW.  ``order`` is a permutation of ``[0, n)``.
+Every array is caller-allocated int64 (numpy through
+``ffi.from_buffer``); the kernel writes only ``out`` / ``colors`` and
+the two KW counters.
+
+Return codes: ``0`` on success; ``1`` when a scratch allocation fails;
+``2`` when the input breaks the stage's own precondition — a vertex
+that clashes at every point (the coloring was not proper), a KW mover
+whose whole lower half is taken (a degree above Δ), a walk vertex that
+sees all of {0..β} taken (not a β-partition).  On ``1`` or ``2`` the
+outputs are unspecified, and every entry point frees its scratch
+buffers on every path, failures included.  The wrappers
+(:func:`cover_free_round`, :func:`kw_reduce`, :func:`recolor_walk`)
+return None for a non-zero code, and their callers then rerun the
+stage on its numpy pass, which raises the stage's own error for a ``2``.
+
 Loading and fallback
 ====================
 
@@ -98,8 +144,9 @@ The kernel is compiled at build time (setup.py ``cffi_modules``) or
 lazily at first use (direct ``gcc -shared`` + ``dlopen``, cached under
 ``$REPRO_NATIVE_CACHE``).  :func:`available` gates dispatch:
 ``engine="compiled"`` degrades to ``"batched"`` with a one-time warning
-when the kernel cannot be loaded, ``REPRO_NATIVE_DISABLE=1`` forces
-that degradation, and a corrupt or missing shared object only flips
+when the kernel cannot be loaded (the coloring tail too, through
+:func:`tail_compiled`), ``REPRO_NATIVE_DISABLE=1`` forces that
+degradation, and a corrupt or missing shared object only flips
 :func:`available` to ``False`` — it never breaks ``import repro``.
 """
 
@@ -116,7 +163,7 @@ import numpy as np
 from repro.core import batched_games
 from repro.core.batched_games import BatchedGamesInfo
 
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 _ffi = None
 _lib = None
@@ -337,3 +384,90 @@ def play_games_compiled(
             [info, _all_ejected(num_games - done, want_records)]
         )
     return info
+
+
+def tail_compiled(engine: str | None, context: str) -> bool:
+    """Whether the coloring tail runs its compiled loops for ``engine``.
+
+    ``None`` and ``"compiled"`` ask for them; when the kernel cannot
+    load, this warns once (:func:`warn_fallback`) and answers False.
+    ``"batched"`` and ``"scalar"`` run the numpy tail, the oracle.
+    """
+    if engine not in (None, "batched", "compiled", "scalar"):
+        raise ValueError('engine must be "batched", "compiled" or "scalar"')
+    if engine not in (None, "compiled"):
+        return False
+    if available():
+        return True
+    warn_fallback(context)
+    return False
+
+
+def _tail_call(entry: str, *arrays_and_ints) -> bool:
+    """Call tail entry point ``entry``, numpy arrays passed by buffer
+    (int64, C-contiguous, the outputs writable); True when it returned 0.
+    False too when an integer argument does not fit an int64: the numpy
+    pass takes Python ints."""
+    _load()
+    if _lib is None:
+        raise RuntimeError("compiled wave kernel unavailable") from _load_error
+    args = [
+        _ffi.from_buffer("int64_t[]", a, require_writable=a.flags.writeable)
+        if isinstance(a, np.ndarray) else a
+        for a in arrays_and_ints
+    ]
+    try:
+        return getattr(_lib, entry)(*args) == 0
+    except OverflowError:
+        return False
+
+
+def _i64(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def cover_free_round(
+    offsets: np.ndarray, targets: np.ndarray, colors: np.ndarray,
+    d1: int, q: int,
+) -> np.ndarray | None:
+    """One Linial round (``repro_cover_free_round``) over the constraint
+    CSR: vertex v avoids ``targets[offsets[v]:offsets[v+1]]``, and each
+    color in ``[0, q**d1)`` is the polynomial of its ``d1`` base-q digits.
+    None when the loop failed (an allocation, or a clash at every point):
+    the caller's numpy pass then reruns the round and raises its own
+    error."""
+    colors = _i64(colors)
+    out = np.empty(colors.size, dtype=np.int64)
+    ok = _tail_call("repro_cover_free_round", _i64(offsets), _i64(targets),
+                    colors.size, colors, d1, q, out)
+    return out if ok else None
+
+
+def kw_reduce(
+    offsets: np.ndarray, targets: np.ndarray, colors: np.ndarray,
+    palette: int, delta_plus_1: int,
+) -> tuple[np.ndarray, int, int] | None:
+    """Kuhn–Wattenhofer down to ``delta_plus_1`` colors
+    (``repro_kw_reduce``) on a copy of ``colors``: ``(colors, num_colors,
+    local_rounds)``, or None when the loop failed (see
+    :func:`cover_free_round`)."""
+    out = np.array(colors, dtype=np.int64)
+    stats = np.array([palette, 0], dtype=np.int64)
+    ok = _tail_call("repro_kw_reduce", _i64(offsets), _i64(targets),
+                    out.size, out, delta_plus_1, stats[:1], stats[1:])
+    return (out, int(stats[0]), int(stats[1])) if ok else None
+
+
+def recolor_walk(
+    offsets: np.ndarray, targets: np.ndarray, order: np.ndarray,
+    beta: int, lowest: bool,
+) -> np.ndarray | None:
+    """The recolor walk (``repro_recolor_walk``) in ``order``, a
+    permutation of the vertices: each takes the highest (``lowest``: the
+    lowest) color of {0..β} its colored neighbours leave free.  None when
+    the loop failed (see :func:`cover_free_round`)."""
+    order = _i64(order)
+    out = np.empty(order.size, dtype=np.int64)
+    ok = _tail_call("repro_recolor_walk", _i64(offsets), _i64(targets),
+                    order.size, order, beta, int(lowest), out)
+    return out if ok else None

@@ -55,6 +55,16 @@ int repro_play_cohort(
     int64_t *arena_lens, int64_t *games_done);
 void repro_buffers_free(int64_t *p);
 int64_t repro_abi_version(void);
+int repro_cover_free_round(
+    const int64_t *offsets, const int64_t *targets, int64_t n,
+    const int64_t *colors, int64_t d1, int64_t q, int64_t *out);
+int repro_kw_reduce(
+    const int64_t *offsets, const int64_t *targets, int64_t n,
+    int64_t *colors, int64_t dp1, int64_t *num_colors,
+    int64_t *local_rounds);
+int repro_recolor_walk(
+    const int64_t *offsets, const int64_t *targets, int64_t n,
+    const int64_t *order, int64_t beta, int64_t lowest, int64_t *colors);
 """
 
 _SOURCE_PATH = Path(__file__).parent / "_wave_kernel.c"

@@ -11,7 +11,8 @@
  * so any exact integer strategy with ejection-on-overflow produces the
  * same observable transcript.  See repro/core/native/__init__.py for
  * the full ABI contract (version 3: inside edges are counted only
- * when the caller keeps records).
+ * when the caller keeps records; version 4 adds the coloring tail's
+ * three loops at the end of this file).
  *
  * A game does only the work its outputs read.  Its sigma is kept across
  * super-iterations: the first one it needs is a full peel, each later
@@ -393,7 +394,7 @@ static int sigma_update(
 
 void repro_buffers_free(i64 *p) { free(p); }
 
-i64 repro_abi_version(void) { return 3; }
+i64 repro_abi_version(void) { return 4; }
 
 /* Play one cohort of games.  Returns 0 on success, 1 on allocation
  * failure.  Either way *games_done games finished: their per-game
@@ -720,5 +721,247 @@ done:
     free(relax.data);
     free(cand);
     slots_free(&S);
+    return rc;
+}
+
+/* ---- The coloring tail (ABI 4) -----------------------------------------
+ *
+ * Three sequential loops of the Section 6.3 coloring stage: a Linial
+ * cover-free round, Kuhn-Wattenhofer reduction and the cross-layer
+ * recolor walk.  Each is the vertex-at-a-time form of a numpy pass in
+ * repro.coloring, which stays the oracle; the Python callers validate
+ * every input first.  They return 0 on success, 1 on allocation failure
+ * and 2 when the input breaks the stage's own precondition (the caller
+ * raises its error); on 1 or 2 the outputs are unspecified, and every
+ * scratch buffer is freed on every path. */
+
+/* Scratch of len + 1 entries (never a zero-byte malloc); NULL when the
+ * byte count would not fit a size_t. */
+static i64 *tail_alloc(i64 len) {
+    if (len < 0 || (uint64_t)len >= SIZE_MAX / sizeof(i64)) return NULL;
+    return (i64 *)malloc((size_t)(len + 1) * sizeof(i64));
+}
+
+/* p_w(a) over F_q for a point a >= 1: Horner over w's base-q digits
+ * (written to dig[w*d1 ..] on w's first evaluation, when at[w] is still
+ * -1), evaluated once per point and then read from val[] (stamped by
+ * at[]).  Every Horner operand stays below q*q. */
+static i64 point_value(
+    i64 w, i64 a, const i64 *colors, i64 d1, i64 q, i64 *dig, i64 *val,
+    i64 *at
+) {
+    i64 *c = dig + w * d1;
+    i64 k, x;
+    if (at[w] == a) return val[w];
+    if (at[w] < 0)
+        for (x = colors[w], k = 0; k < d1; k++, x /= q) c[k] = x % q;
+    x = c[d1 - 1];
+    for (k = d1 - 2; k >= 0; k--) x = (x * a + c[k]) % q;
+    at[w] = a;
+    val[w] = x;
+    return x;
+}
+
+/* One cover-free round: vertex v avoids the colors of targets[offsets[v]
+ * .. offsets[v+1]) and takes a*q + p_v(a) for the smallest point a where
+ * its polynomial differs from every one of theirs.  Colors are in
+ * [0, q^d1), and p_v's coefficients are the d1 base-q digits of
+ * colors[v], lowest first; q*q must fit an int64.  Points go outer and
+ * pending vertices inner, as in CoverFreeFamily.reduce_colors, so each
+ * vertex's value at a point is evaluated once however many vertices
+ * avoid it.  Point 0 runs as its own branch-free pass over the lowest
+ * digits (p_v(0)), since most vertices finish there; only the vertices
+ * a later point reads get their other digits.  rc 2: some vertex
+ * clashes at every point (the coloring was not proper). */
+int repro_cover_free_round(
+    const i64 *offsets, const i64 *targets, i64 n,
+    const i64 *colors, i64 d1, i64 q, i64 *out
+) {
+    i64 *dig = NULL, *val = NULL, *at = NULL, *pending = NULL;
+    i64 a, i, v, npend = 0;
+    int rc = 1;
+
+    if (d1 < 1 || n > INT64_MAX / d1) return 1;
+    dig = tail_alloc(n * d1);
+    val = tail_alloc(n);
+    at = tail_alloc(n);
+    pending = tail_alloc(n);
+    if (!dig || !val || !at || !pending) goto done;
+    for (v = 0; v < n; v++) {
+        val[v] = colors[v] % q;
+        at[v] = -1;
+    }
+    for (v = 0; v < n; v++) {
+        i64 e, mine = val[v], clash = 0;
+        for (e = offsets[v]; e < offsets[v + 1]; e++)
+            clash |= val[targets[e]] == mine;
+        out[v] = mine;
+        pending[npend] = v;
+        npend += clash;
+    }
+    for (a = 1; a < q && npend; a++) {
+        i64 keep = 0;
+        for (i = 0; i < npend; i++) {
+            i64 e, end, mine;
+            v = pending[i];
+            mine = point_value(v, a, colors, d1, q, dig, val, at);
+            end = offsets[v + 1];
+            for (e = offsets[v]; e < end; e++)
+                if (point_value(targets[e], a, colors, d1, q, dig, val, at)
+                        == mine)
+                    break;
+            if (e < end) pending[keep++] = v;
+            else out[v] = a * q + mine;
+        }
+        npend = keep;
+    }
+    rc = npend ? 2 : 0;
+done:
+    free(dig);
+    free(val);
+    free(at);
+    free(pending);
+    return rc;
+}
+
+/* Kuhn-Wattenhofer reduction of colors[0..n) in place, from palette
+ * *num_colors down to dp1 = Delta+1 colors, on a symmetric CSR.  A color
+ * is held as its block of 2*dp1 colors and its position in the block.
+ * Each phase counting-sorts the vertices by position (counted in the
+ * previous pass over them); the movers are those at the upper-half
+ * positions dp1 + j, and the dp1 sub-rounds run in order j: every mover
+ * takes the first lower-half position that no neighbour in its block
+ * holds.  A sub-round's movers all pick before
+ * any of them writes, as in kw_color_reduction's array step.  Then the
+ * lower halves renumber consecutively, halving the palette: block b's
+ * half becomes half (b & 1) of block b >> 1, so only the first phase
+ * divides.  The hot loops are branch-free where the data is random:
+ * a neighbour outside the block marks the spare slot mark[block].
+ * Writes the final palette to *num_colors and the sub-rounds run to
+ * *local_rounds.  rc 2: a mover found its whole lower half taken (some
+ * degree exceeds Delta). */
+int repro_kw_reduce(
+    const i64 *offsets, const i64 *targets, i64 n,
+    i64 *colors, i64 dp1, i64 *num_colors, i64 *local_rounds
+) {
+    i64 m = *num_colors, block, rounds = 0, token = 0;
+    i64 *blk = NULL, *pos = NULL, *sorted = NULL, *picks = NULL;
+    i64 *seg = NULL, *mark = NULL;
+    i64 v, j;
+    int rc = 1;
+
+    *local_rounds = 0;
+    if (m <= dp1) return 0;
+    if (dp1 < 1 || dp1 > INT64_MAX / 4) return 2;
+    block = 2 * dp1;
+    blk = tail_alloc(n);
+    pos = tail_alloc(n);
+    sorted = tail_alloc(n);
+    picks = tail_alloc(n);
+    seg = tail_alloc(block);
+    mark = tail_alloc(block); /* block + 1 slots: the spare is mark[block] */
+    if (!blk || !pos || !sorted || !picks || !seg || !mark) goto done;
+    for (j = 0; j <= block; j++) mark[j] = seg[j] = 0;
+    for (v = 0; v < n; v++) {
+        blk[v] = colors[v] / block;
+        pos[v] = colors[v] % block;
+        seg[pos[v] + 1]++;
+    }
+    while (m > dp1) {
+        i64 blocks;
+        /* seg[p] ends position p's run of sorted[] after placement */
+        for (j = 1; j <= block; j++) seg[j] += seg[j - 1];
+        for (v = 0; v < n; v++) sorted[seg[pos[v]]++] = v;
+        for (j = 0; j < dp1; j++) {
+            i64 lo = seg[dp1 + j - 1], hi = seg[dp1 + j], i;
+            rounds++;
+            for (i = lo; i < hi; i++) {
+                i64 b, e, c;
+                v = sorted[i];
+                b = blk[v];
+                token++;
+                for (e = offsets[v]; e < offsets[v + 1]; e++) {
+                    i64 w = targets[e];
+                    mark[blk[w] == b ? pos[w] : block] = token;
+                }
+                for (c = 0; c < dp1 && mark[c] == token; c++)
+                    ;
+                if (c == dp1) {
+                    rc = 2;
+                    goto done;
+                }
+                picks[i] = c;
+            }
+            for (i = lo; i < hi; i++) pos[sorted[i]] = picks[i];
+        }
+        /* renumber, and count the next phase's positions */
+        for (j = 0; j <= block; j++) seg[j] = 0;
+        for (v = 0; v < n; v++) {
+            pos[v] += (blk[v] & 1) * dp1;
+            blk[v] >>= 1;
+            seg[pos[v] + 1]++;
+        }
+        blocks = m / block + (m % block != 0);
+        m = blocks == 1 ? dp1 : blocks * dp1;
+    }
+    for (v = 0; v < n; v++) colors[v] = blk[v] * block + pos[v];
+    *num_colors = m;
+    *local_rounds = rounds;
+    rc = 0;
+done:
+    free(blk);
+    free(pos);
+    free(sorted);
+    free(picks);
+    free(seg);
+    free(mark);
+    return rc;
+}
+
+/* The cross-layer recolor walk: vertices in order[0..n) (a permutation
+ * of [0, n)) each take the highest (lowest when `lowest`) color of
+ * {0..beta} that no already-colored neighbour holds, into colors[0..n).
+ * On a symmetric CSR that is the blocked-mask walk of
+ * greedy_recolor_by_layers, for any beta.  A vertex of degree d picks
+ * within d+1 steps of its palette end, so every color lies in the
+ * window of the w = min(beta, max degree) + 1 colors at that end, and
+ * the stamp array covers the window alone: mark[1 + k] for the k-th
+ * color from the end, mark[0] the spare that neighbours outside the
+ * window (uncolored ones, -1, included) stamp, so the loop has no
+ * branch.  rc 2: some vertex sees the whole palette taken. */
+int repro_recolor_walk(
+    const i64 *offsets, const i64 *targets, i64 n,
+    const i64 *order, i64 beta, i64 lowest, i64 *colors
+) {
+    i64 *mark = NULL;
+    i64 i, k, w = 0;
+    int rc = 1;
+
+    if (beta < 0 || beta == INT64_MAX) goto done;
+    for (i = 0; i < n; i++)
+        if (offsets[i + 1] - offsets[i] > w) w = offsets[i + 1] - offsets[i];
+    w = (w < beta ? w : beta) + 1;
+    mark = tail_alloc(w);
+    if (!mark) goto done;
+    for (k = 0; k <= w; k++) mark[k] = -1;
+    for (i = 0; i < n; i++) colors[i] = -1;
+    for (i = 0; i < n; i++) {
+        i64 v = order[i], e;
+        for (e = offsets[v]; e < offsets[v + 1]; e++) {
+            i64 c = colors[targets[e]];
+            k = lowest ? c : beta - c;
+            mark[(uint64_t)k < (uint64_t)w ? 1 + k : 0] = i;
+        }
+        for (k = 0; k < w && mark[1 + k] == i; k++)
+            ;
+        if (k == w) {
+            rc = 2;
+            goto done;
+        }
+        colors[v] = lowest ? k : beta - k;
+    }
+    rc = 0;
+done:
+    free(mark);
     return rc;
 }

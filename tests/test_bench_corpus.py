@@ -134,6 +134,9 @@ CASES = {
         _relative("gnm-batched/w1", "partition_s", "gnm/w1", "partition_s",
                   1.9),
         "compiled partition lost its edge"),
+    "compiled tail under 2x batched": (
+        _relative("gnm-batched/w1", "tail_s", "gnm/w1", "tail_s", 1.9),
+        "compiled coloring tail lost its edge"),
     "workers=2 at 1.3x serial": (_sweep(1.0, 1.3, 1.3, 2),
                                  "worker-overhead budget"),
     "1-CPU host at 2.1x serial": (_sweep(1.0, 2.1, 1.0, 1),

@@ -92,6 +92,7 @@ class TestParser:
             (["color", "--alpha", "0"],
              "alpha must be >= 1 on a graph with edges, got 0"),
             (["color", "--eps", "0"], "eps must be > 0, got 0.0"),
+            (["partition", "--alpha", "0"], "--alpha must be >= 1, got 0"),
         ],
     )
     def test_bad_generator_argument_is_a_one_line_error(self, argv, message, capsys):

@@ -1,10 +1,12 @@
 """Differential tests: the array coloring stage against per-vertex oracles.
 
 Linial, Arb-Linial, Kuhn-Wattenhofer and the partition orientation run
-as whole-array kernels in ``src/``.  The per-vertex loops they replaced
-live here as the oracles: every kernel must reproduce its oracle's
-colors, palette size and LOCAL round count bit for bit, and raise on the
-same bad inputs.
+as whole-array kernels in ``src/``, and the first three also as the
+compiled kernel's C loops (``engine`` None or "compiled"; "batched" is
+the numpy tail).  The per-vertex loops they replaced live here as the
+oracles: every test runs both tail engines, each must reproduce its
+oracle's colors, palette size and LOCAL round count bit for bit, and
+raise on the same bad inputs.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tail_engines import TAIL_ENGINES, tail
 
 from repro.coloring.arb_linial import arb_linial_coloring, linial_undirected_coloring
 from repro.coloring.cover_free import choose_family
@@ -24,6 +27,7 @@ from repro.graphs.generators import (
     star_graph,
     union_of_random_forests,
 )
+from repro.graphs.graph import Graph
 from repro.partition.beta_partition import INFINITY, PartialBetaPartition
 
 # ----------------------------------------------------------------------
@@ -201,13 +205,15 @@ class TestMatchesOracle:
         ori = orient_by_partition(graph, partition)
         beta = max(beta, ori.max_out_degree(), 1)
         initial = data.draw(initial_colorings(graph.num_vertices))
-        res = arb_linial_coloring(ori, beta, *initial)
         colors, palette, rounds = oracle_linial(
             graph.num_vertices, ori.out_neighbors, beta, *initial
         )
-        assert (res.colors, res.num_colors, res.local_rounds) == (
-            colors, palette, rounds
-        )
+        for engine in TAIL_ENGINES:
+            with tail(engine):
+                res = arb_linial_coloring(ori, beta, *initial, engine=engine)
+            assert (res.colors, res.num_colors, res.local_rounds) == (
+                colors, palette, rounds
+            ), engine
 
     @given(graphs(), betas, st.data())
     @settings(max_examples=60, deadline=None)
@@ -215,28 +221,35 @@ class TestMatchesOracle:
         # The Section 6.3 per-layer stage: Linial, then KW from its output.
         bound = max(beta, graph.max_degree())
         initial = data.draw(initial_colorings(graph.num_vertices))
-        lin = linial_undirected_coloring(graph, bound, *initial)
         neighbors = [graph.neighbors(v).tolist() for v in graph.vertices()]
         colors, palette, rounds = oracle_linial(
             graph.num_vertices, neighbors, bound, *initial
         )
-        assert (lin.colors, lin.num_colors, lin.local_rounds) == (
-            colors, palette, rounds
-        )
-        kw = kw_color_reduction(graph, lin.colors, bound, palette=lin.num_colors)
-        assert (kw.colors, kw.num_colors, kw.local_rounds) == oracle_kw(
-            graph, lin.colors, bound, palette=lin.num_colors
-        )
+        want_kw = oracle_kw(graph, colors, bound, palette=palette)
+        for engine in TAIL_ENGINES:
+            with tail(engine):
+                lin = linial_undirected_coloring(
+                    graph, bound, *initial, engine=engine
+                )
+                kw = kw_color_reduction(
+                    graph, lin.colors, bound, palette=lin.num_colors,
+                    engine=engine,
+                )
+            assert (lin.colors, lin.num_colors, lin.local_rounds) == (
+                colors, palette, rounds
+            ), engine
+            assert (kw.colors, kw.num_colors, kw.local_rounds) == want_kw, engine
 
     @given(graphs())
     @settings(max_examples=40, deadline=None)
     def test_kw_from_ids(self, graph):
         delta = graph.max_degree()
         ids = list(range(graph.num_vertices))
-        res = kw_color_reduction(graph, ids, delta)
-        assert (res.colors, res.num_colors, res.local_rounds) == oracle_kw(
-            graph, ids, delta
-        )
+        want = oracle_kw(graph, ids, delta)
+        for engine in TAIL_ENGINES:
+            with tail(engine):
+                res = kw_color_reduction(graph, ids, delta, engine=engine)
+            assert (res.colors, res.num_colors, res.local_rounds) == want, engine
 
     @given(st.integers(2, 500), betas, st.data())
     @settings(max_examples=60, deadline=None)
@@ -246,9 +259,18 @@ class TestMatchesOracle:
         others = data.draw(st.lists(
             st.integers(0, m - 1).filter(lambda c: c != color), max_size=beta,
         ))
-        assert family.reduce_color(color, others, beta) == oracle_reduce_color(
-            family, color, others, beta
-        )
+        want = oracle_reduce_color(family, color, others, beta)
+        k = len(others)
+        colors = np.array([color, *others])
+        # Vertex 0 avoids vertices 1..k; they avoid nothing.
+        offsets = np.array([0] + [k] * (k + 1))
+        for engine in TAIL_ENGINES:
+            with tail(engine):
+                got = family.reduce_colors(
+                    colors, offsets, np.arange(1, k + 1), beta, engine=engine
+                )
+            assert int(got[0]) == want, engine
+        assert family.reduce_color(color, others, beta) == want
 
 
 # ----------------------------------------------------------------------
@@ -257,50 +279,93 @@ class TestMatchesOracle:
 
 
 class TestErrorPaths:
+    """Both tail engines raise the same error on each bad input."""
+
     def test_out_degree_above_beta(self):
         graph = star_graph(12)
         # Every leaf in layer 1: the hub (layer 0) points at all 11.
         partition = PartialBetaPartition({0: 0, **{v: 1 for v in range(1, 12)}})
         ori = orient_by_partition(graph, partition)
-        with pytest.raises(ValueError, match="exceeds"):
-            arb_linial_coloring(ori, 10)
-        with pytest.raises(ValueError, match="more out-neighbors"):
-            # A large palette, so that a reduction round runs at all.
-            linial_undirected_coloring(graph, 10, list(range(12)), 10**6)
         family = choose_family(100, 2)
-        src = np.zeros(3, dtype=np.int64)
-        with pytest.raises(ValueError, match="more out-neighbors"):
-            family.reduce_colors(np.arange(4), src, np.arange(1, 4), 2)
+        for engine in TAIL_ENGINES:
+            with pytest.raises(ValueError, match="exceeds"):
+                arb_linial_coloring(ori, 10, engine=engine)
+            with pytest.raises(ValueError, match="more out-neighbors"):
+                # A large palette, so that a reduction round runs at all.
+                linial_undirected_coloring(
+                    graph, 10, list(range(12)), 10**6, engine=engine
+                )
+            with pytest.raises(ValueError, match="more out-neighbors"):
+                family.reduce_colors(
+                    np.arange(4), [0, 3, 3, 3, 3], np.arange(1, 4), 2,
+                    engine=engine,
+                )
+
+    def test_constraints_not_a_csr(self):
+        family = choose_family(100, 3)
+        for engine in TAIL_ENGINES:
+            for offsets in ([0, 2, 2], [1, 2, 2, 2], [0, 2, 1, 2], [0, 2, 2, 3]):
+                with pytest.raises(ValueError, match="not a CSR"):
+                    family.reduce_colors(
+                        np.array([5, 1, 4]), offsets, np.array([1, 2]), 3,
+                        engine=engine,
+                    )
 
     def test_colors_outside_the_palette(self):
         graph = random_gnm(30, 60, seed=4)
         delta = graph.max_degree()
         bad = list(range(30))
         bad[7] = 40
-        with pytest.raises(ValueError, match="palette"):
-            kw_color_reduction(graph, bad, delta, palette=30)
-        with pytest.raises(ValueError, match="palette"):
-            linial_undirected_coloring(
-                graph, delta, bad[:7] + [10**6] + bad[8:], initial_palette=10**6
-            )
         ori = orient_by_partition(graph, PartialBetaPartition(dict.fromkeys(range(30), 0)))
-        with pytest.raises(ValueError, match="palette"):
-            arb_linial_coloring(ori, 30, bad, initial_palette=30)
-        with pytest.raises(ValueError, match="palette"):
-            kw_color_reduction(graph, [-1] + bad[1:], delta)
+        for engine in TAIL_ENGINES:
+            with pytest.raises(ValueError, match="palette"):
+                kw_color_reduction(graph, bad, delta, palette=30, engine=engine)
+            with pytest.raises(ValueError, match="palette"):
+                linial_undirected_coloring(
+                    graph, delta, bad[:7] + [10**6] + bad[8:],
+                    initial_palette=10**6, engine=engine,
+                )
+            with pytest.raises(ValueError, match="palette"):
+                arb_linial_coloring(
+                    ori, 30, bad, initial_palette=30, engine=engine
+                )
+            with pytest.raises(ValueError, match="palette"):
+                kw_color_reduction(graph, [-1] + bad[1:], delta, engine=engine)
 
     def test_improper_input_coloring(self):
         graph = random_gnm(30, 60, seed=5)
         delta = graph.max_degree()
         flat = [0] * 30
-        with pytest.raises(AssertionError, match="no distinguishing point"):
-            linial_undirected_coloring(graph, delta, flat, initial_palette=10**6)
         ori = orient_by_partition(graph, PartialBetaPartition(dict.fromkeys(range(30), 0)))
-        with pytest.raises(AssertionError, match="no distinguishing point"):
-            arb_linial_coloring(ori, delta, flat, initial_palette=10**6)
         family = choose_family(100, 3)
+        for engine in TAIL_ENGINES:
+            with pytest.raises(AssertionError, match="no distinguishing point"):
+                linial_undirected_coloring(
+                    graph, delta, flat, initial_palette=10**6, engine=engine
+                )
+            with pytest.raises(AssertionError, match="no distinguishing point"):
+                arb_linial_coloring(
+                    ori, delta, flat, initial_palette=10**6, engine=engine
+                )
+            with pytest.raises(AssertionError, match="no distinguishing point"):
+                family.reduce_colors(
+                    np.array([5, 1, 5]), [0, 2, 2, 2], np.array([1, 2]), 3,
+                    engine=engine,
+                )
         with pytest.raises(AssertionError, match="no distinguishing point"):
             family.reduce_color(5, [1, 5], 3)
+
+    def test_kw_degree_above_its_bound(self):
+        # K_4 with Δ claimed 1: color 2 moves into block 0's lower half
+        # {0, 1}, which its neighbors 0 and 1 both hold.
+        graph = Graph.from_arrays(4, np.column_stack(np.triu_indices(4, k=1)))
+        for engine in TAIL_ENGINES:
+            with pytest.raises(AssertionError, match="no free color"):
+                kw_color_reduction(graph, [0, 1, 2, 3], 1, engine=engine)
+            with pytest.raises(ValueError, match="max_degree"):
+                kw_color_reduction(graph, [0, 1, 2, 3], -1, engine=engine)
+            with pytest.raises(ValueError, match="one color per vertex"):
+                kw_color_reduction(graph, [0, 1, 2], 3, engine=engine)
 
     def test_unlayered_vertex(self):
         graph = random_gnm(10, 20, seed=6)

@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tail_engines import TAIL_ENGINES, tail
 
 from repro.coloring.pipeline import (
     PipelineResult,
@@ -20,6 +21,7 @@ from repro.coloring.pipeline import (
 from repro.graphs.generators import (
     grid_2d,
     preferential_attachment,
+    random_gnm,
     random_tree,
     union_of_random_forests,
 )
@@ -195,3 +197,35 @@ class TestParameterChecks:
         g = union_of_random_forests(50, 2, seed=4)
         with pytest.raises(ValueError, match="alpha must be >= 1"):
             color_graph(g, alpha=0)
+
+
+class TestTailEngines:
+    """The coloring tail on the compiled kernel's C loops and on the
+    numpy passes gives the same colors and round counts."""
+
+    @pytest.mark.parametrize("variant", ["two_plus_eps", "alpha_squared"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_gnm(600, 1_200, seed=7),
+            lambda: preferential_attachment(400, 3, seed=7),
+            lambda: union_of_random_forests(500, 3, seed=7),
+        ],
+        ids=["gnm", "pa", "forests"],
+    )
+    def test_compiled_equals_batched(self, make, variant):
+        g = make()
+        results = {}
+        for engine in TAIL_ENGINES:
+            with tail(engine):
+                results[engine] = color_graph(
+                    g, variant=variant, workers=1, engine=engine
+                )
+        got, want = results["compiled"], results["batched"]
+        assert got.colors == want.colors
+        for field in ("num_colors", "palette_bound", "num_layers",
+                      "partition_rounds", "coloring_rounds"):
+            assert getattr(got, field) == getattr(want, field), field
+        for key in ("init_local_rounds", "init_ampc_rounds",
+                    "linial_local_rounds"):
+            assert got.details.get(key) == want.details.get(key), key

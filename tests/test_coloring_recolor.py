@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from tail_engines import TAIL_ENGINES, tail
 
 from repro.coloring import recolor
+from repro.core import native
 from repro.coloring.recolor import (
     greedy_recolor_by_layers,
     recoloring_ampc_rounds,
@@ -37,8 +40,9 @@ def _per_layer_greedy(graph, partition, beta):
     return colors
 
 
-# Palette widths around the int64 mask limit: β+1 <= 62 colors take the
-# class-at-a-time pass, wider palettes the Python-int walk.
+# Palette widths around the int64 mask limit: on the numpy tail, β+1 <= 62
+# colors take the class-at-a-time pass, wider palettes the Python-int
+# walk; the compiled walk takes them all.
 CLASS_BETAS = (6, 52, 53, 61)
 WALK_BETAS = (62, 63, 100)
 
@@ -102,23 +106,28 @@ class TestRecolor:
     @example(seed=6, beta=63)
     @example(seed=7, beta=100)
     def test_bitmap_palettes_match_blocked_set_reference(self, seed, beta):
-        """The mask palettes pick the same colors as neighbor sets.
+        """Every tail picks the same colors as neighbor sets.
 
-        β+1 <= 62 runs the class-at-a-time pass, which must also equal the
-        vertex-by-vertex walk; wider palettes must take the walk.
+        The compiled walk serves every β.  On the numpy tail, β+1 <= 62
+        runs the class-at-a-time pass and wider palettes must take the
+        Python-int walk.  All equal the vertex-by-vertex walk.
         """
         g = _forests_plus_cliques(seed, beta)
         p = natural_beta_partition(g, beta)
         initial = _per_layer_greedy(g, p, beta)
-        for pick in ("highest", "lowest"):
-            if beta in WALK_BETAS:
-                with pytest.MonkeyPatch.context() as patch:
+        for engine, pick in itertools.product(
+            TAIL_ENGINES, ("highest", "lowest")
+        ):
+            with pytest.MonkeyPatch.context() as patch:
+                if engine == "batched" and beta in WALK_BETAS:
                     patch.setattr(recolor, "_recolor_by_class", None)
-                    res = greedy_recolor_by_layers(g, p, initial, beta, pick=pick)
-            else:
-                res = greedy_recolor_by_layers(g, p, initial, beta, pick=pick)
-                walk = recolor._recolor_walk(g, res.processed_order, beta, pick)
-                assert res.colors == walk
+                with tail(engine):
+                    res = greedy_recolor_by_layers(
+                        g, p, initial, beta, pick=pick, engine=engine
+                    )
+            walk = recolor._recolor_walk(g, res.processed_order, beta, pick)
+            assert res.colors == walk
+            assert res.num_colors == len(set(walk))
             assert is_proper_coloring(g, res.colors)
             # The cliques force picks into the palette's top bit.
             assert max(res.colors) == beta
@@ -137,14 +146,47 @@ class TestRecolor:
             assert res.colors == final
 
     def test_exhausted_palette_asserts_on_both_paths(self):
-        # K_4 in one layer has no proper 3-coloring: the class pass and
-        # the walk both trip the palette-exhausted assertion.
+        # K_4 in one layer has no proper 3-coloring: the compiled walk,
+        # the class pass and the Python-int walk all trip the
+        # palette-exhausted assertion.
         g = Graph.from_arrays(4, np.column_stack(np.triu_indices(4, k=1)))
         p = PartialBetaPartition({v: 0 for v in range(4)})
-        with pytest.raises(AssertionError, match="palette exhausted"):
-            greedy_recolor_by_layers(g, p, [0, 1, 2, 3], beta=2)
+        for engine, pick in itertools.product(
+            TAIL_ENGINES, ("highest", "lowest")
+        ):
+            with pytest.raises(AssertionError, match="palette exhausted"):
+                greedy_recolor_by_layers(
+                    g, p, [0, 1, 2, 3], beta=2, pick=pick, engine=engine
+                )
+        if native.available():
+            offsets, targets = g.csr()
+            assert native.recolor_walk(
+                offsets, targets, np.arange(4), 2, lowest=False
+            ) is None
         with pytest.raises(AssertionError, match="palette exhausted"):
             recolor._recolor_walk(g, [3, 2, 1, 0], 2, "highest")
+
+    @pytest.mark.skipif(not native.available(), reason="kernel not loaded")
+    def test_huge_beta_on_the_compiled_walk(self):
+        # β = 10^9: the compiled walk and the color count stay within the
+        # degree-sized window.  Above the max degree a "highest" walk's
+        # picks sit a fixed distance below β, and a "lowest" walk's do not
+        # depend on β, so β = 70 on the Python-int walk is the oracle.
+        g = union_of_random_forests(60, 3, seed=8)
+        p = natural_beta_partition(g, 6)
+        initial = _per_layer_greedy(g, p, 6)
+        huge, small = 10**9, 70
+        for pick, shift in (("highest", huge - small), ("lowest", 0)):
+            with tail("compiled"):
+                got = greedy_recolor_by_layers(
+                    g, p, initial, beta=huge, pick=pick, engine="compiled"
+                )
+            want = greedy_recolor_by_layers(
+                g, p, initial, beta=small, pick=pick, engine="batched"
+            )
+            assert got.colors == [c + shift for c in want.colors], pick
+            assert got.num_colors == want.num_colors
+            assert got.processed_order == want.processed_order
 
     def test_unknown_pick_rejected(self):
         g = path_graph(3)

@@ -1,9 +1,10 @@
-"""Full-size identity of the array coloring tail (``slow``-marked).
+"""Full-size identity of the coloring tail (``slow``-marked).
 
-``color_graph`` picks α with the array degeneracy peel and recolors with
-the class-at-a-time pass.  On full-size shapes both must reproduce, color
-for color, a run with the reference paths forced in: the ordered list
-peel (``degeneracy_order``) and the vertex-by-vertex recolor walk.  The
+``color_graph`` picks α with the array degeneracy peel and, by default,
+colors and recolors with the compiled kernel's C loops.  On full-size
+shapes that must reproduce, color for color, a run with the reference
+paths forced in: the batched engine's numpy tail, the ordered list peel
+(``degeneracy_order``) and the vertex-by-vertex recolor walk.  The
 array peel must also match the list peel on a 200k-vertex path, its
 chain-like worst case (one scalar worklist step per vertex).  A compiled
 run whose shrunk coin budget sends games to the interpreter must give
@@ -13,6 +14,7 @@ default-budget run.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.coloring import pipeline, recolor
@@ -30,7 +32,9 @@ def _list_peel_degeneracy(graph):
 
 
 def _walk_by_class_signature(graph, order, layer_sorted, init_sorted, beta, pick):
-    return recolor._recolor_walk(graph, order.tolist(), beta, pick)
+    return np.array(
+        recolor._recolor_walk(graph, order.tolist(), beta, pick), dtype=np.int64
+    )
 
 
 @pytest.mark.parametrize(
@@ -46,7 +50,7 @@ def test_colors_match_reference_paths(make, monkeypatch):
     fast = color_graph(graph)
     monkeypatch.setattr(pipeline, "degeneracy", _list_peel_degeneracy)
     monkeypatch.setattr(recolor, "_recolor_by_class", _walk_by_class_signature)
-    reference = color_graph(graph)
+    reference = color_graph(graph, engine="batched")
     assert fast.variant == "two_plus_eps"  # the variant that recolors
     assert fast.alpha == reference.alpha
     assert fast.colors == reference.colors

@@ -6,6 +6,8 @@ default) downgrades to the bit-identical ``"batched"``
 engine with a one-time warning, ``REPRO_NATIVE_DISABLE=1`` forces the
 same downgrade, and a corrupt shared object in the build cache only
 flips ``native.available()`` to False — ``import repro`` keeps working.
+The coloring tail follows the same gate: its C loops give way to the
+numpy passes behind the same one-time warning.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.coloring.kuhn_wattenhofer import kw_color_reduction
 from repro.core import native
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.graphs.generators import random_gnm
@@ -124,6 +127,52 @@ class TestDefaultEngine:
         result = _run_script(script, REPRO_NATIVE_DISABLE="1")
         assert result.returncode == 0, result.stderr
         assert "DEFAULT_BATCHED_OK" in result.stdout
+
+
+class TestTailFallback:
+    def test_disabled_kernel_sends_the_tail_to_numpy(self):
+        # The coloring tail's first stage warns once and runs numpy; no
+        # later stage, and no later call, warns again, and every stage
+        # equals its engine="batched" run.
+        script = (
+            "import warnings\n"
+            "from repro.coloring.arb_linial import linial_undirected_coloring\n"
+            "from repro.coloring.kuhn_wattenhofer import kw_color_reduction\n"
+            "from repro.coloring.pipeline import color_graph\n"
+            "from repro.coloring.recolor import greedy_recolor_by_layers\n"
+            "from repro.graphs.generators import random_gnm\n"
+            "from repro.partition.beta_partition import PartialBetaPartition\n"
+            "g = random_gnm(200, 400, seed=5)\n"
+            "d = g.max_degree()\n"
+            "layers = PartialBetaPartition(dict.fromkeys(range(200), 0))\n"
+            "def tail(engine):\n"
+            "    lin = linial_undirected_coloring(g, d, list(range(200)),"
+            " 10**6, engine=engine)\n"
+            "    kw = kw_color_reduction(g, lin.colors, d,"
+            " palette=lin.num_colors, engine=engine)\n"
+            "    re = greedy_recolor_by_layers(g, layers, kw.colors, d,"
+            " engine=engine)\n"
+            "    return lin.colors, kw.colors, re.colors\n"
+            "with warnings.catch_warnings(record=True) as caught:\n"
+            "    warnings.simplefilter('always')\n"
+            "    got = tail(None)\n"
+            "    again = color_graph(g, workers=1)\n"
+            "messages = [str(w.message) for w in caught]\n"
+            "assert len(messages) == 1, messages\n"
+            "assert 'CoverFreeFamily.reduce_colors falling back' in messages[0]\n"
+            "assert got == tail('batched')\n"
+            "assert again.colors == color_graph(g, workers=1,"
+            " engine='batched').colors\n"
+            "print('TAIL_FALLBACK_OK')\n"
+        )
+        result = _run_script(script, REPRO_NATIVE_DISABLE="1")
+        assert result.returncode == 0, result.stderr
+        assert "TAIL_FALLBACK_OK" in result.stdout
+
+    def test_unknown_engine_rejected(self):
+        g = random_gnm(20, 40, seed=1)
+        with pytest.raises(ValueError, match="engine must be"):
+            kw_color_reduction(g, list(range(20)), g.max_degree(), engine="gpu")
 
 
 class TestLoaderRobustness:

@@ -9,7 +9,8 @@ mid-game ejections and the Fraction deep-horizon regime.  A hypothesis
 fuzz plays random small graphs, stars and hubs on both engines through
 the fleet player, where the interpreter finishes the games a shrunk
 word budget ejects, and a kernel allocation failure must leave every
-output exact.  Skip-marked wholesale when the kernel
+output exact.  A second fuzz calls the coloring tail's three C loops
+against their numpy passes.  Skip-marked wholesale when the kernel
 cannot load (tier-1 must pass without it).
 """
 
@@ -28,6 +29,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coloring import recolor
+from repro.coloring.cover_free import choose_family
+from repro.coloring.kuhn_wattenhofer import kw_color_reduction
 from repro.core import batched_games, columnar_rounds, native
 from repro.core.batched_games import (
     csr_transpose_positions,
@@ -672,6 +676,110 @@ class TestNoRecords:
         self._same(fleet("compiled", True), want, edges)
         for engine in ("batched", "compiled"):
             self._same(fleet(engine, False), want, 0 * edges)
+
+
+@st.composite
+def _tail_graphs(draw):
+    """A small random graph, its edges as drawn, and a coloring: distinct
+    colors from a palette of up to 10**6 (proper), or colors from a tiny
+    palette (usually improper, which the loops must handle as their
+    numpy passes do)."""
+    n = draw(st.integers(0, 40))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+        max_size=3 * n,
+    ))
+    graph = Graph.from_edges(n, sorted({
+        (min(u, v), max(u, v)) for u, v in pairs if u != v
+    }))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        palette = draw(st.integers(max(n, 2), 10**6))
+        colors = rng.choice(palette, size=n, replace=False)
+    else:
+        palette = draw(st.integers(2, 6))
+        colors = rng.integers(0, palette, size=n)
+    return graph, colors.astype(np.int64), palette, rng
+
+
+def _constraint_csr(src, dst, n):
+    order = np.argsort(src, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    return offsets.astype(np.int64), dst[order]
+
+
+class TestTailFuzz:
+    """The coloring tail's three C loops called directly on random small
+    graphs against their numpy passes (the oracles): equal outputs, and
+    a failed loop (rc 2) exactly where the numpy pass raises.  CI's
+    sanitized step plays them under ASan and UBSan."""
+
+    @given(_tail_graphs(), st.booleans())
+    @settings(deadline=None)  # example count from the hypothesis profile
+    def test_cover_free_round(self, case, oriented):
+        graph, colors, palette, rng = case
+        n = graph.num_vertices
+        edges = graph.edge_array()
+        if oriented:  # one random direction per edge (Arb-Linial)
+            flip = rng.random(len(edges)) < 0.5
+            src = np.where(flip, edges[:, 1], edges[:, 0])
+            dst = np.where(flip, edges[:, 0], edges[:, 1])
+        else:  # both directions (undirected Linial)
+            src = np.concatenate((edges[:, 0], edges[:, 1]))
+            dst = np.concatenate((edges[:, 1], edges[:, 0]))
+        src, dst = src.astype(np.int64), dst.astype(np.int64)
+        beta = max(1, int(np.bincount(src, minlength=1).max()))
+        family = choose_family(max(palette, 2), beta)
+        offsets, targets = _constraint_csr(src, dst, n)
+        got = native.cover_free_round(
+            offsets, targets, colors, family.d + 1, family.q
+        )
+        try:
+            want = family._reduce_colors_numpy(family.digits(colors), src, dst)
+        except AssertionError:
+            assert got is None
+        else:
+            assert got is not None and np.array_equal(got, want)
+
+    @given(_tail_graphs(), st.integers(-2, 2))
+    @settings(deadline=None)
+    def test_kw_reduce(self, case, slack):
+        graph, colors, palette, __ = case
+        # A bound below the true degree can leave a mover no free color.
+        delta = max(0, graph.max_degree() + slack)
+        offsets, targets = graph.csr()
+        got = native.kw_reduce(offsets, targets, colors, palette, delta + 1)
+        try:
+            want = kw_color_reduction(
+                graph, colors, delta, palette=palette, engine="batched"
+            )
+        except AssertionError:
+            assert got is None
+        else:
+            assert got is not None
+            assert got[0].tolist() == want.colors
+            assert got[1:] == (want.num_colors, want.local_rounds)
+
+    # β around the int64 mask width, and far above every degree (the
+    # walk's stamp window is then the degree bound, not the palette).
+    @given(
+        _tail_graphs(),
+        st.one_of(st.integers(0, 70), st.integers(500, 5000)),
+        st.booleans(),
+    )
+    @settings(deadline=None)
+    def test_recolor_walk(self, case, beta, lowest):
+        graph, __, __, rng = case
+        order = rng.permutation(graph.num_vertices).astype(np.int64)
+        offsets, targets = graph.csr()
+        got = native.recolor_walk(offsets, targets, order, beta, lowest)
+        pick = "lowest" if lowest else "highest"
+        try:
+            want = recolor._recolor_walk(graph, order.tolist(), beta, pick)
+        except AssertionError:
+            assert got is None
+        else:
+            assert got is not None and got.tolist() == want
 
 
 _REALLOC_SHIM = r"""
