@@ -66,10 +66,27 @@ from repro.lca.coin_game import CoinDroppingGame, max_provable_layer
 from repro.lca.oracle import QueryStats
 from repro.partition.beta_partition import INFINITY, PartialBetaPartition
 
-__all__ = ["BetaPartitionOutcome", "beta_partition_ampc", "default_game_budget"]
+__all__ = [
+    "BetaBelowDegeneracy",
+    "BetaPartitionOutcome",
+    "beta_partition_ampc",
+    "default_game_budget",
+]
 
 Mode = Literal["auto", "lca", "peel"]
 StoreKind = Literal["columnar", "dict"]
+
+
+class BetaBelowDegeneracy(ValueError):
+    """A round layered no vertex: every residual vertex has more than β
+    residual neighbours, so the graph's degeneracy exceeds β and no
+    β-partition exists.  A bad argument, hence a ValueError."""
+
+    def __init__(self, beta: int) -> None:
+        super().__init__(
+            f"β={beta} is below the graph's degeneracy: no vertex became "
+            f"layered in a round (every residual degree > β)"
+        )
 
 
 @dataclass
@@ -209,8 +226,9 @@ def beta_partition_ampc(
         "lca" (coin game), "peel" (BE fallback), or "auto" (peel only when
         the game could not certify even one layer within the space budget).
     max_rounds:
-        Safety cap; raises RuntimeError when exceeded (indicates β below
-        the graph's peeling threshold).
+        Safety cap; raises RuntimeError when exceeded.  A round that
+        layers no vertex (β below the degeneracy) raises
+        :class:`BetaBelowDegeneracy`, a ValueError.
     store:
         Execution fabric: "columnar" (array-backed stores, batched round
         kernels) or "dict" (the original per-machine path — the oracle the
@@ -399,10 +417,7 @@ def _run_dict(
             assigned = _lca_round(sim, graph, alive, beta, x)
 
         if not assigned:
-            raise RuntimeError(
-                f"no vertex became layered in a round (β={beta} too small "
-                f"for graph with min residual degree > β)"
-            )
+            raise BetaBelowDegeneracy(beta)
         max_new = 0
         for v, lay in assigned.items():
             final_layers[v] = layer_offset + lay
@@ -443,7 +458,6 @@ def _run_columnar(
     running as array kernels.  With workers > 1, lca rounds fan their
     fleet out over threads or the fabric's process pool (see
     :func:`lca_round_kernel`) — transparent to every observable."""
-    final_layers: dict[int, float] = {}
     layer_vec = np.full(graph.num_vertices, INFINITY)
     alive = np.arange(graph.num_vertices, dtype=np.int64)
     layer_offset = 0
@@ -476,13 +490,9 @@ def _run_columnar(
         assigned_vs, assigned_layers = target.layer_assignments()
 
         if not assigned_vs.size:
-            raise RuntimeError(
-                f"no vertex became layered in a round (β={beta} too small "
-                f"for graph with min residual degree > β)"
-            )
+            raise BetaBelowDegeneracy(beta)
         placed = assigned_layers.astype(np.int64) + layer_offset
         layer_vec[assigned_vs] = placed
-        final_layers.update(zip(assigned_vs.tolist(), placed.tolist()))
         layer_offset += int(assigned_layers.max()) + 1
         keep = np.ones(graph.num_vertices, dtype=bool)
         keep[assigned_vs] = False
@@ -492,7 +502,7 @@ def _run_columnar(
             # owned slice becomes its partition of the next residual.
             fabric.retire(assigned_vs, comm)
 
-    partition = PartialBetaPartition(final_layers, vector=layer_vec)
+    partition = PartialBetaPartition(vector=layer_vec)
     return BetaPartitionOutcome(
         partition=partition,
         beta=beta,

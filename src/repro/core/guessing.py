@@ -19,7 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.beta_partition_ampc import BetaPartitionOutcome, beta_partition_ampc
+from repro.core.beta_partition_ampc import (
+    BetaBelowDegeneracy,
+    BetaPartitionOutcome,
+    beta_partition_ampc,
+)
 from repro.graphs.graph import Graph
 
 __all__ = ["GuessedPartitionOutcome", "beta_partition_unknown_alpha"]
@@ -49,7 +53,7 @@ def _try_guess(
         return beta_partition_ampc(
             graph, beta, delta=delta, max_rounds=round_cap
         )
-    except RuntimeError:
+    except (RuntimeError, BetaBelowDegeneracy):
         return None
 
 

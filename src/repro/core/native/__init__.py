@@ -5,12 +5,14 @@ that fuses the per-wave hot path of the lockstep engine — threshold
 test, exact scaled-integer coin split, membership probe, sigma-ranked
 top-(beta+1) forwarding selection, and delivery scatter with
 ``minimum``-folds — over the caller's existing struct-of-arrays
-buffers, plus the coloring tail's three sequential loops (ABI 4 below).
+buffers, plus the coloring tail's three sequential loops (ABI 4 below)
+and the k-core peel behind :func:`repro.graphs.arboricity.degeneracy`
+(ABI 5).
 The numpy batched engine stays verbatim as the differential oracle;
 every observable here is bit-identical to it and to the scalar
 interpreter.
 
-C ABI (``_wave_kernel.c`` / ``_build.CDEF``, version ``ABI_VERSION`` = 4)
+C ABI (``_wave_kernel.c`` / ``_build.CDEF``, version ``ABI_VERSION`` = 5)
 =========================================================================
 
 ``repro_play_cohort`` plays one cohort of coin-dropping games against a
@@ -137,6 +139,27 @@ buffers on every path, failures included.  The wrappers
 return None for a non-zero code, and their callers then rerun the
 stage on its numpy pass, which raises the stage's own error for a ``2``.
 
+The k-core peel (ABI 5)
+=======================
+
+``repro_core_peel(offsets, targets, n, cores)`` writes every vertex's
+core number to ``cores[n]``: the Batagelj–Zaveršnik bucket peel of
+:func:`~repro.graphs.arboricity.degeneracy_order`, line for line, in
+O(n + m) however many levels the graph has.  The list peel stays its
+oracle (:func:`~repro.graphs.arboricity.core_numbers`).
+
+Preconditions: ``offsets[n+1]`` / ``targets`` are a symmetric CSR —
+every target in ``[0, n)``, and w listed in v's row as often as v in
+w's — which every :meth:`~repro.graphs.graph.Graph.csr` is; rows need
+not be sorted.  Symmetry is what keeps a residual degree, and so every
+bucket index, non-negative.  ``cores`` is caller-allocated int64, the
+only array the loop writes.
+
+Return codes: ``0`` on success; ``1`` when a scratch allocation fails,
+with ``cores`` unspecified.  The scratch is freed on both paths.
+:func:`core_peel` returns None for a ``1``, and
+:func:`~repro.graphs.arboricity.degeneracy` then runs the list peel.
+
 Loading and fallback
 ====================
 
@@ -144,9 +167,9 @@ The kernel is compiled at build time (setup.py ``cffi_modules``) or
 lazily at first use (direct ``gcc -shared`` + ``dlopen``, cached under
 ``$REPRO_NATIVE_CACHE``).  :func:`available` gates dispatch:
 ``engine="compiled"`` degrades to ``"batched"`` with a one-time warning
-when the kernel cannot be loaded (the coloring tail too, through
-:func:`tail_compiled`), ``REPRO_NATIVE_DISABLE=1`` forces that
-degradation, and a corrupt or missing shared object only flips
+when the kernel cannot be loaded (the coloring tail and the degeneracy
+peel too, through :func:`tail_compiled`), ``REPRO_NATIVE_DISABLE=1``
+forces that degradation, and a corrupt or missing shared object only flips
 :func:`available` to ``False`` — it never breaks ``import repro``.
 """
 
@@ -163,7 +186,7 @@ import numpy as np
 from repro.core import batched_games
 from repro.core.batched_games import BatchedGamesInfo
 
-ABI_VERSION = 4
+ABI_VERSION = 5
 
 _ffi = None
 _lib = None
@@ -392,6 +415,8 @@ def tail_compiled(engine: str | None, context: str) -> bool:
     ``None`` and ``"compiled"`` ask for them; when the kernel cannot
     load, this warns once (:func:`warn_fallback`) and answers False.
     ``"batched"`` and ``"scalar"`` run the numpy tail, the oracle.
+    :func:`~repro.graphs.arboricity.degeneracy` asks with ``None``, so
+    its peel shares the one warning.
     """
     if engine not in (None, "batched", "compiled", "scalar"):
         raise ValueError('engine must be "batched", "compiled" or "scalar"')
@@ -471,3 +496,13 @@ def recolor_walk(
     ok = _tail_call("repro_recolor_walk", _i64(offsets), _i64(targets),
                     order.size, order, beta, int(lowest), out)
     return out if ok else None
+
+
+def core_peel(offsets: np.ndarray, targets: np.ndarray) -> np.ndarray | None:
+    """Core numbers of the symmetric CSR ``offsets`` / ``targets`` (a
+    :class:`~repro.graphs.graph.Graph`'s) by ``repro_core_peel``, or None
+    when its scratch allocation failed."""
+    cores = np.empty(len(offsets) - 1, dtype=np.int64)
+    ok = _tail_call("repro_core_peel", _i64(offsets), _i64(targets),
+                    cores.size, cores)
+    return cores if ok else None

@@ -65,6 +65,9 @@ int repro_kw_reduce(
 int repro_recolor_walk(
     const int64_t *offsets, const int64_t *targets, int64_t n,
     const int64_t *order, int64_t beta, int64_t lowest, int64_t *colors);
+int repro_core_peel(
+    const int64_t *offsets, const int64_t *targets, int64_t n,
+    int64_t *cores);
 """
 
 _SOURCE_PATH = Path(__file__).parent / "_wave_kernel.c"

@@ -12,7 +12,7 @@
  * same observable transcript.  See repro/core/native/__init__.py for
  * the full ABI contract (version 3: inside edges are counted only
  * when the caller keeps records; version 4 adds the coloring tail's
- * three loops at the end of this file).
+ * three loops, version 5 the k-core peel, at the end of this file).
  *
  * A game does only the work its outputs read.  Its sigma is kept across
  * super-iterations: the first one it needs is a full peel, each later
@@ -394,7 +394,7 @@ static int sigma_update(
 
 void repro_buffers_free(i64 *p) { free(p); }
 
-i64 repro_abi_version(void) { return 4; }
+i64 repro_abi_version(void) { return 5; }
 
 /* Play one cohort of games.  Returns 0 on success, 1 on allocation
  * failure.  Either way *games_done games finished: their per-game
@@ -963,5 +963,79 @@ int repro_recolor_walk(
     rc = 0;
 done:
     free(mark);
+    return rc;
+}
+
+/* ---- The k-core peel (ABI 5) -------------------------------------------
+ *
+ * Core numbers of a symmetric CSR (a Graph's: every target in [0, n),
+ * w in v's row as often as v in w's) into cores[0..n): the
+ * Batagelj-Zaversnik bucket peel of degeneracy_order, line for line,
+ * which stays the oracle.  vert[] holds the vertices sorted by residual
+ * degree (ties by id), pos[] its inverse, bin[d] the first slot of
+ * bucket d; each removal moves every unpeeled neighbour one bucket
+ * down by an O(1) swap, so the peel is O(n + m) however many levels
+ * the graph has.  On a symmetric CSR a residual degree never drops
+ * below 0.  Returns 0, or 1 when a scratch allocation fails (cores is
+ * then unspecified); every scratch buffer is freed on both paths. */
+int repro_core_peel(
+    const i64 *offsets, const i64 *targets, i64 n, i64 *cores
+) {
+    i64 *deg = NULL, *vert = NULL, *pos = NULL, *bin = NULL;
+    i64 i, v, d, max_deg = 0, current = 0;
+    int rc = 1;
+
+    deg = tail_alloc(n);
+    vert = tail_alloc(n);
+    pos = tail_alloc(n);
+    if (!deg || !vert || !pos) goto done;
+    for (v = 0; v < n; v++) {
+        deg[v] = offsets[v + 1] - offsets[v];
+        if (deg[v] > max_deg) max_deg = deg[v];
+    }
+    /* max_deg + 2 slots: bin[max_deg + 1] is the counting spare */
+    bin = tail_alloc(max_deg + 1);
+    if (!bin) goto done;
+    /* counting sort by degree, stable in id: bin[d] ends as the first
+     * slot of bucket d */
+    for (d = 0; d <= max_deg + 1; d++) bin[d] = 0;
+    for (v = 0; v < n; v++) bin[deg[v] + 1]++;
+    for (d = 1; d <= max_deg; d++) bin[d] += bin[d - 1];
+    for (v = 0; v < n; v++) {
+        pos[v] = bin[deg[v]]++;
+        vert[pos[v]] = v;
+    }
+    for (d = max_deg; d > 0; d--) bin[d] = bin[d - 1];
+    bin[0] = 0;
+    for (i = 0; i < n; i++) {
+        i64 e, dv;
+        v = vert[i];
+        dv = deg[v];
+        bin[dv] = i + 1; /* v leaves the front of its bucket */
+        if (dv > current) current = dv;
+        cores[v] = current;
+        for (e = offsets[v]; e < offsets[v + 1]; e++) {
+            i64 w = targets[e], dw, s, u;
+            if (pos[w] <= i) continue; /* peeled already */
+            dw = deg[w];
+            s = bin[dw];
+            u = vert[s];
+            if (u != w) {
+                i64 pw = pos[w];
+                vert[s] = w;
+                vert[pw] = u;
+                pos[w] = s;
+                pos[u] = pw;
+            }
+            bin[dw] = s + 1;
+            deg[w] = dw - 1;
+        }
+    }
+    rc = 0;
+done:
+    free(deg);
+    free(vert);
+    free(pos);
+    free(bin);
     return rc;
 }

@@ -8,10 +8,12 @@ equal (Nash-Williams 1964) to the minimum number of forests covering E(G).
 We provide:
 
 - :func:`degeneracy` / :func:`core_numbers` — the classic peeling bounds
-  (alpha <= degeneracy <= 2*alpha - 1).  :func:`degeneracy` computes the
-  value alone with an array peel and no longer goes through
-  :func:`degeneracy_order`, which stays the ordered (and oracle) peel
-  behind :func:`core_numbers` and the smallest-last greedy coloring;
+  (alpha <= degeneracy <= 2*alpha - 1).  :func:`degeneracy_order` is the
+  list bucket peel behind :func:`core_numbers` and the smallest-last
+  greedy coloring; :func:`degeneracy` is the maximum of the compiled
+  kernel's port of it (``repro_core_peel``, O(n + m)), or of the list
+  peel itself when the kernel cannot load (the warned fallback) or its
+  allocation fails;
 - :func:`density_lower_bound` — ceil(m / (n-1)) on the whole graph;
 - :func:`exact_arboricity` — exact value via matroid-union forest packing,
   which also returns an explicit partition of E into alpha forests
@@ -107,60 +109,17 @@ def core_numbers(graph: Graph) -> list[int]:
 def degeneracy(graph: Graph) -> int:
     """The degeneracy d(G); satisfies alpha <= d <= 2*alpha - 1.
 
-    Level-by-level k-core peel computing only the value, equal to
-    ``max(degeneracy_order(graph)[1])``.  Level k starts at the smallest
-    residual degree left (levels with nothing to peel are skipped) and
-    removes every vertex whose residual degree drops to <= k; the last
-    level that removes a vertex is the degeneracy.  A removed or queued
-    vertex has residual degree -1, so "still unpeeled" is ``deg > k``.
-
-    Large frontiers peel as numpy waves (gather the frontier's neighbors,
-    ``np.subtract.at`` their degrees, keep the ones that fell to k).  A
-    frontier under 64 vertices finishes its level on a scalar worklist
-    over memoryviews of the same arrays: chain-like shapes (a path peels
-    one vertex per side per wave) would otherwise pay one numpy round
-    trip per vertex, while the worklist costs a few list-speed steps per
-    edge and needs no conversion of the CSR.
+    Equal to ``max(degeneracy_order(graph)[1])``: the maximum of the
+    compiled kernel's core numbers, or of the list peel's when the
+    kernel cannot load or its allocation fails.
     """
-    n = graph.num_vertices
-    if n == 0:
-        return 0
-    offsets, targets = graph.csr()
-    deg = graph.degrees().copy()
-    # slot dedupes a wave's candidates without a sort: the last write of
-    # each id wins, so exactly one occurrence per id reads back its slot.
-    slot = np.empty(n, dtype=np.int64)
-    offs, tgts, residual = memoryview(offsets), memoryview(targets), memoryview(deg)
-    alive = np.arange(n, dtype=np.int64)
-    k = 0
-    while True:
-        alive = alive[deg[alive] >= 0]
-        if not alive.size:
-            return k
-        alive_deg = deg[alive]
-        k = max(k, int(alive_deg.min()))
-        frontier = alive[alive_deg <= k]
-        deg[frontier] = -1
-        while frontier.size >= 64:
-            nbrs, __ = graph.neighbors_of(frontier)
-            nbrs = nbrs[deg[nbrs] > k]
-            np.subtract.at(deg, nbrs, 1)
-            cand = nbrs[deg[nbrs] <= k]
-            pos = np.arange(cand.size, dtype=np.int64)
-            slot[cand] = pos
-            frontier = cand[slot[cand] == pos]
-            deg[frontier] = -1
-        stack = frontier.tolist()
-        while stack:
-            v = stack.pop()
-            for w in tgts[offs[v]:offs[v + 1]]:
-                dw = residual[w]
-                if dw > k:
-                    if dw == k + 1:
-                        residual[w] = -1
-                        stack.append(w)
-                    else:
-                        residual[w] = dw - 1
+    from repro.core import native
+
+    if native.tail_compiled(None, "degeneracy"):
+        cores = native.core_peel(*graph.csr())
+        if cores is not None:
+            return int(cores.max(initial=0))
+    return max(degeneracy_order(graph)[1], default=0)
 
 
 def density_lower_bound(graph: Graph) -> int:

@@ -5,12 +5,12 @@ vertex with a finite layer has at most β neighbors in the same or higher
 layers (∞ counts as higher).  If any vertex has layer ∞ the partition is
 *partial*.  Layers are stored as a dict ``vertex -> layer`` with ∞
 represented by :data:`INFINITY` (``float("inf")``), which keeps min-merging
-and comparisons natural.
+and comparisons natural; the columnar β-partition hands over its dense
+layer vector instead, and the dict is built from it on first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -24,28 +24,53 @@ INFINITY: float = float("inf")
 Layer = float  # an int layer or INFINITY
 
 
-@dataclass
 class PartialBetaPartition:
     """Layer assignment λ: V -> N ∪ {∞} with validation helpers.
 
     ``layers`` maps every vertex of the host graph to its layer.  Vertices
     absent from the mapping are treated as ∞ (convenient for proofs ℓ_u
     defined on small subgraphs, Remark 4.8).
+
+    ``vector`` is an optional dense, read-only layer vector over vertices
+    0..n-1 (∞ = unassigned), the form the columnar β-partition loop
+    builds; :meth:`layer_array` and :meth:`size` read it instead of
+    walking the dict.  A partition given only the vector builds
+    ``layers`` on first read, as ``{v: int(layer)}`` over its finite
+    entries in ascending id order, so a caller that reads only the
+    vector never pays for the dict.  The vector is valid only while
+    ``layers`` is left as constructed: no caller mutates ``layers`` of a
+    built partition, and :meth:`copy` (the way to get a mutable one)
+    drops the vector.  Equality compares ``layers`` alone.
     """
 
-    layers: dict[int, Layer] = field(default_factory=dict)
-    # Optional dense copy of ``layers`` over vertices 0..n-1 (∞ =
-    # unassigned), filled by the builder that already holds it (the
-    # columnar β-partition loop) so :meth:`layer_array` and :meth:`size`
-    # skip the dict walk.  Read-only, and valid only while ``layers`` is
-    # left as constructed: no caller mutates ``layers`` of a built
-    # partition, and :meth:`copy` (the way to get a mutable one) drops
-    # the vector.
-    vector: np.ndarray | None = field(default=None, repr=False, compare=False)
+    def __init__(
+        self,
+        layers: dict[int, Layer] | None = None,
+        vector: np.ndarray | None = None,
+    ) -> None:
+        if vector is not None:
+            vector.setflags(write=False)
+        elif layers is None:
+            layers = {}
+        self._layers = layers
+        self.vector = vector
 
-    def __post_init__(self) -> None:
-        if self.vector is not None:
-            self.vector.setflags(write=False)
+    @property
+    def layers(self) -> dict[int, Layer]:
+        if self._layers is None:
+            assigned = np.flatnonzero(np.isfinite(self.vector))
+            self._layers = dict(zip(
+                assigned.tolist(), self.vector[assigned].astype(np.int64).tolist()
+            ))
+        return self._layers
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.layers == other.layers
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(layers={self.layers!r})"
 
     def layer(self, v: int) -> Layer:
         """Layer of ``v`` (∞ if unassigned)."""

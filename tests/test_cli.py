@@ -109,3 +109,17 @@ class TestParser:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("repro: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["color", "partition"])
+    def test_beta_below_the_degeneracy_is_a_one_line_error(self, command, capsys):
+        # The default graph, 4 random forests on 300 vertices, has
+        # degeneracy 5, so --alpha 1 (β = 3) leaves a residual graph of
+        # min degree > β: a bad argument, not a crash.
+        argv = [command, "--n", "300", "--k", "4", "--alpha", "1"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            "repro: error: β=3 is below the graph's degeneracy: no vertex "
+            "became layered in a round (every residual degree > β)\n"
+        )

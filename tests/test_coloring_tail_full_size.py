@@ -1,15 +1,14 @@
 """Full-size identity of the coloring tail (``slow``-marked).
 
-``color_graph`` picks α with the array degeneracy peel and, by default,
+``color_graph`` picks α with the compiled k-core peel and, by default,
 colors and recolors with the compiled kernel's C loops.  On full-size
 shapes that must reproduce, color for color, a run with the reference
 paths forced in: the batched engine's numpy tail, the ordered list peel
 (``degeneracy_order``) and the vertex-by-vertex recolor walk.  The
-array peel must also match the list peel on a 200k-vertex path, its
-chain-like worst case (one scalar worklist step per vertex).  A compiled
-run whose shrunk coin budget sends games to the interpreter must give
-the partition, the per-round reads and writes, and the colours of a
-default-budget run.
+compiled peel must also match the list peel on a 200k-vertex path.  A
+compiled run whose shrunk coin budget sends games to the interpreter
+must give the partition, the per-round reads and writes, and the
+colours of a default-budget run.
 """
 
 from __future__ import annotations

@@ -142,8 +142,9 @@ class TestCompletenessAndValidity:
 
 class TestFailureModes:
     def test_beta_too_small_for_clique_raises(self):
+        # β below the degeneracy is a bad argument: a ValueError.
         g = complete_graph(8)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="below the graph's degeneracy"):
             beta_partition_ampc(g, 2, max_rounds=5)
 
     def test_round_cap_respected(self):
@@ -276,7 +277,7 @@ class TestColumnarEquivalence:
     def test_failure_parity_beta_too_small(self):
         g = complete_graph(8)
         for store in ("dict", "columnar"):
-            with pytest.raises(RuntimeError):
+            with pytest.raises(ValueError, match="below the graph's degeneracy"):
                 beta_partition_ampc(g, 2, max_rounds=5, store=store)
 
     def test_invalid_store_rejected(self):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +18,6 @@ from repro.graphs.arboricity import (
     forest_partition,
 )
 from repro.graphs.generators import (
-    complete_ary_tree,
     complete_graph,
     cycle_graph,
     grid_2d,
@@ -33,6 +31,8 @@ from repro.graphs.generators import (
 from repro.graphs.graph import Graph
 from repro.graphs.validation import is_forest
 
+from peel_shapes import cherries_on_a_cycle, disjoint_union, peel_shapes
+
 
 def _brute_force_arboricity(g: Graph) -> int:
     """Nash-Williams Definition 3.1 by subset enumeration (tiny n only)."""
@@ -44,63 +44,6 @@ def _brute_force_arboricity(g: Graph) -> int:
             if sub.num_edges:
                 best = max(best, math.ceil(sub.num_edges / (size - 1)))
     return best
-
-
-def _disjoint_union(*graphs: Graph) -> Graph:
-    """The graphs side by side, vertex ids shifted block by block."""
-    shift = 0
-    blocks = []
-    for g in graphs:
-        blocks.append(g.edge_array() + shift)
-        shift += g.num_vertices
-    return Graph.from_arrays(shift, np.concatenate(blocks))
-
-
-def _gnm_from_seed(seed: int) -> Graph:
-    n = 2 + seed % 40
-    m = min((seed // 7) % (3 * n), n * (n - 1) // 2)
-    return random_gnm(n, m, seed=seed)
-
-
-def _cherries_on_a_cycle(c: int) -> Graph:
-    """A c-cycle whose every vertex carries a pendant "cherry": a vertex
-    with two leaves.  Peeling at k=1 drops 2c leaves in one wave, and
-    each cherry stem is then reached twice in the same wave; counting it
-    twice would wrongly strip the cycle (degeneracy 2) as well."""
-    w = np.arange(c, dtype=np.int64)
-    stems, leaves_a, leaves_b = w + c, w + 2 * c, w + 3 * c
-    edges = np.concatenate((
-        np.column_stack((w, (w + 1) % c)),
-        np.column_stack((w, stems)),
-        np.column_stack((stems, leaves_a)),
-        np.column_stack((stems, leaves_b)),
-    ))
-    return Graph.from_arrays(4 * c, edges)
-
-
-# Shapes for the peel oracles.  Sizes reach past 64 vertices so the array
-# degeneracy peel runs both its numpy waves (wide frontiers: stars, tree
-# leaves, dense gnm) and its scalar worklist (corners and path ends).
-_seeds = st.integers(min_value=0, max_value=2**31)
-_base_shapes = st.one_of(
-    _seeds.map(_gnm_from_seed),
-    st.builds(random_gnm, st.integers(64, 300), st.integers(0, 900), _seeds),
-    st.builds(lambda n: Graph.from_edges(n, []), st.integers(0, 100)),
-    st.builds(path_graph, st.integers(0, 300)),
-    st.builds(cycle_graph, st.integers(3, 300)),
-    st.builds(star_graph, st.integers(1, 300)),
-    st.builds(grid_2d, st.integers(1, 20), st.integers(1, 20)),
-    st.builds(complete_ary_tree, st.integers(1, 3), st.integers(0, 7)),
-    st.builds(random_tree, st.integers(1, 300), _seeds),
-    st.builds(complete_graph, st.integers(1, 70)),
-    st.builds(_cherries_on_a_cycle, st.integers(3, 60)),
-)
-peel_shapes = st.one_of(
-    _base_shapes,
-    st.lists(_base_shapes, min_size=2, max_size=4).map(
-        lambda gs: _disjoint_union(*gs)
-    ),
-)
 
 
 class TestDegeneracy:
@@ -167,11 +110,12 @@ class TestDegeneracy:
     @settings(max_examples=60, deadline=None)
     @example(Graph.from_edges(0, []))
     @example(Graph.from_edges(90, []))
-    @example(_disjoint_union(complete_graph(9), path_graph(300), star_graph(120)))
-    @example(_cherries_on_a_cycle(40))
+    @example(disjoint_union(complete_graph(9), path_graph(300), star_graph(120)))
+    @example(cherries_on_a_cycle(40))
     def test_cores_match_bucket_queue_oracle(self, g):
         """Core numbers equal the seed BucketQueue peeler's, exactly, and
-        :func:`degeneracy` (the array peel) equals their maximum."""
+        :func:`degeneracy` (the compiled peel when the kernel loads)
+        equals their maximum."""
         from repro.util.bucket_queue import BucketQueue
 
         n = g.num_vertices

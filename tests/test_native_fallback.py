@@ -6,8 +6,8 @@ default) downgrades to the bit-identical ``"batched"``
 engine with a one-time warning, ``REPRO_NATIVE_DISABLE=1`` forces the
 same downgrade, and a corrupt shared object in the build cache only
 flips ``native.available()`` to False — ``import repro`` keeps working.
-The coloring tail follows the same gate: its C loops give way to the
-numpy passes behind the same one-time warning.
+The coloring tail and the degeneracy peel follow the same gate: their
+C loops give way to the numpy passes behind the same one-time warning.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import pytest
 from repro.coloring.kuhn_wattenhofer import kw_color_reduction
 from repro.core import native
 from repro.core.beta_partition_ampc import beta_partition_ampc
+from repro.graphs.arboricity import degeneracy
 from repro.graphs.generators import random_gnm
 from repro.lca.partial_partition_lca import PartialPartitionLCA
 
@@ -173,6 +174,38 @@ class TestTailFallback:
         g = random_gnm(20, 40, seed=1)
         with pytest.raises(ValueError, match="engine must be"):
             kw_color_reduction(g, list(range(20)), g.max_degree(), engine="gpu")
+
+
+class TestDegeneracyFallback:
+    def test_disabled_kernel_sends_the_peel_to_the_list_peel(self):
+        # One warning, from the first peel; the answer is the list
+        # peel's, and a later peel and pipeline call warn no more.
+        script = (
+            "import warnings\n"
+            "from repro.coloring.pipeline import color_graph\n"
+            "from repro.graphs.arboricity import degeneracy, degeneracy_order\n"
+            "from repro.graphs.generators import random_gnm\n"
+            "g = random_gnm(300, 1200, seed=4)\n"
+            "with warnings.catch_warnings(record=True) as caught:\n"
+            "    warnings.simplefilter('always')\n"
+            "    got = degeneracy(g)\n"
+            "    again = degeneracy(g)\n"
+            "    color_graph(g, workers=1)\n"
+            "messages = [str(w.message) for w in caught]\n"
+            "assert len(messages) == 1, messages\n"
+            "assert 'degeneracy falling back' in messages[0]\n"
+            "assert got == again == max(degeneracy_order(g)[1]) == 5\n"
+            "print('PEEL_FALLBACK_OK')\n"
+        )
+        result = _run_script(script, REPRO_NATIVE_DISABLE="1")
+        assert result.returncode == 0, result.stderr
+        assert "PEEL_FALLBACK_OK" in result.stdout
+
+    def test_failed_allocation_runs_the_list_peel(self, monkeypatch):
+        g = random_gnm(300, 1200, seed=4)
+        monkeypatch.setattr(native, "available", lambda: True)
+        monkeypatch.setattr(native, "core_peel", lambda offsets, targets: None)
+        assert degeneracy(g) == 5
 
 
 class TestLoaderRobustness:

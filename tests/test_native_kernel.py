@@ -10,8 +10,9 @@ fuzz plays random small graphs, stars and hubs on both engines through
 the fleet player, where the interpreter finishes the games a shrunk
 word budget ejects, and a kernel allocation failure must leave every
 output exact.  A second fuzz calls the coloring tail's three C loops
-against their numpy passes.  Skip-marked wholesale when the kernel
-cannot load (tier-1 must pass without it).
+against their numpy passes, and a third the k-core peel against the
+list peel.  Skip-marked wholesale when the kernel cannot load (tier-1
+must pass without it).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.core.batched_games import (
 )
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.core.columnar_rounds import LazyAdjacency, play_fleet
+from repro.graphs.arboricity import degeneracy, degeneracy_order
 from repro.graphs.generators import (
     path_graph,
     preferential_attachment,
@@ -49,6 +51,8 @@ from repro.graphs.generators import (
 from repro.graphs.graph import Graph
 from repro.lca.coin_game import fixed_coin_scale, max_provable_layer
 from repro.partition.induced import induced_partition_from_view
+
+from peel_shapes import peel_shapes
 
 pytestmark = pytest.mark.skipif(
     not native.available(), reason="compiled wave kernel unavailable"
@@ -780,6 +784,22 @@ class TestTailFuzz:
             assert got is None
         else:
             assert got is not None and got.tolist() == want
+
+
+class TestCorePeelFuzz:
+    """The k-core peel's C loop against the list peel of
+    :func:`degeneracy_order` (its oracle) on every peel shape: cherries
+    on a cycle, disjoint unions, n = 0 and edgeless graphs included.
+    CI's sanitized step plays it under ASan and UBSan."""
+
+    @given(peel_shapes)
+    @settings(deadline=None)  # example count from the hypothesis profile
+    def test_cores_match_the_list_peel(self, graph):
+        cores = native.core_peel(*graph.csr())
+        assert cores is not None
+        want = degeneracy_order(graph)[1]
+        assert cores.tolist() == want
+        assert degeneracy(graph) == max(want, default=0)
 
 
 _REALLOC_SHIM = r"""

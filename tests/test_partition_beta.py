@@ -62,6 +62,22 @@ class TestBasics:
         q.layers[1] = 3
         assert q.layer_array(3).tolist() == [1.0, 3.0, 0.0]
 
+    def test_vector_only_partition_builds_its_dict_on_first_read(self):
+        # The columnar loop's form: the dict is {v: int(layer)} over the
+        # finite entries, ascending ids, and every dict-reading method
+        # answers as on the dict-built partition.
+        vec = np.array([2.0, INFINITY, 0.0, 1.0])
+        p = PartialBetaPartition(vector=vec)
+        built = PartialBetaPartition({0: 2, 2: 0, 3: 1})
+        assert p.layer_array(4) is vec and p.size() == 3
+        assert p.layers == {0: 2, 2: 0, 3: 1}
+        assert all(type(lay) is int for lay in p.layers.values())
+        assert p == built and p.copy() == built and p.copy().vector is None
+        assert p.assigned_vertices() == [0, 2, 3]
+        assert p.layer(1) == INFINITY and p.layer(3) == 1
+        assert merge_min([p, {1: 5}]).layers == {0: 2, 2: 0, 3: 1, 1: 5}
+        assert PartialBetaPartition().layers == {}
+
 
 class TestValidation:
     def test_valid_two_layer_path(self):
