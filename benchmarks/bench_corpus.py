@@ -17,15 +17,15 @@ or the bench stops.
 The quick corpus also times, on its gnm shape: the pipeline at
 ``workers=2`` and ``4``, the batched engine at ``workers=1, 2, 4`` and
 the dict-oracle partition that normalizes the regression guards; and on
-its :data:`FABRIC_SHAPE` shape: a pooled fabric run at ``workers=2`` with
-the supervisor's recovery counters, and that run degraded to serial by a
-crash-every-dispatch fault plan.
+its :data:`FABRIC_SHAPE` shape: a fabric run at ``workers=2`` whose shard
+chains, on the game threads, are each served one corrupted row slab
+(a seeded ``slab`` fault plan) and must be re-run to the clean layers.
 
 An lca round plays coin games only at hub roots (residual degree > β),
 and the fabric ships and the pool dispatches only those games.  The
 fabric legs play the preferential-attachment shape because the quick
 gnm graph leaves too few hub games (about 70, under the pool cutoff) to
-reach a pool worker, and its fabric time is then all fixed per-round
+reach the game threads, and its fabric time is then all fixed per-round
 cost (placement, ghost installs, compaction), not games.
 
 Usage (from the repository root)::
@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.ampc import faults
 from repro.ampc.faults import FaultPlan
-from repro.ampc.pool import close_shared_pools, usable_cpus
+from repro.ampc.pool import usable_cpus
 from repro.coloring import pipeline
 from repro.coloring.pipeline import coloring_two_plus_eps
 from repro.core import native
@@ -116,9 +116,6 @@ MIN_COMPILED_SPEEDUP = 2.0
 # one (the kernel's C loops); a tail that fell back to numpy reads about
 # 1x.
 MIN_TAIL_SPEEDUP = 2.0
-# The supervisor's zero-fault bookkeeping, as a share of the pooled
-# fabric run's wall time.
-MAX_RECOVERY_OVERHEAD = 0.03
 
 
 def _partition_record(outcome, phases) -> dict:
@@ -241,30 +238,19 @@ def time_legs(legs: dict) -> dict:
 
 
 def _recovery(graph, layers) -> dict:
-    """A clean pooled fabric run and one degraded to serial."""
-    kwargs = dict(workers=2, transport="message", shards=FABRIC_SHARDS)
-    start = time.perf_counter()
-    clean = beta_partition_ampc(graph, BETA, **kwargs)
-    pool_wall = time.perf_counter() - start
-    counters = dict(clean.round_recovery)
-    overhead = counters.pop("recovery_wall_s", 0.0)
-    # Every pool attempt crashes, so after the retries the supervisor
-    # runs every shard chain inline on the driver.
-    with faults.inject(FaultPlan(seed=SEED, rate=1.0, kinds=("crash",))):
-        degraded = beta_partition_ampc(graph, BETA, **kwargs)
+    """A threaded fabric run whose chains are served corrupted slabs."""
+    # Every chain's first attempt gets a corrupted row slab; its re-run
+    # is clean.
+    plan = FaultPlan(seed=SEED, rate=1.0, attempts=1, kinds=("slab",))
+    with faults.inject(plan):
+        out = beta_partition_ampc(
+            graph, BETA, workers=2, transport="message", shards=FABRIC_SHARDS,
+        )
     return {
-        "pool_wall_s": round(pool_wall, 4),
-        "recovery_overhead_s": round(overhead, 4),
-        **counters,
-        "degraded": {
-            "degraded_shards": degraded.round_recovery.get(
-                "degraded_shards", 0
-            ),
-            "retries": degraded.round_recovery.get("retries", 0),
-            "bit_identical": bool(np.array_equal(
-                degraded.partition.layer_array(graph.num_vertices), layers
-            )),
-        },
+        "retries": out.round_recovery.get("retries", 0),
+        "bit_identical": bool(np.array_equal(
+            out.partition.layer_array(graph.num_vertices), layers
+        )),
     }
 
 
@@ -304,7 +290,6 @@ def run(sizes: dict, quick: bool) -> dict:
             graphs[FABRIC_SHAPE], timed[f"{FABRIC_SHAPE}/w1"][1]
         )
     block["legs"] = {key: leg for key, (leg, __) in timed.items()}
-    close_shared_pools()
     return block
 
 
@@ -480,27 +465,12 @@ def _quick_guards(cur: dict, base: dict, host_cpus: int, base_cpus: int):
     if recovery is None:
         failures.append("the quick run has no recovery block")
         return failures, waivers
-    counts = {
-        k: v for k, v in recovery.items() if isinstance(v, int) and v
-    }
-    if counts:
+    if not recovery["bit_identical"]:
+        failures.append("the slab-fault fabric partition diverged")
+    elif recovery["retries"] == 0:
         failures.append(
-            f"zero-fault pooled run recovered from faults: {counts}"
-        )
-    budget = MAX_RECOVERY_OVERHEAD * recovery["pool_wall_s"]
-    if recovery["recovery_overhead_s"] > budget:
-        failures.append(
-            f"supervisor overhead {recovery['recovery_overhead_s']:.4f}s "
-            f"exceeds {MAX_RECOVERY_OVERHEAD:.0%} of the pooled run's "
-            f"{recovery['pool_wall_s']:.3f}s"
-        )
-    degraded = recovery["degraded"]
-    if not degraded["bit_identical"]:
-        failures.append("the degraded-serial partition diverged")
-    elif degraded["degraded_shards"] == 0:
-        failures.append(
-            "the degraded-serial leg degraded zero shards (the crash plan "
-            "stopped reaching the workers)"
+            "the slab-fault fabric run re-ran no chain (the slab plan "
+            "stopped reaching the game threads)"
         )
     return failures, waivers
 
@@ -516,10 +486,9 @@ def check_regression(report: dict, baseline: dict):
     dict-oracle partition, compiled ≥ :data:`MIN_COMPILED_SPEEDUP`
     × batched on gnm and its coloring tail ≥ :data:`MIN_TAIL_SPEEDUP` ×
     batched's, the fabric's transport tax over the same shape's
-    compiled partition ≤ :data:`MAX_MESSAGE_OVER_COMPILED`, zero
-    recovery counters on the clean pooled run, supervisor overhead ≤
-    :data:`MAX_RECOVERY_OVERHEAD`, and a bit-identical degraded leg that
-    degraded some shard.  Every block in the report also gets the
+    compiled partition ≤ :data:`MAX_MESSAGE_OVER_COMPILED`, and a
+    slab-fault fabric run that re-ran some chain to the clean layers.
+    Every block in the report also gets the
     within-run guards: worker overhead, a monotone sweep, the fabric's
     held-words budget and its compiled shards.  A waiver names a guard
     skipped for a stated host reason.

@@ -7,7 +7,6 @@ from repro.ampc.faults import (
     ChecksumError,
     FaultPlan,
     FaultSpec,
-    InjectedFault,
     inject,
 )
 from repro.ampc.machine import BatchMachineContext, MachineContext, SpaceExceeded
@@ -20,10 +19,8 @@ from repro.ampc.messaging import (
 from repro.ampc.mpc import MPCSimulator
 from repro.ampc.pool import (
     CoinGamePool,
-    WorkerPoolError,
     close_shared_pools,
     resolve_workers,
-    shared_pool,
 )
 from repro.ampc.simulator import AMPCSimulator
 
@@ -38,7 +35,6 @@ __all__ = [
     "ExecutionStats",
     "FaultPlan",
     "FaultSpec",
-    "InjectedFault",
     "MPCSimulator",
     "MachineContext",
     "MemoryGuard",
@@ -46,10 +42,8 @@ __all__ = [
     "MessageFabric",
     "RoundStats",
     "SpaceExceeded",
-    "WorkerPoolError",
     "close_shared_pools",
     "inject",
     "owner_of",
     "resolve_workers",
-    "shared_pool",
 ]

@@ -1,66 +1,39 @@
-"""Deterministic seeded fault injection + payload checksums for the pool.
+"""Deterministic seeded fault injection and row-slab checksums.
 
-The round supervisor (:mod:`repro.ampc.pool`) promises that worker loss,
-hangs, and corrupted results are *recovered from*, not merely detected —
-a lost shard chain is re-executed bit-identically because it is a pure
-function of its inputs.  Testing that promise needs faults that are
+The message fabric's shard chains run on threads
+(:mod:`repro.ampc.pool`), and a chain whose row slab fails its checksum
+is re-run bit-identically, because it is a pure function of its
+inputs.  Testing that promise needs faults that are
 
 - **deterministic** — a chaos run must be reproducible from one seed, so
   a failing schedule can be replayed exactly;
 - **addressable** — keyed by ``(round, shard, attempt)``, where
-  ``round`` is the pool's monotonically increasing dispatch sequence
-  number, so a test can fault *the second attempt of shard 3 in
-  dispatch 7* and nothing else (and so a retried attempt draws a fresh
-  fault decision instead of deterministically re-failing forever);
-- **in-band** — the plan rides inside each shard's pickled payload, so
-  changing it never requires respawning workers, and an explicitly
-  :func:`inject`-ed plan always beats the ``REPRO_FAULT_PLAN``
-  environment shim CI uses to chaos-run the whole suite.
+  ``round`` counts the partition call's chain dispatches, so a test can
+  fault *the second attempt of shard 3 in dispatch 7* and nothing else
+  (and so a re-run draws a fresh fault decision instead of
+  deterministically re-failing forever);
+- **scoped** — an explicitly :func:`inject`-ed plan always beats the
+  ``REPRO_FAULT_PLAN`` environment shim CI uses to chaos-run the whole
+  suite.
 
 Fault kinds
 -----------
 
-``crash``
-    The worker raises :class:`InjectedFault` before playing — the
-    picklable-exception loss path (retried by the supervisor).
-``exit``
-    The worker process dies with ``os._exit`` — the dead-process path:
-    the executor breaks, every in-flight shard is lost, and the
-    supervisor tears the pool down and respawns it.
-``hang``
-    The worker sleeps ``hang_s`` seconds before playing — the deadline
-    path: a driver whose computed deadline is shorter kills the worker
-    and treats the shard as lost; a longer deadline just sees a slow
-    success (both converge to the same observables).
 ``slow``
-    The worker sleeps ``slow_s`` seconds, then plays normally — jitter
+    The chain sleeps ``slow_s`` seconds, then plays normally — jitter
     for completion order, which no observable may depend on.
-``garbage``
-    The worker corrupts one checksummed array of its result *after*
-    computing the checksum — the integrity path: the driver's re-check
-    fails and converts the corruption into a retry.
-``unpicklable``
-    The worker returns a lambda — the result cannot cross the pipe, so
-    the future fails with a pickling error (another retriable loss).
-``shm-detach``
-    The worker drops its cached shared-memory CSR attachment and raises
-    — the lost-segment path: the retry re-attaches from the driver's
-    still-alive segments.
 ``slab``
-    The worker corrupts one served row-resolution slab after stamping
+    The chain corrupts one served row-resolution slab after stamping
     its :func:`rows_checksum` — the row-message integrity path:
     ``install_ghosts`` rejects the slab before any ghost mutates, the
-    attempt dies with a :class:`ChecksumError`, and the retry redraws.
+    attempt dies with a :class:`ChecksumError`, and the re-run redraws.
 
 Checksums
 ---------
 
-:func:`payload_checksum` combines a CRC-32 of each array's bytes with
-its byte length through a splitmix64 finalizer, chained across arrays —
-an xxhash-style order-sensitive digest that is cheap enough to verify
-on every shard result (the <3% recovery-overhead bench guard covers
-it).  :func:`rows_checksum` is the same digest over a row-resolution
-slab ``(ids, lens, targets)`` — the integrity contract a future
+:func:`rows_checksum` digests a row-resolution slab ``(ids, lens,
+targets)`` — a CRC-32 of each packed array with its length, chained
+through a splitmix64 finalizer.  It is the integrity contract a future
 socket/MPI transport attaches to every row message
 (:meth:`repro.ampc.messaging._Shard.install_ghosts` verifies it; the
 in-process paths stamp one only under an active fault plan, since a
@@ -71,7 +44,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import time
 import zlib
 from typing import Iterable, Mapping, NamedTuple
 
@@ -83,18 +55,12 @@ __all__ = [
     "ChecksumError",
     "FaultPlan",
     "FaultSpec",
-    "InjectedFault",
     "active_plan",
-    "apply_pre",
     "inject",
-    "payload_checksum",
     "rows_checksum",
 ]
 
-FAULT_KINDS = (
-    "crash", "exit", "hang", "slow", "garbage", "unpicklable", "shm-detach",
-    "slab",
-)
+FAULT_KINDS = ("slow", "slab")
 
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
@@ -103,19 +69,15 @@ class ChecksumError(RuntimeError):
     """A payload failed its integrity check (corrupted in transit)."""
 
 
-class InjectedFault(RuntimeError):
-    """An injected worker fault (raised by ``crash``/``shm-detach``)."""
-
-
 class FaultSpec(NamedTuple):
-    """One resolved fault: what to do and (for hang/slow) for how long."""
+    """One resolved fault: what to do and (for slow) for how long."""
 
     kind: str
     seconds: float = 0.0
 
 
 class FaultPlan:
-    """A deterministic schedule of worker faults keyed by
+    """A deterministic schedule of chain faults keyed by
     ``(round, shard, attempt)``.
 
     ``entries`` maps explicit keys to kinds.  A ``seed`` additionally
@@ -125,11 +87,11 @@ class FaultPlan:
     (when set) restricts seeded faults to attempt indices below it, so
     a schedule can be made survivable-by-retry by construction;
     ``rate=1.0`` with ``attempts=None`` faults every attempt of every
-    shard and forces the supervisor's degraded-to-serial path.
+    shard, so a ``slab`` plan exhausts the re-runs.
 
-    Plans are picklable (they ride in shard payloads) and encode to a
-    ``key=value;…`` string (:meth:`spec`) round-trippable through
-    :meth:`parse` — the ``REPRO_FAULT_PLAN`` shim CI uses.
+    Plans encode to a ``key=value;…`` string (:meth:`spec`)
+    round-trippable through :meth:`parse` — the ``REPRO_FAULT_PLAN``
+    shim CI uses.
     """
 
     def __init__(
@@ -138,9 +100,8 @@ class FaultPlan:
         *,
         seed: int | None = None,
         rate: float = 0.0,
-        kinds: Iterable[str] = ("crash",),
+        kinds: Iterable[str] = ("slab",),
         attempts: int | None = None,
-        hang_s: float = 30.0,
         slow_s: float = 0.02,
     ) -> None:
         self.entries = {}
@@ -164,7 +125,6 @@ class FaultPlan:
         if self.rate > 0.0 and self.seed is not None and not self.kinds:
             raise ValueError("a seeded plan needs at least one kind")
         self.attempts = None if attempts is None else int(attempts)
-        self.hang_s = float(hang_s)
         self.slow_s = float(slow_s)
 
     def lookup(self, rnd: int, shard: int, attempt: int) -> FaultSpec | None:
@@ -183,8 +143,6 @@ class FaultPlan:
                 kind = self.kinds[mix64(h + 1) % len(self.kinds)]
         if kind is None:
             return None
-        if kind == "hang":
-            return FaultSpec(kind, self.hang_s)
         if kind == "slow":
             return FaultSpec(kind, self.slow_s)
         return FaultSpec(kind)
@@ -200,7 +158,6 @@ class FaultPlan:
             parts.append("kinds=" + "+".join(self.kinds))
         if self.attempts is not None:
             parts.append(f"attempts={self.attempts}")
-        parts.append(f"hang_s={self.hang_s}")
         parts.append(f"slow_s={self.slow_s}")
         if self.entries:
             parts.append("at=" + "+".join(
@@ -212,8 +169,8 @@ class FaultPlan:
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
         """Parse the env-shim syntax, e.g.
-        ``"seed=7;rate=0.2;kinds=crash+garbage+slow"`` or
-        ``"at=crash@0.1.0+hang@2.0.1;hang_s=30"``.
+        ``"seed=7;rate=0.2;kinds=slab+slow"`` or
+        ``"at=slab@0.1.0+slow@2.0.1;slow_s=0.5"``.
         """
         kwargs: dict = {}
         entries: dict[tuple[int, int, int], str] = {}
@@ -236,7 +193,7 @@ class FaultPlan:
                 kwargs["kinds"] = tuple(value.split("+"))
             elif key == "attempts":
                 kwargs["attempts"] = int(value)
-            elif key in ("hang_s", "slow_s"):
+            elif key == "slow_s":
                 kwargs[key] = float(value)
             elif key == "at":
                 for item in value.split("+"):
@@ -256,10 +213,9 @@ class FaultPlan:
         return f"FaultPlan({self.spec()!r})"
 
 
-# Explicitly injected plan (driver side).  A module global rather than a
-# parameter thread-through: the plan is test machinery, resolved once
-# per dispatch and shipped inside the shard payloads — production call
-# sites never mention it.
+# Explicitly injected plan.  A module global rather than a parameter
+# thread-through: the plan is test machinery, resolved once per
+# dispatch — production call sites never mention it.
 _ACTIVE: FaultPlan | None = None
 _ACTIVE_SET = False
 # One-slot cache of the env-shim parse, keyed by the raw string.
@@ -268,7 +224,7 @@ _ENV_CACHE: tuple[str, FaultPlan] | None = None
 
 @contextlib.contextmanager
 def inject(plan: FaultPlan | None):
-    """Activate ``plan`` for pool dispatches inside the block.
+    """Activate ``plan`` for chain dispatches inside the block.
 
     An injected plan (even ``None``) beats the ``REPRO_FAULT_PLAN``
     environment shim, so a test pinning its own schedule is isolated
@@ -284,7 +240,7 @@ def inject(plan: FaultPlan | None):
 
 
 def active_plan() -> FaultPlan | None:
-    """The plan the next dispatch should ship: :func:`inject`'s, else
+    """The plan the next dispatch should use: :func:`inject`'s, else
     the parsed ``REPRO_FAULT_PLAN`` environment shim, else None."""
     global _ENV_CACHE
     if _ACTIVE_SET:
@@ -295,57 +251,6 @@ def active_plan() -> FaultPlan | None:
     if _ENV_CACHE is None or _ENV_CACHE[0] != raw:
         _ENV_CACHE = (raw, FaultPlan.parse(raw))
     return _ENV_CACHE[1]
-
-
-def apply_pre(spec: FaultSpec | None) -> None:
-    """Apply a fault's *pre-play* effect inside the worker process.
-
-    ``garbage``/``unpicklable`` act on the result instead (the pool's
-    corruption hook); everything else fires here, before any work.
-    """
-    if spec is None:
-        return
-    if spec.kind == "crash":
-        raise InjectedFault("injected worker fault: crash")
-    if spec.kind == "exit":  # pragma: no cover - kills the process
-        os._exit(17)
-    if spec.kind in ("hang", "slow"):
-        time.sleep(spec.seconds)
-        return
-    if spec.kind == "slab":
-        # Fires inside run_shard_chain's first row exchange instead: the
-        # worker corrupts one served slab *after* stamping its checksum,
-        # so install_ghosts' slab-granular verify must reject it.
-        return
-    if spec.kind == "shm-detach":
-        # Simulate losing the shared-memory attachment mid-round: drop
-        # the worker's cached CSR so the retry must re-attach from the
-        # driver's (still alive) segments, then fail this attempt.
-        from repro.ampc import pool
-
-        pool._CSR_CACHE.update(dict.fromkeys(pool._CSR_CACHE))
-        raise InjectedFault("injected worker fault: shm-detach")
-
-
-# -- integrity checksums ---------------------------------------------------
-
-
-def payload_checksum(*items) -> int:
-    """Order-sensitive digest of arrays/bytes: per-item CRC-32 + length,
-    chained through the splitmix64 finalizer (xxhash-style: fast block
-    digest feeding a strong 64-bit avalanche)."""
-    h = 0x243F6A8885A308D3
-    for item in items:
-        if isinstance(item, (bytes, bytearray, memoryview)):
-            buf = bytes(item)
-            nbytes = len(buf)
-        else:
-            arr = np.ascontiguousarray(item)
-            buf = arr
-            nbytes = arr.nbytes
-        h = mix64(h ^ zlib.crc32(buf))
-        h = mix64(h ^ nbytes)
-    return h
 
 
 def rows_checksum(

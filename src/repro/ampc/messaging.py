@@ -149,9 +149,9 @@ doubling speculative-prefetch balls (radius ``2^(k-1)`` capped at
 returns its game results plus the trace of requests it made.
 :meth:`MessageFabric.run_round` runs the chains one after another on
 the driver (``workers=1``, or a round below the pool cutoff) or on the
-persistent worker pool
-(:meth:`repro.ampc.pool.CoinGamePool.run_games`); both feed one
-replay, so every observable and counter is the same on either host:
+game threads (:meth:`repro.ampc.pool.CoinGamePool.run_games`); both
+feed one replay, so every observable and counter is the same either
+way:
 
 - **Communication is replayed, not simulated.**  A chain returns its
   per-sub-round ``(missing, speculative)`` id trace; the driver routes
@@ -159,11 +159,10 @@ replay, so every observable and counter is the same on either host:
   ``2 + deg`` from the round's CSR, so messages, words, segment
   counts, row requests/served, and the global sub-round count (a
   cross-shard *any* per lockstep iteration) are what an interleaved
-  lockstep run of the shards would count.  On the pool, replay runs in
-  shard-completion order, overlapped with the still-running shards'
-  play (``comm_overlap_s`` records the hidden portion);
-  ``shard_wall_s`` is the slowest chain's own wall time on either
-  host.
+  lockstep run of the shards would count.  On the threads, replay
+  runs in shard-completion order, overlapped with the still-running
+  shards' play (``comm_overlap_s`` records the hidden portion);
+  ``shard_wall_s`` is the slowest chain's own wall time either way.
 - **Guard accounting is adopted, not recomputed.**  The driver keeps
   one persistent :class:`MemoryGuard` per shard and no rows: at round
   start it re-accounts each guard's ``owned_rows`` from the CSR's
@@ -171,38 +170,33 @@ replay, so every observable and counter is the same on either host:
   peak and end-of-round holdings (:meth:`MemoryGuard.adopt`), so
   driver-side fold accounting stacks on the correct current and
   ``max_held_words`` is exact per round.  A chain's
-  :class:`MemoryGuardError` is a protocol outcome, not a pool fault:
-  it passes through verbatim and the pool stays healthy.
+  :class:`MemoryGuardError` is a protocol outcome, not a fault: it
+  passes through verbatim and is never retried.
 - **Folds stay commutative across shards.**  The driver-side merge
   of shard results is a min/+ fold — ``min`` and ``+`` are commutative
   and associative, and per-game charges are position-disjoint — so
-  chain completion order (racy on the pool) cannot perturb any
+  chain completion order (racy on the threads) cannot perturb any
   observable.
 
-Retry safety (the supervisor's failure contract)
-------------------------------------------------
+Retry safety
+------------
 
-The same purity argument makes the loss of a pooled chain
-*recoverable*: a crashed, hung, or corrupted chain is re-run from the
-same inputs and produces the same result bit for bit, so the pool's
-round supervisor (:meth:`repro.ampc.pool.CoinGamePool._run_supervised`)
-may retry, respawn, or fall back to running the chain inline on the
-driver without any observable noticing.  Three properties carry the
-argument:
+The same purity argument makes a chain whose row slab arrives
+corrupted *recoverable*: re-run from the same inputs, it produces the
+same result bit for bit, so :meth:`repro.ampc.pool.CoinGamePool.run_games`
+re-runs it on the driver without any observable noticing.  Two
+properties carry the argument:
 
 - **Replay is exactly-once, not idempotent.**  Replaying a chain's
   trace twice would double the message counters and re-adopt its
-  guard, so the supervisor delivers each chain's result to the driver
-  exactly once, only after its checksum verifies; a lost or corrupted
-  attempt is discarded *before* any driver state mutates, and
-  ``adopt`` itself is a pure max/assign merge per tag.
-- **Results are integrity-checked.**  Every pooled result carries a
-  splitmix64-chained CRC over its arrays and trace
-  (:func:`repro.ampc.faults.payload_checksum`).
+  guard, so each chain's result reaches the driver's replay exactly
+  once, and a failed attempt delivers nothing: it dies before
+  returning, so no driver state mutates.  ``adopt`` itself is a pure
+  max/assign merge per tag.
 - **Row payloads are integrity-checked.**  Row-resolution deliveries
   into :meth:`_Shard.install_ghosts` verify a
   :func:`repro.ampc.faults.rows_checksum` when one is supplied —
-  corruption becomes a detected retry, never a wrong partition.  The
+  corruption becomes a detected re-run, never a wrong partition.  The
   checksum parameter is the contract a real transport attaches to
   every row message; a chain hands ``install_ghosts`` the very arrays
   it served, so it stamps one only under an active fault plan
@@ -213,10 +207,9 @@ argument:
 The BSP sub-round loop plus the typed, size-capped messages above are
 deliberately the narrow waist: a true multi-host backend (sockets,
 MPI) replaces the chain dispatch and the driver's replay with real
-transport, and the supervisor is the failure contract such a backend
-plugs into — it supplies loss detection (deadlines), bounded
-re-execution, and degradation; the transport only has to report
-faults.
+transport, and must then bring its own loss detection; the slab
+checksum and the re-run of a pure chain are the part of the failure
+contract that carries over.
 """
 
 from __future__ import annotations
@@ -688,6 +681,9 @@ class _ShardRound:
             out_layer=np.full(u_count, _INF),
             out_count=np.zeros(u_count, dtype=np.int64),
             engine=self.engine, want_records=True,
+            # A chain may run on a game thread, which must never submit
+            # to the pool it runs on.
+            workers=1,
         )
         # Remap ids and split valid from invalid games in whole-fleet
         # array ops — an optimistic wave discards most of its plays as
@@ -851,8 +847,10 @@ def run_shard_chain(
 
     The only implementation of a shard's sub-round loop:
     :meth:`MessageFabric.run_round` calls it inline on the driver or
-    through :meth:`repro.ampc.pool.CoinGamePool.run_games` in a
-    worker process.  The shard is rebuilt as its owner partition of the
+    through :meth:`repro.ampc.pool.CoinGamePool.run_games` on a game
+    thread.  It reads ``offsets``/``targets`` and writes nothing
+    outside its own shard, so chains share the round's CSR in place.
+    The shard is rebuilt as its owner partition of the
     CSR (:meth:`_Shard.place`), and every row another shard would serve
     it is a verbatim CSR slice, so the chain serves its own row requests
     and the result is a pure function of its arguments.
@@ -863,10 +861,12 @@ def run_shard_chain(
     trace through its word-counting helpers and adopts the guard
     numbers (:meth:`MemoryGuard.adopt`).
 
-    ``fault`` is an optional injected :class:`repro.ampc.faults.Fault`
-    of kind ``"slab"``: the first row slab is corrupted *after* the
-    serving side stamps its checksum, so :meth:`_Shard.install_ghosts`
-    must reject it (a retriable worker loss) before any ghost mutates.
+    ``fault`` is an optional injected
+    :class:`repro.ampc.faults.FaultSpec`; one of kind ``"slab"``
+    corrupts the first row slab *after* the serving side stamps its
+    checksum, so :meth:`_Shard.install_ghosts` must reject it (a
+    :class:`~repro.ampc.faults.ChecksumError` the caller re-runs)
+    before any ghost mutates.  Other kinds are ignored here.
     """
     t0 = time.perf_counter()
     shard = _Shard(sid, num_shards, budget_words)
@@ -987,7 +987,7 @@ class MessageFabric:
     The driver holds no shard rows: it keeps one persistent
     :class:`MemoryGuard` per shard plus the communication counters, and
     each round runs every shard's :func:`run_shard_chain` — inline, or
-    on the process pool when one is given — then replays the chains'
+    on the game threads when a pool is given — then replays the chains'
     traces as if the shards were separate machines: every word a shard
     holds and every word that crosses a shard boundary is accounted.
     ``run_round`` plugs into
@@ -1022,8 +1022,8 @@ class MessageFabric:
     # -- counters ----------------------------------------------------------
 
     # shard_wall_s is the slowest shard chain's own wall time (inline or
-    # in a pool worker); comm_overlap_s the driver replay hidden behind
-    # still-running pooled chains (always 0 inline).
+    # on a game thread); comm_overlap_s the driver replay hidden behind
+    # still-running threaded chains (always 0 inline).
     _COMM_KEYS = (
         "messages", "words", "subrounds", "row_requests", "rows_served",
         "placement_words", "retirement_words", "fold_words", "result_words",
@@ -1119,11 +1119,11 @@ class MessageFabric:
         commutative accumulators, so the split is invisible).
 
         Every shard with games runs one :func:`run_shard_chain`: inline
-        on the driver when ``pool`` is None, else on the ``pool``'s
-        worker processes (a :class:`repro.ampc.pool.CoinGamePool`).
+        on the driver when ``pool`` is None, else on the game threads
+        through ``pool`` (a :class:`repro.ampc.pool.CoinGamePool`).
         Either way the driver replays each chain's communication for
         the counters and adopts its guard peak, so all observables and
-        all comm/memory numbers are the same on both hosts.
+        all comm/memory numbers are the same on both paths.
         """
         comm = self._init_comm({} if comm is None else comm)
         num = self.num_shards
@@ -1212,7 +1212,7 @@ class MessageFabric:
 
         for sid, __ in jobs:
             if sid not in delivered:
-                # The supervisor contract is exactly-once delivery per
+                # The pool's contract is exactly-once delivery per
                 # dispatched shard; an empty fill here would complete
                 # the round with a wrong partition, so a missing result
                 # is a loud driver bug, never a default.

@@ -27,7 +27,7 @@ synchronous, and within a round machines only read D_{i-1}, so sequential
 execution is observationally identical to parallel execution.  That same
 independence is what lets vectorized kernels split a round's fleet across
 threads or message-fabric shards (:mod:`repro.ampc.messaging`, on the
-:mod:`repro.ampc.pool` processes): slices report per-machine counts
+same threads through :mod:`repro.ampc.pool`): slices report per-machine counts
 through :meth:`~repro.ampc.machine.BatchMachineContext.account_at` in
 completion order, and the deferred strict scan plus commutative store
 folds keep the outcome bit-identical to the serial schedule.

@@ -32,10 +32,10 @@ Two execution fabrics implement the loop:
   CSR gather, the peel round is a degree-mask kernel, and the hubs' coin
   games run against that CSR.  With ``workers > 1`` lca rounds
   fan their hub fleet out over threads (array engines) or, under
-  ``transport="message"``, run the fabric's shard chains on a
-  persistent process pool (:mod:`repro.ampc.pool`) — machines within a
-  round are independent, so the split is invisible to every
-  observable.  The scalar engine always plays in-process.
+  ``transport="message"``, run the fabric's shard chains on the same
+  threads (:mod:`repro.ampc.pool`) — machines within a round are
+  independent, so the split is invisible to every observable.  The
+  scalar engine always plays in-process.
 - ``store="dict"`` is the original dict-of-lists path, kept verbatim as
   the semantics oracle: the columnar path reproduces its partitions,
   round counts, and per-round statistics exactly (asserted by the
@@ -53,7 +53,7 @@ import numpy as np
 
 from repro.ampc.machine import MachineContext
 from repro.ampc.messaging import MessageFabric
-from repro.ampc.pool import defer_full_gc, resolve_workers, shared_pool
+from repro.ampc.pool import CoinGamePool, defer_full_gc, resolve_workers
 from repro.ampc.simulator import AMPCSimulator
 from repro.core import native
 from repro.core.columnar_rounds import (
@@ -100,7 +100,7 @@ class BetaPartitionOutcome:
     x: int  # game budget used (0 in peel mode)
     simulator: AMPCSimulator | None = None
     unlayered_per_round: list[int] = field(default_factory=list)
-    workers: int = 1  # threads/processes the lca rounds fanned out over
+    workers: int = 1  # threads the lca rounds fanned out over
     engine: str = "scalar"  # execution: "batched", "compiled" or "scalar"
     transport: str = "shm"  # sharding fabric: "shm" (shared CSR) or "message"
     shards: int = 0  # message-fabric shard count (0 under transport="shm")
@@ -112,13 +112,10 @@ class BetaPartitionOutcome:
     # transport="message": lifetime peak of any shard's guarded held
     # words — what the configured S budget binds against.
     max_held_words: int = 0
-    # transport="message" with workers > 1: the pool supervisor's
-    # recovery counters accumulated over this run (retries / respawns /
-    # deadline_kills / checksum_rejects / worker_faults /
-    # degraded_shards / recovery_wall_s) — all zero on an undisturbed
-    # run (and on runs whose rounds all stayed below the pool cutoff),
-    # and accounting every injected or real fault otherwise.  Empty dict
-    # when no pool was attached.
+    # transport="message" with workers > 1: {"retries": n}, the shard
+    # chains re-run this call after a row slab failed its checksum —
+    # zero on an undisturbed run (and on runs whose rounds all stayed
+    # below the pool cutoff).  Empty dict when no pool was attached.
     round_recovery: dict = field(default_factory=dict)
 
     @property
@@ -237,7 +234,7 @@ def beta_partition_ampc(
         Parallelism of the columnar lca rounds: the array engines fan
         each round's games out over that many threads (capped at the
         usable CPUs); under ``transport="message"`` the fabric's shard
-        chains run on that many worker processes
+        chains run on that many of the same threads
         (:mod:`repro.ampc.pool`).  The scalar engine always plays
         in-process.  None reads ``$REPRO_WORKERS``, defaulting to
         ``"auto"`` (the CPUs this process may use, so 1-CPU hosts stay
@@ -267,21 +264,21 @@ def beta_partition_ampc(
         lca rounds (``explore`` / ``forward`` / ``fold`` for the batched
         engine, ``native`` / ``fold`` for the compiled one; all keys of
         the engine always present).  A threaded compiled round books
-        its whole fan-out under ``native``; threaded batched rounds and
-        worker processes are not instrumented and leave the engine's
-        phases at zero — time batched phase breakdowns with
-        ``workers=1``.
+        its whole fan-out under ``native``, and a compiled fabric round
+        its ``run_round``; threaded batched rounds are not instrumented
+        and leave ``explore``/``forward`` at zero — time batched phase
+        breakdowns with ``workers=1``.
     transport:
         Sharding fabric for the columnar lca rounds: ``"shm"`` (every
         game thread sees the whole residual CSR in place — the oracle
-        path; no process pool is involved) or ``"message"``
+        path) or ``"message"``
         (owner-hashed shards holding only their residual slice plus a
         bounded ghost fringe, exchanging typed size-capped delta
         messages — :mod:`repro.ampc.messaging`).  A
         pure memory/communication-discipline knob: every observable is
         bit-identical to ``"shm"`` for any shard count.  ``"message"``
-        requires the columnar store, replaces the thread fan-out, and is
-        the only path that forks the process pool (workers > 1).
+        requires the columnar store and replaces the fleet fan-out: with
+        workers > 1 its shard chains run on the game threads instead.
     shards:
         Shard count under ``transport="message"`` (default: ``workers``,
         floored at 2).
@@ -354,11 +351,9 @@ def beta_partition_ampc(
     if max_rounds is None:
         max_rounds = 4 * (n.bit_length() + 2) + 8
 
-    # Acquire the pool before suspending full GC: CoinGamePool snapshots
-    # the gc thresholds its workers should restore at fork time.  The
-    # message fabric models the memory/communication discipline; with
-    # workers > 1 its shard chains run on the persistent pool (each
-    # worker plays one shard's BSP rounds, the driver replays the
+    # The message fabric models the memory/communication discipline;
+    # with workers > 1 its shard chains run on the game threads (each
+    # plays one shard's BSP round, the driver replays the
     # communication), so transport and workers compose.  Nothing else
     # uses the pool.
     fabric = None
@@ -367,7 +362,7 @@ def beta_partition_ampc(
             shards if shards is not None else max(2, workers),
             budget_words=shard_budget,
         )
-    pool = shared_pool(workers) if fabric is not None and workers > 1 else None
+    pool = CoinGamePool(workers) if fabric is not None and workers > 1 else None
     with defer_full_gc():
         if store == "columnar":
             return _run_columnar(
@@ -456,14 +451,13 @@ def _run_columnar(
     """The batched columnar loop — observationally identical to the dict
     path, with the residual re-encode, peel round, and DDS-side min-merge
     running as array kernels.  With workers > 1, lca rounds fan their
-    fleet out over threads or the fabric's process pool (see
+    fleet, or the fabric's shard chains, out over threads (see
     :func:`lca_round_kernel`) — transparent to every observable."""
     layer_vec = np.full(graph.num_vertices, INFINITY)
     alive = np.arange(graph.num_vertices, dtype=np.int64)
     layer_offset = 0
     unlayered_history: list[int] = []
     round_comm: list[dict] = []
-    recovery_base = pool.recovery_snapshot() if pool is not None else None
 
     while alive.size:
         if len(sim.stats.rounds) >= max_rounds:
@@ -517,9 +511,7 @@ def _run_columnar(
         shards=fabric.num_shards if fabric is not None else 0,
         round_comm=round_comm,
         max_held_words=fabric.peak_held_words if fabric is not None else 0,
-        round_recovery=(
-            pool.recovery_delta(recovery_base) if pool is not None else {}
-        ),
+        round_recovery=dict(pool.recovery) if pool is not None else {},
     )
 
 

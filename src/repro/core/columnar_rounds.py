@@ -28,7 +28,7 @@ dict-backed oracle):
 Machines within a round are independent (they all read D_{i-1} only),
 so the fleet can fan out over threads or message-passing shards
 (:class:`repro.ampc.messaging.MessageFabric`, whose shard chains run
-on :class:`repro.ampc.pool.CoinGamePool` worker processes).
+on the same threads through :class:`repro.ampc.pool.CoinGamePool`).
 :func:`play_fleet` is the one fleet player of every engine — the shm
 round, a fabric shard's sub-round and the Lemma 4.7 LCA's
 ``query_all`` all call it — and it returns every game complete: the
@@ -213,6 +213,9 @@ def close_empty_rows(
 
 def _game_threads() -> ThreadPoolExecutor:
     """The process-wide thread pool the fleet player fans out over.
+
+    The message fabric's shard chains run on it too
+    (:meth:`repro.ampc.pool.CoinGamePool.run_games`).
 
     Created once, on first use, with :func:`usable_cpus` threads, and
     kept for the process's lifetime (idle threads cost nothing; the
@@ -502,14 +505,18 @@ def lca_round_kernel(
     (``explore`` / ``forward`` / ``fold`` from the batched engine,
     ``native`` / ``fold`` from the compiled one).  Every key of the
     engine is always present.  A threaded compiled round books its
-    whole fan-out under ``native``; a threaded batched round and any
-    fabric round leave the engine's own phases at zero.
+    whole fan-out under ``native`` and its accumulator fold under
+    ``fold``; a compiled fabric round books its ``run_round`` under
+    ``native`` the same way, and any fabric round books its min/+
+    scatter under ``fold``.  A threaded batched round and a batched
+    fabric round leave ``explore``/``forward`` at zero.
 
     ``fabric`` (a :class:`repro.ampc.messaging.MessageFabric`) replaces
     all of the above with owner-hashed message-passing shards — every
     hub game dispatches through the fabric, whose shard chains run on the
-    ``pool``'s processes (:meth:`repro.ampc.pool.CoinGamePool.run_games`)
-    for rounds above the cutoff; ``pool`` is used for nothing else.  The
+    game threads through ``pool``
+    (:meth:`repro.ampc.pool.CoinGamePool.run_games`) for rounds above
+    the cutoff; ``pool`` is used for nothing else.  The
     round's communication counters accumulate into ``comm``, and the
     fabric's ``(positions, ShardResult)`` pairs min/+-scatter into the
     same two arrays.
@@ -541,6 +548,7 @@ def lca_round_kernel(
     ones = np.ones(len(low), dtype=np.int64)
     batch.account_at(low, ones, ones)
     if fabric is not None:
+        t0 = time.perf_counter()
         shards = fabric.run_round(
             offsets,
             targets,
@@ -553,18 +561,23 @@ def lca_round_kernel(
             scale=scale,
             engine=engine,
             comm=comm,
-            # Shard chains dispatch to pool workers above the cutoff;
-            # smaller rounds (the long tail) run the shards in-process.
+            # Shard chains run on the game threads above the cutoff;
+            # smaller rounds (the long tail) run them on this thread.
             # Either way the fabric's observables and counters are
             # identical.
             pool=pool if big else None,
         )
+        t1 = time.perf_counter()
         # Every piece is a commutative min/+ scatter, so shard order is
         # irrelevant.
         for shard_positions, shard in shards:
             np.minimum.at(out_layer, shard.fold_vertices, shard.fold_minima)
             np.add.at(out_count, shard.fold_vertices, shard.fold_counts)
             batch.account_at(shard_positions, shard.reads, shard.writes)
+        if phases is not None:
+            if engine == "compiled":
+                phases["native"] += t1 - t0
+            phases["fold"] += time.perf_counter() - t1
     else:
         info = play_fleet(
             offsets, targets, hubs,

@@ -7,7 +7,7 @@ Adds two execution knobs:
   ``resolve_workers(None)``: ``$REPRO_WORKERS`` when set, else
   ``"auto"``, the usable CPU count; so the CI matrix leg that exports
   ``REPRO_WORKERS=2`` fans every large enough columnar lca round out
-  over threads, and message-fabric rounds over the process pool).
+  over threads, and message-fabric rounds' shard chains with them).
 - ``--slow`` — opt into tests marked ``slow`` (full-size shapes for the
   differential harness); they are deselected by default so the tier-1
   run stays fast, and CI's cron/label-gated job turns them on.
@@ -86,10 +86,9 @@ def fast_pool(monkeypatch: pytest.MonkeyPatch):
     """Pin :mod:`repro.ampc.pool`'s constants so tiny rounds go parallel.
 
     ``MIN_POOL_GAMES = 1`` sends every lca round with workers > 1 down
-    the parallel path (threads, or the process pool under
-    ``transport="message"``) and ``RETRY_BACKOFF_S = 0`` keeps chaos
-    retries from sleeping.  Returns a setter for more pool constants,
-    e.g. ``fast_pool(MAX_SHARD_RETRIES=0, POOL_DEGRADE=False)``.
+    the parallel path: the fleet fan-out, or the shard chains on the
+    game threads under ``transport="message"``.  Returns a setter for
+    more pool constants, e.g. ``fast_pool(MAX_SHARD_RETRIES=0)``.
     """
     from repro.ampc import pool
 
@@ -97,7 +96,7 @@ def fast_pool(monkeypatch: pytest.MonkeyPatch):
         for name, value in constants.items():
             monkeypatch.setattr(pool, name, value)
 
-    pin(MIN_POOL_GAMES=1, RETRY_BACKOFF_S=0.0)
+    pin(MIN_POOL_GAMES=1)
     return pin
 
 

@@ -13,7 +13,6 @@ partitions whose later rounds replay nothing from earlier ones.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import threading
@@ -25,13 +24,7 @@ import pytest
 from repro.ampc import faults
 import repro.core.batched_games as batched_games
 import repro.core.columnar_rounds as columnar_rounds
-from repro.ampc.pool import (
-    _SHARED_POOLS,
-    CoinGamePool,
-    close_shared_pools,
-    resolve_workers,
-    usable_cpus,
-)
+from repro.ampc.pool import CoinGamePool, resolve_workers, usable_cpus
 from repro.core import native
 from repro.core.batched_games import (
     csr_transpose_positions,
@@ -287,29 +280,25 @@ class TestWorkersAutoAndThreshold:
         with pytest.raises(ValueError, match=message):
             resolve_workers(workers)
 
-    def test_small_rounds_skip_pool_dispatch(self):
-        # Below the minimum-game threshold the fabric's pool must never
-        # fork: its executor stays unmaterialized for the whole
-        # partition.
-        close_shared_pools()
+    def test_small_rounds_skip_pool_dispatch(self, monkeypatch):
+        # Below the minimum-game threshold the fabric's chains never
+        # reach the pool: every round runs them on the driver.
+        dispatches = _spy_run_games(monkeypatch)
         graph = random_gnm(80, 160, seed=2)
         outcome = beta_partition_ampc(
             graph, 9, store="columnar", workers=2, transport="message"
         )
         assert not outcome.partition.is_partial(range(80))
-        pool = _SHARED_POOLS.get(2)
-        assert pool is not None and pool._executor is None
-        close_shared_pools()
+        assert outcome.round_recovery == {"retries": 0}
+        assert dispatches == []
 
-    def test_threshold_override_dispatches(self, fast_pool):
-        close_shared_pools()
+    def test_threshold_override_dispatches(self, monkeypatch, fast_pool):
+        dispatches = _spy_run_games(monkeypatch)
         graph = random_gnm(80, 160, seed=2)
         beta_partition_ampc(
             graph, 9, store="columnar", workers=2, transport="message",
         )
-        pool = _SHARED_POOLS.get(2)
-        assert pool is not None and pool._executor is not None
-        close_shared_pools()
+        assert dispatches
 
     def test_workers_auto_accepted_end_to_end(self):
         graph = random_gnm(60, 120, seed=4)
@@ -317,35 +306,32 @@ class TestWorkersAutoAndThreshold:
         serial = beta_partition_ampc(graph, 9, store="columnar", workers=1)
         assert auto.partition.layers == serial.partition.layers
         assert auto.workers == resolve_workers("auto")
-        close_shared_pools()
 
     def test_array_engines_thread_scalar_in_process(
         self, monkeypatch, fast_pool
     ):
         # 600 pending games, every round above the cutoff: the default
         # engine plays them on threads, and the scalar oracle plays them
-        # one by one on the driver.  Neither acquires the process pool.
+        # one by one on the driver.  Neither runs shard chains.
         _many_cpus(monkeypatch)
-        close_shared_pools()
+        dispatches = _spy_run_games(monkeypatch)
         played_on = _spy_cohort_threads(monkeypatch)
         g = random_gnm(600, 1200, seed=2)
         beta_partition_ampc(g, 9, store="columnar", workers=2)
         assert played_on - {threading.get_ident()}, "no game left the driver"
-        assert _SHARED_POOLS.get(2) is None
         serial = beta_partition_ampc(
             g, 9, store="columnar", workers=1, engine="scalar"
         )
         scalar = beta_partition_ampc(
             g, 9, store="columnar", workers=2, engine="scalar",
         )
-        assert _SHARED_POOLS.get(2) is None
-        assert multiprocessing.active_children() == []
+        assert dispatches == []
         assert scalar.partition.layers == serial.partition.layers
         assert scalar.round_recovery == {}
 
     def test_auto_counts_usable_cpus_not_installed(self, monkeypatch):
         # An affinity mask (taskset, a cgroup cpuset) grants fewer CPUs
-        # than the machine has: "auto", the process cap and the thread
+        # than the machine has: "auto", the chain cap and the thread
         # cap must all follow the mask.
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(
@@ -353,8 +339,8 @@ class TestWorkersAutoAndThreshold:
         )
         assert usable_cpus() == 1
         assert resolve_workers("auto") == 1
-        with CoinGamePool(4) as pool:
-            assert pool.workers == 4 and pool.procs == 1
+        pool = CoinGamePool(4)
+        assert pool.workers == 4 and pool.threads == 1
         played_on = _spy_cohort_threads(monkeypatch)
         _play_fleet(random_gnm(300, 600, seed=3), 9, workers=4)
         assert played_on == {threading.get_ident()}
@@ -364,6 +350,19 @@ class TestWorkersAutoAndThreshold:
         # is all there is to go on.
         monkeypatch.delattr(os, "sched_getaffinity")
         assert usable_cpus() == 64
+
+
+def _spy_run_games(monkeypatch) -> list:
+    """Record every shard-chain dispatch to the pool (one job list each)."""
+    dispatches: list = []
+    original = CoinGamePool.run_games
+
+    def spy(self, offsets, targets, jobs, *args):
+        dispatches.append(jobs)
+        return original(self, offsets, targets, jobs, *args)
+
+    monkeypatch.setattr(CoinGamePool, "run_games", spy)
+    return dispatches
 
 
 def _many_cpus(monkeypatch, count=8):
@@ -529,7 +528,6 @@ class TestThreadFanOut:
         assert threaded.unlayered_per_round == serial.unlayered_per_round
         if engine == "compiled":
             assert phases["native"] > 0.0
-        close_shared_pools()
 
 
 class TestGameThreadPool:
@@ -607,6 +605,34 @@ class TestThreadStress:
         finally:
             sys.setswitchinterval(old)
         _assert_same_fleet(threaded, serial)
+
+    def test_oversubscribed_shard_chains_match_serial(
+        self, monkeypatch, fast_pool
+    ):
+        # Eight fabric chains at once on two cores, sharing the round's
+        # CSR: every counter the driver replays from them must match
+        # the serial fabric's, so no chain's result was lost or merged
+        # twice.
+        _many_cpus(monkeypatch, 16)
+        graph = preferential_attachment(300, 3, seed=5)
+        kwargs = dict(transport="message", shards=8)
+        serial = beta_partition_ampc(graph, 6, workers=1, **kwargs)
+        old = self._switch_often()
+        try:
+            threaded = beta_partition_ampc(graph, 6, workers=8, **kwargs)
+        finally:
+            sys.setswitchinterval(old)
+        _assert_same_outcome(serial, threaded)
+        timing = ("shard_wall_s", "comm_overlap_s", "serve_s", "install_s",
+                  "compact_s", "play_s")
+        assert [
+            {k: v for k, v in comm.items() if k not in timing}
+            for comm in threaded.round_comm
+        ] == [
+            {k: v for k, v in comm.items() if k not in timing}
+            for comm in serial.round_comm
+        ]
+        assert threaded.max_held_words == serial.max_held_words
 
 
 class TestQueryAllPort:
@@ -727,7 +753,6 @@ class TestMultiRoundUnderBatchedEngine:
             g, 1, x=2, store="columnar", engine="batched", workers=2,
         )
         _assert_same_outcome(oracle, pooled)
-        close_shared_pools()
 
 
 @pytest.fixture(autouse=True)

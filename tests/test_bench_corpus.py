@@ -149,18 +149,11 @@ CASES = {
     "transport tax 9x": (
         _relative("fabric/w1", "wall_s", "pa/w1", "partition_s", 9.0),
         "message transport tax"),
-    "clean run retried": (_set(("quick", "recovery", "retries"), 1),
-                          "zero-fault pooled run recovered"),
-    "supervisor overhead 4%": (
-        lambda r: _set(("quick", "recovery", "recovery_overhead_s"),
-                       0.04 * r["quick"]["recovery"]["pool_wall_s"])(r),
-        "supervisor overhead"),
-    "degraded leg diverged": (
-        _set(("quick", "recovery", "degraded", "bit_identical"), False),
-        "degraded-serial partition diverged"),
-    "degraded leg degraded nothing": (
-        _set(("quick", "recovery", "degraded", "degraded_shards"), 0),
-        "degraded zero shards"),
+    "slab leg diverged": (
+        _set(("quick", "recovery", "bit_identical"), False),
+        "slab-fault fabric partition diverged"),
+    "slab leg re-ran nothing": (_set(("quick", "recovery", "retries"), 0),
+                                "re-ran no chain"),
     "tracked leg missing": (_delete("quick", "legs", "pa/auto"),
                             "leg 'pa/auto' is in the baseline but missing"),
     "full leg missing": (_delete("full", "legs", "fabric/w1"),

@@ -3,32 +3,22 @@
 Every experiment trusts the validators to fail loudly; these tests mutate
 correct outputs in targeted ways and assert the validators notice.  A
 validator that silently accepts garbage would make every green table in
-EXPERIMENTS.md meaningless.  The worker-pool section injects seeded
-:class:`~repro.ampc.faults.FaultPlan` faults into the message fabric's
-pooled shard chains — an exception mid-round, a poisoned (unpicklable)
-result, a worker death — and asserts the round supervisor recovers each
-one with a bit-identical partition; with recovery disabled
-(``MAX_SHARD_RETRIES = 0``, ``POOL_DEGRADE = False``) the same faults must
-surface as one clear, context-carrying :class:`WorkerPoolError` with no
-orphan worker processes left behind.
+EXPERIMENTS.md meaningless.  The worker-pool section breaks the message
+fabric's shard chains on the game threads: an exception a chain raises
+must surface unchanged, a row slab corrupted on every attempt must
+surface as its :class:`~repro.ampc.faults.ChecksumError` once the
+re-runs run out, and the serial path must ignore fault plans.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ampc import faults
-from repro.ampc.faults import FaultPlan
-from repro.ampc.pool import (
-    CoinGamePool,
-    WorkerPoolError,
-    close_shared_pools,
-)
+from repro.ampc import faults, pool
+from repro.ampc.faults import ChecksumError, FaultPlan
+from repro.ampc.pool import CoinGamePool
 from repro.coloring.pipeline import coloring_two_plus_eps
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.core.orientation import Orientation, orient_by_partition
@@ -126,135 +116,67 @@ class TestOrientationCorruption:
 
 
 @pytest.fixture
-def fresh_pool_env():
-    """Isolate pool state: shared pools from earlier tests must not leak
-    in, and whatever this test breaks must not leak out."""
-    close_shared_pools()
+def no_leaked_plan():
     yield
-    close_shared_pools()
     assert faults._ACTIVE_SET is False  # no leaked injected plan
-    assert multiprocessing.active_children() == []  # no orphan workers
 
 
-# Every shard of every dispatch faults on its first attempt; retries
-# (attempt >= 1) run clean.
-_FIRST_ATTEMPT = dict(seed=1, rate=1.0, attempts=1)
-# Every attempt faults, forever: with degradation disabled this must
-# exhaust the retry budget and raise.
+# Every attempt of every shard faults, forever.
 _ALWAYS = dict(seed=1, rate=1.0)
 
-# Pool constants (pinned through the fast_pool fixture).  Recovery
-# disabled: the first fault must surface as WorkerPoolError.
-_NO_RECOVERY = dict(MAX_SHARD_RETRIES=0, POOL_DEGRADE=False)
-# Bounded retries, no degradation.
-_NO_DEGRADE = dict(POOL_DEGRADE=False)
 
-
-@pytest.mark.usefixtures("fast_pool")
+@pytest.mark.usefixtures("fast_pool", "no_leaked_plan")
 class TestWorkerPoolFaults:
     def _partition(self, workers):
         # fast_pool forces dispatch: this round is smaller than the
-        # default MIN_POOL_GAMES, and the faults only fire inside worker
-        # processes — which only the message fabric's shard chains use
-        # (the array engines fan out over threads, the scalar oracle
-        # plays in-process).
+        # default MIN_POOL_GAMES, and faults only fire in the message
+        # fabric's shard chains run through the pool (the array engines
+        # fan their fleets out themselves, the scalar oracle plays
+        # in-process).
         g = random_gnm(120, 240, seed=13)
         return beta_partition_ampc(
             g, 9, store="columnar", workers=workers, transport="message",
         )
 
-    def _oracle_layers(self):
-        return self._partition(workers=1).partition.layers
+    def test_worker_exception_surfaces_clearly(self, monkeypatch):
+        # A chain's exception reaches the caller as raised on the game
+        # thread: same object, not wrapped, not retried.
+        failure = RuntimeError("chain failed")
+        calls = []
 
-    def test_worker_exception_is_recovered(self, fresh_pool_env):
-        with faults.inject(FaultPlan(kinds=("crash",), **_FIRST_ATTEMPT)):
-            outcome = self._partition(workers=2)
-        assert outcome.partition.layers == self._oracle_layers()
-        assert outcome.round_recovery["retries"] > 0
-        assert outcome.round_recovery["worker_faults"] > 0
+        def chain(*args, **kwargs):
+            calls.append(1)
+            raise failure
 
-    def test_unpicklable_result_is_recovered(self, fresh_pool_env):
-        with faults.inject(
-            FaultPlan(kinds=("unpicklable",), **_FIRST_ATTEMPT)
-        ):
-            outcome = self._partition(workers=2)
-        assert outcome.partition.layers == self._oracle_layers()
-        assert outcome.round_recovery["retries"] > 0
+        monkeypatch.setattr(pool, "run_shard_chain", chain)
+        with pytest.raises(RuntimeError) as info:
+            self._partition(workers=2)
+        assert info.value is failure
+        assert len(calls) <= 2  # one per dispatched shard, no re-run
 
-    def test_worker_death_is_recovered(self, fresh_pool_env):
-        with faults.inject(FaultPlan(kinds=("exit",), **_FIRST_ATTEMPT)):
-            outcome = self._partition(workers=2)
-        assert outcome.partition.layers == self._oracle_layers()
-        assert outcome.round_recovery["respawns"] > 0
+    def test_retry_exhaustion_surfaces_checksum_error(self, monkeypatch):
+        real = pool.run_shard_chain
+        faulted = []
 
-    def test_corrupted_result_is_rejected_and_recovered(
-        self, fresh_pool_env
-    ):
-        with faults.inject(FaultPlan(kinds=("garbage",), **_FIRST_ATTEMPT)):
-            outcome = self._partition(workers=2)
-        assert outcome.partition.layers == self._oracle_layers()
-        assert outcome.round_recovery["checksum_rejects"] > 0
+        def chain(*args, fault=None, **kwargs):
+            faulted.append(fault is not None)
+            return real(*args, fault=fault, **kwargs)
 
-    def test_worker_exception_surfaces_clearly(
-        self, fresh_pool_env, fast_pool
-    ):
-        fast_pool(**_NO_RECOVERY)
-        with faults.inject(FaultPlan(kinds=("crash",), **_ALWAYS)):
-            with pytest.raises(
-                WorkerPoolError, match="injected worker fault"
-            ) as info:
+        monkeypatch.setattr(pool, "run_shard_chain", chain)
+        with faults.inject(FaultPlan(kinds=("slab",), **_ALWAYS)):
+            with pytest.raises(ChecksumError, match="checksum mismatch"):
                 self._partition(workers=2)
-        err = info.value
-        assert err.shard is not None and err.attempts == 1
-        assert err.outcomes and "InjectedFault" in err.outcomes[0]
-        assert isinstance(err.__cause__, Exception)
+        # The failing shard got its first attempt plus MAX_SHARD_RETRIES
+        # (2) re-runs, each with a fault drawn for its own attempt.
+        assert sum(faulted) >= 1 + pool.MAX_SHARD_RETRIES
 
-    def test_retry_exhaustion_surfaces_attempt_history(
-        self, fresh_pool_env, fast_pool
-    ):
-        fast_pool(**_NO_DEGRADE)
-        with faults.inject(FaultPlan(kinds=("crash",), **_ALWAYS)):
-            with pytest.raises(WorkerPoolError) as info:
-                self._partition(workers=2)
-        err = info.value
-        # MAX_SHARD_RETRIES = 2: initial try + 2 retries, all logged.
-        assert err.attempts == 3
-        assert len(err.outcomes) == 3
-        assert err.__cause__ is err.cause
-
-    def test_faulted_pool_is_closed_and_replaced(
-        self, fresh_pool_env, fast_pool
-    ):
-        fast_pool(**_NO_RECOVERY)
-        with faults.inject(FaultPlan(kinds=("crash",), **_ALWAYS)):
-            with pytest.raises(WorkerPoolError):
-                self._partition(workers=2)
-        assert multiprocessing.active_children() == []
-        # The poisoned pool was dropped: clearing the fault and retrying
-        # lazily builds a fresh one and succeeds.
-        with faults.inject(None):
-            outcome = self._partition(workers=2)
-        assert outcome.partition.layers == self._oracle_layers()
-
-    def test_serial_path_ignores_fault_plan(self, fresh_pool_env):
+    def test_serial_path_ignores_fault_plan(self):
         # workers=1 never constructs a pool: the fault hooks must be dead
-        # code there, and no child process may appear.
-        with faults.inject(FaultPlan(kinds=("crash",), **_ALWAYS)):
-            before = multiprocessing.active_children()
+        # code there.
+        with faults.inject(FaultPlan(kinds=("slab",), **_ALWAYS)):
             outcome = self._partition(workers=1)
-            assert multiprocessing.active_children() == before
         assert not outcome.partition.is_partial(range(120))
-
-    def test_pool_shutdown_mid_partition_is_loud(self, fresh_pool_env):
-        pool = CoinGamePool(workers=2)
-        pool.close()
-        offsets = np.array([0, 1, 2], dtype=np.int64)
-        targets = np.array([1, 0], dtype=np.int64)
-        with pytest.raises(WorkerPoolError, match="closed"):
-            pool.run_games(
-                offsets, targets, [(0, np.array([0], dtype=np.int64))],
-                {}, on_result=lambda *result: None,
-            )
+        assert outcome.round_recovery == {}
 
     def test_invalid_worker_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,10 @@
 
 The chaos harness is only as trustworthy as its determinism: a failing
 schedule must replay exactly from its seed/spec, an injected plan must
-beat the CI env shim, and the checksums must catch any byte-level
-corruption.  Integration coverage (faults actually recovered by the
-pool supervisor) lives in test_chaos_supervisor.py and
-test_failure_injection.py.
+beat the CI env shim, and the row-slab checksum must catch any
+byte-level corruption.  Integration coverage (faults actually recovered
+by re-running shard chains) lives in test_chaos_supervisor.py,
+test_pooled_fabric.py and test_failure_injection.py.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from repro.ampc.faults import (
     ChecksumError,
     FaultPlan,
     FaultSpec,
-    InjectedFault,
-    payload_checksum,
     rows_checksum,
 )
 
@@ -34,20 +32,20 @@ class TestFaultPlanLookup:
         )
 
     def test_explicit_entry_fires_only_at_its_key(self):
-        plan = FaultPlan({(2, 1, 0): "crash"})
-        assert plan.lookup(2, 1, 0) == FaultSpec("crash")
+        plan = FaultPlan({(2, 1, 0): "slab"})
+        assert plan.lookup(2, 1, 0) == FaultSpec("slab")
         assert plan.lookup(2, 1, 1) is None
         assert plan.lookup(2, 0, 0) is None
         assert plan.lookup(0, 1, 0) is None
 
     def test_seeded_sampling_is_deterministic(self):
-        a = FaultPlan(seed=7, rate=0.5, kinds=("crash", "garbage"))
-        b = FaultPlan(seed=7, rate=0.5, kinds=("crash", "garbage"))
+        a = FaultPlan(seed=7, rate=0.5, kinds=("slab", "slow"))
+        b = FaultPlan(seed=7, rate=0.5, kinds=("slab", "slow"))
         keys = [(r, s, at) for r in range(10) for s in range(4)
                 for at in range(3)]
         assert [a.lookup(*k) for k in keys] == [b.lookup(*k) for k in keys]
         # A different seed draws a different schedule.
-        c = FaultPlan(seed=8, rate=0.5, kinds=("crash", "garbage"))
+        c = FaultPlan(seed=8, rate=0.5, kinds=("slab", "slow"))
         assert [a.lookup(*k) for k in keys] != [c.lookup(*k) for k in keys]
 
     def test_rate_one_faults_everything_rate_zero_nothing(self):
@@ -64,7 +62,7 @@ class TestFaultPlanLookup:
         assert plan.lookup(0, 0, 2) is None  # retries past the gate run clean
 
     def test_rate_spread_roughly_matches(self):
-        plan = FaultPlan(seed=11, rate=0.25, kinds=("crash",))
+        plan = FaultPlan(seed=11, rate=0.25, kinds=("slab",))
         n = 2000
         hits = sum(
             plan.lookup(r, s, 0) is not None
@@ -72,11 +70,9 @@ class TestFaultPlanLookup:
         )
         assert 0.15 < hits / n < 0.35
 
-    def test_hang_and_slow_carry_durations(self):
-        plan = FaultPlan(
-            {(0, 0, 0): "hang", (0, 1, 0): "slow"}, hang_s=9.0, slow_s=0.5
-        )
-        assert plan.lookup(0, 0, 0) == FaultSpec("hang", 9.0)
+    def test_slow_carries_its_duration(self):
+        plan = FaultPlan({(0, 0, 0): "slab", (0, 1, 0): "slow"}, slow_s=0.5)
+        assert plan.lookup(0, 0, 0) == FaultSpec("slab")
         assert plan.lookup(0, 1, 0) == FaultSpec("slow", 0.5)
 
     def test_unknown_kind_rejected(self):
@@ -84,6 +80,11 @@ class TestFaultPlanLookup:
             FaultPlan(kinds=("segfault",), seed=1, rate=0.5)
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultPlan({(0, 0, 0): "segfault"})
+        # The process-only kinds are gone with the process pool.
+        for kind in ("crash", "exit", "hang", "garbage", "unpicklable",
+                     "shm-detach"):
+            with pytest.raises(ValueError, match="unknown fault kind"):
+                FaultPlan(kinds=(kind,), seed=1, rate=0.5)
         with pytest.raises(ValueError, match="rate"):
             FaultPlan(seed=1, rate=1.5)
 
@@ -91,8 +92,8 @@ class TestFaultPlanLookup:
 class TestSpecRoundTrip:
     def test_seeded_plan_round_trips(self):
         plan = FaultPlan(
-            seed=42, rate=0.3, kinds=("crash", "garbage", "slow"),
-            attempts=2, hang_s=5.0, slow_s=0.01,
+            seed=42, rate=0.3, kinds=("slab", "slow"),
+            attempts=2, slow_s=0.01,
         )
         back = FaultPlan.parse(plan.spec())
         keys = [(r, s, a) for r in range(8) for s in range(4)
@@ -102,13 +103,14 @@ class TestSpecRoundTrip:
         ]
 
     def test_explicit_entries_round_trip(self):
-        plan = FaultPlan({(0, 1, 0): "crash", (2, 0, 1): "hang"}, hang_s=3.0)
+        plan = FaultPlan({(0, 1, 0): "slab", (2, 0, 1): "slow"}, slow_s=3.0)
         back = FaultPlan.parse(plan.spec())
         assert back.entries == plan.entries
-        assert back.lookup(2, 0, 1) == FaultSpec("hang", 3.0)
+        assert back.lookup(2, 0, 1) == FaultSpec("slow", 3.0)
 
     def test_parse_rejects_malformed_specs(self):
-        for bad in ("seed", "seed=", "wat=1", "at=crash@1.2", "rate=x"):
+        for bad in ("seed", "seed=", "wat=1", "at=slab@1.2", "rate=x",
+                    "hang_s=1"):
             with pytest.raises(ValueError):
                 FaultPlan.parse(bad)
 
@@ -116,7 +118,7 @@ class TestSpecRoundTrip:
 class TestInjectAndEnvShim:
     def test_env_shim_parses_and_caches(self, monkeypatch):
         monkeypatch.setenv(
-            faults.FAULT_PLAN_ENV, "seed=5;rate=0.2;kinds=crash+garbage"
+            faults.FAULT_PLAN_ENV, "seed=5;rate=0.2;kinds=slab+slow"
         )
         plan = faults.active_plan()
         assert plan is not None and plan.seed == 5 and plan.rate == 0.2
@@ -142,26 +144,6 @@ class TestInjectAndEnvShim:
                 raise RuntimeError("boom")
         assert faults._ACTIVE_SET is False
 
-    def test_apply_pre_crash_raises_injected_fault(self):
-        with pytest.raises(InjectedFault, match="crash"):
-            faults.apply_pre(FaultSpec("crash"))
-        faults.apply_pre(None)  # no-op
-        faults.apply_pre(FaultSpec("slow", 0.0))  # returns after sleep(0)
-
-    def test_apply_pre_shm_detach_resets_worker_csr_cache(
-        self, monkeypatch
-    ):
-        from repro.ampc import pool
-
-        arrays = (np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        monkeypatch.setitem(pool._CSR_CACHE, "key", ("psm_a", "psm_b"))
-        monkeypatch.setitem(pool._CSR_CACHE, "csr", arrays)
-        with pytest.raises(InjectedFault, match="shm-detach"):
-            faults.apply_pre(FaultSpec("shm-detach"))
-        # Exactly the cache's own slots, each dropped: the retry must
-        # re-attach from the driver's segments.
-        assert pool._CSR_CACHE == {"key": None, "csr": None}
-
     def test_every_kind_is_documented_in_module(self):
         doc = faults.__doc__
         for kind in FAULT_KINDS:
@@ -169,24 +151,6 @@ class TestInjectAndEnvShim:
 
 
 class TestChecksums:
-    def test_payload_checksum_detects_any_flip(self):
-        a = np.arange(32, dtype=np.int64)
-        b = np.arange(8, dtype=np.float64)
-        base = payload_checksum(a, b)
-        assert payload_checksum(a, b) == base
-        bad = a.copy()
-        bad[17] += 1
-        assert payload_checksum(bad, b) != base
-        # Order-sensitive: swapping arrays changes the digest.
-        assert payload_checksum(b, a) != base
-
-    def test_payload_checksum_length_sensitive(self):
-        # Same bytes, different split: an xxhash-style digest must see
-        # the framing, not just the concatenated stream.
-        a = np.zeros(4, dtype=np.int64)
-        b = np.zeros(2, dtype=np.int64)
-        assert payload_checksum(a) != payload_checksum(b, b)
-
     def test_rows_checksum_covers_every_slab_column(self):
         ids = np.array([3, 9], dtype=np.int64)
         lens = np.array([2, 0], dtype=np.int64)

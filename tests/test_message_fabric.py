@@ -456,6 +456,23 @@ class TestFabricSurface:
         assert shm.round_comm == []
         assert shm.max_held_words == 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fabric_rounds_book_native_and_fold_phases(
+        self, workers, fast_pool
+    ):
+        # A compiled fabric round books its run_round under "native" and
+        # its min/+ scatter under "fold", as a threaded compiled round
+        # books its fan-out; a batched one (the kernel did not load)
+        # books the scatter only.
+        phases: dict = {}
+        out = beta_partition_ampc(
+            preferential_attachment(300, 3, seed=4), 9, store="columnar",
+            transport="message", shards=3, workers=workers, phases=phases,
+        )
+        assert phases["fold"] > 0.0
+        if out.engine == "compiled":
+            assert phases["native"] > 0.0
+
     def test_dict_store_rejects_message_transport(self):
         g = path_graph(6)
         with pytest.raises(ValueError, match="columnar"):

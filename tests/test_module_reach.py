@@ -21,11 +21,18 @@ somewhere under ``src/repro``, ``tests/``, ``benchmarks/``,
 And one execution path finishes ejected coin games: under ``src/repro``
 only the fleet player's module, :data:`FLEET_PLAYER`, may call or
 import the tiers it runs after the int64 pass (:data:`LADDER_TIERS`).
+
+And ``import repro`` loads no process machinery: every parallel path
+runs on threads, so ``multiprocessing`` and
+``concurrent.futures.process`` stay out of a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -239,3 +246,17 @@ def test_ladder_rule_on_a_synthetic_tree(tmp_path):
         "pkg.hatch.play_coin_game",
         "pkg.alias.play_coin_game",
     }
+
+
+def test_import_repro_loads_no_process_machinery():
+    code = (
+        "import repro, sys; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'multiprocessing' "
+        "or m == 'concurrent.futures.process'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -20,7 +20,6 @@ adds one more worker count to the built-in {1, 2, 4} matrix.
 
 from __future__ import annotations
 
-import multiprocessing
 from fractions import Fraction
 
 import pytest
@@ -86,8 +85,7 @@ def _run_matrix(graph, beta, **kwargs):
     Pinning ``MIN_POOL_GAMES`` to 1 forces the thread fan-out even on
     these tiny shapes, so the worker legs genuinely exercise the split
     path.  (A context, not the ``fast_pool`` fixture: hypothesis tests
-    cannot take function-scoped fixtures.)  The scalar legs must never
-    fork a process.
+    cannot take function-scoped fixtures.)
     """
     oracle = beta_partition_ampc(graph, beta, store="dict", workers=1, **kwargs)
     legs = [
@@ -103,15 +101,12 @@ def _run_matrix(graph, beta, **kwargs):
         for workers in WORKER_MATRIX:
             if store == "dict" and workers == 1:
                 continue
-            children = set(multiprocessing.active_children())
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(pool, "MIN_POOL_GAMES", 1)
                 candidate = beta_partition_ampc(
                     graph, beta, store=store, workers=workers,
                     engine=engine, **kwargs
                 )
-            if engine == "scalar":
-                assert set(multiprocessing.active_children()) == children
             assert candidate.workers == workers
             assert (candidate.partition.vector is not None) == (store == "columnar")
             if engine is not None:

@@ -1,9 +1,9 @@
-"""Pooled message-fabric execution: the shard chains on the process pool.
+"""Pooled message-fabric execution: the shard chains on the game threads.
 
 A fabric shard's BSP round is a pure function of (residual CSR, its
 roots, shard count, engine, budget): every row another shard
 would serve it is a verbatim CSR slice.  Running the chains on the
-worker pool (``transport="message"`` + ``workers > 1``) must therefore
+game threads (``transport="message"`` + ``workers > 1``) must therefore
 be bit-identical to running them inline on the driver — which is itself
 bit-identical to the shared-memory oracle — for every (engine, shards,
 workers) combination: partitions, per-round stats, *and* the
@@ -11,26 +11,20 @@ communication counters and guard peaks the driver reconstructs by
 replaying each chain's request trace.  Those counters are also pinned to
 golden values (:class:`TestGoldenCounters`).
 
-Failure recovery mirrors the plain pool path: an injected worker fault
-is retried by the round supervisor and the run completes bit-identically
-with no orphan processes and no leaked shared-memory segments; with
-recovery disabled the fault surfaces as one :class:`WorkerPoolError`;
-and a :class:`MemoryGuardError` — a protocol outcome the serial fabric
-raises identically — passes through without retry and without poisoning
-the pool.
+Faults: a chain whose row slab fails its checksum is re-run and the
+round completes bit-identically; a slab that fails on every attempt
+surfaces as its :class:`~repro.ampc.faults.ChecksumError`; and a
+:class:`MemoryGuardError` — a protocol outcome the serial fabric raises
+identically — passes through without a re-run.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-
 import pytest
 
 from repro.ampc import faults
-from repro.ampc.faults import FaultPlan
+from repro.ampc.faults import ChecksumError, FaultPlan
 from repro.ampc.messaging import MemoryGuardError
-from repro.ampc.pool import WorkerPoolError, close_shared_pools
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.graphs.generators import (
     complete_ary_tree,
@@ -38,8 +32,8 @@ from repro.graphs.generators import (
     union_of_random_forests,
 )
 
-# Every round with workers > 1 dispatches to the pool, however small,
-# and retries do not back off.
+# Every round with workers > 1 runs its chains on the game threads,
+# however small.
 pytestmark = pytest.mark.usefixtures("fast_pool")
 
 # Keys whose values are wall-clock measurements, not protocol counts.
@@ -64,28 +58,16 @@ def _counts(comm: dict) -> dict:
     return {k: v for k, v in comm.items() if k not in _TIMING_KEYS}
 
 
-@pytest.fixture
-def fresh_pool_env():
-    close_shared_pools()
+@pytest.fixture(autouse=True)
+def no_leaked_plan():
     yield
-    close_shared_pools()
     assert faults._ACTIVE_SET is False  # no leaked injected plan
-    assert multiprocessing.active_children() == []  # no orphan workers
-
-
-def _shm_segments() -> set[str]:
-    try:
-        return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
 
 
 class TestPooledDifferential:
     @pytest.mark.parametrize("engine", ["scalar", "batched", "compiled"])
     @pytest.mark.parametrize("shards", [1, 2, 3, 8])
-    def test_pooled_matches_serial_fabric_and_oracle(
-        self, engine, shards, fresh_pool_env
-    ):
+    def test_pooled_matches_serial_fabric_and_oracle(self, engine, shards):
         g = _graph()
         oracle = beta_partition_ampc(
             g, 6, x=25, store="columnar", engine=engine
@@ -108,7 +90,7 @@ class TestPooledDifferential:
             assert _counts(cs) == _counts(cp)
         assert pooled.max_held_words == serial.max_held_words
 
-    def test_workers_four_spot_check(self, fresh_pool_env):
+    def test_workers_four_spot_check(self):
         g = _graph()
         serial = _partition(g, engine="compiled", workers=1, shards=3)
         pooled = _partition(g, engine="compiled", workers=4, shards=3)
@@ -117,12 +99,12 @@ class TestPooledDifferential:
             assert _counts(cs) == _counts(cp)
         assert pooled.max_held_words == serial.max_held_words
 
-    def test_pooled_rounds_report_shard_wall_time(self, fresh_pool_env):
+    def test_pooled_rounds_report_shard_wall_time(self):
         g = _graph()
         pooled = _partition(g, engine="compiled", workers=2, shards=2)
         inline = _partition(g, engine="compiled", workers=1, shards=2)
         # Every round carries its slowest shard chain's wall time, on
-        # the pool or inline; only pooled replay can overlap play.
+        # the threads or inline; only threaded replay can overlap play.
         assert all(c["shard_wall_s"] > 0 for c in pooled.round_comm)
         assert all(c["shard_wall_s"] > 0 for c in inline.round_comm)
         assert all(c["comm_overlap_s"] >= 0 for c in pooled.round_comm)
@@ -130,22 +112,20 @@ class TestPooledDifferential:
 
 
 class TestPooledBudget:
-    def test_budget_error_passes_through_and_pool_survives(
-        self, fresh_pool_env
-    ):
+    def test_budget_error_passes_through_and_pool_survives(self):
         g = union_of_random_forests(200, 1, seed=7)
         with pytest.raises(MemoryGuardError):
             beta_partition_ampc(
                 g, 3, x=4, store="columnar", transport="message",
                 shards=2, workers=2, shard_budget=50,
             )
-        # A budget violation is a protocol outcome, not a pool fault:
-        # the same pool must serve the next (unbudgeted) run.
+        # A budget violation is a protocol outcome, not a fault: the
+        # game threads must serve the next (unbudgeted) run.
         out = _partition(_graph(), engine="compiled", workers=2, shards=2)
         ref = _partition(_graph(), engine="compiled", workers=1, shards=2)
         assert out.partition.layers == ref.partition.layers
 
-    def test_budgeted_pooled_matches_serial_peaks(self, fresh_pool_env):
+    def test_budgeted_pooled_matches_serial_peaks(self):
         g = union_of_random_forests(600, 1, seed=7)
         kw = dict(shards=16, shard_budget=40_000)
         serial = _partition(g, engine="compiled", workers=1, **kw)
@@ -268,9 +248,7 @@ class TestGoldenCounters:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("engine", ["scalar", "batched", "compiled"])
     @pytest.mark.parametrize("case", sorted(_GOLDEN))
-    def test_counters_match_golden(
-        self, case, engine, workers, fresh_pool_env
-    ):
+    def test_counters_match_golden(self, case, engine, workers):
         make, beta, x, kw, rounds = _GOLDEN[case]
         g = make()
         out = beta_partition_ampc(
@@ -293,34 +271,15 @@ class TestGoldenCounters:
         )
 
 
-# First attempt of every shard faults; retries run clean.
+# First attempt of every shard faults; re-runs run clean.
 _FIRST_ATTEMPT = dict(seed=2, rate=1.0, attempts=1)
-# Recovery disabled (pool constants): any fault must surface as
-# WorkerPoolError.
-_NO_RECOVERY = dict(MAX_SHARD_RETRIES=0, POOL_DEGRADE=False)
 
 
 class TestPooledFaults:
-    def test_worker_exception_is_recovered_and_cleans_up(
-        self, fresh_pool_env
-    ):
-        g = _graph()
-        before = _shm_segments()
-        with faults.inject(FaultPlan(kinds=("crash",), **_FIRST_ATTEMPT)):
-            out = _partition(g, engine="compiled", workers=2, shards=3)
-        ref = _partition(g, engine="compiled", workers=1, shards=3)
-        assert out.partition.layers == ref.partition.layers
-        assert out.round_recovery["retries"] > 0
-        # The recovered pool stays alive (that's the point); the fixture
-        # asserts no orphans survive close_shared_pools().
-        assert _shm_segments() <= before  # no orphaned segments
-
-    def test_slab_corruption_is_recovered_bit_identically(
-        self, fresh_pool_env
-    ):
-        # A "slab" fault corrupts one served row slab inside the worker
+    def test_slab_corruption_is_recovered_bit_identically(self):
+        # A "slab" fault corrupts one served row slab inside the chain
         # *after* its checksum is stamped, so install_ghosts' verify
-        # rejects the attempt before any ghost mutates and the retry
+        # rejects the attempt before any ghost mutates and the re-run
         # replays the whole chain clean.
         g = _graph()
         with faults.inject(FaultPlan(kinds=("slab",), **_FIRST_ATTEMPT)):
@@ -331,37 +290,15 @@ class TestPooledFaults:
             assert _counts(cs) == _counts(cp)
         assert out.round_recovery["retries"] > 0
 
-    def test_worker_death_is_recovered_and_cleans_up(self, fresh_pool_env):
-        g = _graph()
-        before = _shm_segments()
-        with faults.inject(FaultPlan(kinds=("exit",), **_FIRST_ATTEMPT)):
-            out = _partition(g, engine="compiled", workers=2, shards=3)
-        ref = _partition(g, engine="compiled", workers=1, shards=3)
-        assert out.partition.layers == ref.partition.layers
-        assert out.round_recovery["respawns"] > 0
-        assert _shm_segments() <= before
-
-    def test_unrecoverable_fault_surfaces_and_cleans_up(
-        self, fresh_pool_env, fast_pool
-    ):
-        fast_pool(**_NO_RECOVERY)
-        before = _shm_segments()
-        with faults.inject(FaultPlan(kinds=("crash",), seed=2, rate=1.0)):
-            with pytest.raises(
-                WorkerPoolError, match="injected worker fault"
-            ):
-                _partition(_graph(), engine="compiled", workers=2, shards=3)
-        assert _shm_segments() <= before
-        assert multiprocessing.active_children() == []
-
-    def test_faulted_pool_is_replaced_on_next_run(
-        self, fresh_pool_env, fast_pool
-    ):
-        fast_pool(**_NO_RECOVERY)
-        with faults.inject(FaultPlan(kinds=("crash",), seed=2, rate=1.0)):
-            with pytest.raises(WorkerPoolError):
+    def test_unrecoverable_fault_surfaces_and_cleans_up(self, fast_pool):
+        # With no re-runs allowed, a corrupted slab surfaces as its own
+        # ChecksumError, and the next run is unaffected.
+        fast_pool(MAX_SHARD_RETRIES=0)
+        with faults.inject(FaultPlan(kinds=("slab",), seed=2, rate=1.0)):
+            with pytest.raises(ChecksumError, match="checksum mismatch"):
                 _partition(_graph(), engine="compiled", workers=2, shards=3)
         with faults.inject(None):
             out = _partition(_graph(), engine="compiled", workers=2, shards=3)
             ref = _partition(_graph(), engine="compiled", workers=1, shards=3)
         assert out.partition.layers == ref.partition.layers
+        assert out.round_recovery == {"retries": 0}
