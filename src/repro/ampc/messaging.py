@@ -16,10 +16,13 @@ fabric in which each shard holds only
 - **round-local scratch** — the engine arrays and fold accumulators of
   the games currently playing.
 
-Owned rows and ghosts are one store: a single local CSR per shard over
-a sorted universe of global ids (:class:`_Shard`).  Fetched rows splice
-into it and evicted rows empty out in place; the engines play it as it
-is.
+Owned rows and ghosts are one store: a single CSR per shard over the
+round's global id range, the shm round's form, with rows the shard does
+not hold empty (:class:`_Shard`).  Every id a shard sends, receives or
+plays is a global id: fetched rows splice into the CSR and evicted rows
+empty out in place, and the engines play it as it is.  The n-sized
+address arrays this costs are simulator scaffolding: the guard charges
+what a compact store of the same rows would hold (see :class:`_Shard`).
 
 Every array a shard holds is accounted by tag against a configurable S
 budget through :class:`MemoryGuard`, which raises :class:`MemoryGuardError`
@@ -96,11 +99,10 @@ each game's recorded explored set against the rows actually held.  A
 game whose explored set is fully held produced the exact transcript —
 commit it; otherwise the run is discarded, the missing rows are
 requested from their owners, and the game re-runs next sub-round.
-Every engine plays the shard's local CSR, whose ids are the ranks of
-global ids in the shard's universe: every order-dependent tie-break
-(``sorted(touched)``, the σ-rank key ending in the vertex id) is
-preserved under that monotone remap, so committed transcripts map back
-exactly.  A shard plays its pending games, under every engine, through
+Every engine plays the shard's CSR in global ids, so every
+order-dependent tie-break (``sorted(touched)``, the σ-rank key ending in
+the vertex id) is the shm round's, and a committed transcript needs no
+remap.  A shard plays its pending games, under every engine, through
 the same fleet player as the shm round
 (:func:`repro.core.columnar_rounds.play_fleet`), which finishes the
 games it ejects itself, and checks the flat records against the held
@@ -343,14 +345,6 @@ class MemoryGuard:
         return self.current
 
 
-def _in_sorted(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Membership mask of ``values`` in the sorted id array ``keys``."""
-    if not len(keys) or not len(values):
-        return np.zeros(len(values), dtype=bool)
-    pos = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
-    return keys[pos] == values
-
-
 def _owned_words(offsets: np.ndarray, num_shards: int) -> np.ndarray:
     """Words of each shard's owner partition of the residual CSR (ids,
     offsets and targets of its rows, as :meth:`_Shard.place` holds
@@ -364,35 +358,42 @@ def _owned_words(offsets: np.ndarray, num_shards: int) -> np.ndarray:
 
 
 class _Shard:
-    """One simulated machine: every row it holds, in one local CSR.
+    """One simulated machine: every row it holds, in one CSR by global id.
 
-    The rows live in a single CSR over ``universe``, a sorted array of
-    global ids; row ``i`` belongs to ``universe[i]`` and its targets
-    are local ids (ranks in ``universe``), so the engines play the CSR
-    as it is.  ``held[i]`` marks the ids whose row the shard holds —
-    its owned vertices and its current ghosts; every other id (a fringe
-    target, an evicted ghost) reads as an empty row.
+    The rows live in a single CSR over the round's whole id range
+    ``0..n-1``, the shm round's form: row ``v`` belongs to vertex ``v``
+    and targets are global ids, so the engines play the CSR as it is and
+    their records come back in global ids.  Three masks over the range
+    track the shard's view:
 
-    Within a round the universe only grows: :meth:`place` starts it as
-    the owned ids, their targets and the round's roots,
-    :meth:`install_ghosts` splices fetched rows and their fresh ids in,
-    and :meth:`evict_ghosts` empties a row but keeps its id as unheld
-    fringe.  Growing never reorders: the global → local remap stays
-    monotone, so every order-based tie-break of the engines survives it
-    and a committed transcript maps back exactly.  ``splice_s`` is the
-    wall time spent splicing rows in and out.
+    - ``held`` — the ids whose row the shard holds: its owned rows and
+      its current ghosts; every other id (a fringe target, an evicted
+      ghost) reads as an empty row;
+    - ``ghost`` — the current ghosts alone;
+    - ``known`` — the ids the shard has heard of: its owned rows, their
+      targets, its roots, and every installed slab's ids and targets.
+      Within a round it only grows (an evicted ghost stays known).
+
+    Memory model: the guard charges what a compact store of the same
+    rows holds — ``owned_rows``, ``ghost_fringe`` — and ``game_scratch``
+    is sized by ``known``'s count, the ids a compact machine would
+    index.  The n-sized address arrays (``deg``, ``offsets`` and the
+    masks) are simulator scaffolding, outside the S budget.
+    ``splice_s`` is the wall time spent splicing rows in and out.
     """
 
-    def __init__(self, sid: int, num_shards: int, budget_words: int | None):
+    def __init__(
+        self, sid: int, num_shards: int, budget_words: int | None, n: int
+    ):
         self.sid = sid
         self.num_shards = num_shards
         self.guard = MemoryGuard(budget_words, name=f"shard[{sid}]")
-        self.universe = _EMPTY
-        self.held = np.zeros(0, dtype=bool)
-        self.deg = np.zeros(0, dtype=np.int64)
-        self.offsets = np.zeros(1, dtype=np.int64)
+        self.held = np.zeros(n, dtype=bool)
+        self.ghost = np.zeros(n, dtype=bool)
+        self.known = np.zeros(n, dtype=bool)
+        self.deg = np.zeros(n, dtype=np.int64)
+        self.offsets = np.zeros(n + 1, dtype=np.int64)
         self.targets = _EMPTY
-        self.ghost_ids = _EMPTY  # sorted global ids of the current ghosts
         self._fringe_words = 0  # 1 + len per ghost
         self.splice_s = 0.0
 
@@ -409,23 +410,20 @@ class _Shard:
         counts = deg[ids]
         row_targets = targets[_segment_indices(offsets[ids], counts)]
         self.guard.account("owned_rows", 2 * len(ids) + 1 + len(row_targets))
-        universe = _sorted_unique(np.concatenate([ids, row_targets, roots]))
-        self.universe = universe
-        self.held = owner_of(universe, self.num_shards) == self.sid
-        self.deg = np.zeros(len(universe), dtype=np.int64)
-        self.deg[np.searchsorted(universe, ids)] = counts
-        self.offsets = np.zeros(len(universe) + 1, dtype=np.int64)
+        self.held[ids] = True
+        self.known[ids] = True
+        self.known[row_targets] = True
+        self.known[roots] = True
+        self.deg[ids] = counts
         np.cumsum(self.deg, out=self.offsets[1:])
         # The only rows are the owned ones, in id order.
-        self.targets = np.searchsorted(universe, row_targets)
+        self.targets = row_targets
 
     def ghost_row(self, v: int) -> np.ndarray | None:
-        """The ghost row of ``v`` in global ids, or None when not ghosted."""
-        i = int(np.searchsorted(self.ghost_ids, v))
-        if i == len(self.ghost_ids) or self.ghost_ids[i] != v:
+        """The ghost row of ``v``, or None when not ghosted."""
+        if not self.ghost[v]:
             return None
-        i = int(np.searchsorted(self.universe, v))
-        return self.universe[self.targets[self.offsets[i]:self.offsets[i + 1]]]
+        return self.targets[self.offsets[v]:self.offsets[v + 1]]
 
     def install_ghosts(
         self,
@@ -434,13 +432,15 @@ class _Shard:
         targets: np.ndarray,
         checksum: int | None = None,
     ) -> None:
-        """Splice one row-resolution slab into the local CSR as ghosts.
+        """Splice one row-resolution slab into the CSR as ghosts.
 
-        The checksum (computed by the serving side over the same slab)
-        and the guard charge both run *before* any row mutates: a
-        corrupted or over-budget slab is rejected with the store — and
-        its accounting — exactly as it was, so the caller can convert
-        the failure into a retry (or shed load) without rollback.
+        The slab is outside input, the receiving end of the transport
+        contract: its checksum (computed by the serving side over the
+        same slab), its shape and the guard charge are all checked
+        *before* any row mutates, so a corrupted, malformed or
+        over-budget slab is rejected with the store — and its
+        accounting — exactly as it was, and the caller can convert the
+        failure into a retry (or shed load) without rollback.
         """
         if checksum is not None:
             observed = faults.rows_checksum(ids, lens, targets)
@@ -453,9 +453,25 @@ class _Shard:
         ids = np.asarray(ids, dtype=np.int64)
         lens = np.asarray(lens, dtype=np.int64)
         targets = np.asarray(targets, dtype=np.int64)
+        n = len(self.deg)
+        if (
+            len(lens) != len(ids) or (lens < 0).any()
+            or int(lens.sum()) != len(targets)
+        ):
+            raise ValueError(
+                "malformed row-resolution slab: lens must be one "
+                "non-negative row length per id, summing to its targets"
+            )
+        if ((ids < 0) | (ids >= n)).any() or (
+            (targets < 0) | (targets >= n)
+        ).any():
+            raise ValueError(
+                f"row-resolution slab id outside the shard's range "
+                f"0..{n - 1}"
+            )
         if (np.diff(ids) <= 0).any():
             raise ValueError("row-resolution slab ids must be increasing")
-        if _in_sorted(ids, self.universe[self.held]).any():
+        if self.held[ids].any():
             # Cannot happen in-protocol (missing rows are unheld and
             # speculative cargo skips held rows); reject loudly instead
             # of silently double-holding a row.
@@ -464,59 +480,44 @@ class _Shard:
         self.guard.account("ghost_fringe", words)  # raises pre-commit
         self._fringe_words = words
         t0 = time.perf_counter()
-        cand = _sorted_unique(np.concatenate([ids, targets]))
-        fresh = cand[~_in_sorted(cand, self.universe)]
-        if fresh.size:
-            slot = np.searchsorted(self.universe, fresh)
-            old2new = (
-                np.arange(len(self.universe), dtype=np.int64)
-                + np.searchsorted(fresh, self.universe)
-            )
-            self.targets = old2new[self.targets]
-            self.universe = np.insert(self.universe, slot, fresh)
-            self.held = np.insert(
-                self.held, slot,
-                owner_of(fresh, self.num_shards) == self.sid,
-            )
-            self.deg = np.insert(self.deg, slot, 0)
-        rows = np.searchsorted(self.universe, ids)
-        new = np.zeros(len(self.universe), dtype=bool)
-        new[rows] = True
-        self.held[rows] = True
-        self.deg[rows] = lens
+        self.known[ids] = True
+        self.known[targets] = True
+        self.held[ids] = True
+        self.ghost[ids] = True
+        self.deg[ids] = lens
+        np.cumsum(self.deg, out=self.offsets[1:])
         # The new rows were empty, so the old targets keep their order
         # and fill every slot outside the new rows.
-        slots = np.repeat(new, self.deg)
-        merged = np.empty(len(slots), dtype=np.int64)
-        merged[slots] = np.searchsorted(self.universe, targets)
-        merged[~slots] = self.targets
+        slots = _segment_indices(self.offsets[ids], lens)
+        merged = np.empty(int(self.offsets[-1]), dtype=np.int64)
+        merged[slots] = targets
+        rest = np.ones(len(merged), dtype=bool)
+        rest[slots] = False
+        merged[rest] = self.targets
         self.targets = merged
-        self.offsets = np.zeros(len(self.universe) + 1, dtype=np.int64)
-        np.cumsum(self.deg, out=self.offsets[1:])
-        self.ghost_ids = np.insert(
-            self.ghost_ids, np.searchsorted(self.ghost_ids, ids), ids
-        )
         self.splice_s += time.perf_counter() - t0
 
     def evict_ghosts(self, pinned: np.ndarray) -> None:
         """Evict every ghost no pending game pins (invalidation rule 2):
-        its row empties and its id stays in the universe as fringe."""
-        if not len(self.ghost_ids):
+        its row empties and its id stays known as fringe."""
+        if not self._fringe_words:  # no ghosts
             return
-        keep = _in_sorted(self.ghost_ids, pinned)
-        if keep.all():
+        drop = self.ghost.copy()
+        drop[pinned] = False
+        rows = np.flatnonzero(drop)
+        if not rows.size:
             return
         t0 = time.perf_counter()
-        rows = np.searchsorted(self.universe, self.ghost_ids[~keep])
         self._fringe_words -= len(rows) + int(self.deg[rows].sum())
-        self.ghost_ids = self.ghost_ids[keep]
         if self._fringe_words:
             self.guard.account("ghost_fringe", self._fringe_words)
         else:
             self.guard.release("ghost_fringe")
+        self.ghost[rows] = False
         self.held[rows] = False
-        # Every other unheld row is already empty.
-        self.targets = self.targets[np.repeat(self.held, self.deg)]
+        keep = np.ones(len(self.targets), dtype=bool)
+        keep[_segment_indices(self.offsets[rows], self.deg[rows])] = False
+        self.targets = self.targets[keep]
         self.deg[rows] = 0
         np.cumsum(self.deg, out=self.offsets[1:])
         self.splice_s += time.perf_counter() - t0
@@ -567,13 +568,12 @@ class _ShardRound:
         """
         shard = self.shard
         g = len(self.roots)
-        roots_l = np.searchsorted(shard.universe, self.roots)
-        lens = shard.deg[roots_l]
-        flat = shard.targets[_segment_indices(shard.offsets[roots_l], lens)]
+        lens = shard.deg[self.roots]
+        flat = shard.targets[_segment_indices(shard.offsets[self.roots], lens)]
         if not flat.size:
             return
         want = ~shard.held[flat]
-        kept = shard.universe[flat[want]]
+        kept = flat[want]
         kept_root = np.repeat(np.arange(g, dtype=np.int64), lens)[want]
         counts = np.bincount(kept_root, minlength=g)
         bounds = np.zeros(g + 1, dtype=np.int64)
@@ -656,44 +656,41 @@ class _ShardRound:
         t0 = time.perf_counter()
         shard = self.shard
         need = self.pending()
-        universe = shard.universe
-        u_count = len(universe)
+        n = len(shard.deg)
         held = shard.held
         deg_held = shard.deg
         guard = shard.guard
         scratch = 0
         if self.engine != "scalar":
-            # The engine's arrays over the local universe.  The batched
-            # engine plays the CSR closed over its fringe rows
-            # (close_empty_rows): one more entry per edge into an
-            # unheld row.
+            # The engine's arrays over the ids a compact store would
+            # index (see _Shard).  The batched engine plays the CSR
+            # closed over its fringe rows (close_empty_rows): one more
+            # entry per edge into an unheld row.
+            known = int(np.count_nonzero(shard.known))
             entries = len(shard.targets)
             if self.engine == "batched":
                 entries += int(np.count_nonzero(~held[shard.targets]))
-            scratch = (u_count + 1) + 2 * entries + 3 * u_count
+            scratch = (known + 1) + 2 * entries + 3 * known
             guard.account("game_scratch", scratch)
 
         info = play_fleet(
-            shard.offsets, shard.targets,
-            np.searchsorted(universe, self.roots[need]),
+            shard.offsets, shard.targets, self.roots[need],
             x=params["x"], beta=params["beta"], clip=params["clip"],
             horizon=params["horizon"], scale=params["scale"],
-            out_layer=np.full(u_count, _INF),
-            out_count=np.zeros(u_count, dtype=np.int64),
+            out_layer=np.full(n, _INF),
+            out_count=np.zeros(n, dtype=np.int64),
             engine=self.engine, want_records=True,
             # A chain may run on a game thread, which must never submit
             # to the pool it runs on.
             workers=1,
         )
-        # Remap ids and split valid from invalid games in whole-fleet
-        # array ops — an optimistic wave discards most of its plays as
-        # invalid, and marshalling their transcripts one list element at
-        # a time was the fabric's single largest play-side cost.
+        # Split valid from invalid games in whole-fleet array ops — an
+        # optimistic wave discards most of its plays as invalid, and
+        # marshalling their transcripts one list element at a time was
+        # the fabric's single largest play-side cost.
         mem_f, pu_f, pl_f, mem_counts, proof_counts = info.records
         mem_ends = np.cumsum(mem_counts).tolist()
         proof_ends = np.cumsum(proof_counts).tolist()
-        mem_g = universe[mem_f]
-        pu_g = universe[pu_f]
         bad = ~held[mem_f]
         bad_cum = np.zeros(len(bad) + 1, dtype=np.int64)
         np.cumsum(bad, out=bad_cum[1:])
@@ -706,13 +703,13 @@ class _ShardRound:
                 # Unsorted is fine: missing sets only ever feed
                 # missing_union / pinned_ghosts, which sort-unique their
                 # concatenation anyway.
-                self.missing[i] = mem_g[mo:me][bad[mo:me]]
+                self.missing[i] = mem_f[mo:me][bad[mo:me]]
             else:
                 self.valid[i] = True
                 self.missing[i] = _EMPTY
                 self.reads[i] = info.reads[j]
                 self.writes[i] = info.writes[j]
-                self.proof_cols[i] = (pu_g[po:pe], pl_f[po:pe])
+                self.proof_cols[i] = (pu_f[po:pe], pl_f[po:pe])
                 # Real words of the held ball: one degree word plus the
                 # row targets per explored vertex — identically the
                 # game's probe charge, so strict-budget parity is
@@ -763,9 +760,8 @@ def _expand_ball(
     """
     if radius <= 0 or max_words == 0:
         return _EMPTY
-    sid = shard.sid
-    num_shards = shard.num_shards
-    ball = miss
+    in_ball = np.zeros(len(deg), dtype=bool)
+    in_ball[miss] = True
     frontier = miss
     out: list[np.ndarray] = []
     words = 0
@@ -776,25 +772,21 @@ def _expand_ball(
         nxt = _sorted_unique(
             targets[_segment_indices(offsets[live], deg[live])]
         )
-        fresh = nxt[~_in_sorted(nxt, ball)]
+        fresh = nxt[~in_ball[nxt]]
         if not fresh.size:
             break
-        ball = _sorted_unique(np.concatenate([ball, fresh]))
+        in_ball[fresh] = True
         # Rows the requester already holds are waypoints, not cargo:
         # they join the frontier (the true ball runs straight through
         # them — with p shards an owner-hash scatters 1/p of every
         # layer into the requester) but are never re-shipped.
-        cargo = fresh[
-            (owner_of(fresh, num_shards) != sid)
-            & ~_in_sorted(fresh, shard.ghost_ids)
-        ]
+        cargo = fresh[~shard.held[fresh]]
         if cargo.size:
             # Budget charge per speculative row: its ghost words
-            # (2 + deg) plus the scratch the next play's local
-            # universe spends on it — ~4 words per universe slot
-            # (the row itself and up to deg fringe targets) and 2
-            # per target — so a row costs ~6 + 7*deg of headroom,
-            # not just its payload.
+            # (2 + deg) plus the scratch the next play spends on it —
+            # ~4 words per known id (the row itself and up to deg
+            # fringe targets) and 2 per target — so a row costs
+            # ~6 + 7*deg of headroom, not just its payload.
             w_cum = words + np.cumsum(6 + 7 * deg[cargo])
             if max_words is not None:
                 cut = int(np.searchsorted(w_cum, max_words, side="right"))
@@ -869,8 +861,8 @@ def run_shard_chain(
     before any ghost mutates.  Other kinds are ignored here.
     """
     t0 = time.perf_counter()
-    shard = _Shard(sid, num_shards, budget_words)
     deg = np.diff(offsets)
+    shard = _Shard(sid, num_shards, budget_words, len(deg))
     shard.place(offsets, targets, roots)
     shard.guard.begin_round()
     run = _ShardRound(shard, roots, engine)
@@ -906,11 +898,10 @@ def run_shard_chain(
             # Speculation is a pure wall-clock optimization: a budgeted
             # shard never speculates.  The S budget bounds the shard's
             # *peak* held words — ghost payloads plus the play scratch
-            # they add to the local universe — and that peak depends
-            # on rows the shard has not seen yet, so no request-time
-            # headroom check can keep an optimistic ball safely under
-            # it.  Direct fetches alone already color every graph the
-            # budget admits.
+            # their ids add — and that peak depends on rows the shard
+            # has not seen yet, so no request-time headroom check can
+            # keep an optimistic ball safely under it.  Direct fetches
+            # alone already color every graph the budget admits.
             spec_cap = None if budget_words is None else 0
             extra = _expand_ball(
                 offsets, targets, deg, miss, radius, shard, spec_cap
@@ -937,7 +928,7 @@ def run_shard_chain(
             ts = time.perf_counter()
             spliced = shard.splice_s
             shard.install_ghosts(wanted, lens, slab, checksum=stamp)
-            # The splice into the local CSR is reported as compact_s.
+            # The splice into the shard CSR is reported as compact_s.
             install_s += (
                 time.perf_counter() - ts - (shard.splice_s - spliced)
             )

@@ -39,11 +39,8 @@ from repro.graphs.io import (
 )
 from repro.graphs.validation import (
     count_colors,
-    is_acyclic_orientation,
     is_forest,
     is_proper_coloring,
-    max_out_degree,
-    monochromatic_edges,
 )
 
 __all__ = [
@@ -62,11 +59,8 @@ __all__ = [
     "graph_to_json",
     "grid_2d",
     "hypercube",
-    "is_acyclic_orientation",
     "is_forest",
     "is_proper_coloring",
-    "max_out_degree",
-    "monochromatic_edges",
     "path_graph",
     "preferential_attachment",
     "random_forest",

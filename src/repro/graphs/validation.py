@@ -1,4 +1,4 @@
-"""Validators for colorings, orientations, and forests.
+"""Validators for colorings and forests.
 
 Every experiment ends by *checking* its output with these functions, so a
 bug in an algorithm fails loudly rather than producing a pretty but wrong
@@ -17,10 +17,7 @@ from repro.util.dsu import DisjointSetUnion
 __all__ = [
     "is_proper_coloring",
     "count_colors",
-    "monochromatic_edges",
     "is_forest",
-    "is_acyclic_orientation",
-    "max_out_degree",
 ]
 
 
@@ -63,57 +60,8 @@ def count_colors(graph: Graph, colors: Sequence[int] | Mapping[int, int]) -> int
     return len({colors[v] for v in graph.vertices()})
 
 
-def monochromatic_edges(graph: Graph, colors: Sequence[int] | Mapping[int, int]) -> list[tuple[int, int]]:
-    """All edges whose endpoints share a color (lexicographic order)."""
-    arr = _as_color_array(graph, colors)
-    if arr is not None:
-        edges = graph.edge_array()
-        bad = edges[arr[edges[:, 0]] == arr[edges[:, 1]]]
-        return [(int(u), int(v)) for u, v in bad]
-    return [(u, v) for u, v in graph.edges() if colors[u] == colors[v]]
-
-
 def is_forest(n: int, edges: Sequence[tuple[int, int]]) -> bool:
     """True if the edge set is acyclic over vertices 0..n-1."""
     dsu = DisjointSetUnion(n)
     return all(dsu.union(u, v) for u, v in edges)
 
-
-def is_acyclic_orientation(graph: Graph, orientation: Mapping[tuple[int, int], int]) -> bool:
-    """Check that ``orientation`` orients every edge of ``graph`` acyclically.
-
-    ``orientation[(u, v)]`` (with u < v) is the edge's head (either u or v).
-    """
-    n = graph.num_vertices
-    out_edges: list[list[int]] = [[] for _ in range(n)]
-    for u, v in graph.edges():
-        head = orientation.get((u, v))
-        if head not in (u, v):
-            return False
-        tail = v if head == u else u
-        out_edges[tail].append(head)
-    # Kahn's algorithm: the orientation is acyclic iff all nodes drain.
-    indegree = [0] * n
-    for tail in range(n):
-        for head in out_edges[tail]:
-            indegree[head] += 1
-    stack = [v for v in range(n) if indegree[v] == 0]
-    drained = 0
-    while stack:
-        v = stack.pop()
-        drained += 1
-        for head in out_edges[v]:
-            indegree[head] -= 1
-            if indegree[head] == 0:
-                stack.append(head)
-    return drained == n
-
-
-def max_out_degree(graph: Graph, orientation: Mapping[tuple[int, int], int]) -> int:
-    """Maximum out-degree induced by the orientation."""
-    out = [0] * graph.num_vertices
-    for u, v in graph.edges():
-        head = orientation[(u, v)]
-        tail = v if head == u else u
-        out[tail] += 1
-    return max(out, default=0)

@@ -5,7 +5,7 @@ The compiled kernel reads a hub's forwarding set off the row's first
 id), so sorted rows are a correctness precondition of the kernel, not
 just a matter of reproducible iteration.  These tests check each
 producer of such a CSR: ``Graph.csr()``, ``residual_csr`` over a random
-alive set, a fabric shard's local CSR and the ``query_all`` CSR — the
+alive set, a fabric shard's CSR and the ``query_all`` CSR — the
 last three by spying on :func:`repro.core.columnar_rounds.play_fleet`,
 the one fleet player they all call — and the closed CSR
 (:func:`repro.core.columnar_rounds.close_empty_rows`) the fleet player
@@ -79,8 +79,8 @@ def test_fabric_shard_local_csr(fleet_csrs):
         transport="message", shards=4, workers=1,
     )
     assert out.transport == "message"
-    # Shard-local CSRs are smaller than the vertex universe.
-    assert any(n < g.num_vertices for n in fleet_csrs)
+    # Shards play one CSR over the global id range, as the shm round.
+    assert fleet_csrs and set(fleet_csrs) == {g.num_vertices}
 
 
 def test_query_all(fleet_csrs):

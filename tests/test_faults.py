@@ -170,7 +170,7 @@ class TestChecksums:
     def test_install_ghosts_verifies_checksum(self):
         from repro.ampc.messaging import _Shard
 
-        shard = _Shard(0, 2, None)
+        shard = _Shard(0, 2, None, 2)
         ids = np.array([1], dtype=np.int64)
         lens = np.array([1], dtype=np.int64)
         tgts = np.array([0], dtype=np.int64)
@@ -180,7 +180,7 @@ class TestChecksums:
                 checksum=rows_checksum(ids, lens, tgts) ^ 1,
             )
         # The corrupted slab was rejected before any ghost mutated.
-        assert not len(shard.ghost_ids)
+        assert not shard.ghost.any()
         shard.install_ghosts(
             ids, lens, tgts, checksum=rows_checksum(ids, lens, tgts)
         )

@@ -1,15 +1,12 @@
-"""Tests for coloring/orientation/forest validators."""
+"""Tests for coloring and forest validators."""
 
 from __future__ import annotations
 
-from repro.graphs.generators import complete_graph, cycle_graph, path_graph
+from repro.graphs.generators import cycle_graph, path_graph
 from repro.graphs.validation import (
     count_colors,
-    is_acyclic_orientation,
     is_forest,
     is_proper_coloring,
-    max_out_degree,
-    monochromatic_edges,
 )
 
 
@@ -31,11 +28,6 @@ class TestProperColoring:
         g = cycle_graph(4)
         assert count_colors(g, [0, 1, 0, 1]) == 2
 
-    def test_monochromatic_edges(self):
-        g = path_graph(4)
-        mono = monochromatic_edges(g, [0, 0, 1, 1])
-        assert mono == [(0, 1), (2, 3)]
-
 
 class TestForestCheck:
     def test_forest(self):
@@ -47,29 +39,3 @@ class TestForestCheck:
     def test_empty(self):
         assert is_forest(3, [])
 
-
-class TestOrientation:
-    def test_acyclic_orientation(self):
-        g = cycle_graph(3)
-        # Orient 0->1, 1->2, 0->2: acyclic.
-        orientation = {(0, 1): 1, (1, 2): 2, (0, 2): 2}
-        assert is_acyclic_orientation(g, orientation)
-        assert max_out_degree(g, orientation) == 2
-
-    def test_cyclic_orientation(self):
-        g = cycle_graph(3)
-        orientation = {(0, 1): 1, (1, 2): 2, (0, 2): 0}
-        assert not is_acyclic_orientation(g, orientation)
-
-    def test_invalid_head_rejected(self):
-        g = path_graph(2)
-        assert not is_acyclic_orientation(g, {(0, 1): 5})
-
-    def test_missing_edge_rejected(self):
-        g = path_graph(3)
-        assert not is_acyclic_orientation(g, {(0, 1): 1})
-
-    def test_max_out_degree_sink_source(self):
-        g = complete_graph(3)
-        orientation = {(0, 1): 1, (0, 2): 2, (1, 2): 2}  # 2 is the sink
-        assert max_out_degree(g, orientation) == 2

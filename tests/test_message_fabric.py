@@ -294,7 +294,7 @@ def _slab(rows: dict[int, list[int]]):
 
 class TestGhostFringe:
     def test_over_budget_slab_rejected_before_any_ghost_mutates(self):
-        shard = _Shard(0, 2, 30)
+        shard = _Shard(0, 2, 30, 32)
         shard.install_ghosts(*_slab({4: [1, 2, 3]}))  # 4 words held
         held_before = shard.guard.current
         big = {v: list(range(10)) for v in range(6, 30, 2)}  # 132 words
@@ -303,27 +303,58 @@ class TestGhostFringe:
         # Store and accounting exactly as they were: no partial install,
         # no guard drift — the caller can shed load without rollback.
         assert shard.guard.current == held_before
-        assert shard.ghost_ids.tolist() == [4]
+        assert np.flatnonzero(shard.ghost).tolist() == [4]
         assert shard._fringe_words == 4
         assert np.array_equal(shard.ghost_row(4), np.array([1, 2, 3]))
         # A subsequent within-budget slab still lands cleanly.
         shard.install_ghosts(*_slab({8: [5]}))
         assert np.array_equal(shard.ghost_row(8), np.array([5]))
 
+    @pytest.mark.parametrize("ids, lens, targets", [
+        ([6], [3], [1]),  # lens outrun the targets
+        ([2, 4], [1], [3]),  # fewer lens than ids
+        ([6, 8], [-1, 2], [1]),  # a negative len
+        ([6], [1], [10]),  # a target past the id range
+        ([10], [1], [1]),  # an id past the id range
+        ([-1], [1], [1]),  # a negative id
+    ])
+    def test_malformed_slab_rejected_before_any_ghost_mutates(
+        self, ids, lens, targets
+    ):
+        # The slab is the receiving end of the transport contract, and a
+        # sender's checksum covers the malformed arrays just as well, so
+        # its shape is checked as outside input.
+        shard = _Shard(1, 2, None, 10)
+        shard.install_ghosts(*_slab({2: [3, 5]}))
+        before = {
+            key: getattr(shard, key).copy()
+            for key in ("held", "ghost", "known", "deg", "offsets", "targets")
+        }
+        held_before = dict(shard.guard._held)
+        with pytest.raises(ValueError):
+            shard.install_ghosts(
+                *(np.array(a, dtype=np.int64) for a in (ids, lens, targets))
+            )
+        for key, value in before.items():
+            assert np.array_equal(getattr(shard, key), value), key
+        assert shard.guard._held == held_before
+        assert shard._fringe_words == 3
+        assert np.array_equal(shard.ghost_row(2), np.array([3, 5]))
+
     def test_round_boundary_drops_every_ghost(self):
-        shard = _Shard(1, 2, None)
+        shard = _Shard(1, 2, None, 8)
         shard.install_ghosts(*_slab({2: [3, 5], 6: [1]}))
         assert shard.guard.current == 5
         shard.finish_round()
-        assert len(shard.ghost_ids) == 0
+        assert not shard.ghost.any()
         assert shard.ghost_row(2) is None
         assert shard.guard.current == 0
 
     def test_eviction_keeps_exactly_the_pinned_ghosts(self):
-        shard = _Shard(1, 2, 100)
+        shard = _Shard(1, 2, 100, 10)
         shard.install_ghosts(*_slab({2: [3, 5], 6: [1], 8: [7]}))
         shard.evict_ghosts(pinned=np.array([6], dtype=np.int64))
-        assert shard.ghost_ids.tolist() == [6]
+        assert np.flatnonzero(shard.ghost).tolist() == [6]
         assert np.array_equal(shard.ghost_row(6), np.array([1]))
         assert shard.guard.current == 2
 
@@ -334,59 +365,67 @@ class TestGhostFringe:
     )
     @settings(max_examples=40, deadline=None)
     def test_local_csr_tracks_installs_and_evictions(self, seed, num_shards, steps):
-        # One local CSR holds owned rows and ghosts: after any sequence
-        # of installs and evictions its universe has only grown, exactly
-        # the owned ids and current ghosts are held, every held row reads
-        # back verbatim and every other id reads empty.
+        # One CSR over the global id range holds owned rows and ghosts:
+        # after any sequence of installs and evictions exactly the owned
+        # rows and current ghosts are held, every held row reads back
+        # verbatim in global ids and every other id reads empty.  Within
+        # the round ``known`` only grows, and it is exactly the owned
+        # rows, their targets, the roots and every installed slab's ids
+        # and targets.
         g = random_gnm(60, 110, seed=seed)
         offsets, targets = g.csr()
         n = g.num_vertices
+        deg = np.diff(offsets)
         rng = np.random.default_rng(seed)
         sid = int(rng.integers(num_shards))
         owned = owner_of(np.arange(n), num_shards) == sid
+        rows = owned & (deg > 0)
         roots = np.flatnonzero(owned & (rng.random(n) < 0.5))
-        shard = _Shard(sid, num_shards, None)
+        shard = _Shard(sid, num_shards, None, n)
         shard.place(offsets, targets, roots)
-        ghosts: set[int] = set()
+        ghosts = np.zeros(n, dtype=bool)
+        known = rows.copy()
+        known[targets[np.repeat(rows, deg)]] = True
+        known[roots] = True
 
         def row(v: int) -> np.ndarray:
             return targets[offsets[v]:offsets[v + 1]]
 
-        def check(previous: np.ndarray) -> None:
-            universe = shard.universe
-            assert (np.diff(universe) > 0).all()
-            assert np.isin(previous, universe).all()
-            assert np.isin(roots, universe).all()
-            expect_held = owned[universe] | np.isin(universe, list(ghosts))
-            assert np.array_equal(shard.held, expect_held)
-            for i, v in enumerate(universe.tolist()):
-                local = shard.targets[shard.offsets[i]:shard.offsets[i + 1]]
-                want = row(v) if expect_held[i] else []
-                assert universe[local].tolist() == list(want)
-            assert shard.ghost_ids.tolist() == sorted(ghosts)
-            fringe = sum(1 + len(row(v)) for v in ghosts)
+        def check() -> None:
+            assert np.array_equal(shard.ghost, ghosts)
+            assert np.array_equal(shard.held, rows | ghosts)
+            assert np.array_equal(shard.known, known)
+            assert len(shard.offsets) == n + 1
+            for v in range(n):
+                got = shard.targets[shard.offsets[v]:shard.offsets[v + 1]]
+                want = row(v) if shard.held[v] else []
+                assert got.tolist() == list(want)
+            fringe = sum(1 + len(row(v)) for v in np.flatnonzero(ghosts))
             assert shard.guard._held.get("ghost_fringe", 0) == fringe
 
-        check(shard.universe)
+        check()
         for install, step_seed in steps:
             step = np.random.default_rng(step_seed)
-            previous = shard.universe.copy()
+            previous = shard.known.copy()
             if install:
-                free = np.flatnonzero(~owned)
-                free = free[~np.isin(free, list(ghosts))]
+                free = np.flatnonzero(~owned & ~ghosts)
                 ids = np.sort(free[step.random(len(free)) < 0.3])
-                lens = np.diff(offsets)[ids]
                 slab = np.concatenate([row(v) for v in ids.tolist()] + [ids[:0]])
-                shard.install_ghosts(ids, lens, slab)
-                ghosts |= set(ids.tolist())
+                shard.install_ghosts(ids, deg[ids], slab)
+                ghosts[ids] = True
+                known[ids] = True
+                known[slab] = True
             else:
                 pinned = np.flatnonzero(step.random(n) < 0.5)
                 shard.evict_ghosts(pinned)
-                ghosts &= set(pinned.tolist())
-            check(previous)
+                kept = np.zeros(n, dtype=bool)
+                kept[pinned] = True
+                ghosts &= kept
+            assert (shard.known >= previous).all()
+            check()
         shard.finish_round()
-        ghosts.clear()
-        check(shard.universe)
+        ghosts[:] = False
+        check()
 
 
 class TestBudgetBinds:
