@@ -115,15 +115,17 @@ Whichever engine played it, a committed game keeps only its proof, as
 Ghost-fringe invalidation rules
 -------------------------------
 
-1.  Ghosts live for one round: :meth:`_Shard.finish_round` drops the
-    whole fringe, so a round starts with each shard holding exactly its
-    owned rows, and retirement (between rounds) never has to prune a
-    ghost row.
+1.  Ghosts live for one round: each round rebuilds every shard from
+    its owned rows (:meth:`_Shard.place`) and the chain that played the
+    last one releases its ghost fringe from its guard as it returns
+    (:func:`run_shard_chain`), so a round starts with each shard holding
+    exactly its owned rows, and retirement (between rounds) never has
+    to prune a ghost row.
 2.  A game *pins* every row it has ever requested; pins drop when the
     game commits.  Mid-round eviction is S-budget discipline, so only
     *budgeted* shards evict between exchanges — dropping the unpinned
     ghosts bounds the fringe by the unresolved games' balls.  An
-    unbudgeted shard keeps its whole fringe until ``finish_round``:
+    unbudgeted shard keeps its whole fringe until the round ends:
     evicting rows whose pins dropped only because their games committed
     forces the still-pending tail to re-request them a wave later
     (evict/refetch thrash), and with no budget there is nothing to
@@ -345,15 +347,31 @@ class MemoryGuard:
         return self.current
 
 
-def _owned_words(offsets: np.ndarray, num_shards: int) -> np.ndarray:
-    """Words of each shard's owner partition of the residual CSR (ids,
-    offsets and targets of its rows, as :meth:`_Shard.place` holds
-    them), counted without slicing any row."""
+def _row_owners(offsets: np.ndarray, num_shards: int) -> np.ndarray:
+    """Owner shard of every vertex with a residual row (degree > 0), and
+    -1 for the rest: the round's one :func:`owner_of` pass over its rows,
+    which the guard counts (:func:`_owned_words`) and every chain's
+    placement (:meth:`_Shard.place`) share."""
     deg = np.diff(offsets)
     sources = np.flatnonzero(deg > 0)
-    owners = owner_of(sources, num_shards)
-    rows = np.bincount(owners, minlength=num_shards)
-    targets = np.bincount(owners, weights=deg[sources], minlength=num_shards)
+    owners = np.full(len(deg), -1, dtype=np.int64)
+    owners[sources] = owner_of(sources, num_shards)
+    return owners
+
+
+def _owned_words(
+    offsets: np.ndarray, owners: np.ndarray, num_shards: int
+) -> np.ndarray:
+    """Words of each shard's owner partition of the residual CSR (ids,
+    offsets and targets of its rows, as :meth:`_Shard.place` holds
+    them), counted without slicing any row; ``owners`` is
+    :func:`_row_owners`' vector."""
+    sources = np.flatnonzero(owners >= 0)
+    rows = np.bincount(owners[sources], minlength=num_shards)
+    targets = np.bincount(
+        owners[sources], weights=np.diff(offsets)[sources],
+        minlength=num_shards,
+    )
     return 2 * rows + 1 + targets.astype(np.int64)
 
 
@@ -398,16 +416,16 @@ class _Shard:
         self.splice_s = 0.0
 
     def place(
-        self, offsets: np.ndarray, targets: np.ndarray, roots: np.ndarray
+        self, offsets: np.ndarray, targets: np.ndarray, roots: np.ndarray,
+        owners: np.ndarray,
     ) -> None:
         """Install this shard's owner partition of the residual CSR:
         the rows of its owned vertices with residual degree > 0 (an
-        owned vertex without a stored row reads as empty).  Guard words
-        are :func:`_owned_words`' count for this shard."""
-        deg = np.diff(offsets)
-        ids = np.flatnonzero(deg > 0)
-        ids = ids[owner_of(ids, self.num_shards) == self.sid]
-        counts = deg[ids]
+        owned vertex without a stored row reads as empty), read off the
+        round's :func:`_row_owners` vector ``owners``.  Guard words are
+        :func:`_owned_words`' count for this shard."""
+        ids = np.flatnonzero(owners == self.sid)
+        counts = offsets[ids + 1] - offsets[ids]
         row_targets = targets[_segment_indices(offsets[ids], counts)]
         self.guard.account("owned_rows", 2 * len(ids) + 1 + len(row_targets))
         self.held[ids] = True
@@ -521,11 +539,6 @@ class _Shard:
         self.deg[rows] = 0
         np.cumsum(self.deg, out=self.offsets[1:])
         self.splice_s += time.perf_counter() - t0
-
-    def finish_round(self) -> None:
-        """Round boundary: drop the whole ghost fringe (rule 1)."""
-        self.evict_ghosts(_EMPTY)
-        self.guard.release("ghost_fringe")
 
 
 class _ShardRound:
@@ -826,6 +839,7 @@ def run_shard_chain(
     *,
     num_shards: int,
     roots: np.ndarray,
+    owners: np.ndarray,
     x: int,
     beta: int,
     clip: int,
@@ -843,9 +857,12 @@ def run_shard_chain(
     thread.  It reads ``offsets``/``targets`` and writes nothing
     outside its own shard, so chains share the round's CSR in place.
     The shard is rebuilt as its owner partition of the
-    CSR (:meth:`_Shard.place`), and every row another shard would serve
-    it is a verbatim CSR slice, so the chain serves its own row requests
-    and the result is a pure function of its arguments.
+    CSR (:meth:`_Shard.place`, from the round's ``owners`` vector of
+    :func:`_row_owners`), and every row another shard would serve it is
+    a verbatim CSR slice, so the chain serves its own row requests and
+    the result is a pure function of its arguments.  The chain's shard
+    is discarded when it returns, so the round boundary (invalidation
+    rule 1) only releases the ghost fringe from its guard.
 
     Besides its game results the chain returns the per-sub-round
     ``(missing, speculative)`` id trace of requests it sent and its
@@ -863,7 +880,7 @@ def run_shard_chain(
     t0 = time.perf_counter()
     deg = np.diff(offsets)
     shard = _Shard(sid, num_shards, budget_words, len(deg))
-    shard.place(offsets, targets, roots)
+    shard.place(offsets, targets, roots, owners)
     shard.guard.begin_round()
     run = _ShardRound(shard, roots, engine)
     # Exchange runs *before* play: the first missing sets are seeded
@@ -941,7 +958,8 @@ def run_shard_chain(
             run.play(params)
         played = True
         trace.append((miss, extra))
-    shard.finish_round()
+    # Round boundary: every ghost drops with the discarded shard.
+    shard.guard.release("ghost_fringe")
     proof_u, proof_l, proof_c = run.proof_columns()
     return {
         "reads": run.reads,
@@ -1122,7 +1140,8 @@ class MessageFabric:
         # Each round's shard is the owner partition of this round's CSR
         # (ghosts dropped at the end of the previous round), so every
         # guard starts the round holding exactly those words.
-        words = _owned_words(offsets, num)
+        row_owners = _row_owners(offsets, num)
+        words = _owned_words(offsets, row_owners, num)
         for guard, held in zip(self.guards, words.tolist()):
             guard.account("owned_rows", held)
             guard.begin_round()
@@ -1150,7 +1169,7 @@ class MessageFabric:
         payload = {
             "x": x, "beta": beta, "clip": clip, "horizon": horizon,
             "scale": scale, "num_shards": num, "engine": engine,
-            "budget_words": self.budget_words,
+            "budget_words": self.budget_words, "owners": row_owners,
         }
         delivered: set[int] = set()
         miss_sizes: list[list[int]] = [[] for __ in range(num)]

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.coloring.cover_free import CoverFreeFamily, choose_family
+from repro.coloring.layers import Layer
 from repro.core.orientation import Orientation
 
 __all__ = [
@@ -33,7 +34,7 @@ __all__ = [
 class ArbLinialResult:
     """Coloring plus the reduction schedule that produced it."""
 
-    colors: list[int]
+    colors: np.ndarray  # int64, one color per vertex (per layer position)
     num_colors: int  # final palette size q²
     local_rounds: int
     schedule: list[CoverFreeFamily] = field(default_factory=list)
@@ -75,20 +76,32 @@ def linial_undirected_coloring(
     initial_palette: int | None = None,
     max_rounds: int = 64,
     engine: str | None = None,
+    layer: Layer | None = None,
 ) -> ArbLinialResult:
     """Classic (undirected) Linial reduction to O(Δ²) colors.
 
     Used for the per-layer initial colorings of Section 6.3, where the
     within-layer degree is at most β.  Identical machinery to
     :func:`arb_linial_coloring` but each vertex avoids *all* neighbors.
+    With ``layer`` (a :class:`~repro.coloring.layers.Layer` of
+    ``graph``) it colors the layer's induced subgraph, by layer
+    position, and ``max_degree`` bounds the within-layer degree; the
+    compiled rounds read the layer in place, the numpy rounds its
+    induced copy.
     """
-    n = graph.num_vertices
+    if layer is not None and layer.graph is not graph:
+        raise ValueError("layer belongs to another graph")
+    n = graph.num_vertices if layer is None else layer.size
     if max_degree < 1:
-        return ArbLinialResult(colors=[0] * n, num_colors=min(n, 1), local_rounds=0)
+        return ArbLinialResult(
+            colors=np.zeros(n, dtype=np.int64), num_colors=min(n, 1),
+            local_rounds=0,
+        )
     colors, palette = _initial(n, initial_colors, initial_palette)
     offsets, targets = graph.csr()
     return _reduce_rounds(
-        colors, palette, offsets, targets, max_degree, max_rounds, engine
+        colors, palette, offsets, targets, max_degree, max_rounds, engine,
+        layer,
     )
 
 
@@ -96,7 +109,7 @@ def _initial(n: int, initial_colors, initial_palette) -> tuple[np.ndarray, int]:
     """The starting coloring and its palette (vertex ids by default)."""
     if initial_colors is None:
         return np.arange(n, dtype=np.int64), max(n, 2)
-    colors = np.asarray(initial_colors, dtype=np.int64)
+    colors = np.array(initial_colors, dtype=np.int64)  # the result's own
     palette = initial_palette if initial_palette is not None else int(colors.max()) + 1
     return colors, palette
 
@@ -109,12 +122,13 @@ def _reduce_rounds(
     bound: int,
     max_rounds: int,
     engine: str | None,
+    layer: Layer | None = None,
 ) -> ArbLinialResult:
     """Cover-free reduction rounds until the palette stops shrinking.
 
-    Vertex v avoids ``targets[offsets[v]:offsets[v + 1]]``; ``bound`` caps
-    every vertex's number of such constraints (out-degree, or degree when
-    undirected).
+    Vertex v avoids ``targets[offsets[v]:offsets[v + 1]]`` (those in
+    ``layer`` alone, when given); ``bound`` caps every vertex's number
+    of such constraints (out-degree, or degree when undirected).
     """
     schedule: list[CoverFreeFamily] = []
     while len(schedule) < max_rounds and palette > 2:
@@ -122,12 +136,12 @@ def _reduce_rounds(
         if family.target_colors >= palette:
             break  # fixed point: O(bound²) reached
         colors = family.reduce_colors(
-            colors, offsets, targets, bound, engine=engine
+            colors, offsets, targets, bound, engine=engine, layer=layer
         )
         palette = family.target_colors
         schedule.append(family)
     return ArbLinialResult(
-        colors=colors.tolist(), num_colors=palette, local_rounds=len(schedule),
+        colors=colors, num_colors=palette, local_rounds=len(schedule),
         schedule=schedule,
     )
 

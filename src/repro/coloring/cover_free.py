@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.coloring.layers import Layer, one_label
 from repro.core import native
 from repro.util.primes import next_prime
 
@@ -80,6 +81,7 @@ class CoverFreeFamily:
         targets: np.ndarray,
         beta: int,
         engine: str | None = None,
+        layer: Layer | None = None,
     ) -> np.ndarray:
         """One reduction round for every vertex at once.
 
@@ -90,42 +92,67 @@ class CoverFreeFamily:
         Each vertex v gets ``a * q + p_v(a)`` for the smallest point a
         where p_v differs from every out-neighbor's polynomial.
 
+        With ``layer`` (a :class:`~repro.coloring.layers.Layer` of the
+        graph whose CSR ``offsets``/``targets`` are) the round is that of
+        the layer's induced subgraph: ``colors`` are by layer position,
+        and each vertex avoids only its neighbors in the layer.
+
         ``engine`` None or "compiled" runs the round as the kernel's C
-        loop (:func:`repro.core.native.cover_free_round`); "batched" or
-        "scalar" runs the numpy pass, the oracle: points are tried in
-        increasing order, each as one Horner sweep over the digit matrix,
-        and only vertices that still clash (and their edges) go on to the
-        next point.
+        loop (:func:`repro.core.native.cover_free_round`), in place on
+        the whole CSR for a layer; "batched" or "scalar" runs the numpy
+        pass, the oracle, on the layer's induced subgraph: points are
+        tried in increasing order, each as one Horner sweep over the
+        digit matrix, and only vertices that still clash (and their
+        edges) go on to the next point.
         """
         colors = np.asarray(colors, dtype=np.int64)
         n = colors.size
-        offsets = np.asarray(offsets, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        degrees = np.diff(offsets)
-        if (
-            offsets.size != n + 1 or offsets[0] != 0
-            or offsets[-1] != targets.size or (degrees < 0).any()
-        ):
-            raise ValueError("offsets and targets are not a CSR over the colors")
-        if targets.size and int(degrees.max()) > beta:
-            raise ValueError("more out-neighbors than β")
+        if layer is None:
+            offsets = np.asarray(offsets, dtype=np.int64)
+            targets = np.asarray(targets, dtype=np.int64)
+            degrees = np.diff(offsets)
+            if (
+                offsets.size != n + 1 or offsets[0] != 0
+                or offsets[-1] != targets.size or (degrees < 0).any()
+            ):
+                raise ValueError(
+                    "offsets and targets are not a CSR over the colors"
+                )
+            if targets.size and int(degrees.max()) > beta:
+                raise ValueError("more out-neighbors than β")
+        elif n != layer.size:
+            raise ValueError("need one color per layer vertex")
+        elif any(a is not b for a, b in zip((offsets, targets), layer.graph.csr())):
+            raise ValueError("a layer's round runs on its graph's CSR")
         if self.d * beta >= self.q:
             raise ValueError("family too small: need q > d·β")
         if (
             native.tail_compiled(engine, "CoverFreeFamily.reduce_colors")
             and self.q <= _MAX_COMPILED_Q
-            and targets.size
-            and 0 <= int(targets.min()) and int(targets.max()) < n
+            and n
+            and (layer is not None or (
+                targets.size
+                and 0 <= int(targets.min()) and int(targets.max()) < n
+            ))
             # Colors :meth:`digits` would reject take the numpy round,
             # which raises its error.
             and 0 <= int(colors.min())
             and int(colors.max()) < min(self.source_colors, self.q ** (self.d + 1))
         ):
+            vertices, labels = (
+                one_label(n) if layer is None
+                else (layer.vertices, layer.labels)
+            )
             new = native.cover_free_round(
-                offsets, targets, colors, self.d + 1, self.q
+                offsets, targets, vertices, labels, colors, self.d + 1,
+                self.q, beta,
             )
             if new is not None:
                 return new
+        if layer is not None:
+            return self.reduce_colors(
+                colors, *layer.induced().csr(), beta, engine="batched"
+            )
         src = np.repeat(np.arange(n, dtype=np.int64), degrees)
         return self._reduce_colors_numpy(self.digits(colors), src, targets)
 

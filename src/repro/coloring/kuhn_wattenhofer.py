@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.coloring.layers import Layer, one_label
 from repro.core import native
 from repro.graphs.graph import Graph
 
@@ -25,7 +26,7 @@ __all__ = ["KWResult", "kw_color_reduction"]
 class KWResult:
     """Coloring plus round accounting."""
 
-    colors: list[int]
+    colors: np.ndarray  # int64, one color per vertex (per layer position)
     num_colors: int
     local_rounds: int
 
@@ -36,32 +37,50 @@ def kw_color_reduction(
     max_degree: int,
     palette: int | None = None,
     engine: str | None = None,
+    layer: Layer | None = None,
 ) -> KWResult:
     """Reduce ``colors`` (proper on ``graph``) to max_degree + 1 colors.
 
     ``max_degree`` must upper-bound every vertex degree in ``graph``.
-    ``engine`` None or "compiled" runs the whole reduction as one C loop
-    (:func:`repro.core.native.kw_reduce`); "batched" or "scalar" runs the
-    numpy oracle, where each sub-round is one array step: the vertices
-    at the sub-round's upper offset (the movers) mark their neighbors'
-    lower-half colors in a ``movers × (Δ+1)`` bitmap and take its first
-    free column.
+    With ``layer`` (a :class:`~repro.coloring.layers.Layer` of
+    ``graph``) it reduces a coloring of the layer's induced subgraph,
+    by layer position, and ``max_degree`` bounds the within-layer
+    degree.  ``engine`` None or "compiled" runs the whole reduction as
+    one C loop (:func:`repro.core.native.kw_reduce`), in place on
+    ``graph``'s CSR for a layer; "batched" or "scalar" runs the numpy
+    oracle on the layer's induced subgraph, where each sub-round is one
+    array step: the vertices at the sub-round's upper offset (the
+    movers) mark their neighbors' lower-half colors in a
+    ``movers × (Δ+1)`` bitmap and take its first free column.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
+    if layer is not None and layer.graph is not graph:
+        raise ValueError("layer belongs to another graph")
     delta_plus_1 = max_degree + 1
     colors = np.array(colors, dtype=np.int64)
-    if colors.size != graph.num_vertices:
+    if colors.size != (graph.num_vertices if layer is None else layer.size):
         raise ValueError("need one color per vertex")
     m = palette if palette is not None else (int(colors.max(initial=0)) + 1)
     if ((colors < 0) | (colors >= m)).any():
         raise ValueError("colors outside declared palette")
-    if native.tail_compiled(engine, "kw_color_reduction") and m > delta_plus_1:
+    compiled = native.tail_compiled(engine, "kw_color_reduction")
+    if m <= delta_plus_1:
+        return KWResult(colors=colors, num_colors=m, local_rounds=0)
+    if compiled:
         offsets, targets = graph.csr()
-        got = native.kw_reduce(offsets, targets, colors, m, delta_plus_1)
+        vertices, labels = (
+            one_label(colors.size) if layer is None
+            else (layer.vertices, layer.labels)
+        )
+        got = native.kw_reduce(
+            offsets, targets, vertices, labels, colors, m, delta_plus_1
+        )
         if got is not None:
             out, m, rounds = got
-            return KWResult(colors=out.tolist(), num_colors=m, local_rounds=rounds)
+            return KWResult(colors=out, num_colors=m, local_rounds=rounds)
+    if layer is not None:
+        graph = layer.induced()
     rounds = 0
     while m > delta_plus_1:
         block = 2 * delta_plus_1
@@ -99,4 +118,4 @@ def kw_color_reduction(
         m = num_blocks * delta_plus_1
         if num_blocks == 1:
             m = min(m, delta_plus_1)
-    return KWResult(colors=colors.tolist(), num_colors=m, local_rounds=rounds)
+    return KWResult(colors=colors, num_colors=m, local_rounds=rounds)

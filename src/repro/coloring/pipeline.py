@@ -36,6 +36,7 @@ from repro.coloring.arb_linial import (
 )
 from repro.coloring.derandomized_mpc import deterministic_mpc_coloring
 from repro.coloring.kuhn_wattenhofer import kw_color_reduction
+from repro.coloring.layers import Layer
 from repro.coloring.recolor import greedy_recolor_by_layers, recoloring_ampc_rounds
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.core.orientation import orient_by_partition
@@ -59,7 +60,7 @@ class PipelineResult:
     """A validated coloring with its full AMPC cost breakdown."""
 
     variant: str
-    colors: list[int]
+    colors: np.ndarray  # int64, one color per vertex
     num_colors: int  # distinct colors actually used
     palette_bound: int  # the variant's guaranteed palette size
     beta: int
@@ -80,19 +81,27 @@ def _space_budget(graph: Graph, delta: float) -> int:
     return max(2, math.ceil((graph.num_vertices + graph.num_edges) ** delta))
 
 
-def _layers_of(partition: PartialBetaPartition, graph: Graph) -> dict[int, np.ndarray]:
+def _layers_of(
+    partition: PartialBetaPartition, graph: Graph
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Group vertices by layer: one argsort over the layer vector.
 
-    Values are ascending vertex-id arrays (usable directly as the new->old
-    inverse mapping of ``graph.subgraph``); keys are ascending layers.
+    Returns the int64 label vector, each vertex's label being its
+    layer's rank among the partition's layers, and each layer's vertex
+    array in ascending layer order.  The arrays are strictly ascending
+    (usable directly as the new->old inverse mapping of
+    ``graph.induced_subgraph``, or as a :class:`Layer`'s vertices).
     """
-    layer_vec = partition.layer_array(graph.num_vertices)
+    n = graph.num_vertices
+    layer_vec = partition.layer_array(n)
     order = np.argsort(layer_vec, kind="stable")
     sorted_layers = layer_vec[order]
-    boundaries = np.flatnonzero(np.diff(sorted_layers)) + 1
-    starts = np.concatenate(([0], boundaries))
-    groups = np.split(order, boundaries)
-    return {int(sorted_layers[s]): grp for s, grp in zip(starts, groups)}
+    cuts = np.flatnonzero(sorted_layers[1:] != sorted_layers[:-1]) + 1
+    step = np.zeros(n, dtype=np.int64)
+    step[cuts] = 1
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = np.cumsum(step)
+    return labels, np.split(order, cuts)
 
 
 def _finish(graph: Graph, result: PipelineResult) -> PipelineResult:
@@ -100,7 +109,7 @@ def _finish(graph: Graph, result: PipelineResult) -> PipelineResult:
     bound; fill in ``num_colors``."""
     if not is_proper_coloring(graph, result.colors):
         raise AssertionError(f"pipeline {result.variant} produced an improper coloring")
-    result.num_colors = len(set(result.colors)) if result.colors else 0
+    result.num_colors = int(np.count_nonzero(np.bincount(result.colors)))
     if result.num_colors > result.palette_bound:
         raise AssertionError(
             f"pipeline {result.variant} used {result.num_colors} colors, "
@@ -120,7 +129,7 @@ def _check_params(graph: Graph, alpha: int, eps: float) -> None:
 def _trivial_result(graph: Graph, variant: str, alpha: int, eps: float) -> PipelineResult:
     return PipelineResult(
         variant=variant,
-        colors=[0] * graph.num_vertices,
+        colors=np.zeros(graph.num_vertices, dtype=np.int64),
         num_colors=1 if graph.num_vertices else 0,
         palette_bound=1,
         beta=0,
@@ -239,6 +248,9 @@ def coloring_two_plus_eps(
     selects the partition's coin-game engine and the tail's loops, as
     in :func:`color_graph`: None or "compiled" runs Linial, KW and the
     recolor as the kernel's C loops, "batched" or "scalar" as numpy.
+    Each layer is a :class:`~repro.coloring.layers.Layer` of one label
+    vector: the C loops color it in place on the graph's CSR, the numpy
+    passes on its induced subgraph.
     """
     _check_params(graph, alpha, eps)
     if graph.num_edges == 0:
@@ -251,11 +263,16 @@ def coloring_two_plus_eps(
         engine=engine,
     )
     partition = outcome.partition
-    layers = _layers_of(partition, graph)
+    labels, layers = _layers_of(partition, graph)
     space = _space_budget(graph, delta)
     n = graph.num_vertices
+    # One pass over the edges: which join two vertices of one layer.  It
+    # gives every layer's within-layer degree and the recolor's
+    # within-layer conflict check.
+    edges = graph.edge_array()
+    same_layer = labels[edges[:, 0]] == labels[edges[:, 1]]
 
-    # The per-layer loop scatters each subgraph coloring back through the
+    # The per-layer loop scatters each layer coloring back through the
     # layer's vertex array (new->old inverse map) in one fancy-indexed write.
     initial = np.zeros(n, dtype=np.int64)
     init_local_rounds = 0
@@ -263,15 +280,20 @@ def coloring_two_plus_eps(
     if initial_method == "kw":
         kw_rounds_max = 0
         linial_rounds_max = 0
-        for vertices in layers.values():
-            sub = graph.induced_subgraph(vertices)
-            if sub.num_edges == 0:
-                continue
-            sub_degree = min(sub.max_degree(), beta)
-            lin = linial_undirected_coloring(sub, sub_degree, engine=engine)
+        layer_degree = np.bincount(
+            edges[:, 0][same_layer], minlength=n
+        ) + np.bincount(edges[:, 1][same_layer], minlength=n)
+        for vertices in layers:
+            sub_degree = min(int(layer_degree[vertices].max()), beta)
+            if sub_degree == 0:
+                continue  # an edgeless layer keeps color 0
+            layer = Layer(graph, vertices, labels)
+            lin = linial_undirected_coloring(
+                graph, sub_degree, engine=engine, layer=layer
+            )
             kw = kw_color_reduction(
-                sub, lin.colors, sub_degree, palette=lin.num_colors,
-                engine=engine,
+                graph, lin.colors, sub_degree, palette=lin.num_colors,
+                engine=engine, layer=layer,
             )
             initial[vertices] = kw.colors
             linial_rounds_max = max(linial_rounds_max, lin.local_rounds)
@@ -282,7 +304,7 @@ def coloring_two_plus_eps(
         ) + ampc_rounds_for_simulation(kw_rounds_max, max(beta, 2), space)
     else:
         mpc_rounds_max = 0
-        for vertices in layers.values():
+        for vertices in layers:
             sub = graph.induced_subgraph(vertices)
             if sub.num_edges == 0:
                 continue
@@ -293,7 +315,8 @@ def coloring_two_plus_eps(
 
     pick = "highest" if initial_method == "kw" else "lowest"
     recolored = greedy_recolor_by_layers(
-        graph, partition, initial, beta, pick=pick, engine=engine
+        graph, partition, initial, beta, pick=pick, engine=engine,
+        same_layer=same_layer,
     )
     recolor_rounds = recoloring_ampc_rounds(len(layers), beta, delta, n)
     return _finish(
@@ -344,12 +367,12 @@ def coloring_large_alpha(
         graph, beta, delta=delta, x=x, store=store, workers=workers,
         engine=engine,
     )
-    layers = _layers_of(outcome.partition, graph)
+    __, layers = _layers_of(outcome.partition, graph)
     trial_x = max(2, round(alpha**eps))
     colors = np.zeros(graph.num_vertices, dtype=np.int64)
     offset = 0
     mpc_rounds_max = 0
-    for __, vertices in sorted(layers.items()):
+    for vertices in layers:
         sub = graph.induced_subgraph(vertices)
         if sub.num_edges == 0:
             colors[vertices] = offset
@@ -363,7 +386,7 @@ def coloring_large_alpha(
         graph,
         PipelineResult(
             variant="large_alpha",
-            colors=colors.tolist(),
+            colors=colors,
             num_colors=0,
             palette_bound=offset,
             beta=beta,

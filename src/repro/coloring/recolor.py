@@ -22,7 +22,12 @@ class picks its colors in one array pass over int64 blocked-color masks,
 then ORs each chosen bit into its neighbors' masks.  With β+1 > 62
 colors the masks no longer fit an int64, and the numpy tail walks over
 Python-int masks instead (:func:`_recolor_walk`).  Colors,
-``num_colors`` and ``processed_order`` are the same on every path.
+``num_colors`` and ``processed_order`` are the same on every path; the
+colors and the order come back as int64 arrays, as the walk and the
+order's sort produce them, and ``num_colors`` is counted off the colors'
+bincount.  The within-layer conflict check takes the caller's
+same-layer edge mask when it has one: the pipeline builds it once, in
+the pass that finds its layers' within-layer degrees.
 
 The AMPC simulation batches layers so each vertex's recursive dependency
 ball fits in machine memory; :func:`recoloring_ampc_rounds` reproduces the
@@ -48,9 +53,9 @@ __all__ = ["RecolorResult", "greedy_recolor_by_layers", "recoloring_ampc_rounds"
 class RecolorResult:
     """Final proper coloring in palette {0..β}."""
 
-    colors: list[int]
+    colors: np.ndarray  # int64, one color of {0..β} per vertex
     num_colors: int
-    processed_order: list[int]  # the centralized order, for inspection
+    processed_order: np.ndarray  # int64: the centralized order, for inspection
 
 
 def greedy_recolor_by_layers(
@@ -60,6 +65,7 @@ def greedy_recolor_by_layers(
     beta: int,
     pick: Literal["highest", "lowest"] = "highest",
     engine: str | None = None,
+    same_layer: np.ndarray | None = None,
 ) -> RecolorResult:
     """Fix cross-layer conflicts into a proper (β+1)-coloring.
 
@@ -68,7 +74,9 @@ def greedy_recolor_by_layers(
     uses a 4β-palette initial coloring); the partition must be complete.
     ``pick`` selects the highest (Section 6.3) or lowest (Section 6.4)
     available color from {0..β} — both are valid.  ``engine`` picks the
-    compiled walk or the numpy tail (module docstring).
+    compiled walk or the numpy tail (module docstring).  ``same_layer``
+    is the caller's bool mask over ``graph.edge_array()``, True where
+    both endpoints share a layer; without it the mask is computed here.
     """
     if pick not in ("highest", "lowest"):
         raise ValueError('pick must be "highest" or "lowest"')
@@ -83,9 +91,11 @@ def greedy_recolor_by_layers(
         raise ValueError(f"vertex {int(np.argmax(unlayered))} unlayered")
     init_vec = np.asarray(initial_colors, dtype=np.int64)
     edges = graph.edge_array()
-    conflict = (layer_vec[edges[:, 0]] == layer_vec[edges[:, 1]]) & (
-        init_vec[edges[:, 0]] == init_vec[edges[:, 1]]
-    )
+    if same_layer is None:
+        same_layer = layer_vec[edges[:, 0]] == layer_vec[edges[:, 1]]
+    elif same_layer.shape != (len(edges),):
+        raise ValueError("need one same_layer flag per edge")
+    conflict = same_layer & (init_vec[edges[:, 0]] == init_vec[edges[:, 1]])
     if conflict.any():
         u, w = edges[np.argmax(conflict)]
         raise ValueError(
@@ -94,8 +104,7 @@ def greedy_recolor_by_layers(
     # Process by (layer desc, initial color desc); ties broken by id for
     # determinism — tied vertices are never adjacent (initial coloring is
     # proper within a layer), so any tie-break yields the same constraints.
-    order = np.lexsort((np.arange(n), -init_vec, -layer_vec))
-    processed = order.tolist()
+    order = _processing_order(layer_vec, init_vec)
     final = None
     if native.tail_compiled(engine, "greedy_recolor_by_layers"):
         offsets, targets = graph.csr()
@@ -104,16 +113,38 @@ def greedy_recolor_by_layers(
         )
     if final is None and beta + 1 > 62:
         final = np.array(
-            _recolor_walk(graph, processed, beta, pick), dtype=np.int64
+            _recolor_walk(graph, order.tolist(), beta, pick), dtype=np.int64
         )
     elif final is None:
         final = _recolor_by_class(
             graph, order, layer_vec[order], init_vec[order], beta, pick
         )
-    colors = final.tolist()
     return RecolorResult(
-        colors=colors, num_colors=len(set(colors)), processed_order=processed
+        colors=final,
+        num_colors=int(np.count_nonzero(np.bincount(final))),
+        processed_order=order,
     )
+
+
+def _processing_order(layer_vec: np.ndarray, init_vec: np.ndarray) -> np.ndarray:
+    """Vertex ids by layer descending, then initial color descending, then
+    id ascending: one stable argsort of the combined (layer, color) key.
+
+    When the key spans at most 2**16 values (the pipeline's few layers
+    times its (β+1)-color initial palettes) it is sorted as uint16, which
+    numpy's stable sort does by radix in linear time; otherwise the three
+    keys go to ``np.lexsort``.  Both give the same order.
+    """
+    n = len(init_vec)
+    if n:
+        layer = layer_vec.astype(np.int64)  # finite: unlayered is rejected
+        low, high = int(layer.min()), int(layer.max())
+        top = int(init_vec.max())
+        span = top - int(init_vec.min()) + 1
+        if (high - low + 1) * span <= 1 << 16:
+            key = (high - layer) * span + (top - init_vec)
+            return np.argsort(key.astype(np.uint16), kind="stable")
+    return np.lexsort((np.arange(n), -init_vec, -layer_vec))
 
 
 def _recolor_by_class(

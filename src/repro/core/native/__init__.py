@@ -5,14 +5,14 @@ that fuses the per-wave hot path of the lockstep engine — threshold
 test, exact scaled-integer coin split, membership probe, sigma-ranked
 top-(beta+1) forwarding selection, and delivery scatter with
 ``minimum``-folds — over the caller's existing struct-of-arrays
-buffers, plus the coloring tail's three sequential loops (ABI 4 below)
-and the k-core peel behind :func:`repro.graphs.arboricity.degeneracy`
-(ABI 5).
+buffers, plus the coloring tail's three sequential loops (ABI 4 below;
+ABI 6 runs two of them on one layer of the whole graph's CSR) and the
+k-core peel behind :func:`repro.graphs.arboricity.degeneracy` (ABI 5).
 The numpy batched engine stays verbatim as the differential oracle;
 every observable here is bit-identical to it and to the scalar
 interpreter.
 
-C ABI (``_wave_kernel.c`` / ``_build.CDEF``, version ``ABI_VERSION`` = 5)
+C ABI (``_wave_kernel.c`` / ``_build.CDEF``, version ``ABI_VERSION`` = 6)
 =========================================================================
 
 ``repro_play_cohort`` plays one cohort of coin-dropping games against a
@@ -94,45 +94,61 @@ game slices concurrently against one shared read-only CSR, each into
 its own ``out_layer``/``out_count`` accumulators and its own per-slice
 outputs, so their C calls run truly in parallel with nothing to lock.
 
-The coloring tail (ABI 4)
-=========================
+The coloring tail (ABI 4; layers since ABI 6)
+=============================================
 
 Three entry points run the sequential loops of the Section 6.3
 coloring stage, each the vertex-at-a-time form of a numpy pass in
-:mod:`repro.coloring`, which stays its oracle:
+:mod:`repro.coloring`, which stays its oracle.  The first two color one
+*layer* in place on the whole graph's CSR: ``vertices[k]`` are the
+layer's ids and ``labels[n]`` the run's int64 label vector, and every
+arc whose endpoints carry different labels is skipped, so they color
+``graph.induced_subgraph(vertices)`` without building it.  Their
+``colors`` / ``out`` are indexed by layer position (entry i is vertex
+``vertices[i]``), as the subgraph would index them.  Whole-graph
+callers pass every vertex under one label.
 
-- ``repro_cover_free_round(offsets, targets, n, colors, d1, q, out)`` —
-  one Linial / Arb-Linial round
+- ``repro_cover_free_round(offsets, targets, n, vertices, k, labels,
+  colors, d1, q, bound, out)`` — one Linial / Arb-Linial round
   (:meth:`~repro.coloring.cover_free.CoverFreeFamily.reduce_colors`).
-  Vertex v avoids the colors of ``targets[offsets[v]:offsets[v+1]]``;
-  it writes ``a*q + p_v(a)`` to ``out[v]`` for the smallest point ``a``
-  where its polynomial (the ``d1`` base-q digits of ``colors[v]``)
-  differs from every one of theirs.
-- ``repro_kw_reduce(offsets, targets, n, colors, dp1, num_colors,
-  local_rounds)`` — Kuhn–Wattenhofer down to ``dp1`` = Δ+1 colors
+  Vertex ``vertices[i]`` avoids the colors of the same-label targets of
+  its row; it writes ``a*q + p(a)`` to ``out[i]`` for the smallest
+  point ``a`` where its polynomial (the ``d1`` base-q digits of
+  ``colors[i]``) differs from every one of theirs.
+- ``repro_kw_reduce(offsets, targets, n, vertices, k, labels, colors,
+  dp1, num_colors, local_rounds)`` — Kuhn–Wattenhofer down to ``dp1``
+  = Δ+1 colors
   (:func:`~repro.coloring.kuhn_wattenhofer.kw_color_reduction`), in
   place on ``colors``; ``*num_colors`` holds the palette in and the
   final palette out, ``*local_rounds`` the sub-rounds run.
 - ``repro_recolor_walk(offsets, targets, n, order, beta, lowest,
   colors)`` — the cross-layer recolor walk
-  (:func:`~repro.coloring.recolor.greedy_recolor_by_layers`) in
-  ``order``, writing each vertex's pick from {0..β} to ``colors``.
+  (:func:`~repro.coloring.recolor.greedy_recolor_by_layers`) over the
+  whole graph in ``order``, writing each vertex's pick from {0..β} to
+  ``colors``.
 
-Preconditions, all checked by the Python callers before the call:
-``offsets[n+1]`` / ``targets`` are a CSR with every target in
-``[0, n)``; rows need not be sorted.  The KW and walk CSRs are
-symmetric (a graph's), the cover-free one may be directed.  Colors are
+Preconditions: ``offsets[n+1]`` / ``targets`` are a CSR with every
+target in ``[0, n)`` (a :class:`~repro.graphs.graph.Graph`'s, or an
+orientation's); rows need not be sorted.  The KW and walk CSRs are
+symmetric, the cover-free one may be directed.  Colors are
 non-negative: below ``q**d1`` with ``q*q`` in int64 for the round,
-below the palette for KW.  ``order`` is a permutation of ``[0, n)``.
+below the palette for KW.  The wrappers raise ValueError before the
+call unless ``vertices`` is strictly ascending in ``[0, n)`` and
+exactly the ids of one label, ``labels`` has length n, ``colors`` one
+entry per layer vertex (and, for KW, each below the palette), and
+``order`` n ids in ``[0, n)``: the loops index their per-vertex
+scratch by global id and initialise it at the layer's ids alone, so
+each arc tests the far end's label before it reads that scratch.
 Every array is caller-allocated int64 (numpy through
 ``ffi.from_buffer``); the kernel writes only ``out`` / ``colors`` and
 the two KW counters.
 
 Return codes: ``0`` on success; ``1`` when a scratch allocation fails;
 ``2`` when the input breaks the stage's own precondition — a vertex
-that clashes at every point (the coloring was not proper), a KW mover
-whose whole lower half is taken (a degree above Δ), a walk vertex that
-sees all of {0..β} taken (not a β-partition).  On ``1`` or ``2`` the
+with more than ``bound`` same-label targets or one that clashes at
+every point (the coloring was not proper), a KW mover whose whole
+lower half is taken (a degree above Δ), a walk vertex that sees all of
+{0..β} taken (not a β-partition).  On ``1`` or ``2`` the
 outputs are unspecified, and every entry point frees its scratch
 buffers on every path, failures included.  The wrappers
 (:func:`cover_free_round`, :func:`kw_reduce`, :func:`recolor_walk`)
@@ -186,7 +202,7 @@ import numpy as np
 from repro.core import batched_games
 from repro.core.batched_games import BatchedGamesInfo
 
-ABI_VERSION = 5
+ABI_VERSION = 6
 
 _ffi = None
 _lib = None
@@ -451,35 +467,72 @@ def _i64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
+def _check_layer(
+    n: int, vertices: np.ndarray, labels: np.ndarray, size: int
+) -> None:
+    """Raise ValueError unless ``vertices`` is one label class of
+    ``labels`` over ``n`` vertices, strictly ascending, with ``size``
+    colors: the layer contract of the Linial round and KW, whose loops
+    index their scratch by global id and initialise it at the layer's
+    ids alone."""
+    if vertices.ndim != 1 or labels.shape != (n,):
+        raise ValueError(f"need a 1-D vertex array and {n} labels")
+    if size != vertices.size:
+        raise ValueError(
+            f"need one color per layer vertex ({vertices.size}), got {size}"
+        )
+    if not vertices.size:
+        return
+    if not 0 <= int(vertices[0]) < n or not np.array_equal(
+        np.flatnonzero(labels == labels[vertices[0]]), vertices
+    ):
+        raise ValueError(
+            "layer vertices must be all the ids of one label, strictly "
+            "ascending"
+        )
+
+
 def cover_free_round(
-    offsets: np.ndarray, targets: np.ndarray, colors: np.ndarray,
-    d1: int, q: int,
+    offsets: np.ndarray, targets: np.ndarray, vertices: np.ndarray,
+    labels: np.ndarray, colors: np.ndarray, d1: int, q: int, bound: int,
 ) -> np.ndarray | None:
-    """One Linial round (``repro_cover_free_round``) over the constraint
-    CSR: vertex v avoids ``targets[offsets[v]:offsets[v+1]]``, and each
-    color in ``[0, q**d1)`` is the polynomial of its ``d1`` base-q digits.
-    None when the loop failed (an allocation, or a clash at every point):
-    the caller's numpy pass then reruns the round and raises its own
-    error."""
-    colors = _i64(colors)
+    """One Linial round (``repro_cover_free_round``) on one layer of the
+    constraint CSR: vertex ``vertices[i]`` avoids the targets of its row
+    that share its label, and ``colors[i]`` in ``[0, q**d1)`` is the
+    polynomial of its ``d1`` base-q digits.  Returns the new colors by
+    layer position, or None when the loop failed (an allocation, more
+    than ``bound`` same-label targets, or a clash at every point): the
+    caller's numpy pass then reruns the round and raises its own error.
+    Raises ValueError before the call on a malformed layer
+    (:func:`_check_layer`)."""
+    vertices, labels, colors = _i64(vertices), _i64(labels), _i64(colors)
+    _check_layer(len(offsets) - 1, vertices, labels, colors.size)
     out = np.empty(colors.size, dtype=np.int64)
     ok = _tail_call("repro_cover_free_round", _i64(offsets), _i64(targets),
-                    colors.size, colors, d1, q, out)
+                    labels.size, vertices, vertices.size, labels, colors,
+                    d1, q, bound, out)
     return out if ok else None
 
 
 def kw_reduce(
-    offsets: np.ndarray, targets: np.ndarray, colors: np.ndarray,
-    palette: int, delta_plus_1: int,
+    offsets: np.ndarray, targets: np.ndarray, vertices: np.ndarray,
+    labels: np.ndarray, colors: np.ndarray, palette: int, delta_plus_1: int,
 ) -> tuple[np.ndarray, int, int] | None:
     """Kuhn–Wattenhofer down to ``delta_plus_1`` colors
-    (``repro_kw_reduce``) on a copy of ``colors``: ``(colors, num_colors,
-    local_rounds)``, or None when the loop failed (see
-    :func:`cover_free_round`)."""
+    (``repro_kw_reduce``) on one layer of the symmetric CSR, on a copy of
+    ``colors`` (by layer position, each in ``[0, palette)``): ``(colors,
+    num_colors, local_rounds)``, or None when the loop failed (see
+    :func:`cover_free_round`).  Raises ValueError before the call on a
+    malformed layer or a color outside the palette."""
+    vertices, labels = _i64(vertices), _i64(labels)
     out = np.array(colors, dtype=np.int64)
+    _check_layer(len(offsets) - 1, vertices, labels, out.size)
+    if out.size and (int(out.min()) < 0 or int(out.max()) >= palette):
+        raise ValueError(f"colors outside the palette [0, {palette})")
     stats = np.array([palette, 0], dtype=np.int64)
     ok = _tail_call("repro_kw_reduce", _i64(offsets), _i64(targets),
-                    out.size, out, delta_plus_1, stats[:1], stats[1:])
+                    labels.size, vertices, vertices.size, labels, out,
+                    delta_plus_1, stats[:1], stats[1:])
     return (out, int(stats[0]), int(stats[1])) if ok else None
 
 
@@ -490,8 +543,17 @@ def recolor_walk(
     """The recolor walk (``repro_recolor_walk``) in ``order``, a
     permutation of the vertices: each takes the highest (``lowest``: the
     lowest) color of {0..β} its colored neighbours leave free.  None when
-    the loop failed (see :func:`cover_free_round`)."""
+    the loop failed (see :func:`cover_free_round`).  Raises ValueError
+    before the call when ``order`` is not one id of ``[0, n)`` per
+    vertex, since the loop writes each vertex's color at its id."""
     order = _i64(order)
+    if order.size != len(offsets) - 1 or order.size and (
+        int(order.min()) < 0 or int(order.max()) >= order.size
+    ):
+        raise ValueError(
+            f"order must hold {len(offsets) - 1} vertex ids in "
+            f"[0, {len(offsets) - 1})"
+        )
     out = np.empty(order.size, dtype=np.int64)
     ok = _tail_call("repro_recolor_walk", _i64(offsets), _i64(targets),
                     order.size, order, beta, int(lowest), out)

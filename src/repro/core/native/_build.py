@@ -57,9 +57,12 @@ void repro_buffers_free(int64_t *p);
 int64_t repro_abi_version(void);
 int repro_cover_free_round(
     const int64_t *offsets, const int64_t *targets, int64_t n,
-    const int64_t *colors, int64_t d1, int64_t q, int64_t *out);
+    const int64_t *vertices, int64_t k, const int64_t *labels,
+    const int64_t *colors, int64_t d1, int64_t q, int64_t bound,
+    int64_t *out);
 int repro_kw_reduce(
     const int64_t *offsets, const int64_t *targets, int64_t n,
+    const int64_t *vertices, int64_t k, const int64_t *labels,
     int64_t *colors, int64_t dp1, int64_t *num_colors,
     int64_t *local_rounds);
 int repro_recolor_walk(

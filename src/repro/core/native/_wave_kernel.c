@@ -12,7 +12,9 @@
  * same observable transcript.  See repro/core/native/__init__.py for
  * the full ABI contract (version 3: inside edges are counted only
  * when the caller keeps records; version 4 adds the coloring tail's
- * three loops, version 5 the k-core peel, at the end of this file).
+ * three loops, version 5 the k-core peel, at the end of this file;
+ * version 6 restricts the Linial round and KW to one layer of a vertex
+ * labelling on the whole graph's CSR).
  *
  * A game does only the work its outputs read.  Its sigma is kept across
  * super-iterations: the first one it needs is a full peel, each later
@@ -394,7 +396,7 @@ static int sigma_update(
 
 void repro_buffers_free(i64 *p) { free(p); }
 
-i64 repro_abi_version(void) { return 5; }
+i64 repro_abi_version(void) { return 6; }
 
 /* Play one cohort of games.  Returns 0 on success, 1 on allocation
  * failure.  Either way *games_done games finished: their per-game
@@ -724,7 +726,7 @@ done:
     return rc;
 }
 
-/* ---- The coloring tail (ABI 4) -----------------------------------------
+/* ---- The coloring tail (ABI 4; layer-restricted since ABI 6) -----------
  *
  * Three sequential loops of the Section 6.3 coloring stage: a Linial
  * cover-free round, Kuhn-Wattenhofer reduction and the cross-layer
@@ -733,7 +735,17 @@ done:
  * every input first.  They return 0 on success, 1 on allocation failure
  * and 2 when the input breaks the stage's own precondition (the caller
  * raises its error); on 1 or 2 the outputs are unspecified, and every
- * scratch buffer is freed on every path. */
+ * scratch buffer is freed on every path.
+ *
+ * The Linial round and KW color one layer of a vertex labelling in
+ * place on the whole graph's CSR: vertices[0..k) are the layer's ids,
+ * strictly ascending, and exactly the ids whose labels[] entry is
+ * theirs.  Every arc to a vertex of another label is skipped, so the
+ * loops color the induced subgraph without copying it; colors[] and
+ * out[] are indexed by layer position (entry i is vertices[i]).  The
+ * per-vertex scratch is indexed by global id and initialised at the
+ * layer's ids alone, so every arc tests the label before it reads the
+ * scratch of its far end. */
 
 /* Scratch of len + 1 entries (never a zero-byte malloc); NULL when the
  * byte count would not fit a size_t. */
@@ -762,61 +774,84 @@ static i64 point_value(
     return x;
 }
 
-/* One cover-free round: vertex v avoids the colors of targets[offsets[v]
- * .. offsets[v+1]) and takes a*q + p_v(a) for the smallest point a where
- * its polynomial differs from every one of theirs.  Colors are in
- * [0, q^d1), and p_v's coefficients are the d1 base-q digits of
- * colors[v], lowest first; q*q must fit an int64.  Points go outer and
- * pending vertices inner, as in CoverFreeFamily.reduce_colors, so each
- * vertex's value at a point is evaluated once however many vertices
- * avoid it.  Point 0 runs as its own branch-free pass over the lowest
- * digits (p_v(0)), since most vertices finish there; only the vertices
- * a later point reads get their other digits.  rc 2: some vertex
- * clashes at every point (the coloring was not proper). */
+/* One cover-free round on a layer: vertex v avoids the colors of its
+ * same-label targets in targets[offsets[v] .. offsets[v+1]) and takes
+ * a*q + p_v(a) for the smallest point a where its polynomial differs
+ * from every one of theirs.  Colors are in [0, q^d1), and p_v's
+ * coefficients are the d1 base-q digits of v's color, lowest first;
+ * q*q must fit an int64.  Points go outer and pending vertices inner,
+ * as in CoverFreeFamily.reduce_colors, so each vertex's value at a
+ * point is evaluated once however many vertices avoid it.  Point 0
+ * runs as its own pass over the lowest digits (p_v(0)), since most
+ * vertices finish there, and counts each vertex's same-label targets;
+ * only the vertices a later point reads get their other digits.  rc
+ * 2: some vertex has more than `bound` same-label targets, or clashes
+ * at every point (the coloring was not proper). */
 int repro_cover_free_round(
     const i64 *offsets, const i64 *targets, i64 n,
-    const i64 *colors, i64 d1, i64 q, i64 *out
+    const i64 *vertices, i64 k, const i64 *labels,
+    const i64 *colors, i64 d1, i64 q, i64 bound, i64 *out
 ) {
-    i64 *dig = NULL, *val = NULL, *at = NULL, *pending = NULL;
-    i64 a, i, v, npend = 0;
+    i64 *col = NULL, *dig = NULL, *val = NULL, *at = NULL, *pending = NULL;
+    i64 a, i, v, lab, npend = 0;
     int rc = 1;
 
+    if (!k) return 0;
     if (d1 < 1 || n > INT64_MAX / d1) return 1;
+    col = tail_alloc(n);
     dig = tail_alloc(n * d1);
     val = tail_alloc(n);
     at = tail_alloc(n);
-    pending = tail_alloc(n);
-    if (!dig || !val || !at || !pending) goto done;
-    for (v = 0; v < n; v++) {
-        val[v] = colors[v] % q;
+    pending = tail_alloc(k);
+    if (!col || !dig || !val || !at || !pending) goto done;
+    lab = labels[vertices[0]];
+    for (i = 0; i < k; i++) {
+        v = vertices[i];
+        col[v] = colors[i];
+        val[v] = colors[i] % q;
         at[v] = -1;
     }
-    for (v = 0; v < n; v++) {
-        i64 e, mine = val[v], clash = 0;
-        for (e = offsets[v]; e < offsets[v + 1]; e++)
-            clash |= val[targets[e]] == mine;
-        out[v] = mine;
-        pending[npend] = v;
+    for (i = 0; i < k; i++) {
+        i64 e, mine, clash = 0, deg = 0;
+        v = vertices[i];
+        mine = val[v];
+        for (e = offsets[v]; e < offsets[v + 1]; e++) {
+            i64 w = targets[e];
+            if (labels[w] != lab) continue;
+            deg++;
+            clash |= val[w] == mine;
+        }
+        if (deg > bound) {
+            rc = 2;
+            goto done;
+        }
+        out[i] = mine;
+        pending[npend] = i;
         npend += clash;
     }
     for (a = 1; a < q && npend; a++) {
-        i64 keep = 0;
-        for (i = 0; i < npend; i++) {
+        i64 keep = 0, p;
+        for (p = 0; p < npend; p++) {
             i64 e, end, mine;
-            v = pending[i];
-            mine = point_value(v, a, colors, d1, q, dig, val, at);
+            i = pending[p];
+            v = vertices[i];
+            mine = point_value(v, a, col, d1, q, dig, val, at);
             end = offsets[v + 1];
-            for (e = offsets[v]; e < end; e++)
-                if (point_value(targets[e], a, colors, d1, q, dig, val, at)
-                        == mine)
+            for (e = offsets[v]; e < end; e++) {
+                i64 w = targets[e];
+                if (labels[w] == lab
+                        && point_value(w, a, col, d1, q, dig, val, at)
+                            == mine)
                     break;
-            if (e < end) pending[keep++] = v;
-            else out[v] = a * q + mine;
+            }
+            if (e < end) pending[keep++] = i;
+            else out[i] = a * q + mine;
         }
         npend = keep;
     }
     rc = npend ? 2 : 0;
 done:
+    free(col);
     free(dig);
     free(val);
     free(at);
@@ -824,30 +859,30 @@ done:
     return rc;
 }
 
-/* Kuhn-Wattenhofer reduction of colors[0..n) in place, from palette
- * *num_colors down to dp1 = Delta+1 colors, on a symmetric CSR.  A color
- * is held as its block of 2*dp1 colors and its position in the block.
- * Each phase counting-sorts the vertices by position (counted in the
- * previous pass over them); the movers are those at the upper-half
+/* Kuhn-Wattenhofer reduction of a layer's colors[0..k) in place, from
+ * palette *num_colors down to dp1 = Delta+1 colors, on a symmetric CSR.
+ * A color is held as its block of 2*dp1 colors and its position in the
+ * block.  Each phase counting-sorts the layer by position (counted in
+ * the previous pass over it); the movers are those at the upper-half
  * positions dp1 + j, and the dp1 sub-rounds run in order j: every mover
- * takes the first lower-half position that no neighbour in its block
- * holds.  A sub-round's movers all pick before
- * any of them writes, as in kw_color_reduction's array step.  Then the
- * lower halves renumber consecutively, halving the palette: block b's
- * half becomes half (b & 1) of block b >> 1, so only the first phase
- * divides.  The hot loops are branch-free where the data is random:
- * a neighbour outside the block marks the spare slot mark[block].
- * Writes the final palette to *num_colors and the sub-rounds run to
- * *local_rounds.  rc 2: a mover found its whole lower half taken (some
- * degree exceeds Delta). */
+ * takes the first lower-half position that no same-label neighbour in
+ * its block holds.  A sub-round's movers all pick before any of them
+ * writes, as in kw_color_reduction's array step.  Then the lower halves
+ * renumber consecutively, halving the palette: block b's half becomes
+ * half (b & 1) of block b >> 1, so only the first phase divides.  A
+ * neighbour of another label or outside the block marks the spare slot
+ * mark[block].  Writes the final palette to *num_colors and the
+ * sub-rounds run to *local_rounds.  rc 2: a mover found its whole lower
+ * half taken (some degree exceeds Delta). */
 int repro_kw_reduce(
     const i64 *offsets, const i64 *targets, i64 n,
+    const i64 *vertices, i64 k, const i64 *labels,
     i64 *colors, i64 dp1, i64 *num_colors, i64 *local_rounds
 ) {
-    i64 m = *num_colors, block, rounds = 0, token = 0;
+    i64 m = *num_colors, block, rounds = 0, token = 0, lab;
     i64 *blk = NULL, *pos = NULL, *sorted = NULL, *picks = NULL;
     i64 *seg = NULL, *mark = NULL;
-    i64 v, j;
+    i64 i, v, j;
     int rc = 1;
 
     *local_rounds = 0;
@@ -856,24 +891,29 @@ int repro_kw_reduce(
     block = 2 * dp1;
     blk = tail_alloc(n);
     pos = tail_alloc(n);
-    sorted = tail_alloc(n);
-    picks = tail_alloc(n);
+    sorted = tail_alloc(k);
+    picks = tail_alloc(k);
     seg = tail_alloc(block);
     mark = tail_alloc(block); /* block + 1 slots: the spare is mark[block] */
     if (!blk || !pos || !sorted || !picks || !seg || !mark) goto done;
+    lab = k ? labels[vertices[0]] : 0;
     for (j = 0; j <= block; j++) mark[j] = seg[j] = 0;
-    for (v = 0; v < n; v++) {
-        blk[v] = colors[v] / block;
-        pos[v] = colors[v] % block;
+    for (i = 0; i < k; i++) {
+        v = vertices[i];
+        blk[v] = colors[i] / block;
+        pos[v] = colors[i] % block;
         seg[pos[v] + 1]++;
     }
     while (m > dp1) {
         i64 blocks;
         /* seg[p] ends position p's run of sorted[] after placement */
         for (j = 1; j <= block; j++) seg[j] += seg[j - 1];
-        for (v = 0; v < n; v++) sorted[seg[pos[v]]++] = v;
+        for (i = 0; i < k; i++) {
+            v = vertices[i];
+            sorted[seg[pos[v]]++] = v;
+        }
         for (j = 0; j < dp1; j++) {
-            i64 lo = seg[dp1 + j - 1], hi = seg[dp1 + j], i;
+            i64 lo = seg[dp1 + j - 1], hi = seg[dp1 + j];
             rounds++;
             for (i = lo; i < hi; i++) {
                 i64 b, e, c;
@@ -882,7 +922,8 @@ int repro_kw_reduce(
                 token++;
                 for (e = offsets[v]; e < offsets[v + 1]; e++) {
                     i64 w = targets[e];
-                    mark[blk[w] == b ? pos[w] : block] = token;
+                    mark[labels[w] == lab && blk[w] == b ? pos[w] : block] =
+                        token;
                 }
                 for (c = 0; c < dp1 && mark[c] == token; c++)
                     ;
@@ -896,7 +937,8 @@ int repro_kw_reduce(
         }
         /* renumber, and count the next phase's positions */
         for (j = 0; j <= block; j++) seg[j] = 0;
-        for (v = 0; v < n; v++) {
+        for (i = 0; i < k; i++) {
+            v = vertices[i];
             pos[v] += (blk[v] & 1) * dp1;
             blk[v] >>= 1;
             seg[pos[v] + 1]++;
@@ -904,7 +946,10 @@ int repro_kw_reduce(
         blocks = m / block + (m % block != 0);
         m = blocks == 1 ? dp1 : blocks * dp1;
     }
-    for (v = 0; v < n; v++) colors[v] = blk[v] * block + pos[v];
+    for (i = 0; i < k; i++) {
+        v = vertices[i];
+        colors[i] = blk[v] * block + pos[v];
+    }
     *num_colors = m;
     *local_rounds = rounds;
     rc = 0;

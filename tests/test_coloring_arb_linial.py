@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,7 +90,7 @@ class TestLinialUndirected:
 
         g = Graph.from_edges(5, [])
         res = linial_undirected_coloring(g, 0)
-        assert res.colors == [0] * 5
+        np.testing.assert_array_equal(res.colors, [0] * 5)
 
     def test_quadratic_palette(self):
         g = union_of_random_forests(150, 2, seed=6)

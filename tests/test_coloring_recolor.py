@@ -126,7 +126,7 @@ class TestRecolor:
                         g, p, initial, beta, pick=pick, engine=engine
                     )
             walk = recolor._recolor_walk(g, res.processed_order, beta, pick)
-            assert res.colors == walk
+            np.testing.assert_array_equal(res.colors, walk)
             assert res.num_colors == len(set(walk))
             assert is_proper_coloring(g, res.colors)
             # The cliques force picks into the palette's top bit.
@@ -143,7 +143,7 @@ class TestRecolor:
                     if final[int(w)] is not None
                 }
                 final[v] = next(c for c in palette if c not in blocked)
-            assert res.colors == final
+            np.testing.assert_array_equal(res.colors, final)
 
     def test_exhausted_palette_asserts_on_both_paths(self):
         # K_4 in one layer has no proper 3-coloring: the compiled walk,
@@ -184,9 +184,13 @@ class TestRecolor:
             want = greedy_recolor_by_layers(
                 g, p, initial, beta=small, pick=pick, engine="batched"
             )
-            assert got.colors == [c + shift for c in want.colors], pick
+            np.testing.assert_array_equal(
+                got.colors, want.colors + shift, err_msg=pick
+            )
             assert got.num_colors == want.num_colors
-            assert got.processed_order == want.processed_order
+            np.testing.assert_array_equal(
+                got.processed_order, want.processed_order
+            )
 
     def test_unknown_pick_rejected(self):
         g = path_graph(3)
@@ -220,6 +224,48 @@ class TestRecolor:
         p = PartialBetaPartition({0: 0, 1: 0, 2: 0})
         with pytest.raises(ValueError):
             greedy_recolor_by_layers(g, p, [0, 1], beta=2)
+
+    def test_callers_same_layer_mask_serves_the_conflict_check(self):
+        # The pipeline hands over its same-layer edge mask: the result is
+        # the one computed without it, a within-layer conflict is still
+        # caught, and a mask of the wrong shape is rejected.
+        g = path_graph(4)
+        p = PartialBetaPartition({0: 1, 1: 0, 2: 0, 3: 0})
+        same = np.array([False, True, True])  # edges (0,1), (1,2), (2,3)
+        want = greedy_recolor_by_layers(g, p, [0, 0, 1, 0], beta=2)
+        got = greedy_recolor_by_layers(
+            g, p, [0, 0, 1, 0], beta=2, same_layer=same
+        )
+        np.testing.assert_array_equal(got.colors, want.colors)
+        np.testing.assert_array_equal(
+            got.processed_order, want.processed_order
+        )
+        with pytest.raises(ValueError, match="not proper within layer"):
+            greedy_recolor_by_layers(
+                g, p, [0, 0, 0, 1], beta=2, same_layer=same
+            )
+        with pytest.raises(ValueError, match="same_layer"):
+            greedy_recolor_by_layers(
+                g, p, [0, 0, 1, 0], beta=2, same_layer=same[:2]
+            )
+
+    @given(
+        st.integers(0, 60),
+        st.integers(1, 40),
+        st.sampled_from([3, 1 << 12, 1 << 16, 1 << 40]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_processing_order_matches_lexsort(self, n, layers, span, seed):
+        # The radix-sorted combined key (spans up to 2**16 values) and
+        # the lexsort fallback both give layer desc, color desc, id asc.
+        rng = np.random.default_rng(seed)
+        layer_vec = rng.integers(0, layers, size=n).astype(float)
+        init = rng.integers(-span // 2, span - span // 2, size=n)
+        want = np.lexsort((np.arange(n), -init, -layer_vec))
+        np.testing.assert_array_equal(
+            recolor._processing_order(layer_vec, init), want
+        )
 
 
 class TestRoundFormula:

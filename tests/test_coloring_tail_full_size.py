@@ -5,6 +5,9 @@ colors and recolors with the compiled kernel's C loops.  On full-size
 shapes that must reproduce, color for color, a run with the reference
 paths forced in: the batched engine's numpy tail, the ordered list peel
 (``degeneracy_order``) and the vertex-by-vertex recolor walk.  The
+compiled Linial and KW loops color each layer in place on the whole
+graph's CSR, the numpy tail on the layer's induced subgraph; on the
+200k-vertex path the single layer is the whole graph.  The
 compiled peel must also match the list peel on a 200k-vertex path.  A
 compiled run whose shrunk coin budget sends games to the interpreter
 must give the partition, the per-round reads and writes, and the
@@ -41,8 +44,11 @@ def _walk_by_class_signature(graph, order, layer_sorted, init_sorted, beta, pick
     [
         lambda: random_gnm(100_000, 200_000, seed=1),
         lambda: preferential_attachment(50_000, 3, seed=1),
+        # One layer spanning the whole graph: the compiled tail colors it
+        # in place, the batched tail on its induced copy.
+        lambda: path_graph(200_000),
     ],
-    ids=["gnm100k", "pa50k"],
+    ids=["gnm100k", "pa50k", "path200k"],
 )
 def test_colors_match_reference_paths(make, monkeypatch):
     graph = make()
@@ -52,7 +58,7 @@ def test_colors_match_reference_paths(make, monkeypatch):
     reference = color_graph(graph, engine="batched")
     assert fast.variant == "two_plus_eps"  # the variant that recolors
     assert fast.alpha == reference.alpha
-    assert fast.colors == reference.colors
+    np.testing.assert_array_equal(fast.colors, reference.colors)
     assert fast.num_colors == reference.num_colors
     assert fast.partition_rounds == reference.partition_rounds
     assert fast.coloring_rounds == reference.coloring_rounds
@@ -95,6 +101,6 @@ def test_interpreter_replays_match_the_default_budget_on_gnm100k(monkeypatch):
     assert shrunk.partition.layers == default.partition.layers
     assert shrunk.rounds == default.rounds
     assert shrunk_rounds == default_rounds
-    assert shrunk_colored.colors == default_colored.colors
+    np.testing.assert_array_equal(shrunk_colored.colors, default_colored.colors)
     assert shrunk_colored.num_colors == default_colored.num_colors
     assert shrunk_colored.num_layers == default_colored.num_layers

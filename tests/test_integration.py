@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.coloring.pipeline import color_graph, coloring_two_plus_eps
@@ -109,5 +110,5 @@ class TestDeterminismAcrossRuns:
         g = union_of_random_forests(60, 2, seed=45)
         a = color_graph(g, variant="two_plus_eps", alpha=2)
         b = color_graph(g, variant="two_plus_eps", alpha=2)
-        assert a.colors == b.colors
+        np.testing.assert_array_equal(a.colors, b.colors)
         assert a.total_rounds == b.total_rounds

@@ -27,6 +27,8 @@ from repro.ampc.messaging import (
     MemoryGuard,
     MemoryGuardError,
     MessageFabric,
+    _owned_words,
+    _row_owners,
     _Shard,
     owner_of,
 )
@@ -39,6 +41,7 @@ from repro.graphs.generators import (
     random_gnm,
     union_of_random_forests,
 )
+from repro.lca.coin_game import max_provable_layer
 
 SHARD_MATRIX = (1, 2, 3, 8)
 
@@ -342,13 +345,29 @@ class TestGhostFringe:
         assert np.array_equal(shard.ghost_row(2), np.array([3, 5]))
 
     def test_round_boundary_drops_every_ghost(self):
-        shard = _Shard(1, 2, None, 8)
-        shard.install_ghosts(*_slab({2: [3, 5], 6: [1]}))
-        assert shard.guard.current == 5
-        shard.finish_round()
-        assert not shard.ghost.any()
-        assert shard.ghost_row(2) is None
-        assert shard.guard.current == 0
+        # A chain returns holding its owned rows alone (invalidation
+        # rule 1): the ghost fringe it installed counts in its round
+        # peak, and none of it is left in the holdings the driver adopts.
+        g = random_gnm(200, 600, seed=11)
+        offsets, targets = g.csr()
+        num = 2
+        owners = _row_owners(offsets, num)
+        words = _owned_words(offsets, owners, num)
+        x, beta = 4, 3
+        clip = max_provable_layer(x, beta)
+        for sid in range(num):
+            roots = np.flatnonzero(owner_of(np.arange(200), num) == sid)
+            res = messaging.run_shard_chain(
+                offsets, targets, sid, num_shards=num, roots=roots,
+                owners=owners, x=x, beta=beta, clip=clip,
+                horizon=4 * (clip + 2), scale=None, engine="batched",
+            )
+            assert any(miss.size for miss, __ in res["trace"])
+            assert res["guard_held"] == {
+                "owned_rows": int(words[sid]),
+                "game_assignments": 2 * len(roots),
+            }
+            assert res["guard_peak"] > sum(res["guard_held"].values())
 
     def test_eviction_keeps_exactly_the_pinned_ghosts(self):
         shard = _Shard(1, 2, 100, 10)
@@ -382,7 +401,7 @@ class TestGhostFringe:
         rows = owned & (deg > 0)
         roots = np.flatnonzero(owned & (rng.random(n) < 0.5))
         shard = _Shard(sid, num_shards, None, n)
-        shard.place(offsets, targets, roots)
+        shard.place(offsets, targets, roots, _row_owners(offsets, num_shards))
         ghosts = np.zeros(n, dtype=bool)
         known = rows.copy()
         known[targets[np.repeat(rows, deg)]] = True
@@ -423,7 +442,7 @@ class TestGhostFringe:
                 ghosts &= kept
             assert (shard.known >= previous).all()
             check()
-        shard.finish_round()
+        shard.evict_ghosts(np.empty(0, dtype=np.int64))
         ghosts[:] = False
         check()
 

@@ -31,8 +31,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coloring import recolor
+from repro.coloring.arb_linial import linial_undirected_coloring
 from repro.coloring.cover_free import choose_family
 from repro.coloring.kuhn_wattenhofer import kw_color_reduction
+from repro.coloring.layers import Layer, one_label
 from repro.core import batched_games, columnar_rounds, native
 from repro.core.batched_games import (
     csr_transpose_positions,
@@ -53,6 +55,7 @@ from repro.lca.coin_game import fixed_coin_scale, max_provable_layer
 from repro.partition.induced import induced_partition_from_view
 
 from peel_shapes import peel_shapes
+from tail_engines import tail
 
 pytestmark = pytest.mark.skipif(
     not native.available(), reason="compiled wave kernel unavailable"
@@ -736,7 +739,8 @@ class TestTailFuzz:
         family = choose_family(max(palette, 2), beta)
         offsets, targets = _constraint_csr(src, dst, n)
         got = native.cover_free_round(
-            offsets, targets, colors, family.d + 1, family.q
+            offsets, targets, *one_label(n), colors, family.d + 1,
+            family.q, beta,
         )
         try:
             want = family._reduce_colors_numpy(family.digits(colors), src, dst)
@@ -752,7 +756,10 @@ class TestTailFuzz:
         # A bound below the true degree can leave a mover no free color.
         delta = max(0, graph.max_degree() + slack)
         offsets, targets = graph.csr()
-        got = native.kw_reduce(offsets, targets, colors, palette, delta + 1)
+        got = native.kw_reduce(
+            offsets, targets, *one_label(graph.num_vertices), colors,
+            palette, delta + 1,
+        )
         try:
             want = kw_color_reduction(
                 graph, colors, delta, palette=palette, engine="batched"
@@ -761,7 +768,7 @@ class TestTailFuzz:
             assert got is None
         else:
             assert got is not None
-            assert got[0].tolist() == want.colors
+            np.testing.assert_array_equal(got[0], want.colors)
             assert got[1:] == (want.num_colors, want.local_rounds)
 
     # β around the int64 mask width, and far above every degree (the
@@ -784,6 +791,210 @@ class TestTailFuzz:
             assert got is None
         else:
             assert got is not None and got.tolist() == want
+
+
+@st.composite
+def _layered_tail_graphs(draw):
+    """A small random graph (edgeless ones included), a label vector and
+    one label's layer: the whole graph under one label, a singleton
+    layer, or a random class of a random labelling (possibly edgeless
+    inside).  Returns the graph, the layer's ``(vertices, labels)``, its
+    induced subgraph and a coloring of the layer as in
+    :func:`_tail_graphs`."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=3 * n,
+    ))
+    graph = Graph.from_edges(n, sorted({
+        (min(u, v), max(u, v)) for u, v in pairs if u != v
+    }))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(("whole", "singleton", "random")))
+    labels = np.zeros(n, dtype=np.int64)
+    if shape == "singleton":
+        labels[int(rng.integers(n))] = 1
+    elif shape == "random":
+        labels = rng.integers(0, draw(st.integers(1, 4)), size=n)
+    label = labels[int(rng.integers(n))]
+    vertices = np.flatnonzero(labels == label).astype(np.int64)
+    k = len(vertices)
+    if draw(st.booleans()):
+        palette = draw(st.integers(max(k, 2), 10**6))
+        colors = rng.choice(palette, size=k, replace=False)
+    else:
+        palette = draw(st.integers(2, 6))
+        colors = rng.integers(0, palette, size=k)
+    sub = graph.induced_subgraph(vertices)
+    return graph, vertices, labels, sub, colors.astype(np.int64), palette
+
+
+class TestLayerTailFuzz:
+    """The layer-restricted Linial round and KW, run in place on the
+    whole graph's CSR, against their numpy passes on
+    ``graph.induced_subgraph(vertices)``: equal outputs, and a failed
+    loop exactly where the numpy pass raises.  CI's sanitized step
+    plays them under ASan and UBSan, which also watch that no arc reads
+    the scratch of another layer's vertex."""
+
+    @given(_layered_tail_graphs(), st.integers(-1, 1))
+    @settings(deadline=None)  # example count from the hypothesis profile
+    def test_cover_free_round_on_a_layer(self, case, slack):
+        graph, vertices, labels, sub, colors, palette = case
+        # A bound below the within-layer degree must fail the loop, as
+        # the numpy round's degree check rejects it.
+        bound = max(1, sub.max_degree() + slack)
+        family = choose_family(max(palette, 2), bound)
+        got = native.cover_free_round(
+            *graph.csr(), vertices, labels, colors, family.d + 1, family.q,
+            bound,
+        )
+        try:
+            want = family.reduce_colors(
+                colors, *sub.csr(), bound, engine="batched"
+            )
+        except (AssertionError, ValueError):
+            assert got is None
+        else:
+            assert got is not None and np.array_equal(got, want)
+
+    @given(_layered_tail_graphs(), st.integers(-2, 2))
+    @settings(deadline=None)
+    def test_kw_reduce_on_a_layer(self, case, slack):
+        graph, vertices, labels, sub, colors, palette = case
+        delta = max(0, sub.max_degree() + slack)
+        got = native.kw_reduce(
+            *graph.csr(), vertices, labels, colors, palette, delta + 1
+        )
+        try:
+            want = kw_color_reduction(
+                sub, colors, delta, palette=palette, engine="batched"
+            )
+        except AssertionError:
+            assert got is None
+        else:
+            assert got is not None
+            np.testing.assert_array_equal(got[0], want.colors)
+            assert got[1:] == (want.num_colors, want.local_rounds)
+
+    @given(_layered_tail_graphs())
+    @settings(deadline=None)
+    def test_layer_stage_matches_the_induced_subgraph(self, case):
+        # The Section 6.3 per-layer stage through the public entry
+        # points: Linial then KW on a Layer, compiled in place, equal
+        # the numpy stage on the induced copy, which the compiled path
+        # never builds.
+        graph, vertices, labels, sub, __, __ = case
+        bound = sub.max_degree()
+        layer = Layer(graph, vertices, labels)
+        want_lin = linial_undirected_coloring(sub, bound, engine="batched")
+        want_kw = kw_color_reduction(
+            sub, want_lin.colors, bound, palette=want_lin.num_colors,
+            engine="batched",
+        )
+        with tail("compiled"):
+            lin = linial_undirected_coloring(
+                graph, bound, engine="compiled", layer=layer
+            )
+            kw = kw_color_reduction(
+                graph, lin.colors, bound, palette=lin.num_colors,
+                engine="compiled", layer=layer,
+            )
+        assert layer._induced is None
+        np.testing.assert_array_equal(lin.colors, want_lin.colors)
+        assert (lin.num_colors, lin.local_rounds) == (
+            want_lin.num_colors, want_lin.local_rounds
+        )
+        np.testing.assert_array_equal(kw.colors, want_kw.colors)
+        assert (kw.num_colors, kw.local_rounds) == (
+            want_kw.num_colors, want_kw.local_rounds
+        )
+
+
+def _no_c_call(*args, **kwargs):
+    raise AssertionError("malformed input reached the C loop")
+
+
+class TestTailInputGuards:
+    """Malformed inputs to the tail's C entry points raise ValueError in
+    the wrappers, before any C call: the loops index their outputs and
+    their per-vertex scratch by the ids they are handed."""
+
+    # A path 0-1-2-3-4-5 labelled [0, 0, 1, 1, 0, 2]: label 0's layer is
+    # [0, 1, 4].
+    LABELS = [0, 0, 1, 1, 0, 2]
+
+    @pytest.mark.parametrize(
+        "vertices, labels, colors",
+        [
+            ([4, 1, 0], LABELS, [0, 1, 2]),  # not ascending
+            ([0, 1, 1, 4], LABELS, [0, 1, 2, 3]),  # a duplicate
+            ([-1, 0, 1], [0, 0, 1, 1, 0, 2], [0, 1, 2]),  # below range
+            ([0, 1, 6], [0, 0, 1, 1, 1, 2], [0, 1, 2]),  # past the range
+            ([0, 1], LABELS, [0, 1]),  # misses vertex 4 of label 0
+            ([0, 1, 2, 4], LABELS, [0, 1, 2, 3]),  # two labels
+            ([0, 1, 4], LABELS[:5], [0, 1, 2]),  # labels too short
+            ([0, 1, 4], LABELS, [0, 1]),  # one color short
+            ([[0, 1, 4]], LABELS, [0, 1, 2]),  # vertices not 1-D
+        ],
+        ids=["unsorted", "duplicate", "negative", "past-n", "partial",
+             "two-labels", "short-labels", "short-colors", "2-d"],
+    )
+    @pytest.mark.parametrize("entry", ["cover_free_round", "kw_reduce"])
+    def test_malformed_layer_raises_before_the_loop(
+        self, entry, vertices, labels, colors, monkeypatch
+    ):
+        offsets, targets = path_graph(6).csr()
+        monkeypatch.setattr(native, "_tail_call", _no_c_call)
+        args = [np.array(a, dtype=np.int64) for a in (vertices, labels, colors)]
+        with pytest.raises(ValueError):
+            if entry == "cover_free_round":
+                native.cover_free_round(offsets, targets, *args, 2, 5, 2)
+            else:
+                native.kw_reduce(offsets, targets, *args, 8, 3)
+
+    @pytest.mark.parametrize("colors", [[0, 8, 1], [-1, 0, 1]])
+    def test_kw_color_outside_the_palette_raises(self, colors, monkeypatch):
+        offsets, targets = path_graph(6).csr()
+        monkeypatch.setattr(native, "_tail_call", _no_c_call)
+        with pytest.raises(ValueError, match="palette"):
+            native.kw_reduce(
+                offsets, targets, np.array([0, 1, 4]),
+                np.array(self.LABELS), np.array(colors), 8, 3,
+            )
+
+    @pytest.mark.parametrize(
+        "order",
+        [[0, 1, 2, 3, 4, 6], [0, 1, 2, 3, 4, -1], [0, 1, 2, 3, 4],
+         [0, 1, 2, 3, 4, 5, 5]],
+        ids=["past-n", "negative", "short", "long"],
+    )
+    def test_recolor_walk_order_outside_the_vertices_raises(
+        self, order, monkeypatch
+    ):
+        # The walk writes colors[order[i]]: an id past n wrote beyond
+        # the output buffer before the wrapper checked the order.
+        offsets, targets = path_graph(6).csr()
+        monkeypatch.setattr(native, "_tail_call", _no_c_call)
+        with pytest.raises(ValueError, match="order"):
+            native.recolor_walk(
+                offsets, targets, np.array(order), 2, lowest=False
+            )
+
+    def test_well_formed_layer_reaches_the_loop(self):
+        # The guards' own control: the same arrays, well formed, run.
+        offsets, targets = path_graph(6).csr()
+        vertices = np.array([0, 1, 4])
+        labels = np.array(self.LABELS)
+        got = native.cover_free_round(
+            offsets, targets, vertices, labels, np.array([0, 1, 2]), 2, 5, 2
+        )
+        np.testing.assert_array_equal(got, [0, 1, 2])
+        got = native.kw_reduce(
+            offsets, targets, vertices, labels, np.array([0, 7, 1]), 8, 2
+        )
+        assert got is not None and got[1] == 2
+        assert got[0][0] != got[0][1]
 
 
 class TestCorePeelFuzz:
