@@ -21,6 +21,7 @@ import numpy as np
 from repro.coloring.cover_free import CoverFreeFamily, choose_family
 from repro.coloring.layers import Layer
 from repro.core.orientation import Orientation
+from repro.graphs.graph import Graph
 
 __all__ = [
     "ArbLinialResult",
@@ -70,27 +71,27 @@ def arb_linial_coloring(
 
 
 def linial_undirected_coloring(
-    graph,
+    graph: Graph | Layer,
     max_degree: int,
     initial_colors: list[int] | None = None,
     initial_palette: int | None = None,
     max_rounds: int = 64,
     engine: str | None = None,
-    layer: Layer | None = None,
 ) -> ArbLinialResult:
     """Classic (undirected) Linial reduction to O(Δ²) colors.
 
     Used for the per-layer initial colorings of Section 6.3, where the
     within-layer degree is at most β.  Identical machinery to
     :func:`arb_linial_coloring` but each vertex avoids *all* neighbors.
-    With ``layer`` (a :class:`~repro.coloring.layers.Layer` of
-    ``graph``) it colors the layer's induced subgraph, by layer
-    position, and ``max_degree`` bounds the within-layer degree; the
-    compiled rounds read the layer in place, the numpy rounds its
+    Given a :class:`~repro.coloring.layers.Layer` instead of a graph, it
+    colors the layer's induced subgraph, by layer position, and
+    ``max_degree`` bounds the within-layer degree; the compiled rounds
+    read the layer in place on its graph's CSR, the numpy rounds its
     induced copy.
     """
-    if layer is not None and layer.graph is not graph:
-        raise ValueError("layer belongs to another graph")
+    layer = graph if isinstance(graph, Layer) else None
+    if layer is not None:
+        graph = layer.graph
     n = graph.num_vertices if layer is None else layer.size
     if max_degree < 1:
         return ArbLinialResult(

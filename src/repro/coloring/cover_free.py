@@ -92,10 +92,10 @@ class CoverFreeFamily:
         Each vertex v gets ``a * q + p_v(a)`` for the smallest point a
         where p_v differs from every out-neighbor's polynomial.
 
-        With ``layer`` (a :class:`~repro.coloring.layers.Layer` of the
-        graph whose CSR ``offsets``/``targets`` are) the round is that of
-        the layer's induced subgraph: ``colors`` are by layer position,
-        and each vertex avoids only its neighbors in the layer.
+        With ``layer`` (a :class:`~repro.coloring.layers.Layer`;
+        ``offsets``/``targets`` are then its graph's CSR) the round is
+        that of the layer's induced subgraph: ``colors`` are by layer
+        position, and each vertex avoids only its neighbors in the layer.
 
         ``engine`` None or "compiled" runs the round as the kernel's C
         loop (:func:`repro.core.native.cover_free_round`), in place on
@@ -122,8 +122,6 @@ class CoverFreeFamily:
                 raise ValueError("more out-neighbors than β")
         elif n != layer.size:
             raise ValueError("need one color per layer vertex")
-        elif any(a is not b for a, b in zip((offsets, targets), layer.graph.csr())):
-            raise ValueError("a layer's round runs on its graph's CSR")
         if self.d * beta >= self.q:
             raise ValueError("family too small: need q > d·β")
         if (

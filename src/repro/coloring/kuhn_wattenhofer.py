@@ -32,31 +32,31 @@ class KWResult:
 
 
 def kw_color_reduction(
-    graph: Graph,
+    graph: Graph | Layer,
     colors: list[int],
     max_degree: int,
     palette: int | None = None,
     engine: str | None = None,
-    layer: Layer | None = None,
 ) -> KWResult:
     """Reduce ``colors`` (proper on ``graph``) to max_degree + 1 colors.
 
     ``max_degree`` must upper-bound every vertex degree in ``graph``.
-    With ``layer`` (a :class:`~repro.coloring.layers.Layer` of
-    ``graph``) it reduces a coloring of the layer's induced subgraph,
-    by layer position, and ``max_degree`` bounds the within-layer
-    degree.  ``engine`` None or "compiled" runs the whole reduction as
-    one C loop (:func:`repro.core.native.kw_reduce`), in place on
-    ``graph``'s CSR for a layer; "batched" or "scalar" runs the numpy
-    oracle on the layer's induced subgraph, where each sub-round is one
-    array step: the vertices at the sub-round's upper offset (the
-    movers) mark their neighbors' lower-half colors in a
-    ``movers × (Δ+1)`` bitmap and take its first free column.
+    Given a :class:`~repro.coloring.layers.Layer` instead of a graph, it
+    reduces a coloring of the layer's induced subgraph, by layer
+    position, and ``max_degree`` bounds the within-layer degree.
+    ``engine`` None or "compiled" runs the whole reduction as one C loop
+    (:func:`repro.core.native.kw_reduce`), in place on the graph's CSR
+    for a layer; "batched" or "scalar" runs the numpy oracle on the
+    layer's induced subgraph, where each sub-round is one array step: the
+    vertices at the sub-round's upper offset (the movers) mark their
+    neighbors' lower-half colors in a ``movers × (Δ+1)`` bitmap and take
+    its first free column.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    if layer is not None and layer.graph is not graph:
-        raise ValueError("layer belongs to another graph")
+    layer = graph if isinstance(graph, Layer) else None
+    if layer is not None:
+        graph = layer.graph
     delta_plus_1 = max_degree + 1
     colors = np.array(colors, dtype=np.int64)
     if colors.size != (graph.num_vertices if layer is None else layer.size):

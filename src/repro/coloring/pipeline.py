@@ -42,7 +42,7 @@ from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.core.orientation import orient_by_partition
 from repro.graphs.arboricity import degeneracy
 from repro.graphs.graph import Graph
-from repro.graphs.validation import is_proper_coloring
+from repro.graphs.validation import count_colors, is_proper_coloring
 from repro.partition.beta_partition import PartialBetaPartition
 
 __all__ = [
@@ -109,7 +109,7 @@ def _finish(graph: Graph, result: PipelineResult) -> PipelineResult:
     bound; fill in ``num_colors``."""
     if not is_proper_coloring(graph, result.colors):
         raise AssertionError(f"pipeline {result.variant} produced an improper coloring")
-    result.num_colors = int(np.count_nonzero(np.bincount(result.colors)))
+    result.num_colors = count_colors(graph, result.colors)
     if result.num_colors > result.palette_bound:
         raise AssertionError(
             f"pipeline {result.variant} used {result.num_colors} colors, "
@@ -288,12 +288,10 @@ def coloring_two_plus_eps(
             if sub_degree == 0:
                 continue  # an edgeless layer keeps color 0
             layer = Layer(graph, vertices, labels)
-            lin = linial_undirected_coloring(
-                graph, sub_degree, engine=engine, layer=layer
-            )
+            lin = linial_undirected_coloring(layer, sub_degree, engine=engine)
             kw = kw_color_reduction(
-                graph, lin.colors, sub_degree, palette=lin.num_colors,
-                engine=engine, layer=layer,
+                layer, lin.colors, sub_degree, palette=lin.num_colors,
+                engine=engine,
             )
             initial[vertices] = kw.colors
             linial_rounds_max = max(linial_rounds_max, lin.local_rounds)

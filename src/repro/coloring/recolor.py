@@ -24,10 +24,11 @@ colors the masks no longer fit an int64, and the numpy tail walks over
 Python-int masks instead (:func:`_recolor_walk`).  Colors,
 ``num_colors`` and ``processed_order`` are the same on every path; the
 colors and the order come back as int64 arrays, as the walk and the
-order's sort produce them, and ``num_colors`` is counted off the colors'
-bincount.  The within-layer conflict check takes the caller's
-same-layer edge mask when it has one: the pipeline builds it once, in
-the pass that finds its layers' within-layer degrees.
+order's ``np.lexsort`` produce them, and ``num_colors`` is counted off
+the color array in O(n) memory whatever β (:func:`count_colors`).  The
+within-layer conflict check takes the caller's same-layer edge mask
+when it has one: the pipeline builds it once, in the pass that finds
+its layers' within-layer degrees.
 
 The AMPC simulation batches layers so each vertex's recursive dependency
 ball fits in machine memory; :func:`recoloring_ampc_rounds` reproduces the
@@ -44,6 +45,7 @@ import numpy as np
 
 from repro.core import native
 from repro.graphs.graph import Graph
+from repro.graphs.validation import count_colors
 from repro.partition.beta_partition import PartialBetaPartition
 
 __all__ = ["RecolorResult", "greedy_recolor_by_layers", "recoloring_ampc_rounds"]
@@ -104,7 +106,7 @@ def greedy_recolor_by_layers(
     # Process by (layer desc, initial color desc); ties broken by id for
     # determinism — tied vertices are never adjacent (initial coloring is
     # proper within a layer), so any tie-break yields the same constraints.
-    order = _processing_order(layer_vec, init_vec)
+    order = np.lexsort((np.arange(n), -init_vec, -layer_vec))
     final = None
     if native.tail_compiled(engine, "greedy_recolor_by_layers"):
         offsets, targets = graph.csr()
@@ -121,30 +123,9 @@ def greedy_recolor_by_layers(
         )
     return RecolorResult(
         colors=final,
-        num_colors=int(np.count_nonzero(np.bincount(final))),
+        num_colors=count_colors(graph, final),
         processed_order=order,
     )
-
-
-def _processing_order(layer_vec: np.ndarray, init_vec: np.ndarray) -> np.ndarray:
-    """Vertex ids by layer descending, then initial color descending, then
-    id ascending: one stable argsort of the combined (layer, color) key.
-
-    When the key spans at most 2**16 values (the pipeline's few layers
-    times its (β+1)-color initial palettes) it is sorted as uint16, which
-    numpy's stable sort does by radix in linear time; otherwise the three
-    keys go to ``np.lexsort``.  Both give the same order.
-    """
-    n = len(init_vec)
-    if n:
-        layer = layer_vec.astype(np.int64)  # finite: unlayered is rejected
-        low, high = int(layer.min()), int(layer.max())
-        top = int(init_vec.max())
-        span = top - int(init_vec.min()) + 1
-        if (high - low + 1) * span <= 1 << 16:
-            key = (high - layer) * span + (top - init_vec)
-            return np.argsort(key.astype(np.uint16), kind="stable")
-    return np.lexsort((np.arange(n), -init_vec, -layer_vec))
 
 
 def _recolor_by_class(

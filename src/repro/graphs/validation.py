@@ -56,8 +56,24 @@ def is_proper_coloring(graph: Graph, colors: Sequence[int] | Mapping[int, int]) 
 
 
 def count_colors(graph: Graph, colors: Sequence[int] | Mapping[int, int]) -> int:
-    """Number of distinct colors used."""
-    return len({colors[v] for v in graph.vertices()})
+    """Number of distinct colors used.
+
+    An integer array is counted in O(n) memory whatever its values: a
+    bincount over the colors' span when that span is at most n (a
+    (β+1)-coloring, or any window of n colors such as a recoloring's
+    picks just below a huge β), else a sort.
+    """
+    arr = _as_color_array(graph, colors)
+    if arr is None:
+        return len({colors[v] for v in graph.vertices()})
+    n = graph.num_vertices
+    if not n:
+        return 0
+    arr = arr[:n]
+    low = int(arr.min())
+    if int(arr.max()) - low < n:
+        return int(np.count_nonzero(np.bincount(arr - low)))
+    return int(np.unique(arr).size)
 
 
 def is_forest(n: int, edges: Sequence[tuple[int, int]]) -> bool:

@@ -834,8 +834,41 @@ class TestLayerTailFuzz:
     whole graph's CSR, against their numpy passes on
     ``graph.induced_subgraph(vertices)``: equal outputs, and a failed
     loop exactly where the numpy pass raises.  CI's sanitized step
-    plays them under ASan and UBSan, which also watch that no arc reads
-    the scratch of another layer's vertex."""
+    plays them under ASan and UBSan.  Neither sanitizer flags a read of
+    uninitialised heap memory, so the rule that each arc tests the far
+    end's label before it reads that vertex's scratch (set only at the
+    layer's ids) is checked by the differential, where such a read
+    changes a result, and by ``test_cross_layer_arcs_are_skipped``."""
+
+    def test_cross_layer_arcs_are_skipped(self):
+        # Two paths 0-1-2-3 and 4-5-6-7 under labels 0 and 1, joined by
+        # every cross arc, with equal colors at equal positions: were a
+        # cross arc counted, each vertex would see 4 more neighbors (past
+        # the bound 2) and twins of its own color.  Each layer colors
+        # exactly as its induced path.
+        cross = [(u, w) for u in range(4) for w in range(4, 8)]
+        paths = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
+        graph = Graph.from_arrays(8, np.array(paths + cross, dtype=np.int64))
+        labels = np.repeat(np.arange(2, dtype=np.int64), 4)
+        colors = np.array([5, 9, 5, 9], dtype=np.int64)
+        family = choose_family(10, 2)
+        for label in (0, 1):
+            vertices = np.flatnonzero(labels == label).astype(np.int64)
+            sub = graph.induced_subgraph(vertices)
+            got = native.cover_free_round(
+                *graph.csr(), vertices, labels, colors, family.d + 1,
+                family.q, 2,
+            )
+            want = family.reduce_colors(colors, *sub.csr(), 2, engine="batched")
+            np.testing.assert_array_equal(got, want)
+            got_kw = native.kw_reduce(
+                *graph.csr(), vertices, labels, colors, 10, 3
+            )
+            want_kw = kw_color_reduction(
+                sub, colors, 2, palette=10, engine="batched"
+            )
+            np.testing.assert_array_equal(got_kw[0], want_kw.colors)
+            assert got_kw[1:] == (want_kw.num_colors, want_kw.local_rounds)
 
     @given(_layered_tail_graphs(), st.integers(-1, 1))
     @settings(deadline=None)  # example count from the hypothesis profile
@@ -893,12 +926,10 @@ class TestLayerTailFuzz:
             engine="batched",
         )
         with tail("compiled"):
-            lin = linial_undirected_coloring(
-                graph, bound, engine="compiled", layer=layer
-            )
+            lin = linial_undirected_coloring(layer, bound, engine="compiled")
             kw = kw_color_reduction(
-                graph, lin.colors, bound, palette=lin.num_colors,
-                engine="compiled", layer=layer,
+                layer, lin.colors, bound, palette=lin.num_colors,
+                engine="compiled",
             )
         assert layer._induced is None
         np.testing.assert_array_equal(lin.colors, want_lin.colors)
