@@ -1,19 +1,9 @@
 from setuptools import find_packages, setup
 
-# The compiled wave kernel (repro.core.native) is optional: installed
-# builds with cffi available get the API-mode extension compiled here;
-# everyone else (source checkouts, cffi-less hosts) falls back to the
-# lazy first-import gcc build or to the pure-numpy engine.
-cffi_kwargs = {}
-try:
-    import cffi  # noqa: F401
-
-    cffi_kwargs = {
-        "cffi_modules": ["src/repro/core/native/_build.py:ffibuilder"],
-        "setup_requires": ["cffi"],
-    }
-except ImportError:
-    pass
+# The compiled wave kernel (repro.core.native) is optional and is not
+# built here: the package ships its C source, and the first use compiles
+# it with one gcc call into a per-user cache (repro.core.native._build);
+# hosts without gcc or cffi run the pure-numpy engine.
 
 setup(
     name="repro",
@@ -34,5 +24,4 @@ setup(
         "dev": ["pytest", "pytest-benchmark", "hypothesis"],
         "native": ["cffi"],
     },
-    **cffi_kwargs,
 )

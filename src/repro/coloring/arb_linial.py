@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.coloring.cover_free import CoverFreeFamily, choose_family
-from repro.coloring.layers import Layer
+from repro.coloring.layers import Layer, layer_of, whole_layer
 from repro.core.orientation import Orientation
 from repro.graphs.graph import Graph
 
@@ -54,20 +54,19 @@ def arb_linial_coloring(
     ``beta`` must upper-bound the orientation's out-degree.  The default
     initial coloring is vertex ids (palette n).  Stops when another round
     would not shrink the palette.  ``engine`` picks the rounds' loop, as
-    in :meth:`CoverFreeFamily.reduce_colors`.
+    in :meth:`CoverFreeFamily.reduce_colors`.  The rounds run on the
+    whole layer of the orientation's CSR, which raises ValueError here,
+    before any round, unless every target is a vertex.
     """
     if orientation.max_out_degree() > beta:
         raise ValueError(
             f"orientation out-degree {orientation.max_out_degree()} exceeds β={beta}"
         )
-    n = orientation.graph.num_vertices
-    colors, palette = _initial(n, initial_colors, initial_palette)
-    if initial_colors is not None and ((colors < 0) | (colors >= palette)).any():
-        raise ValueError("initial colors outside declared palette")
-    return _reduce_rounds(
-        colors, palette, orientation.offsets, orientation.targets, beta,
-        max_rounds, engine,
+    layer = whole_layer(
+        orientation.graph, csr=(orientation.offsets, orientation.targets)
     )
+    colors, palette = _initial(layer.size, initial_colors, initial_palette)
+    return _reduce_rounds(colors, palette, layer, beta, max_rounds, engine)
 
 
 def linial_undirected_coloring(
@@ -83,62 +82,60 @@ def linial_undirected_coloring(
     Used for the per-layer initial colorings of Section 6.3, where the
     within-layer degree is at most β.  Identical machinery to
     :func:`arb_linial_coloring` but each vertex avoids *all* neighbors.
-    Given a :class:`~repro.coloring.layers.Layer` instead of a graph, it
-    colors the layer's induced subgraph, by layer position, and
-    ``max_degree`` bounds the within-layer degree; the compiled rounds
-    read the layer in place on its graph's CSR, the numpy rounds its
-    induced copy.
+    It colors a :class:`~repro.coloring.layers.Layer`'s induced
+    subgraph, by layer position, and ``max_degree`` bounds the
+    within-layer degree; a graph is colored as its whole layer.  The
+    compiled rounds read the layer in place on its CSR, the numpy
+    rounds its arcs by position.
     """
-    layer = graph if isinstance(graph, Layer) else None
-    if layer is not None:
-        graph = layer.graph
-    n = graph.num_vertices if layer is None else layer.size
+    layer = layer_of(graph)
+    colors, palette = _initial(layer.size, initial_colors, initial_palette)
     if max_degree < 1:
         return ArbLinialResult(
-            colors=np.zeros(n, dtype=np.int64), num_colors=min(n, 1),
-            local_rounds=0,
+            colors=np.zeros(layer.size, dtype=np.int64),
+            num_colors=min(layer.size, 1), local_rounds=0,
         )
-    colors, palette = _initial(n, initial_colors, initial_palette)
-    offsets, targets = graph.csr()
     return _reduce_rounds(
-        colors, palette, offsets, targets, max_degree, max_rounds, engine,
-        layer,
+        colors, palette, layer, max_degree, max_rounds, engine
     )
 
 
 def _initial(n: int, initial_colors, initial_palette) -> tuple[np.ndarray, int]:
-    """The starting coloring and its palette (vertex ids by default)."""
+    """The starting coloring of ``n`` vertices and its palette (vertex
+    ids by default); raises ValueError on colors outside the palette."""
     if initial_colors is None:
         return np.arange(n, dtype=np.int64), max(n, 2)
     colors = np.array(initial_colors, dtype=np.int64)  # the result's own
-    palette = initial_palette if initial_palette is not None else int(colors.max()) + 1
+    if colors.shape != (n,):
+        raise ValueError(f"need one initial color per vertex ({n})")
+    palette = (
+        initial_palette if initial_palette is not None
+        else int(colors.max(initial=0)) + 1
+    )
+    if ((colors < 0) | (colors >= palette)).any():
+        raise ValueError("initial colors outside declared palette")
     return colors, palette
 
 
 def _reduce_rounds(
     colors: np.ndarray,
     palette: int,
-    offsets: np.ndarray,
-    targets: np.ndarray,
+    layer: Layer,
     bound: int,
     max_rounds: int,
     engine: str | None,
-    layer: Layer | None = None,
 ) -> ArbLinialResult:
     """Cover-free reduction rounds until the palette stops shrinking.
 
-    Vertex v avoids ``targets[offsets[v]:offsets[v + 1]]`` (those in
-    ``layer`` alone, when given); ``bound`` caps every vertex's number
-    of such constraints (out-degree, or degree when undirected).
+    Vertex v avoids its out-neighbors in ``layer``; ``bound`` caps every
+    vertex's number of them (out-degree, or degree when undirected).
     """
     schedule: list[CoverFreeFamily] = []
     while len(schedule) < max_rounds and palette > 2:
         family = choose_family(palette, bound)
         if family.target_colors >= palette:
             break  # fixed point: O(bound²) reached
-        colors = family.reduce_colors(
-            colors, offsets, targets, bound, engine=engine, layer=layer
-        )
+        colors = family.reduce_colors(colors, layer, bound, engine=engine)
         palette = family.target_colors
         schedule.append(family)
     return ArbLinialResult(

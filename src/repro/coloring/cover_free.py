@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.coloring.layers import Layer, one_label
+from repro.coloring.layers import Layer, whole_layer
 from repro.core import native
+from repro.graphs.graph import Graph
 from repro.util.primes import next_prime
 
 __all__ = ["CoverFreeFamily", "choose_family"]
@@ -77,81 +78,55 @@ class CoverFreeFamily:
     def reduce_colors(
         self,
         colors,
-        offsets: np.ndarray,
-        targets: np.ndarray,
+        layer: Layer,
         beta: int,
         engine: str | None = None,
-        layer: Layer | None = None,
     ) -> np.ndarray:
-        """One reduction round for every vertex at once.
+        """One reduction round for every vertex of ``layer`` at once.
 
-        ``colors`` is the current coloring; the constraints are a CSR:
-        vertex v must avoid its out-neighbors
-        ``targets[offsets[v]:offsets[v + 1]]``, and no vertex may have
-        more than β of them.  The coloring must be proper on these edges.
-        Each vertex v gets ``a * q + p_v(a)`` for the smallest point a
-        where p_v differs from every out-neighbor's polynomial.
-
-        With ``layer`` (a :class:`~repro.coloring.layers.Layer`;
-        ``offsets``/``targets`` are then its graph's CSR) the round is
-        that of the layer's induced subgraph: ``colors`` are by layer
-        position, and each vertex avoids only its neighbors in the layer.
+        ``colors`` is the current coloring, by layer position (a
+        :class:`~repro.coloring.layers.Layer`; :func:`whole_layer` of a
+        graph, or of an orientation's CSR, for a whole-graph round).
+        Vertex v must avoid its out-neighbors in the layer, the
+        same-label targets of its row of the layer's CSR, and no vertex
+        may have more than β of them.  The coloring must be proper on
+        these edges.  Each vertex v gets ``a * q + p_v(a)`` for the
+        smallest point a where p_v differs from every out-neighbor's
+        polynomial.
 
         ``engine`` None or "compiled" runs the round as the kernel's C
         loop (:func:`repro.core.native.cover_free_round`), in place on
-        the whole CSR for a layer; "batched" or "scalar" runs the numpy
-        pass, the oracle, on the layer's induced subgraph: points are
+        the layer's CSR; "batched" or "scalar" runs the numpy pass, the
+        oracle, on the layer's arcs by position
+        (:meth:`~repro.coloring.layers.Layer.local_csr`): points are
         tried in increasing order, each as one Horner sweep over the
         digit matrix, and only vertices that still clash (and their
         edges) go on to the next point.
         """
         colors = np.asarray(colors, dtype=np.int64)
-        n = colors.size
-        if layer is None:
-            offsets = np.asarray(offsets, dtype=np.int64)
-            targets = np.asarray(targets, dtype=np.int64)
-            degrees = np.diff(offsets)
-            if (
-                offsets.size != n + 1 or offsets[0] != 0
-                or offsets[-1] != targets.size or (degrees < 0).any()
-            ):
-                raise ValueError(
-                    "offsets and targets are not a CSR over the colors"
-                )
-            if targets.size and int(degrees.max()) > beta:
-                raise ValueError("more out-neighbors than β")
-        elif n != layer.size:
+        if colors.shape != (layer.size,):
             raise ValueError("need one color per layer vertex")
         if self.d * beta >= self.q:
             raise ValueError("family too small: need q > d·β")
         if (
             native.tail_compiled(engine, "CoverFreeFamily.reduce_colors")
             and self.q <= _MAX_COMPILED_Q
-            and n
-            and (layer is not None or (
-                targets.size
-                and 0 <= int(targets.min()) and int(targets.max()) < n
-            ))
+            and colors.size
             # Colors :meth:`digits` would reject take the numpy round,
             # which raises its error.
             and 0 <= int(colors.min())
             and int(colors.max()) < min(self.source_colors, self.q ** (self.d + 1))
         ):
-            vertices, labels = (
-                one_label(n) if layer is None
-                else (layer.vertices, layer.labels)
-            )
             new = native.cover_free_round(
-                offsets, targets, vertices, labels, colors, self.d + 1,
-                self.q, beta,
+                layer, colors, self.d + 1, self.q, beta
             )
             if new is not None:
                 return new
-        if layer is not None:
-            return self.reduce_colors(
-                colors, *layer.induced().csr(), beta, engine="batched"
-            )
-        src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        offsets, targets = layer.local_csr()
+        degrees = np.diff(offsets)
+        if targets.size and int(degrees.max()) > beta:
+            raise ValueError("more out-neighbors than β")
+        src = np.repeat(np.arange(colors.size, dtype=np.int64), degrees)
         return self._reduce_colors_numpy(self.digits(colors), src, targets)
 
     def _reduce_colors_numpy(
@@ -180,13 +155,14 @@ class CoverFreeFamily:
 
     def reduce_color(self, color: int, out_neighbor_colors: list[int], beta: int) -> int:
         """New color of one vertex given its out-neighbors' current colors
-        (:meth:`reduce_colors` on a single out-star)."""
+        (:meth:`reduce_colors` on a star, read at its center)."""
         k = len(out_neighbor_colors)
         colors = np.array([color, *out_neighbor_colors], dtype=np.int64)
-        offsets = np.full(k + 2, k, dtype=np.int64)
-        offsets[0] = 0
-        targets = np.arange(1, k + 1, dtype=np.int64)
-        return int(self.reduce_colors(colors, offsets, targets, beta)[0])
+        leaves = np.arange(1, k + 1, dtype=np.int64)
+        star = Graph.from_arrays(
+            k + 1, np.column_stack((np.zeros(k, dtype=np.int64), leaves))
+        )
+        return int(self.reduce_colors(colors, whole_layer(star), beta)[0])
 
 
 def _horner(digits: np.ndarray, a: int, q: int) -> np.ndarray:

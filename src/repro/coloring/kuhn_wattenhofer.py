@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.coloring.layers import Layer, one_label
+from repro.coloring.layers import Layer, layer_of
 from repro.core import native
 from repro.graphs.graph import Graph
 
@@ -40,26 +40,26 @@ def kw_color_reduction(
 ) -> KWResult:
     """Reduce ``colors`` (proper on ``graph``) to max_degree + 1 colors.
 
-    ``max_degree`` must upper-bound every vertex degree in ``graph``.
-    Given a :class:`~repro.coloring.layers.Layer` instead of a graph, it
-    reduces a coloring of the layer's induced subgraph, by layer
-    position, and ``max_degree`` bounds the within-layer degree.
-    ``engine`` None or "compiled" runs the whole reduction as one C loop
-    (:func:`repro.core.native.kw_reduce`), in place on the graph's CSR
-    for a layer; "batched" or "scalar" runs the numpy oracle on the
-    layer's induced subgraph, where each sub-round is one array step: the
-    vertices at the sub-round's upper offset (the movers) mark their
-    neighbors' lower-half colors in a ``movers × (Δ+1)`` bitmap and take
-    its first free column.
+    ``graph`` is a :class:`~repro.coloring.layers.Layer` of its graph's
+    CSR (ValueError for another one), colored by layer position, or a
+    graph, reduced as its whole layer; ``max_degree`` must upper-bound every
+    degree within it.  ``engine`` None or "compiled" runs the whole
+    reduction as one C loop (:func:`repro.core.native.kw_reduce`), in
+    place on the layer's CSR; "batched" or "scalar" runs the numpy
+    oracle on the layer's induced subgraph, where each sub-round is one
+    array step: the vertices at the sub-round's upper offset (the
+    movers) mark their neighbors' lower-half colors in a
+    ``movers × (Δ+1)`` bitmap and take its first free column.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    layer = graph if isinstance(graph, Layer) else None
-    if layer is not None:
-        graph = layer.graph
+    layer = layer_of(graph)
+    if layer.targets is not layer.graph.csr()[1]:
+        # An orientation's CSR: the C loop would avoid out-neighbors only.
+        raise ValueError("Kuhn-Wattenhofer needs a layer of its graph's CSR")
     delta_plus_1 = max_degree + 1
     colors = np.array(colors, dtype=np.int64)
-    if colors.size != (graph.num_vertices if layer is None else layer.size):
+    if colors.shape != (layer.size,):
         raise ValueError("need one color per vertex")
     m = palette if palette is not None else (int(colors.max(initial=0)) + 1)
     if ((colors < 0) | (colors >= m)).any():
@@ -68,19 +68,11 @@ def kw_color_reduction(
     if m <= delta_plus_1:
         return KWResult(colors=colors, num_colors=m, local_rounds=0)
     if compiled:
-        offsets, targets = graph.csr()
-        vertices, labels = (
-            one_label(colors.size) if layer is None
-            else (layer.vertices, layer.labels)
-        )
-        got = native.kw_reduce(
-            offsets, targets, vertices, labels, colors, m, delta_plus_1
-        )
+        got = native.kw_reduce(layer, colors, m, delta_plus_1)
         if got is not None:
             out, m, rounds = got
             return KWResult(colors=out, num_colors=m, local_rounds=rounds)
-    if layer is not None:
-        graph = layer.induced()
+    graph = layer.induced()
     rounds = 0
     while m > delta_plus_1:
         block = 2 * delta_plus_1

@@ -1,14 +1,21 @@
-"""One layer of a vertex labelling, colored in place on its graph's CSR.
+"""The layers of a vertex labelling, each colored in place on a CSR.
 
 Theorem 1.3(3) colors every β-partition layer on its own (§6.3).  A
-:class:`Layer` names one layer without copying it: the graph, the
-layer's vertex ids and the run's label vector, one int64 label per
-vertex shared by every layer of the run.  The compiled Linial round and
-Kuhn–Wattenhofer loops read the layer straight off the graph's CSR and
-skip every arc whose endpoints carry different labels
+:class:`Layer` names one layer without copying it: the graph, the CSR
+it colors on (the graph's, or an orientation's for Arb-Linial), the
+layer's vertex ids and the label vector its split shares.  The compiled
+Linial round and Kuhn–Wattenhofer loops read the layer straight off
+that CSR and skip every arc whose endpoints carry different labels
 (:func:`repro.core.native.cover_free_round`,
 :func:`repro.core.native.kw_reduce`); the numpy passes, their oracle,
-run on the induced subgraph, built once per layer by :meth:`induced`.
+run on the layer's arcs by layer position (:meth:`Layer.local_csr`,
+:meth:`Layer.induced`).
+
+:func:`split_layers` is the only way to build a layer, so every layer
+is right by construction: its vertices are exactly one label class,
+strictly ascending, and a CSR other than the graph's is checked once,
+when its layer is built.  The arrays are read-only and the attributes
+cannot be rebound, so no stage that takes a layer checks it again.
 """
 
 from __future__ import annotations
@@ -17,29 +24,29 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 
-__all__ = ["Layer", "one_label"]
+__all__ = ["Layer", "layer_of", "split_layers", "whole_layer"]
 
 
 class Layer:
     """The subgraph of ``graph`` induced by one label class.
 
-    ``labels`` is an int64 vector over every vertex of ``graph``;
-    ``vertices`` are all the ids carrying one of its labels, strictly
-    ascending.  Vertex ``i`` of the layer is ``vertices[i]``, as in
-    ``graph.induced_subgraph(vertices)``, so a coloring of the layer is
-    an array indexed by layer position, the coloring of that subgraph.
-    The compiled loops check this contract before they run.
+    ``offsets`` / ``targets`` are the CSR the layer colors on, over
+    every vertex of ``graph``: vertex v avoids the targets of its row
+    that share its label.  ``labels`` is an int64 vector over every
+    vertex of ``graph``; ``vertices`` are all the ids carrying one of
+    its labels, strictly ascending.  Vertex ``i`` of the layer is
+    ``vertices[i]``, as in ``graph.induced_subgraph(vertices)``, so a
+    coloring of the layer is an array indexed by layer position, the
+    coloring of that subgraph.  Built only by :func:`split_layers`.
     """
 
-    __slots__ = ("graph", "vertices", "labels", "_induced")
+    __slots__ = ("graph", "offsets", "targets", "vertices", "labels", "_induced")
 
-    def __init__(
-        self, graph: Graph, vertices: np.ndarray, labels: np.ndarray
-    ) -> None:
-        self.graph = graph
-        self.vertices = vertices
-        self.labels = labels
-        self._induced: Graph | None = None
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("layers come from repro.coloring.layers.split_layers")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("a Layer is read-only")
 
     @property
     def size(self) -> int:
@@ -47,13 +54,95 @@ class Layer:
         return len(self.vertices)
 
     def induced(self) -> Graph:
-        """``graph.induced_subgraph(vertices)``, built on first use."""
+        """``graph.induced_subgraph(vertices)``, built on first use; the
+        graph itself when the layer holds every vertex."""
         if self._induced is None:
-            self._induced = self.graph.induced_subgraph(self.vertices)
+            whole = self.size == self.graph.num_vertices
+            object.__setattr__(
+                self, "_induced",
+                self.graph if whole
+                else self.graph.induced_subgraph(self.vertices),
+            )
         return self._induced
 
+    def local_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The constraints by layer position: the layer's CSR when it
+        holds every vertex, else its induced subgraph's (a CSR other
+        than the graph's only comes whole, from :func:`whole_layer`)."""
+        if self.size == self.graph.num_vertices:
+            return self.offsets, self.targets
+        return self.induced().csr()
 
-def one_label(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(vertices, labels)`` of a single layer holding all ``n``
-    vertices: how whole-graph callers run the layer loops."""
-    return np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+
+def split_layers(graph: Graph, labels, csr=None) -> list[Layer]:
+    """One :class:`Layer` per label class of ``labels``, in ascending
+    label order: one stable argsort of the label vector, cut where the
+    label changes.
+
+    ``labels`` holds one integer per vertex of ``graph``.  ``csr``, an
+    ``(offsets, targets)`` pair over the graph's vertices, is the CSR
+    the layers color on; the graph's own by default.  Only a single
+    label class may take another CSR (:meth:`Layer.local_csr`).  Raises
+    ValueError on labels that are not one integer per vertex, and on a
+    ``csr`` that is not a CSR over the vertices with every target in
+    ``[0, n)``.
+    """
+    n = graph.num_vertices
+    labels = np.array(labels)  # the layers' own copy
+    if labels.shape != (n,) or not (
+        labels.dtype.kind in "iu" or labels.size == 0
+    ):
+        raise ValueError(f"need one integer label per vertex ({n})")
+    labels = labels.astype(np.int64, copy=False)
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    if csr is None:
+        offsets, targets = graph.csr()
+    elif cuts.size:
+        raise ValueError("only a single label class takes its own CSR")
+    else:
+        offsets, targets = _checked_csr(n, *csr)
+    labels.setflags(write=False)
+    order.setflags(write=False)
+    layers = []
+    for vertices in np.split(order, cuts):
+        layer = object.__new__(Layer)
+        for name, value in (
+            ("graph", graph), ("offsets", offsets), ("targets", targets),
+            ("vertices", vertices), ("labels", labels), ("_induced", None),
+        ):
+            object.__setattr__(layer, name, value)
+        layers.append(layer)
+    return layers
+
+
+def whole_layer(graph: Graph, csr=None) -> Layer:
+    """Every vertex of ``graph`` under one label: the one-label split."""
+    return split_layers(
+        graph, np.zeros(graph.num_vertices, dtype=np.int64), csr
+    )[0]
+
+
+def layer_of(graph: Graph | Layer) -> Layer:
+    """``graph`` as a layer: a Layer as is, a Graph as its whole layer."""
+    return graph if isinstance(graph, Layer) else whole_layer(graph)
+
+
+def _checked_csr(n: int, offsets, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Own read-only int64 copies of a CSR over ``n`` vertices; raises
+    ValueError unless the rows are well formed and every target lies
+    in ``[0, n)``, which the loops need to index their scratch by it."""
+    offsets = np.array(offsets, dtype=np.int64)
+    targets = np.array(targets, dtype=np.int64)
+    if (
+        offsets.shape != (n + 1,) or targets.ndim != 1
+        or offsets[0] != 0 or offsets[-1] != targets.size
+        or (np.diff(offsets) < 0).any()
+    ):
+        raise ValueError(f"offsets and targets are not a CSR over {n} vertices")
+    if targets.size and not (0 <= int(targets.min()) and int(targets.max()) < n):
+        raise ValueError(f"CSR targets must lie in [0, {n})")
+    offsets.setflags(write=False)
+    targets.setflags(write=False)
+    return offsets, targets

@@ -36,7 +36,7 @@ from repro.coloring.arb_linial import (
 )
 from repro.coloring.derandomized_mpc import deterministic_mpc_coloring
 from repro.coloring.kuhn_wattenhofer import kw_color_reduction
-from repro.coloring.layers import Layer
+from repro.coloring.layers import Layer, split_layers
 from repro.coloring.recolor import greedy_recolor_by_layers, recoloring_ampc_rounds
 from repro.core.beta_partition_ampc import beta_partition_ampc
 from repro.core.orientation import orient_by_partition
@@ -81,27 +81,10 @@ def _space_budget(graph: Graph, delta: float) -> int:
     return max(2, math.ceil((graph.num_vertices + graph.num_edges) ** delta))
 
 
-def _layers_of(
-    partition: PartialBetaPartition, graph: Graph
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Group vertices by layer: one argsort over the layer vector.
-
-    Returns the int64 label vector, each vertex's label being its
-    layer's rank among the partition's layers, and each layer's vertex
-    array in ascending layer order.  The arrays are strictly ascending
-    (usable directly as the new->old inverse mapping of
-    ``graph.induced_subgraph``, or as a :class:`Layer`'s vertices).
-    """
-    n = graph.num_vertices
-    layer_vec = partition.layer_array(n)
-    order = np.argsort(layer_vec, kind="stable")
-    sorted_layers = layer_vec[order]
-    cuts = np.flatnonzero(sorted_layers[1:] != sorted_layers[:-1]) + 1
-    step = np.zeros(n, dtype=np.int64)
-    step[cuts] = 1
-    labels = np.empty(n, dtype=np.int64)
-    labels[order] = np.cumsum(step)
-    return labels, np.split(order, cuts)
+def _partition_layers(graph: Graph, partition: PartialBetaPartition) -> list[Layer]:
+    """The complete partition's layers, in ascending layer order."""
+    labels = partition.layer_array(graph.num_vertices).astype(np.int64)
+    return split_layers(graph, labels)
 
 
 def _finish(graph: Graph, result: PipelineResult) -> PipelineResult:
@@ -248,9 +231,9 @@ def coloring_two_plus_eps(
     selects the partition's coin-game engine and the tail's loops, as
     in :func:`color_graph`: None or "compiled" runs Linial, KW and the
     recolor as the kernel's C loops, "batched" or "scalar" as numpy.
-    Each layer is a :class:`~repro.coloring.layers.Layer` of one label
-    vector: the C loops color it in place on the graph's CSR, the numpy
-    passes on its induced subgraph.
+    Each layer is a :class:`~repro.coloring.layers.Layer` of one split
+    of the partition: the C loops color it in place on the graph's CSR,
+    the numpy passes and Theorem 1.5 on its induced subgraph.
     """
     _check_params(graph, alpha, eps)
     if graph.num_edges == 0:
@@ -263,7 +246,8 @@ def coloring_two_plus_eps(
         engine=engine,
     )
     partition = outcome.partition
-    labels, layers = _layers_of(partition, graph)
+    layers = _partition_layers(graph, partition)
+    labels = layers[0].labels
     space = _space_budget(graph, delta)
     n = graph.num_vertices
     # One pass over the edges: which join two vertices of one layer.  It
@@ -272,7 +256,7 @@ def coloring_two_plus_eps(
     edges = graph.edge_array()
     same_layer = labels[edges[:, 0]] == labels[edges[:, 1]]
 
-    # The per-layer loop scatters each layer coloring back through the
+    # The per-layer loops scatter each layer coloring back through the
     # layer's vertex array (new->old inverse map) in one fancy-indexed write.
     initial = np.zeros(n, dtype=np.int64)
     init_local_rounds = 0
@@ -283,17 +267,16 @@ def coloring_two_plus_eps(
         layer_degree = np.bincount(
             edges[:, 0][same_layer], minlength=n
         ) + np.bincount(edges[:, 1][same_layer], minlength=n)
-        for vertices in layers:
-            sub_degree = min(int(layer_degree[vertices].max()), beta)
+        for layer in layers:
+            sub_degree = min(int(layer_degree[layer.vertices].max()), beta)
             if sub_degree == 0:
                 continue  # an edgeless layer keeps color 0
-            layer = Layer(graph, vertices, labels)
             lin = linial_undirected_coloring(layer, sub_degree, engine=engine)
             kw = kw_color_reduction(
                 layer, lin.colors, sub_degree, palette=lin.num_colors,
                 engine=engine,
             )
-            initial[vertices] = kw.colors
+            initial[layer.vertices] = kw.colors
             linial_rounds_max = max(linial_rounds_max, lin.local_rounds)
             kw_rounds_max = max(kw_rounds_max, kw.local_rounds)
         init_local_rounds = linial_rounds_max + kw_rounds_max
@@ -302,12 +285,12 @@ def coloring_two_plus_eps(
         ) + ampc_rounds_for_simulation(kw_rounds_max, max(beta, 2), space)
     else:
         mpc_rounds_max = 0
-        for vertices in layers:
-            sub = graph.induced_subgraph(vertices)
+        for layer in layers:
+            sub = layer.induced()
             if sub.num_edges == 0:
                 continue
             res = deterministic_mpc_coloring(sub, x=2, delta=delta)
-            initial[vertices] = res.colors
+            initial[layer.vertices] = res.colors
             mpc_rounds_max = max(mpc_rounds_max, res.mpc_rounds)
         init_ampc_rounds = mpc_rounds_max
 
@@ -365,19 +348,18 @@ def coloring_large_alpha(
         graph, beta, delta=delta, x=x, store=store, workers=workers,
         engine=engine,
     )
-    __, layers = _layers_of(outcome.partition, graph)
     trial_x = max(2, round(alpha**eps))
     colors = np.zeros(graph.num_vertices, dtype=np.int64)
     offset = 0
     mpc_rounds_max = 0
-    for vertices in layers:
-        sub = graph.induced_subgraph(vertices)
+    for layer in _partition_layers(graph, outcome.partition):
+        sub = layer.induced()
         if sub.num_edges == 0:
-            colors[vertices] = offset
+            colors[layer.vertices] = offset
             offset += 1
             continue
         res = deterministic_mpc_coloring(sub, x=trial_x, delta=delta)
-        colors[vertices] = np.asarray(res.colors) + offset
+        colors[layer.vertices] = np.asarray(res.colors) + offset
         offset += res.num_colors
         mpc_rounds_max = max(mpc_rounds_max, res.mpc_rounds)
     return _finish(

@@ -100,13 +100,15 @@ The coloring tail (ABI 4; layers since ABI 6)
 Three entry points run the sequential loops of the Section 6.3
 coloring stage, each the vertex-at-a-time form of a numpy pass in
 :mod:`repro.coloring`, which stays its oracle.  The first two color one
-*layer* in place on the whole graph's CSR: ``vertices[k]`` are the
+*layer* in place on a CSR over the whole graph: ``vertices[k]`` are the
 layer's ids and ``labels[n]`` the run's int64 label vector, and every
 arc whose endpoints carry different labels is skipped, so they color
 ``graph.induced_subgraph(vertices)`` without building it.  Their
 ``colors`` / ``out`` are indexed by layer position (entry i is vertex
 ``vertices[i]``), as the subgraph would index them.  Whole-graph
-callers pass every vertex under one label.
+callers pass every vertex under one label.  Their wrappers take a
+:class:`~repro.coloring.layers.Layer`, which carries the CSR, the
+vertices and the labels.
 
 - ``repro_cover_free_round(offsets, targets, n, vertices, k, labels,
   colors, d1, q, bound, out)`` — one Linial / Arb-Linial round
@@ -130,18 +132,21 @@ callers pass every vertex under one label.
 Preconditions: ``offsets[n+1]`` / ``targets`` are a CSR with every
 target in ``[0, n)`` (a :class:`~repro.graphs.graph.Graph`'s, or an
 orientation's); rows need not be sorted.  The KW and walk CSRs are
-symmetric, the cover-free one may be directed.  Colors are
-non-negative: below ``q**d1`` with ``q*q`` in int64 for the round,
-below the palette for KW.  The wrappers raise ValueError before the
-call unless ``vertices`` is strictly ascending in ``[0, n)`` and
-exactly the ids of one label, ``labels`` has length n, ``colors`` one
+symmetric, the cover-free one may be directed.  ``vertices`` is
+strictly ascending and exactly the ids of one label, and ``labels``
+has length n: the loops index their per-vertex scratch by global id
+and initialise it at the layer's ids alone, so each arc tests the far
+end's label before it reads that scratch.  The ``Layer`` type carries
+these: :func:`~repro.coloring.layers.split_layers`, its only builder,
+makes the vertices one label class, checks a CSR other than the
+graph's once, and freezes every array, so the wrappers do not check
+the layer again.  Colors are non-negative: below ``q**d1`` with
+``q*q`` in int64 for the round, below the palette for KW.  The
+wrappers raise ValueError before the call unless ``colors`` has one
 entry per layer vertex (and, for KW, each below the palette), and
-``order`` n ids in ``[0, n)``: the loops index their per-vertex
-scratch by global id and initialise it at the layer's ids alone, so
-each arc tests the far end's label before it reads that scratch.
-Every array is caller-allocated int64 (numpy through
-``ffi.from_buffer``); the kernel writes only ``out`` / ``colors`` and
-the two KW counters.
+``order`` holds n ids in ``[0, n)``.  Every array is int64 (numpy
+through ``ffi.from_buffer``); the kernel writes only ``out`` /
+``colors`` and the two KW counters, which the wrappers allocate.
 
 Return codes: ``0`` on success; ``1`` when a scratch allocation fails;
 ``2`` when the input breaks the stage's own precondition — a vertex
@@ -179,9 +184,9 @@ with ``cores`` unspecified.  The scratch is freed on both paths.
 Loading and fallback
 ====================
 
-The kernel is compiled at build time (setup.py ``cffi_modules``) or
-lazily at first use (direct ``gcc -shared`` + ``dlopen``, cached under
-``$REPRO_NATIVE_CACHE``).  :func:`available` gates dispatch:
+The kernel is compiled lazily at first use (one direct ``gcc -shared``
+call + ``dlopen``, cached under ``$REPRO_NATIVE_CACHE``; see
+:mod:`repro.core.native._build`).  :func:`available` gates dispatch:
 ``engine="compiled"`` degrades to ``"batched"`` with a one-time warning
 when the kernel cannot be loaded (the coloring tail and the degeneracy
 peel too, through :func:`tail_compiled`), ``REPRO_NATIVE_DISABLE=1``
@@ -196,11 +201,15 @@ import os
 import threading
 import time
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core import batched_games
 from repro.core.batched_games import BatchedGamesInfo
+
+if TYPE_CHECKING:
+    from repro.coloring.layers import Layer
 
 ABI_VERSION = 6
 
@@ -467,72 +476,54 @@ def _i64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-def _check_layer(
-    n: int, vertices: np.ndarray, labels: np.ndarray, size: int
-) -> None:
-    """Raise ValueError unless ``vertices`` is one label class of
-    ``labels`` over ``n`` vertices, strictly ascending, with ``size``
-    colors: the layer contract of the Linial round and KW, whose loops
-    index their scratch by global id and initialise it at the layer's
-    ids alone."""
-    if vertices.ndim != 1 or labels.shape != (n,):
-        raise ValueError(f"need a 1-D vertex array and {n} labels")
-    if size != vertices.size:
+def _layer_colors(layer: Layer, colors) -> np.ndarray:
+    """An int64 copy of ``colors``; ValueError unless it holds one color
+    per vertex of ``layer``, since the loops read ``colors[i]`` for each."""
+    out = np.array(colors, dtype=np.int64)
+    if out.shape != (layer.size,):
         raise ValueError(
-            f"need one color per layer vertex ({vertices.size}), got {size}"
+            f"need one color per layer vertex ({layer.size}), got {out.shape}"
         )
-    if not vertices.size:
-        return
-    if not 0 <= int(vertices[0]) < n or not np.array_equal(
-        np.flatnonzero(labels == labels[vertices[0]]), vertices
-    ):
-        raise ValueError(
-            "layer vertices must be all the ids of one label, strictly "
-            "ascending"
-        )
+    return out
 
 
 def cover_free_round(
-    offsets: np.ndarray, targets: np.ndarray, vertices: np.ndarray,
-    labels: np.ndarray, colors: np.ndarray, d1: int, q: int, bound: int,
+    layer: Layer, colors: np.ndarray, d1: int, q: int, bound: int,
 ) -> np.ndarray | None:
-    """One Linial round (``repro_cover_free_round``) on one layer of the
-    constraint CSR: vertex ``vertices[i]`` avoids the targets of its row
-    that share its label, and ``colors[i]`` in ``[0, q**d1)`` is the
-    polynomial of its ``d1`` base-q digits.  Returns the new colors by
-    layer position, or None when the loop failed (an allocation, more
-    than ``bound`` same-label targets, or a clash at every point): the
-    caller's numpy pass then reruns the round and raises its own error.
-    Raises ValueError before the call on a malformed layer
-    (:func:`_check_layer`)."""
-    vertices, labels, colors = _i64(vertices), _i64(labels), _i64(colors)
-    _check_layer(len(offsets) - 1, vertices, labels, colors.size)
+    """One Linial round (``repro_cover_free_round``) on ``layer``, in
+    place on its CSR: vertex ``layer.vertices[i]`` avoids the targets of
+    its row that share its label, and ``colors[i]`` in ``[0, q**d1)`` is
+    the polynomial of its ``d1`` base-q digits.  Returns the new colors
+    by layer position, or None when the loop failed (an allocation,
+    more than ``bound`` same-label targets, or a clash at every point):
+    the caller's numpy pass then reruns the round and raises its own
+    error.  Raises ValueError before the call unless there is one color
+    per layer vertex."""
+    colors = _layer_colors(layer, colors)
     out = np.empty(colors.size, dtype=np.int64)
-    ok = _tail_call("repro_cover_free_round", _i64(offsets), _i64(targets),
-                    labels.size, vertices, vertices.size, labels, colors,
-                    d1, q, bound, out)
+    ok = _tail_call("repro_cover_free_round", _i64(layer.offsets),
+                    _i64(layer.targets), layer.labels.size, layer.vertices,
+                    layer.size, layer.labels, colors, d1, q, bound, out)
     return out if ok else None
 
 
 def kw_reduce(
-    offsets: np.ndarray, targets: np.ndarray, vertices: np.ndarray,
-    labels: np.ndarray, colors: np.ndarray, palette: int, delta_plus_1: int,
+    layer: Layer, colors: np.ndarray, palette: int, delta_plus_1: int,
 ) -> tuple[np.ndarray, int, int] | None:
     """Kuhn–Wattenhofer down to ``delta_plus_1`` colors
-    (``repro_kw_reduce``) on one layer of the symmetric CSR, on a copy of
+    (``repro_kw_reduce``) on ``layer`` of a symmetric CSR, on a copy of
     ``colors`` (by layer position, each in ``[0, palette)``): ``(colors,
     num_colors, local_rounds)``, or None when the loop failed (see
-    :func:`cover_free_round`).  Raises ValueError before the call on a
-    malformed layer or a color outside the palette."""
-    vertices, labels = _i64(vertices), _i64(labels)
-    out = np.array(colors, dtype=np.int64)
-    _check_layer(len(offsets) - 1, vertices, labels, out.size)
+    :func:`cover_free_round`).  Raises ValueError before the call unless
+    there is one color per layer vertex, each inside the palette."""
+    out = _layer_colors(layer, colors)
     if out.size and (int(out.min()) < 0 or int(out.max()) >= palette):
         raise ValueError(f"colors outside the palette [0, {palette})")
     stats = np.array([palette, 0], dtype=np.int64)
-    ok = _tail_call("repro_kw_reduce", _i64(offsets), _i64(targets),
-                    labels.size, vertices, vertices.size, labels, out,
-                    delta_plus_1, stats[:1], stats[1:])
+    ok = _tail_call("repro_kw_reduce", _i64(layer.offsets),
+                    _i64(layer.targets), layer.labels.size, layer.vertices,
+                    layer.size, layer.labels, out, delta_plus_1, stats[:1],
+                    stats[1:])
     return (out, int(stats[0]), int(stats[1])) if ok else None
 
 

@@ -1,26 +1,19 @@
-"""Build glue for the native wave kernel — two compilation paths.
+"""Build glue for the native wave kernel: one lazy gcc build.
 
-1. **Packaged (API mode).**  ``setup.py`` lists
-   ``repro.core.native._build:ffibuilder`` under ``cffi_modules``; an
-   installed build ships ``repro.core.native._wave_kernel_cffi`` as a
-   real extension module and the loader imports it directly.
-2. **Lazy (ABI mode).**  Source checkouts (tier-1 runs with
-   ``PYTHONPATH=src``) compile the self-contained C source with one
-   direct ``gcc -O2 -shared`` call at first import and ``dlopen`` the
-   result: no setuptools machinery, no Python headers, just libc.
-   The shared object is cached under ``$REPRO_NATIVE_CACHE`` (default
-   ``~/.cache/repro/native``) keyed by a hash of the C source, the
-   declared ABI and the compile flags, so
-   rebuilds happen only when the kernel or the flags change;
-   concurrent builders race benignly via atomic ``os.replace``.
+The kernel is compiled at first use with one direct ``gcc -O2 -shared``
+call on the self-contained ``_wave_kernel.c`` and the result is
+``dlopen``-ed through cffi's ABI mode against :data:`CDEF`: no
+setuptools machinery, no Python headers, just libc.  Source checkouts
+and installed packages load it the same way.  The shared object is
+cached under ``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro/native``)
+keyed by a hash of the C source, the declared ABI and the compile
+flags, so rebuilds happen only when the kernel or the flags change;
+concurrent builders race benignly via atomic ``os.replace``.
 
-Both paths compile the same ``_wave_kernel.c`` against the same
-``CDEF``; :func:`load` prefers the packaged module and falls back to
-the lazy build.  ``REPRO_NATIVE_SANITIZE=1`` skips the packaged module
-and makes the lazy build an ASan/UBSan one (:data:`SANITIZE_FLAGS`);
-the flags are part of the cache key, so sanitized and plain objects
-never collide.  A sanitized object only loads into a process that
-preloads the sanitizer runtimes::
+``REPRO_NATIVE_SANITIZE=1`` makes the build an ASan/UBSan one
+(:data:`SANITIZE_FLAGS`); the flags are part of the cache key, so
+sanitized and plain objects never collide.  A sanitized object only
+loads into a process that preloads the sanitizer runtimes::
 
     LD_PRELOAD="$(gcc -print-file-name=libasan.so) \
                 $(gcc -print-file-name=libubsan.so)" \
@@ -80,28 +73,6 @@ def _source() -> str:
     return _SOURCE_PATH.read_text()
 
 
-def _make_ffibuilder():
-    """API-mode builder for setup.py ``cffi_modules`` (requires cffi)."""
-    import cffi
-
-    builder = cffi.FFI()
-    builder.cdef(CDEF)
-    builder.set_source(
-        "repro.core.native._wave_kernel_cffi", _source(),
-        extra_compile_args=["-O2"],
-    )
-    return builder
-
-
-# setup.py resolves this attribute lazily at sdist/wheel build time; a
-# missing cffi there fails the *packaged* path only (the lazy path never
-# reads it).
-try:  # pragma: no cover - exercised by setup.py builds, not tier-1
-    ffibuilder = _make_ffibuilder()
-except Exception:  # pragma: no cover
-    ffibuilder = None
-
-
 def cache_dir() -> Path:
     env = os.environ.get("REPRO_NATIVE_CACHE", "").strip()
     if env:
@@ -153,20 +124,8 @@ def _build_shared_object(path: Path) -> None:
 
 
 def load():
-    """``(ffi, lib)`` for the wave kernel; raises on any failure.
-
-    Tries the packaged API-mode extension first (unless a sanitized
-    build is asked for), then the cached (or freshly gcc-compiled)
-    ABI-mode shared object.
-    """
-    if not _sanitize():
-        try:
-            from repro.core.native import _wave_kernel_cffi  # type: ignore
-
-            return _wave_kernel_cffi.ffi, _wave_kernel_cffi.lib
-        except ImportError:
-            pass
-
+    """``(ffi, lib)`` for the wave kernel from the cached (or freshly
+    gcc-compiled) shared object; raises on any failure."""
     import cffi
 
     path = so_path()

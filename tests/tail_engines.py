@@ -33,3 +33,9 @@ def tail(engine: str):
 
                 patch.setattr(native, name, checked)
         yield
+
+
+def no_c_call(*args, **kwargs):
+    """Stand-in for ``native._tail_call`` in tests of inputs that must
+    raise before any C loop runs."""
+    raise AssertionError("malformed input reached the C loop")

@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from tail_engines import TAIL_ENGINES
 
 from repro.coloring.arb_linial import (
     ampc_rounds_for_simulation,
     arb_linial_coloring,
     linial_undirected_coloring,
 )
-from repro.core.orientation import orient_by_partition
+from repro.core.orientation import Orientation, orient_by_partition
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
+    path_graph,
     union_of_random_forests,
 )
 from repro.graphs.validation import is_proper_coloring
@@ -67,6 +69,18 @@ class TestArbLinial:
             arb_linial_coloring(ori, beta, initial_colors=[5] * g.num_vertices,
                                 initial_palette=3)
 
+    @pytest.mark.parametrize("target", [-300, -1, 300, 10**6])
+    @pytest.mark.parametrize("engine", TAIL_ENGINES)
+    def test_target_outside_the_vertices_rejected(self, target, engine):
+        # A negative target used to wrap around to another vertex (an
+        # improper coloring, silently) and one past n to raise
+        # IndexError; both now fail the orientation's layer build.
+        g = path_graph(300)
+        outs = [[v + 1] for v in range(299)] + [[]]
+        outs[10] = [target]
+        with pytest.raises(ValueError, match=r"targets must lie in \[0, 300\)"):
+            arb_linial_coloring(Orientation(g, outs), 2, engine=engine)
+
     def test_schedule_palettes_decrease(self):
         g, beta, ori = _setup(2, seed=5, n=300)
         res = arb_linial_coloring(ori, beta)
@@ -91,6 +105,30 @@ class TestLinialUndirected:
         g = Graph.from_edges(5, [])
         res = linial_undirected_coloring(g, 0)
         np.testing.assert_array_equal(res.colors, [0] * 5)
+
+    @pytest.mark.parametrize("engine", TAIL_ENGINES)
+    def test_colors_outside_the_declared_palette_rejected(self, engine):
+        # Both Linial entry points share the palette check: colors 5 in
+        # a declared palette of 3 used to come back as they went in.
+        bad = [0, 5, 0, 5, 0, 5]
+        with pytest.raises(ValueError, match="declared palette"):
+            linial_undirected_coloring(
+                path_graph(6), 2, initial_colors=bad, initial_palette=3,
+                engine=engine,
+            )
+        ori = Orientation(path_graph(6), [[v + 1] for v in range(5)] + [[]])
+        with pytest.raises(ValueError, match="declared palette"):
+            arb_linial_coloring(
+                ori, 1, initial_colors=bad, initial_palette=3, engine=engine
+            )
+
+    def test_empty_initial_colors_on_no_vertices(self):
+        g = path_graph(0)
+        for res in (
+            linial_undirected_coloring(g, 2, initial_colors=[]),
+            arb_linial_coloring(Orientation(g, []), 1, initial_colors=[]),
+        ):
+            assert res.colors.size == 0 and res.local_rounds == 0
 
     def test_quadratic_palette(self):
         g = union_of_random_forests(150, 2, seed=6)

@@ -20,6 +20,7 @@ from tail_engines import TAIL_ENGINES, tail
 from repro.coloring.arb_linial import arb_linial_coloring, linial_undirected_coloring
 from repro.coloring.cover_free import choose_family
 from repro.coloring.kuhn_wattenhofer import kw_color_reduction
+from repro.coloring.layers import whole_layer
 from repro.core.orientation import orient_by_partition
 from repro.graphs.generators import (
     preferential_attachment,
@@ -271,11 +272,13 @@ class TestMatchesOracle:
         k = len(others)
         colors = np.array([color, *others])
         # Vertex 0 avoids vertices 1..k; they avoid nothing.
-        offsets = np.array([0] + [k] * (k + 1))
+        out_star = whole_layer(
+            star_graph(k + 1), csr=([0] + [k] * (k + 1), np.arange(1, k + 1))
+        )
         for engine in TAIL_ENGINES:
             with tail(engine):
                 got = family.reduce_colors(
-                    colors, offsets, np.arange(1, k + 1), beta, engine=engine
+                    colors, out_star, beta, engine=engine
                 )
             assert int(got[0]) == want, engine
         assert family.reduce_color(color, others, beta) == want
@@ -305,8 +308,11 @@ class TestErrorPaths:
                 )
             with pytest.raises(ValueError, match="more out-neighbors"):
                 family.reduce_colors(
-                    np.arange(4), [0, 3, 3, 3, 3], np.arange(1, 4), 2,
-                    engine=engine,
+                    np.arange(4),
+                    whole_layer(
+                        star_graph(4), csr=([0, 3, 3, 3, 3], np.arange(1, 4))
+                    ),
+                    2, engine=engine,
                 )
 
     def test_constraints_not_a_csr(self):
@@ -315,8 +321,9 @@ class TestErrorPaths:
             for offsets in ([0, 2, 2], [1, 2, 2, 2], [0, 2, 1, 2], [0, 2, 2, 3]):
                 with pytest.raises(ValueError, match="not a CSR"):
                     family.reduce_colors(
-                        np.array([5, 1, 4]), offsets, np.array([1, 2]), 3,
-                        engine=engine,
+                        np.array([5, 1, 4]),
+                        whole_layer(star_graph(3), csr=(offsets, [1, 2])),
+                        3, engine=engine,
                     )
 
     def test_colors_outside_the_palette(self):
@@ -357,8 +364,9 @@ class TestErrorPaths:
                 )
             with pytest.raises(AssertionError, match="no distinguishing point"):
                 family.reduce_colors(
-                    np.array([5, 1, 5]), [0, 2, 2, 2], np.array([1, 2]), 3,
-                    engine=engine,
+                    np.array([5, 1, 5]),
+                    whole_layer(star_graph(3), csr=([0, 2, 2, 2], [1, 2])),
+                    3, engine=engine,
                 )
         with pytest.raises(AssertionError, match="no distinguishing point"):
             family.reduce_color(5, [1, 5], 3)
@@ -374,6 +382,10 @@ class TestErrorPaths:
                 kw_color_reduction(graph, [0, 1, 2, 3], -1, engine=engine)
             with pytest.raises(ValueError, match="one color per vertex"):
                 kw_color_reduction(graph, [0, 1, 2], 3, engine=engine)
+            # An orientation's CSR: the C loop would read out-arcs only.
+            directed = whole_layer(graph, csr=([0, 3, 5, 6, 6], [1, 2, 3, 2, 3, 3]))
+            with pytest.raises(ValueError, match="its graph's CSR"):
+                kw_color_reduction(directed, [0, 1, 2, 3], 3, engine=engine)
 
     def test_unlayered_vertex(self):
         graph = random_gnm(10, 20, seed=6)

@@ -47,8 +47,8 @@ KEPT_WITHOUT_IMPORTER = {
     "tests/test_graphs_arboricity.py checks the array degeneracy against",
     "repro.graphs.reference": "test oracle: the seed CSR builder and BFS "
     "components that tests/test_graphs_graph.py checks Graph against",
-    "repro.core.native._build": "loaded by setup.py's cffi_modules and by the "
-    "lazy loader in repro.core.native's own __init__",
+    "repro.core.native._build": "the kernel's one build, imported only by "
+    "the lazy loader in repro.core.native's own __init__",
 }
 
 

@@ -34,7 +34,7 @@ from repro.coloring import recolor
 from repro.coloring.arb_linial import linial_undirected_coloring
 from repro.coloring.cover_free import choose_family
 from repro.coloring.kuhn_wattenhofer import kw_color_reduction
-from repro.coloring.layers import Layer, one_label
+from repro.coloring.layers import split_layers, whole_layer
 from repro.core import batched_games, columnar_rounds, native
 from repro.core.batched_games import (
     csr_transpose_positions,
@@ -55,7 +55,7 @@ from repro.lca.coin_game import fixed_coin_scale, max_provable_layer
 from repro.partition.induced import induced_partition_from_view
 
 from peel_shapes import peel_shapes
-from tail_engines import tail
+from tail_engines import no_c_call, tail
 
 pytestmark = pytest.mark.skipif(
     not native.available(), reason="compiled wave kernel unavailable"
@@ -737,10 +737,9 @@ class TestTailFuzz:
         src, dst = src.astype(np.int64), dst.astype(np.int64)
         beta = max(1, int(np.bincount(src, minlength=1).max()))
         family = choose_family(max(palette, 2), beta)
-        offsets, targets = _constraint_csr(src, dst, n)
+        layer = whole_layer(graph, csr=_constraint_csr(src, dst, n))
         got = native.cover_free_round(
-            offsets, targets, *one_label(n), colors, family.d + 1,
-            family.q, beta,
+            layer, colors, family.d + 1, family.q, beta
         )
         try:
             want = family._reduce_colors_numpy(family.digits(colors), src, dst)
@@ -755,11 +754,7 @@ class TestTailFuzz:
         graph, colors, palette, __ = case
         # A bound below the true degree can leave a mover no free color.
         delta = max(0, graph.max_degree() + slack)
-        offsets, targets = graph.csr()
-        got = native.kw_reduce(
-            offsets, targets, *one_label(graph.num_vertices), colors,
-            palette, delta + 1,
-        )
+        got = native.kw_reduce(whole_layer(graph), colors, palette, delta + 1)
         try:
             want = kw_color_reduction(
                 graph, colors, delta, palette=palette, engine="batched"
@@ -796,11 +791,10 @@ class TestTailFuzz:
 @st.composite
 def _layered_tail_graphs(draw):
     """A small random graph (edgeless ones included), a label vector and
-    one label's layer: the whole graph under one label, a singleton
-    layer, or a random class of a random labelling (possibly edgeless
-    inside).  Returns the graph, the layer's ``(vertices, labels)``, its
-    induced subgraph and a coloring of the layer as in
-    :func:`_tail_graphs`."""
+    one label's layer of its split: the whole graph under one label, a
+    singleton layer, or a random class of a random labelling (possibly
+    edgeless inside).  Returns the layer, its induced subgraph and a
+    coloring of the layer as in :func:`_tail_graphs`."""
     n = draw(st.integers(1, 40))
     pairs = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
@@ -817,16 +811,18 @@ def _layered_tail_graphs(draw):
     elif shape == "random":
         labels = rng.integers(0, draw(st.integers(1, 4)), size=n)
     label = labels[int(rng.integers(n))]
-    vertices = np.flatnonzero(labels == label).astype(np.int64)
-    k = len(vertices)
+    layer = split_layers(graph, labels)[
+        int(np.searchsorted(np.unique(labels), label))
+    ]
+    k = layer.size
     if draw(st.booleans()):
         palette = draw(st.integers(max(k, 2), 10**6))
         colors = rng.choice(palette, size=k, replace=False)
     else:
         palette = draw(st.integers(2, 6))
         colors = rng.integers(0, palette, size=k)
-    sub = graph.induced_subgraph(vertices)
-    return graph, vertices, labels, sub, colors.astype(np.int64), palette
+    sub = graph.induced_subgraph(layer.vertices)
+    return layer, sub, colors.astype(np.int64), palette
 
 
 class TestLayerTailFuzz:
@@ -852,18 +848,16 @@ class TestLayerTailFuzz:
         labels = np.repeat(np.arange(2, dtype=np.int64), 4)
         colors = np.array([5, 9, 5, 9], dtype=np.int64)
         family = choose_family(10, 2)
-        for label in (0, 1):
-            vertices = np.flatnonzero(labels == label).astype(np.int64)
-            sub = graph.induced_subgraph(vertices)
+        for layer in split_layers(graph, labels):
+            sub = graph.induced_subgraph(layer.vertices)
             got = native.cover_free_round(
-                *graph.csr(), vertices, labels, colors, family.d + 1,
-                family.q, 2,
+                layer, colors, family.d + 1, family.q, 2
             )
-            want = family.reduce_colors(colors, *sub.csr(), 2, engine="batched")
+            want = family.reduce_colors(
+                colors, whole_layer(sub), 2, engine="batched"
+            )
             np.testing.assert_array_equal(got, want)
-            got_kw = native.kw_reduce(
-                *graph.csr(), vertices, labels, colors, 10, 3
-            )
+            got_kw = native.kw_reduce(layer, colors, 10, 3)
             want_kw = kw_color_reduction(
                 sub, colors, 2, palette=10, engine="batched"
             )
@@ -873,18 +867,17 @@ class TestLayerTailFuzz:
     @given(_layered_tail_graphs(), st.integers(-1, 1))
     @settings(deadline=None)  # example count from the hypothesis profile
     def test_cover_free_round_on_a_layer(self, case, slack):
-        graph, vertices, labels, sub, colors, palette = case
+        layer, sub, colors, palette = case
         # A bound below the within-layer degree must fail the loop, as
         # the numpy round's degree check rejects it.
         bound = max(1, sub.max_degree() + slack)
         family = choose_family(max(palette, 2), bound)
         got = native.cover_free_round(
-            *graph.csr(), vertices, labels, colors, family.d + 1, family.q,
-            bound,
+            layer, colors, family.d + 1, family.q, bound
         )
         try:
             want = family.reduce_colors(
-                colors, *sub.csr(), bound, engine="batched"
+                colors, whole_layer(sub), bound, engine="batched"
             )
         except (AssertionError, ValueError):
             assert got is None
@@ -894,11 +887,9 @@ class TestLayerTailFuzz:
     @given(_layered_tail_graphs(), st.integers(-2, 2))
     @settings(deadline=None)
     def test_kw_reduce_on_a_layer(self, case, slack):
-        graph, vertices, labels, sub, colors, palette = case
+        layer, sub, colors, palette = case
         delta = max(0, sub.max_degree() + slack)
-        got = native.kw_reduce(
-            *graph.csr(), vertices, labels, colors, palette, delta + 1
-        )
+        got = native.kw_reduce(layer, colors, palette, delta + 1)
         try:
             want = kw_color_reduction(
                 sub, colors, delta, palette=palette, engine="batched"
@@ -917,9 +908,8 @@ class TestLayerTailFuzz:
         # points: Linial then KW on a Layer, compiled in place, equal
         # the numpy stage on the induced copy, which the compiled path
         # never builds.
-        graph, vertices, labels, sub, __, __ = case
+        layer, sub, __, __ = case
         bound = sub.max_degree()
-        layer = Layer(graph, vertices, labels)
         want_lin = linial_undirected_coloring(sub, bound, engine="batched")
         want_kw = kw_color_reduction(
             sub, want_lin.colors, bound, palette=want_lin.num_colors,
@@ -942,57 +932,39 @@ class TestLayerTailFuzz:
         )
 
 
-def _no_c_call(*args, **kwargs):
-    raise AssertionError("malformed input reached the C loop")
-
-
 class TestTailInputGuards:
-    """Malformed inputs to the tail's C entry points raise ValueError in
-    the wrappers, before any C call: the loops index their outputs and
-    their per-vertex scratch by the ids they are handed."""
+    """Malformed colors and orders raise ValueError in the tail's
+    wrappers, before any C call: the loops index their outputs and
+    their per-vertex scratch by the ids they are handed.  A malformed
+    layer cannot reach them at all: :func:`split_layers`, the only way
+    to build one, rejects it (``tests/test_coloring_layers.py``)."""
 
     # A path 0-1-2-3-4-5 labelled [0, 0, 1, 1, 0, 2]: label 0's layer is
     # [0, 1, 4].
     LABELS = [0, 0, 1, 1, 0, 2]
 
-    @pytest.mark.parametrize(
-        "vertices, labels, colors",
-        [
-            ([4, 1, 0], LABELS, [0, 1, 2]),  # not ascending
-            ([0, 1, 1, 4], LABELS, [0, 1, 2, 3]),  # a duplicate
-            ([-1, 0, 1], [0, 0, 1, 1, 0, 2], [0, 1, 2]),  # below range
-            ([0, 1, 6], [0, 0, 1, 1, 1, 2], [0, 1, 2]),  # past the range
-            ([0, 1], LABELS, [0, 1]),  # misses vertex 4 of label 0
-            ([0, 1, 2, 4], LABELS, [0, 1, 2, 3]),  # two labels
-            ([0, 1, 4], LABELS[:5], [0, 1, 2]),  # labels too short
-            ([0, 1, 4], LABELS, [0, 1]),  # one color short
-            ([[0, 1, 4]], LABELS, [0, 1, 2]),  # vertices not 1-D
-        ],
-        ids=["unsorted", "duplicate", "negative", "past-n", "partial",
-             "two-labels", "short-labels", "short-colors", "2-d"],
-    )
+    def _layer(self):
+        return split_layers(path_graph(6), self.LABELS)[0]
+
+    @pytest.mark.parametrize("colors", [[0, 1], [0, 1, 2, 3], [[0, 1, 2]]])
     @pytest.mark.parametrize("entry", ["cover_free_round", "kw_reduce"])
-    def test_malformed_layer_raises_before_the_loop(
-        self, entry, vertices, labels, colors, monkeypatch
+    def test_one_color_per_layer_vertex(
+        self, entry, colors, monkeypatch
     ):
-        offsets, targets = path_graph(6).csr()
-        monkeypatch.setattr(native, "_tail_call", _no_c_call)
-        args = [np.array(a, dtype=np.int64) for a in (vertices, labels, colors)]
-        with pytest.raises(ValueError):
+        monkeypatch.setattr(native, "_tail_call", no_c_call)
+        with pytest.raises(ValueError, match="one color per layer vertex"):
             if entry == "cover_free_round":
-                native.cover_free_round(offsets, targets, *args, 2, 5, 2)
+                native.cover_free_round(self._layer(), colors, 2, 5, 2)
             else:
-                native.kw_reduce(offsets, targets, *args, 8, 3)
+                native.kw_reduce(self._layer(), colors, 8, 3)
 
     @pytest.mark.parametrize("colors", [[0, 8, 1], [-1, 0, 1]])
-    def test_kw_color_outside_the_palette_raises(self, colors, monkeypatch):
-        offsets, targets = path_graph(6).csr()
-        monkeypatch.setattr(native, "_tail_call", _no_c_call)
+    def test_kw_color_outside_the_palette_raises(
+        self, colors, monkeypatch
+    ):
+        monkeypatch.setattr(native, "_tail_call", no_c_call)
         with pytest.raises(ValueError, match="palette"):
-            native.kw_reduce(
-                offsets, targets, np.array([0, 1, 4]),
-                np.array(self.LABELS), np.array(colors), 8, 3,
-            )
+            native.kw_reduce(self._layer(), np.array(colors), 8, 3)
 
     @pytest.mark.parametrize(
         "order",
@@ -1006,24 +978,19 @@ class TestTailInputGuards:
         # The walk writes colors[order[i]]: an id past n wrote beyond
         # the output buffer before the wrapper checked the order.
         offsets, targets = path_graph(6).csr()
-        monkeypatch.setattr(native, "_tail_call", _no_c_call)
+        monkeypatch.setattr(native, "_tail_call", no_c_call)
         with pytest.raises(ValueError, match="order"):
             native.recolor_walk(
                 offsets, targets, np.array(order), 2, lowest=False
             )
 
     def test_well_formed_layer_reaches_the_loop(self):
-        # The guards' own control: the same arrays, well formed, run.
-        offsets, targets = path_graph(6).csr()
-        vertices = np.array([0, 1, 4])
-        labels = np.array(self.LABELS)
+        # The guards' own control: a well-formed layer and colors run.
         got = native.cover_free_round(
-            offsets, targets, vertices, labels, np.array([0, 1, 2]), 2, 5, 2
+            self._layer(), np.array([0, 1, 2]), 2, 5, 2
         )
         np.testing.assert_array_equal(got, [0, 1, 2])
-        got = native.kw_reduce(
-            offsets, targets, vertices, labels, np.array([0, 7, 1]), 8, 2
-        )
+        got = native.kw_reduce(self._layer(), np.array([0, 7, 1]), 8, 2)
         assert got is not None and got[1] == 2
         assert got[0][0] != got[0][1]
 
