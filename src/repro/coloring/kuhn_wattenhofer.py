@@ -54,7 +54,7 @@ def kw_color_reduction(
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     layer = layer_of(graph)
-    if layer.targets is not layer.graph.csr()[1]:
+    if not layer.on_graph:
         # An orientation's CSR: the C loop would avoid out-neighbors only.
         raise ValueError("Kuhn-Wattenhofer needs a layer of its graph's CSR")
     delta_plus_1 = max_degree + 1

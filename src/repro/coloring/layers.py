@@ -13,9 +13,10 @@ run on the layer's arcs by layer position (:meth:`Layer.local_csr`,
 
 :func:`split_layers` is the only way to build a layer, so every layer
 is right by construction: its vertices are exactly one label class,
-strictly ascending, and a CSR other than the graph's is checked once,
-when its layer is built.  The arrays are read-only and the attributes
-cannot be rebound, so no stage that takes a layer checks it again.
+strictly ascending.  Its one-label form :func:`whole_layer` alone takes
+a CSR other than the graph's, and checks it once, when the layer is
+built.  The arrays are read-only and the attributes cannot be rebound,
+so no stage that takes a layer checks it again.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class Layer:
     its labels, strictly ascending.  Vertex ``i`` of the layer is
     ``vertices[i]``, as in ``graph.induced_subgraph(vertices)``, so a
     coloring of the layer is an array indexed by layer position, the
-    coloring of that subgraph.  Built only by :func:`split_layers`.
+    coloring of that subgraph.  Built only by :func:`split_layers` and
+    its one-label form :func:`whole_layer`.
     """
 
     __slots__ = ("graph", "offsets", "targets", "vertices", "labels", "_induced")
@@ -47,6 +49,12 @@ class Layer:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("a Layer is read-only")
+
+    @property
+    def on_graph(self) -> bool:
+        """Whether the layer colors on its graph's own (symmetric) CSR,
+        not an orientation's."""
+        return self.targets is self.graph.csr()[1]
 
     @property
     def size(self) -> int:
@@ -74,18 +82,13 @@ class Layer:
         return self.induced().csr()
 
 
-def split_layers(graph: Graph, labels, csr=None) -> list[Layer]:
+def split_layers(graph: Graph, labels) -> list[Layer]:
     """One :class:`Layer` per label class of ``labels``, in ascending
-    label order: one stable argsort of the label vector, cut where the
-    label changes.
+    label order, each colored on the graph's CSR: one stable argsort of
+    the label vector, cut where the label changes.
 
-    ``labels`` holds one integer per vertex of ``graph``.  ``csr``, an
-    ``(offsets, targets)`` pair over the graph's vertices, is the CSR
-    the layers color on; the graph's own by default.  Only a single
-    label class may take another CSR (:meth:`Layer.local_csr`).  Raises
-    ValueError on labels that are not one integer per vertex, and on a
-    ``csr`` that is not a CSR over the vertices with every target in
-    ``[0, n)``.
+    ``labels`` holds one integer per vertex of ``graph``; ValueError
+    otherwise.
     """
     n = graph.num_vertices
     labels = np.array(labels)  # the layers' own copy
@@ -97,36 +100,43 @@ def split_layers(graph: Graph, labels, csr=None) -> list[Layer]:
     order = np.argsort(labels, kind="stable")
     ranked = labels[order]
     cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
-    if csr is None:
-        offsets, targets = graph.csr()
-    elif cuts.size:
-        raise ValueError("only a single label class takes its own CSR")
-    else:
-        offsets, targets = _checked_csr(n, *csr)
     labels.setflags(write=False)
     order.setflags(write=False)
-    layers = []
-    for vertices in np.split(order, cuts):
-        layer = object.__new__(Layer)
-        for name, value in (
-            ("graph", graph), ("offsets", offsets), ("targets", targets),
-            ("vertices", vertices), ("labels", labels), ("_induced", None),
-        ):
-            object.__setattr__(layer, name, value)
-        layers.append(layer)
-    return layers
+    return [
+        _layer(graph, *graph.csr(), vertices, labels)
+        for vertices in np.split(order, cuts)
+    ]
 
 
 def whole_layer(graph: Graph, csr=None) -> Layer:
-    """Every vertex of ``graph`` under one label: the one-label split."""
-    return split_layers(
-        graph, np.zeros(graph.num_vertices, dtype=np.int64), csr
-    )[0]
+    """Every vertex of ``graph`` under one label: the one-label split.
+
+    ``csr``, an ``(offsets, targets)`` pair over the graph's vertices,
+    is the CSR the layer colors on, the graph's own by default (also
+    when ``csr`` is that pair).  Another CSR is copied and checked
+    here: ValueError unless it is a CSR over the vertices with every
+    target in ``[0, n)``.
+    """
+    (layer,) = split_layers(graph, np.zeros(graph.num_vertices, np.int64))
+    if csr is None or all(a is b for a, b in zip(csr, graph.csr())):
+        return layer
+    csr = _checked_csr(graph.num_vertices, *csr)
+    return _layer(graph, *csr, layer.vertices, layer.labels)
 
 
 def layer_of(graph: Graph | Layer) -> Layer:
     """``graph`` as a layer: a Layer as is, a Graph as its whole layer."""
     return graph if isinstance(graph, Layer) else whole_layer(graph)
+
+
+def _layer(graph, offsets, targets, vertices, labels) -> Layer:
+    layer = object.__new__(Layer)
+    for name, value in (
+        ("graph", graph), ("offsets", offsets), ("targets", targets),
+        ("vertices", vertices), ("labels", labels), ("_induced", None),
+    ):
+        object.__setattr__(layer, name, value)
+    return layer
 
 
 def _checked_csr(n: int, offsets, targets) -> tuple[np.ndarray, np.ndarray]:

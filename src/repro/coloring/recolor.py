@@ -13,15 +13,22 @@ vertex by vertex as one C loop, :func:`repro.core.native.recolor_walk`,
 which marks the finalized neighbors' colors in a stamp array.  The array
 covers the min(β, max degree) + 1 colors at the picking end of {0..β},
 which hold every pick, so one loop serves every β.  The numpy tail
-("batched" or "scalar", and the warned fallback) runs the same walk in
-Python, its oracle (:func:`_recolor_walk`): each vertex keeps its
-blocked colors as one Python-int mask, so it too serves every β.
-Colors, ``num_colors`` and ``processed_order`` are the same on both
-paths; the colors and the order come back as int64 arrays, and
-``num_colors`` is counted off the color array in O(n) memory whatever β
-(:func:`count_colors`).  The within-layer conflict check takes the
-caller's same-layer edge mask when it has one: the pipeline builds it
-once, in the pass that finds its layers' within-layer degrees.
+("batched" or "scalar", and the warned fallback) is its oracle.  It runs
+one (layer, initial color) class at a time.  Each class is an
+independent set, because the initial coloring is proper within a layer,
+so no vertex of a class constrains another: every member sees exactly
+the blocked set it would see in the vertex-by-vertex walk, and the whole
+class picks its colors in one array pass over int64 blocked-color masks,
+then ORs each chosen bit into its neighbors' masks.  With β+1 > 62
+colors the masks no longer fit an int64, and the numpy tail walks over
+Python-int masks instead (:func:`_recolor_walk`).  Colors,
+``num_colors`` and ``processed_order`` are the same on every path; the
+colors and the order come back as int64 arrays, as the walk and the
+order's ``np.lexsort`` produce them, and ``num_colors`` is counted off
+the color array in O(n) memory whatever β (:func:`count_colors`).  The
+within-layer conflict check takes the caller's same-layer edge mask
+when it has one: the pipeline builds it once, in the pass that finds
+its layers' within-layer degrees.
 
 The AMPC simulation batches layers so each vertex's recursive dependency
 ball fits in machine memory; :func:`recoloring_ampc_rounds` reproduces the
@@ -106,15 +113,72 @@ def greedy_recolor_by_layers(
         final = native.recolor_walk(
             offsets, targets, order, beta, lowest=pick == "lowest"
         )
-    if final is None:
+    if final is None and beta + 1 > 62:
         final = np.array(
             _recolor_walk(graph, order.tolist(), beta, pick), dtype=np.int64
+        )
+    elif final is None:
+        final = _recolor_by_class(
+            graph, order, layer_vec[order], init_vec[order], beta, pick
         )
     return RecolorResult(
         colors=final,
         num_colors=count_colors(graph, final),
         processed_order=order,
     )
+
+
+def _recolor_by_class(
+    graph: Graph,
+    order: np.ndarray,
+    layer_sorted: np.ndarray,
+    init_sorted: np.ndarray,
+    beta: int,
+    pick: str,
+) -> np.ndarray:
+    """The walk one (layer, initial color) class at a time (β+1 <= 62).
+
+    Blocked palettes are int64 bitmaps over {0..β}.  A class picks its
+    colors in one pass (complement, then an integer bit scan) and ORs
+    each member's bit into its neighbors' masks with ``np.bitwise_or.at``.
+    """
+    n = graph.num_vertices
+    blocked = np.zeros(n, dtype=np.int64)
+    final = np.empty(n, dtype=np.int64)
+    full = (1 << (beta + 1)) - 1
+    nbrs, boundaries = graph.neighbors_of(order)
+    cuts = np.flatnonzero(
+        (layer_sorted[1:] != layer_sorted[:-1])
+        | (init_sorted[1:] != init_sorted[:-1])
+    ) + 1
+    starts = np.concatenate(([0], cuts)).tolist()
+    ends = np.concatenate((cuts, [n])).tolist()
+    for s, e in zip(starts, ends):
+        cls = order[s:e]
+        available = ~blocked[cls] & full
+        if not available.all():
+            raise AssertionError(
+                "palette exhausted: partition was not a valid β-partition"
+            )
+        if pick == "lowest":
+            available &= -available
+        chosen = _top_bit(available)
+        final[cls] = chosen
+        bits = np.repeat(np.left_shift(1, chosen), np.diff(boundaries[s:e + 1]))
+        np.bitwise_or.at(blocked, nbrs[boundaries[s]:boundaries[e]], bits)
+    return final
+
+
+def _top_bit(x: np.ndarray) -> np.ndarray:
+    """Index of the highest set bit of each positive int64, by integer
+    binary search (a float log2 is exact only up to 2**53)."""
+    index = np.zeros(x.shape, dtype=np.int64)
+    for shift in (32, 16, 8, 4, 2, 1):
+        high = x >> shift
+        moved = high != 0
+        x = np.where(moved, high, x)
+        index += moved * shift
+    return index
 
 
 def _recolor_walk(

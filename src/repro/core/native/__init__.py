@@ -137,10 +137,9 @@ strictly ascending and exactly the ids of one label, and ``labels``
 has length n: the loops index their per-vertex scratch by global id
 and initialise it at the layer's ids alone, so each arc tests the far
 end's label before it reads that scratch.  The ``Layer`` type carries
-these: :func:`~repro.coloring.layers.split_layers`, its only builder,
-makes the vertices one label class, checks a CSR other than the
-graph's once, and freezes every array, so the wrappers do not check
-the layer again.  Colors are non-negative: below ``q**d1`` with
+these by construction (:mod:`repro.coloring.layers`), so the wrappers
+do not check the layer again; KW's rejects an orientation's CSR
+(``Layer.on_graph``).  Colors are non-negative: below ``q**d1`` with
 ``q*q`` in int64 for the round, below the palette for KW.  The
 wrappers raise ValueError before the call unless ``colors`` has one
 entry per layer vertex (and, for KW, each below the palette), and
@@ -511,11 +510,15 @@ def kw_reduce(
     layer: Layer, colors: np.ndarray, palette: int, delta_plus_1: int,
 ) -> tuple[np.ndarray, int, int] | None:
     """Kuhn–Wattenhofer down to ``delta_plus_1`` colors
-    (``repro_kw_reduce``) on ``layer`` of a symmetric CSR, on a copy of
-    ``colors`` (by layer position, each in ``[0, palette)``): ``(colors,
-    num_colors, local_rounds)``, or None when the loop failed (see
-    :func:`cover_free_round`).  Raises ValueError before the call unless
-    there is one color per layer vertex, each inside the palette."""
+    (``repro_kw_reduce``) on ``layer`` of its graph's symmetric CSR, on
+    a copy of ``colors`` (by layer position, each in ``[0, palette)``):
+    ``(colors, num_colors, local_rounds)``, or None when the loop failed
+    (see :func:`cover_free_round`).  Raises ValueError before the call
+    on a layer of an orientation's CSR, whose loop would avoid
+    out-neighbors only, and unless there is one color per layer vertex,
+    each inside the palette."""
+    if not layer.on_graph:
+        raise ValueError("Kuhn-Wattenhofer needs a layer of its graph's CSR")
     out = _layer_colors(layer, colors)
     if out.size and (int(out.min()) < 0 or int(out.max()) >= palette):
         raise ValueError(f"colors outside the palette [0, {palette})")

@@ -31,9 +31,9 @@
  * caller's cap is ejected, and the fleet player's exact interpreter
  * replays it.
  *
- * Plain C99 + libc only: the library is built either by cffi's API mode
- * (setup.py cffi_modules) or by a direct `gcc -shared` at first import
- * (ABI mode dlopen); neither path may depend on Python headers here.
+ * Plain C99 + libc only: the library is built by a direct `gcc -shared`
+ * at first import and loaded by cffi's ABI mode (dlopen), so nothing
+ * here may depend on Python headers.
  */
 
 #include <stdint.h>

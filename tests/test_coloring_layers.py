@@ -2,8 +2,9 @@
 
 A :class:`Layer` is right by construction: :func:`split_layers` is its
 only builder, each layer's vertices are one label class, strictly
-ascending, a CSR other than the graph's is checked once, when the layer
-is built, and every array is read-only.  Malformed labels and CSRs
+ascending, a CSR other than the graph's (taken only by the one-label
+:func:`whole_layer`) is checked once, when the layer is built, and
+every array is read-only.  Malformed labels and CSRs
 raise there, before any C loop can see them.
 """
 
@@ -56,6 +57,14 @@ class TestSplit:
         np.testing.assert_array_equal(layer.local_csr()[0], [0, 1, 2, 3, 3])
         np.testing.assert_array_equal(layer.local_csr()[1], [1, 2, 3])
         assert layer.offsets.dtype == layer.targets.dtype == np.int64
+        assert not layer.on_graph
+
+    def test_whole_layer_of_the_graphs_own_csr_is_on_the_graph(self):
+        g = path_graph(4)
+        for layer in (whole_layer(g), whole_layer(g, csr=g.csr())):
+            assert layer.on_graph
+            assert layer.offsets is g.csr()[0]
+            assert layer.targets is g.csr()[1]
 
 
 class TestReadOnly:
@@ -118,8 +127,3 @@ class TestMalformedLayers:
                 native.cover_free_round(layer, np.arange(6), 2, 7, 2)
             else:
                 native.kw_reduce(layer, np.arange(6), 6, 3)
-
-    def test_own_csr_only_for_a_single_label_class(self, monkeypatch):
-        monkeypatch.setattr(native, "_tail_call", no_c_call)
-        with pytest.raises(ValueError, match="single label class"):
-            split_layers(path_graph(6), LABELS, csr=path_graph(6).csr())

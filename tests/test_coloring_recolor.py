@@ -41,9 +41,11 @@ def _per_layer_greedy(graph, partition, beta):
     return colors
 
 
-# Palette widths on both sides of the int64 mask width: both tails (the
-# compiled walk and the Python-int walk) serve every β.
-BETAS = (6, 52, 53, 61, 62, 63, 100)
+# Palette widths around the int64 mask limit: on the numpy tail, β+1 <= 62
+# colors take the class-at-a-time pass, wider palettes the Python-int
+# walk; the compiled walk takes them all.
+CLASS_BETAS = (6, 52, 53, 61)
+WALK_BETAS = (62, 63, 100)
 
 
 def _forests_plus_cliques(seed, beta):
@@ -94,7 +96,7 @@ class TestRecolor:
 
     @given(
         st.integers(min_value=0, max_value=2**31),
-        st.sampled_from(BETAS),
+        st.sampled_from(CLASS_BETAS + WALK_BETAS),
     )
     @settings(max_examples=10, deadline=None)
     @example(seed=1, beta=6)
@@ -107,8 +109,9 @@ class TestRecolor:
     def test_bitmap_palettes_match_blocked_set_reference(self, seed, beta):
         """Every tail picks the same colors as neighbor sets.
 
-        The compiled walk and the numpy tail's Python-int walk serve
-        every β, and both equal the vertex-by-vertex walk.
+        The compiled walk serves every β.  On the numpy tail, β+1 <= 62
+        runs the class-at-a-time pass and wider palettes must take the
+        Python-int walk.  All equal the vertex-by-vertex walk.
         """
         g = _forests_plus_cliques(seed, beta)
         p = natural_beta_partition(g, beta)
@@ -116,10 +119,13 @@ class TestRecolor:
         for engine, pick in itertools.product(
             TAIL_ENGINES, ("highest", "lowest")
         ):
-            with tail(engine):
-                res = greedy_recolor_by_layers(
-                    g, p, initial, beta, pick=pick, engine=engine
-                )
+            with pytest.MonkeyPatch.context() as patch:
+                if engine == "batched" and beta in WALK_BETAS:
+                    patch.setattr(recolor, "_recolor_by_class", None)
+                with tail(engine):
+                    res = greedy_recolor_by_layers(
+                        g, p, initial, beta, pick=pick, engine=engine
+                    )
             walk = recolor._recolor_walk(g, res.processed_order, beta, pick)
             np.testing.assert_array_equal(res.colors, walk)
             assert res.num_colors == len(set(walk))
@@ -141,9 +147,9 @@ class TestRecolor:
             np.testing.assert_array_equal(res.colors, final)
 
     def test_exhausted_palette_asserts_on_both_paths(self):
-        # K_4 in one layer has no proper 3-coloring: the compiled walk
-        # and the Python-int walk both trip the palette-exhausted
-        # assertion.
+        # K_4 in one layer has no proper 3-coloring: the compiled walk,
+        # the class pass and the Python-int walk all trip the
+        # palette-exhausted assertion.
         g = Graph.from_arrays(4, np.column_stack(np.triu_indices(4, k=1)))
         p = PartialBetaPartition({v: 0 for v in range(4)})
         for engine, pick in itertools.product(

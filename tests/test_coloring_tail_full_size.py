@@ -3,9 +3,8 @@
 ``color_graph`` picks α with the compiled k-core peel and, by default,
 colors and recolors with the compiled kernel's C loops.  On full-size
 shapes that must reproduce, color for color, a run with the reference
-paths forced in: the batched engine's numpy tail, whose recolor is the
-vertex-by-vertex walk, and the ordered list peel
-(``degeneracy_order``).  The
+paths forced in: the batched engine's numpy tail, the ordered list peel
+(``degeneracy_order``) and the vertex-by-vertex recolor walk.  The
 compiled Linial and KW loops color each layer in place on the whole
 graph's CSR, the numpy tail on the layer's induced subgraph; on the
 200k-vertex path the single layer is the whole graph.  The
@@ -20,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.coloring import pipeline
+from repro.coloring import pipeline, recolor
 from repro.coloring.pipeline import color_graph, coloring_two_plus_eps
 from repro.core import batched_games, columnar_rounds, native
 from repro.core.beta_partition_ampc import beta_partition_ampc
@@ -32,6 +31,12 @@ pytestmark = pytest.mark.slow
 
 def _list_peel_degeneracy(graph):
     return max(degeneracy_order(graph)[1], default=0)
+
+
+def _walk_by_class_signature(graph, order, layer_sorted, init_sorted, beta, pick):
+    return np.array(
+        recolor._recolor_walk(graph, order.tolist(), beta, pick), dtype=np.int64
+    )
 
 
 @pytest.mark.parametrize(
@@ -49,6 +54,7 @@ def test_colors_match_reference_paths(make, monkeypatch):
     graph = make()
     fast = color_graph(graph)
     monkeypatch.setattr(pipeline, "degeneracy", _list_peel_degeneracy)
+    monkeypatch.setattr(recolor, "_recolor_by_class", _walk_by_class_signature)
     reference = color_graph(graph, engine="batched")
     assert fast.variant == "two_plus_eps"  # the variant that recolors
     assert fast.alpha == reference.alpha

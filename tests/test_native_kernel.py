@@ -966,6 +966,16 @@ class TestTailInputGuards:
         with pytest.raises(ValueError, match="palette"):
             native.kw_reduce(self._layer(), np.array(colors), 8, 3)
 
+    def test_kw_layer_of_an_orientation_raises(self, monkeypatch):
+        # The loop would avoid out-neighbours only: on this orientation
+        # of a path it returned [0, 1, 0, 0, 0, 0], improper on the path.
+        monkeypatch.setattr(native, "_tail_call", no_c_call)
+        directed = whole_layer(
+            path_graph(6), csr=([0, 1, 2, 3, 4, 5, 5], [1, 2, 3, 4, 5])
+        )
+        with pytest.raises(ValueError, match="its graph's CSR"):
+            native.kw_reduce(directed, np.arange(6), 6, 2)
+
     @pytest.mark.parametrize(
         "order",
         [[0, 1, 2, 3, 4, 6], [0, 1, 2, 3, 4, -1], [0, 1, 2, 3, 4],
